@@ -7,9 +7,10 @@ Subcommands:
     sweep --config <file>        parallel runs over a b0 grid, merged summary
     verify-bounds --suite <name> inequality/identity suites -> JSON verdict
 
-Outputs land under --out (or $KSLAB_OUT, default ./runs).  All randomness
-flows through one seeded generator recorded in the summaries, so identical
-configs reproduce bit-identical files.
+Outputs land under --out (or $KSLAB_OUT, default ./runs); --out may be given
+before or after the subcommand.  All randomness flows through one seeded
+generator recorded in the summaries, so identical configs reproduce
+bit-identical files.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .grid import FieldPair, RadialField, RadialGrid, field_to_csv
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BOUNDS = 2
+
+# evolve statuses of runs that ended early on a breakdown
+FAILED_STATUSES = ("modulation_failed", "grid_exhausted", "nonfinite")
 
 
 def _out_root(args):
@@ -202,7 +206,7 @@ def cmd_simulate(args) -> int:
     outdir = os.path.join(_out_root(args), args.name or "run")
     summary = run_one(cfg, outdir)
     print(json.dumps({"outdir": outdir, "status": summary["status"]}))
-    return EXIT_OK if summary["status"] != "modulation_failed" else EXIT_BOUNDS
+    return EXIT_BOUNDS if summary["status"] in FAILED_STATUSES else EXIT_OK
 
 
 def _sweep_job(packed):
@@ -238,7 +242,7 @@ def cmd_sweep(args) -> int:
     else:
         summaries = [_sweep_job(j) for j in jobs]
     merged = {"runs": summaries,
-              "all_ok": all(s["status"] != "modulation_failed"
+              "all_ok": all(s["status"] not in FAILED_STATUSES
                             for s in summaries)}
     _dump_json(os.path.join(root, "merged_summary.json"), merged)
     print(json.dumps({"n": len(summaries), "all_ok": merged["all_ok"]}))
@@ -307,39 +311,49 @@ def cmd_verify_bounds(args) -> int:
 
 
 def build_parser():
+    out_help = "output root (default $KSLAB_OUT or ./runs)"
     ap = argparse.ArgumentParser(prog="kslab",
                                  description="radial chemotaxis blow-up laboratory")
-    ap.add_argument("--out", default=None,
-                    help="output root (default $KSLAB_OUT or ./runs)")
+    ap.add_argument("--out", default=None, help=out_help)
+    # --out is also accepted after any subcommand; SUPPRESS keeps a value
+    # given before the subcommand when none is given after it
+    out_after = argparse.ArgumentParser(add_help=False)
+    out_after.add_argument("--out", default=argparse.SUPPRESS, help=out_help)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("profile", help="profile family operations")
+    p = sub.add_parser("profile", help="profile family operations",
+                       parents=[out_after])
     psub = p.add_subparsers(dest="subcommand", required=True)
-    pb = psub.add_parser("build", help="construct the family at one b")
+    pb = psub.add_parser("build", help="construct the family at one b",
+                         parents=[out_after])
     pb.add_argument("--b", required=True)
     pb.add_argument("--r-max", type=float, default=None)
     pb.set_defaults(func=cmd_profile_build)
 
-    spct = sub.add_parser("spectral", help="linearized operator certification")
+    spct = sub.add_parser("spectral", help="linearized operator certification",
+                          parents=[out_after])
     ssub = spct.add_subparsers(dest="subcommand", required=True)
-    sc = ssub.add_parser("check")
+    sc = ssub.add_parser("check", parents=[out_after])
     sc.add_argument("--M", required=True)
     sc.add_argument("--nodes-per-decade", type=int, default=32)
     sc.add_argument("--h-core", type=float, default=0.1)
     sc.set_defaults(func=cmd_spectral)
 
-    sim = sub.add_parser("simulate", help="one modulated run")
+    sim = sub.add_parser("simulate", help="one modulated run",
+                         parents=[out_after])
     sim.add_argument("--config", required=True)
     sim.add_argument("--name", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    sw = sub.add_parser("sweep", help="parallel b0 sweep")
+    sw = sub.add_parser("sweep", help="parallel b0 sweep",
+                        parents=[out_after])
     sw.add_argument("--config", required=True)
     sw.add_argument("--b0", default=None, help="comma-separated b0 list")
     sw.add_argument("--workers", type=int, default=2)
     sw.set_defaults(func=cmd_sweep)
 
-    vb = sub.add_parser("verify-bounds", help="inequality suites")
+    vb = sub.add_parser("verify-bounds", help="inequality suites",
+                        parents=[out_after])
     vb.add_argument("--suite", required=True,
                     choices=["hardy", "loghls", "profiles", "spectral"])
     vb.set_defaults(func=cmd_verify_bounds)

@@ -6,13 +6,14 @@ The parabolic-parabolic system is advanced in partial-mass variables
     n_s = (n - m)'' - (n - m)'/r - b r n'
 
 (physical frame: b = 0), with the second-order terms and the first-order
-transport treated implicitly (sparse banded solve) and the m'n/r coupling
-linearized at the previous step.  The production path runs in the rescaled
-frame y = r/lambda with s-time: after every step the state is decomposed
-against the localized profile family by a damped Newton solve of the two
-orthogonality conditions, which yields (lambda, b); small frame drift
-accumulates in a pending scale factor and the grid is only re-interpolated
-when it exceeds a threshold, so the bubble never de-resolves.
+transport treated implicitly (one LAPACK banded solve for m, then one for
+n, per step) and the m'n/r coupling linearized at the previous step.  The
+production path runs in the rescaled frame y = r/lambda with s-time: after
+every step the state is decomposed against the localized profile family by
+a damped Newton solve of the two orthogonality conditions, which yields
+(lambda, b); small frame drift accumulates in a pending scale factor and
+the grid is only re-interpolated when it exceeds a threshold, so the bubble
+never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; everything recorded lands
@@ -27,13 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 from scipy.interpolate import make_interp_spline
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import brentq
-from scipy.sparse.linalg import spsolve
 
 from . import diagnostics, operators
 from .grid import FieldPair, RadialField, RadialGrid
 from .profiles import (
     B_MAX,
+    ProfileError,
     build_profile_family,
     build_t1_s1,
     mass_q,
@@ -179,53 +181,94 @@ class SemiImplicitStepper:
     boundary pins m (captured mass, exact conservation) and imposes zero
     slope on n, matching the far-field constancy of the chemoattractant
     partial mass.
+
+    Both systems are banded.  D1, D2 and lap0 = D2 - D1/r are held once in
+    LAPACK band storage, ab[u + i - j, j] = A[i, j], with the lower and upper
+    widths (l, u) read off the nonzero pattern of the assembled difference
+    matrices (5 and 3 at stencil order 4).  Each step forms both system
+    matrices and their boundary rows directly in that storage and solves
+    them with `scipy.linalg.solve_banded`.  A singular system or a
+    non-finite solution raises SimulationError.
     """
 
     def __init__(self, grid: RadialGrid, coupling=True):
         self.grid = grid
         self.coupling = coupling
-        self.d1 = grid.diff_matrix(1, "even").tocsr()
-        self.d2 = grid.diff_matrix(2, "even").tocsr()
+        d1 = grid.diff_matrix(1, "even").tocsr()
+        d2 = grid.diff_matrix(2, "even").tocsr()
         r = grid.nodes
+        npts = grid.n
         inv_r = np.zeros_like(r)
         inv_r[1:] = 1.0 / r[1:]
         self.inv_r = inv_r
-        self.lap0 = (self.d2 - sparse.diags(inv_r) @ self.d1).tolil()
-        self.lap0[0] = 0.0
-        self.lap0 = self.lap0.tocsr()
-        self.eye = sparse.identity(grid.n, format="csr")
+        # row 0 of lap0 never matters: both systems replace it by a unit row
+        lap0 = (d2 - sparse.diags(inv_r) @ d1).tocsr()
+        self._lap0_csr = lap0   # for the explicit lap0 @ m_new
+        offsets = np.concatenate([np.subtract(*d.nonzero()) for d in (d1, d2)])
+        self.l, self.u = l, u = int(offsets.max()), int(-offsets.min())
+        self.d1 = _band(d1, l, u)
+        self.d2 = _band(d2, l, u)
+        self.lap0 = _band(lap0, l, u)
+        # row i of band entry (k, j) is k - u + j; outside the matrix the
+        # band is zero, so a clipped index only ever multiplies a zero
+        self._rows = np.clip(np.arange(l + u + 1)[:, None] - u
+                             + np.arange(npts)[None, :], 0, npts - 1)
+        self._r_d1 = r[self._rows] * self.d1
+        self._eye = np.zeros_like(self.d1)
+        self._eye[u] = 1.0
+        j = np.arange(u + 1)
+        self._first_row = (u - j, j)
+        j = np.arange(npts - 1 - l, npts)
+        self._last_row = (u + npts - 1 - j, j)
 
     def step(self, state: FlowState, ds: float, b: float = 0.0) -> FlowState:
-        g = self.grid
-        r = g.nodes
+        r = self.grid.nodes
+        u = self.u
         n_old = state.n
         coef = -self.inv_r - b * r
         if self.coupling:
             coef = coef + self.inv_r * n_old
-        A_m = (self.eye - ds * (self.d2 + sparse.diags(coef) @ self.d1)).tolil()
+        A_m = self._eye - ds * (self.d2 + coef[self._rows] * self.d1)
         rhs_m = state.m.copy()
-        A_m[0] = 0.0
-        A_m[0, 0] = 1.0
+        A_m[self._first_row] = 0.0
+        A_m[u, 0] = 1.0
         rhs_m[0] = 0.0
-        A_m[-1] = 0.0
-        A_m[-1, -1] = 1.0
-        rhs_m[-1] = state.m[-1]
-        m_new = spsolve(A_m.tocsc(), rhs_m)
+        A_m[self._last_row] = 0.0
+        A_m[u, -1] = 1.0
+        m_new = self._solve(A_m, rhs_m)
 
-        A_n = (self.eye - ds * (self.lap0
-                                - b * sparse.diags(r) @ self.d1)).tolil()
-        rhs_n = n_old - ds * (self.lap0 @ m_new)
-        A_n[0] = 0.0
-        A_n[0, 0] = 1.0
+        A_n = self._eye - ds * (self.lap0 - b * self._r_d1)
+        rhs_n = n_old - ds * (self._lap0_csr @ m_new)
+        A_n[self._first_row] = 0.0
+        A_n[u, 0] = 1.0
         rhs_n[0] = 0.0
-        A_n[-1] = self.d1[-1].toarray().ravel()
+        A_n[self._last_row] = self.d1[self._last_row]
         rhs_n[-1] = 0.0
-        n_new = spsolve(A_n.tocsc(), rhs_n)
+        n_new = self._solve(A_n, rhs_n)
 
         lam = state.lam * math.exp(-b * ds)
         lam_mid = state.lam * math.exp(-0.5 * b * ds)
         return replace(state, m=m_new, n=n_new, s=state.s + ds,
                        t=state.t + ds * lam_mid ** 2, lam=lam)
+
+    def _solve(self, ab, rhs):
+        try:
+            x = solve_banded((self.l, self.u), ab, rhs, overwrite_ab=True,
+                             overwrite_b=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SimulationError("singular implicit step: %s" % exc) from exc
+        if not np.all(np.isfinite(x)):
+            raise SimulationError("implicit step produced a non-finite state")
+        return x
+
+
+def _band(mat, l, u):
+    """LAPACK band storage ab[u + i - j, j] = mat[i, j] of a sparse matrix."""
+    coo = mat.tocoo()
+    coo.eliminate_zeros()
+    ab = np.zeros((l + u + 1, mat.shape[1]))
+    ab[u + coo.row - coo.col, coo.col] = coo.data
+    return ab
 
 
 # -- modulation decomposition ----------------------------------------------------
@@ -385,32 +428,37 @@ def lift_b(solver: ModulationSolver, mod: ModulationState,
     """b_hat solving <Qb~ + E - Qbhat~, L* Phi_{0, Bhat0}> = 0, Bhat0 = 1/sqrt(b_hat)."""
     g = solver.grid
     fam_b = solver.cache(mod.b)
-    w = 2.0 * np.pi * g.quad_weights
     eps = mod.eps_pair
     b_floor = grid_b_floor(g)
-
-    def F(bh):
-        fam_h = solver.cache(bh)
-        B0h = 1.0 / math.sqrt(bh)
-        p0 = operators.phi0_pair(g, B0h)
-        lp0 = operators.apply_Lstar(p0)
-        du = (fam_b.Qb_tilde.values + eps.density.values
-              - fam_h.Qb_tilde.values)
-        dg = (fam_b.Pb_tilde_grad.values + eps.chem_gradient.values
-              - fam_h.Pb_tilde_grad.values)
-        return float(w @ (du * lp0.density.values)
-                     + w @ (dg * lp0.chem_gradient.values))
+    # brentq keeps its function in a self-referencing closure that only the
+    # cyclic collector frees; a closure over the cache here would keep every
+    # profile family in it alive after the run, so the data goes in args
+    args = (solver.cache, g, 2.0 * np.pi * g.quad_weights,
+            fam_b.Qb_tilde.values + eps.density.values,
+            fam_b.Pb_tilde_grad.values + eps.chem_gradient.values)
 
     lo = max(bracket[0] * mod.b, b_floor)
     hi = min(bracket[1] * mod.b, B_MAX)
-    flo, fhi = F(lo), F(hi)
+    flo, fhi = _lift_residual(lo, *args), _lift_residual(hi, *args)
     if flo * fhi > 0:
         lo = max(0.25 * mod.b, b_floor)
         hi = min(4.0 * mod.b, B_MAX)
-        flo, fhi = F(lo), F(hi)
+        flo, fhi = _lift_residual(lo, *args), _lift_residual(hi, *args)
         if flo * fhi > 0:
             raise ModulationError("lift_b bracket failure")
-    return float(brentq(F, lo, hi, xtol=1e-14 * mod.b, rtol=1e-12))
+    return float(brentq(_lift_residual, lo, hi, args=args,
+                        xtol=1e-14 * mod.b, rtol=1e-12))
+
+
+def _lift_residual(bh, cache, grid, w, u_b, g_b):
+    """lift_b's root function at b_hat = bh; u_b, g_b = (Qb~, dPb~) + E."""
+    fam_h = cache(bh)
+    lp0 = operators.apply_Lstar(
+        operators.phi0_pair(grid, 1.0 / math.sqrt(bh)))
+    du = u_b - fam_h.Qb_tilde.values
+    dg = g_b - fam_h.Pb_tilde_grad.values
+    return float(w @ (du * lp0.density.values)
+                 + w @ (dg * lp0.chem_gradient.values))
 
 
 # -- the evolution loop ----------------------------------------------------------
@@ -471,10 +519,17 @@ def evolve(params: EvolveParams, perturbation=None,
 
     Records the modulation history at the configured cadence; the returned
     series carries .status in {'lam_stop', 't_max', 's_max', 'b_min',
-    'modulation_failed'}.  The frame moves at the rate b while the bubble
-    sits at the pending scale lam1 inside it, so lam1 drifts between refolds
-    and the recorded s (the frame's time, also what s_max bounds) runs at
-    lam1^2 times the bubble's rate; see `bubble_time`.
+    'modulation_failed', 'grid_exhausted', 'nonfinite'}.  The last three
+    end a run early and keep the partial series plus a final record:
+    'modulation_failed' when the modulation Newton solve fails,
+    'grid_exhausted' when the solve needs the profile at a b whose
+    localization does not fit the grid (4 B1(b) > r_max), 'nonfinite' when
+    the implicit step is singular or leaves a non-finite state.
+
+    The frame moves at the rate b while the bubble sits at the pending
+    scale lam1 inside it, so lam1 drifts between refolds and the recorded s
+    (the frame's time, also what s_max bounds) runs at lam1^2 times the
+    bubble's rate; see `bubble_time`.
     """
     grid = dynamics_grid(params)
     state = initial_state(grid, params, perturbation)
@@ -516,24 +571,31 @@ def evolve(params: EvolveParams, perturbation=None,
     while True:
         ds = min(params.ds_max, 1.5 * ds,
                  params.db_rel_cap * b / max(b_s_est, 1e-300))
-        state = stepper.step(state, ds, b=b)
-        step_count += 1
         try:
+            state = stepper.step(state, ds, b=b)
+            step_count += 1
             mod = solver.decompose(state, guess=(lam_pending, b))
+            b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
+            b = mod.b
+            lam_pending = mod.lam
+            # The pending scale is bookkeeping only: folding it into the
+            # stored arrays re-interpolates the state and each such event
+            # injects a small scale bias and leaks tail mass, so refits
+            # happen only if the frame truly de-centers (resolution guard),
+            # not as routine upkeep.
+            if abs(lam_pending - 1.0) > params.refold_threshold:
+                state = _rescale_state(state, lam_pending)
+                lam_pending = 1.0
+                mod = solver.decompose(state, guess=(1.0, b))
         except ModulationError:
             series.status = "modulation_failed"
             break
-        b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
-        b = mod.b
-        lam_pending = mod.lam
-        # The pending scale is bookkeeping only: folding it into the stored
-        # arrays re-interpolates the state and each such event injects a
-        # small scale bias and leaks tail mass, so refits happen only if the
-        # frame truly de-centers (resolution guard), not as routine upkeep.
-        if abs(lam_pending - 1.0) > params.refold_threshold:
-            state = _rescale_state(state, lam_pending)
-            lam_pending = 1.0
-            mod = solver.decompose(state, guess=(1.0, b))
+        except ProfileError:
+            series.status = "grid_exhausted"
+            break
+        except SimulationError:
+            series.status = "nonfinite"
+            break
         if step_count % params.cadence == 0:
             record()
         lam_total = state.lam * lam_pending

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from kslab.cli import main
 from kslab.config import ConfigError, RunConfig, load_config, parse_config_text
 
 
@@ -102,6 +103,28 @@ def test_simulate_deterministic(tmp_path):
     sa = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert sa["status"] in ("s_max", "b_min", "lam_stop", "t_max")
     assert "seed" in sa
+
+
+def test_simulate_grid_exhausted(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.r_max = 186\noutput.cadence = 5\n"
+                   "solver.s_max = 200\n")
+    r = run_cli(["simulate", "--config", str(cfg)], tmp_path)
+    assert r.returncode == 2, r.stderr
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["status"] == "grid_exhausted"
+    assert summary["records"] == 6
+    assert (tmp_path / "run" / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_out_before_or_after_subcommand(tmp_path, monkeypatch, before):
+    monkeypatch.setenv("KSLAB_OUT", str(tmp_path / "env"))
+    out = ["--out", str(tmp_path / "flag")]
+    cmd = ["profile", "build", "--b", "0.5"]
+    assert main(out + cmd if before else cmd + out) == 1
+    assert (tmp_path / "flag" / "profile_error.json").exists()
+    assert not (tmp_path / "env").exists()
 
 
 def test_sweep_fans_out(tmp_path):

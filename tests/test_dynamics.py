@@ -1,8 +1,13 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.sparse.linalg import spsolve
 
 import kslab.dynamics as dyn
 import kslab.operators as ops
@@ -104,6 +109,69 @@ def test_step_self_convergence_order():
     assert 0.7 < order < 1.6  # first-order linearized implicit scheme
 
 
+def reference_step(grid, state, ds, b=0.0, coupling=True):
+    """The stepper's scheme assembled as CSR, boundary rows set through lil
+    and both systems solved by SuperLU (the banded stepper's oracle)."""
+    d1 = grid.diff_matrix(1, "even").tocsr()
+    d2 = grid.diff_matrix(2, "even").tocsr()
+    r = grid.nodes
+    inv_r = np.zeros_like(r)
+    inv_r[1:] = 1.0 / r[1:]
+    lap0 = (d2 - sparse.diags(inv_r) @ d1).tolil()
+    lap0[0] = 0.0
+    lap0 = lap0.tocsr()
+    eye = sparse.identity(grid.n, format="csr")
+    coef = -inv_r - b * r
+    if coupling:
+        coef = coef + inv_r * state.n
+    A_m = (eye - ds * (d2 + sparse.diags(coef) @ d1)).tolil()
+    rhs_m = state.m.copy()
+    A_m[0] = 0.0
+    A_m[0, 0] = 1.0
+    rhs_m[0] = 0.0
+    A_m[-1] = 0.0
+    A_m[-1, -1] = 1.0
+    rhs_m[-1] = state.m[-1]
+    m_new = spsolve(A_m.tocsc(), rhs_m)
+    A_n = (eye - ds * (lap0 - b * sparse.diags(r) @ d1)).tolil()
+    rhs_n = state.n - ds * (lap0 @ m_new)
+    A_n[0] = 0.0
+    A_n[0, 0] = 1.0
+    rhs_n[0] = 0.0
+    A_n[-1] = d1[-1].toarray().ravel()
+    rhs_n[-1] = 0.0
+    n_new = spsolve(A_n.tocsc(), rhs_n)
+    return m_new, n_new
+
+
+@pytest.mark.parametrize("ds", [1e-3, 0.5])
+@pytest.mark.parametrize("b", [0.0, 1e-2])
+@pytest.mark.parametrize("coupling", [True, False])
+@pytest.mark.parametrize("order", [4, 6])
+def test_step_matches_sparse_oracle(order, coupling, b, ds):
+    grid = RadialGrid.make(60.0, h_core=0.05, nodes_per_decade=32,
+                           stencil_order=order)
+    r = grid.nodes
+    m0 = grid.cumulative_integral(q_density(r) * np.exp(-r ** 2 / 50), "r")
+    state = dyn.FlowState(grid, m0, 0.8 * mass_q(r))
+    new = dyn.SemiImplicitStepper(grid, coupling=coupling).step(state, ds, b)
+    m_ref, n_ref = reference_step(grid, state, ds, b, coupling)
+    assert np.max(np.abs(new.m - m_ref)) <= 1e-10 * np.max(np.abs(m_ref))
+    assert np.max(np.abs(new.n - n_ref)) <= 1e-10 * np.max(np.abs(n_ref))
+    assert new.m[-1] == state.m[-1]
+    d1_last = grid.diff_matrix(1, "even").tocsr()[-1].toarray().ravel()
+    slope_scale = np.abs(d1_last) @ np.abs(new.n)
+    assert abs(d1_last @ new.n) <= 1e-13 * slope_scale
+
+
+def test_step_nonfinite_raises(small_grid, small_params):
+    state = dyn.initial_state(small_grid, small_params)
+    stepper = dyn.SemiImplicitStepper(small_grid)
+    bad = replace(state, n=np.where(small_grid.nodes > 5.0, np.nan, state.n))
+    with pytest.raises(dyn.SimulationError):
+        stepper.step(bad, 0.02, b=small_params.b0)
+
+
 def test_step_mass_exact(small_grid, small_params):
     state = dyn.initial_state(small_grid, small_params)
     stepper = dyn.SemiImplicitStepper(small_grid)
@@ -173,6 +241,23 @@ def test_lift_b_fixed_point(small_grid, small_params):
     assert abs(bh - mod.b) / mod.b < 1e-3
 
 
+def test_lift_b_leaves_no_cycle_on_the_cache(small_grid, small_params):
+    # brentq holds its function in a reference cycle; the profile cache
+    # must not hang on it, or every family outlives the run until a full
+    # collection
+    state = dyn.initial_state(small_grid, small_params)
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    mod = solver.decompose(state, guess=(1.0, small_params.b0))
+    cache = weakref.ref(solver.cache)
+    gc.disable()
+    try:
+        dyn.lift_b(solver, mod)
+        del solver, mod
+        assert cache() is None
+    finally:
+        gc.enable()
+
+
 def test_lift_b_derivative_scale(small_grid, small_params):
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     b = small_params.b0
@@ -209,6 +294,33 @@ def test_evolve_short_run_health(small_params):
     E = series.column("free_energy")
     assert np.all(np.diff(E) <= 1e-8 * np.abs(E[:-1]))
     assert np.min(series.column("min_u")) > 0.0
+
+
+def test_evolve_grid_exhausted():
+    # r_max = 186 passes the guard 4 B1(b0) = 184.2, but at step 25 the
+    # modulation needs b = 9.86e-3, whose 4 B1 is 186.1
+    params = dyn.EvolveParams(b0=1e-2, r_max=186.0, cadence=5, s_max=200.0)
+    series = dyn.evolve(params)
+    assert series.status == "grid_exhausted"
+    assert len(series) == 6  # records at steps 0, 5, ..., 20 plus the final
+    assert np.all(np.isfinite(series.column("mass")))
+
+
+def test_evolve_nonfinite(monkeypatch):
+    step = dyn.SemiImplicitStepper.step
+    calls = []
+
+    def poisoned(self, state, ds, b=0.0):
+        calls.append(ds)
+        if len(calls) == 3:
+            state = replace(state, n=np.full_like(state.n, np.nan))
+        return step(self, state, ds, b)
+
+    monkeypatch.setattr(dyn.SemiImplicitStepper, "step", poisoned)
+    series = dyn.evolve(dyn.EvolveParams(b0=8e-3, cadence=1, s_max=8.0))
+    assert series.status == "nonfinite"
+    assert len(series) == 3  # steps 0, 1, 2; the failed step adds nothing
+    assert np.all(np.isfinite(np.array(series.rows)[:, :4]))
 
 
 def test_evolve_deterministic(small_params):
