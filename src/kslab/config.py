@@ -120,13 +120,23 @@ _SECTIONS = {
 
 
 def _coerce(current, raw):
+    """raw (config text or a JSON value) as the type of the field's current
+    value; ValueError if it does not convert.  An int field takes an
+    integral number only."""
+    if isinstance(raw, str):
+        if isinstance(current, bool):
+            return raw.lower() in ("1", "true", "yes")
+        return type(current)(raw)
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
     if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
+        if isinstance(raw, bool):
+            return raw
+    elif isinstance(current, float) and number:
         return float(raw)
-    return raw
+    elif isinstance(current, int) and number and (
+            isinstance(raw, int) or raw.is_integer()):
+        return int(raw)
+    raise ValueError("expected %s" % type(current).__name__)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -165,7 +175,14 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def parse_config_json(text: str) -> RunConfig:
-    data = json.loads(text)
+    """The same structure as JSON: {"section": {"key": value}}, values
+    converted as in the text form."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(["malformed JSON: %s" % exc]) from None
+    if not isinstance(data, dict):
+        raise ConfigError(["a JSON config must be an object of sections"])
     cfg = RunConfig()
     violations = []
     for section, entries in data.items():
@@ -173,11 +190,18 @@ def parse_config_json(text: str) -> RunConfig:
         if section not in _SECTIONS or target is None:
             violations.append("unknown section %r" % section)
             continue
+        if not isinstance(entries, dict):
+            violations.append("section %r must be an object" % section)
+            continue
         for name, value in entries.items():
             if not hasattr(target, name):
                 violations.append("unknown key %r in section %r" % (name, section))
                 continue
-            setattr(target, name, value)
+            try:
+                setattr(target, name, _coerce(getattr(target, name), value))
+            except (ValueError, OverflowError):
+                violations.append("cannot parse value %r for %s.%s"
+                                  % (value, section, name))
     if violations:
         raise ConfigError(violations)
     return cfg

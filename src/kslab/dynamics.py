@@ -11,9 +11,10 @@ n, per step) and the m'n/r coupling linearized at the previous step.  The
 production path runs in the rescaled frame y = r/lambda with s-time: after
 every step the state is decomposed against the localized profile family by
 a damped Newton solve of the two orthogonality conditions, which yields
-(lambda, b); small frame drift accumulates in a pending scale factor and
-the grid is only re-interpolated when it exceeds a threshold, so the bubble
-never de-resolves.
+(lambda, b) and reuses the b-column of its Jacobian across steps (it does
+not depend on the state); small frame drift accumulates in a pending scale
+factor and the grid is only re-interpolated when it exceeds a threshold, so
+the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; everything recorded lands
@@ -39,6 +40,7 @@ from .profiles import (
     build_profile_family,
     build_t1_s1,
     mass_q,
+    modulation_profile,
     q_density,
 )
 
@@ -274,7 +276,11 @@ def _band(mat, l, u):
 # -- modulation decomposition ----------------------------------------------------
 
 class ProfileCache:
-    """Profile families per b on one grid (bounded-size, keyed by value)."""
+    """Modulation profiles per b on one grid (bounded size, keyed by value).
+
+    Holds `profiles.modulation_profile`'s three arrays (Qb~, grad Pb~, n~)
+    per b, about a tenth of a full family.
+    """
 
     def __init__(self, grid, maxsize=64):
         self.grid = grid
@@ -283,13 +289,17 @@ class ProfileCache:
 
     def __call__(self, b):
         key = float(b)
-        fam = self._store.get(key)
-        if fam is None:
-            fam = build_profile_family(self.grid, b, with_error=False)
+        prof = self._store.get(key)
+        if prof is None:
+            prof = modulation_profile(self.grid, b)
             if len(self._store) >= self.maxsize:
                 self._store.pop(next(iter(self._store)))
-            self._store[key] = fam
-        return fam
+            self._store[key] = prof
+        return prof
+
+
+# relative move of b after which decompose retakes the stored b-column
+B_COLUMN_REFRESH = 1e-2
 
 
 class ModulationSolver:
@@ -297,8 +307,14 @@ class ModulationSolver:
 
     The residual map p = (lambda1, b) -> (<v, Phi_M>, <v, L* Phi_M>) with
     v = (lambda1^2 u(lambda1 y) - Qb~, lambda1 dv(lambda1 y) - dPb~) is
-    solved by damped Newton; the profile's b-dependence is refreshed by
-    finite differences around the current iterate.
+    solved by damped Newton.  The map is separable, F(lambda1, b) =
+    S(lambda1) - P(b), so its b-column does not depend on the state: the
+    solver keeps its last finite-difference b-column with the b it was
+    taken at, across calls, and retakes it when b has moved by more than
+    B_COLUMN_REFRESH relative, or once before giving up when the Jacobian
+    is singular or the damped line search finds no descent (a chord
+    Newton method).  The lambda-column is retaken every iteration; its
+    probe shares b with the iterate, so it costs spline evaluations only.
     """
 
     def __init__(self, grid: RadialGrid, M_param: float, cache=None):
@@ -316,24 +332,62 @@ class ModulationSolver:
         self._wphi2 = w * self.phim.pair.chem_gradient.values
         self._wlphi1 = w * self.lstar_phim.density.values
         self._wlphi2 = w * self.lstar_phim.chem_gradient.values
+        self._b_col = None      # stored dF/db and the b it was taken at
+        self._b_col_at = None
 
     def _residual(self, msp, nsp, lam1, b):
         g = self.grid
         y = g.nodes
-        fam = self.cache(b)
+        prof = self.cache(b)
         x = np.minimum(lam1 * y, g.r_max)
         # density residual lambda1^2 u(lambda1 y) - Qb(y), u = m'/x;
         # at the origin u(0) = m''(0)
         eps = np.empty_like(y)
         eps[1:] = lam1 ** 2 * np.asarray(msp(x[1:], 1)) / x[1:] \
-            - fam.Qb_tilde.values[1:]
-        eps[0] = lam1 ** 2 * float(msp(0.0, 2)) - fam.Qb_tilde.values[0]
-        n_res = nsp(x) - fam.n_tilde.values
+            - prof.Qb_tilde.values[1:]
+        eps[0] = lam1 ** 2 * float(msp(0.0, 2)) - prof.Qb_tilde.values[0]
+        n_res = nsp(x) - prof.n_tilde.values
         geta = np.zeros_like(y)
         geta[1:] = n_res[1:] / y[1:]
         f1 = float(self._wphi1 @ eps + self._wphi2 @ geta)
         f2 = float(self._wlphi1 @ eps + self._wlphi2 @ geta)
         return np.array([f1, f2]), (eps, geta)
+
+    def _fd_column(self, msp, nsp, lam1, b, F, wrt):
+        """Forward-difference column dF/d(wrt) at (lam1, b), F = F(lam1, b)."""
+        if wrt == "lam":
+            h = 1e-7 * max(abs(lam1), 1.0)
+            Fh, _ = self._residual(msp, nsp, lam1 + h, b)
+        else:
+            h = 1e-5 * b
+            if b + h > B_MAX:  # admissible range cap: probe downward
+                h = -h
+            Fh, _ = self._residual(msp, nsp, lam1, b + h)
+        return (Fh - F) / h
+
+    def _refresh_b_column(self, msp, nsp, lam1, b, F):
+        self._b_col = self._fd_column(msp, nsp, lam1, b, F, "b")
+        self._b_col_at = b
+
+    def _damped_step(self, msp, nsp, lam1, b, F, lam_col):
+        """Newton step with the stored b-column, halved until |F| descends
+        (at most 10 times): the new (lam1, b, F), or None without descent."""
+        J = np.column_stack([lam_col, self._b_col])
+        det = np.linalg.det(J)
+        if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
+            raise ModulationError("singular modulation Jacobian "
+                                  "(M too small or state far from family)")
+        step = np.linalg.solve(J, -F)
+        t_damp = 1.0
+        for _ in range(10):
+            lam_try = lam1 + t_damp * step[0]
+            b_try = b + t_damp * step[1]
+            if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
+                F_try, _ = self._residual(msp, nsp, lam_try, b_try)
+                if np.linalg.norm(F_try) < np.linalg.norm(F):
+                    return lam_try, b_try, F_try
+            t_damp *= 0.5
+        return None
 
     def decompose(self, state: FlowState, guess=(1.0, None),
                   max_iter=30) -> ModulationState:
@@ -353,33 +407,26 @@ class ModulationSolver:
         for _ in range(max_iter):
             if converged:
                 break
-            dl = 1e-7 * max(abs(lam1), 1.0)
-            db = 1e-5 * b
-            if b + db > B_MAX:  # admissible range cap: probe downward
-                db = -db
-            Fl, _ = self._residual(msp, nsp, lam1 + dl, b)
-            Fb, _ = self._residual(msp, nsp, lam1, b + db)
-            J = np.column_stack([(Fl - F) / dl, (Fb - F) / db])
-            det = np.linalg.det(J)
-            if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
-                raise ModulationError("singular modulation Jacobian "
-                                      "(M too small or state far from family)")
-            step = np.linalg.solve(J, -F)
-            t_damp = 1.0
-            improved = False
-            for _ in range(10):
-                lam_try = lam1 + t_damp * step[0]
-                b_try = b + t_damp * step[1]
-                if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
-                    F_try, _ = self._residual(msp, nsp, lam_try, b_try)
-                    if np.linalg.norm(F_try) < np.linalg.norm(F):
-                        lam1, b, F = lam_try, b_try, F_try
-                        improved = True
-                        break
-                t_damp *= 0.5
+            lam_col = self._fd_column(msp, nsp, lam1, b, F, "lam")
+            fresh = (self._b_col is None or abs(b - self._b_col_at)
+                     > B_COLUMN_REFRESH * self._b_col_at)
+            if fresh:
+                self._refresh_b_column(msp, nsp, lam1, b, F)
+            try:
+                found = self._damped_step(msp, nsp, lam1, b, F, lam_col)
+            except ModulationError:  # singular Jacobian
+                if fresh:
+                    raise
+                found = None
+            if found is None and not fresh:
+                # the stored b-column may be what failed: retake it once
+                self._refresh_b_column(msp, nsp, lam1, b, F)
+                found = self._damped_step(msp, nsp, lam1, b, F, lam_col)
+            if found is not None:
+                lam1, b, F = found
             if np.linalg.norm(F) <= atol:
                 converged = True
-            elif not improved:
+            elif found is None:
                 # no descent direction left: accept if at the noise floor
                 if np.linalg.norm(F) <= floor_tol:
                     converged = True
@@ -397,18 +444,12 @@ class ModulationSolver:
 
     def jacobian_at_profile(self, b):
         """Modulation Jacobian at the exact profile (determinant reference)."""
-        fam = self.cache(b)
-        state = FlowState(self.grid, fam.m_tilde.values.copy(),
-                          fam.n_tilde.values.copy())
-        msp = make_interp_spline(self.grid.nodes, state.m, k=5)
-        nsp = make_interp_spline(self.grid.nodes, state.n, k=5)
+        fam = build_profile_family(self.grid, b, with_error=False)
+        msp = make_interp_spline(self.grid.nodes, fam.m_tilde.values, k=5)
+        nsp = make_interp_spline(self.grid.nodes, fam.n_tilde.values, k=5)
         F0, _ = self._residual(msp, nsp, 1.0, b)
-        dl, db = 1e-7, 1e-5 * b
-        if b + db > B_MAX:
-            db = -db
-        Fl, _ = self._residual(msp, nsp, 1.0 + dl, b)
-        Fb, _ = self._residual(msp, nsp, 1.0, b + db)
-        return np.column_stack([(Fl - F0) / dl, (Fb - F0) / db])
+        return np.column_stack([self._fd_column(msp, nsp, 1.0, b, F0, wrt)
+                                for wrt in ("lam", "b")])
 
 
 def grid_b_floor(grid) -> float:
@@ -524,7 +565,9 @@ def evolve(params: EvolveParams, perturbation=None,
     'modulation_failed' when the modulation Newton solve fails,
     'grid_exhausted' when the solve needs the profile at a b whose
     localization does not fit the grid (4 B1(b) > r_max), 'nonfinite' when
-    the implicit step is singular or leaves a non-finite state.
+    the implicit step is singular or leaves a non-finite state.  A step
+    counts only once its state is decomposed, so the final record of such
+    a run is the last state with a decomposition, with that decomposition.
 
     The frame moves at the rate b while the bubble sits at the pending
     scale lam1 inside it, so lam1 drifts between refolds and the recorded s
@@ -571,22 +614,22 @@ def evolve(params: EvolveParams, perturbation=None,
     while True:
         ds = min(params.ds_max, 1.5 * ds,
                  params.db_rel_cap * b / max(b_s_est, 1e-300))
+        # A step is committed only once its state has a decomposition, so
+        # a breakdown leaves the last decomposed state for the final record.
         try:
-            state = stepper.step(state, ds, b=b)
-            step_count += 1
-            mod = solver.decompose(state, guess=(lam_pending, b))
-            b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
-            b = mod.b
-            lam_pending = mod.lam
+            stepped = stepper.step(state, ds, b=b)
+            stepped_mod = solver.decompose(stepped, guess=(lam_pending, b))
+            b_new = stepped_mod.b
+            lam_new = stepped_mod.lam
             # The pending scale is bookkeeping only: folding it into the
             # stored arrays re-interpolates the state and each such event
             # injects a small scale bias and leaks tail mass, so refits
             # happen only if the frame truly de-centers (resolution guard),
             # not as routine upkeep.
-            if abs(lam_pending - 1.0) > params.refold_threshold:
-                state = _rescale_state(state, lam_pending)
-                lam_pending = 1.0
-                mod = solver.decompose(state, guess=(1.0, b))
+            if abs(lam_new - 1.0) > params.refold_threshold:
+                stepped = _rescale_state(stepped, lam_new)
+                lam_new = 1.0
+                stepped_mod = solver.decompose(stepped, guess=(1.0, b_new))
         except ModulationError:
             series.status = "modulation_failed"
             break
@@ -596,6 +639,10 @@ def evolve(params: EvolveParams, perturbation=None,
         except SimulationError:
             series.status = "nonfinite"
             break
+        state, mod = stepped, stepped_mod
+        step_count += 1
+        b_s_est = abs(b_new - b) / ds if ds > 0 else b_s_est
+        b, lam_pending = b_new, lam_new
         if step_count % params.cadence == 0:
             record()
         lam_total = state.lam * lam_pending

@@ -10,9 +10,10 @@ exact per cell for polynomials up to the stencil order.  Weighted cumulative
 integrals carry an ``r log r`` weight analytically on the first cell, where
 naive interpolation of log-singular integrands loses accuracy.
 
-All objects are immutable after construction; operations are pure functions
-returning new fields, so grids and fields can be shared freely across
-threads or processes.
+All objects are immutable after construction (a grid only fills caches of
+data derived from its nodes); operations are pure functions returning new
+fields, so grids and fields can be shared freely across threads or
+processes.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class RadialGrid:
         self._diff = {}        # (order, parity) -> csr matrix
         self._cellw = {}       # weight name -> (j0 array, weights array)
         self._quad = None
+        # b-independent data that downstream layers derive from this grid
+        # (profiles keeps its level-one fields here); it shares the grid's
+        # lifetime, so dropping the grid frees it
+        self.memo = {}
 
     # -- construction ------------------------------------------------------
 

@@ -16,12 +16,20 @@ its tail; c_b is what ultimately drives the blow-up law.  Finally the
 profiles are cut off at B1 = |log b|/sqrt(b) and the residual of the full
 flow on the localized profile is measured in the weighted norms that the
 modulation analysis consumes.
+
+Everything that does not depend on b (closed forms on the nodes, the level-b
+fields) is computed once per grid and kept in the grid's memo
+(`profile_base`).  Two evaluators share one per-b core: `build_profile_family`
+returns the whole family, and `modulation_profile` returns only the three
+arrays the modulation solve reads (Qb~, grad Pb~, n~), bitwise equal to the
+family's, at a fraction of the cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +63,11 @@ def q_density(r):
 
 def q_potential(r):
     return 2.0 * np.log1p(r ** 2)
+
+
+def q_potential_grad(r):
+    """phi_Q' = 4r/(1+r^2) = -Q'/Q."""
+    return 4.0 * r / (1.0 + r ** 2)
 
 
 def lambda_q(r):
@@ -115,7 +128,7 @@ class GroundState:
 
     def pair_Q(self) -> FieldPair:
         g = self.Q.grid
-        grad = RadialField(g, 4.0 * g.nodes / (1.0 + g.nodes ** 2), "odd")
+        grad = RadialField(g, q_potential_grad(g.nodes), "odd")
         return FieldPair(self.Q, grad)
 
     def pair_LambdaQ(self) -> FieldPair:
@@ -150,7 +163,7 @@ def apply_L0(m: RadialField) -> RadialField:
     r = g.nodes
     d1 = g.diff_matrix(1, m.parity) @ m.values
     d2 = g.diff_matrix(2, m.parity) @ m.values
-    coef = g.divide_by_r(d1, "odd") - (4.0 * r / (1.0 + r ** 2)) * d1
+    coef = g.divide_by_r(d1, "odd") - q_potential_grad(r) * d1
     return RadialField(g, -d2 + coef - q_density(r) * m.values, "even")
 
 
@@ -190,7 +203,8 @@ def invert_L0(f: RadialField) -> RadialField:
     if scale > 0.0 and abs(f.values[0]) > 1e-8 * scale:
         raise ProfileError("invert_L0 source must vanish at the origin")
     A, B = _l0_coefficients(g, f.values)
-    return RadialField(g, A * psi0(g.nodes) + B * psi1(g.nodes), "even")
+    base = profile_base(g)
+    return RadialField(g, A * base.psi0 + B * base.psi1, "even")
 
 
 def invert_L1(f: RadialField, c: float) -> RadialField:
@@ -229,13 +243,10 @@ class LevelOne:
     n1_pp: np.ndarray
 
 
-_LEVEL1_CACHE: dict = {}
-
-
 def _ode_second_derivative_L0(grid, m, m_p, source):
     """m'' from L0 m = -m'' + (1/r + Q'/Q) m' - Q m = g:  m'' = (...) - g."""
     r = grid.nodes
-    return (grid.divide_by_r(m_p, "odd") - (4.0 * r / (1.0 + r ** 2)) * m_p
+    return (grid.divide_by_r(m_p, "odd") - q_potential_grad(r) * m_p
             - q_density(r) * m - source)
 
 
@@ -243,29 +254,75 @@ def build_t1_s1(grid: RadialGrid) -> LevelOne:
     """Solve the level-b system L(m1, d1) = (r m0', r n0').
 
     d1 comes out as -2 log(1+r^2) exactly (homogeneous constant c = -2);
-    m1 then solves L0 m1 = -(r^2 Q - Q d1).
+    m1 then solves L0 m1 = -(r^2 Q - Q d1).  Computed once per grid.
     """
-    key = id(grid)
-    if key in _LEVEL1_CACHE:
-        return _LEVEL1_CACHE[key]
-    r = grid.nodes
-    rm0p = RadialField(grid, r ** 2 * q_density(r))  # r m0' = r^2 Q
-    d1 = invert_L1(rm0p, -2.0)
-    f1 = RadialField(grid, rm0p.values - q_density(r) * d1.values)
-    m1 = invert_L0(f1)
-    m1_p = derivative(m1, 1).values
-    T1 = RadialField(grid, grid.divide_by_r(m1_p, "odd"))
-    n1 = d1 + m1
-    S1_grad = RadialField(grid, grid.divide_by_r(n1.values, "even"), "odd")
-    d1_p = derivative(d1, 1).values
-    # L0 m1 = -f1 and L1 d1 = r^2 Q pin the second derivatives:
-    m1_pp = _ode_second_derivative_L0(grid, m1.values, m1_p, -f1.values)
-    d1_pp = grid.divide_by_r(d1_p, "odd") + rm0p.values
-    out = LevelOne(m1=m1, d1=d1, n1=n1, T1=T1, S1_grad=S1_grad,
-                   m1_p=m1_p, m1_pp=m1_pp, d1_p=d1_p, d1_pp=d1_pp,
-                   n1_p=d1_p + m1_p, n1_pp=d1_pp + m1_pp)
-    _LEVEL1_CACHE[key] = out
-    return out
+    return profile_base(grid).level1
+
+
+@dataclass(frozen=True)
+class ProfileBase:
+    """The b-independent part of every profile on one grid.
+
+    Closed forms on the nodes, the level-one fields and the level-one parts
+    of the level-b^2 sources; each b then pays only for the radiation, the
+    level-b^2 inversions and the cutoff.  Kept in the grid's memo (see
+    `profile_base`); the level-one parts are solved on first access.
+    """
+
+    grid: RadialGrid
+    r: np.ndarray
+    Q: np.ndarray
+    r2Q: np.ndarray          # r^2 Q = r m0'
+    psi0: np.ndarray
+    psi1: np.ndarray
+    psi0_over_r: np.ndarray
+    m0: np.ndarray
+    phi_q_grad: np.ndarray
+
+    @cached_property
+    def level1(self) -> LevelOne:
+        grid = self.grid
+        rm0p = RadialField(grid, self.r2Q)
+        d1 = invert_L1(rm0p, -2.0)
+        f1 = RadialField(grid, rm0p.values - self.Q * d1.values)
+        m1 = invert_L0(f1)
+        m1_p = derivative(m1, 1).values
+        T1 = RadialField(grid, grid.divide_by_r(m1_p, "odd"))
+        n1 = d1 + m1
+        S1_grad = RadialField(grid, grid.divide_by_r(n1.values, "even"), "odd")
+        d1_p = derivative(d1, 1).values
+        # L0 m1 = -f1 and L1 d1 = r^2 Q pin the second derivatives:
+        m1_pp = _ode_second_derivative_L0(grid, m1.values, m1_p, -f1.values)
+        d1_pp = grid.divide_by_r(d1_p, "odd") + rm0p.values
+        return LevelOne(m1=m1, d1=d1, n1=n1, T1=T1, S1_grad=S1_grad,
+                        m1_p=m1_p, m1_pp=m1_pp, d1_p=d1_p, d1_pp=d1_pp,
+                        n1_p=d1_p + m1_p, n1_pp=d1_pp + m1_pp)
+
+    @cached_property
+    def r_n1p(self) -> np.ndarray:
+        """r n1', the level-one part of the d2 source."""
+        return self.r * self.level1.n1_p
+
+    @cached_property
+    def m2_source1(self) -> np.ndarray:
+        """r^2 T1 - T1 n1, the level-one part of the m2 source."""
+        T1, n1 = self.level1.T1.values, self.level1.n1.values
+        return self.r ** 2 * T1 - T1 * n1
+
+
+def profile_base(grid: RadialGrid) -> ProfileBase:
+    """The grid's ProfileBase, built on first use and kept in `grid.memo`,
+    so it lives exactly as long as the grid."""
+    base = grid.memo.get("profiles")
+    if base is None:
+        r = grid.nodes
+        Q = q_density(r)
+        psi0v = psi0(r)
+        base = grid.memo["profiles"] = ProfileBase(
+            grid=grid, r=r, Q=Q, r2Q=r ** 2 * Q, psi0=psi0v, psi1=psi1(r),
+            psi0_over_r=grid.divide_by_r(psi0v, "even"), m0=mass_q(r),
+            phi_q_grad=q_potential_grad(r))
+    return base
 
 
 # -- radiation -----------------------------------------------------------------
@@ -289,7 +346,11 @@ def solve_normalization_root(c1: float, c2: float) -> float:
 
 @dataclass(frozen=True)
 class Radiation:
-    """Tail-flattening correction and its normalization constant."""
+    """Tail-flattening correction and its normalization constant.
+
+    The primitive pair (Sigma1, grad Sigma2), which no profile reads, is
+    derived from the partial masses on first access.
+    """
 
     b: float
     B0: float
@@ -299,9 +360,19 @@ class Radiation:
     beta: tuple
     m_sigma: RadialField
     d_sigma: RadialField
-    Sigma1: RadialField
-    Sigma2_grad: RadialField
-    d_hat: RadialField  # d_sigma / c_b, reused by the level-b^2 source
+    d_hat: RadialField  # d_sigma / c_b
+
+    @cached_property
+    def Sigma1(self) -> RadialField:
+        g = self.m_sigma.grid
+        return RadialField(g, g.divide_by_r(
+            derivative(self.m_sigma, 1).values, "odd"))
+
+    @cached_property
+    def Sigma2_grad(self) -> RadialField:
+        g = self.m_sigma.grid
+        return RadialField(g, g.divide_by_r(
+            self.d_sigma.values + self.m_sigma.values, "even"), "odd")
 
 
 def build_radiation(grid: RadialGrid, b: float) -> Radiation:
@@ -317,13 +388,13 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     flux at infinity to exactly 4 and gives c_b = 2/|log b| (1 + O(1/|log b|)).
     """
     _check_b(grid, b)
-    lvl1 = build_t1_s1(grid)
-    r = grid.nodes
+    base = profile_base(grid)
+    r = base.r
     B0 = 1.0 / math.sqrt(b)
     chi = cutoff(r / (B0 / 4.0))
     chi3 = cutoff(r / (3.0 * B0))
-    psi0v = psi0(r)
-    psi0_over = grid.divide_by_r(psi0v, "even")  # tau/(1+tau^2)^2, odd
+    psi0v = base.psi0
+    psi0_over = base.psi0_over_r  # tau/(1+tau^2)^2, odd
 
     gamma = grid.cumulative_integral(psi0_over * chi, "one")
     cum_rpsi0 = grid.cumulative_integral(psi0v * chi, "r")
@@ -344,42 +415,34 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     c1 = beta3  # int tau^3/(1+tau^2)^2 chi dtau == int tau psi0 chi dtau
     # same weight-"r" rule as the psi1 coefficient of m_sigma, so the
     # flux-at-infinity normalization below holds to roundoff
-    c2 = float(grid.cumulative_integral(q_density(r) * d_hat, "r")[-1]) / 8.0
+    c2 = float(grid.cumulative_integral(base.Q * d_hat, "r")[-1]) / 8.0
     # The c_b-normalized integrand makes the constraint linear; the quadratic
     # solver degenerates to the 1/(c1 - c2) root.
     c_b = solve_normalization_root(c1 - c2, 0.0)
 
-    d_sigma_v = c_b * d_hat
-    f_sigma = RadialField(grid, c_b * (r ** 2 * q_density(r) * chi
-                                       - q_density(r) * d_hat))
-    A, B = _l0_coefficients(grid, f_sigma.values)
+    f_sigma = c_b * (base.r2Q * chi - base.Q * d_hat)
+    A, B = _l0_coefficients(grid, f_sigma)
     beta1 = -A[-1]
-    m_sigma_v = A * psi0v + B * psi1(r) + beta1 * (1.0 - chi3) * psi0v
-
-    m_sigma = RadialField(grid, m_sigma_v)
-    d_sigma = RadialField(grid, d_sigma_v)
-    Sigma1 = RadialField(grid, grid.divide_by_r(
-        derivative(m_sigma, 1).values, "odd"))
-    Sigma2_grad = RadialField(grid, grid.divide_by_r(
-        d_sigma_v + m_sigma_v, "even"), "odd")
+    m_sigma_v = A * psi0v + B * base.psi1 + beta1 * (1.0 - chi3) * psi0v
 
     rad = Radiation(b=b, B0=B0, c_b=c_b, c1=c1, c2=c2,
                     beta=(beta1, beta2, beta3),
-                    m_sigma=m_sigma, d_sigma=d_sigma,
-                    Sigma1=Sigma1, Sigma2_grad=Sigma2_grad,
+                    m_sigma=RadialField(grid, m_sigma_v),
+                    d_sigma=RadialField(grid, c_b * d_hat),
                     d_hat=RadialField(grid, d_hat))
-    _verify_radiation_regions(grid, rad, lvl1)
+    _verify_radiation_regions(base, rad)
     return rad
 
 
-def _verify_radiation_regions(grid, rad, lvl1):
-    r = grid.nodes
+def _verify_radiation_regions(base, rad):
+    r = base.r
     inner = r <= rad.B0 / 4.0
     outer = r >= 6.0 * rad.B0
     scale = max(np.max(np.abs(rad.m_sigma.values)), 1.0)
-    err_in = np.max(np.abs(rad.m_sigma.values - rad.c_b * lvl1.m1.values)[inner])
+    err_in = np.max(np.abs(rad.m_sigma.values
+                           - rad.c_b * base.level1.m1.values)[inner])
     err_d = np.max(np.abs(rad.d_sigma.values)[outer]) if outer.any() else 0.0
-    err_out = (np.max(np.abs(rad.m_sigma.values - 4.0 * psi1(r))[outer])
+    err_out = (np.max(np.abs(rad.m_sigma.values - 4.0 * base.psi1)[outer])
                if outer.any() else 0.0)
     if err_in > 1e-7 * scale or err_d > 1e-7 * scale or err_out > 1e-7 * scale:
         raise ProfileError(
@@ -401,17 +464,17 @@ def _check_b(grid, b):
 
 @dataclass(frozen=True)
 class LevelTwo:
+    """Level-b^2 fields and their sources, L1 d2 = src_d and L0 m2 = -src_m
+    (the residual assembly takes the second derivatives from these)."""
+
     m2: RadialField
     d2: RadialField
     n2: RadialField
     T2: RadialField
     S2_grad: RadialField
     m2_p: np.ndarray
-    m2_pp: np.ndarray
-    d2_p: np.ndarray
-    d2_pp: np.ndarray
-    n2_p: np.ndarray
-    n2_pp: np.ndarray
+    src_m: np.ndarray
+    src_d: np.ndarray
 
 
 def build_t2_s2(grid: RadialGrid, rad: Radiation) -> LevelTwo:
@@ -422,31 +485,25 @@ def build_t2_s2(grid: RadialGrid, rad: Radiation) -> LevelTwo:
     i.e. d2 = L1^{-1}(r n1' - d_sigma) and L0 m2 = Q d2 - m_sigma2 where
     m_sigma2 is the density component of the right-hand side.
     """
-    lvl1 = build_t1_s1(grid)
-    r = grid.nodes
-    src_d = RadialField(grid, r * lvl1.n1_p - rad.d_sigma.values)
-    d2 = invert_L1(src_d, 0.0)
-    m_sigma2 = (r ** 2 * lvl1.T1.values - lvl1.T1.values * lvl1.n1.values
-                - rad.m_sigma.values)
-    f2 = RadialField(grid, m_sigma2 - q_density(r) * d2.values)
-    m2 = invert_L0(f2)
+    base = profile_base(grid)
+    src_d = base.r_n1p - rad.d_sigma.values
+    d2 = invert_L1(RadialField(grid, src_d), 0.0)
+    src_m = base.m2_source1 - rad.m_sigma.values - base.Q * d2.values
+    m2 = invert_L0(RadialField(grid, src_m))
     m2_p = derivative(m2, 1).values
     T2 = RadialField(grid, grid.divide_by_r(m2_p, "odd"))
     n2 = d2 + m2
     S2_grad = RadialField(grid, grid.divide_by_r(n2.values, "even"), "odd")
-    d2_p = derivative(d2, 1).values
-    m2_pp = _ode_second_derivative_L0(grid, m2.values, m2_p, -f2.values)
-    d2_pp = grid.divide_by_r(d2_p, "odd") + src_d.values
-    return LevelTwo(m2=m2, d2=d2, n2=n2, T2=T2, S2_grad=S2_grad,
-                    m2_p=m2_p, m2_pp=m2_pp, d2_p=d2_p, d2_pp=d2_pp,
-                    n2_p=d2_p + m2_p, n2_pp=d2_pp + m2_pp)
+    return LevelTwo(m2=m2, d2=d2, n2=n2, T2=T2, S2_grad=S2_grad, m2_p=m2_p,
+                    src_m=src_m, src_d=src_d)
 
 
 # -- localization and the full family -------------------------------------------
 
 @dataclass(frozen=True)
 class ProfileFamily:
-    """Everything the modulation machinery needs for one value of b."""
+    """The localized family at one b with its building blocks and, unless
+    built with with_error=False, its residual and norms."""
 
     b: float
     B0: float
@@ -478,49 +535,61 @@ class ProfileFamily:
     def db_pair(self, rel=1e-3):
         """Finite-difference d/db of (Qb_tilde, grad Pb_tilde) at this b."""
         db = rel * self.b
-        hi = build_profile_family(self.Qb_tilde.grid, self.b + db, with_error=False)
-        lo = build_profile_family(self.Qb_tilde.grid, self.b - db, with_error=False)
         g = self.Qb_tilde.grid
+        hi = modulation_profile(g, self.b + db)
+        lo = modulation_profile(g, self.b - db)
         return FieldPair(
             RadialField(g, (hi.Qb_tilde.values - lo.Qb_tilde.values) / (2 * db)),
             RadialField(g, (hi.Pb_tilde_grad.values - lo.Pb_tilde_grad.values) / (2 * db), "odd"),
         )
 
 
-def localize(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo):
-    """Cut the profiles off at B1 = |log b|/sqrt(b).
+@dataclass(frozen=True)
+class ModulationProfile:
+    """The localized family at one b as the modulation reads it."""
 
-    T~_i = chi_B1 T_i and grad S~_i = chi_B1 grad S_i with S~_i(0) = 0; the
-    partial masses are rebuilt from the cut fluxes so that the localized
-    family stays an exact partial-mass pair.
+    b: float
+    Qb_tilde: RadialField
+    Pb_tilde_grad: RadialField
+    n_tilde: RadialField
+
+
+def _localize(grid: RadialGrid, b: float):
+    """Per-b core of both evaluators: radiation, level b^2, cutoff at B1.
+
+    T~_i = chi_B1 T_i and grad S~_i = chi_B1 grad S_i with S~_i(0) = 0.
+    Returns the radiation, the level-b^2 fields, B1, chi_B1, the cut
+    fields (T1~, T2~, grad S1~, grad S2~) and the ModulationProfile
+    (Qb~, grad Pb~, n~) assembled from them.
     """
-    _check_b(grid, b)
-    lvl1 = build_t1_s1(grid)
-    r = grid.nodes
+    rad = build_radiation(grid, b)
+    lvl2 = build_t2_s2(grid, rad)
+    base = profile_base(grid)
+    lvl1 = base.level1
     B1 = abs(math.log(b)) / math.sqrt(b)
-    chi1 = cutoff(r / B1)
-    T1_loc = RadialField(grid, chi1 * lvl1.T1.values)
-    T2_loc = RadialField(grid, chi1 * lvl2.T2.values)
-    S1g_loc = RadialField(grid, chi1 * lvl1.S1_grad.values, "odd")
-    S2g_loc = RadialField(grid, chi1 * lvl2.S2_grad.values, "odd")
+    chi1 = cutoff(base.r / B1)
+    T1_loc = chi1 * lvl1.T1.values
+    T2_loc = chi1 * lvl2.T2.values
+    S1g_loc = chi1 * lvl1.S1_grad.values
+    S2g_loc = chi1 * lvl2.S2_grad.values
+    prof = ModulationProfile(
+        b=b,
+        Qb_tilde=RadialField(grid, base.Q + b * T1_loc + b * b * T2_loc),
+        Pb_tilde_grad=RadialField(grid, base.phi_q_grad + b * S1g_loc
+                                  + b * b * S2g_loc, "odd"),
+        n_tilde=RadialField(grid, base.m0 + chi1 * (b * lvl1.n1.values
+                                                    + b * b * lvl2.n2.values)))
+    return rad, lvl2, B1, chi1, (T1_loc, T2_loc, S1g_loc, S2g_loc), prof
 
-    m1p = derivative(lvl1.m1, 1).values
-    m2p = derivative(lvl2.m2, 1).values
-    m1_loc = grid.cumulative_integral(chi1 * m1p, "one")
-    m2_loc = grid.cumulative_integral(chi1 * m2p, "one")
 
-    Qb = RadialField(grid, q_density(r) + b * T1_loc.values + b * b * T2_loc.values)
-    Pb_grad = RadialField(grid, 4.0 * r / (1.0 + r ** 2)
-                          + b * S1g_loc.values + b * b * S2g_loc.values, "odd")
-    m_tilde = RadialField(grid, mass_q(r) + b * m1_loc + b * b * m2_loc)
-    n_tilde = RadialField(grid, mass_q(r) + chi1 * (b * lvl1.n1.values
-                                                    + b * b * lvl2.n2.values))
-    chi04 = cutoff(r / (rad.B0 / 4.0))
-    breve = FieldPair(RadialField(grid, chi04 * lvl1.T1.values),
-                      RadialField(grid, chi04 * lvl1.S1_grad.values, "odd"))
-    mass_excess = 2.0 * np.pi * (b * m1_loc[-1] + b * b * m2_loc[-1])
-    return (T1_loc, T2_loc, S1g_loc, S2g_loc, Qb, Pb_grad, m_tilde, n_tilde,
-            breve, mass_excess)
+def modulation_profile(grid: RadialGrid, b: float) -> ModulationProfile:
+    """(Qb~, grad Pb~, n~) at b: what the modulation solve and lift read.
+
+    Runs the same checks and arithmetic as `build_profile_family`, which is
+    built on the same core, so the arrays are bitwise equal to its fields;
+    it skips everything else the family holds.
+    """
+    return _localize(grid, b)[-1]
 
 
 def profile_error(grid: RadialGrid, b: float, lvl1: LevelOne, lvl2: LevelTwo,
@@ -548,12 +617,16 @@ def profile_error(grid: RadialGrid, b: float, lvl1: LevelOne, lvl2: LevelTwo,
     chi_p = grid.diff_matrix(1, "even") @ chi
     chi_pp = grid.diff_matrix(2, "even") @ chi
 
+    d2_p = derivative(lvl2.d2, 1).values
+    m2_pp = _ode_second_derivative_L0(grid, lvl2.m2.values, lvl2.m2_p,
+                                      -lvl2.src_m)
+    d2_pp = grid.divide_by_r(d2_p, "odd") + lvl2.src_d
     alpha_p = b * lvl1.m1_p + b * b * lvl2.m2_p
-    alpha_pp = b * lvl1.m1_pp + b * b * lvl2.m2_pp
+    alpha_pp = b * lvl1.m1_pp + b * b * m2_pp
     alpha_T = b * lvl1.T1.values + b * b * lvl2.T2.values  # m_alpha'/r
     n_gam = b * lvl1.n1.values + b * b * lvl2.n2.values
-    n_gam_p = b * lvl1.n1_p + b * b * lvl2.n2_p
-    n_gam_pp = b * lvl1.n1_pp + b * b * lvl2.n2_pp
+    n_gam_p = b * lvl1.n1_p + b * b * (d2_p + lvl2.m2_p)
+    n_gam_pp = b * lvl1.n1_pp + b * b * (d2_pp + m2_pp)
 
     Mp = chi * alpha_p
     Mpp = chi_p * alpha_p + chi * alpha_pp
@@ -585,8 +658,7 @@ def error_norm_report(grid, b, B0, Psi1, Psi2_grad) -> dict:
     lap_psi2 = grid.divide_by_r(
         grid.diff_matrix(1, "even") @ (r * Psi2_grad.values), "odd")
     L1v = (radial_lap(grid, Psi1.values) + Q * Psi1.values
-           + (grid.diff_matrix(1, "even") @ Psi1.values)
-           * (4.0 * r / (1.0 + r ** 2))
+           + (grid.diff_matrix(1, "even") @ Psi1.values) * q_potential_grad(r)
            + Q * lap_psi2
            + q_prime(r) * Psi2_grad.values)
     L2v = lap_psi2 - Psi1.values
@@ -631,34 +703,33 @@ def degenerate_flux(grid, B, Psi1, Psi2_grad, L1v, L2v):
 
 
 def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> ProfileFamily:
-    """Full pipeline: level b, radiation, level b^2, localization, residual."""
-    _check_b(grid, b)
-    lvl1 = build_t1_s1(grid)
-    rad = build_radiation(grid, b)
-    lvl2 = build_t2_s2(grid, rad)
-    (T1_loc, T2_loc, S1g_loc, S2g_loc, Qb, Pb_grad, m_tilde, n_tilde,
-     breve, mass_excess) = localize(grid, b, rad, lvl2)
-    B1 = abs(math.log(b)) / math.sqrt(b)
+    """Full pipeline: level b, radiation, level b^2, localization, residual.
 
+    The partial masses are rebuilt from the cut fluxes so that the localized
+    family stays an exact partial-mass pair.
+    """
+    rad, lvl2, B1, chi1, (T1_loc, T2_loc, S1g_loc, S2g_loc), prof = \
+        _localize(grid, b)
+    base = profile_base(grid)
+    lvl1 = base.level1
+    m1_loc = grid.cumulative_integral(chi1 * lvl1.m1_p, "one")
+    m2_loc = grid.cumulative_integral(chi1 * lvl2.m2_p, "one")
+    chi04 = cutoff(base.r / (rad.B0 / 4.0))
+    breve = FieldPair(RadialField(grid, chi04 * lvl1.T1.values),
+                      RadialField(grid, chi04 * lvl1.S1_grad.values, "odd"))
     fam = ProfileFamily(
         b=b, B0=rad.B0, B1=B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
         beta=rad.beta, level1=lvl1, level2=lvl2, radiation=rad,
-        T1_loc=T1_loc, T2_loc=T2_loc, S1_grad_loc=S1g_loc, S2_grad_loc=S2g_loc,
-        Qb_tilde=Qb, Pb_tilde_grad=Pb_grad, m_tilde=m_tilde, n_tilde=n_tilde,
-        breve_T=breve, mass_excess=mass_excess,
+        T1_loc=RadialField(grid, T1_loc), T2_loc=RadialField(grid, T2_loc),
+        S1_grad_loc=RadialField(grid, S1g_loc, "odd"),
+        S2_grad_loc=RadialField(grid, S2g_loc, "odd"),
+        Qb_tilde=prof.Qb_tilde, Pb_tilde_grad=prof.Pb_tilde_grad,
+        m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
+        n_tilde=prof.n_tilde, breve_T=breve,
+        mass_excess=2.0 * np.pi * (b * m1_loc[-1] + b * b * m2_loc[-1]),
     )
     if not with_error:
         return fam
     Psi1, Psi2_grad = profile_error(grid, b, lvl1, lvl2, rad.c_b, rad.B0, breve)
     report = error_norm_report(grid, b, rad.B0, Psi1, Psi2_grad)
-    return ProfileFamily(
-        **{**_family_dict(fam), "Psi1": Psi1, "Psi2_grad": Psi2_grad,
-           "norm_report": report})
-
-
-def _family_dict(fam: ProfileFamily) -> dict:
-    return {k: getattr(fam, k) for k in (
-        "b", "B0", "B1", "c_b", "c1", "c2", "beta", "level1", "level2",
-        "radiation", "T1_loc", "T2_loc", "S1_grad_loc", "S2_grad_loc",
-        "Qb_tilde", "Pb_tilde_grad", "m_tilde", "n_tilde", "breve_T",
-        "mass_excess")}
+    return replace(fam, Psi1=Psi1, Psi2_grad=Psi2_grad, norm_report=report)

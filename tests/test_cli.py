@@ -47,6 +47,41 @@ def test_config_collects_all_violations():
     assert doc["error"] == "invalid configuration"
 
 
+def test_config_json_coerces_like_text(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": {"b0": "1e-2"},
+                                "output": {"cadence": 4.0}}))
+    cfg = load_config(path).validate()
+    assert cfg.profile.b0 == 1e-2 and isinstance(cfg.profile.b0, float)
+    assert cfg.output.cadence == 4 and isinstance(cfg.output.cadence, int)
+
+
+def test_config_json_rejects_non_integral_int(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"output": {"cadence": 2.5}}))
+    with pytest.raises(ConfigError, match="output.cadence"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", ['{"profile": {"b0": 1e-2', '{"grid": 3}'])
+def test_config_json_malformed_or_non_object(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("text", ['{"profile": {"b0": 1e-2', '{"grid": 3}',
+                                  '{"output": {"cadence": 2.5}}'])
+def test_json_config_errors_exit_cleanly(tmp_path, capsys, command, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "invalid configuration"
+
+
 def test_config_r_max_guard_names_B1():
     cfg = RunConfig()
     cfg.grid.r_max = 50.0

@@ -217,6 +217,127 @@ def test_decompose_linear_response(small_grid, small_params):
     assert delta < 50.0 * 1e-4  # O(delta) parameter response
 
 
+def reference_decompose(solver, state, guess, max_iter=30):
+    """The modulation Newton solve with a fresh finite-difference Jacobian
+    every iteration (the chord solver's oracle).  Returns lam1, b, F."""
+    from scipy.interpolate import make_interp_spline
+    g = solver.grid
+    msp = make_interp_spline(g.nodes, state.m, k=5)
+    nsp = make_interp_spline(g.nodes, state.n, k=5)
+    lam1, b = guess
+    f_scale = abs(solver.phim.report["PhiM_LambdaQ"])
+    atol = 1e-10 * f_scale
+    floor_tol = 3e-6 * f_scale
+    F, _ = solver._residual(msp, nsp, lam1, b)
+    converged = np.linalg.norm(F) <= atol
+    for _ in range(max_iter):
+        if converged:
+            break
+        dl = 1e-7 * max(abs(lam1), 1.0)
+        db = 1e-5 * b
+        if b + db > dyn.B_MAX:
+            db = -db
+        Fl, _ = solver._residual(msp, nsp, lam1 + dl, b)
+        Fb, _ = solver._residual(msp, nsp, lam1, b + db)
+        J = np.column_stack([(Fl - F) / dl, (Fb - F) / db])
+        det = np.linalg.det(J)
+        if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
+            raise dyn.ModulationError("singular modulation Jacobian")
+        step = np.linalg.solve(J, -F)
+        t_damp = 1.0
+        improved = False
+        for _ in range(10):
+            lam_try = lam1 + t_damp * step[0]
+            b_try = b + t_damp * step[1]
+            if lam_try > 0.1 and 0.0 < b_try <= dyn.B_MAX:
+                F_try, _ = solver._residual(msp, nsp, lam_try, b_try)
+                if np.linalg.norm(F_try) < np.linalg.norm(F):
+                    lam1, b, F = lam_try, b_try, F_try
+                    improved = True
+                    break
+            t_damp *= 0.5
+        if np.linalg.norm(F) <= atol:
+            converged = True
+        elif not improved:
+            if np.linalg.norm(F) <= floor_tol:
+                converged = True
+            else:
+                raise dyn.ModulationError("modulation Newton stalled")
+    if not converged and np.linalg.norm(F) > floor_tol:
+        raise dyn.ModulationError("modulation Newton did not converge")
+    return lam1, b, F
+
+
+@pytest.fixture(scope="module")
+def perturbed_states(small_grid, small_params):
+    """Six decomposed steps of an evolve-like sequence from perturbed data:
+    (state, guess) pairs as evolve hands them to decompose."""
+    rng = np.random.default_rng(5)
+    pert = dyn.random_perturbation(small_grid, 1e-4, rng)
+    state = dyn.initial_state(small_grid, small_params, pert)
+    stepper = dyn.SemiImplicitStepper(small_grid)
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    guess = (1.0, small_params.b0)
+    out = [(state, guess)]
+    for _ in range(6):
+        mod = solver.decompose(state, guess=guess)
+        state = stepper.step(state, 0.3, b=mod.b)
+        guess = (mod.lam, mod.b)
+        out.append((state, guess))
+    return out
+
+
+def test_decompose_matches_fresh_jacobian_oracle(small_grid, small_params,
+                                                 perturbed_states):
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
+    for state, guess in perturbed_states:
+        mod = solver.decompose(state, guess=guess)
+        lam_ref, b_ref, F_ref = reference_decompose(solver, state, guess)
+        assert abs(mod.lam - lam_ref) <= 1e-9 * lam_ref
+        assert abs(mod.b - b_ref) <= 1e-9 * b_ref
+        tol = max(atol, np.linalg.norm(F_ref))
+        assert np.linalg.norm(mod.residuals) <= tol
+
+
+@pytest.mark.parametrize("labelled", ["where_taken", "current"])
+def test_decompose_refreshes_stale_b_column(small_grid, small_params,
+                                            perturbed_states, labelled):
+    # a b-column taken 10 % away: labelled with the b it was taken at, the
+    # 1 % rule refreshes it; labelled as current, the chord iteration must
+    # still converge (refreshing if the line search stalls)
+    state, guess = perturbed_states[-1]
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    lam_ref, b_ref, _ = reference_decompose(solver, state, guess)
+    from scipy.interpolate import make_interp_spline
+    msp = make_interp_spline(small_grid.nodes, state.m, k=5)
+    nsp = make_interp_spline(small_grid.nodes, state.n, k=5)
+    b_far = 1.1 * guess[1]
+    F_far, _ = solver._residual(msp, nsp, guess[0], b_far)
+    solver._b_col = solver._fd_column(msp, nsp, guess[0], b_far, F_far, "b")
+    solver._b_col_at = b_far if labelled == "where_taken" else guess[1]
+    mod = solver.decompose(state, guess=guess)
+    atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
+    assert np.linalg.norm(mod.residuals) <= atol
+    assert abs(mod.lam - lam_ref) <= 1e-9 * lam_ref
+    assert abs(mod.b - b_ref) <= 1e-9 * b_ref
+    if labelled == "where_taken":
+        assert abs(solver._b_col_at - guess[1]) <= 1e-2 * guess[1]
+
+
+def test_decompose_retries_a_singular_b_column(small_grid, small_params,
+                                               perturbed_states):
+    state, guess = perturbed_states[-1]
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    lam_ref, b_ref, _ = reference_decompose(solver, state, guess)
+    solver._b_col = np.zeros(2)
+    solver._b_col_at = guess[1]
+    mod = solver.decompose(state, guess=guess)
+    assert abs(mod.lam - lam_ref) <= 1e-9 * lam_ref
+    assert abs(mod.b - b_ref) <= 1e-9 * b_ref
+    assert np.any(solver._b_col != 0.0)
+
+
 def test_jacobian_log_M_scaling():
     # |det J| approaches (32 pi log M)^2 as b decreases (the T2 feed-through
     # in the b-column is a genuine O(b M^2) desk-scale correction)
@@ -304,6 +425,21 @@ def test_evolve_grid_exhausted():
     assert series.status == "grid_exhausted"
     assert len(series) == 6  # records at steps 0, 5, ..., 20 plus the final
     assert np.all(np.isfinite(series.column("mass")))
+
+
+def test_evolve_breakdown_final_record_is_last_decomposed_state():
+    # step 25 cannot be decomposed; the final record of the cadence-5 run
+    # is step 24 with its own decomposition, as recorded at cadence 1
+    # (whose lift at step 24 the off-cadence final record does not make)
+    coarse = dyn.evolve(dyn.EvolveParams(b0=1e-2, r_max=186.0, cadence=5,
+                                         s_max=200.0))
+    fine = dyn.evolve(dyn.EvolveParams(b0=1e-2, r_max=186.0, cadence=1,
+                                       s_max=200.0))
+    assert coarse.status == fine.status == "grid_exhausted"
+    assert len(fine) == 25
+    keep = [i for i, c in enumerate(dyn.COLUMNS) if c != "b_hat"]
+    assert np.array_equal(np.array(coarse.rows[-1])[keep],
+                          np.array(fine.rows[24])[keep])
 
 
 def test_evolve_nonfinite(monkeypatch):

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import kslab.profiles as prof
+from kslab.dynamics import grid_b_floor
 from kslab.grid import RadialField, RadialGrid, cutoff, integrate
 from kslab.operators import apply_L, pairing
 from kslab.grid import FieldPair
@@ -327,6 +330,50 @@ def test_guards():
         prof.build_profile_family(g, 1e-4)
     with pytest.raises(prof.ProfileError, match="admissible"):
         prof.build_profile_family(g, 0.5)
+
+
+@pytest.fixture(scope="module", params=[4, 6])
+def run_window_grid(request):
+    # the collapse run's window: B_MAX down to the grid's b floor near 5e-3
+    return RadialGrid.make(320.0, h_core=0.05, nodes_per_decade=48,
+                           stencil_order=request.param)
+
+
+@pytest.mark.parametrize("where", ["B_MAX", "1e-2", "5e-3", "floor"])
+def test_modulation_profile_matches_full_builder(run_window_grid, where):
+    # the lean evaluator is a fast path of build_profile_family: its three
+    # arrays must be the full builder's, bit for bit
+    g = run_window_grid
+    b = {"B_MAX": prof.B_MAX, "1e-2": 1e-2, "5e-3": 5e-3,
+         "floor": grid_b_floor(g) * (1.0 + 1e-9)}[where]
+    lean = prof.modulation_profile(g, b)
+    fam = prof.build_profile_family(g, b, with_error=False)
+    for name in ("Qb_tilde", "Pb_tilde_grad", "n_tilde"):
+        assert np.array_equal(getattr(lean, name).values,
+                              getattr(fam, name).values), name
+
+
+@pytest.mark.parametrize("b", [0.5, 1e-4])
+def test_modulation_profile_rejects_like_full_builder(b):
+    g = RadialGrid.make(100.0, h_core=0.1, nodes_per_decade=24,
+                        stencil_order=4)
+    with pytest.raises(prof.ProfileError) as full:
+        prof.build_profile_family(g, b)
+    with pytest.raises(prof.ProfileError) as lean:
+        prof.modulation_profile(g, b)
+    assert str(lean.value) == str(full.value)
+
+
+def test_profile_memo_dies_with_its_grid():
+    # the level-one fields and the per-grid precompute live on the grid,
+    # so a dropped grid is collected with them
+    g = RadialGrid.make(200.0, h_core=0.1, nodes_per_decade=24,
+                        stencil_order=4)
+    prof.build_profile_family(g, 1e-2)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_db_pair_direction(g1em4, fam1em4):
