@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from kslab.grid import RadialGrid
+from kslab.cli import profile_grid_for
 from kslab.profiles import build_profile_family
 
 
@@ -27,10 +27,7 @@ def main():
 
     rows = []
     for b in np.geomspace(args.b_min, args.b_max, args.n):
-        B1 = abs(math.log(b)) / math.sqrt(b)
-        grid = RadialGrid.make(4.5 * B1, h_core=0.05,
-                               nodes_per_decade=args.nodes_per_decade,
-                               stencil_order=6)
+        grid = profile_grid_for(float(b), args.nodes_per_decade)
         fam = build_profile_family(grid, float(b))
         row = {"b": float(b), "c_b": fam.c_b, "B0": fam.B0, "B1": fam.B1,
                "mass_excess": fam.mass_excess, **fam.norm_report}

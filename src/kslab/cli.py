@@ -124,48 +124,17 @@ def cmd_spectral(args) -> int:
     return EXIT_OK
 
 
-def _evolve_params(cfg: RunConfig) -> dynamics.EvolveParams:
-    return dynamics.EvolveParams(
-        b0=cfg.profile.b0,
-        M_param=cfg.profile.M,
-        r_max=cfg.grid.r_max,
-        h_core=cfg.grid.h_core,
-        nodes_per_decade=cfg.grid.nodes_per_decade,
-        stencil_order=cfg.grid.stencil_order,
-        ds_init=cfg.solver.ds_init,
-        ds_max=cfg.solver.ds_max,
-        db_rel_cap=cfg.solver.db_rel_cap,
-        cadence=cfg.output.cadence,
-        lam_stop=cfg.solver.lam_stop,
-        t_max=cfg.solver.t_max,
-        s_max=cfg.solver.s_max,
-        b_min=cfg.solver.b_min,
-        frame=cfg.solver.frame,
-    )
-
-
 def run_one(cfg: RunConfig, outdir, seed_offset=0):
     """Execute one run per config; returns the summary dictionary."""
     os.makedirs(outdir, exist_ok=True)
-    params = _evolve_params(cfg)
+    seed = cfg.seed + seed_offset
     pert = None
-    seed = cfg.perturbation.seed + seed_offset
-    if cfg.perturbation.delta > 0:
-        grid = dynamics.dynamics_grid(params)
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            cand = dynamics.random_perturbation(grid, cfg.perturbation.delta, rng)
-            try:
-                dynamics.initial_state(grid, params, cand)
-            except dynamics.SimulationError:
-                continue
-            pert = cand
-            break
-        if pert is None:
-            raise dynamics.SimulationError("no positive perturbation found")
-    series = dynamics.evolve(params, perturbation=pert)
+    if cfg.delta > 0:
+        pert = dynamics.sample_perturbation(
+            dynamics.dynamics_grid(cfg.params), cfg.params, cfg.delta,
+            np.random.default_rng(seed))
+    series = dynamics.evolve(cfg.params, perturbation=pert)
     series.to_csv(os.path.join(outdir, "timeseries.csv"))
-    laws = dynamics.measure_laws(series)
     summary = {
         "status": series.status,
         "seed": seed,
@@ -173,11 +142,7 @@ def run_one(cfg: RunConfig, outdir, seed_offset=0):
         "records": len(series),
         "final": {"s": float(series.s[-1]), "t": float(series.t[-1]),
                   "lam": float(series.lam[-1]), "b": float(series.b[-1])},
-        "laws": {
-            "ratio_a_final": float(laws["ratio_a"][-2]) if len(series) > 2 else None,
-            "ratio_b_mean": float(np.mean(laws["ratio_b"])) if len(laws["ratio_b"]) else None,
-            "ratio_b_final": float(laws["ratio_b"][-1]) if len(laws["ratio_b"]) else None,
-        },
+        "laws": _law_summary(series),
         "mass_drift": float(np.max(np.abs(series.column("mass")
                                           - series.column("mass")[0]))
                             / series.column("mass")[0]),
@@ -194,14 +159,39 @@ def run_one(cfg: RunConfig, outdir, seed_offset=0):
     return summary
 
 
-def cmd_simulate(args) -> int:
+def _law_summary(series):
+    """The measured modulation laws (`dynamics.measure_laws`) in numbers:
+    (a) the scale law's final ratio, and its median and largest deviation
+    from 1 after the first quarter of the records; (b) the b-law ratio's
+    start, mean and final value; (c) the floor of -(lam^{4/3})_t."""
+    laws = dynamics.measure_laws(series)
+    ra, rb, rate = laws["ratio_a"], laws["ratio_b"], laws["rate_lam43"]
+    late = ra[len(ra) // 4:]
+    return {
+        "ratio_a_final": float(ra[-2]) if len(series) > 2 else None,
+        "ratio_a_median": float(np.median(late)),
+        "ratio_a_max_dev": float(np.max(np.abs(late - 1.0))),
+        "ratio_b_start": float(rb[0]) if len(rb) else None,
+        "ratio_b_mean": float(np.mean(rb)) if len(rb) else None,
+        "ratio_b_final": float(rb[-1]) if len(rb) else None,
+        "rate_lam43_floor": float(np.min(rate)) if len(rate) else None,
+    }
+
+
+def _valid_config(path):
+    """The validated config at path, or None after reporting why not."""
     try:
-        cfg = load_config(args.config).validate()
+        return load_config(path).validate()
     except FileNotFoundError:
-        print("config file not found: %s" % args.config, file=sys.stderr)
-        return EXIT_USAGE
+        print("config file not found: %s" % path, file=sys.stderr)
     except ConfigError as exc:
         print(exc.to_json(), file=sys.stderr)
+    return None
+
+
+def cmd_simulate(args) -> int:
+    cfg = _valid_config(args.config)
+    if cfg is None:
         return EXIT_USAGE
     outdir = os.path.join(_out_root(args), args.name or "run")
     summary = run_one(cfg, outdir)
@@ -209,38 +199,29 @@ def cmd_simulate(args) -> int:
     return EXIT_BOUNDS if summary["status"] in FAILED_STATUSES else EXIT_OK
 
 
-def _sweep_job(packed):
-    cfg_dict, outdir, idx = packed
-    from .config import parse_config_json
-    cfg = parse_config_json(json.dumps(cfg_dict))
-    return run_one(cfg, outdir, seed_offset=idx)
-
-
 def cmd_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config).validate()
-    except FileNotFoundError:
-        print("config file not found: %s" % args.config, file=sys.stderr)
+    cfg = _valid_config(args.config)
+    if cfg is None:
         return EXIT_USAGE
+    try:
+        b_values = ([float(x) for x in args.b0.split(",")] if args.b0
+                    else [cfg.params.b0])
+        cfgs = [replace(cfg, params=replace(cfg.params, b0=b0)).validate()
+                for b0 in b_values]
     except ConfigError as exc:
         print(exc.to_json(), file=sys.stderr)
         return EXIT_USAGE
-    b_values = [float(x) for x in args.b0.split(",")] if args.b0 else [cfg.profile.b0]
+    except ValueError as exc:
+        print("--b0: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     root = _out_root(args)
-    jobs = []
-    for i, b0 in enumerate(b_values):
-        job_cfg = RunConfig(**{k: replace(getattr(cfg, k)) for k in
-                               ("grid", "profile", "solver", "perturbation",
-                                "output")})
-        job_cfg.profile.b0 = b0
-        job_cfg.validate()
-        outdir = os.path.join(root, "sweep_b%.3e" % b0)
-        jobs.append((job_cfg.to_dict(), outdir, i))
+    outdirs = [os.path.join(root, "sweep_b%.3e" % b0) for b0 in b_values]
+    seed_offsets = range(len(cfgs))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            summaries = list(pool.map(_sweep_job, jobs))
+            summaries = list(pool.map(run_one, cfgs, outdirs, seed_offsets))
     else:
-        summaries = [_sweep_job(j) for j in jobs]
+        summaries = list(map(run_one, cfgs, outdirs, seed_offsets))
     merged = {"runs": summaries,
               "all_ok": all(s["status"] not in FAILED_STATUSES
                             for s in summaries)}

@@ -1,15 +1,19 @@
 """Run configuration: parsing, validation, defaults.
 
-Configs are flat key=value text with section prefixes (grid.N=..., solver.b0=...)
-or the same structure as JSON.  Validation collects every violated constraint
-into a machine-readable list instead of stopping at the first.
+A config sets fields of `dynamics.EvolveParams` plus the size and seed of
+the initial perturbation.  Configs are flat key=value text with section
+prefixes (profile.b0=..., solver.s_max=...) or the same structure as JSON.
+Validation collects every violated constraint into a machine-readable list
+instead of stopping at the first.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+
+from .dynamics import EvolveParams
 
 
 class ConfigError(ValueError):
@@ -22,101 +26,96 @@ class ConfigError(ValueError):
                            "violations": self.violations}, indent=2)
 
 
-@dataclass
-class GridSection:
-    r_max: float = 0.0          # 0: derived from profile.b0
-    h_core: float = 0.02
-    nodes_per_decade: int = 48
-    stencil_order: int = 4
+# config key -> EvolveParams field
+PARAM_KEYS = {
+    "grid.r_max": "r_max",          # 0: derived from profile.b0 and M
+    "grid.h_core": "h_core",
+    "grid.nodes_per_decade": "nodes_per_decade",
+    "grid.stencil_order": "stencil_order",
+    "profile.b0": "b0",
+    "profile.M": "M_param",
+    "solver.ds_init": "ds_init",
+    "solver.ds_max": "ds_max",
+    "solver.db_rel_cap": "db_rel_cap",
+    "solver.lam_stop": "lam_stop",
+    "solver.t_max": "t_max",
+    "solver.s_max": "s_max",
+    "solver.b_min": "b_min",
+    "solver.frame": "frame",
+    "output.cadence": "cadence",
+}
+# config key -> RunConfig field
+PERTURBATION_KEYS = {"perturbation.delta": "delta",
+                     "perturbation.seed": "seed"}
 
 
-@dataclass
-class ProfileSection:
-    b0: float = 1.0e-2
-    M: float = 11.0
+def config_params():
+    """EvolveParams with the two defaults a config run overrides.
 
-
-@dataclass
-class SolverSection:
-    ds_init: float = 1.0e-3
-    ds_max: float = 0.5
-    db_rel_cap: float = 1.0e-3
-    lam_stop: float = 0.5
-    t_max: float = float("inf")
-    s_max: float = 2000.0
-    b_min: float = 0.0
-    frame: str = "rescaled"
-
-
-@dataclass
-class PerturbationSection:
-    delta: float = 0.0
-    seed: int = 0
-    count: int = 1
-
-
-@dataclass
-class OutputSection:
-    dir: str = "runs"
-    cadence: int = 10
+    The library's lam_stop = 0 and s_max = inf never stop a run: it goes
+    on until b reaches b_min (the criterion-10 protocol runs past lam = 0.5
+    that way) or leaves the range its grid can localize.  A config run
+    stops at lam = 0.5 or s = 2000 unless the config sets them.
+    """
+    return EvolveParams(lam_stop=0.5, s_max=2000.0)
 
 
 @dataclass
 class RunConfig:
-    grid: GridSection = field(default_factory=GridSection)
-    profile: ProfileSection = field(default_factory=ProfileSection)
-    solver: SolverSection = field(default_factory=SolverSection)
-    perturbation: PerturbationSection = field(default_factory=PerturbationSection)
-    output: OutputSection = field(default_factory=OutputSection)
+    params: EvolveParams = field(default_factory=config_params)
+    delta: float = 0.0
+    seed: int = 0
+
+    def _slot(self, key):
+        """(object, attribute) that a config key sets; KeyError if unknown."""
+        if key in PARAM_KEYS:
+            return self.params, PARAM_KEYS[key]
+        return self, PERTURBATION_KEYS[key]
 
     def validate(self):
         """Collect every violated constraint; raise ConfigError if any."""
         v = []
-        g, p, s = self.grid, self.profile, self.solver
+        p = self.params
         if not 0.0 < p.b0 <= 1.0e-2:
             v.append("profile.b0 must lie in (0, 1e-2] (asymptotic regime guard)")
-        if p.M < 2.0:
+        if p.M_param < 2.0:
             v.append("profile.M too small: the pairing direction degenerates")
-        if g.h_core <= 0:
+        if p.h_core <= 0:
             v.append("grid.h_core must be positive")
-        if g.nodes_per_decade < 12:
+        if p.nodes_per_decade < 12:
             v.append("grid.nodes_per_decade must be >= 12")
-        if g.stencil_order < 2:
+        if p.stencil_order < 2:
             v.append("grid.stencil_order must be >= 2")
-        if g.r_max > 0 and 0.0 < p.b0 <= 1e-2:
+        if p.r_max > 0 and 0.0 < p.b0 <= 1e-2:
             B1 = abs(math.log(p.b0)) / math.sqrt(p.b0)
-            if g.r_max < 4.0 * B1:
+            if p.r_max < 4.0 * B1:
                 v.append("grid.r_max below the localization guard 4*B1 = %.1f"
                          % (4.0 * B1))
-        if g.r_max > 0 and g.r_max < 3.0 * p.M:
+        if p.r_max > 0 and p.r_max < 3.0 * p.M_param:
             v.append("grid.r_max too small to resolve the pairing window 2M")
-        if s.db_rel_cap <= 0 or s.db_rel_cap > 1.0e-3:
+        if p.db_rel_cap <= 0 or p.db_rel_cap > 1.0e-3:
             v.append("solver.db_rel_cap must lie in (0, 1e-3]")
-        if s.ds_max <= 0:
+        if p.ds_init <= 0:
+            v.append("solver.ds_init must be positive")
+        if p.ds_max <= 0:
             v.append("solver.ds_max must be positive")
-        if s.frame not in ("rescaled", "physical"):
+        if p.frame not in ("rescaled", "physical"):
             v.append("solver.frame must be 'rescaled' or 'physical'")
-        if not 0.0 <= self.perturbation.delta <= 1.0e-3:
+        if not 0.0 <= self.delta <= 1.0e-3:
             v.append("perturbation.delta must lie in [0, 1e-3]")
-        if self.perturbation.count < 0:
-            v.append("perturbation.count must be nonnegative")
-        if self.output.cadence < 1:
+        if p.cadence < 1:
             v.append("output.cadence must be >= 1")
         if v:
             raise ConfigError(v)
         return self
 
     def to_dict(self):
-        return asdict(self)
-
-
-_SECTIONS = {
-    "grid": GridSection,
-    "profile": ProfileSection,
-    "solver": SolverSection,
-    "perturbation": PerturbationSection,
-    "output": OutputSection,
-}
+        """{"section": {"key": value}}, the structure of a JSON config."""
+        out = {}
+        for key in (*PARAM_KEYS, *PERTURBATION_KEYS):
+            section, name = key.split(".")
+            out.setdefault(section, {})[name] = getattr(*self._slot(key))
+        return out
 
 
 def _coerce(current, raw):
@@ -124,19 +123,27 @@ def _coerce(current, raw):
     value; ValueError if it does not convert.  An int field takes an
     integral number only."""
     if isinstance(raw, str):
-        if isinstance(current, bool):
-            return raw.lower() in ("1", "true", "yes")
         return type(current)(raw)
-    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    if isinstance(current, bool):
-        if isinstance(raw, bool):
-            return raw
-    elif isinstance(current, float) and number:
-        return float(raw)
-    elif isinstance(current, int) and number and (
-            isinstance(raw, int) or raw.is_integer()):
-        return int(raw)
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if isinstance(current, float):
+            return float(raw)
+        if isinstance(current, int) and (isinstance(raw, int)
+                                         or raw.is_integer()):
+            return int(raw)
     raise ValueError("expected %s" % type(current).__name__)
+
+
+def _assign(cfg, key, raw):
+    """Set a config key from its raw value; the violation, or None."""
+    try:
+        target, name = cfg._slot(key)
+    except KeyError:
+        return "unknown key %r" % key
+    try:
+        setattr(target, name, _coerce(getattr(target, name), raw))
+    except (ValueError, OverflowError):
+        return "cannot parse value %r for %s" % (raw, key)
+    return None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -151,24 +158,9 @@ def parse_config_text(text: str) -> RunConfig:
             violations.append("line %d: expected key=value" % lineno)
             continue
         key, raw = (part.strip() for part in line.split("=", 1))
-        if "." not in key:
-            violations.append("line %d: key %r lacks a section prefix"
-                              % (lineno, key))
-            continue
-        section, name = key.split(".", 1)
-        target = getattr(cfg, section, None)
-        if section not in _SECTIONS or target is None:
-            violations.append("line %d: unknown section %r" % (lineno, section))
-            continue
-        if not hasattr(target, name):
-            violations.append("line %d: unknown key %r in section %r"
-                              % (lineno, name, section))
-            continue
-        try:
-            setattr(target, name, _coerce(getattr(target, name), raw))
-        except ValueError:
-            violations.append("line %d: cannot parse value %r for %s"
-                              % (lineno, raw, key))
+        problem = _assign(cfg, key, raw)
+        if problem:
+            violations.append("line %d: %s" % (lineno, problem))
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -186,22 +178,13 @@ def parse_config_json(text: str) -> RunConfig:
     cfg = RunConfig()
     violations = []
     for section, entries in data.items():
-        target = getattr(cfg, section, None)
-        if section not in _SECTIONS or target is None:
-            violations.append("unknown section %r" % section)
-            continue
         if not isinstance(entries, dict):
             violations.append("section %r must be an object" % section)
             continue
         for name, value in entries.items():
-            if not hasattr(target, name):
-                violations.append("unknown key %r in section %r" % (name, section))
-                continue
-            try:
-                setattr(target, name, _coerce(getattr(target, name), value))
-            except (ValueError, OverflowError):
-                violations.append("cannot parse value %r for %s.%s"
-                                  % (value, section, name))
+            problem = _assign(cfg, "%s.%s" % (section, name), value)
+            if problem:
+                violations.append(problem)
     if violations:
         raise ConfigError(violations)
     return cfg

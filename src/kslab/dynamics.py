@@ -371,7 +371,8 @@ class ModulationSolver:
 
     def _damped_step(self, msp, nsp, lam1, b, F, lam_col):
         """Newton step with the stored b-column, halved until |F| descends
-        (at most 10 times): the new (lam1, b, F), or None without descent."""
+        (at most 10 times): the new (lam1, b, F, (eps, geta)), or None
+        without descent."""
         J = np.column_stack([lam_col, self._b_col])
         det = np.linalg.det(J)
         if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
@@ -383,9 +384,9 @@ class ModulationSolver:
             lam_try = lam1 + t_damp * step[0]
             b_try = b + t_damp * step[1]
             if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
-                F_try, _ = self._residual(msp, nsp, lam_try, b_try)
+                F_try, fields = self._residual(msp, nsp, lam_try, b_try)
                 if np.linalg.norm(F_try) < np.linalg.norm(F):
-                    return lam_try, b_try, F_try
+                    return lam_try, b_try, F_try, fields
             t_damp *= 0.5
         return None
 
@@ -402,7 +403,7 @@ class ModulationSolver:
         f_scale = abs(self.phim.report["PhiM_LambdaQ"])
         atol = 1e-10 * f_scale
         floor_tol = 3e-6 * f_scale   # quadrature/spline noise plateau
-        F, _ = self._residual(msp, nsp, lam1, b)
+        F, fields = self._residual(msp, nsp, lam1, b)
         converged = np.linalg.norm(F) <= atol
         for _ in range(max_iter):
             if converged:
@@ -423,7 +424,7 @@ class ModulationSolver:
                 self._refresh_b_column(msp, nsp, lam1, b, F)
                 found = self._damped_step(msp, nsp, lam1, b, F, lam_col)
             if found is not None:
-                lam1, b, F = found
+                lam1, b, F, fields = found
             if np.linalg.norm(F) <= atol:
                 converged = True
             elif found is None:
@@ -435,7 +436,7 @@ class ModulationSolver:
                                           "(trapped regime exited?)")
         if not converged and np.linalg.norm(F) > floor_tol:
             raise ModulationError("modulation Newton did not converge")
-        _, (eps, geta) = self._residual(msp, nsp, lam1, b)
+        eps, geta = fields
         pair = FieldPair(RadialField(g, eps),
                          RadialField(g, geta, "odd"))
         return ModulationState(lam=lam1, b=b, s=state.s,
@@ -744,28 +745,36 @@ def random_perturbation(grid, delta, rng, n_bumps=4, r_span=(0.5, 6.0)):
             RadialField(grid, geta * scale, "odd"))
 
 
+PERTURBATION_TRIES = 20
+
+
+def sample_perturbation(grid, params: EvolveParams, delta, rng):
+    """A `random_perturbation` of size delta on the run's grid that keeps
+    the initial density positive, drawn by rejection sampling."""
+    for _ in range(PERTURBATION_TRIES):
+        cand = random_perturbation(grid, delta, rng)
+        try:
+            initial_state(grid, params, cand)
+        except SimulationError:
+            continue
+        return cand
+    raise SimulationError("no positive perturbation found in %d tries"
+                          % PERTURBATION_TRIES)
+
+
 def stability_probe(params: EvolveParams, n_perturbations=8, delta=1e-4,
-                    seed=0, max_tries=10) -> dict:
+                    seed=0) -> dict:
     """Rerun with random small perturbations; all runs must reach lam_stop.
 
-    Positivity of the initial data is enforced by rejection sampling.
-    Returns per-run status plus dispersion of the measured law ratios.
+    The perturbations come from `sample_perturbation`, all from one
+    generator seeded with `seed`.  Returns per-run status plus dispersion
+    of the measured law ratios.
     """
     grid = dynamics_grid(params)
     rng = np.random.default_rng(seed)
     runs = []
-    for k in range(n_perturbations):
-        pert = None
-        for _ in range(max_tries):
-            cand = random_perturbation(grid, delta, rng)
-            try:
-                initial_state(grid, params, cand)
-            except SimulationError:
-                continue
-            pert = cand
-            break
-        if pert is None:
-            raise SimulationError("could not sample a positive perturbation")
+    for _ in range(n_perturbations):
+        pert = sample_perturbation(grid, params, delta, rng)
         series = evolve(params, perturbation=pert)
         laws = measure_laws(series)
         runs.append({

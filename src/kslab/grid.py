@@ -291,10 +291,6 @@ class RadialGrid:
             out[0] = 0.0
         return out
 
-    def interior_window(self, lo_frac=0.0, hi_frac=1.0):
-        r = self.nodes
-        return (r >= lo_frac * self.r_max) & (r <= hi_frac * self.r_max)
-
 
 def cutoff(x, width=1.0):
     """Smooth cutoff: 1 for x <= 1, 0 for x >= 1 + width, C-infinity between.
@@ -438,12 +434,25 @@ def radial_laplacian(f: RadialField) -> RadialField:
     """Delta f = f'' + f'/r for even fields, with the limit 2 f''(0) at r=0."""
     if f.parity != "even":
         raise GridError("radial laplacian requires an even field")
-    g = f.grid
-    d1 = g.diff_matrix(1, "even") @ f.values
-    d2 = g.diff_matrix(2, "even") @ f.values
-    vals = d2 + g.divide_by_r(d1, "odd")
-    vals[0] = 2.0 * d2[0]
-    return RadialField(g, vals, "even")
+    return RadialField(f.grid, laplacian_values(f.grid, f.values), "even")
+
+
+def laplacian_values(grid, values):
+    """`radial_laplacian` of the values of an even field, as an array."""
+    d1 = grid.diff_matrix(1, "even") @ values
+    d2 = grid.diff_matrix(2, "even") @ values
+    out = d2 + grid.divide_by_r(d1, "odd")
+    out[0] = 2.0 * d2[0]
+    return out
+
+
+def div_from_grad_values(grid, gvals):
+    """(1/r) d/dr (r w) for the values of an odd flux w: the laplacian of
+    its potential, with the limit 2 w'(0) at r=0."""
+    out = grid.divide_by_r(grid.diff_matrix(1, "even") @ (grid.nodes * gvals),
+                           "odd")
+    out[0] = 2.0 * (grid.diff_matrix(1, "odd") @ gvals)[0]
+    return out
 
 
 def integrate(f: RadialField) -> float:

@@ -26,10 +26,18 @@ from .grid import (
     RadialField,
     RadialGrid,
     cutoff,
+    div_from_grad_values,
     integrate,
+    laplacian_values,
     potential_from_gradient,
 )
-from .profiles import GroundState, lambda_q, q_density, q_prime
+from .profiles import (
+    GroundState,
+    lambda_q,
+    q_density,
+    q_potential_grad,
+    q_prime,
+)
 
 
 class OperatorError(ValueError):
@@ -71,7 +79,7 @@ def h2q_norm(eps: RadialField) -> float:
     g = eps.grid
     r = g.nodes
     w = 2.0 * np.pi * g.quad_weights
-    lap = _lap_values(g, eps.values)
+    lap = laplacian_values(g, eps.values)
     d1 = g.diff_matrix(1, "even") @ eps.values
     return (np.sqrt(w @ ((1 + r ** 2) ** 2 * lap ** 2))
             + np.sqrt(w @ ((1 + r) ** 2 * d1 ** 2))
@@ -83,7 +91,7 @@ def n_norm_from_grad(grad_eta: RadialField) -> float:
     g = grad_eta.grid
     r = g.nodes
     w = 2.0 * np.pi * g.quad_weights
-    lap = _div_from_grad_values(g, grad_eta.values)
+    lap = div_from_grad_values(g, grad_eta.values)
     glap = g.diff_matrix(1, "even") @ lap
     return (np.sqrt(w @ ((1 + r) ** 2 * glap ** 2))
             + np.sqrt(w @ lap ** 2))
@@ -95,22 +103,6 @@ def energy_norm(x: FieldPair) -> float:
     w = 2.0 * np.pi * g.quad_weights
     l1 = float(w @ np.abs(x.density.values))
     return h2q_norm(x.density) + n_norm_from_grad(x.chem_gradient) + l1
-
-
-def _lap_values(grid, vals):
-    d1 = grid.diff_matrix(1, "even") @ vals
-    d2 = grid.diff_matrix(2, "even") @ vals
-    out = d2 + grid.divide_by_r(d1, "odd")
-    out[0] = 2.0 * d2[0]
-    return out
-
-
-def _div_from_grad_values(grid, gvals):
-    """(1/r) d/dr (r w) for an odd flux w: the laplacian of its potential."""
-    out = grid.divide_by_r(grid.diff_matrix(1, "even") @ (grid.nodes * gvals),
-                           "odd")
-    out[0] = 2.0 * (grid.diff_matrix(1, "odd") @ gvals)[0]
-    return out
 
 
 # -- pointwise operator applications -------------------------------------------
@@ -135,10 +127,10 @@ def apply_L(x: FieldPair) -> FieldPair:
     r = g.nodes
     e = x.density.values
     gn = x.chem_gradient.values
-    lap_e = _lap_values(g, e)
+    lap_e = laplacian_values(g, e)
     de = g.diff_matrix(1, "even") @ e
-    lap_n = _div_from_grad_values(g, gn)
-    first = (lap_e + e * q_density(r) + de * (4.0 * r / (1.0 + r ** 2))
+    lap_n = div_from_grad_values(g, gn)
+    first = (lap_e + e * q_density(r) + de * q_potential_grad(r)
              + q_density(r) * lap_n + q_prime(r) * gn)
     second = g.diff_matrix(1, "even") @ lap_n - de
     return FieldPair(RadialField(g, first), RadialField(g, second, "odd"))
@@ -157,8 +149,8 @@ def apply_Lstar(x: FieldPair) -> FieldPair:
     gn = x.chem_gradient.values
     Q = q_density(r)
     de = g.diff_matrix(1, "even") @ e
-    lap_n = _div_from_grad_values(g, gn)
-    first = _lap_values(g, e) - (4.0 * r / (1.0 + r ** 2)) * de + lap_n
+    lap_n = div_from_grad_values(g, gn)
+    first = laplacian_values(g, e) - q_potential_grad(r) * de + lap_n
     second = g.diff_matrix(1, "even") @ lap_n - Q * de
     return FieldPair(RadialField(g, first), RadialField(g, second, "odd"))
 
@@ -246,7 +238,7 @@ class OperatorBundle:
             divr = self._divr_odd()
             L = np.zeros((2 * n, 2 * n))
             L[:n, :n] = (lap_e + np.diag(Q)
-                         + np.diag(4.0 * r / (1.0 + r ** 2)) @ d1e)
+                         + np.diag(q_potential_grad(r)) @ d1e)
             L[:n, n:] = np.diag(Q) @ divr + np.diag(q_prime(r))
             L[n:, :n] = -d1e
             L[n:, n:] = d1e @ divr

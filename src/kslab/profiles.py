@@ -39,7 +39,9 @@ from .grid import (
     RadialGrid,
     cutoff,
     derivative,
+    div_from_grad_values,
     integrate,
+    laplacian_values,
     partial_mass,
     poisson_field,
     potential_from_gradient,
@@ -654,10 +656,8 @@ def error_norm_report(grid, b, B0, Psi1, Psi2_grad) -> dict:
     w = 2.0 * np.pi * grid.quad_weights
     Q = q_density(r)
 
-    # Delta psi2 from its gradient: (1/r) d/dr (r * grad), r*grad even
-    lap_psi2 = grid.divide_by_r(
-        grid.diff_matrix(1, "even") @ (r * Psi2_grad.values), "odd")
-    L1v = (radial_lap(grid, Psi1.values) + Q * Psi1.values
+    lap_psi2 = div_from_grad_values(grid, Psi2_grad.values)
+    L1v = (laplacian_values(grid, Psi1.values) + Q * Psi1.values
            + (grid.diff_matrix(1, "even") @ Psi1.values) * q_potential_grad(r)
            + Q * lap_psi2
            + q_prime(r) * Psi2_grad.values)
@@ -676,14 +676,6 @@ def error_norm_report(grid, b, B0, Psi1, Psi2_grad) -> dict:
     report["degenerate_flux_B0"] = degenerate_flux(grid, B0, Psi1, Psi2_grad,
                                                    L1v, L2v)
     return report
-
-
-def radial_lap(grid, values):
-    d1 = grid.diff_matrix(1, "even") @ values
-    d2 = grid.diff_matrix(2, "even") @ values
-    out = d2 + grid.divide_by_r(d1, "odd")
-    out[0] = 2.0 * d2[0]
-    return out
 
 
 def q_prime(r):

@@ -19,6 +19,7 @@ import kslab.dynamics as dyn
 import kslab.operators as ops
 import kslab.profiles as prof
 from conftest import smooth_bump_pair_values
+from kslab.cli import profile_grid_for
 from kslab.grid import (
     FieldPair,
     RadialField,
@@ -34,12 +35,6 @@ def report(num, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
     print("criterion %02d [%s] %s" % (num, tag, detail))
     return ok
-
-
-def profile_grid(b):
-    B1 = abs(math.log(b)) / math.sqrt(b)
-    return RadialGrid.make(4.5 * B1, h_core=0.05, nodes_per_decade=48,
-                           stencil_order=6)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +160,7 @@ def test_criterion_04_profile_asymptotics(mid_grid):
 def test_criterion_05_radiation_law():
     ratios = []
     for b in (1e-4, 1e-6, 1e-8):
-        g = profile_grid(b)
+        g = profile_grid_for(b)
         rad = prof.build_radiation(g, b)
         ratios.append(rad.c_b * abs(math.log(b)) / 2.0)
     in_band = all(0.8 <= x <= 1.2 for x in ratios)
@@ -178,7 +173,7 @@ def test_criterion_05_radiation_law():
 def test_criterion_06_error_norm_scaling():
     rows = []
     for b in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-        g = profile_grid(b)
+        g = profile_grid_for(b)
         fam = prof.build_profile_family(g, b)
         nr = fam.norm_report
         rows.append((b, nr["psi1_sq"], nr["grad_psi2_sq"],

@@ -2,11 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from kslab.cli import main
-from kslab.config import ConfigError, RunConfig, load_config, parse_config_text
+from kslab.config import (
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config_json,
+    parse_config_text,
+)
+from kslab.dynamics import EvolveParams
 
 
 def run_cli(args, out):
@@ -23,8 +31,48 @@ profile.M = 12
 solver.s_max = 10.0
 output.cadence = 4
 """).validate()
-    assert cfg.profile.b0 == 5e-3
-    assert cfg.output.cadence == 4
+    assert cfg.params.b0 == 5e-3
+    assert cfg.params.cadence == 4
+
+
+# a value for every config key, none of them its default
+OTHER_VALUES = {
+    "grid": {"r_max": 900.0, "h_core": 0.03, "nodes_per_decade": 40,
+             "stencil_order": 6},
+    "profile": {"b0": 5e-3, "M": 12.5},
+    "solver": {"ds_init": 2e-3, "ds_max": 0.25, "db_rel_cap": 5e-4,
+               "lam_stop": 0.25, "t_max": 3.5, "s_max": float("inf"),
+               "b_min": 1e-3, "frame": "physical"},
+    "perturbation": {"delta": 1e-4, "seed": 9},
+    "output": {"cadence": 3},
+}
+
+
+@pytest.mark.parametrize("values", [RunConfig().to_dict(), OTHER_VALUES])
+def test_config_keys_round_trip(values):
+    assert {s: set(v) for s, v in values.items()} == {
+        s: set(v) for s, v in RunConfig().to_dict().items()}
+    text = "".join("%s.%s = %s\n" % (s, k, v) for s, entries in values.items()
+                   for k, v in entries.items())
+    assert parse_config_text(text).to_dict() == values
+    assert parse_config_json(json.dumps(values)).to_dict() == values
+
+
+@pytest.mark.parametrize("key", ["perturbation.count", "output.dir",
+                                 "solver.lift_every", "grid.b0"])
+def test_config_unknown_keys_are_named(key):
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text("%s = 1\n" % key)
+    with pytest.raises(ConfigError, match=key):
+        parse_config_json(json.dumps({section: {name: 1}}))
+
+
+def test_config_run_defaults():
+    # a config run stops at lam = 0.5 or s = 2000; the library runs on
+    cfg, lib = asdict(RunConfig().params), asdict(EvolveParams())
+    assert {k for k in cfg if cfg[k] != lib[k]} == {"lam_stop", "s_max"}
+    assert (cfg["lam_stop"], cfg["s_max"]) == (0.5, 2000.0)
 
 
 def test_config_json_alternative(tmp_path):
@@ -32,14 +80,14 @@ def test_config_json_alternative(tmp_path):
     path.write_text(json.dumps({"profile": {"b0": 4e-3},
                                 "solver": {"s_max": 5.0}}))
     cfg = load_config(path).validate()
-    assert cfg.profile.b0 == 4e-3
+    assert cfg.params.b0 == 4e-3
 
 
 def test_config_collects_all_violations():
     cfg = RunConfig()
-    cfg.profile.b0 = 0.5
-    cfg.solver.db_rel_cap = 0.1
-    cfg.output.cadence = 0
+    cfg.params.b0 = 0.5
+    cfg.params.db_rel_cap = 0.1
+    cfg.params.cadence = 0
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert len(err.value.violations) == 3
@@ -52,8 +100,8 @@ def test_config_json_coerces_like_text(tmp_path):
     path.write_text(json.dumps({"profile": {"b0": "1e-2"},
                                 "output": {"cadence": 4.0}}))
     cfg = load_config(path).validate()
-    assert cfg.profile.b0 == 1e-2 and isinstance(cfg.profile.b0, float)
-    assert cfg.output.cadence == 4 and isinstance(cfg.output.cadence, int)
+    assert cfg.params.b0 == 1e-2 and isinstance(cfg.params.b0, float)
+    assert cfg.params.cadence == 4 and isinstance(cfg.params.cadence, int)
 
 
 def test_config_json_rejects_non_integral_int(tmp_path):
@@ -82,9 +130,27 @@ def test_json_config_errors_exit_cleanly(tmp_path, capsys, command, text):
     assert json.loads(err)["error"] == "invalid configuration"
 
 
+@pytest.mark.parametrize("b0", ["8e-3,0.5", "8e-3,abc"])
+def test_sweep_rejects_a_bad_b0_list(tmp_path, capsys, b0):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("profile.b0 = 8e-3\n")
+    assert main(["sweep", "--config", str(path), "--b0", b0,
+                 "--out", str(tmp_path)]) == 1
+    assert "b0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep_b*"))
+
+
+@pytest.mark.parametrize("ds_init", ["0", "-1"])
+def test_config_rejects_a_nonpositive_first_step(ds_init):
+    # ds_init = 0 never advances s; a negative one fails inside the run
+    cfg = parse_config_text("solver.ds_init = %s\n" % ds_init)
+    with pytest.raises(ConfigError, match="solver.ds_init"):
+        cfg.validate()
+
+
 def test_config_r_max_guard_names_B1():
     cfg = RunConfig()
-    cfg.grid.r_max = 50.0
+    cfg.params.r_max = 50.0
     with pytest.raises(ConfigError, match="4\\*B1"):
         cfg.validate()
 

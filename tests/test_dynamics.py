@@ -300,6 +300,39 @@ def test_decompose_matches_fresh_jacobian_oracle(small_grid, small_params,
         assert np.linalg.norm(mod.residuals) <= tol
 
 
+def test_decompose_returns_the_accepted_residual_fields(small_grid,
+                                                      small_params,
+                                                      perturbed_states):
+    # (eps, geta) come from the residual evaluation that accepted the
+    # iterate: equal to a fresh evaluation at the returned (lam, b), and a
+    # state decomposed at its own solution costs one residual evaluation
+    from scipy.interpolate import make_interp_spline
+    state, guess = perturbed_states[-1]
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    mod = solver.decompose(state, guess=guess)
+    atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
+    assert np.linalg.norm(mod.residuals) <= atol
+    msp = make_interp_spline(small_grid.nodes, state.m, k=5)
+    nsp = make_interp_spline(small_grid.nodes, state.n, k=5)
+    _, (eps, geta) = solver._residual(msp, nsp, mod.lam, mod.b)
+    np.testing.assert_array_equal(mod.eps_pair.density.values, eps)
+    np.testing.assert_array_equal(mod.eps_pair.chem_gradient.values, geta)
+
+    calls = []
+    residual = solver._residual
+
+    def counted(*args):
+        calls.append(args[2:])
+        return residual(*args)
+
+    solver._residual = counted
+    again = solver.decompose(state, guess=(mod.lam, mod.b))
+    assert calls == [(mod.lam, mod.b)]
+    assert (again.lam, again.b) == (mod.lam, mod.b)
+    np.testing.assert_array_equal(again.eps_pair.density.values, eps)
+    np.testing.assert_array_equal(again.eps_pair.chem_gradient.values, geta)
+
+
 @pytest.mark.parametrize("labelled", ["where_taken", "current"])
 def test_decompose_refreshes_stale_b_column(small_grid, small_params,
                                             perturbed_states, labelled):
@@ -499,6 +532,41 @@ def test_subcritical_control():
     assert rep["bounded"]
     assert np.all(np.diff(rep["lam_proxy"]) > -1e-12)
     assert rep["mass_drift"] < 1e-12
+
+
+def inline_sampler(grid, params, delta, rng, tries):
+    """The rejection loop that `kslab simulate` and `stability_probe` each
+    carried before `sample_perturbation` (the sampler's oracle); None when
+    every try is rejected."""
+    for _ in range(tries):
+        cand = dyn.random_perturbation(grid, delta, rng)
+        try:
+            dyn.initial_state(grid, params, cand)
+        except dyn.SimulationError:
+            continue
+        return cand
+    return None
+
+
+# no rejection at delta = 1e-4; at delta = 10 seed 1 rejects once and
+# seed 2 three times; at delta = 30 seed 11 exhausts the second draw's tries
+@pytest.mark.parametrize("delta, seed", [(1e-4, 0), (1e-4, 1), (10.0, 1),
+                                         (10.0, 2), (30.0, 11)])
+def test_sample_perturbation_matches_inline_loop(small_grid, small_params,
+                                                 delta, seed, monkeypatch):
+    monkeypatch.setattr(dyn, "PERTURBATION_TRIES", 3)
+    # two draws in a row from one generator, as stability_probe makes them
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        want = inline_sampler(small_grid, small_params, delta, rng_ref, 3)
+        if want is None:
+            with pytest.raises(dyn.SimulationError, match="3 tries"):
+                dyn.sample_perturbation(small_grid, small_params, delta, rng)
+            break
+        got = dyn.sample_perturbation(small_grid, small_params, delta, rng)
+        for g_field, w_field in zip(got, want):
+            np.testing.assert_array_equal(g_field.values, w_field.values)
+            assert g_field.parity == w_field.parity
 
 
 def test_initial_positivity_guard(small_grid, small_params):

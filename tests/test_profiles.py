@@ -7,21 +7,16 @@ import numpy as np
 import pytest
 
 import kslab.profiles as prof
+from kslab.cli import profile_grid_for
 from kslab.dynamics import grid_b_floor
 from kslab.grid import RadialField, RadialGrid, cutoff, integrate
 from kslab.operators import apply_L, pairing
 from kslab.grid import FieldPair
 
 
-def profile_grid(b, h=0.05, npd=48):
-    B1 = abs(math.log(b)) / math.sqrt(b)
-    return RadialGrid.make(4.5 * B1, h_core=h, nodes_per_decade=npd,
-                           stencil_order=6)
-
-
 @pytest.fixture(scope="module")
 def g1em4():
-    return profile_grid(1e-4)
+    return profile_grid_for(1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +212,7 @@ def test_level1_matches_quadrature_oracle(mid_grid, level1_oracle):
 def test_radiation_constants_and_regions():
     ratios = []
     for b in (1e-4, 1e-6, 1e-8):
-        g = profile_grid(b)
+        g = profile_grid_for(b)
         rad = prof.build_radiation(g, b)
         L = abs(math.log(b))
         assert abs(rad.c1 - L / 2.0) < 2.0
@@ -308,7 +303,7 @@ def test_construction_identity_LT1(g1em4, fam1em4):
 def test_profile_error_scaling_slopes():
     rows = []
     for b in (1e-3, 1e-5, 1e-7):
-        g = profile_grid(b)
+        g = profile_grid_for(b)
         fam = prof.build_profile_family(g, b)
         nr = fam.norm_report
         rows.append((b, nr["psi1_sq"], nr["grad_psi2_sq"],
