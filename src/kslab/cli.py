@@ -37,6 +37,11 @@ EXIT_BOUNDS = 2
 # evolve statuses of runs that ended early on a breakdown
 FAILED_STATUSES = ("modulation_failed", "grid_exhausted", "nonfinite")
 
+# a one-dimensional kernel along Lambda Q: the ground mode aligns with it
+# and the second mode lies orders of magnitude above
+KERNEL_ALIGNMENT_MIN = 0.99
+KERNEL_GAP_MIN = 100.0
+
 
 def _out_root(args):
     root = args.out or os.environ.get("KSLAB_OUT", "runs")
@@ -115,12 +120,17 @@ def cmd_spectral(args) -> int:
         "delta0_M_hat": cm["delta0_M_hat"],
         "delta0_L_hat": cl["delta0_L_hat"],
         "delta0_L_normalized": cl["normalized"],
-        "kernel_gap": {"mu0": kg["mu0"], "mu1": kg["mu1"],
+        "kernel_gap": {"mu0": kg["mu0"], "mu1": kg["mu1"], "gap": kg["gap"],
                        "alignment": kg["alignment"]},
     }
     path = os.path.join(_out_root(args), "spectral_M%d.json" % int(M))
     _dump_json(path, payload)
     print(json.dumps(payload, sort_keys=True))
+    if kg["alignment"] <= KERNEL_ALIGNMENT_MIN or kg["gap"] <= KERNEL_GAP_MIN:
+        print("kernel lost: alignment %.4f (needs > %g), gap %.3g (needs > %g)"
+              % (kg["alignment"], KERNEL_ALIGNMENT_MIN, kg["gap"],
+                 KERNEL_GAP_MIN), file=sys.stderr)
+        return EXIT_BOUNDS
     return EXIT_OK
 
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    FieldPair,
-    RadialField,
-    integrate,
-    potential_from_gradient,
-)
-from .profiles import q_density
+from .grid import FieldPair, RadialField, potential_from_gradient
 
 ENTROPY_FLOOR = 1.0e-30
 

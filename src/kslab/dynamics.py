@@ -520,7 +520,6 @@ class EvolveParams:
     ds_max: float = 0.5
     db_rel_cap: float = 1.0e-3
     cadence: int = 10
-    lift_every: int = 1          # lifts per recorded sample
     lam_stop: float = 0.0
     refold_threshold: float = 0.2  # |lam1-1| beyond which the frame is refit
     t_max: float = float("inf")
@@ -595,16 +594,23 @@ def evolve(params: EvolveParams, perturbation=None,
         e2_xq = math.sqrt(operators.xq_norm_sq(e2))
         lyap = operators.pairing(operators.apply_M(e2), e2)
         bh = float("nan")
-        if step_count % (params.cadence * params.lift_every) == 0:
+        if step_count % params.cadence == 0:
             try:
                 bh = lift_b(solver, mod)
             except ModulationError:
                 bh = float("nan")
         energy = float("nan")
         if params.record_energy:
-            rep = diagnostics.free_energy(state.pair().to_primitive())
-            shift = mass0 * (2.0 - mass0 / (4.0 * np.pi)) * math.log(max(lam_total, 1e-300))
-            energy = rep.free_energy + shift
+            # a significantly negative density has no free energy; the
+            # record keeps NaN there and min_u shows why
+            try:
+                rep = diagnostics.free_energy(state.pair().to_primitive())
+            except diagnostics.DiagnosticsError:
+                pass
+            else:
+                shift = (mass0 * (2.0 - mass0 / (4.0 * np.pi))
+                         * math.log(max(lam_total, 1e-300)))
+                energy = rep.free_energy + shift
         series.append(t=state.t, s=state.s, lam=lam_total, b=b, b_hat=bh,
                       mass=state.mass(), free_energy=energy, e2_xq=e2_xq,
                       lyapunov=lyap,

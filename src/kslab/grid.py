@@ -30,27 +30,37 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
 
+_WEIGHT_FUNCTIONS = {
+    "one": np.ones_like,
+    "r": lambda t: t,
+    "r3": lambda t: t ** 3,
+    "rlogr": lambda t: t * np.log(t),
+}
+
 
 def fd_weights(z, x, m):
-    """Finite-difference weights at point z from nodes x for derivatives 0..m.
+    """Finite-difference weights at points z from stencils x for derivatives 0..m.
 
-    Fornberg's recursion; returns array of shape (len(x), m+1) whose column k
-    gives the weights of the k-th derivative.
+    Fornberg's recursion (Math. Comp. 51, 1988), run on all stencils at
+    once: z has shape (n,) and row i of x (shape (n, w)) is the stencil of
+    z[i].  Returns an array of shape (n, w, m+1) whose [i, :, k] gives the
+    weights of the k-th derivative at z[i].
     """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    c = np.zeros((n, m + 1))
+    z = np.asarray(z, dtype=float)
+    x = np.asarray(x, dtype=float).T
+    w = x.shape[0]
+    c = np.zeros((w, m + 1, len(z)))
     c1 = 1.0
     c4 = x[0] - z
     c[0, 0] = 1.0
-    for i in range(1, n):
+    for i in range(1, w):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
         c4 = x[i] - z
         for j in range(i):
             c3 = x[i] - x[j]
-            c2 *= c3
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
@@ -59,7 +69,7 @@ def fd_weights(z, x, m):
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c
+    return c.transpose(2, 0, 1)
 
 
 def geometric_nodes(r_core, r_max, h_core, nodes_per_decade):
@@ -102,7 +112,7 @@ class RadialGrid:
         self.r_max = float(nodes[-1])
         self.n = len(nodes)
         self._diff = {}        # (order, parity) -> csr matrix
-        self._cellw = {}       # weight name -> (j0 array, weights array)
+        self._cellw = {}       # weight name -> csr cell matrix
         self._quad = None
         # b-independent data that downstream layers derive from this grid
         # (profiles keeps its level-one fields here); it shares the grid's
@@ -157,18 +167,19 @@ class RadialGrid:
         sign = _PARITY_SIGN.get(parity, 0.0)
         nghost = w if parity != "none" else 0
         r_ext = np.concatenate([-r[nghost:0:-1], r]) if nghost else r
-        mat = sparse.lil_matrix((n, n))
-        for i in range(n):
-            ie = i + nghost
-            j0 = min(max(ie - (w - 1) // 2, 0), len(r_ext) - w)
-            idx = np.arange(j0, j0 + w)
-            wts = fd_weights(r[i], r_ext[idx], order)[:, order]
-            for jext, cw in zip(idx, wts):
-                if jext >= nghost:
-                    mat[i, jext - nghost] += cw
-                else:
-                    mat[i, nghost - jext] += sign * cw
-        return mat.tocsr()
+        j0 = np.clip(np.arange(n) + nghost - (w - 1) // 2, 0, len(r_ext) - w)
+        jext = j0[:, None] + np.arange(w)
+        wts = fd_weights(r, r_ext[jext], order)[:, :, order]
+        ghost = jext < nghost
+        cols = np.where(ghost, nghost - jext, jext - nghost)
+        vals = np.where(ghost, sign * wts, wts)
+        # a ghost and its mirror image share a column and their weights sum
+        # (exactly to zero for odd derivatives of even fields at r=0); exact
+        # zeros, summed or not, are not stored
+        mat = sparse.csr_matrix((vals.ravel(), (np.repeat(np.arange(n), w),
+                                                cols.ravel())), shape=(n, n))
+        mat.eliminate_zeros()
+        return mat
 
     # -- quadrature --------------------------------------------------------
 
@@ -176,12 +187,7 @@ class RadialGrid:
     def quad_weights(self):
         """Per-node weights for integral f -> int_0^{r_max} f(r) r dr."""
         if self._quad is None:
-            j0, cw = self._cell_weights("r")
-            w = np.zeros(self.n)
-            p1 = cw.shape[1]
-            for k in range(p1):
-                np.add.at(w, j0 + k, cw[:, k])
-            self._quad = w
+            self._quad = self._node_weights("r")
             self._quad.setflags(write=False)
         return self._quad
 
@@ -201,82 +207,78 @@ class RadialGrid:
             self._posquad.setflags(write=False)
         return self._posquad
 
-    def _cell_weights(self, weight):
-        """Interpolatory weights per cell for integrand f(tau)*w(tau).
+    def _cell_matrix(self, weight):
+        if weight not in self._cellw:
+            self._cellw[weight] = self._cell_weights(weight)
+        return self._cellw[weight]
 
-        Returns (j0, cw): cell i integrates values[j0[i] : j0[i]+p+1] against
-        cw[i].  Cells are exact for polynomial f of degree <= stencil order.
+    def _cell_weights(self, weight):
+        """Interpolatory cell matrix for the integrand f(tau)*w(tau).
+
+        Returns the CSR matrix C of shape (n-1, n) with (C @ f)[i] the
+        integral over cell [r_i, r_{i+1}]; row i holds, in column order, the
+        weights of the p+1 nodes from j0[i] on.  Cells are exact for
+        polynomial f of degree <= stencil order.
         """
-        if weight in self._cellw:
-            return self._cellw[weight]
+        if weight not in _WEIGHT_FUNCTIONS:
+            raise GridError("unknown quadrature weight %r" % weight)
         r = self.nodes
         p = self.stencil_order
         ncell = self.n - 1
         j0 = np.clip(np.arange(ncell) - (p - 1) // 2, 0, self.n - (p + 1))
-        cw = np.zeros((ncell, p + 1))
-        wfun = {
-            "one": lambda t: np.ones_like(t),
-            "r": lambda t: t,
-            "r3": lambda t: t ** 3,
-            "rlogr": lambda t: t * np.log(t),
-        }
-        if weight not in wfun:
-            raise GridError("unknown quadrature weight %r" % weight)
-        for i in range(ncell):
-            a, b = r[i], r[i + 1]
-            xs = r[j0[i]:j0[i] + p + 1]
-            if i == 0 and weight == "rlogr":
-                cw[i] = _first_cell_rlogr(xs, b)
-                continue
-            tg = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-            wg = 0.5 * (b - a) * _GL_WEIGHTS * wfun[weight](tg)
-            # barycentric Lagrange basis at the Gauss points
-            diff = tg[:, None] - xs[None, :]
-            bw = _bary_weights(xs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tmp = bw[None, :] / diff
-                denom = tmp.sum(axis=1)
-                lag = tmp / denom[:, None]
-            hit = np.isclose(diff, 0.0)
-            if hit.any():
-                rows, cols = np.nonzero(hit)
-                lag[rows] = 0.0
-                lag[rows, cols] = 1.0
-            cw[i] = wg @ lag
-        self._cellw[weight] = (j0, cw)
-        return self._cellw[weight]
+        cols = j0[:, None] + np.arange(p + 1)
+        xs = r[cols]
+        a, b = r[:-1, None], r[1:, None]
+        tg = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+        wg = 0.5 * (b - a) * _GL_WEIGHTS * _WEIGHT_FUNCTIONS[weight](tg)
+        # barycentric Lagrange basis at the Gauss points
+        diff = tg[:, :, None] - xs[:, None, :]
+        bw = _bary_weights(xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tmp = bw[:, None, :] / diff
+            denom = tmp.sum(axis=2)
+            lag = tmp / denom[:, :, None]
+        hit = np.isclose(diff, 0.0)
+        if hit.any():
+            lag[hit.any(axis=2)] = 0.0
+            lag[hit] = 1.0
+        cw = np.matmul(wg[:, None, :], lag)[:, 0]
+        if weight == "rlogr":
+            cw[0] = _first_cell_rlogr(xs[0], r[1])
+        indptr = np.arange(0, cw.size + 1, p + 1)
+        return sparse.csr_matrix((cw.ravel(), cols.ravel(), indptr),
+                                 shape=(ncell, self.n))
+
+    def _node_weights(self, weight):
+        """Weights l with l @ f = int_0^{r_max} f(tau) w(tau) dtau.
+
+        The column sums of the cell matrix, accumulated stencil position by
+        stencil position (all cells' first weights, then all second ones):
+        the order of the loop oracle in tests/test_grid.py, which these
+        weights match bit for bit.
+        """
+        cells = self._cell_matrix(weight)
+        p1 = self.stencil_order + 1
+        return np.bincount(cells.indices.reshape(-1, p1).T.ravel(),
+                           weights=cells.data.reshape(-1, p1).T.ravel(),
+                           minlength=self.n)
 
     def cumulative_integral(self, values, weight="r"):
         """Cumulative integral g(r_k) = int_0^{r_k} values(tau) w(tau) dtau."""
-        values = np.asarray(values, dtype=float)
-        j0, cw = self._cell_weights(weight)
-        p1 = cw.shape[1]
-        cells = np.zeros(self.n - 1)
-        for k in range(p1):
-            cells += cw[:, k] * values[j0 + k]
         out = np.zeros(self.n)
-        np.cumsum(cells, out=out[1:])
+        np.cumsum(self._cell_matrix(weight) @ np.asarray(values, dtype=float),
+                  out=out[1:])
         return out
 
     def cumulative_matrix(self, weight="r"):
         """Dense matrix form of cumulative_integral (used for operator assembly)."""
-        j0, cw = self._cell_weights(weight)
-        p1 = cw.shape[1]
-        cellmat = np.zeros((self.n - 1, self.n))
-        rows = np.arange(self.n - 1)
-        for k in range(p1):
-            np.add.at(cellmat, (rows, j0 + k), cw[:, k])
         out = np.zeros((self.n, self.n))
-        np.cumsum(cellmat, axis=0, out=out[1:])
+        np.cumsum(self._cell_matrix(weight).toarray(), axis=0, out=out[1:])
         return out
 
     def log_moment_weights(self):
         """Weights l with l @ f = int_0^{r_max} f(tau) log(tau) tau dtau."""
-        j0, cw = self._cell_weights("rlogr")
-        w = np.zeros(self.n)
-        for k in range(cw.shape[1]):
-            np.add.at(w, j0 + k, cw[:, k])
-        return w
+        return self._node_weights("rlogr")
 
     def divide_by_r(self, values, parity):
         """values/r with the r=0 entry filled by the parity-consistent limit.
@@ -313,9 +315,11 @@ def cutoff(x, width=1.0):
 
 
 def _bary_weights(xs):
-    d = xs[:, None] - xs[None, :]
-    np.fill_diagonal(d, 1.0)
-    return 1.0 / d.prod(axis=1)
+    """Barycentric weights of each row of xs (shape (ncell, p+1))."""
+    d = xs[:, :, None] - xs[:, None, :]
+    k = np.arange(xs.shape[1])
+    d[:, k, k] = 1.0
+    return 1.0 / d.prod(axis=2)
 
 
 def _first_cell_rlogr(xs, b):

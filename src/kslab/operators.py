@@ -27,13 +27,11 @@ from .grid import (
     RadialGrid,
     cutoff,
     div_from_grad_values,
-    integrate,
     laplacian_values,
     potential_from_gradient,
 )
 from .profiles import (
     GroundState,
-    lambda_q,
     q_density,
     q_potential_grad,
     q_prime,

@@ -40,11 +40,7 @@ from .grid import (
     cutoff,
     derivative,
     div_from_grad_values,
-    integrate,
     laplacian_values,
-    partial_mass,
-    poisson_field,
-    potential_from_gradient,
 )
 
 B_MAX = 1.25e-2

@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+import kslab.operators as ops
 from kslab.cli import main
 from kslab.config import (
     ConfigError,
@@ -176,6 +177,23 @@ def test_spectral_too_small_M(tmp_path):
     r = run_cli(["spectral", "check", "--M", "1.2"], tmp_path)
     assert r.returncode == 1
     assert "M too small" in r.stderr
+
+
+@pytest.mark.parametrize("alignment, gap, code", [
+    (0.999, 1.0e4, 0), (0.98, 1.0e4, 2), (0.999, 100.0, 2)])
+def test_spectral_lost_kernel_fails(monkeypatch, capsys, tmp_path,
+                                    alignment, gap, code):
+    # the kernel verdict is faked: a real lost kernel needs a far larger run
+    monkeypatch.setattr(
+        ops, "kernel_gap", lambda bundle: {"mu0": 1.0, "mu1": gap, "gap": gap,
+                                           "alignment": alignment})
+    assert main(["--out", str(tmp_path), "spectral", "check", "--M", "10",
+                 "--nodes-per-decade", "16", "--h-core", "0.2"]) == code
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["kernel_gap"]["gap"] == gap
+    assert json.loads((tmp_path / "spectral_M10.json").read_text()) == payload
+    assert ("kernel lost" in err) == (code != 0)
 
 
 def test_simulate_missing_config(tmp_path):

@@ -492,6 +492,32 @@ def test_evolve_nonfinite(monkeypatch):
     assert np.all(np.isfinite(np.array(series.rows)[:, :4]))
 
 
+def test_evolve_records_nan_energy_when_undefined(monkeypatch, tmp_path,
+                                                  small_params):
+    # every second record's density is rejected by free_energy; the run
+    # goes on to its normal end with NaN in those rows
+    free_energy = dyn.diagnostics.free_energy
+    calls = []
+
+    def rejecting(pair):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise dyn.diagnostics.DiagnosticsError("density significantly "
+                                                   "negative")
+        return free_energy(pair)
+
+    monkeypatch.setattr(dyn.diagnostics, "free_energy", rejecting)
+    series = dyn.evolve(small_params)
+    assert series.status == "s_max"
+    assert len(series) == len(calls) >= 4
+    path = tmp_path / "timeseries.csv"
+    series.to_csv(path)
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    energy = data["free_energy"]
+    assert np.all(np.isnan(energy[1::2]))
+    assert np.all(np.isfinite(energy[0::2]))
+
+
 def test_evolve_deterministic(small_params):
     s1 = dyn.evolve(small_params)
     s2 = dyn.evolve(small_params)

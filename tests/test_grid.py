@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from kslab.cli import profile_grid_for
 from kslab.grid import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _PARITY_SIGN,
     FieldPair,
     GridError,
     RadialField,
     RadialGrid,
+    _first_cell_rlogr,
     derivative,
+    fd_weights,
     field_from_csv,
     field_to_csv,
     integrate,
@@ -196,3 +203,194 @@ def test_field_csv_roundtrip(tmp_path, ref_grid, ground):
     assert np.array_equal(back.values, ground.Q.values)
     header = path.read_text().splitlines()[0]
     assert header == "r,value"
+
+
+# -- loop oracles -------------------------------------------------------------
+# The scalar per-node and per-cell forms that the vectorized grid kernels
+# replaced.  The vectorized kernels keep their arithmetic order, so they must
+# agree bit for bit.
+
+def fd_weights_loop(z, x, m):
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    c = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+def build_diff_loop(grid, order, parity):
+    r = grid.nodes
+    n = grid.n
+    w = grid.stencil_order + order
+    sign = _PARITY_SIGN.get(parity, 0.0)
+    nghost = w if parity != "none" else 0
+    r_ext = np.concatenate([-r[nghost:0:-1], r]) if nghost else r
+    mat = sparse.lil_matrix((n, n))
+    for i in range(n):
+        ie = i + nghost
+        j0 = min(max(ie - (w - 1) // 2, 0), len(r_ext) - w)
+        idx = np.arange(j0, j0 + w)
+        wts = fd_weights_loop(r[i], r_ext[idx], order)[:, order]
+        for jext, cw in zip(idx, wts):
+            if jext >= nghost:
+                mat[i, jext - nghost] += cw
+            else:
+                mat[i, nghost - jext] += sign * cw
+    return mat.tocsr()
+
+
+WEIGHT_LOOP = {
+    "one": lambda t: np.ones_like(t),
+    "r": lambda t: t,
+    "r3": lambda t: t ** 3,
+    "rlogr": lambda t: t * np.log(t),
+}
+
+
+def bary_weights_loop(xs):
+    d = xs[:, None] - xs[None, :]
+    np.fill_diagonal(d, 1.0)
+    return 1.0 / d.prod(axis=1)
+
+
+def cell_weights_loop(grid, weight):
+    r = grid.nodes
+    p = grid.stencil_order
+    ncell = grid.n - 1
+    j0 = np.clip(np.arange(ncell) - (p - 1) // 2, 0, grid.n - (p + 1))
+    cw = np.zeros((ncell, p + 1))
+    for i in range(ncell):
+        a, b = r[i], r[i + 1]
+        xs = r[j0[i]:j0[i] + p + 1]
+        if i == 0 and weight == "rlogr":
+            cw[i] = _first_cell_rlogr(xs, b)
+            continue
+        tg = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+        wg = 0.5 * (b - a) * _GL_WEIGHTS * WEIGHT_LOOP[weight](tg)
+        diff = tg[:, None] - xs[None, :]
+        bw = bary_weights_loop(xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tmp = bw[None, :] / diff
+            denom = tmp.sum(axis=1)
+            lag = tmp / denom[:, None]
+        hit = np.isclose(diff, 0.0)
+        if hit.any():
+            rows, cols = np.nonzero(hit)
+            lag[rows] = 0.0
+            lag[rows, cols] = 1.0
+        cw[i] = wg @ lag
+    return j0, cw
+
+
+def cumulative_integral_loop(grid, values, weight):
+    j0, cw = cell_weights_loop(grid, weight)
+    cells = np.zeros(grid.n - 1)
+    for k in range(cw.shape[1]):
+        cells += cw[:, k] * values[j0 + k]
+    out = np.zeros(grid.n)
+    np.cumsum(cells, out=out[1:])
+    return out
+
+
+def cumulative_matrix_loop(grid, weight):
+    j0, cw = cell_weights_loop(grid, weight)
+    cellmat = np.zeros((grid.n - 1, grid.n))
+    rows = np.arange(grid.n - 1)
+    for k in range(cw.shape[1]):
+        np.add.at(cellmat, (rows, j0 + k), cw[:, k])
+    out = np.zeros((grid.n, grid.n))
+    np.cumsum(cellmat, axis=0, out=out[1:])
+    return out
+
+
+def node_weights_loop(grid, weight):
+    j0, cw = cell_weights_loop(grid, weight)
+    w = np.zeros(grid.n)
+    for k in range(cw.shape[1]):
+        np.add.at(w, j0 + k, cw[:, k])
+    return w
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def oracle_grids(ref_grid):
+    small = {"order%d" % p: RadialGrid.make(60.0, h_core=0.2,
+                                            nodes_per_decade=16,
+                                            stencil_order=p)
+             for p in (2, 3, 4)}
+    # a 2e-7 wide cell puts Gauss points within isclose's atol of its nodes
+    tiny = RadialGrid(np.concatenate([[0.0, 1.0, 1.0 + 2e-7],
+                                      np.linspace(1.5, 20.0, 40)]),
+                      stencil_order=4)
+    return {"reference": ref_grid, "profile_b1e-6": profile_grid_for(1e-6),
+            "tiny_cell": tiny, **small}
+
+
+ORACLE_GRIDS = ("reference", "profile_b1e-6", "tiny_cell", "order2", "order3",
+                "order4")
+
+
+def test_fd_weights_matches_loop():
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(-1.0, 2.0, size=(40, 7)), axis=1)
+    z = rng.uniform(-1.0, 2.0, size=40)
+    got = fd_weights(z, x, 3)
+    assert got.shape == (40, 7, 4)
+    for i in range(40):
+        assert_bitwise(got[i], fd_weights_loop(z[i], x[i], 3))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "none"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", ORACLE_GRIDS)
+def test_diff_matrix_matches_loop(oracle_grids, name, order, parity):
+    grid = oracle_grids[name]
+    got = grid.diff_matrix(order, parity)
+    want = build_diff_loop(grid, order, parity)
+    assert_bitwise(got.indptr, want.indptr)
+    assert_bitwise(got.indices, want.indices)
+    assert_bitwise(got.data, want.data)
+
+
+@pytest.mark.parametrize("weight", ["one", "r", "r3", "rlogr"])
+@pytest.mark.parametrize("name", ORACLE_GRIDS)
+def test_cell_quadrature_matches_loop(oracle_grids, name, weight):
+    grid = oracle_grids[name]
+    p1 = grid.stencil_order + 1
+    j0, cw = cell_weights_loop(grid, weight)
+    cells = grid._cell_weights(weight)
+    assert_bitwise(cells.indices.reshape(-1, p1)[:, 0], j0.astype(np.int32))
+    assert_bitwise(cells.data.reshape(-1, p1), cw)
+    r = grid.nodes
+    values = np.exp(-r / 7.0) * np.cos(r)
+    assert_bitwise(grid.cumulative_integral(values, weight),
+                   cumulative_integral_loop(grid, values, weight))
+    assert_bitwise(grid.cumulative_matrix(weight),
+                   cumulative_matrix_loop(grid, weight))
+    if weight == "r":
+        assert_bitwise(grid.quad_weights, node_weights_loop(grid, "r"))
+    if weight == "rlogr":
+        assert_bitwise(grid.log_moment_weights(),
+                       node_weights_loop(grid, "rlogr"))
