@@ -1,8 +1,8 @@
 """Batch command line interface.
 
 Subcommands:
-    profile build --b <val>      construct the profile family, emit JSON + CSV
-    spectral check --M <int>     operator pairings and coercivity report
+    profile build --b <list>     construct the profile family, emit JSON + CSV
+    spectral check --M <list>    operator pairings and coercivity report
     simulate --config <file>     one modulated run -> timeseries.csv + summary.json
     sweep --config <file>        parallel runs over a b0 grid, merged summary
     verify-bounds --suite <name> inequality/identity suites -> JSON verdict
@@ -10,7 +10,9 @@ Subcommands:
 Outputs land under --out (or $KSLAB_OUT, default ./runs); --out may be given
 before or after the subcommand.  All randomness flows through one seeded
 generator recorded in the summaries, so identical configs reproduce
-bit-identical files.
+bit-identical files.  The list-valued flags (--b, --M, --b0) take
+comma-separated positive numbers; profile build and spectral check treat
+each value as its own run and exit with the worst status.
 """
 
 from __future__ import annotations
@@ -61,9 +63,24 @@ def profile_grid_for(b, nodes_per_decade=48, h_core=0.05):
                            nodes_per_decade=nodes_per_decade, stencil_order=6)
 
 
-def cmd_profile_build(args) -> int:
+def _float_list(flag, text):
+    """Comma-separated positive finite numbers; ValueError naming the flag."""
     try:
-        b = float(args.b)
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(math.isfinite(x) and x > 0 for x in values):
+        raise ValueError("%s: expected comma-separated positive finite "
+                         "numbers, got %r" % (flag, text))
+    return values
+
+
+def cmd_profile_build(args) -> int:
+    return max(_profile_build(args, b) for b in args.b)
+
+
+def _profile_build(args, b) -> int:
+    try:
         grid = profile_grid_for(b) if args.r_max is None else RadialGrid.make(
             args.r_max, stencil_order=6)
         fam = profiles.build_profile_family(grid, b)
@@ -97,20 +114,30 @@ def cmd_profile_build(args) -> int:
     return EXIT_OK
 
 
+def coercivity_chain(M, nodes_per_decade=32, h_core=0.1):
+    """Phi_M on `operator_grid(M)` and the coercivity constants of M and L
+    there: (phim, bundle, coercivity_M, coercivity_L).  OperatorError if M
+    or its grid cannot carry Phi_M."""
+    grid = operators.operator_grid(M, nodes_per_decade=nodes_per_decade,
+                                   h_core=h_core)
+    lvl1 = profiles.build_t1_s1(grid)
+    phim = operators.build_phi_m(grid, M, FieldPair(lvl1.T1, lvl1.S1_grad))
+    bundle = operators.OperatorBundle(grid)
+    return (phim, bundle, operators.coercivity_M(bundle),
+            operators.coercivity_L(bundle, phim))
+
+
 def cmd_spectral(args) -> int:
-    M = float(args.M)
+    return max(_spectral(args, M) for M in args.M)
+
+
+def _spectral(args, M) -> int:
     try:
-        grid = operators.operator_grid(M, nodes_per_decade=args.nodes_per_decade,
-                                       h_core=args.h_core)
-        lvl1 = profiles.build_t1_s1(grid)
-        phim = operators.build_phi_m(grid, M,
-                                     FieldPair(lvl1.T1, lvl1.S1_grad))
+        phim, bundle, cm, cl = coercivity_chain(
+            M, args.nodes_per_decade, args.h_core)
     except operators.OperatorError as exc:
         print("spectral check rejected: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    bundle = operators.OperatorBundle(grid)
-    cm = operators.coercivity_M(bundle)
-    cl = operators.coercivity_L(bundle, phim)
     kg = operators.kernel_gap(bundle)
     payload = {
         "M": M,
@@ -123,7 +150,7 @@ def cmd_spectral(args) -> int:
         "kernel_gap": {"mu0": kg["mu0"], "mu1": kg["mu1"], "gap": kg["gap"],
                        "alignment": kg["alignment"]},
     }
-    path = os.path.join(_out_root(args), "spectral_M%d.json" % int(M))
+    path = os.path.join(_out_root(args), "spectral_M%g.json" % M)
     _dump_json(path, payload)
     print(json.dumps(payload, sort_keys=True))
     if kg["alignment"] <= KERNEL_ALIGNMENT_MIN or kg["gap"] <= KERNEL_GAP_MIN:
@@ -213,22 +240,20 @@ def cmd_sweep(args) -> int:
     cfg = _valid_config(args.config)
     if cfg is None:
         return EXIT_USAGE
+    b_values = args.b0 or [cfg.params.b0]
     try:
-        b_values = ([float(x) for x in args.b0.split(",")] if args.b0
-                    else [cfg.params.b0])
         cfgs = [replace(cfg, params=replace(cfg.params, b0=b0)).validate()
                 for b0 in b_values]
     except ConfigError as exc:
         print(exc.to_json(), file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print("--b0: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     root = _out_root(args)
     outdirs = [os.path.join(root, "sweep_b%.3e" % b0) for b0 in b_values]
     seed_offsets = range(len(cfgs))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork pool starts all its workers at the first submit
+    workers = min(args.workers, len(cfgs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(run_one, cfgs, outdirs, seed_offsets))
     else:
         summaries = list(map(run_one, cfgs, outdirs, seed_offsets))
@@ -281,13 +306,7 @@ def cmd_verify_bounds(args) -> int:
                 "c_b_times_halflog": fam.c_b * abs(math.log(b)) / 2.0,
                 **{k: float(v) for k, v in fam.norm_report.items()}}
     elif suite == "spectral":
-        M = 50.0
-        grid = operators.operator_grid(M, nodes_per_decade=32, h_core=0.1)
-        bundle = operators.OperatorBundle(grid)
-        lvl1 = profiles.build_t1_s1(grid)
-        phim = operators.build_phi_m(grid, M, FieldPair(lvl1.T1, lvl1.S1_grad))
-        cm = operators.coercivity_M(bundle)
-        cl = operators.coercivity_L(bundle, phim)
+        phim, _, cm, cl = coercivity_chain(50.0)
         verdict["checks"] = {"delta0_M_hat": cm["delta0_M_hat"],
                              "delta0_L_hat": cl["delta0_L_hat"],
                              "PhiM_T1": phim.report["PhiM_T1"]}
@@ -315,9 +334,9 @@ def build_parser():
     p = sub.add_parser("profile", help="profile family operations",
                        parents=[out_after])
     psub = p.add_subparsers(dest="subcommand", required=True)
-    pb = psub.add_parser("build", help="construct the family at one b",
+    pb = psub.add_parser("build", help="construct the family at each b",
                          parents=[out_after])
-    pb.add_argument("--b", required=True)
+    pb.add_argument("--b", required=True, help="comma-separated b list")
     pb.add_argument("--r-max", type=float, default=None)
     pb.set_defaults(func=cmd_profile_build)
 
@@ -325,7 +344,7 @@ def build_parser():
                           parents=[out_after])
     ssub = spct.add_subparsers(dest="subcommand", required=True)
     sc = ssub.add_parser("check", parents=[out_after])
-    sc.add_argument("--M", required=True)
+    sc.add_argument("--M", required=True, help="comma-separated M list")
     sc.add_argument("--nodes-per-decade", type=int, default=32)
     sc.add_argument("--h-core", type=float, default=0.1)
     sc.set_defaults(func=cmd_spectral)
@@ -353,6 +372,14 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        for flag in ("b", "M", "b0"):  # the list-valued flags
+            if getattr(args, flag, None) is not None:
+                setattr(args, flag, _float_list("--" + flag,
+                                                getattr(args, flag)))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

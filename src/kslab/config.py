@@ -41,12 +41,13 @@ PARAM_KEYS = {
     "solver.t_max": "t_max",
     "solver.s_max": "s_max",
     "solver.b_min": "b_min",
-    "solver.frame": "frame",
     "output.cadence": "cadence",
 }
 # config key -> RunConfig field
 PERTURBATION_KEYS = {"perturbation.delta": "delta",
                      "perturbation.seed": "seed"}
+# the only keys that may be infinite: no time limit
+UNBOUNDED_KEYS = ("solver.t_max", "solver.s_max")
 
 
 def config_params():
@@ -75,6 +76,11 @@ class RunConfig:
     def validate(self):
         """Collect every violated constraint; raise ConfigError if any."""
         v = []
+        for key in (*PARAM_KEYS, *PERTURBATION_KEYS):
+            x = getattr(*self._slot(key))
+            if isinstance(x, float) and (math.isnan(x) or (
+                    math.isinf(x) and key not in UNBOUNDED_KEYS)):
+                v.append("%s must be finite, got %s" % (key, x))
         p = self.params
         if not 0.0 < p.b0 <= 1.0e-2:
             v.append("profile.b0 must lie in (0, 1e-2] (asymptotic regime guard)")
@@ -86,6 +92,8 @@ class RunConfig:
             v.append("grid.nodes_per_decade must be >= 12")
         if p.stencil_order < 2:
             v.append("grid.stencil_order must be >= 2")
+        if p.r_max < 0:
+            v.append("grid.r_max must be positive, or 0 to derive it")
         if p.r_max > 0 and 0.0 < p.b0 <= 1e-2:
             B1 = abs(math.log(p.b0)) / math.sqrt(p.b0)
             if p.r_max < 4.0 * B1:
@@ -99,10 +107,10 @@ class RunConfig:
             v.append("solver.ds_init must be positive")
         if p.ds_max <= 0:
             v.append("solver.ds_max must be positive")
-        if p.frame not in ("rescaled", "physical"):
-            v.append("solver.frame must be 'rescaled' or 'physical'")
         if not 0.0 <= self.delta <= 1.0e-3:
             v.append("perturbation.delta must lie in [0, 1e-3]")
+        if self.seed < 0:
+            v.append("perturbation.seed must be >= 0")
         if p.cadence < 1:
             v.append("output.cadence must be >= 1")
         if v:

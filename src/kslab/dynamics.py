@@ -276,15 +276,16 @@ def _band(mat, l, u):
 # -- modulation decomposition ----------------------------------------------------
 
 class ProfileCache:
-    """Modulation profiles per b on one grid (bounded size, keyed by value).
+    """Modulation profiles per b on one grid (at most MAXSIZE, keyed by value).
 
     Holds `profiles.modulation_profile`'s three arrays (Qb~, grad Pb~, n~)
     per b, about a tenth of a full family.
     """
 
-    def __init__(self, grid, maxsize=64):
+    MAXSIZE = 64
+
+    def __init__(self, grid):
         self.grid = grid
-        self.maxsize = maxsize
         self._store = {}
 
     def __call__(self, b):
@@ -292,7 +293,7 @@ class ProfileCache:
         prof = self._store.get(key)
         if prof is None:
             prof = modulation_profile(self.grid, b)
-            if len(self._store) >= self.maxsize:
+            if len(self._store) >= self.MAXSIZE:
                 self._store.pop(next(iter(self._store)))
             self._store[key] = prof
         return prof
@@ -317,12 +318,12 @@ class ModulationSolver:
     probe shares b with the iterate, so it costs spline evaluations only.
     """
 
-    def __init__(self, grid: RadialGrid, M_param: float, cache=None):
+    def __init__(self, grid: RadialGrid, M_param: float):
         self.grid = grid
         self.M = M_param
         if grid.r_max < 3.0 * M_param:
             raise ModulationError("grid too small to resolve 2M for Phi_M")
-        self.cache = cache or ProfileCache(grid)
+        self.cache = ProfileCache(grid)
         lvl1 = build_t1_s1(grid)
         self.phim = operators.build_phi_m(
             grid, M_param, FieldPair(lvl1.T1, lvl1.S1_grad))
@@ -443,15 +444,6 @@ class ModulationSolver:
                                residuals=(float(F[0]), float(F[1])),
                                eps_pair=pair)
 
-    def jacobian_at_profile(self, b):
-        """Modulation Jacobian at the exact profile (determinant reference)."""
-        fam = build_profile_family(self.grid, b, with_error=False)
-        msp = make_interp_spline(self.grid.nodes, fam.m_tilde.values, k=5)
-        nsp = make_interp_spline(self.grid.nodes, fam.n_tilde.values, k=5)
-        F0, _ = self._residual(msp, nsp, 1.0, b)
-        return np.column_stack([self._fd_column(msp, nsp, 1.0, b, F0, wrt)
-                                for wrt in ("lam", "b")])
-
 
 def grid_b_floor(grid) -> float:
     """Smallest b whose localization scale fits: 4 B1(b) <= r_max."""
@@ -465,8 +457,11 @@ def grid_b_floor(grid) -> float:
     return hi
 
 
-def lift_b(solver: ModulationSolver, mod: ModulationState,
-           bracket=(0.5, 2.0)) -> float:
+# brackets [lo, hi] * b that lift_b tries in turn for b_hat
+LIFT_BRACKETS = ((0.5, 2.0), (0.25, 4.0))
+
+
+def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
     """b_hat solving <Qb~ + E - Qbhat~, L* Phi_{0, Bhat0}> = 0, Bhat0 = 1/sqrt(b_hat)."""
     g = solver.grid
     fam_b = solver.cache(mod.b)
@@ -478,18 +473,13 @@ def lift_b(solver: ModulationSolver, mod: ModulationState,
     args = (solver.cache, g, 2.0 * np.pi * g.quad_weights,
             fam_b.Qb_tilde.values + eps.density.values,
             fam_b.Pb_tilde_grad.values + eps.chem_gradient.values)
-
-    lo = max(bracket[0] * mod.b, b_floor)
-    hi = min(bracket[1] * mod.b, B_MAX)
-    flo, fhi = _lift_residual(lo, *args), _lift_residual(hi, *args)
-    if flo * fhi > 0:
-        lo = max(0.25 * mod.b, b_floor)
-        hi = min(4.0 * mod.b, B_MAX)
-        flo, fhi = _lift_residual(lo, *args), _lift_residual(hi, *args)
-        if flo * fhi > 0:
-            raise ModulationError("lift_b bracket failure")
-    return float(brentq(_lift_residual, lo, hi, args=args,
-                        xtol=1e-14 * mod.b, rtol=1e-12))
+    for lo_factor, hi_factor in LIFT_BRACKETS:
+        lo = max(lo_factor * mod.b, b_floor)
+        hi = min(hi_factor * mod.b, B_MAX)
+        if _lift_residual(lo, *args) * _lift_residual(hi, *args) <= 0:
+            return float(brentq(_lift_residual, lo, hi, args=args,
+                                xtol=1e-14 * mod.b, rtol=1e-12))
+    raise ModulationError("lift_b bracket failure")
 
 
 def _lift_residual(bh, cache, grid, w, u_b, g_b):
@@ -510,7 +500,6 @@ class EvolveParams:
     """Knobs of a single run (grid sizes in rescaled units)."""
 
     b0: float = 1.0e-2
-    lam0: float = 1.0
     M_param: float = 11.0
     r_max: float = 0.0          # 0: derived from the smallest b expected
     h_core: float = 0.02
@@ -521,17 +510,19 @@ class EvolveParams:
     db_rel_cap: float = 1.0e-3
     cadence: int = 10
     lam_stop: float = 0.0
-    refold_threshold: float = 0.2  # |lam1-1| beyond which the frame is refit
     t_max: float = float("inf")
     s_max: float = float("inf")
     b_min: float = 0.0
-    b_final_factor: float = 0.2  # sizing guard: grid sized for b0*this
-    frame: str = "rescaled"
-    record_energy: bool = True
+
+
+# |lam1 - 1| beyond which evolve folds the pending scale into the frame
+REFOLD_THRESHOLD = 0.2
+# dynamics_grid localizes b down to b0 times this
+B_FINAL_FACTOR = 0.2
 
 
 def dynamics_grid(params: EvolveParams) -> RadialGrid:
-    b_small = max(params.b0 * params.b_final_factor, 1e-8)
+    b_small = max(params.b0 * B_FINAL_FACTOR, 1e-8)
     B1 = abs(math.log(b_small)) / math.sqrt(b_small)
     r_max = params.r_max or max(4.2 * B1, 3.2 * params.M_param)
     return RadialGrid.make(r_max, h_core=params.h_core,
@@ -548,7 +539,7 @@ def initial_state(grid, params: EvolveParams, perturbation=None) -> FlowState:
         eps, geta = perturbation
         m = m + grid.cumulative_integral(eps.values, "r")
         n = n + grid.nodes * geta.values
-    state = FlowState(grid, m, n, lam=params.lam0, frame=params.frame)
+    state = FlowState(grid, m, n)
     if np.min(state.density_values()) <= 0.0:
         raise SimulationError("initial density not positive")
     return state
@@ -599,18 +590,17 @@ def evolve(params: EvolveParams, perturbation=None,
                 bh = lift_b(solver, mod)
             except ModulationError:
                 bh = float("nan")
+        # a significantly negative density has no free energy; the record
+        # keeps NaN there and min_u shows why
         energy = float("nan")
-        if params.record_energy:
-            # a significantly negative density has no free energy; the
-            # record keeps NaN there and min_u shows why
-            try:
-                rep = diagnostics.free_energy(state.pair().to_primitive())
-            except diagnostics.DiagnosticsError:
-                pass
-            else:
-                shift = (mass0 * (2.0 - mass0 / (4.0 * np.pi))
-                         * math.log(max(lam_total, 1e-300)))
-                energy = rep.free_energy + shift
+        try:
+            rep = diagnostics.free_energy(state.pair().to_primitive())
+        except diagnostics.DiagnosticsError:
+            pass
+        else:
+            shift = (mass0 * (2.0 - mass0 / (4.0 * np.pi))
+                     * math.log(max(lam_total, 1e-300)))
+            energy = rep.free_energy + shift
         series.append(t=state.t, s=state.s, lam=lam_total, b=b, b_hat=bh,
                       mass=state.mass(), free_energy=energy, e2_xq=e2_xq,
                       lyapunov=lyap,
@@ -633,7 +623,7 @@ def evolve(params: EvolveParams, perturbation=None,
             # injects a small scale bias and leaks tail mass, so refits
             # happen only if the frame truly de-centers (resolution guard),
             # not as routine upkeep.
-            if abs(lam_new - 1.0) > params.refold_threshold:
+            if abs(lam_new - 1.0) > REFOLD_THRESHOLD:
                 stepped = _rescale_state(stepped, lam_new)
                 lam_new = 1.0
                 stepped_mod = solver.decompose(stepped, guess=(1.0, b_new))

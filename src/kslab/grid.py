@@ -352,10 +352,6 @@ class RadialField:
         self.values.setflags(write=False)
         self.parity = parity
 
-    @classmethod
-    def from_callable(cls, grid, fn, parity="even"):
-        return cls(grid, fn(grid.nodes), parity)
-
     def with_values(self, values, parity=None):
         return RadialField(self.grid, values, parity or self.parity)
 

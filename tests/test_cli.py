@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+import kslab.cli as cli
 import kslab.operators as ops
 from kslab.cli import main
 from kslab.config import (
@@ -19,7 +20,10 @@ from kslab.dynamics import EvolveParams
 
 
 def run_cli(args, out):
-    env = dict(os.environ, KSLAB_OUT=str(out))
+    # the child imports kslab from the same place this process did
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, KSLAB_OUT=str(out), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "kslab.cli", *args],
                           capture_output=True, text=True, env=env)
 
@@ -43,7 +47,7 @@ OTHER_VALUES = {
     "profile": {"b0": 5e-3, "M": 12.5},
     "solver": {"ds_init": 2e-3, "ds_max": 0.25, "db_rel_cap": 5e-4,
                "lam_stop": 0.25, "t_max": 3.5, "s_max": float("inf"),
-               "b_min": 1e-3, "frame": "physical"},
+               "b_min": 1e-3},
     "perturbation": {"delta": 1e-4, "seed": 9},
     "output": {"cadence": 3},
 }
@@ -60,7 +64,8 @@ def test_config_keys_round_trip(values):
 
 
 @pytest.mark.parametrize("key", ["perturbation.count", "output.dir",
-                                 "solver.lift_every", "grid.b0"])
+                                 "solver.lift_every", "grid.b0",
+                                 "solver.frame"])
 def test_config_unknown_keys_are_named(key):
     section, name = key.split(".")
     with pytest.raises(ConfigError, match=key):
@@ -122,7 +127,16 @@ def test_config_json_malformed_or_non_object(tmp_path, text):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("text", ['{"profile": {"b0": 1e-2', '{"grid": 3}',
-                                  '{"output": {"cadence": 2.5}}'])
+                                  '{"output": {"cadence": 2.5}}',
+                                  '{"grid": {"h_core": NaN}}',
+                                  '{"grid": {"r_max": NaN}}',
+                                  '{"grid": {"r_max": -5}}',
+                                  '{"solver": {"ds_max": NaN}}',
+                                  '{"profile": {"M": NaN}}',
+                                  '{"solver": {"db_rel_cap": NaN}}',
+                                  '{"solver": {"s_max": NaN}}',
+                                  '{"solver": {"lam_stop": Infinity}}',
+                                  '{"perturbation": {"seed": -1}}'])
 def test_json_config_errors_exit_cleanly(tmp_path, capsys, command, text):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -141,12 +155,52 @@ def test_sweep_rejects_a_bad_b0_list(tmp_path, capsys, b0):
     assert not list(tmp_path.glob("sweep_b*"))
 
 
+@pytest.mark.parametrize("M", ["abc", "0", "-5", "nan", "50,abc"])
+def test_spectral_rejects_a_bad_M_list(tmp_path, capsys, M):
+    assert main(["spectral", "check", "--M", M, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("--M: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("spectral_M*"))
+
+
+@pytest.mark.parametrize("b0, pools", [("8e-3", []), ("8e-3,6e-3", [2])])
+def test_sweep_caps_workers_at_the_run_count(tmp_path, monkeypatch, b0, pools):
+    # a fork pool starts every worker at once: never more than there are runs
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools_made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    pools_made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "run_one", lambda cfg, outdir, offset: {
+        "status": "s_max"})
+    path = tmp_path / "sweep.cfg"
+    path.write_text("profile.b0 = 8e-3\n")
+    assert main(["sweep", "--config", str(path), "--b0", b0, "--workers", "8",
+                 "--out", str(tmp_path)]) == 0
+    assert pools_made == pools
+
+
 @pytest.mark.parametrize("ds_init", ["0", "-1"])
 def test_config_rejects_a_nonpositive_first_step(ds_init):
     # ds_init = 0 never advances s; a negative one fails inside the run
     cfg = parse_config_text("solver.ds_init = %s\n" % ds_init)
     with pytest.raises(ConfigError, match="solver.ds_init"):
         cfg.validate()
+
+
+def test_config_time_limits_may_be_infinite():
+    cfg = parse_config_text("solver.t_max = inf\nsolver.s_max = inf\n")
+    assert cfg.validate().params.s_max == float("inf")
 
 
 def test_config_r_max_guard_names_B1():
@@ -171,6 +225,33 @@ def test_profile_build_rejects_large_b(tmp_path):
     r = run_cli(["profile", "build", "--b", "0.5"], tmp_path)
     assert r.returncode == 1
     assert "admissible" in r.stderr
+
+
+def test_profile_build_list_exits_with_the_worst_status(tmp_path, capsys):
+    assert main(["profile", "build", "--b", "1e-4,0.5",
+                 "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["b"] == 1e-4
+    assert (tmp_path / "profile_b1.000e-04" / "profile.json").exists()
+    assert (tmp_path / "profile_error.json").exists()
+
+
+def test_spectral_list_matches_single_runs(tmp_path, capsys):
+    # a coarse grid is fast (it loses the kernel: status 2); a non-integer
+    # M gets its own file
+    grid = ["--nodes-per-decade", "16", "--h-core", "0.2"]
+    status = main(["spectral", "check", "--M", "10,10.5",
+                   "--out", str(tmp_path / "list"), *grid])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    single = []
+    for M, line in zip(("10", "10.5"), lines):
+        single.append(main(["spectral", "check", "--M", M,
+                            "--out", str(tmp_path / M), *grid]))
+        assert capsys.readouterr().out.splitlines() == [line]
+        name = "spectral_M%s.json" % M
+        assert (json.loads((tmp_path / "list" / name).read_text())
+                == json.loads((tmp_path / M / name).read_text()))
+    assert status == max(single)
 
 
 def test_spectral_too_small_M(tmp_path):
@@ -259,7 +340,7 @@ def test_sweep_fans_out(tmp_path):
     assert (tmp_path / "sweep_b6.000e-03" / "timeseries.csv").exists()
 
 
-@pytest.mark.parametrize("suite", ["hardy", "loghls"])
+@pytest.mark.parametrize("suite", ["hardy", "loghls", "spectral", "profiles"])
 def test_verify_bounds_suites(tmp_path, suite):
     r = run_cli(["verify-bounds", "--suite", suite], tmp_path)
     assert r.returncode == 0, r.stderr

@@ -371,6 +371,17 @@ def test_decompose_retries_a_singular_b_column(small_grid, small_params,
     assert np.any(solver._b_col != 0.0)
 
 
+def jacobian_at_profile(solver, b):
+    """Modulation Jacobian at the exact profile (determinant reference)."""
+    from scipy.interpolate import make_interp_spline
+    fam = build_profile_family(solver.grid, b, with_error=False)
+    msp = make_interp_spline(solver.grid.nodes, fam.m_tilde.values, k=5)
+    nsp = make_interp_spline(solver.grid.nodes, fam.n_tilde.values, k=5)
+    F0, _ = solver._residual(msp, nsp, 1.0, b)
+    return np.column_stack([solver._fd_column(msp, nsp, 1.0, b, F0, wrt)
+                            for wrt in ("lam", "b")])
+
+
 def test_jacobian_log_M_scaling():
     # |det J| approaches (32 pi log M)^2 as b decreases (the T2 feed-through
     # in the b-column is a genuine O(b M^2) desk-scale correction)
@@ -379,7 +390,7 @@ def test_jacobian_log_M_scaling():
         params = dyn.EvolveParams(b0=b0, M_param=M)
         grid = dyn.dynamics_grid(params)
         solver = dyn.ModulationSolver(grid, M)
-        J = solver.jacobian_at_profile(b0)
+        J = jacobian_at_profile(solver, b0)
         target = (32 * np.pi * np.log(M)) ** 2
         ratios.append(abs(np.linalg.det(J)) / target)
     assert abs(ratios[1] - 1.0) < 0.15
