@@ -23,8 +23,6 @@ from .grid import (
     radial_laplacian,
 )
 from .profiles import (
-    GroundState,
-    HomogeneousBasis,
     ProfileError,
     ProfileFamily,
     build_profile_family,
@@ -35,6 +33,7 @@ from .profiles import (
     invert_L1,
 )
 from .operators import (
+    GroundState,
     OperatorBundle,
     OperatorError,
     apply_L,

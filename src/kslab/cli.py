@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import diagnostics, dynamics, operators, profiles
-from .config import ConfigError, RunConfig, load_config
+from .config import MIN_NODES_PER_DECADE, ConfigError, RunConfig, load_config
 from .grid import FieldPair, RadialField, RadialGrid, field_to_csv
 
 EXIT_OK = 0
@@ -43,6 +43,12 @@ FAILED_STATUSES = ("modulation_failed", "grid_exhausted", "nonfinite")
 # and the second mode lies orders of magnitude above
 KERNEL_ALIGNMENT_MIN = 0.99
 KERNEL_GAP_MIN = 100.0
+
+# a family's residual is out of family when |Psi1|^2 exceeds this times b^5
+# (the coarse expected scaling |Psi1|^2 ~ b^5, generous constant)
+PSI1_SQ_FLAG = 1e6
+# criterion 5's band for c_b |log b|/2
+C_B_BAND = (0.8, 1.2)
 
 
 def _out_root(args):
@@ -58,9 +64,9 @@ def _dump_json(path, payload):
 
 
 def profile_grid_for(b, nodes_per_decade=48, h_core=0.05):
-    B1 = abs(math.log(b)) / math.sqrt(b)
-    return RadialGrid.make(4.5 * B1, h_core=h_core,
-                           nodes_per_decade=nodes_per_decade, stencil_order=6)
+    return RadialGrid.make(4.5 * profiles.localization_radius(b),
+                           h_core=h_core, nodes_per_decade=nodes_per_decade,
+                           stencil_order=6)
 
 
 def _float_list(flag, text):
@@ -105,9 +111,7 @@ def _profile_build(args, b) -> int:
     field_to_csv(fam.level2.S2_grad, os.path.join(outdir, "S2grad.csv"))
     field_to_csv(fam.Psi1, os.path.join(outdir, "Psi1.csv"))
     field_to_csv(fam.Psi2_grad, os.path.join(outdir, "Psi2grad.csv"))
-    # flag pathological residual scalings (measured against the coarse
-    # expectation |Psi1|^2 ~ b^5, generous constant)
-    if fam.norm_report["psi1_sq"] > 1e6 * fam.b ** 5:
+    if fam.norm_report["psi1_sq"] > PSI1_SQ_FLAG * fam.b ** 5:
         print("profile residual out of family", file=sys.stderr)
         return EXIT_BOUNDS
     print(json.dumps(payload, sort_keys=True))
@@ -287,10 +291,9 @@ def cmd_verify_bounds(args) -> int:
     elif suite == "loghls":
         grid = RadialGrid.reference()
         r = grid.nodes
-        battery = [profiles.q_density(r),
-                   0.25 * profiles.q_density(0.5 * r),
-                   4.0 * profiles.q_density(2.0 * r),
-                   profiles.q_density(r) * (1 + 0.3 * np.exp(-(r - 1.5) ** 2)),
+        q = operators.q_density
+        battery = [q(r), 0.25 * q(0.5 * r), 4.0 * q(2.0 * r),
+                   q(r) * (1 + 0.3 * np.exp(-(r - 1.5) ** 2)),
                    np.exp(-r ** 2)]
         for i, u in enumerate(battery):
             lhs, rhs, margin = diagnostics.check_logHLS(RadialField(grid, u))
@@ -302,9 +305,13 @@ def cmd_verify_bounds(args) -> int:
         for b in (1e-3, 1e-4, 1e-5):
             grid = profile_grid_for(b)
             fam = profiles.build_profile_family(grid, b)
+            ratio = fam.c_b * abs(math.log(b)) / 2.0
             verdict["checks"]["b%.0e" % b] = {
-                "c_b_times_halflog": fam.c_b * abs(math.log(b)) / 2.0,
+                "c_b_times_halflog": ratio,
                 **{k: float(v) for k, v in fam.norm_report.items()}}
+            if (not C_B_BAND[0] <= ratio <= C_B_BAND[1]
+                    or fam.norm_report["psi1_sq"] > PSI1_SQ_FLAG * b ** 5):
+                ok = False
     elif suite == "spectral":
         phim, _, cm, cl = coercivity_chain(50.0)
         verdict["checks"] = {"delta0_M_hat": cm["delta0_M_hat"],
@@ -377,6 +384,15 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) is not None:
                 setattr(args, flag, _float_list("--" + flag,
                                                 getattr(args, flag)))
+        for flag in ("h_core", "r_max"):  # grid sizes
+            x = getattr(args, flag, None)
+            if x is not None and not (math.isfinite(x) and x > 0):
+                raise ValueError("--%s: expected a positive finite number, "
+                                 "got %r" % (flag.replace("_", "-"), x))
+        if (getattr(args, "nodes_per_decade", MIN_NODES_PER_DECADE)
+                < MIN_NODES_PER_DECADE):
+            raise ValueError("--nodes-per-decade: must be >= %d, got %d"
+                             % (MIN_NODES_PER_DECADE, args.nodes_per_decade))
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

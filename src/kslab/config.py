@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import EvolveParams
+from .profiles import localization_radius
 
 
 class ConfigError(ValueError):
@@ -48,6 +49,8 @@ PERTURBATION_KEYS = {"perturbation.delta": "delta",
                      "perturbation.seed": "seed"}
 # the only keys that may be infinite: no time limit
 UNBOUNDED_KEYS = ("solver.t_max", "solver.s_max")
+# coarsest geometric tail a grid may have
+MIN_NODES_PER_DECADE = 12
 
 
 def config_params():
@@ -88,14 +91,15 @@ class RunConfig:
             v.append("profile.M too small: the pairing direction degenerates")
         if p.h_core <= 0:
             v.append("grid.h_core must be positive")
-        if p.nodes_per_decade < 12:
-            v.append("grid.nodes_per_decade must be >= 12")
+        if p.nodes_per_decade < MIN_NODES_PER_DECADE:
+            v.append("grid.nodes_per_decade must be >= %d"
+                     % MIN_NODES_PER_DECADE)
         if p.stencil_order < 2:
             v.append("grid.stencil_order must be >= 2")
         if p.r_max < 0:
             v.append("grid.r_max must be positive, or 0 to derive it")
         if p.r_max > 0 and 0.0 < p.b0 <= 1e-2:
-            B1 = abs(math.log(p.b0)) / math.sqrt(p.b0)
+            B1 = localization_radius(p.b0)
             if p.r_max < 4.0 * B1:
                 v.append("grid.r_max below the localization guard 4*B1 = %.1f"
                          % (4.0 * B1))

@@ -34,14 +34,14 @@ from scipy.optimize import brentq
 
 from . import diagnostics, operators
 from .grid import FieldPair, RadialField, RadialGrid
+from .operators import mass_q, q_density
 from .profiles import (
     B_MAX,
     ProfileError,
     build_profile_family,
     build_t1_s1,
-    mass_q,
+    localization_radius,
     modulation_profile,
-    q_density,
 )
 
 
@@ -60,7 +60,8 @@ class FlowState:
     """Partial-mass state (m, n) with frame bookkeeping.
 
     In the rescaled frame the arrays live on the fixed y-grid and `lam`
-    carries the physical scale; in the physical frame lam stays 1.
+    carries the physical scale; steps with b = 0 keep lam at 1 (the
+    physical frame).
     """
 
     grid: RadialGrid
@@ -69,7 +70,6 @@ class FlowState:
     t: float = 0.0
     s: float = 0.0
     lam: float = 1.0
-    frame: str = "rescaled"
 
     def pair(self) -> FieldPair:
         return FieldPair(RadialField(self.grid, self.m),
@@ -88,10 +88,8 @@ class FlowState:
 class ModulationState:
     lam: float
     b: float
-    s: float
     residuals: tuple
     eps_pair: FieldPair
-    b_hat: float = float("nan")
 
 
 COLUMNS = ("t", "s", "lam", "b", "b_hat", "mass", "free_energy",
@@ -157,8 +155,6 @@ class TimeSeries:
 
 def rhs_partial_mass(state: FlowState, b: float = 0.0, coupling=True):
     """Time derivative of (m, n); b is the frame drift (-lambda_s/lambda)."""
-    if state.frame == "physical" and b != 0.0:
-        raise SimulationError("physical frame steps use b = 0")
     g = state.grid
     r = g.nodes
     d1e = g.diff_matrix(1, "even")
@@ -440,17 +436,18 @@ class ModulationSolver:
         eps, geta = fields
         pair = FieldPair(RadialField(g, eps),
                          RadialField(g, geta, "odd"))
-        return ModulationState(lam=lam1, b=b, s=state.s,
+        return ModulationState(lam=lam1, b=b,
                                residuals=(float(F[0]), float(F[1])),
                                eps_pair=pair)
 
 
 def grid_b_floor(grid) -> float:
-    """Smallest b whose localization scale fits: 4 B1(b) <= r_max."""
+    """Smallest b whose localization scale fits: 4 B1(b) <= r_max, the
+    predicate `profiles._check_b` enforces."""
     lo, hi = 1e-12, B_MAX
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if 4.0 * abs(math.log(mid)) / math.sqrt(mid) <= grid.r_max:
+        if 4.0 * localization_radius(mid) <= grid.r_max:
             hi = mid
         else:
             lo = mid
@@ -523,7 +520,7 @@ B_FINAL_FACTOR = 0.2
 
 def dynamics_grid(params: EvolveParams) -> RadialGrid:
     b_small = max(params.b0 * B_FINAL_FACTOR, 1e-8)
-    B1 = abs(math.log(b_small)) / math.sqrt(b_small)
+    B1 = localization_radius(b_small)
     r_max = params.r_max or max(4.2 * B1, 3.2 * params.M_param)
     return RadialGrid.make(r_max, h_core=params.h_core,
                            nodes_per_decade=params.nodes_per_decade,
@@ -792,7 +789,7 @@ def subcritical_control(mass_fraction=0.5, r_max=60.0, t_max=2.0,
     u0 = mass_fraction * q_density(r)
     m = grid.cumulative_integral(u0, "r")
     n = mass_fraction * mass_q(r)
-    state = FlowState(grid, m, n, frame="physical")
+    state = FlowState(grid, m, n)
     stepper = SemiImplicitStepper(grid)
     proxy = [math.sqrt(8.0 / state.density_values()[0])]
     dt = 2e-4

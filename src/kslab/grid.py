@@ -115,8 +115,8 @@ class RadialGrid:
         self._cellw = {}       # weight name -> csr cell matrix
         self._quad = None
         # b-independent data that downstream layers derive from this grid
-        # (profiles keeps its level-one fields here); it shares the grid's
-        # lifetime, so dropping the grid frees it
+        # (the ground state, the profiles' level-one fields); it shares the
+        # grid's lifetime, so dropping the grid frees it
         self.memo = {}
 
     # -- construction ------------------------------------------------------

@@ -1,5 +1,9 @@
 """Discrete linearized operators at the ground state and their certification.
 
+The ground state Q = 8/(1+r^2)^2 is defined here: its closed forms and the
+per-grid `GroundState`, kept in the grid's memo (`ground_state`), which the
+profile construction reads as well.
+
 Three linear maps act on (density, potential-gradient) pairs:
 
     M  (u, v) = (u/Q + v, v - phi_u)           linearized free energy
@@ -18,6 +22,8 @@ symmetric generalized eigensolve.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import linalg
 
@@ -30,16 +36,78 @@ from .grid import (
     laplacian_values,
     potential_from_gradient,
 )
-from .profiles import (
-    GroundState,
-    q_density,
-    q_potential_grad,
-    q_prime,
-)
 
 
 class OperatorError(ValueError):
     pass
+
+
+# -- the ground state ----------------------------------------------------------
+
+def q_density(r):
+    return 8.0 / (1.0 + r ** 2) ** 2
+
+
+def q_potential(r):
+    return 2.0 * np.log1p(r ** 2)
+
+
+def q_potential_grad(r):
+    """phi_Q' = 4r/(1+r^2) = -Q'/Q."""
+    return 4.0 * r / (1.0 + r ** 2)
+
+
+def q_prime(r):
+    return -32.0 * r / (1.0 + r ** 2) ** 3
+
+
+def lambda_q(r):
+    return 16.0 * (1.0 - r ** 2) / (1.0 + r ** 2) ** 3
+
+
+def phi_lambda_q(r):
+    return -4.0 / (1.0 + r ** 2)
+
+
+def mass_q(r):
+    return 4.0 * r ** 2 / (1.0 + r ** 2)
+
+
+@dataclass(frozen=True)
+class GroundState:
+    """Bubble Q with its potential, scaling derivative and partial mass."""
+
+    Q: RadialField
+    phi_Q: RadialField
+    LambdaQ: RadialField
+    phi_LambdaQ: RadialField
+    m0: RadialField
+
+    def pair_Q(self) -> FieldPair:
+        g = self.Q.grid
+        grad = RadialField(g, q_potential_grad(g.nodes), "odd")
+        return FieldPair(self.Q, grad)
+
+    def pair_LambdaQ(self) -> FieldPair:
+        g = self.Q.grid
+        grad = RadialField(g, g.nodes * self.Q.values, "odd")
+        return FieldPair(self.LambdaQ, grad)
+
+
+def ground_state(grid: RadialGrid) -> GroundState:
+    """The grid's GroundState, built on first use and kept in `grid.memo`,
+    so every layer reads the same one."""
+    gs = grid.memo.get("ground")
+    if gs is None:
+        r = grid.nodes
+        gs = grid.memo["ground"] = GroundState(
+            Q=RadialField(grid, q_density(r)),
+            phi_Q=RadialField(grid, q_potential(r)),
+            LambdaQ=RadialField(grid, lambda_q(r)),
+            phi_LambdaQ=RadialField(grid, phi_lambda_q(r)),
+            m0=RadialField(grid, mass_q(r)),
+        )
+    return gs
 
 
 def operator_grid(M_param, nodes_per_decade=48, h_core=0.05, stencil_order=4):
@@ -171,7 +239,7 @@ class OperatorBundle:
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
-        self.ground = GroundState.build(grid)
+        self.ground = ground_state(grid)
         self._cache = {}
 
     # metric blocks
@@ -340,7 +408,7 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
     """
     if grid.r_max < 10.0 * M_param:
         raise OperatorError("grid r_max should be >> M for Phi_M work")
-    gs = GroundState.build(grid)
+    gs = ground_state(grid)
     p0 = phi0_pair(grid, M_param)
     lp0 = apply_Lstar(p0)
     lam = gs.pair_LambdaQ()

@@ -15,7 +15,8 @@ like log r outside the parabolic scale B0 = 1/sqrt(b), so a radiation term
 its tail; c_b is what ultimately drives the blow-up law.  Finally the
 profiles are cut off at B1 = |log b|/sqrt(b) and the residual of the full
 flow on the localized profile is measured in the weighted norms that the
-modulation analysis consumes.
+modulation analysis consumes, through the linearized flow L and the pairing
+direction Phi_0 of `operators`, which also owns Q and its closed forms.
 
 Everything that does not depend on b (closed forms on the nodes, the level-b
 fields) is computed once per grid and kept in the grid's memo
@@ -40,7 +41,14 @@ from .grid import (
     cutoff,
     derivative,
     div_from_grad_values,
-    laplacian_values,
+)
+from .operators import (
+    apply_L,
+    ground_state,
+    pairing,
+    phi0_pair,
+    q_density,
+    q_potential_grad,
 )
 
 B_MAX = 1.25e-2
@@ -53,32 +61,7 @@ class ProfileError(ValueError):
     pass
 
 
-# -- closed forms -------------------------------------------------------------
-
-def q_density(r):
-    return 8.0 / (1.0 + r ** 2) ** 2
-
-
-def q_potential(r):
-    return 2.0 * np.log1p(r ** 2)
-
-
-def q_potential_grad(r):
-    """phi_Q' = 4r/(1+r^2) = -Q'/Q."""
-    return 4.0 * r / (1.0 + r ** 2)
-
-
-def lambda_q(r):
-    return 16.0 * (1.0 - r ** 2) / (1.0 + r ** 2) ** 3
-
-
-def phi_lambda_q(r):
-    return -4.0 / (1.0 + r ** 2)
-
-
-def mass_q(r):
-    return 4.0 * r ** 2 / (1.0 + r ** 2)
-
+# -- kernel basis of L0 (Wronskian psi1' psi0 - psi1 psi0' = r Q/4) -----------
 
 def psi0(r):
     return r ** 2 / (1.0 + r ** 2) ** 2
@@ -91,66 +74,12 @@ def psi1(r):
     return np.where(r > 0.0, val, -1.0)
 
 
-def wronskian(r):
-    return 2.0 * r / (1.0 + r ** 2) ** 2
-
-
 def psi1_prime_over_r(r):
     """Closed form of psi1'/r; log-divergent at the origin."""
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = 8.0 * (1.0 + r ** 2 - (r ** 2 - 1.0) * np.log(r)) / (1.0 + r ** 2) ** 3
     return np.where(r > 0.0, val, -np.inf)
-
-
-@dataclass(frozen=True)
-class GroundState:
-    """Bubble Q with its potential, scaling derivative and partial mass."""
-
-    Q: RadialField
-    phi_Q: RadialField
-    LambdaQ: RadialField
-    phi_LambdaQ: RadialField
-    m0: RadialField
-
-    @classmethod
-    def build(cls, grid: RadialGrid) -> "GroundState":
-        r = grid.nodes
-        return cls(
-            Q=RadialField(grid, q_density(r)),
-            phi_Q=RadialField(grid, q_potential(r)),
-            LambdaQ=RadialField(grid, lambda_q(r)),
-            phi_LambdaQ=RadialField(grid, phi_lambda_q(r)),
-            m0=RadialField(grid, mass_q(r)),
-        )
-
-    def pair_Q(self) -> FieldPair:
-        g = self.Q.grid
-        grad = RadialField(g, q_potential_grad(g.nodes), "odd")
-        return FieldPair(self.Q, grad)
-
-    def pair_LambdaQ(self) -> FieldPair:
-        g = self.Q.grid
-        grad = RadialField(g, g.nodes * self.Q.values, "odd")
-        return FieldPair(self.LambdaQ, grad)
-
-
-@dataclass(frozen=True)
-class HomogeneousBasis:
-    """Kernel basis of L0 and its Wronskian W = psi1' psi0 - psi1 psi0' = rQ/4."""
-
-    psi0: RadialField
-    psi1: RadialField
-    wronskian: RadialField
-
-    @classmethod
-    def build(cls, grid: RadialGrid) -> "HomogeneousBasis":
-        r = grid.nodes
-        return cls(
-            psi0=RadialField(grid, psi0(r)),
-            psi1=RadialField(grid, psi1(r)),
-            wronskian=RadialField(grid, wronskian(r), "odd"),
-        )
 
 
 # -- the two inversions --------------------------------------------------------
@@ -314,41 +243,22 @@ def profile_base(grid: RadialGrid) -> ProfileBase:
     base = grid.memo.get("profiles")
     if base is None:
         r = grid.nodes
-        Q = q_density(r)
+        gs = ground_state(grid)
+        Q = gs.Q.values
         psi0v = psi0(r)
         base = grid.memo["profiles"] = ProfileBase(
             grid=grid, r=r, Q=Q, r2Q=r ** 2 * Q, psi0=psi0v, psi1=psi1(r),
-            psi0_over_r=grid.divide_by_r(psi0v, "even"), m0=mass_q(r),
-            phi_q_grad=q_potential_grad(r))
+            psi0_over_r=grid.divide_by_r(psi0v, "even"), m0=gs.m0.values,
+            phi_q_grad=gs.pair_Q().chem_gradient.values)
     return base
 
 
 # -- radiation -----------------------------------------------------------------
 
-def solve_normalization_root(c1: float, c2: float) -> float:
-    """Root of c2 x^2 - c1 x + 1 = 0 on the branch continuous with x -> 1/c1.
-
-    Degenerate |c2| << c1^2 falls back to the linearized root 1/c1.  A
-    negative discriminant means the flattening constraint has no real
-    solution, i.e. b is too large for the asymptotic construction.
-    """
-    if c1 <= 0.0:
-        raise ProfileError("radiation normalization needs c1 > 0")
-    if abs(c2) < 1e-10 * c1 * c1:
-        return 1.0 / c1
-    disc = c1 * c1 - 4.0 * c2
-    if disc < 0.0:
-        raise ProfileError("radiation constraint has no real root (b too large)")
-    return (c1 - math.sqrt(disc)) / (2.0 * c2)
-
-
 @dataclass(frozen=True)
 class Radiation:
-    """Tail-flattening correction and its normalization constant.
-
-    The primitive pair (Sigma1, grad Sigma2), which no profile reads, is
-    derived from the partial masses on first access.
-    """
+    """Tail-flattening correction (in partial masses) and its
+    normalization constant."""
 
     b: float
     B0: float
@@ -360,25 +270,14 @@ class Radiation:
     d_sigma: RadialField
     d_hat: RadialField  # d_sigma / c_b
 
-    @cached_property
-    def Sigma1(self) -> RadialField:
-        g = self.m_sigma.grid
-        return RadialField(g, g.divide_by_r(
-            derivative(self.m_sigma, 1).values, "odd"))
-
-    @cached_property
-    def Sigma2_grad(self) -> RadialField:
-        g = self.m_sigma.grid
-        return RadialField(g, g.divide_by_r(
-            self.d_sigma.values + self.m_sigma.values, "even"), "odd")
-
 
 def build_radiation(grid: RadialGrid, b: float) -> Radiation:
-    """Build the radiation (Sigma1, grad Sigma2) and the constant c_b.
+    """Build the radiation (m_sigma, d_sigma) and the constant c_b.
 
-    The fields coincide with c_b (T1, grad S1) for r <= B0/4, flatten the
-    level-b^2 tail, and reduce exactly to (4 psi1, 0) for r >= 6 B0.  The
-    normalization c_b solves
+    Its primitive pair (m_sigma'/r, (d_sigma + m_sigma)/r) coincides with
+    c_b (T1, grad S1) for r <= B0/4; the masses flatten the level-b^2 tail
+    and reduce exactly to (4 psi1, 0) for r >= 6 B0.  The normalization c_b
+    solves
 
         c_b * int_0^inf tau^3/(1+tau^2)^2 (chi_{B0/4} - d_hat/tau^2) dtau = 1
 
@@ -414,9 +313,10 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     # same weight-"r" rule as the psi1 coefficient of m_sigma, so the
     # flux-at-infinity normalization below holds to roundoff
     c2 = float(grid.cumulative_integral(base.Q * d_hat, "r")[-1]) / 8.0
-    # The c_b-normalized integrand makes the constraint linear; the quadratic
-    # solver degenerates to the 1/(c1 - c2) root.
-    c_b = solve_normalization_root(c1 - c2, 0.0)
+    # the c_b-normalized integrand makes the constraint linear in c_b
+    if c1 - c2 <= 0.0:
+        raise ProfileError("radiation normalization needs c1 > c2")
+    c_b = 1.0 / (c1 - c2)
 
     f_sigma = c_b * (base.r2Q * chi - base.Q * d_hat)
     A, B = _l0_coefficients(grid, f_sigma)
@@ -448,10 +348,16 @@ def _verify_radiation_regions(base, rad):
             "m outer %.2e" % (err_in, err_d, err_out))
 
 
+def localization_radius(b: float) -> float:
+    """B1 = |log b|/sqrt(b), where the profiles at b are cut off; a grid
+    carries the family at b when r_max >= 4 B1."""
+    return abs(math.log(b)) / math.sqrt(b)
+
+
 def _check_b(grid, b):
     if not 0.0 < b <= B_MAX:
         raise ProfileError("b=%g outside the admissible range (0, %g]" % (b, B_MAX))
-    B1 = abs(math.log(b)) / math.sqrt(b)
+    B1 = localization_radius(b)
     if grid.r_max < 4.0 * B1:
         raise ProfileError(
             "grid too small for b=%g: localization requires r_max >= 4*B1 = %.1f, "
@@ -521,7 +427,6 @@ class ProfileFamily:
     Pb_tilde_grad: RadialField
     m_tilde: RadialField
     n_tilde: RadialField
-    breve_T: FieldPair
     mass_excess: float
     Psi1: RadialField = None
     Psi2_grad: RadialField = None
@@ -529,17 +434,6 @@ class ProfileFamily:
 
     def pair(self) -> FieldPair:
         return FieldPair(self.Qb_tilde, self.Pb_tilde_grad)
-
-    def db_pair(self, rel=1e-3):
-        """Finite-difference d/db of (Qb_tilde, grad Pb_tilde) at this b."""
-        db = rel * self.b
-        g = self.Qb_tilde.grid
-        hi = modulation_profile(g, self.b + db)
-        lo = modulation_profile(g, self.b - db)
-        return FieldPair(
-            RadialField(g, (hi.Qb_tilde.values - lo.Qb_tilde.values) / (2 * db)),
-            RadialField(g, (hi.Pb_tilde_grad.values - lo.Pb_tilde_grad.values) / (2 * db), "odd"),
-        )
 
 
 @dataclass(frozen=True)
@@ -564,7 +458,7 @@ def _localize(grid: RadialGrid, b: float):
     lvl2 = build_t2_s2(grid, rad)
     base = profile_base(grid)
     lvl1 = base.level1
-    B1 = abs(math.log(b)) / math.sqrt(b)
+    B1 = localization_radius(b)
     chi1 = cutoff(base.r / B1)
     T1_loc = chi1 * lvl1.T1.values
     T2_loc = chi1 * lvl2.T2.values
@@ -590,9 +484,10 @@ def modulation_profile(grid: RadialGrid, b: float) -> ModulationProfile:
     return _localize(grid, b)[-1]
 
 
-def profile_error(grid: RadialGrid, b: float, lvl1: LevelOne, lvl2: LevelTwo,
-                  c_b: float, B0: float, breve: FieldPair) -> tuple:
-    """Residual of the rescaled flow on the localized profile.
+def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,
+                  chi: np.ndarray) -> tuple:
+    """Residual of the rescaled flow on the localized profile at b, from
+    `_localize`'s radiation, level-b^2 fields and cutoff chi = chi_B1.
 
     In partial-mass variables, with m~ = m0 + M, n~ = m0 + N the localized
     masses (M' = chi_B1 (b m1' + b^2 m2'), N = chi_B1 (b n1 + b^2 n2)),
@@ -600,18 +495,16 @@ def profile_error(grid: RadialGrid, b: float, lvl1: LevelOne, lvl2: LevelTwo,
         Phi   = M'' - M'/r + Q N + (M'/r)(m0 + N) - b r (m0' + M')
         Omega = (N - M)'' - (N - M)'/r - b r (m0' + N')
 
-    and (Psi1, grad Psi2) = (Phi'/r, Omega/r) + c_b b^2 (breve T1, breve S1').
+    and (Psi1, grad Psi2) = (Phi'/r, Omega/r) + c_b b^2 (breve T1, breve S1')
+    with breve = chi_{B0/4} times the level-one fields.
     The stationary order cancels algebraically (m0'' - m0'/r + m0' m0/r = 0)
     and all second derivatives of the constructed fields enter through their
     defining ODEs, so the assembled residual scales like the true expansion
     instead of flooring at the discretization error of the lower orders.
     """
-    r = grid.nodes
-    Q = q_density(r)
-    m0v = mass_q(r)
-    rm0p = r ** 2 * Q  # r m0'
-    B1 = abs(math.log(b)) / math.sqrt(b)
-    chi = cutoff(r / B1)
+    base = profile_base(grid)
+    lvl1 = base.level1
+    r = base.r
     chi_p = grid.diff_matrix(1, "even") @ chi
     chi_pp = grid.diff_matrix(2, "even") @ chi
 
@@ -633,31 +526,29 @@ def profile_error(grid: RadialGrid, b: float, lvl1: LevelOne, lvl2: LevelTwo,
     Np = chi_p * n_gam + chi * n_gam_p
     Npp = chi_pp * n_gam + 2.0 * chi_p * n_gam_p + chi * n_gam_pp
 
-    phi = (Mpp - Mp_over_r + Q * N + Mp_over_r * (m0v + N)
-           - b * r * Mp - b * rm0p)
+    phi = (Mpp - Mp_over_r + base.Q * N + Mp_over_r * (base.m0 + N)
+           - b * r * Mp - b * base.r2Q)
     omega = (Npp - Mpp - grid.divide_by_r(Np - Mp, "odd")
-             - b * r * Np - b * rm0p)
+             - b * r * Np - b * base.r2Q)
 
+    chi04 = cutoff(r / (rad.B0 / 4.0))
     phi_f = RadialField(grid, phi)
     psi1_v = grid.divide_by_r(derivative(phi_f, 1).values, "odd") \
-        + c_b * b * b * breve.density.values
+        + rad.c_b * b * b * (chi04 * lvl1.T1.values)
     psi2g_v = grid.divide_by_r(omega, "even") \
-        + c_b * b * b * breve.chem_gradient.values
+        + rad.c_b * b * b * (chi04 * lvl1.S1_grad.values)
     return RadialField(grid, psi1_v), RadialField(grid, psi2g_v, "odd")
 
 
-def error_norm_report(grid, b, B0, Psi1, Psi2_grad) -> dict:
-    """Weighted norms of the profile residual used by the scaling checks."""
+def error_norm_report(grid, B0, Psi1, Psi2_grad) -> dict:
+    """Weighted norms of the profile residual Psi used by the scaling checks,
+    with L and Phi_{0,B0} those of `operators`."""
     r = grid.nodes
     w = 2.0 * np.pi * grid.quad_weights
-    Q = q_density(r)
+    Q = ground_state(grid).Q.values
 
-    lap_psi2 = div_from_grad_values(grid, Psi2_grad.values)
-    L1v = (laplacian_values(grid, Psi1.values) + Q * Psi1.values
-           + (grid.diff_matrix(1, "even") @ Psi1.values) * q_potential_grad(r)
-           + Q * lap_psi2
-           + q_prime(r) * Psi2_grad.values)
-    L2v = lap_psi2 - Psi1.values
+    L1v = apply_L(FieldPair(Psi1, Psi2_grad)).density.values
+    L2v = div_from_grad_values(grid, Psi2_grad.values) - Psi1.values
     gradM1 = (grid.diff_matrix(1, "even") @ (Psi1.values / Q)
               + Psi2_grad.values)
 
@@ -669,25 +560,11 @@ def error_norm_report(grid, b, B0, Psi1, Psi2_grad) -> dict:
         "gradM1_sq_Q": float(w @ (Q * gradM1 ** 2)),
         "grad_psi2_sq": float(w @ Psi2_grad.values ** 2),
     }
-    report["degenerate_flux_B0"] = degenerate_flux(grid, B0, Psi1, Psi2_grad,
-                                                   L1v, L2v)
+    # <L Psi, Phi_{0,B0}>; the gradient slot differentiates L2 itself
+    LPsi = FieldPair(RadialField(grid, L1v), RadialField(
+        grid, grid.diff_matrix(1, "even") @ L2v, "odd"))
+    report["degenerate_flux_B0"] = pairing(LPsi, phi0_pair(grid, B0))
     return report
-
-
-def q_prime(r):
-    return -32.0 * r / (1.0 + r ** 2) ** 3
-
-
-def degenerate_flux(grid, B, Psi1, Psi2_grad, L1v, L2v):
-    """< L Psi, Phi_{0,B} > with Phi_{0,B} = (chi_B r^2, -4 int log(1+t^2)/t chi_B)."""
-    r = grid.nodes
-    w = 2.0 * np.pi * grid.quad_weights
-    # pairing-direction cutoff: narrow window, matching the Phi_M convention
-    chiB = cutoff(r / B, width=0.5)
-    first = chiB * r ** 2
-    grad_second = -4.0 * chiB * grid.divide_by_r(np.log1p(r ** 2), "even")
-    gradL2 = grid.diff_matrix(1, "even") @ L2v
-    return float(w @ (L1v * first) + w @ (gradL2 * grad_second))
 
 
 def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> ProfileFamily:
@@ -702,9 +579,6 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     lvl1 = base.level1
     m1_loc = grid.cumulative_integral(chi1 * lvl1.m1_p, "one")
     m2_loc = grid.cumulative_integral(chi1 * lvl2.m2_p, "one")
-    chi04 = cutoff(base.r / (rad.B0 / 4.0))
-    breve = FieldPair(RadialField(grid, chi04 * lvl1.T1.values),
-                      RadialField(grid, chi04 * lvl1.S1_grad.values, "odd"))
     fam = ProfileFamily(
         b=b, B0=rad.B0, B1=B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
         beta=rad.beta, level1=lvl1, level2=lvl2, radiation=rad,
@@ -713,11 +587,11 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
         S2_grad_loc=RadialField(grid, S2g_loc, "odd"),
         Qb_tilde=prof.Qb_tilde, Pb_tilde_grad=prof.Pb_tilde_grad,
         m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
-        n_tilde=prof.n_tilde, breve_T=breve,
+        n_tilde=prof.n_tilde,
         mass_excess=2.0 * np.pi * (b * m1_loc[-1] + b * b * m2_loc[-1]),
     )
     if not with_error:
         return fam
-    Psi1, Psi2_grad = profile_error(grid, b, lvl1, lvl2, rad.c_b, rad.B0, breve)
-    report = error_norm_report(grid, b, rad.B0, Psi1, Psi2_grad)
+    Psi1, Psi2_grad = profile_error(grid, b, rad, lvl2, chi1)
+    report = error_norm_report(grid, rad.B0, Psi1, Psi2_grad)
     return replace(fam, Psi1=Psi1, Psi2_grad=Psi2_grad, norm_report=report)

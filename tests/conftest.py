@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kslab.grid import RadialGrid
-from kslab.profiles import GroundState
+from kslab.operators import ground_state
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def mid_grid():
 
 @pytest.fixture(scope="session")
 def ground(ref_grid):
-    return GroundState.build(ref_grid)
+    return ground_state(ref_grid)
 
 
 def smooth_bump_pair_values(grid, rng, span=(1.0, 4.0)):

@@ -103,12 +103,12 @@ def test_criterion_02_kernel_adjoint_algebra(ref_grid, ground):
 def test_criterion_03_inversion_oracle(mid_grid):
     r = mid_grid.nodes
     battery = [
-        r ** 2 * prof.q_density(r),
+        r ** 2 * ops.q_density(r),
         r ** 2 * np.exp(-r ** 2 / 4.0),
         r ** 2 * np.exp(-r ** 2),
         r ** 2 / (1.0 + r ** 4),
         r ** 2 / (1.0 + r ** 2) ** 2,
-        prof.q_density(r) * np.log1p(r ** 2),
+        ops.q_density(r) * np.log1p(r ** 2),
         r ** 2 * np.exp(-((r - 3.0) / 2.0) ** 2) / (1 + r ** 2),
         r ** 2 * np.exp(-((r - 1.0) / 1.5) ** 2) / (1 + r ** 4),
         16.0 * r ** 2 / (1.0 + r ** 2) ** 3,
@@ -123,7 +123,7 @@ def test_criterion_03_inversion_oracle(mid_grid):
         worst0 = max(worst0, np.max(np.abs(res0)[win]) / scale)
         res1 = prof.apply_L1(prof.invert_L1(f, 0.0)).values - fv
         worst1 = max(worst1, np.max(np.abs(res1)[win]) / scale)
-    d1 = prof.invert_L1(RadialField(mid_grid, r ** 2 * prof.q_density(r)), -2.0)
+    d1 = prof.invert_L1(RadialField(mid_grid, r ** 2 * ops.q_density(r)), -2.0)
     d1_err = np.max(np.abs(d1.values + 2 * np.log1p(r ** 2))[r <= 100])
     ok = worst0 < 1e-4 and worst1 < 1e-4 and d1_err < 1e-4
     report(3, ok, "L0_res=%.1e L1_res=%.1e d1_err=%.1e"
@@ -305,7 +305,7 @@ def test_criterion_11_stability(baseline_run):
 
 def test_criterion_12_inequality_suites(ref_grid, ground):
     r = ref_grid.nodes
-    q = prof.q_density
+    q = ops.q_density
     battery = [q(r), 0.25 * q(0.5 * r), 4.0 * q(2.0 * r),
                q(r) * (1 + 0.3 * np.exp(-(r - 1.5) ** 2)),
                q(r) * (1 + 0.1 * np.exp(-(r - 4.0) ** 2)),

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,6 +163,25 @@ def test_spectral_rejects_a_bad_M_list(tmp_path, capsys, M):
     err = capsys.readouterr().err
     assert err.startswith("--M: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("spectral_M*"))
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["spectral", "check", "--M", "50", "--h-core", "0"], "--h-core"),
+    (["spectral", "check", "--M", "50", "--h-core", "nan"], "--h-core"),
+    (["spectral", "check", "--M", "50", "--h-core", "-1"], "--h-core"),
+    (["spectral", "check", "--M", "50", "--nodes-per-decade", "0"],
+     "--nodes-per-decade"),
+    (["spectral", "check", "--M", "50", "--nodes-per-decade", "11"],
+     "--nodes-per-decade"),
+    (["profile", "build", "--b", "1e-4", "--r-max", "inf"], "--r-max"),
+    (["profile", "build", "--b", "1e-4", "--r-max", "-100"], "--r-max"),
+    (["profile", "build", "--b", "1e-4", "--r-max", "nan"], "--r-max"),
+])
+def test_cli_rejects_a_bad_grid_flag(tmp_path, capsys, args, flag):
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(flag + ": ") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("b0, pools", [("8e-3", []), ("8e-3,6e-3", [2])])
@@ -346,3 +367,18 @@ def test_verify_bounds_suites(tmp_path, suite):
     assert r.returncode == 0, r.stderr
     verdict = json.loads((tmp_path / ("verify_%s.json" % suite)).read_text())
     assert verdict["ok"] is True
+
+
+@pytest.mark.parametrize("halflog, psi1_b5, code", [
+    (1.0, 1.0, 0), (1.3, 1.0, 2), (0.7, 1.0, 2), (1.0, 2.0e6, 2)])
+def test_verify_bounds_profiles_can_fail(monkeypatch, capsys, tmp_path,
+                                         halflog, psi1_b5, code):
+    # a faked family: c_b |log b|/2 = halflog and |Psi1|^2 = psi1_b5 b^5
+    def family(grid, b):
+        return SimpleNamespace(c_b=2.0 * halflog / abs(math.log(b)),
+                               norm_report={"psi1_sq": psi1_b5 * b ** 5})
+    monkeypatch.setattr(cli.profiles, "build_profile_family", family)
+    assert main(["verify-bounds", "--suite", "profiles",
+                 "--out", str(tmp_path)]) == code
+    verdict = json.loads((tmp_path / "verify_profiles.json").read_text())
+    assert verdict["ok"] is (code == 0)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import kslab.diagnostics as diag
 from kslab.grid import FieldPair, RadialField, RadialGrid
-from kslab.profiles import q_density
+from kslab.operators import q_density
 
 
 def scaled_q_pair(grid, lam, factor=1.0):

@@ -12,7 +12,8 @@ from scipy.sparse.linalg import spsolve
 import kslab.dynamics as dyn
 import kslab.operators as ops
 from kslab.grid import FieldPair, RadialField, RadialGrid
-from kslab.profiles import build_profile_family, mass_q, q_density
+from kslab.operators import mass_q, q_density
+from kslab.profiles import build_profile_family
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,7 @@ def test_rhs_steady_state():
     grid = RadialGrid.make(200.0, h_core=0.02, nodes_per_decade=48,
                            stencil_order=4)
     r = grid.nodes
-    st = dyn.FlowState(grid, mass_q(r).copy(), mass_q(r).copy(),
-                       frame="physical")
+    st = dyn.FlowState(grid, mass_q(r).copy(), mass_q(r).copy())
     dm, dn = dyn.rhs_partial_mass(st)
     assert np.max(np.abs(dm)) < 1e-4
     assert np.max(np.abs(dn)) < 1e-10
@@ -40,8 +40,7 @@ def test_rhs_decoupled_density():
     grid = RadialGrid.make(100.0, h_core=0.05, nodes_per_decade=32,
                            stencil_order=4)
     r = grid.nodes
-    st = dyn.FlowState(grid, np.zeros_like(r), mass_q(r).copy(),
-                       frame="physical")
+    st = dyn.FlowState(grid, np.zeros_like(r), mass_q(r).copy())
     dm, dn = dyn.rhs_partial_mass(st)
     assert np.all(dm == 0.0)
     d1 = grid.diff_matrix(1, "even")
@@ -57,8 +56,7 @@ def test_rhs_primitive_oracle():
     u = q_density(r) + 0.5 * (np.exp(-((r - 2) / 1.5) ** 2)
                               + np.exp(-((r + 2) / 1.5) ** 2))
     gv = 0.3 * (np.exp(-((r - 3) / 2) ** 2) - np.exp(-((r + 3) / 2) ** 2))
-    st = dyn.FlowState(grid, grid.cumulative_integral(u, "r"), r * gv,
-                       frame="physical")
+    st = dyn.FlowState(grid, grid.cumulative_integral(u, "r"), r * gv)
     dm, _ = dyn.rhs_partial_mass(st)
     du = grid.diff_matrix(1, "even") @ u
     flux = du + u * gv
@@ -74,7 +72,7 @@ def test_step_heat_kernel_decay():
     t0 = 0.25
     u0 = np.exp(-r ** 2 / (4 * t0)) / (4 * np.pi * t0)
     st = dyn.FlowState(grid, grid.cumulative_integral(u0, "r"),
-                       np.zeros_like(r), frame="physical")
+                       np.zeros_like(r))
     stepper = dyn.SemiImplicitStepper(grid, coupling=False)
     dt, T = 2e-4, 0.1
     for _ in range(int(T / dt)):
@@ -94,7 +92,7 @@ def test_step_self_convergence_order():
     stepper = dyn.SemiImplicitStepper(grid)
 
     def advance(dt, nsteps):
-        st = dyn.FlowState(grid, m0.copy(), n0.copy(), frame="physical")
+        st = dyn.FlowState(grid, m0.copy(), n0.copy())
         for _ in range(nsteps):
             st = stepper.step(st, dt, b=0.0)
         return st.m
@@ -548,7 +546,7 @@ def test_scaling_equivariance():
     n = 0.8 * mass_q(r)
     stepper = dyn.SemiImplicitStepper(grid)
     T, nsteps = 0.05, 100
-    st = dyn.FlowState(grid, m.copy(), n.copy(), frame="physical")
+    st = dyn.FlowState(grid, m.copy(), n.copy())
     for _ in range(nsteps):
         st = stepper.step(st, T / nsteps, b=0.0)
     # rescaled initial data u_lam = lam^2 u(lam r): m_lam(r) = m(lam r)
@@ -556,7 +554,7 @@ def test_scaling_equivariance():
     x = np.minimum(lam * r, grid.r_max)
     m_l = make_interp_spline(r, m, k=5)(x)
     n_l = make_interp_spline(r, n, k=5)(x)
-    st2 = dyn.FlowState(grid, m_l, n_l, frame="physical")
+    st2 = dyn.FlowState(grid, m_l, n_l)
     for _ in range(nsteps):
         st2 = stepper.step(st2, T / lam ** 2 / nsteps, b=0.0)
     expected = make_interp_spline(r, st.m, k=5)(x)

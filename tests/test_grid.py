@@ -25,7 +25,8 @@ from kslab.grid import (
     potential_from_gradient,
     radial_laplacian,
 )
-from kslab.profiles import lambda_q, psi1, psi1_prime_over_r, q_density
+from kslab.operators import lambda_q, q_density
+from kslab.profiles import psi1, psi1_prime_over_r
 
 
 def test_grid_invariants(ref_grid):

@@ -1,3 +1,7 @@
+import ast
+import glob
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,8 @@ from hypothesis import strategies as st
 import kslab.operators as ops
 from conftest import smooth_bump_pair_values
 from kslab.grid import FieldPair, RadialField, derivative
-from kslab.profiles import build_t1_s1, lambda_q, q_density
+from kslab.operators import lambda_q, q_density
+from kslab.profiles import build_t1_s1
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +230,42 @@ def test_L_continuity_constant_stable(ref_grid, mid_grid):
         consts.append(max(ratios))
     assert consts[0] < 10.0 and consts[1] < 10.0
     assert abs(consts[0] - consts[1]) / max(consts) < 0.5
+
+
+def _package_imports():
+    """{module: the kslab modules it imports} for src/kslab/*.py."""
+    src = os.path.dirname(ops.__file__)
+    mods = {os.path.basename(p)[:-3]: p
+            for p in glob.glob(os.path.join(src, "*.py"))}
+    deps = {}
+    for name, path in mods.items():
+        found = set()
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # from .x import y, or from . import x
+                found.update([node.module] if node.module
+                             else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").startswith("kslab."):
+                    found.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                found.update(a.name.split(".")[1] for a in node.names
+                             if a.name.startswith("kslab."))
+        deps[name] = (found & mods.keys()) - {name}
+    return deps
+
+
+def test_module_imports_are_layered():
+    # operators owns L, Phi_0 and Q; an import of a higher layer there is
+    # how a second copy of them would come back
+    deps = _package_imports()
+    assert not deps["operators"] & {"profiles", "dynamics", "diagnostics",
+                                    "config", "cli"}
+    left = dict(deps)
+    while left:  # peel modules whose imports are all peeled: no cycle
+        leaves = [m for m, d in left.items() if not d & left.keys()]
+        assert leaves, "import cycle among %s" % sorted(left)
+        for m in leaves:
+            del left[m]

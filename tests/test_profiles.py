@@ -9,8 +9,8 @@ import pytest
 import kslab.profiles as prof
 from kslab.cli import profile_grid_for
 from kslab.dynamics import grid_b_floor
-from kslab.grid import RadialField, RadialGrid, cutoff, integrate
-from kslab.operators import apply_L, pairing
+from kslab.grid import RadialField, RadialGrid, cutoff, derivative, integrate
+from kslab.operators import apply_L, lambda_q, pairing, q_density
 from kslab.grid import FieldPair
 
 
@@ -25,19 +25,22 @@ def fam1em4(g1em4):
 
 
 def test_homogeneous_basis(mid_grid):
-    basis = prof.HomogeneousBasis.build(mid_grid)
     r = mid_grid.nodes
     # kernel: L0 psi0 = 0 to stencil accuracy
-    res = prof.apply_L0(basis.psi0)
+    res = prof.apply_L0(RadialField(mid_grid, prof.psi0(r)))
     assert np.max(np.abs(res.values)[r <= 100]) < 1e-4
-    # Wronskian identity W = r Q / 4
-    w_exact = r * prof.q_density(r) / 4.0
-    assert np.max(np.abs(basis.wronskian.values - w_exact)) < 1e-12
+    # Wronskian identity W = psi1' psi0 - psi1 psi0' = r Q / 4, from the
+    # closed forms (psi0' = 2r(1 - r^2)/(1 + r^2)^3)
+    x = r[1:]
+    psi0_p = 2.0 * x * (1.0 - x ** 2) / (1.0 + x ** 2) ** 3
+    w = (x * prof.psi1_prime_over_r(x) * prof.psi0(x)
+         - prof.psi1(x) * psi0_p)
+    assert np.max(np.abs(w - x * q_density(x) / 4.0)) < 1e-12
 
 
 def test_invert_L1_d1_closed_form(mid_grid):
     r = mid_grid.nodes
-    d1 = prof.invert_L1(RadialField(mid_grid, r ** 2 * prof.q_density(r)), -2.0)
+    d1 = prof.invert_L1(RadialField(mid_grid, r ** 2 * q_density(r)), -2.0)
     exact = -2.0 * np.log1p(r ** 2)
     assert np.max(np.abs(d1.values - exact)[r <= 100]) < 5e-5
     assert abs(np.interp(1.0, r, d1.values) + 2 * np.log(2.0)) < 1e-8
@@ -51,10 +54,10 @@ def test_inversion_residuals(mid_grid, kind):
     """L0(invert_L0(f)) + f and L1(invert_L1(f)) - f below 1e-4 relative."""
     r = mid_grid.nodes
     battery = [
-        r ** 2 * prof.q_density(r),
+        r ** 2 * q_density(r),
         r ** 2 * np.exp(-r ** 2 / 4.0),
         r ** 2 / (1.0 + r ** 4),
-        prof.q_density(r) * np.log1p(r ** 2),
+        q_density(r) * np.log1p(r ** 2),
         r ** 2 * np.exp(-((r - 3.0) / 2.0) ** 2) / (1 + r ** 2),
     ]
     fv = battery[kind]
@@ -220,8 +223,8 @@ def test_radiation_constants_and_regions():
         r = g.nodes
         inner = r <= rad.B0 / 4.0
         lvl1 = prof.build_t1_s1(g)
-        assert np.max(np.abs(rad.Sigma1.values
-                             - rad.c_b * lvl1.T1.values)[inner]) < 1e-9
+        sigma1 = g.divide_by_r(derivative(rad.m_sigma, 1).values, "odd")
+        assert np.max(np.abs(sigma1 - rad.c_b * lvl1.T1.values)[inner]) < 1e-9
         outer = r >= 6.0 * rad.B0
         assert np.max(np.abs(rad.m_sigma.values - 4 * prof.psi1(r))[outer]) < 1e-8
         assert np.max(np.abs(rad.d_sigma.values)[outer]) < 1e-8
@@ -229,15 +232,11 @@ def test_radiation_constants_and_regions():
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
 
-def test_radiation_normalization_root():
-    # genuine quadratic branch continuous with 1/c1
-    c1, c2 = 10.0, 2.0
-    x = prof.solve_normalization_root(c1, c2)
-    assert abs(c2 * x * x - c1 * x + 1.0) < 1e-12
-    assert abs(x - 1.0 / c1) < 0.5 / c1
-    assert prof.solve_normalization_root(10.0, 0.0) == pytest.approx(0.1)
-    with pytest.raises(prof.ProfileError):
-        prof.solve_normalization_root(1.0, 10.0)  # negative discriminant
+def test_radiation_normalization_root(g1em4):
+    # the c_b-normalized constraint c_b (c1 - c2) = 1 is linear in c_b
+    rad = prof.build_radiation(g1em4, 1e-4)
+    assert rad.c1 - rad.c2 > 0.0
+    assert rad.c_b == 1.0 / (rad.c1 - rad.c2)
 
 
 def test_level2_bounds(g1em4, fam1em4):
@@ -273,7 +272,7 @@ def test_localization(fam1em4, g1em4):
     r = g1em4.nodes
     b = fam1em4.b
     B1 = fam1em4.B1
-    q = prof.q_density(r)
+    q = q_density(r)
     inside = r <= B1
     full = (q + b * fam1em4.level1.T1.values
             + b * b * fam1em4.level2.T2.values)
@@ -293,7 +292,7 @@ def test_construction_identity_LT1(g1em4, fam1em4):
     pair = FieldPair(fam1em4.T1_loc, fam1em4.S1_grad_loc)
     out = apply_L(pair)
     r = g1em4.nodes
-    lam = prof.lambda_q(r)
+    lam = lambda_q(r)
     # skip the first nodes: the construction carries r^6 log r terms whose
     # high derivatives the origin stencils resolve only to O(h^4 log h)
     win = (r >= 0.5) & (r <= 0.5 * fam1em4.B1)
@@ -372,11 +371,13 @@ def test_profile_memo_dies_with_its_grid():
 
 
 def test_db_pair_direction(g1em4, fam1em4):
-    dp = fam1em4.db_pair()
     # leading b-derivative of the localized bubble is T1~ inside B1
+    db = 1e-3 * fam1em4.b
+    hi, lo = (prof.modulation_profile(g1em4, b).Qb_tilde.values
+              for b in (fam1em4.b + db, fam1em4.b - db))
     r = g1em4.nodes
     win = r <= 0.25 * fam1em4.B0
-    assert np.max(np.abs(dp.density.values
+    assert np.max(np.abs((hi - lo) / (2 * db)
                          - fam1em4.level1.T1.values)[win]) < 0.05
 
 
