@@ -187,6 +187,7 @@ def run_one(cfg: RunConfig, outdir, seed_offset=0):
         "mass_drift": float(np.max(np.abs(series.column("mass")
                                           - series.column("mass")[0]))
                             / series.column("mass")[0]),
+        "counters": series.counters,
     }
     try:
         # the laws are stated in the bubble's time, not the frame's s

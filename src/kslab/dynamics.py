@@ -11,14 +11,17 @@ n, per step) and the m'n/r coupling linearized at the previous step.  The
 production path runs in the rescaled frame y = r/lambda with s-time: after
 every step the state is decomposed against the localized profile family by
 a damped Newton solve of the two orthogonality conditions, which yields
-(lambda, b) and reuses the b-column of its Jacobian across steps (it does
-not depend on the state); small frame drift accumulates in a pending scale
-factor and the grid is only re-interpolated when it exceeds a threshold, so
-the bubble never de-resolves.
+(lambda, b).  The residual separates into a state part and a profile part
+P(b), so Newton runs on a Chebyshev table of P in log b, built once per
+solver, and one exact profile evaluation at the model's root decides
+acceptance.  Small frame drift accumulates in a pending scale factor and
+the grid is only re-interpolated when it exceeds a threshold, so the bubble
+never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
-and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; everything recorded lands
-in a TimeSeries consumed by the law-fitting diagnostics.
+and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; it is the root of a
+tabulated root function, polished on the exact one.  Everything recorded
+lands in a TimeSeries consumed by the law-fitting diagnostics.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import make_interp_spline
+from numpy.polynomial.chebyshev import chebder
+from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import brentq
 
 from . import diagnostics, operators
@@ -37,11 +42,13 @@ from .grid import FieldPair, RadialField, RadialGrid
 from .operators import mass_q, q_density
 from .profiles import (
     B_MAX,
+    ModulationProfile,
     ProfileError,
     build_profile_family,
     build_t1_s1,
     localization_radius,
     modulation_profile,
+    profile_base,
 )
 
 
@@ -86,10 +93,14 @@ class FlowState:
 
 @dataclass
 class ModulationState:
+    """A decomposition: lam1, b, the exact residual pair F, the fields
+    (eps, geta) and the profile at b they were taken against."""
+
     lam: float
     b: float
     residuals: tuple
     eps_pair: FieldPair
+    profile: ModulationProfile
 
 
 COLUMNS = ("t", "s", "lam", "b", "b_hat", "mass", "free_energy",
@@ -109,6 +120,7 @@ class TimeSeries:
     def __init__(self):
         self.rows = []
         self.status = "running"
+        self.counters = {}
 
     def append(self, **kw):
         if self.rows:
@@ -271,32 +283,107 @@ def _band(mat, l, u):
 
 # -- modulation decomposition ----------------------------------------------------
 
-class ProfileCache:
-    """Modulation profiles per b on one grid (at most MAXSIZE, keyed by value).
+SPLINE_DEGREE = 5
 
-    Holds `profiles.modulation_profile`'s three arrays (Qb~, grad Pb~, n~)
-    per b, about a tenth of a full family.
+
+def _spline_coefficients(grid, m, n):
+    """Knots t and coefficients c, shape (grid.n, 2), of the quintic
+    not-a-knot interpolants of m and n on the grid nodes.
+
+    The knots are `make_interp_spline`'s, and its collocation matrix is
+    factored once per grid (dgbtrf, kept in `grid.memo`) in its LAPACK band
+    storage; make_interp_spline's dgbsv is that factorization followed by
+    dgbtrs, so c[:, 0] and c[:, 1] equal make_interp_spline(grid.nodes,
+    m or n, k=5).c bit for bit, here from one solve with two right-hand
+    sides.
+    """
+    k = SPLINE_DEGREE
+    fac = grid.memo.get("quintic_spline")
+    if fac is None:
+        x = grid.nodes
+        t = make_interp_spline(x, np.zeros_like(x), k=k).t
+        coo = BSpline.design_matrix(x, t, k).tocoo()
+        ab = np.zeros((3 * k + 1, grid.n), order="F")
+        ab[2 * k + coo.row - coo.col, coo.col] = coo.data
+        lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
+        if info != 0:
+            raise SimulationError("singular spline collocation matrix")
+        fac = grid.memo["quintic_spline"] = (t, lu, piv)
+    t, lu, piv = fac
+    c, info = dgbtrs(lu, k, k, np.column_stack([m, n]), piv)
+    if info != 0:
+        raise SimulationError("spline solve failed (info %d)" % info)
+    return t, c
+
+
+class _StateSplines:
+    """The state's quintic splines, read at a scale lam1 the way the
+    residual reads them: u = lam1^2 m'(x)/x (lam1^2 m''(0) at the origin)
+    and n(x), with x = lam1 y clipped to the grid."""
+
+    def __init__(self, state: FlowState):
+        g = state.grid
+        t, c = _spline_coefficients(g, state.m, state.n)
+        k = SPLINE_DEGREE
+        self.m = BSpline.construct_fast(t, c[:, 0], k)
+        self.n = BSpline.construct_fast(t, c[:, 1], k)
+        self.y = g.nodes
+        self.r_max = g.r_max
+        self.m_pp0 = float(self.m(0.0, 2))
+
+    def __call__(self, lam1):
+        x = np.minimum(lam1 * self.y, self.r_max)
+        u = np.empty_like(x)
+        u[1:] = lam1 ** 2 * np.asarray(self.m(x[1:], 1)) / x[1:]
+        u[0] = lam1 ** 2 * self.m_pp0
+        return u, self.n(x)
+
+
+# Chebyshev points in log b of the solver's profile table
+TABLE_NODES = 128
+
+
+class ProfileTable:
+    """Chebyshev interpolant in log b of scalar functions of the profile.
+
+    Built from `scalars(b)` at TABLE_NODES Chebyshev points (first kind)
+    of log b over [lo, hi]; calling the table at b returns the
+    interpolated values and their b-derivatives.  A b outside [lo, hi]
+    raises ProfileError, as `modulation_profile` does for a b that does
+    not fit the grid.  Evaluation is `coef @ cos(k arccos x)`.
     """
 
-    MAXSIZE = 64
-
-    def __init__(self, grid):
-        self.grid = grid
-        self._store = {}
+    def __init__(self, lo, hi, scalars):
+        self.lo, self.hi = lo, hi
+        self._la, self._lb = math.log(lo), math.log(hi)
+        theta = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
+        nodes = np.exp(0.5 * (self._la + self._lb)
+                       + 0.5 * (self._lb - self._la) * np.cos(theta))
+        values = np.array([scalars(b) for b in nodes])
+        self._k = np.arange(TABLE_NODES)
+        coef = (2.0 / TABLE_NODES) * (np.cos(np.outer(self._k, theta))
+                                      @ values)
+        coef[0] *= 0.5
+        self._coef = coef
+        self._dcoef = chebder(coef)
 
     def __call__(self, b):
-        key = float(b)
-        prof = self._store.get(key)
-        if prof is None:
-            prof = modulation_profile(self.grid, b)
-            if len(self._store) >= self.MAXSIZE:
-                self._store.pop(next(iter(self._store)))
-            self._store[key] = prof
-        return prof
+        if not self.lo <= b <= self.hi:
+            raise ProfileError("b=%g outside the profile table [%g, %g]"
+                               % (b, self.lo, self.hi))
+        span = self._lb - self._la
+        x = (2.0 * math.log(b) - self._la - self._lb) / span
+        tk = np.cos(self._k * math.acos(min(max(x, -1.0), 1.0)))
+        return tk @ self._coef, (tk[:-1] @ self._dcoef) * (2.0 / (span * b))
 
 
-# relative move of b after which decompose retakes the stored b-column
-B_COLUMN_REFRESH = 1e-2
+# decompose's model rounds (model Newton, then one exact residual)
+MODEL_ROUNDS = 3
+# decompose's model Newton stops at |G| <= MODEL_TOL * atol
+MODEL_TOL = 1e-2
+COUNTERS = ("decompose_calls", "model_iterations", "correction_rounds",
+            "profile_evals_table", "profile_evals_decompose",
+            "profile_evals_lift", "lift_calls", "lift_fallbacks")
 
 
 class ModulationSolver:
@@ -304,14 +391,22 @@ class ModulationSolver:
 
     The residual map p = (lambda1, b) -> (<v, Phi_M>, <v, L* Phi_M>) with
     v = (lambda1^2 u(lambda1 y) - Qb~, lambda1 dv(lambda1 y) - dPb~) is
-    solved by damped Newton.  The map is separable, F(lambda1, b) =
-    S(lambda1) - P(b), so its b-column does not depend on the state: the
-    solver keeps its last finite-difference b-column with the b it was
-    taken at, across calls, and retakes it when b has moved by more than
-    B_COLUMN_REFRESH relative, or once before giving up when the Jacobian
-    is singular or the damped line search finds no descent (a chord
-    Newton method).  The lambda-column is retaken every iteration; its
-    probe shares b with the iterate, so it costs spline evaluations only.
+    separable, F(lambda1, b) = S(lambda1) - P(b): S pairs the state's
+    splines, P(b) is two scalars of the profile at b.  The solver
+    tabulates P once, over the b the grid localizes (`ProfileTable`, with
+    T, the b_hat-part of `lift_b`'s root function).  `decompose` runs
+    damped Newton on the model G = S(lambda1) - P~(b) - c, with a
+    finite-difference lambda-column and the table's derivative as the
+    b-column, so its iterations evaluate no profile.  One exact residual
+    at the model's root decides acceptance (|F| <= atol) and gives
+    (eps, geta); if it fails, c absorbs the table's local error,
+    c <- c + G - F, and the model is solved again, at most MODEL_ROUNDS
+    times.  Past those rounds, or when the model stalls, the residual is
+    accepted up to the quadrature and spline noise floor, floor_tol.
+
+    `counters` counts decompose calls, model iterations, correction rounds,
+    the exact profile evaluations (table, decompose, lift), lift calls and
+    lift fallbacks.
     """
 
     def __init__(self, grid: RadialGrid, M_param: float):
@@ -319,7 +414,6 @@ class ModulationSolver:
         self.M = M_param
         if grid.r_max < 3.0 * M_param:
             raise ModulationError("grid too small to resolve 2M for Phi_M")
-        self.cache = ProfileCache(grid)
         lvl1 = build_t1_s1(grid)
         self.phim = operators.build_phi_m(
             grid, M_param, FieldPair(lvl1.T1, lvl1.S1_grad))
@@ -329,116 +423,129 @@ class ModulationSolver:
         self._wphi2 = w * self.phim.pair.chem_gradient.values
         self._wlphi1 = w * self.lstar_phim.density.values
         self._wlphi2 = w * self.lstar_phim.chem_gradient.values
-        self._b_col = None      # stored dF/db and the b it was taken at
-        self._b_col_at = None
+        self.counters = dict.fromkeys(COUNTERS, 0)
+        b_floor = grid_b_floor(grid)
+        if b_floor >= B_MAX:
+            raise ProfileError("grid too small for the profile family: "
+                               "r_max %.1f < 4*B1(%g)" % (grid.r_max, B_MAX))
+        base = profile_base(grid)
+        y = grid.nodes
 
-    def _residual(self, msp, nsp, lam1, b):
-        g = self.grid
-        y = g.nodes
-        prof = self.cache(b)
-        x = np.minimum(lam1 * y, g.r_max)
-        # density residual lambda1^2 u(lambda1 y) - Qb(y), u = m'/x;
-        # at the origin u(0) = m''(0)
-        eps = np.empty_like(y)
-        eps[1:] = lam1 ** 2 * np.asarray(msp(x[1:], 1)) / x[1:] \
-            - prof.Qb_tilde.values[1:]
-        eps[0] = lam1 ** 2 * float(msp(0.0, 2)) - prof.Qb_tilde.values[0]
-        n_res = nsp(x) - prof.n_tilde.values
+        def scalars(b):
+            # P(b) = (P1, P2), and lift_b's T(b) without the ground-state
+            # part <Q, A(b)>, which lift_b computes exactly: the Phi_0
+            # cutoff at 1/sqrt(b) spans a few tail nodes, and with that
+            # part the table's error grows a hundredfold (3e-5 at 128 nodes
+            # on the collapse grid)
+            prof = modulation_profile(grid, b)
+            q = prof.Qb_tilde.values
+            n_y = np.zeros_like(y)
+            n_y[1:] = prof.n_tilde.values[1:] / y[1:]
+            a1, a2 = _lift_direction(grid, w, b)
+            t = ((q - base.Q) @ a1
+                 + (prof.Pb_tilde_grad.values - base.phi_q_grad) @ a2)
+            return self._pair(q, n_y) + (float(t),)
+
+        self.table = ProfileTable(b_floor, B_MAX, scalars)
+        self.counters["profile_evals_table"] = TABLE_NODES
+
+    def _pair(self, u, g):
+        return (float(self._wphi1 @ u + self._wphi2 @ g),
+                float(self._wlphi1 @ u + self._wlphi2 @ g))
+
+    def _model(self, vals, b, c):
+        """G = S(lam1) - P~(b) - c from the state's values at lam1, and
+        dP~/db."""
+        u, n_x = vals
+        g = np.zeros_like(u)
+        g[1:] = n_x[1:] / self.grid.nodes[1:]
+        p, dp = self.table(b)
+        return np.array(self._pair(u, g)) - p[:2] - c, dp[:2]
+
+    def _residual(self, vals, b):
+        """Exact F at (lam1, b) from the state's values at lam1: F, the
+        fields (eps, geta) and the profile at b (one profile evaluation)."""
+        y = self.grid.nodes
+        u, n_x = vals
+        prof = modulation_profile(self.grid, b)
+        self.counters["profile_evals_decompose"] += 1
+        # density residual lambda1^2 u(lambda1 y) - Qb(y), u = m'/x
+        eps = u - prof.Qb_tilde.values
+        n_res = n_x - prof.n_tilde.values
         geta = np.zeros_like(y)
         geta[1:] = n_res[1:] / y[1:]
-        f1 = float(self._wphi1 @ eps + self._wphi2 @ geta)
-        f2 = float(self._wlphi1 @ eps + self._wlphi2 @ geta)
-        return np.array([f1, f2]), (eps, geta)
+        return np.array(self._pair(eps, geta)), (eps, geta), prof
 
-    def _fd_column(self, msp, nsp, lam1, b, F, wrt):
-        """Forward-difference column dF/d(wrt) at (lam1, b), F = F(lam1, b)."""
-        if wrt == "lam":
+    def _model_newton(self, splines, lam1, b, c, tol, max_iter):
+        """Damped Newton on the model, each step halved until |G| descends
+        (at most 10 times).  Returns lam1, b, G, the state's values at
+        lam1 and the outcome: 'converged' (|G| <= tol), 'stalled' (no
+        descent) or 'exhausted' (max_iter steps)."""
+        vals = splines(lam1)
+        G, dp = self._model(vals, b, c)
+        for _ in range(max_iter):
+            if np.linalg.norm(G) <= tol:
+                return lam1, b, G, vals, "converged"
+            self.counters["model_iterations"] += 1
             h = 1e-7 * max(abs(lam1), 1.0)
-            Fh, _ = self._residual(msp, nsp, lam1 + h, b)
-        else:
-            h = 1e-5 * b
-            if b + h > B_MAX:  # admissible range cap: probe downward
-                h = -h
-            Fh, _ = self._residual(msp, nsp, lam1, b + h)
-        return (Fh - F) / h
-
-    def _refresh_b_column(self, msp, nsp, lam1, b, F):
-        self._b_col = self._fd_column(msp, nsp, lam1, b, F, "b")
-        self._b_col_at = b
-
-    def _damped_step(self, msp, nsp, lam1, b, F, lam_col):
-        """Newton step with the stored b-column, halved until |F| descends
-        (at most 10 times): the new (lam1, b, F, (eps, geta)), or None
-        without descent."""
-        J = np.column_stack([lam_col, self._b_col])
-        det = np.linalg.det(J)
-        if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
-            raise ModulationError("singular modulation Jacobian "
-                                  "(M too small or state far from family)")
-        step = np.linalg.solve(J, -F)
-        t_damp = 1.0
-        for _ in range(10):
-            lam_try = lam1 + t_damp * step[0]
-            b_try = b + t_damp * step[1]
-            if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
-                F_try, fields = self._residual(msp, nsp, lam_try, b_try)
-                if np.linalg.norm(F_try) < np.linalg.norm(F):
-                    return lam_try, b_try, F_try, fields
-            t_damp *= 0.5
-        return None
+            G_h, _ = self._model(splines(lam1 + h), b, c)
+            J = np.column_stack([(G_h - G) / h, -dp])
+            det = np.linalg.det(J)
+            if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
+                raise ModulationError("singular modulation Jacobian "
+                                      "(M too small or state far from family)")
+            step = np.linalg.solve(J, -G)
+            t_damp = 1.0
+            for _ in range(10):
+                lam_try = lam1 + t_damp * step[0]
+                b_try = b + t_damp * step[1]
+                if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
+                    vals_try = splines(lam_try)
+                    G_try, dp_try = self._model(vals_try, b_try, c)
+                    if np.linalg.norm(G_try) < np.linalg.norm(G):
+                        lam1, b, G, dp, vals = (lam_try, b_try, G_try,
+                                                dp_try, vals_try)
+                        break
+                t_damp *= 0.5
+            else:
+                return lam1, b, G, vals, "stalled"
+        outcome = "converged" if np.linalg.norm(G) <= tol else "exhausted"
+        return lam1, b, G, vals, outcome
 
     def decompose(self, state: FlowState, guess=(1.0, None),
                   max_iter=30) -> ModulationState:
         g = self.grid
-        msp = make_interp_spline(g.nodes, state.m, k=5)
-        nsp = make_interp_spline(g.nodes, state.n, k=5)
         lam1 = guess[0]
         b = guess[1]
         if b is None:
             raise ModulationError("decompose needs a b guess")
+        self.counters["decompose_calls"] += 1
+        splines = _StateSplines(state)
         # residual scale: the pairing Jacobian entries are ~ 32 pi log M
         f_scale = abs(self.phim.report["PhiM_LambdaQ"])
         atol = 1e-10 * f_scale
         floor_tol = 3e-6 * f_scale   # quadrature/spline noise plateau
-        F, fields = self._residual(msp, nsp, lam1, b)
-        converged = np.linalg.norm(F) <= atol
-        for _ in range(max_iter):
-            if converged:
+        c = np.zeros(2)
+        for rnd in range(MODEL_ROUNDS):
+            if rnd:
+                self.counters["correction_rounds"] += 1
+            lam1, b, G, vals, outcome = self._model_newton(
+                splines, lam1, b, c, MODEL_TOL * atol, max_iter)
+            F, (eps, geta), prof = self._residual(vals, b)
+            if np.linalg.norm(F) <= atol or outcome != "converged":
                 break
-            lam_col = self._fd_column(msp, nsp, lam1, b, F, "lam")
-            fresh = (self._b_col is None or abs(b - self._b_col_at)
-                     > B_COLUMN_REFRESH * self._b_col_at)
-            if fresh:
-                self._refresh_b_column(msp, nsp, lam1, b, F)
-            try:
-                found = self._damped_step(msp, nsp, lam1, b, F, lam_col)
-            except ModulationError:  # singular Jacobian
-                if fresh:
-                    raise
-                found = None
-            if found is None and not fresh:
-                # the stored b-column may be what failed: retake it once
-                self._refresh_b_column(msp, nsp, lam1, b, F)
-                found = self._damped_step(msp, nsp, lam1, b, F, lam_col)
-            if found is not None:
-                lam1, b, F, fields = found
-            if np.linalg.norm(F) <= atol:
-                converged = True
-            elif found is None:
-                # no descent direction left: accept if at the noise floor
-                if np.linalg.norm(F) <= floor_tol:
-                    converged = True
-                else:
-                    raise ModulationError("modulation Newton stalled "
-                                          "(trapped regime exited?)")
-        if not converged and np.linalg.norm(F) > floor_tol:
+            c = c + G - F
+        # past the model rounds, a residual at the noise floor is accepted
+        if np.linalg.norm(F) > floor_tol:
+            if outcome == "stalled":
+                raise ModulationError("modulation Newton stalled "
+                                      "(trapped regime exited?)")
             raise ModulationError("modulation Newton did not converge")
-        eps, geta = fields
         pair = FieldPair(RadialField(g, eps),
                          RadialField(g, geta, "odd"))
         return ModulationState(lam=lam1, b=b,
                                residuals=(float(F[0]), float(F[1])),
-                               eps_pair=pair)
+                               eps_pair=pair, profile=prof)
 
 
 def grid_b_floor(grid) -> float:
@@ -456,32 +563,93 @@ def grid_b_floor(grid) -> float:
 
 # brackets [lo, hi] * b that lift_b tries in turn for b_hat
 LIFT_BRACKETS = ((0.5, 2.0), (0.25, 4.0))
+# largest secant correction, relative to b_hat, that lift_b accepts
+LIFT_SECANT_TOL = 1e-10
 
 
 def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
-    """b_hat solving <Qb~ + E - Qbhat~, L* Phi_{0, Bhat0}> = 0, Bhat0 = 1/sqrt(b_hat)."""
+    """b_hat solving <Qb~ + E - Qbhat~, L* Phi_{0, Bhat0}> = 0, Bhat0 = 1/sqrt(b_hat).
+
+    With A(b_hat) = w L* Phi_{0, Bhat0} the root function is
+    <u_b - Q, A> - T(b_hat), u_b = (Qb~, dPb~) + E and Q the ground-state
+    pair, where T = <Qbhat~ - Q, A> is tabulated in `solver.table`; brentq
+    on the tabulated function needs no profile evaluation.  One Newton step
+    (with the tabulated function's slope) and one secant step on the exact
+    root function follow, two profile evaluations.  A secant correction
+    above LIFT_SECANT_TOL * b_hat falls back to brentq on the exact root
+    function over LIFT_BRACKETS.
+    """
     g = solver.grid
-    fam_b = solver.cache(mod.b)
+    counters = solver.counters
+    counters["lift_calls"] += 1
+    prof = mod.profile
     eps = mod.eps_pair
-    b_floor = grid_b_floor(g)
+    base = profile_base(g)
+    w = 2.0 * np.pi * g.quad_weights
+    u_b = prof.Qb_tilde.values + eps.density.values
+    g_b = prof.Pb_tilde_grad.values + eps.chem_gradient.values
+    lo, hi = solver.table.lo, B_MAX
     # brentq keeps its function in a self-referencing closure that only the
-    # cyclic collector frees; a closure over the cache here would keep every
-    # profile family in it alive after the run, so the data goes in args
-    args = (solver.cache, g, 2.0 * np.pi * g.quad_weights,
-            fam_b.Qb_tilde.values + eps.density.values,
-            fam_b.Pb_tilde_grad.values + eps.chem_gradient.values)
+    # cyclic collector frees; a closure over the solver here would keep it
+    # alive after the run, so the data goes in args
+    model = (g, w, u_b - base.Q, g_b - base.phi_q_grad, solver.table)
+    exact = (g, w, u_b, g_b)
+    b0, _ = _bracketed_root(_lift_model, mod.b, lo, hi, model)
+    if b0 is not None:
+        r0 = _lift_residual(b0, *exact)
+        counters["profile_evals_lift"] += 1
+        h = 1e-6 * b0 if b0 + 1e-6 * b0 <= hi else -1e-6 * b0
+        slope = (_lift_model(b0 + h, *model) - _lift_model(b0, *model)) / h
+        b1 = b0 - r0 / slope
+        if lo <= b1 <= hi:
+            r1 = _lift_residual(b1, *exact)
+            counters["profile_evals_lift"] += 1
+            if r1 != r0:
+                b2 = b1 - r1 * (b1 - b0) / (r1 - r0)
+            else:
+                b2 = b1 if r1 == 0.0 else math.nan
+            if abs(b2 - b1) <= LIFT_SECANT_TOL * b1:
+                return float(b2)
+    counters["lift_fallbacks"] += 1
+    bh, calls = _bracketed_root(_lift_residual, mod.b, lo, hi, exact)
+    counters["profile_evals_lift"] += calls
+    if bh is None:
+        raise ModulationError("lift_b bracket failure")
+    return bh
+
+
+def _bracketed_root(f, b, lo, hi, args):
+    """Root of f(., *args) by brentq in the first of LIFT_BRACKETS around b,
+    clipped to [lo, hi], over which f changes sign (None if none does),
+    and the number of f evaluations made."""
+    calls = 0
     for lo_factor, hi_factor in LIFT_BRACKETS:
-        lo = max(lo_factor * mod.b, b_floor)
-        hi = min(hi_factor * mod.b, B_MAX)
-        if _lift_residual(lo, *args) * _lift_residual(hi, *args) <= 0:
-            return float(brentq(_lift_residual, lo, hi, args=args,
-                                xtol=1e-14 * mod.b, rtol=1e-12))
-    raise ModulationError("lift_b bracket failure")
+        a = max(lo_factor * b, lo)
+        z = min(hi_factor * b, hi)
+        calls += 2
+        if f(a, *args) * f(z, *args) <= 0:
+            root, res = brentq(f, a, z, args=args, xtol=1e-14 * b,
+                               rtol=1e-12, full_output=True)
+            return float(root), calls + res.function_calls
+    return None, calls
 
 
-def _lift_residual(bh, cache, grid, w, u_b, g_b):
-    """lift_b's root function at b_hat = bh; u_b, g_b = (Qb~, dPb~) + E."""
-    fam_h = cache(bh)
+def _lift_direction(grid, w, bh):
+    """A(b_hat) = w L* Phi_{0, 1/sqrt(b_hat)}, as (density, gradient)."""
+    lp0 = operators.apply_Lstar(operators.phi0_pair(grid,
+                                                    1.0 / math.sqrt(bh)))
+    return w * lp0.density.values, w * lp0.chem_gradient.values
+
+
+def _lift_model(bh, grid, w, du0, dg0, table):
+    """lift_b's tabulated root function <(du0, dg0), A(bh)> - T~(bh)."""
+    a1, a2 = _lift_direction(grid, w, bh)
+    return float(du0 @ a1 + dg0 @ a2) - table(bh)[0][2]
+
+
+def _lift_residual(bh, grid, w, u_b, g_b):
+    """lift_b's exact root function at b_hat = bh; u_b, g_b = (Qb~, dPb~) + E."""
+    fam_h = modulation_profile(grid, bh)
     lp0 = operators.apply_Lstar(
         operators.phi0_pair(grid, 1.0 / math.sqrt(bh)))
     du = u_b - fam_h.Qb_tilde.values
@@ -556,6 +724,8 @@ def evolve(params: EvolveParams, perturbation=None,
     the implicit step is singular or leaves a non-finite state.  A step
     counts only once its state is decomposed, so the final record of such
     a run is the last state with a decomposition, with that decomposition.
+    The series' .counters are the modulation solver's counters (see
+    `ModulationSolver`) plus the refolds.
 
     The frame moves at the rate b while the bubble sits at the pending
     scale lam1 inside it, so lam1 drifts between refolds and the recorded s
@@ -574,6 +744,7 @@ def evolve(params: EvolveParams, perturbation=None,
     ds = params.ds_init
     b_s_est = 2.0 * b * b / abs(math.log(b))
     step_count = 0
+    refolds = 0
     mass0 = state.mass()
 
     def record():
@@ -621,6 +792,7 @@ def evolve(params: EvolveParams, perturbation=None,
             # happen only if the frame truly de-centers (resolution guard),
             # not as routine upkeep.
             if abs(lam_new - 1.0) > REFOLD_THRESHOLD:
+                refolds += 1
                 stepped = _rescale_state(stepped, lam_new)
                 lam_new = 1.0
                 stepped_mod = solver.decompose(stepped, guess=(1.0, b_new))
@@ -654,6 +826,7 @@ def evolve(params: EvolveParams, perturbation=None,
             break
     if not series.rows or series.rows[-1][1] < state.s:
         record()
+    series.counters = dict(solver.counters, refolds=refolds)
     return series
 
 
@@ -661,8 +834,9 @@ def _rescale_state(state: FlowState, lam1: float) -> FlowState:
     """Fold a pending scale into the stored fields: m(y) <- m(lam1 y)."""
     g = state.grid
     x = np.minimum(lam1 * g.nodes, g.r_max)
-    m = make_interp_spline(g.nodes, state.m, k=5)(x)
-    n = make_interp_spline(g.nodes, state.n, k=5)(x)
+    t, c = _spline_coefficients(g, state.m, state.n)
+    mn = BSpline.construct_fast(t, c, SPLINE_DEGREE)(x)
+    m, n = mn[:, 0].copy(), mn[:, 1].copy()
     m[0] = n[0] = 0.0
     return replace(state, m=m, n=n, lam=state.lam * lam1)
 

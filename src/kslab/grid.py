@@ -113,6 +113,7 @@ class RadialGrid:
         self.n = len(nodes)
         self._diff = {}        # (order, parity) -> csr matrix
         self._cellw = {}       # weight name -> csr cell matrix
+        self._stacked = {}     # cumulative_integrals plan -> block csr
         self._quad = None
         # b-independent data that downstream layers derive from this grid
         # (the ground state, the profiles' level-one fields); it shares the
@@ -268,6 +269,32 @@ class RadialGrid:
         out = np.zeros(self.n)
         np.cumsum(self._cell_matrix(weight) @ np.asarray(values, dtype=float),
                   out=out[1:])
+        return out
+
+    def cumulative_integrals(self, sources, plan):
+        """Stacked cumulative integrals: row i is
+        cumulative_integral(sources[j], weight) for (weight, j) = plan[i].
+
+        One product of the stacked cell matrices (a block CSR, kept per
+        plan) with the concatenated sources, then a row-wise cumsum.  A CSR
+        row sums its stored entries in order, so each row equals its own
+        cumulative_integral call bit for bit.
+        """
+        mat = self._stacked.get(plan)
+        if mat is None:
+            cells = [self._cell_matrix(weight) for weight, _ in plan]
+            offsets = np.cumsum([0] + [c.nnz for c in cells])
+            indptr = np.concatenate(
+                [[0]] + [c.indptr[1:] + off for c, off in zip(cells, offsets)])
+            mat = self._stacked[plan] = sparse.csr_matrix(
+                (np.concatenate([c.data for c in cells]),
+                 np.concatenate([c.indices + j * self.n
+                                 for c, (_, j) in zip(cells, plan)]), indptr),
+                shape=(len(plan) * (self.n - 1),
+                       (1 + max(j for _, j in plan)) * self.n))
+        out = np.zeros((len(plan), self.n))
+        np.cumsum((mat @ np.concatenate(sources)).reshape(len(plan), -1),
+                  axis=1, out=out[:, 1:])
         return out
 
     def cumulative_matrix(self, weight="r"):

@@ -102,6 +102,12 @@ def apply_L1(d: RadialField) -> RadialField:
     return RadialField(g, d2 - g.divide_by_r(d1, "odd"), "even")
 
 
+# (weight, source) rows of the inversions' cumulative integrals, source 0
+# the integrand f and source 1 its quotient f/r; invert_L1 reads the last
+# two rows, so both inversions share one stacked matrix per grid
+_INVERSION_PLAN = (("r3", 0), ("rlogr", 0), ("r", 0), ("one", 1))
+
+
 def _l0_coefficients(grid, fv):
     """Variation-of-constants coefficients A, B with m = A psi0 + B psi1.
 
@@ -109,11 +115,10 @@ def _l0_coefficients(grid, fv):
     tau^3 f + 4 tau log(tau) f - f/tau so the log piece uses the dedicated
     weighted quadrature (exact on the first cell).
     """
-    cum_r3 = grid.cumulative_integral(fv, "r3")
-    cum_rlog = grid.cumulative_integral(fv, "rlogr")
-    cum_over = grid.cumulative_integral(grid.divide_by_r(fv, "even"), "one")
+    cum_r3, cum_rlog, cum_r, cum_over = grid.cumulative_integrals(
+        (fv, grid.divide_by_r(fv, "even")), _INVERSION_PLAN)
     A = -0.5 * (cum_r3 + 4.0 * cum_rlog - cum_over)
-    B = 0.5 * grid.cumulative_integral(fv, "r")
+    B = 0.5 * cum_r
     return A, B
 
 
@@ -141,8 +146,8 @@ def invert_L1(f: RadialField, c: float) -> RadialField:
     """
     g = f.grid
     r = g.nodes
-    cum_r = g.cumulative_integral(f.values, "r")
-    cum_over = g.cumulative_integral(g.divide_by_r(f.values, "even"), "one")
+    cum_r, cum_over = g.cumulative_integrals(
+        (f.values, g.divide_by_r(f.values, "even")), _INVERSION_PLAN)[2:]
     return RadialField(g, 0.5 * (-cum_r + r ** 2 * cum_over) + c * r ** 2, "even")
 
 

@@ -18,7 +18,7 @@ from kslab.config import (
     parse_config_json,
     parse_config_text,
 )
-from kslab.dynamics import EvolveParams
+from kslab.dynamics import TABLE_NODES, EvolveParams
 
 
 def run_cli(args, out):
@@ -321,9 +321,14 @@ def test_simulate_deterministic(tmp_path):
     ts_a = (tmp_path / "a" / "timeseries.csv").read_bytes()
     ts_b = (tmp_path / "b" / "timeseries.csv").read_bytes()
     assert ts_a == ts_b
-    sa = json.loads((tmp_path / "a" / "summary.json").read_text())
+    sum_a = (tmp_path / "a" / "summary.json").read_bytes()
+    assert sum_a == (tmp_path / "b" / "summary.json").read_bytes()
+    sa = json.loads(sum_a)
     assert sa["status"] in ("s_max", "b_min", "lam_stop", "t_max")
     assert "seed" in sa
+    counters = sa["counters"]
+    assert counters["profile_evals_decompose"] == counters["decompose_calls"]
+    assert counters["profile_evals_table"] == TABLE_NODES
 
 
 def test_simulate_grid_exhausted(tmp_path):

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.interpolate import make_interp_spline
+from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 import kslab.dynamics as dyn
 import kslab.operators as ops
 from kslab.grid import FieldPair, RadialField, RadialGrid
 from kslab.operators import mass_q, q_density
-from kslab.profiles import build_profile_family
+from kslab.profiles import (ProfileError, build_profile_family,
+                            modulation_profile)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +195,6 @@ def test_decompose_recovers_scaled_profile(small_grid, small_params):
     # state = profile rescaled by lam0: decomposition must report lam0
     lam0 = 1.004
     fam = build_profile_family(small_grid, small_params.b0, with_error=False)
-    from scipy.interpolate import make_interp_spline
     y = small_grid.nodes
     x = np.minimum(y / lam0, small_grid.r_max)
     m = make_interp_spline(y, fam.m_tilde.values, k=5)(x)
@@ -215,29 +217,58 @@ def test_decompose_linear_response(small_grid, small_params):
     assert delta < 50.0 * 1e-4  # O(delta) parameter response
 
 
-def reference_decompose(solver, state, guess, max_iter=30):
-    """The modulation Newton solve with a fresh finite-difference Jacobian
-    every iteration (the chord solver's oracle).  Returns lam1, b, F."""
-    from scipy.interpolate import make_interp_spline
+def reference_residual(solver, msp, nsp, lam1, b):
+    """The modulation residual F(lam1, b) and (eps, geta) from the state's
+    make_interp_spline splines and a fresh profile at b (the oracle of the
+    solver's tabulated model and exact check)."""
     g = solver.grid
-    msp = make_interp_spline(g.nodes, state.m, k=5)
-    nsp = make_interp_spline(g.nodes, state.n, k=5)
+    y = g.nodes
+    prof = modulation_profile(g, b)
+    x = np.minimum(lam1 * y, g.r_max)
+    eps = np.empty_like(y)
+    eps[1:] = lam1 ** 2 * np.asarray(msp(x[1:], 1)) / x[1:] \
+        - prof.Qb_tilde.values[1:]
+    eps[0] = lam1 ** 2 * float(msp(0.0, 2)) - prof.Qb_tilde.values[0]
+    n_res = nsp(x) - prof.n_tilde.values
+    geta = np.zeros_like(y)
+    geta[1:] = n_res[1:] / y[1:]
+    f1 = float(solver._wphi1 @ eps + solver._wphi2 @ geta)
+    f2 = float(solver._wlphi1 @ eps + solver._wlphi2 @ geta)
+    return np.array([f1, f2]), (eps, geta)
+
+
+def state_splines(state):
+    y = state.grid.nodes
+    return (make_interp_spline(y, state.m, k=5),
+            make_interp_spline(y, state.n, k=5))
+
+
+def fd_columns(solver, msp, nsp, lam1, b, F):
+    """Forward-difference Jacobian columns of the oracle residual."""
+    dl = 1e-7 * max(abs(lam1), 1.0)
+    db = 1e-5 * b
+    if b + db > dyn.B_MAX:
+        db = -db
+    Fl, _ = reference_residual(solver, msp, nsp, lam1 + dl, b)
+    Fb, _ = reference_residual(solver, msp, nsp, lam1, b + db)
+    return np.column_stack([(Fl - F) / dl, (Fb - F) / db])
+
+
+def reference_decompose(solver, state, guess, max_iter=30):
+    """The modulation Newton solve on the exact residual with a fresh
+    finite-difference Jacobian every iteration (the tabulated solver's
+    oracle).  Returns lam1, b, F."""
+    msp, nsp = state_splines(state)
     lam1, b = guess
     f_scale = abs(solver.phim.report["PhiM_LambdaQ"])
     atol = 1e-10 * f_scale
     floor_tol = 3e-6 * f_scale
-    F, _ = solver._residual(msp, nsp, lam1, b)
+    F, _ = reference_residual(solver, msp, nsp, lam1, b)
     converged = np.linalg.norm(F) <= atol
     for _ in range(max_iter):
         if converged:
             break
-        dl = 1e-7 * max(abs(lam1), 1.0)
-        db = 1e-5 * b
-        if b + db > dyn.B_MAX:
-            db = -db
-        Fl, _ = solver._residual(msp, nsp, lam1 + dl, b)
-        Fb, _ = solver._residual(msp, nsp, lam1, b + db)
-        J = np.column_stack([(Fl - F) / dl, (Fb - F) / db])
+        J = fd_columns(solver, msp, nsp, lam1, b, F)
         det = np.linalg.det(J)
         if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
             raise dyn.ModulationError("singular modulation Jacobian")
@@ -248,7 +279,8 @@ def reference_decompose(solver, state, guess, max_iter=30):
             lam_try = lam1 + t_damp * step[0]
             b_try = b + t_damp * step[1]
             if lam_try > 0.1 and 0.0 < b_try <= dyn.B_MAX:
-                F_try, _ = solver._residual(msp, nsp, lam_try, b_try)
+                F_try, _ = reference_residual(solver, msp, nsp, lam_try,
+                                              b_try)
                 if np.linalg.norm(F_try) < np.linalg.norm(F):
                     lam1, b, F = lam_try, b_try, F_try
                     improved = True
@@ -301,83 +333,127 @@ def test_decompose_matches_fresh_jacobian_oracle(small_grid, small_params,
 def test_decompose_returns_the_accepted_residual_fields(small_grid,
                                                       small_params,
                                                       perturbed_states):
-    # (eps, geta) come from the residual evaluation that accepted the
-    # iterate: equal to a fresh evaluation at the returned (lam, b), and a
-    # state decomposed at its own solution costs one residual evaluation
-    from scipy.interpolate import make_interp_spline
+    # (eps, geta) and the profile come from the exact residual that
+    # accepted the iterate: equal to the oracle's at the returned (lam, b),
+    # and a state decomposed at its own solution costs one exact residual
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     mod = solver.decompose(state, guess=guess)
     atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
     assert np.linalg.norm(mod.residuals) <= atol
-    msp = make_interp_spline(small_grid.nodes, state.m, k=5)
-    nsp = make_interp_spline(small_grid.nodes, state.n, k=5)
-    _, (eps, geta) = solver._residual(msp, nsp, mod.lam, mod.b)
+    msp, nsp = state_splines(state)
+    F, (eps, geta) = reference_residual(solver, msp, nsp, mod.lam, mod.b)
     np.testing.assert_array_equal(mod.eps_pair.density.values, eps)
     np.testing.assert_array_equal(mod.eps_pair.chem_gradient.values, geta)
+    np.testing.assert_array_equal(mod.residuals, F)
+    np.testing.assert_array_equal(
+        mod.profile.Qb_tilde.values,
+        modulation_profile(small_grid, mod.b).Qb_tilde.values)
 
     calls = []
     residual = solver._residual
 
-    def counted(*args):
-        calls.append(args[2:])
-        return residual(*args)
+    def counted(vals, b):
+        calls.append(b)
+        return residual(vals, b)
 
     solver._residual = counted
     again = solver.decompose(state, guess=(mod.lam, mod.b))
-    assert calls == [(mod.lam, mod.b)]
+    assert calls == [mod.b]
     assert (again.lam, again.b) == (mod.lam, mod.b)
     np.testing.assert_array_equal(again.eps_pair.density.values, eps)
     np.testing.assert_array_equal(again.eps_pair.chem_gradient.values, geta)
 
 
-@pytest.mark.parametrize("labelled", ["where_taken", "current"])
-def test_decompose_refreshes_stale_b_column(small_grid, small_params,
-                                            perturbed_states, labelled):
-    # a b-column taken 10 % away: labelled with the b it was taken at, the
-    # 1 % rule refreshes it; labelled as current, the chord iteration must
-    # still converge (refreshing if the line search stalls)
-    state, guess = perturbed_states[-1]
+def test_decompose_corrects_a_corrupted_table(small_grid, small_params,
+                                              perturbed_states):
+    # the exact residual decides acceptance: with P~ off by 1e-6 (40 atol)
+    # the solve takes correction rounds and still meets atol
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    lam_ref, b_ref, _ = reference_decompose(solver, state, guess)
-    from scipy.interpolate import make_interp_spline
-    msp = make_interp_spline(small_grid.nodes, state.m, k=5)
-    nsp = make_interp_spline(small_grid.nodes, state.n, k=5)
-    b_far = 1.1 * guess[1]
-    F_far, _ = solver._residual(msp, nsp, guess[0], b_far)
-    solver._b_col = solver._fd_column(msp, nsp, guess[0], b_far, F_far, "b")
-    solver._b_col_at = b_far if labelled == "where_taken" else guess[1]
-    mod = solver.decompose(state, guess=guess)
+    solver.table._coef[0, :2] += 1e-6
     atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
-    assert np.linalg.norm(mod.residuals) <= atol
-    assert abs(mod.lam - lam_ref) <= 1e-9 * lam_ref
-    assert abs(mod.b - b_ref) <= 1e-9 * b_ref
-    if labelled == "where_taken":
-        assert abs(solver._b_col_at - guess[1]) <= 1e-2 * guess[1]
+    for state, guess in perturbed_states:
+        mod = solver.decompose(state, guess=guess)
+        lam_ref, b_ref, _ = reference_decompose(solver, state, guess)
+        assert np.linalg.norm(mod.residuals) <= atol
+        assert abs(mod.lam - lam_ref) <= 1e-9 * lam_ref
+        assert abs(mod.b - b_ref) <= 1e-9 * b_ref
+    assert solver.counters["correction_rounds"] >= len(perturbed_states)
+    assert (solver.counters["profile_evals_decompose"]
+            == len(perturbed_states) + solver.counters["correction_rounds"])
 
 
-def test_decompose_retries_a_singular_b_column(small_grid, small_params,
-                                               perturbed_states):
-    state, guess = perturbed_states[-1]
+def test_profile_table_matches_exact_pairings(small_grid, small_params):
+    # P1, P2 and T at 50 b off the Chebyshev nodes, against exact pairings
+    # of fresh profiles; the bounds are a tenth of atol for P and the lift's
+    # Newton-secant budget for T
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    lam_ref, b_ref, _ = reference_decompose(solver, state, guess)
-    solver._b_col = np.zeros(2)
-    solver._b_col_at = guess[1]
-    mod = solver.decompose(state, guess=guess)
-    assert abs(mod.lam - lam_ref) <= 1e-9 * lam_ref
-    assert abs(mod.b - b_ref) <= 1e-9 * b_ref
-    assert np.any(solver._b_col != 0.0)
+    table = solver.table
+    w = 2 * np.pi * small_grid.quad_weights
+    y = small_grid.nodes
+    gs = ops.ground_state(small_grid)
+    q0, g0 = gs.Q.values, gs.pair_Q().chem_gradient.values
+    rng = np.random.default_rng(7)
+    b_test = np.exp(rng.uniform(np.log(table.lo), np.log(table.hi), 50))
+    atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
+    for b in b_test:
+        prof = modulation_profile(small_grid, b)
+        n_y = np.zeros_like(y)
+        n_y[1:] = prof.n_tilde.values[1:] / y[1:]
+        P = [solver._wphi1 @ prof.Qb_tilde.values + solver._wphi2 @ n_y,
+             solver._wlphi1 @ prof.Qb_tilde.values + solver._wlphi2 @ n_y]
+        lp0 = ops.apply_Lstar(ops.phi0_pair(small_grid, 1.0 / math.sqrt(b)))
+        T = (w @ ((prof.Qb_tilde.values - q0) * lp0.density.values)
+             + w @ ((prof.Pb_tilde_grad.values - g0)
+                    * lp0.chem_gradient.values))
+        got, _ = table(b)
+        assert np.max(np.abs(got[:2] - P)) <= 0.1 * atol
+        assert abs(got[2] - T) <= 1e-6
+    with pytest.raises(ProfileError):
+        table(0.999 * table.lo)
+
+
+def test_profile_table_derivative(small_grid, small_params):
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    b = small_params.b0
+    h = 1e-4 * b
+    (p_hi, _), (p_lo, _) = solver.table(b + h), solver.table(b - h)
+    _, dp = solver.table(b)
+    np.testing.assert_allclose(dp, (p_hi - p_lo) / (2 * h), rtol=1e-6)
+
+
+def test_spline_coefficients_match_make_interp_spline(small_grid,
+                                                      perturbed_states):
+    state, _ = perturbed_states[-1]
+    t, c = dyn._spline_coefficients(small_grid, state.m, state.n)
+    msp, nsp = state_splines(state)
+    np.testing.assert_array_equal(t, msp.t)
+    np.testing.assert_array_equal(c[:, 0], msp.c)
+    np.testing.assert_array_equal(c[:, 1], nsp.c)
+
+
+def test_rescale_state_matches_make_interp_spline(small_grid,
+                                                  perturbed_states):
+    state, _ = perturbed_states[-1]
+    lam1 = 0.79
+    new = dyn._rescale_state(state, lam1)
+    x = np.minimum(lam1 * small_grid.nodes, small_grid.r_max)
+    msp, nsp = state_splines(state)
+    m, n = msp(x), nsp(x)
+    m[0] = n[0] = 0.0
+    np.testing.assert_array_equal(new.m, m)
+    np.testing.assert_array_equal(new.n, n)
+    assert new.lam == state.lam * lam1
 
 
 def jacobian_at_profile(solver, b):
     """Modulation Jacobian at the exact profile (determinant reference)."""
-    from scipy.interpolate import make_interp_spline
     fam = build_profile_family(solver.grid, b, with_error=False)
-    msp = make_interp_spline(solver.grid.nodes, fam.m_tilde.values, k=5)
-    nsp = make_interp_spline(solver.grid.nodes, fam.n_tilde.values, k=5)
-    F0, _ = solver._residual(msp, nsp, 1.0, b)
-    return np.column_stack([solver._fd_column(msp, nsp, 1.0, b, F0, wrt)
-                            for wrt in ("lam", "b")])
+    y = solver.grid.nodes
+    msp = make_interp_spline(y, fam.m_tilde.values, k=5)
+    nsp = make_interp_spline(y, fam.n_tilde.values, k=5)
+    F0, _ = reference_residual(solver, msp, nsp, 1.0, b)
+    return fd_columns(solver, msp, nsp, 1.0, b, F0)
 
 
 def test_jacobian_log_M_scaling():
@@ -404,32 +480,75 @@ def test_lift_b_fixed_point(small_grid, small_params):
     assert abs(bh - mod.b) / mod.b < 1e-3
 
 
+def reference_lift_b(solver, mod):
+    """brentq on the exact root function over LIFT_BRACKETS, a fresh
+    profile per b_hat (the tabulated lift's oracle)."""
+    g = solver.grid
+    prof = modulation_profile(g, mod.b)
+    eps = mod.eps_pair
+    args = (g, 2.0 * np.pi * g.quad_weights,
+            prof.Qb_tilde.values + eps.density.values,
+            prof.Pb_tilde_grad.values + eps.chem_gradient.values)
+    for lo_factor, hi_factor in dyn.LIFT_BRACKETS:
+        lo = max(lo_factor * mod.b, dyn.grid_b_floor(g))
+        hi = min(hi_factor * mod.b, dyn.B_MAX)
+        if dyn._lift_residual(lo, *args) * dyn._lift_residual(hi, *args) <= 0:
+            return float(brentq(dyn._lift_residual, lo, hi, args=args,
+                                xtol=1e-14 * mod.b, rtol=1e-12))
+    raise dyn.ModulationError("lift_b bracket failure")
+
+
+def test_lift_b_matches_brentq_oracle(small_grid, small_params,
+                                      perturbed_states):
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    for state, guess in perturbed_states:
+        mod = solver.decompose(state, guess=guess)
+        before = solver.counters["profile_evals_lift"]
+        bh = dyn.lift_b(solver, mod)
+        assert solver.counters["profile_evals_lift"] - before == 2
+        ref = reference_lift_b(solver, mod)
+        assert abs(bh - ref) <= 1e-11 * ref
+    assert solver.counters["lift_fallbacks"] == 0
+
+
+def test_lift_b_falls_back_to_brentq(small_grid, small_params,
+                                     perturbed_states):
+    # a table off by far more than the secant bound: the lift is the
+    # exact brentq root
+    state, guess = perturbed_states[-1]
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    mod = solver.decompose(state, guess=guess)
+    solver.table._coef[0, 2] += 1.0
+    bh = dyn.lift_b(solver, mod)
+    assert solver.counters["lift_fallbacks"] == 1
+    assert bh == reference_lift_b(solver, mod)
+
+
 def test_lift_b_leaves_no_cycle_on_the_cache(small_grid, small_params):
-    # brentq holds its function in a reference cycle; the profile cache
-    # must not hang on it, or every family outlives the run until a full
-    # collection
+    # brentq holds its function in a reference cycle; the lift must not
+    # hang the solver, which holds the profile table, on it, or the solver
+    # outlives the run until a full collection
     state = dyn.initial_state(small_grid, small_params)
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     mod = solver.decompose(state, guess=(1.0, small_params.b0))
-    cache = weakref.ref(solver.cache)
+    ref = weakref.ref(solver)
     gc.disable()
     try:
         dyn.lift_b(solver, mod)
         del solver, mod
-        assert cache() is None
+        assert ref() is None
     finally:
         gc.enable()
 
 
 def test_lift_b_derivative_scale(small_grid, small_params):
-    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     b = small_params.b0
-    fam_b = solver.cache(b)
+    fam_b = modulation_profile(small_grid, b)
     g = small_grid
     w = 2 * np.pi * g.quad_weights
 
     def F(bh):
-        fam_h = solver.cache(bh)
+        fam_h = modulation_profile(small_grid, bh)
         B0h = 1.0 / math.sqrt(bh)
         lp0 = ops.apply_Lstar(ops.phi0_pair(g, B0h))
         du = fam_b.Qb_tilde.values - fam_h.Qb_tilde.values
@@ -457,6 +576,31 @@ def test_evolve_short_run_health(small_params):
     E = series.column("free_energy")
     assert np.all(np.diff(E) <= 1e-8 * np.abs(E[:-1]))
     assert np.min(series.column("min_u")) > 0.0
+
+
+def test_evolve_counts_one_profile_evaluation_per_decompose(
+        small_grid, small_params, monkeypatch):
+    calls = []
+
+    def counted(grid, b):
+        calls.append(b)
+        return modulation_profile(grid, b)
+
+    monkeypatch.setattr(dyn, "modulation_profile", counted)
+    pert = dyn.random_perturbation(small_grid, 1e-4,
+                                   np.random.default_rng(3))
+    series = dyn.evolve(small_params, perturbation=pert)
+    c = series.counters
+    assert series.status == "s_max"
+    assert c["decompose_calls"] > 10
+    assert c["profile_evals_decompose"] == c["decompose_calls"]
+    assert c["correction_rounds"] == 0
+    assert c["profile_evals_table"] == dyn.TABLE_NODES
+    assert c["profile_evals_lift"] == 2 * c["lift_calls"] > 0
+    assert c["lift_fallbacks"] == c["refolds"] == 0
+    assert len(calls) == (c["profile_evals_table"]
+                          + c["profile_evals_decompose"]
+                          + c["profile_evals_lift"])
 
 
 def test_evolve_grid_exhausted():
@@ -550,7 +694,6 @@ def test_scaling_equivariance():
     for _ in range(nsteps):
         st = stepper.step(st, T / nsteps, b=0.0)
     # rescaled initial data u_lam = lam^2 u(lam r): m_lam(r) = m(lam r)
-    from scipy.interpolate import make_interp_spline
     x = np.minimum(lam * r, grid.r_max)
     m_l = make_interp_spline(r, m, k=5)(x)
     n_l = make_interp_spline(r, n, k=5)(x)

@@ -395,3 +395,17 @@ def test_cell_quadrature_matches_loop(oracle_grids, name, weight):
     if weight == "rlogr":
         assert_bitwise(grid.log_moment_weights(),
                        node_weights_loop(grid, "rlogr"))
+
+
+@pytest.mark.parametrize("name", ORACLE_GRIDS)
+def test_cumulative_integrals_rows_match_single_calls(oracle_grids, name):
+    grid = oracle_grids[name]
+    r = grid.nodes
+    sources = (np.exp(-r / 7.0) * np.cos(r), r / (1.0 + r ** 3),
+               np.sin(r) ** 2)
+    plan = (("r", 2), ("one", 0), ("rlogr", 1), ("r3", 0), ("r", 0))
+    got = grid.cumulative_integrals(sources, plan)
+    assert got.shape == (len(plan), grid.n)
+    for row, (weight, j) in zip(got, plan):
+        assert_bitwise(row, grid.cumulative_integral(sources[j], weight))
+    assert_bitwise(grid.cumulative_integrals(sources, plan), got)
