@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldPair, RadialField, potential_from_gradient
+from .grid import FieldPair, RadialField, poisson_field, potential_from_gradient
 
 ENTROPY_FLOOR = 1.0e-30
 
@@ -88,10 +88,7 @@ def check_logHLS(u: RadialField):
     if np.min(uv) < -1e-12 * max(np.max(np.abs(uv)), 1.0):
         raise DiagnosticsError("log-HLS requires a nonnegative density")
     mass = float(w @ uv)
-    phi = potential_from_gradient(
-        RadialField(g, g.divide_by_r(g.cumulative_integral(uv, "r"), "even"),
-                    "odd"),
-        "log_convolution").values
+    phi = potential_from_gradient(poisson_field(u), "log_convolution").values
     entropy = float(w @ (uv * np.log(np.maximum(uv, ENTROPY_FLOOR))))
     lhs = entropy + (4.0 * np.pi / mass) * float(w @ (uv * phi))
     rhs = loghls_bound(mass)
@@ -106,10 +103,10 @@ def virial_rate(pair: FieldPair) -> dict:
     w = 2.0 * np.pi * g.quad_weights
     u = pair.density.values
     mass = float(w @ u)
-    m_u = g.cumulative_integral(u, "r")
     du = g.diff_matrix(1, "even") @ u
     # d/dt int r^2 u = -2 int x . (grad u + u grad phi_u)
-    measured = -2.0 * float(w @ (g.nodes * (du + u * g.divide_by_r(m_u, "even"))))
+    grad_phi = poisson_field(pair.density).values
+    measured = -2.0 * float(w @ (g.nodes * (du + u * grad_phi)))
     formula = 4.0 * mass * (1.0 - mass / (8.0 * np.pi))
     return {"measured": measured, "formula": formula}
 

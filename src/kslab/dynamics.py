@@ -650,12 +650,9 @@ def _lift_model(bh, grid, w, du0, dg0, table):
 def _lift_residual(bh, grid, w, u_b, g_b):
     """lift_b's exact root function at b_hat = bh; u_b, g_b = (Qb~, dPb~) + E."""
     fam_h = modulation_profile(grid, bh)
-    lp0 = operators.apply_Lstar(
-        operators.phi0_pair(grid, 1.0 / math.sqrt(bh)))
-    du = u_b - fam_h.Qb_tilde.values
-    dg = g_b - fam_h.Pb_tilde_grad.values
-    return float(w @ (du * lp0.density.values)
-                 + w @ (dg * lp0.chem_gradient.values))
+    a1, a2 = _lift_direction(grid, w, bh)
+    return float((u_b - fam_h.Qb_tilde.values) @ a1
+                 + (g_b - fam_h.Pb_tilde_grad.values) @ a2)
 
 
 # -- the evolution loop ----------------------------------------------------------

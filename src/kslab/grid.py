@@ -265,10 +265,11 @@ class RadialGrid:
                            minlength=self.n)
 
     def cumulative_integral(self, values, weight="r"):
-        """Cumulative integral g(r_k) = int_0^{r_k} values(tau) w(tau) dtau."""
-        out = np.zeros(self.n)
-        np.cumsum(self._cell_matrix(weight) @ np.asarray(values, dtype=float),
-                  out=out[1:])
+        """Cumulative integral g(r_k) = int_0^{r_k} values(tau) w(tau) dtau,
+        of each column of values (shape (n,) or (n, k))."""
+        values = np.asarray(values, dtype=float)
+        out = np.zeros(values.shape)
+        np.cumsum(self._cell_matrix(weight) @ values, axis=0, out=out[1:])
         return out
 
     def cumulative_integrals(self, sources, plan):
@@ -297,12 +298,6 @@ class RadialGrid:
                   axis=1, out=out[:, 1:])
         return out
 
-    def cumulative_matrix(self, weight="r"):
-        """Dense matrix form of cumulative_integral (used for operator assembly)."""
-        out = np.zeros((self.n, self.n))
-        np.cumsum(self._cell_matrix(weight).toarray(), axis=0, out=out[1:])
-        return out
-
     def log_moment_weights(self):
         """Weights l with l @ f = int_0^{r_max} f(tau) log(tau) tau dtau."""
         return self._node_weights("rlogr")
@@ -311,14 +306,21 @@ class RadialGrid:
         """values/r with the r=0 entry filled by the parity-consistent limit.
 
         Odd fields give f'(0); even fields vanishing at the origin give 0.
+        Columns of values of shape (n, k) are divided independently.
         """
         out = np.empty_like(np.asarray(values, dtype=float))
-        out[1:] = values[1:] / self.nodes[1:]
+        out[1:] = values[1:] / per_node(self.nodes, out)[1:]
         if parity == "odd":
             out[0] = (self.diff_matrix(1, "odd") @ values)[0]
         else:
             out[0] = 0.0
         return out
+
+
+def per_node(coef, values):
+    """A per-node coefficient of shape (n,) shaped to scale the array values,
+    of shape (n,) or (n, k), row by row."""
+    return coef[:, None] if values.ndim == 2 else coef
 
 
 def cutoff(x, width=1.0):
@@ -465,7 +467,8 @@ def radial_laplacian(f: RadialField) -> RadialField:
 
 
 def laplacian_values(grid, values):
-    """`radial_laplacian` of the values of an even field, as an array."""
+    """`radial_laplacian` of the values of an even field (shape (n,), or
+    (n, k) for k fields), as an array."""
     d1 = grid.diff_matrix(1, "even") @ values
     d2 = grid.diff_matrix(2, "even") @ values
     out = d2 + grid.divide_by_r(d1, "odd")
@@ -474,10 +477,11 @@ def laplacian_values(grid, values):
 
 
 def div_from_grad_values(grid, gvals):
-    """(1/r) d/dr (r w) for the values of an odd flux w: the laplacian of
-    its potential, with the limit 2 w'(0) at r=0."""
-    out = grid.divide_by_r(grid.diff_matrix(1, "even") @ (grid.nodes * gvals),
-                           "odd")
+    """(1/r) d/dr (r w) for the values of an odd flux w (shape (n,) or
+    (n, k)): the laplacian of its potential, with the limit 2 w'(0) at r=0."""
+    out = grid.divide_by_r(
+        grid.diff_matrix(1, "even") @ (per_node(grid.nodes, gvals) * gvals),
+        "odd")
     out[0] = 2.0 * (grid.diff_matrix(1, "odd") @ gvals)[0]
     return out
 
@@ -525,17 +529,25 @@ def potential_from_gradient(gfield: RadialField, normalization="value_at_zero") 
     if gfield.parity != "odd":
         raise GridError("potential_from_gradient requires an odd gradient field")
     g = gfield.grid
-    vals = g.cumulative_integral(gfield.values, "one")
     if normalization == "log_convolution":
-        # phi(0) = int_0^inf f log(tau) tau dtau for the source f = g' + g/r.
-        # Integrated by parts this is [tau g log tau]_{r_max} - int_0^{r_max} g,
-        # which avoids differentiating g (noise there gets amplified by the
-        # r log r weight on stretched tails).
-        rmax = g.r_max
-        vals = vals + rmax * gfield.values[-1] * np.log(rmax) - vals[-1]
-    elif normalization != "value_at_zero":
+        vals = log_potential_values(g, gfield.values)
+    elif normalization == "value_at_zero":
+        vals = g.cumulative_integral(gfield.values, "one")
+    else:
         raise GridError("unknown normalization %r" % normalization)
     return RadialField(g, vals, "even")
+
+
+def log_potential_values(grid, gvals):
+    """Values of the 'log_convolution' potential whose gradient has the
+    values gvals (shape (n,), or (n, k) for k fields)."""
+    vals = grid.cumulative_integral(gvals, "one")
+    # phi(0) = int_0^inf f log(tau) tau dtau for the source f = g' + g/r.
+    # Integrated by parts this is [tau g log tau]_{r_max} - int_0^{r_max} g,
+    # which avoids differentiating g (noise there gets amplified by the
+    # r log r weight on stretched tails).
+    rmax = grid.r_max
+    return vals + rmax * gvals[-1] * np.log(rmax) - vals[-1]
 
 
 def field_to_csv(f: RadialField, path):

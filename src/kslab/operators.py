@@ -34,7 +34,8 @@ from .grid import (
     cutoff,
     div_from_grad_values,
     laplacian_values,
-    potential_from_gradient,
+    log_potential_values,
+    per_node,
 )
 
 
@@ -46,10 +47,6 @@ class OperatorError(ValueError):
 
 def q_density(r):
     return 8.0 / (1.0 + r ** 2) ** 2
-
-
-def q_potential(r):
-    return 2.0 * np.log1p(r ** 2)
 
 
 def q_potential_grad(r):
@@ -65,22 +62,16 @@ def lambda_q(r):
     return 16.0 * (1.0 - r ** 2) / (1.0 + r ** 2) ** 3
 
 
-def phi_lambda_q(r):
-    return -4.0 / (1.0 + r ** 2)
-
-
 def mass_q(r):
     return 4.0 * r ** 2 / (1.0 + r ** 2)
 
 
 @dataclass(frozen=True)
 class GroundState:
-    """Bubble Q with its potential, scaling derivative and partial mass."""
+    """Bubble Q with its scaling derivative and partial mass."""
 
     Q: RadialField
-    phi_Q: RadialField
     LambdaQ: RadialField
-    phi_LambdaQ: RadialField
     m0: RadialField
 
     def pair_Q(self) -> FieldPair:
@@ -102,9 +93,7 @@ def ground_state(grid: RadialGrid) -> GroundState:
         r = grid.nodes
         gs = grid.memo["ground"] = GroundState(
             Q=RadialField(grid, q_density(r)),
-            phi_Q=RadialField(grid, q_potential(r)),
             LambdaQ=RadialField(grid, lambda_q(r)),
-            phi_LambdaQ=RadialField(grid, phi_lambda_q(r)),
             m0=RadialField(grid, mass_q(r)),
         )
     return gs
@@ -173,33 +162,43 @@ def energy_norm(x: FieldPair) -> float:
 
 # -- pointwise operator applications -------------------------------------------
 
+def _M_values(grid, u, gv):
+    """The two components of M (u, v) from the values of u and grad v, each
+    of shape (n,) or (n, k); v is recovered with convolution normalization."""
+    r = per_node(grid.nodes, u)
+    first = u / q_density(r) + log_potential_values(grid, gv)
+    second = gv - grid.divide_by_r(grid.cumulative_integral(u, "r"), "even")
+    return first, second
+
+
+def _L_values(grid, e, gn):
+    """The two components of L (e, n) from the values of e and grad n, each
+    of shape (n,) or (n, k)."""
+    r = per_node(grid.nodes, e)
+    lap_e = laplacian_values(grid, e)
+    de = grid.diff_matrix(1, "even") @ e
+    lap_n = div_from_grad_values(grid, gn)
+    first = (lap_e + e * q_density(r) + de * q_potential_grad(r)
+             + q_density(r) * lap_n + q_prime(r) * gn)
+    second = grid.diff_matrix(1, "even") @ lap_n - de
+    return first, second
+
+
+def _apply(kernel, x: FieldPair) -> FieldPair:
+    g = x.grid
+    first, second = kernel(g, x.density.values, x.chem_gradient.values)
+    return FieldPair(RadialField(g, first), RadialField(g, second, "odd"))
+
+
 def apply_M(x: FieldPair) -> FieldPair:
     """(u/Q + v, grad v - m_u/r); v recovered with convolution normalization."""
-    g = x.grid
-    u = x.density.values
-    gv = x.chem_gradient.values
-    v = potential_from_gradient(x.chem_gradient, "log_convolution").values
-    m_u = g.cumulative_integral(u, "r")
-    first = u / q_density(g.nodes) + v
-    second = gv - g.divide_by_r(m_u, "even")
-    return FieldPair(RadialField(g, first),
-                     RadialField(g, second, "odd"))
+    return _apply(_M_values, x)
 
 
 def apply_L(x: FieldPair) -> FieldPair:
     """Linearized flow: (lap e + eQ + grad e . grad phi_Q + Q lap n + Q' grad n,
     grad(lap n - e))."""
-    g = x.grid
-    r = g.nodes
-    e = x.density.values
-    gn = x.chem_gradient.values
-    lap_e = laplacian_values(g, e)
-    de = g.diff_matrix(1, "even") @ e
-    lap_n = div_from_grad_values(g, gn)
-    first = (lap_e + e * q_density(r) + de * q_potential_grad(r)
-             + q_density(r) * lap_n + q_prime(r) * gn)
-    second = g.diff_matrix(1, "even") @ lap_n - de
-    return FieldPair(RadialField(g, first), RadialField(g, second, "odd"))
+    return _apply(_L_values, x)
 
 
 def apply_Lstar(x: FieldPair) -> FieldPair:
@@ -230,10 +229,11 @@ def lyapunov_functional(x: FieldPair) -> float:
 # -- matrix assembly -----------------------------------------------------------
 
 class OperatorBundle:
-    """Dense matrix forms of M, L, L* and the pairing metrics on one grid.
+    """Dense matrix forms of M and L and the pairing metrics on one grid.
 
-    The stacked unknown is x = [density values; gradient values]; matrices
-    are cached after first assembly.  Quadratic forms are symmetrized (the
+    The stacked unknown is x = [density values; gradient values]; the
+    matrices are the pointwise maps applied to the identity, cached after
+    first assembly.  Quadratic forms are symmetrized (the
     discrete asymmetry is at truncation level).
     """
 
@@ -243,12 +243,9 @@ class OperatorBundle:
         self._cache = {}
 
     # metric blocks
-    def _w(self):
-        return 2.0 * np.pi * self.grid.quad_weights
-
     def gram_pairing(self):
         if "G" not in self._cache:
-            w = self._w()
+            w = 2.0 * np.pi * self.grid.quad_weights
             self._cache["G"] = np.concatenate([w, w])
         return self._cache["G"]  # diagonal, stored as vector
 
@@ -277,63 +274,21 @@ class OperatorBundle:
         w = 2.0 * np.pi * self.grid.positive_quad_weights
         return np.concatenate([w, np.zeros_like(w)])
 
-    def _d1e(self):
-        return self.grid.diff_matrix(1, "even").toarray()
-
-    def _divr_odd(self):
-        """Matrix of w -> (1/r) d(r w)/dr for odd w."""
-        if "divr" not in self._cache:
-            g = self.grid
-            mat = self._d1e() @ np.diag(g.nodes)
-            out = np.empty_like(mat)
-            out[1:] = mat[1:] / g.nodes[1:, None]
-            out[0] = 2.0 * g.diff_matrix(1, "odd").toarray()[0]
-            self._cache["divr"] = out
-        return self._cache["divr"]
+    def _matrix(self, key, kernel):
+        """Stacked matrix of a pointwise map: the kernel applied to the
+        columns of the identity."""
+        if key not in self._cache:
+            n = self.grid.n
+            self._cache[key] = np.vstack(kernel(
+                self.grid, np.eye(n, 2 * n), np.eye(n, 2 * n, k=n)))
+        return self._cache[key]
 
     def matrix_L(self):
-        if "L" not in self._cache:
-            g = self.grid
-            r = g.nodes
-            n = g.n
-            Q = q_density(r)
-            d1e = self._d1e()
-            lap_e = g.diff_matrix(2, "even").toarray()
-            lap_e[1:] += (d1e[1:] / r[1:, None])
-            lap_e[0] = 2.0 * g.diff_matrix(2, "even").toarray()[0]
-            divr = self._divr_odd()
-            L = np.zeros((2 * n, 2 * n))
-            L[:n, :n] = (lap_e + np.diag(Q)
-                         + np.diag(q_potential_grad(r)) @ d1e)
-            L[:n, n:] = np.diag(Q) @ divr + np.diag(q_prime(r))
-            L[n:, :n] = -d1e
-            L[n:, n:] = d1e @ divr
-            self._cache["L"] = L
-        return self._cache["L"]
+        return self._matrix("L", _L_values)
 
     def matrix_M(self):
         """Stacked matrix of the M map (affine potential normalization folded in)."""
-        if "M" not in self._cache:
-            g = self.grid
-            n = g.n
-            r = g.nodes
-            Q = q_density(r)
-            cum_one = g.cumulative_matrix("one")
-            # potential from gradient with the log-convolution anchor
-            P = cum_one.copy()
-            anchor = -cum_one[-1]
-            anchor[-1] += g.r_max * np.log(g.r_max)
-            P += np.ones((n, 1)) @ anchor[None, :]
-            cum_r = g.cumulative_matrix("r")
-            poisson = np.zeros((n, n))
-            poisson[1:] = cum_r[1:] / r[1:, None]
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, :n] = np.diag(1.0 / Q)
-            M[:n, n:] = P
-            M[n:, :n] = -poisson
-            M[n:, n:] = np.eye(n)
-            self._cache["M"] = M
-        return self._cache["M"]
+        return self._matrix("M", _M_values)
 
     def quadform_M(self):
         """Symmetric matrix A with x^T A y = <M x, y>.
@@ -371,9 +326,6 @@ class OperatorBundle:
         rows.append(e)
         return np.array(rows)
 
-    def pair_LambdaQ(self):
-        return self.ground.pair_LambdaQ()
-
 
 # -- Phi_M directions ----------------------------------------------------------
 
@@ -391,9 +343,7 @@ def phi0_pair(grid: RadialGrid, M_param: float) -> FieldPair:
 
 
 class PhiMDirections:
-    def __init__(self, pair0, lstar_pair0, pair, c_M, report):
-        self.pair0 = pair0
-        self.lstar_pair0 = lstar_pair0
+    def __init__(self, pair, c_M, report):
         self.pair = pair
         self.c_M = c_M
         self.report = report
@@ -432,7 +382,7 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
         "PhiM_T1": pairing(pair, t1_pair),
         "PhiM_LambdaQ": pairing(pair, lam),
     }
-    return PhiMDirections(p0, lp0, pair, c_M, report)
+    return PhiMDirections(pair, c_M, report)
 
 
 # -- coercivity certification ----------------------------------------------------
@@ -462,7 +412,7 @@ def coercivity_M(bundle: OperatorBundle) -> dict:
     """
     A = bundle.quadform_M()
     gx = bundle.gram_xq()
-    lam = bundle.pair_LambdaQ()
+    lam = bundle.ground.pair_LambdaQ()
     bc = bundle.boundary_rows()
     cons = np.vstack([bundle.pair_vector(lam), bundle.mass_vector(), bc])
     val, vec = _whitened_min(A, gx, cons)
@@ -543,7 +493,7 @@ def kernel_gap(bundle: OperatorBundle, support_radius=30.0) -> dict:
     V = linalg.null_space(C)
     _, sv, Yt = linalg.svd(K0 @ V, full_matrices=False)
     x0 = (V @ Yt[-1]) / s
-    lam = bundle.pair_LambdaQ()
+    lam = bundle.ground.pair_LambdaQ()
     lamv = np.concatenate([lam.density.values, lam.chem_gradient.values])
     align = abs(float((x0 * gx) @ lamv)) / np.sqrt(
         float((x0 * gx) @ x0) * float((lamv * gx) @ lamv))

@@ -276,6 +276,11 @@ class Radiation:
     d_hat: RadialField  # d_sigma / c_b
 
 
+# build_radiation's cumulative integrals gamma (of psi0/tau chi) and the
+# psi0 moment (of psi0 chi)
+_RADIATION_PLAN = (("one", 0), ("r", 1))
+
+
 def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     """Build the radiation (m_sigma, d_sigma) and the constant c_b.
 
@@ -298,8 +303,8 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     psi0v = base.psi0
     psi0_over = base.psi0_over_r  # tau/(1+tau^2)^2, odd
 
-    gamma = grid.cumulative_integral(psi0_over * chi, "one")
-    cum_rpsi0 = grid.cumulative_integral(psi0v * chi, "r")
+    gamma, cum_rpsi0 = grid.cumulative_integrals(
+        (psi0_over * chi, psi0v * chi), _RADIATION_PLAN)
     # beta2 = int psi0/tau (1-chi) = 1/2 - gamma(inf); using the exact total
     # 1/2 keeps the far-field cancellation of d_hat exact on the grid.
     beta2 = 0.5 - gamma[-1]

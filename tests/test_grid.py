@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,14 @@ from kslab.grid import (
     RadialGrid,
     _first_cell_rlogr,
     derivative,
+    div_from_grad_values,
     fd_weights,
     field_from_csv,
     field_to_csv,
     integrate,
     integrate_with_tail_estimate,
+    laplacian_values,
+    log_potential_values,
     partial_mass,
     poisson_field,
     potential_from_gradient,
@@ -312,6 +317,7 @@ def cumulative_integral_loop(grid, values, weight):
 
 
 def cumulative_matrix_loop(grid, weight):
+    """Column j: the cumulative integral of the j-th unit vector."""
     j0, cw = cell_weights_loop(grid, weight)
     cellmat = np.zeros((grid.n - 1, grid.n))
     rows = np.arange(grid.n - 1)
@@ -388,7 +394,7 @@ def test_cell_quadrature_matches_loop(oracle_grids, name, weight):
     values = np.exp(-r / 7.0) * np.cos(r)
     assert_bitwise(grid.cumulative_integral(values, weight),
                    cumulative_integral_loop(grid, values, weight))
-    assert_bitwise(grid.cumulative_matrix(weight),
+    assert_bitwise(grid.cumulative_integral(np.eye(grid.n), weight),
                    cumulative_matrix_loop(grid, weight))
     if weight == "r":
         assert_bitwise(grid.quad_weights, node_weights_loop(grid, "r"))
@@ -409,3 +415,17 @@ def test_cumulative_integrals_rows_match_single_calls(oracle_grids, name):
     for row, (weight, j) in zip(got, plan):
         assert_bitwise(row, grid.cumulative_integral(sources[j], weight))
     assert_bitwise(grid.cumulative_integrals(sources, plan), got)
+    # the value-level helpers treat the columns of an (n, k) block as k
+    # separate calls, bit for bit
+    block = np.column_stack(sources)
+    helpers = ([partial(grid.cumulative_integral, weight=w)
+                for w in ("one", "r", "r3", "rlogr")]
+               + [partial(grid.divide_by_r, parity=p) for p in ("even", "odd")]
+               + [partial(f, grid) for f in (laplacian_values,
+                                             div_from_grad_values,
+                                             log_potential_values)])
+    for helper in helpers:
+        got = helper(block)
+        assert got.shape == block.shape
+        for k, source in enumerate(sources):
+            assert_bitwise(got[:, k], helper(source))

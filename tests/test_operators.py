@@ -125,6 +125,19 @@ def test_M_self_adjoint(ref_grid):
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs), 1e-8)
 
 
+def test_dense_matrices_match_the_pointwise_maps(bundle):
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        x = bump_pair(bundle.grid, rng)
+        xv = np.concatenate([x.density.values, x.chem_gradient.values])
+        for mat, apply in ((bundle.matrix_L(), ops.apply_L),
+                           (bundle.matrix_M(), ops.apply_M)):
+            y = apply(x)
+            want = np.concatenate([y.density.values, y.chem_gradient.values])
+            err = np.max(np.abs(mat @ xv - want))
+            assert err <= 1e-13 * np.max(np.abs(want))
+
+
 def test_phi_m_pairings():
     ratios = []
     for M in (50.0, 100.0):
@@ -149,7 +162,7 @@ def test_coercivity_M(bundle):
     rep = ops.coercivity_M(bundle)
     assert rep["delta0_M_hat"] > 0.05
     # kernel direction: the form vanishes on the Lambda Q pair
-    lam = bundle.pair_LambdaQ()
+    lam = bundle.ground.pair_LambdaQ()
     val = ops.pairing(ops.apply_M(lam), lam) / ops.xq_norm_sq(lam)
     assert abs(val) < 1e-4
 
@@ -168,7 +181,7 @@ def test_coercivity_M_lower_bound_on_random(bundle):
     rng = np.random.default_rng(11)
     grid = bundle.grid
     w = 2 * np.pi * grid.quad_weights
-    lam = bundle.pair_LambdaQ()
+    lam = bundle.ground.pair_LambdaQ()
     for _ in range(10):
         x = bump_pair(grid, rng)
         u = x.density.values
