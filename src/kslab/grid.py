@@ -111,7 +111,8 @@ class RadialGrid:
         self.stencil_order = int(stencil_order)
         self.r_max = float(nodes[-1])
         self.n = len(nodes)
-        self._diff = {}        # (order, parity) -> csr matrix
+        self._diff = {}        # (order, parity) -> csr matrix, and
+                               # "odd_origin" -> row 0 of (1, "odd")
         self._cellw = {}       # weight name -> csr cell matrix
         self._stacked = {}     # cumulative_integrals plan -> block csr
         self._quad = None
@@ -311,7 +312,10 @@ class RadialGrid:
         out = np.empty_like(np.asarray(values, dtype=float))
         out[1:] = values[1:] / per_node(self.nodes, out)[1:]
         if parity == "odd":
-            out[0] = (self.diff_matrix(1, "odd") @ values)[0]
+            row = self._diff.get("odd_origin")
+            if row is None:
+                row = self._diff["odd_origin"] = self.diff_matrix(1, "odd")[:1]
+            out[0] = (row @ values)[0]
         else:
             out[0] = 0.0
         return out

@@ -15,9 +15,10 @@ slowly growing kernel of L* and fix the modulation orthogonality.  Pairings
 use the L2 x H1dot product <(u,v),(f,g)> = int u f + int grad v . grad g.
 
 Coercivity is certified numerically: the quadratic forms are assembled as
-dense matrices, constraints are removed by restriction to their nullspace,
-and the minimal Rayleigh quotient against the X_Q metric comes from a dense
-symmetric generalized eigensolve.
+dense matrices, coordinates pinned to zero are dropped by index, the dense
+constraints are removed by restriction to their null space, and the
+minimal Rayleigh quotient against the X_Q metric is the lowest eigenvalue
+of the whitened dense symmetric form.
 """
 
 from __future__ import annotations
@@ -304,27 +305,18 @@ class OperatorBundle:
             self._cache["AM"] = 0.5 * (A + A.T)
         return self._cache["AM"]
 
-    def boundary_rows(self, width=None):
-        """Constraint rows pinning the outermost nodes of both blocks to zero.
+    def pinned(self):
+        """Stacked indices pinned to zero in the eigensolves: the outermost
+        stencil_order + 3 nodes of both blocks and the gradient slot at r = 0.
 
         The assembled operators carry no outer boundary condition, so the
         truncated domain admits spurious near-kernel tails (log-harmonic in
         the density slot); eigensolves restrict to fields vanishing there.
+        The gradient slot at r = 0 is not a degree of freedom (odd parity).
         """
         n = self.grid.n
-        if width is None:
-            width = self.grid.stencil_order + 3
-        rows = []
-        for k in range(width):
-            for block in (0, n):
-                e = np.zeros(2 * n)
-                e[block + n - 1 - k] = 1.0
-                rows.append(e)
-        # gradient slot at r=0 is not a degree of freedom (odd parity)
-        e = np.zeros(2 * n)
-        e[n] = 1.0
-        rows.append(e)
-        return np.array(rows)
+        outer = np.arange(n - self.grid.stencil_order - 3, n)
+        return np.concatenate([[n], outer, n + outer])
 
 
 # -- Phi_M directions ----------------------------------------------------------
@@ -387,20 +379,42 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
 
 # -- coercivity certification ----------------------------------------------------
 
-def _whitened_min(A, gx, constraints):
-    """Minimal x^T A x / x^T diag(gx) x over the constraint nullspace.
+def _free_basis(rows, pinned, need, what):
+    """(keep, Y): the coordinates left after dropping `pinned` by index, and
+    an orthonormal basis Y (columns over keep) of the null space of the
+    dense constraint rows restricted to them.
+
+    A one-hot row's null space is exactly its coordinate complement, so the
+    pinned coordinates involve no rank decision.  Each dense row is scaled
+    to unit norm before the SVD, so the rank cut cannot drop a constraint
+    for its scale.  OperatorError if fewer than `need` directions are left.
+    """
+    keep = np.delete(np.arange(rows.shape[1]), pinned)
+    free = len(keep) - len(rows)
+    if free < need:
+        raise OperatorError("%s: %d kept coordinates under %d dense constraints "
+                            "leave %d free directions, needs %d"
+                            % (what, len(keep), len(rows), max(free, 0), need))
+    R = rows[:, keep]
+    return keep, linalg.null_space(R / np.linalg.norm(R, axis=1)[:, None])
+
+
+def _whitened_min(A, gx, rows, pinned):
+    """Minimal x^T A x / x^T diag(gx) x over {x[pinned] = 0, rows @ x = 0}.
 
     The metric spans ~18 orders of magnitude (the 1/Q weight grows like r^4),
-    so the quotient is whitened exactly with the diagonal square root before
-    the dense symmetric eigensolve; no rank decisions are involved.
+    so the quotient is whitened exactly with the diagonal square root.  The
+    pinned coordinates are dropped by index; the only rank decision is the
+    null space of the unit-scaled whitened dense rows (`_free_basis`).
+    LAPACK then returns the lowest eigenpair only.
     """
     s = np.sqrt(gx)
-    S = A / s[None, :] / s[:, None]
-    C = np.atleast_2d(np.asarray(constraints)) / s[None, :]
-    V = linalg.null_space(C)
-    Sr = V.T @ S @ V
-    vals, vecs = linalg.eigh(0.5 * (Sr + Sr.T))
-    x = (V @ vecs[:, 0]) / s
+    keep, Y = _free_basis(rows / s, pinned, 1, "coercivity_M")
+    sk = s[keep]
+    Sr = Y.T @ (A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None]) @ Y
+    vals, vecs = linalg.eigh(0.5 * (Sr + Sr.T), subset_by_index=[0, 0])
+    x = np.zeros(len(s))
+    x[keep] = (Y @ vecs[:, 0]) / sk
     return vals[0], x
 
 
@@ -413,10 +427,10 @@ def coercivity_M(bundle: OperatorBundle) -> dict:
     A = bundle.quadform_M()
     gx = bundle.gram_xq()
     lam = bundle.ground.pair_LambdaQ()
-    bc = bundle.boundary_rows()
-    cons = np.vstack([bundle.pair_vector(lam), bundle.mass_vector(), bc])
-    val, vec = _whitened_min(A, gx, cons)
-    val_u, _ = _whitened_min(A, gx, np.vstack([bundle.mass_vector(), bc]))
+    mass = bundle.mass_vector()
+    val, vec = _whitened_min(A, gx, np.vstack([bundle.pair_vector(lam), mass]),
+                             bundle.pinned())
+    val_u, _ = _whitened_min(A, gx, mass[None, :], bundle.pinned())
     n = bundle.grid.n
     minimizer = FieldPair(RadialField(bundle.grid, vec[:n]),
                           RadialField(bundle.grid, vec[n:], "odd"))
@@ -429,21 +443,21 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections,
     """Minimal <M L e, L e> / ||L e||_XQ^2 over the doubly constrained space
     <e, Phi_M> = <e, L* Phi_M> = 0.
 
+    The pinned coordinates (`OperatorBundle.pinned`) are dropped by index and
+    the two Phi_M pairings are removed by `_free_basis` on the rest.
     Substituting z = G^{1/2} L e turns the quotient into an ordinary Rayleigh
-    quotient of the whitened M form over range(G^{1/2} L V); directions with
-    singular value below sv_tol * max (pure kernel/noise of L) are removed.
+    quotient of the whitened M form over range(G^{1/2} L V); the remaining
+    rank decision drops directions with singular value below sv_tol * max
+    (pure kernel/noise of L).  Only the lowest eigenvalue is computed.
     """
-    grid = bundle.grid
     L = bundle.matrix_L()
     AM = bundle.quadform_M()
     gx = bundle.gram_xq(log_weight=log_weight)
     s = np.sqrt(gx)
-    lstar_phim = apply_Lstar(phim.pair)
-    cons = np.vstack([bundle.pair_vector(phim.pair),
-                      bundle.pair_vector(lstar_phim),
-                      bundle.boundary_rows()])
-    V = linalg.null_space(np.atleast_2d(cons))
-    K = (L * s[:, None]) @ V
+    rows = np.vstack([bundle.pair_vector(phim.pair),
+                      bundle.pair_vector(apply_Lstar(phim.pair))])
+    keep, V = _free_basis(rows, bundle.pinned(), 1, "coercivity_L")
+    K = (L[:, keep] * s[:, None]) @ V
     U, sv, _ = linalg.svd(K, full_matrices=False)
     Uk = U[:, sv > sv_tol * sv.max()]
     # restrict the range to discretely mean-zero densities: the M form is
@@ -454,7 +468,7 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections,
     Uk = Uk @ Y
     Stil = AM / s[None, :] / s[:, None]
     Sr = Uk.T @ Stil @ Uk
-    vals = linalg.eigvalsh(0.5 * (Sr + Sr.T))
+    vals = linalg.eigvalsh(0.5 * (Sr + Sr.T), subset_by_index=[0, 0])
     M_param = phim.report["M"]
     return {
         "delta0_L_hat": float(vals[0]),
@@ -471,6 +485,10 @@ def kernel_gap(bundle: OperatorBundle, support_radius=30.0) -> dict:
     on the full truncated domain the operator has quasi-kernel tails
     (log-harmonic density with matched potential) whose X_Q norm grows faster
     than their residual, so the global quotient is not a kernel detector.
+    The nodes with r > support_radius (both blocks) and the gradient slot at
+    r = 0 are dropped by index, the whitened mass row by `_free_basis`; the
+    modes come from a thin SVD of the whitened L on what is left.
+    OperatorError if fewer than two free directions remain.
     The ground mode must align with the Lambda Q pair and be separated from
     the second mode by orders of magnitude (one-dimensional kernel).
     """
@@ -478,21 +496,15 @@ def kernel_gap(bundle: OperatorBundle, support_radius=30.0) -> dict:
     gx = bundle.gram_xq()
     s = np.sqrt(gx)
     n = bundle.grid.n
-    K0 = (L * s[:, None]) / s[None, :]
-    rows = [bundle.mass_vector()]
     outside = np.nonzero(bundle.grid.nodes > support_radius)[0]
-    for j in outside:
-        for block in (0, n):
-            e = np.zeros(2 * n)
-            e[block + j] = 1.0
-            rows.append(e)
-    e = np.zeros(2 * n)
-    e[n] = 1.0
-    rows.append(e)
-    C = np.array(rows) / s[None, :]
-    V = linalg.null_space(C)
-    _, sv, Yt = linalg.svd(K0 @ V, full_matrices=False)
-    x0 = (V @ Yt[-1]) / s
+    keep, V = _free_basis(bundle.mass_vector()[None, :] / s,
+                          np.concatenate([[n], outside, n + outside]), 2,
+                          "kernel_gap")
+    sk = s[keep]
+    _, sv, Yt = linalg.svd((L[:, keep] * s[:, None]) / sk[None, :] @ V,
+                           full_matrices=False)
+    x0 = np.zeros(2 * n)
+    x0[keep] = (V @ Yt[-1]) / sk
     lam = bundle.ground.pair_LambdaQ()
     lamv = np.concatenate([lam.density.values, lam.chem_gradient.values])
     align = abs(float((x0 * gx) @ lamv)) / np.sqrt(

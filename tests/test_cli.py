@@ -257,8 +257,8 @@ def test_profile_build_list_exits_with_the_worst_status(tmp_path, capsys):
 
 
 def test_spectral_list_matches_single_runs(tmp_path, capsys):
-    # a coarse grid is fast (it loses the kernel: status 2); a non-integer
-    # M gets its own file
+    # a coarse grid is fast, and too coarse to resolve the kernel (gap about
+    # 1.5, alignment about 0.95: status 2); a non-integer M gets its own file
     grid = ["--nodes-per-decade", "16", "--h-core", "0.2"]
     status = main(["spectral", "check", "--M", "10,10.5",
                    "--out", str(tmp_path / "list"), *grid])
@@ -272,7 +272,19 @@ def test_spectral_list_matches_single_runs(tmp_path, capsys):
         name = "spectral_M%s.json" % M
         assert (json.loads((tmp_path / "list" / name).read_text())
                 == json.loads((tmp_path / M / name).read_text()))
-    assert status == max(single)
+    assert status == max(single) == 2
+
+
+def test_spectral_finds_the_kernel_at_large_M(tmp_path, capsys):
+    # one-hot constraints are dropped by index, so no rank cut loses the
+    # Lambda Q mode at M >= 400 on the default grid
+    assert main(["spectral", "check", "--M", "400,800",
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        kg = json.loads(line)["kernel_gap"]
+        assert kg["gap"] > 100.0 and kg["alignment"] > 0.99
 
 
 def test_spectral_too_small_M(tmp_path):
@@ -285,7 +297,7 @@ def test_spectral_too_small_M(tmp_path):
     (0.999, 1.0e4, 0), (0.98, 1.0e4, 2), (0.999, 100.0, 2)])
 def test_spectral_lost_kernel_fails(monkeypatch, capsys, tmp_path,
                                     alignment, gap, code):
-    # the kernel verdict is faked: a real lost kernel needs a far larger run
+    # the kernel verdict is faked to reach each branch of the check
     monkeypatch.setattr(
         ops, "kernel_gap", lambda bundle: {"mu0": 1.0, "mu1": gap, "gap": gap,
                                            "alignment": alignment})

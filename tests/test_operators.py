@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 import kslab.operators as ops
 from conftest import smooth_bump_pair_values
@@ -215,6 +216,108 @@ def test_kernel_gap(bundle):
     rep = ops.kernel_gap(bundle)
     assert rep["gap"] > 50.0
     assert rep["alignment"] > 0.99
+
+
+# -- oracle: constraints as whitened one-hot rows, full eigensolves ------------
+
+def _one_hot(n2, index):
+    return np.eye(n2)[np.asarray(index)]
+
+
+def _oracle_boundary_rows(grid):
+    # outer stencil_order + 3 nodes of both blocks, gradient slot at r = 0
+    n = grid.n
+    return _one_hot(2 * n, [n] + [block + n - 1 - k
+                                  for k in range(grid.stencil_order + 3)
+                                  for block in (0, n)])
+
+
+def _oracle_whitened_min(A, gx, constraints):
+    s = np.sqrt(gx)
+    S = A / s[None, :] / s[:, None]
+    V = linalg.null_space(np.atleast_2d(constraints) / s[None, :])
+    Sr = V.T @ S @ V
+    return linalg.eigh(0.5 * (Sr + Sr.T))[0][0]
+
+
+def _oracle_coercivity_M(bundle):
+    A, gx = bundle.quadform_M(), bundle.gram_xq()
+    mass = bundle.mass_vector()
+    bc = _oracle_boundary_rows(bundle.grid)
+    lam = bundle.pair_vector(bundle.ground.pair_LambdaQ())
+    return (_oracle_whitened_min(A, gx, np.vstack([lam, mass, bc])),
+            _oracle_whitened_min(A, gx, np.vstack([mass, bc])))
+
+
+def _oracle_coercivity_L(bundle, phim, sv_tol=1e-10):
+    L = bundle.matrix_L()
+    s = np.sqrt(bundle.gram_xq())
+    V = linalg.null_space(np.vstack([
+        bundle.pair_vector(phim.pair),
+        bundle.pair_vector(ops.apply_Lstar(phim.pair)),
+        _oracle_boundary_rows(bundle.grid)]))
+    U, sv, _ = linalg.svd((L * s[:, None]) @ V, full_matrices=False)
+    Uk = U[:, sv > sv_tol * sv.max()]
+    Uk = Uk @ linalg.null_space(((bundle.mass_vector() / s) @ Uk)[None, :])
+    Sr = Uk.T @ (bundle.quadform_M() / s[None, :] / s[:, None]) @ Uk
+    return linalg.eigvalsh(0.5 * (Sr + Sr.T))[0], Uk.shape[1]
+
+
+def _oracle_kernel_gap(bundle, support_radius=30.0):
+    L, gx = bundle.matrix_L(), bundle.gram_xq()
+    s = np.sqrt(gx)
+    n = bundle.grid.n
+    out = np.nonzero(bundle.grid.nodes > support_radius)[0]
+    C = np.vstack([bundle.mass_vector(),
+                   _one_hot(2 * n, np.r_[out, n + out, n])]) / s[None, :]
+    V = linalg.null_space(C)
+    _, sv, Yt = linalg.svd((L * s[:, None]) / s[None, :] @ V,
+                           full_matrices=False)
+    x0 = (V @ Yt[-1]) / s
+    lam = bundle.ground.pair_LambdaQ()
+    lamv = np.concatenate([lam.density.values, lam.chem_gradient.values])
+    align = abs((x0 * gx) @ lamv) / np.sqrt(
+        ((x0 * gx) @ x0) * ((lamv * gx) @ lamv))
+    return sv[-2] ** 2 / sv[-1] ** 2, align
+
+
+@pytest.mark.parametrize("M", [50.0, 100.0])
+def test_certificates_match_the_one_hot_oracle(M):
+    # pinned coordinates dropped by index and lowest-eigenpair solves give
+    # the numbers of the one-hot row formulation with full eigensolves
+    grid = ops.operator_grid(M, nodes_per_decade=32, h_core=0.1)
+    bundle = ops.OperatorBundle(grid)
+    lvl1 = build_t1_s1(grid)
+    phim = ops.build_phi_m(grid, M, FieldPair(lvl1.T1, lvl1.S1_grad))
+
+    def rel(a, b):
+        return abs(a - b) / abs(b)
+
+    cm = ops.coercivity_M(bundle)
+    want_M, want_u = _oracle_coercivity_M(bundle)
+    assert rel(cm["delta0_M_hat"], want_M) < 1e-9
+    assert rel(cm["unconstrained_min"], want_u) < 1e-9
+    cl = ops.coercivity_L(bundle, phim)
+    want_L, want_kept = _oracle_coercivity_L(bundle, phim)
+    assert rel(cl["delta0_L_hat"], want_L) < 1e-6
+    assert cl["modes_kept"] == want_kept
+    kg = ops.kernel_gap(bundle)
+    want_gap, want_align = _oracle_kernel_gap(bundle)
+    assert rel(kg["gap"], want_gap) < 1e-6
+    assert rel(kg["alignment"], want_align) < 1e-9
+
+
+def test_kernel_gap_without_two_free_directions(bundle):
+    # r <= 0 keeps only the density at the origin, which the mass row fixes
+    with pytest.raises(ops.OperatorError, match="leave 0 free directions"):
+        ops.kernel_gap(bundle, support_radius=0.0)
+
+
+def test_whitened_min_on_an_empty_free_space(bundle):
+    n2 = 2 * bundle.grid.n
+    with pytest.raises(ops.OperatorError, match="leave 0 free directions"):
+        ops._whitened_min(bundle.quadform_M(), bundle.gram_xq(),
+                          bundle.mass_vector()[None, :], np.arange(n2))
 
 
 def test_lyapunov_functional(ref_grid, ground):
