@@ -189,6 +189,8 @@ def run_one(cfg: RunConfig, outdir, seed_offset=0):
                             / series.column("mass")[0]),
         "counters": series.counters,
     }
+    if series.status in FAILED_STATUSES:
+        summary["reason"] = series.reason
     try:
         # the laws are stated in the bubble's time, not the frame's s
         fit = diagnostics.fit_rate_law(SimpleNamespace(

@@ -14,9 +14,12 @@ a damped Newton solve of the two orthogonality conditions, which yields
 (lambda, b).  The residual separates into a state part and a profile part
 P(b), so Newton runs on a Chebyshev table of P in log b, built once per
 solver, and one exact profile evaluation at the model's root decides
-acceptance.  Small frame drift accumulates in a pending scale factor and
-the grid is only re-interpolated when it exceeds a threshold, so the bubble
-never de-resolves.
+acceptance.  The roots lie on a smooth curve in s (lambda_s/lambda = -b,
+b_s ~ -2b^2/|log b|), so each solve starts from (lambda, b) extrapolated
+quadratically in s through the last three roots, usually one model Newton
+iteration from the root.  Small frame drift accumulates in a pending scale
+factor and the grid is only re-interpolated when it exceeds a threshold,
+so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; it is the root of a
@@ -27,14 +30,14 @@ lands in a TimeSeries consumed by the law-fitting diagnostics.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 from numpy.polynomial.chebyshev import chebder
 from scipy.interpolate import BSpline, make_interp_spline
-from scipy.linalg import LinAlgError, solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 from scipy.optimize import brentq
 
 from . import diagnostics, operators
@@ -120,6 +123,7 @@ class TimeSeries:
     def __init__(self):
         self.rows = []
         self.status = "running"
+        self.reason = None
         self.counters = {}
 
     def append(self, **kw):
@@ -196,9 +200,13 @@ class SemiImplicitStepper:
     LAPACK band storage, ab[u + i - j, j] = A[i, j], with the lower and upper
     widths (l, u) read off the nonzero pattern of the assembled difference
     matrices (5 and 3 at stencil order 4).  Each step forms both system
-    matrices and their boundary rows directly in that storage and solves
-    them with `scipy.linalg.solve_banded`.  A singular system or a
-    non-finite solution raises SimulationError.
+    matrices and their boundary rows directly in that storage, copies each
+    into rows l: of one preallocated Fortran-order (2l + u + 1, n) array,
+    the layout LAPACK's dgbsv factors in place (its first l rows take the
+    fill-in), and solves it with dgbsv: the routine and matrix of
+    `scipy.linalg.solve_banded`, without its per-call validation and
+    padded copies.  A singular system or a non-finite solution raises
+    SimulationError.
     """
 
     def __init__(self, grid: RadialGrid, coupling=True):
@@ -230,6 +238,7 @@ class SemiImplicitStepper:
         self._first_row = (u - j, j)
         j = np.arange(npts - 1 - l, npts)
         self._last_row = (u + npts - 1 - j, j)
+        self._work = np.zeros((2 * l + u + 1, npts), order="F")
 
     def step(self, state: FlowState, ds: float, b: float = 0.0) -> FlowState:
         r = self.grid.nodes
@@ -262,11 +271,14 @@ class SemiImplicitStepper:
                        t=state.t + ds * lam_mid ** 2, lam=lam)
 
     def _solve(self, ab, rhs):
-        try:
-            x = solve_banded((self.l, self.u), ab, rhs, overwrite_ab=True,
-                             overwrite_b=True, check_finite=False)
-        except LinAlgError as exc:
-            raise SimulationError("singular implicit step: %s" % exc) from exc
+        # dgbsv factors in place; its first l rows are workspace for the
+        # fill-in, which LAPACK does not read on entry
+        self._work[self.l:] = ab
+        _, _, x, info = dgbsv(self.l, self.u, self._work, rhs,
+                              overwrite_ab=True, overwrite_b=True)
+        if info != 0:
+            raise SimulationError("singular implicit step (dgbsv info %d)"
+                                  % info)
         if not np.all(np.isfinite(x)):
             raise SimulationError("implicit step produced a non-finite state")
         return x
@@ -381,9 +393,14 @@ class ProfileTable:
 MODEL_ROUNDS = 3
 # decompose's model Newton stops at |G| <= MODEL_TOL * atol
 MODEL_TOL = 1e-2
+# how decompose's ModulationError names a model outcome that failed
+MODEL_FAILURES = {
+    "singular": "singular modulation Jacobian (M too small or state far "
+                "from family)",
+    "stalled": "modulation Newton stalled (trapped regime exited?)"}
 COUNTERS = ("decompose_calls", "model_iterations", "correction_rounds",
             "profile_evals_table", "profile_evals_decompose",
-            "profile_evals_lift", "lift_calls", "lift_fallbacks")
+            "profile_evals_lift", "lift_calls", "lift_failures")
 
 
 class ModulationSolver:
@@ -402,11 +419,15 @@ class ModulationSolver:
     (eps, geta); if it fails, c absorbs the table's local error,
     c <- c + G - F, and the model is solved again, at most MODEL_ROUNDS
     times.  Past those rounds, or when the model stalls, the residual is
-    accepted up to the quadrature and spline noise floor, floor_tol.
+    accepted up to the quadrature and spline noise floor, floor_tol; a
+    failure raises ModulationError naming b, lambda1, |F|/f_scale, the
+    model's outcome and its iteration count.  The caller supplies the
+    starting guess: `evolve` extrapolates it from its last three roots, so
+    that one model iteration usually suffices.
 
     `counters` counts decompose calls, model iterations, correction rounds,
     the exact profile evaluations (table, decompose, lift), lift calls and
-    lift fallbacks.
+    lift failures.
     """
 
     def __init__(self, grid: RadialGrid, M_param: float):
@@ -480,7 +501,8 @@ class ModulationSolver:
         """Damped Newton on the model, each step halved until |G| descends
         (at most 10 times).  Returns lam1, b, G, the state's values at
         lam1 and the outcome: 'converged' (|G| <= tol), 'stalled' (no
-        descent) or 'exhausted' (max_iter steps)."""
+        descent), 'singular' (a singular Jacobian) or 'exhausted' (max_iter
+        steps)."""
         vals = splines(lam1)
         G, dp = self._model(vals, b, c)
         for _ in range(max_iter):
@@ -492,8 +514,7 @@ class ModulationSolver:
             J = np.column_stack([(G_h - G) / h, -dp])
             det = np.linalg.det(J)
             if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
-                raise ModulationError("singular modulation Jacobian "
-                                      "(M too small or state far from family)")
+                return lam1, b, G, vals, "singular"
             step = np.linalg.solve(J, -G)
             t_damp = 1.0
             for _ in range(10):
@@ -526,6 +547,7 @@ class ModulationSolver:
         atol = 1e-10 * f_scale
         floor_tol = 3e-6 * f_scale   # quadrature/spline noise plateau
         c = np.zeros(2)
+        iterations = self.counters["model_iterations"]
         for rnd in range(MODEL_ROUNDS):
             if rnd:
                 self.counters["correction_rounds"] += 1
@@ -536,11 +558,14 @@ class ModulationSolver:
                 break
             c = c + G - F
         # past the model rounds, a residual at the noise floor is accepted
-        if np.linalg.norm(F) > floor_tol:
-            if outcome == "stalled":
-                raise ModulationError("modulation Newton stalled "
-                                      "(trapped regime exited?)")
-            raise ModulationError("modulation Newton did not converge")
+        if outcome == "singular" or np.linalg.norm(F) > floor_tol:
+            raise ModulationError(
+                "%s: b=%.6g lam1=%.6g |F|/f_scale=%.3g model=%s after %d "
+                "iterations" % (
+                    MODEL_FAILURES.get(outcome, "modulation Newton did not "
+                                                "converge"),
+                    b, lam1, np.linalg.norm(F) / f_scale, outcome,
+                    self.counters["model_iterations"] - iterations))
         pair = FieldPair(RadialField(g, eps),
                          RadialField(g, geta, "odd"))
         return ModulationState(lam=lam1, b=b,
@@ -575,9 +600,10 @@ def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
     pair, where T = <Qbhat~ - Q, A> is tabulated in `solver.table`; brentq
     on the tabulated function needs no profile evaluation.  One Newton step
     (with the tabulated function's slope) and one secant step on the exact
-    root function follow, two profile evaluations.  A secant correction
-    above LIFT_SECANT_TOL * b_hat falls back to brentq on the exact root
-    function over LIFT_BRACKETS.
+    root function follow, two profile evaluations.  A tabulated function
+    without a sign change over LIFT_BRACKETS, a Newton step that leaves the
+    table, or a secant correction above LIFT_SECANT_TOL * b_hat raises
+    ModulationError and counts a lift failure.
     """
     g = solver.grid
     counters = solver.counters
@@ -594,7 +620,7 @@ def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
     # alive after the run, so the data goes in args
     model = (g, w, u_b - base.Q, g_b - base.phi_q_grad, solver.table)
     exact = (g, w, u_b, g_b)
-    b0, _ = _bracketed_root(_lift_model, mod.b, lo, hi, model)
+    b0 = _bracketed_root(_lift_model, mod.b, lo, hi, model)
     if b0 is not None:
         r0 = _lift_residual(b0, *exact)
         counters["profile_evals_lift"] += 1
@@ -610,28 +636,21 @@ def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
                 b2 = b1 if r1 == 0.0 else math.nan
             if abs(b2 - b1) <= LIFT_SECANT_TOL * b1:
                 return float(b2)
-    counters["lift_fallbacks"] += 1
-    bh, calls = _bracketed_root(_lift_residual, mod.b, lo, hi, exact)
-    counters["profile_evals_lift"] += calls
-    if bh is None:
-        raise ModulationError("lift_b bracket failure")
-    return bh
+    counters["lift_failures"] += 1
+    raise ModulationError("lift_b found no polished root near b=%.6g"
+                          % mod.b)
 
 
 def _bracketed_root(f, b, lo, hi, args):
     """Root of f(., *args) by brentq in the first of LIFT_BRACKETS around b,
-    clipped to [lo, hi], over which f changes sign (None if none does),
-    and the number of f evaluations made."""
-    calls = 0
+    clipped to [lo, hi], over which f changes sign (None if none does)."""
     for lo_factor, hi_factor in LIFT_BRACKETS:
         a = max(lo_factor * b, lo)
         z = min(hi_factor * b, hi)
-        calls += 2
         if f(a, *args) * f(z, *args) <= 0:
-            root, res = brentq(f, a, z, args=args, xtol=1e-14 * b,
-                               rtol=1e-12, full_output=True)
-            return float(root), calls + res.function_calls
-    return None, calls
+            return float(brentq(f, a, z, args=args, xtol=1e-14 * b,
+                                rtol=1e-12))
+    return None
 
 
 def _lift_direction(grid, w, bh):
@@ -720,9 +739,15 @@ def evolve(params: EvolveParams, perturbation=None,
     localization does not fit the grid (4 B1(b) > r_max), 'nonfinite' when
     the implicit step is singular or leaves a non-finite state.  A step
     counts only once its state is decomposed, so the final record of such
-    a run is the last state with a decomposition, with that decomposition.
-    The series' .counters are the modulation solver's counters (see
-    `ModulationSolver`) plus the refolds.
+    a run is the last state with a decomposition, with that decomposition,
+    and .reason holds the message of the error that ended it.  The series'
+    .counters are the modulation solver's counters (see `ModulationSolver`)
+    plus the refolds and the smallest, median and largest committed step
+    (ds_min, ds_median, ds_max; NaN without one).
+
+    Each decomposition starts from `_predict_guess`: (lam1, b) extrapolated
+    in s from the last three committed roots.  A refold restarts that
+    history at lam1 = 1.
 
     The frame moves at the rate b while the bubble sits at the pending
     scale lam1 inside it, so lam1 drifts between refolds and the recorded s
@@ -743,6 +768,8 @@ def evolve(params: EvolveParams, perturbation=None,
     step_count = 0
     refolds = 0
     mass0 = state.mass()
+    roots = deque([(state.s, lam_pending, b)], maxlen=3)
+    steps_ds = []
 
     def record():
         lam_total = state.lam * lam_pending
@@ -780,7 +807,9 @@ def evolve(params: EvolveParams, perturbation=None,
         # a breakdown leaves the last decomposed state for the final record.
         try:
             stepped = stepper.step(state, ds, b=b)
-            stepped_mod = solver.decompose(stepped, guess=(lam_pending, b))
+            stepped_mod = solver.decompose(
+                stepped, guess=_predict_guess(roots, stepped.s,
+                                              solver.table.lo))
             b_new = stepped_mod.b
             lam_new = stepped_mod.lam
             # The pending scale is bookkeeping only: folding it into the
@@ -793,19 +822,22 @@ def evolve(params: EvolveParams, perturbation=None,
                 stepped = _rescale_state(stepped, lam_new)
                 lam_new = 1.0
                 stepped_mod = solver.decompose(stepped, guess=(1.0, b_new))
-        except ModulationError:
-            series.status = "modulation_failed"
+                roots.clear()
+        except ModulationError as exc:
+            series.status, series.reason = "modulation_failed", str(exc)
             break
-        except ProfileError:
-            series.status = "grid_exhausted"
+        except ProfileError as exc:
+            series.status, series.reason = "grid_exhausted", str(exc)
             break
-        except SimulationError:
-            series.status = "nonfinite"
+        except SimulationError as exc:
+            series.status, series.reason = "nonfinite", str(exc)
             break
         state, mod = stepped, stepped_mod
         step_count += 1
+        steps_ds.append(ds)
         b_s_est = abs(b_new - b) / ds if ds > 0 else b_s_est
         b, lam_pending = b_new, lam_new
+        roots.append((state.s, lam_pending, b))
         if step_count % params.cadence == 0:
             record()
         lam_total = state.lam * lam_pending
@@ -823,8 +855,30 @@ def evolve(params: EvolveParams, perturbation=None,
             break
     if not series.rows or series.rows[-1][1] < state.s:
         record()
-    series.counters = dict(solver.counters, refolds=refolds)
+    ds_q = (np.percentile(steps_ds, (0, 50, 100)) if steps_ds
+            else (math.nan,) * 3)
+    series.counters = dict(solver.counters, refolds=refolds,
+                           ds_min=float(ds_q[0]), ds_median=float(ds_q[1]),
+                           ds_max=float(ds_q[2]))
     return series
+
+
+def _predict_guess(roots, s, b_lo):
+    """decompose's starting (lam1, b) at frame time s: the Lagrange
+    polynomial in s through the committed roots (s_k, lam1_k, b_k), up to
+    three (quadratic; linear or constant with fewer).  Along the smooth
+    modulation curve this puts the model Newton one iteration from its
+    root.  b is clamped into [b_lo, B_MAX] and lam1 kept above 0.1, the
+    model's domain, so that a wild extrapolation cannot end a run."""
+    lam1 = b = 0.0
+    for i, (s_i, lam_i, b_i) in enumerate(roots):
+        w = 1.0
+        for j, (s_j, _, _) in enumerate(roots):
+            if j != i:
+                w *= (s - s_j) / (s_i - s_j)
+        lam1 += w * lam_i
+        b += w * b_i
+    return max(lam1, 0.1), min(max(b, b_lo), B_MAX)
 
 
 def _rescale_state(state: FlowState, lam1: float) -> FlowState:

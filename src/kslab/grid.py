@@ -280,20 +280,23 @@ class RadialGrid:
         One product of the stacked cell matrices (a block CSR, kept per
         plan) with the concatenated sources, then a row-wise cumsum.  A CSR
         row sums its stored entries in order, so each row equals its own
-        cumulative_integral call bit for bit.
+        cumulative_integral call bit for bit.  Every cell matrix stores p+1
+        entries per row at the same columns, so the block's index arrays
+        are the first one's, shifted by the source offset j*n.
         """
         mat = self._stacked.get(plan)
         if mat is None:
             cells = [self._cell_matrix(weight) for weight, _ in plan]
-            offsets = np.cumsum([0] + [c.nnz for c in cells])
-            indptr = np.concatenate(
-                [[0]] + [c.indptr[1:] + off for c, off in zip(cells, offsets)])
+            first = cells[0]
+            shift = np.array([j * self.n for _, j in plan],
+                             dtype=first.indices.dtype)
+            data = np.concatenate([c.data for c in cells])
             mat = self._stacked[plan] = sparse.csr_matrix(
-                (np.concatenate([c.data for c in cells]),
-                 np.concatenate([c.indices + j * self.n
-                                 for c, (_, j) in zip(cells, plan)]), indptr),
+                (data, (first.indices + shift[:, None]).ravel(),
+                 np.arange(0, data.size + 1, first.indptr[1],
+                           dtype=first.indptr.dtype)),
                 shape=(len(plan) * (self.n - 1),
-                       (1 + max(j for _, j in plan)) * self.n))
+                       (1 + max(j for _, j in plan)) * self.n), copy=False)
         out = np.zeros((len(plan), self.n))
         np.cumsum((mat @ np.concatenate(sources)).reshape(len(plan), -1),
                   axis=1, out=out[:, 1:])

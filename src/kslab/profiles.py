@@ -103,8 +103,9 @@ def apply_L1(d: RadialField) -> RadialField:
 
 
 # (weight, source) rows of the inversions' cumulative integrals, source 0
-# the integrand f and source 1 its quotient f/r; invert_L1 reads the last
-# two rows, so both inversions share one stacked matrix per grid
+# the integrand f and source 1 its quotient f/r; invert_L1 and
+# build_radiation read the last two rows, so all three share one stacked
+# matrix per grid
 _INVERSION_PLAN = (("r3", 0), ("rlogr", 0), ("r", 0), ("one", 1))
 
 
@@ -276,11 +277,6 @@ class Radiation:
     d_hat: RadialField  # d_sigma / c_b
 
 
-# build_radiation's cumulative integrals gamma (of psi0/tau chi) and the
-# psi0 moment (of psi0 chi)
-_RADIATION_PLAN = (("one", 0), ("r", 1))
-
-
 def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     """Build the radiation (m_sigma, d_sigma) and the constant c_b.
 
@@ -303,8 +299,9 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     psi0v = base.psi0
     psi0_over = base.psi0_over_r  # tau/(1+tau^2)^2, odd
 
-    gamma, cum_rpsi0 = grid.cumulative_integrals(
-        (psi0_over * chi, psi0v * chi), _RADIATION_PLAN)
+    # the psi0 moment int psi0 chi tau and gamma = int psi0/tau chi
+    cum_rpsi0, gamma = grid.cumulative_integrals(
+        (psi0v * chi, psi0_over * chi), _INVERSION_PLAN)[2:]
     # beta2 = int psi0/tau (1-chi) = 1/2 - gamma(inf); using the exact total
     # 1/2 keeps the far-field cancellation of d_hat exact on the grid.
     beta2 = 0.5 - gamma[-1]

@@ -338,6 +338,7 @@ def test_simulate_deterministic(tmp_path):
     sa = json.loads(sum_a)
     assert sa["status"] in ("s_max", "b_min", "lam_stop", "t_max")
     assert "seed" in sa
+    assert "reason" not in sa
     counters = sa["counters"]
     assert counters["profile_evals_decompose"] == counters["decompose_calls"]
     assert counters["profile_evals_table"] == TABLE_NODES
@@ -351,6 +352,7 @@ def test_simulate_grid_exhausted(tmp_path):
     assert r.returncode == 2, r.stderr
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["status"] == "grid_exhausted"
+    assert "outside the profile table" in summary["reason"]
     assert summary["records"] == 6
     assert (tmp_path / "run" / "timeseries.csv").exists()
 

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import make_interp_spline
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
@@ -163,6 +164,54 @@ def test_step_matches_sparse_oracle(order, coupling, b, ds):
     d1_last = grid.diff_matrix(1, "even").tocsr()[-1].toarray().ravel()
     slope_scale = np.abs(d1_last) @ np.abs(new.n)
     assert abs(d1_last @ new.n) <= 1e-13 * slope_scale
+
+
+def solve_banded_step(stepper, state, ds, b):
+    """The step's two systems in (l + u + 1, n) band storage, each solved by
+    scipy.linalg.solve_banded (the oracle of the stepper's direct dgbsv)."""
+    r = state.grid.nodes
+    l, u = stepper.l, stepper.u
+    coef = -stepper.inv_r - b * r
+    if stepper.coupling:
+        coef = coef + stepper.inv_r * state.n
+    A_m = stepper._eye - ds * (stepper.d2 + coef[stepper._rows] * stepper.d1)
+    rhs_m = state.m.copy()
+    A_m[stepper._first_row] = 0.0
+    A_m[u, 0] = 1.0
+    rhs_m[0] = 0.0
+    A_m[stepper._last_row] = 0.0
+    A_m[u, -1] = 1.0
+    m_new = solve_banded((l, u), A_m, rhs_m)
+    A_n = stepper._eye - ds * (stepper.lap0 - b * stepper._r_d1)
+    rhs_n = state.n - ds * (stepper._lap0_csr @ m_new)
+    A_n[stepper._first_row] = 0.0
+    A_n[u, 0] = 1.0
+    rhs_n[0] = 0.0
+    A_n[stepper._last_row] = stepper.d1[stepper._last_row]
+    rhs_n[-1] = 0.0
+    return m_new, solve_banded((l, u), A_n, rhs_n)
+
+
+def test_step_matches_solve_banded_bitwise(small_grid, small_params):
+    # same LAPACK routine on the same band matrix: equal bit for bit, over
+    # several steps that reuse the stepper's work arrays
+    state = dyn.initial_state(small_grid, small_params)
+    stepper = dyn.SemiImplicitStepper(small_grid)
+    for ds, b in ((1e-3, 0.0), (0.02, small_params.b0), (0.5, 3e-3),
+                  (0.1, small_params.b0)):
+        m_ref, n_ref = solve_banded_step(stepper, state, ds, b)
+        state = stepper.step(state, ds, b=b)
+        np.testing.assert_array_equal(state.m, m_ref)
+        np.testing.assert_array_equal(state.n, n_ref)
+
+
+def test_step_singular_raises(small_grid, small_params):
+    state = dyn.initial_state(small_grid, small_params)
+    stepper = dyn.SemiImplicitStepper(small_grid)
+    for name in ("_eye", "d1", "d2"):
+        setattr(stepper, name, np.zeros_like(getattr(stepper, name)))
+    with pytest.raises(dyn.SimulationError, match="singular"):
+        stepper.step(state, 0.02, b=small_params.b0)
 
 
 def test_step_nonfinite_raises(small_grid, small_params):
@@ -508,20 +557,34 @@ def test_lift_b_matches_brentq_oracle(small_grid, small_params,
         assert solver.counters["profile_evals_lift"] - before == 2
         ref = reference_lift_b(solver, mod)
         assert abs(bh - ref) <= 1e-11 * ref
-    assert solver.counters["lift_fallbacks"] == 0
+    assert solver.counters["lift_failures"] == 0
 
 
-def test_lift_b_falls_back_to_brentq(small_grid, small_params,
-                                     perturbed_states):
-    # a table off by far more than the secant bound: the lift is the
-    # exact brentq root
+def test_lift_b_fails_on_a_corrupted_table(small_grid, small_params,
+                                           perturbed_states, monkeypatch):
+    # a table off by far more than the secant bound: the lift fails and is
+    # counted, and a run records NaN for every b_hat it cannot lift
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     mod = solver.decompose(state, guess=guess)
     solver.table._coef[0, 2] += 1.0
-    bh = dyn.lift_b(solver, mod)
-    assert solver.counters["lift_fallbacks"] == 1
-    assert bh == reference_lift_b(solver, mod)
+    with pytest.raises(dyn.ModulationError, match="no polished root"):
+        dyn.lift_b(solver, mod)
+    assert solver.counters["lift_failures"] == 1
+
+    table = dyn.ProfileTable
+
+    class Corrupted(table):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._coef[0, 2] += 1.0
+
+    monkeypatch.setattr(dyn, "ProfileTable", Corrupted)
+    series = dyn.evolve(replace(small_params, s_max=2.0))
+    assert series.status == "s_max"
+    assert np.all(np.isnan(series.b_hat))
+    assert series.counters["lift_failures"] == series.counters["lift_calls"]
+    assert series.counters["lift_calls"] > 0
 
 
 def test_lift_b_leaves_no_cycle_on_the_cache(small_grid, small_params):
@@ -593,14 +656,75 @@ def test_evolve_counts_one_profile_evaluation_per_decompose(
     c = series.counters
     assert series.status == "s_max"
     assert c["decompose_calls"] > 10
+    # the extrapolated guess leaves one model iteration per decompose, but
+    # for the first (guessed at (1, b0) on perturbed data) and the step
+    # where ds stops growing and the root's step error changes course
+    assert c["model_iterations"] == c["decompose_calls"] + 2
     assert c["profile_evals_decompose"] == c["decompose_calls"]
     assert c["correction_rounds"] == 0
     assert c["profile_evals_table"] == dyn.TABLE_NODES
     assert c["profile_evals_lift"] == 2 * c["lift_calls"] > 0
-    assert c["lift_fallbacks"] == c["refolds"] == 0
+    assert c["lift_failures"] == c["refolds"] == 0
     assert len(calls) == (c["profile_evals_table"]
                           + c["profile_evals_decompose"]
                           + c["profile_evals_lift"])
+
+
+def test_evolve_predictor_matches_the_previous_root_guess(
+        small_grid, small_params, monkeypatch):
+    # the extrapolated guess changes where the model Newton starts, not the
+    # root it accepts: against a run guessing each decompose at the last
+    # committed root, every record agrees to well below the step error
+    pert = dyn.random_perturbation(small_grid, 1e-4,
+                                   np.random.default_rng(3))
+    series = dyn.evolve(small_params, perturbation=pert)
+    monkeypatch.setattr(dyn, "_predict_guess",
+                        lambda roots, s, b_lo: roots[-1][1:])
+    oracle = dyn.evolve(small_params, perturbation=pert)
+    assert series.status == oracle.status == "s_max"
+    # ds follows b through the rate cap, so s moves with the roots
+    np.testing.assert_allclose(series.s, oracle.s, rtol=1e-7, atol=0)
+    np.testing.assert_allclose(series.lam, oracle.lam, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(series.b, oracle.b, rtol=1e-8, atol=0)
+    assert (oracle.counters["model_iterations"]
+            > series.counters["model_iterations"])
+
+
+def test_predict_guess_extrapolates_and_clamps():
+    roots = [(0.0, 1.0, 1e-2)]
+    assert dyn._predict_guess(roots, 1.0, 1e-3) == (1.0, 1e-2)
+    roots.append((1.0, 0.9, 9e-3))
+    lam1, b = dyn._predict_guess(roots, 3.0, 1e-3)
+    assert math.isclose(lam1, 0.7) and math.isclose(b, 7e-3)
+    # quadratic through three points on s^2 curves, unequal spacing
+    roots = [(s, 1.0 - 0.01 * s * s, 1e-2 - 1e-4 * s * s)
+             for s in (0.0, 0.5, 2.0)]
+    lam1, b = dyn._predict_guess(roots, 3.0, 1e-3)
+    assert math.isclose(lam1, 0.91) and math.isclose(b, 1e-2 - 9e-4)
+    # a wild extrapolation stays inside the model's domain
+    lam1, b = dyn._predict_guess(roots, 40.0, 1e-3)
+    assert lam1 == 0.1 and b == 1e-3
+    roots = [(0.0, 1.0, 1e-2), (1.0, 1.5, 2e-2)]
+    assert dyn._predict_guess(roots, 40.0, 1e-3)[1] == dyn.B_MAX
+
+
+def test_evolve_refold_restarts_the_root_history(small_params, monkeypatch):
+    histories = []
+    predict = dyn._predict_guess
+
+    def spy(roots, s, b_lo):
+        histories.append(list(roots))
+        return predict(roots, s, b_lo)
+
+    monkeypatch.setattr(dyn, "_predict_guess", spy)
+    monkeypatch.setattr(dyn, "REFOLD_THRESHOLD", 1e-5)
+    series = dyn.evolve(small_params)
+    refolds = series.counters["refolds"]
+    restarts = [h for h in histories[1:] if len(h) == 1]
+    assert series.status == "s_max"
+    assert refolds >= 2
+    assert refolds - len(restarts) in (0, 1)  # the last step may refold
+    assert all(h[0][1] == 1.0 for h in restarts)
 
 
 def test_evolve_grid_exhausted():
@@ -609,8 +733,40 @@ def test_evolve_grid_exhausted():
     params = dyn.EvolveParams(b0=1e-2, r_max=186.0, cadence=5, s_max=200.0)
     series = dyn.evolve(params)
     assert series.status == "grid_exhausted"
+    assert "outside the profile table" in series.reason
     assert len(series) == 6  # records at steps 0, 5, ..., 20 plus the final
     assert np.all(np.isfinite(series.column("mass")))
+    c = series.counters
+    assert c["ds_min"] == params.ds_init * 1.5
+    assert c["ds_min"] <= c["ds_median"] <= c["ds_max"] <= params.ds_max
+
+
+def test_modulation_failure_names_the_solve(small_grid, small_params,
+                                            perturbed_states, monkeypatch):
+    # the message carries b, lam1, |F|/f_scale, the model's outcome and its
+    # iterations, and evolve keeps it as the reason of its status
+    state, guess = perturbed_states[-1]
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    with pytest.raises(dyn.ModulationError) as info:
+        solver.decompose(state, guess=(1.05, guess[1]), max_iter=0)
+    message = str(info.value)
+    for part in ("did not converge", "b=%.6g" % guess[1], "lam1=1.05 ",
+                 "|F|/f_scale=", "model=exhausted", "after 0 iterations"):
+        assert part in message
+    decompose = dyn.ModulationSolver.decompose
+    calls = []
+
+    def failing(self, state, guess, max_iter=30):
+        calls.append(guess)
+        if len(calls) == 4:
+            return decompose(self, state, (1.05, guess[1]), max_iter=0)
+        return decompose(self, state, guess, max_iter)
+
+    monkeypatch.setattr(dyn.ModulationSolver, "decompose", failing)
+    series = dyn.evolve(small_params)
+    assert series.status == "modulation_failed"
+    assert len(series) == 2  # step 0 and the final record at step 2
+    assert "model=exhausted after 0 iterations" in series.reason
 
 
 def test_evolve_breakdown_final_record_is_last_decomposed_state():
@@ -641,6 +797,7 @@ def test_evolve_nonfinite(monkeypatch):
     monkeypatch.setattr(dyn.SemiImplicitStepper, "step", poisoned)
     series = dyn.evolve(dyn.EvolveParams(b0=8e-3, cadence=1, s_max=8.0))
     assert series.status == "nonfinite"
+    assert series.reason == "implicit step produced a non-finite state"
     assert len(series) == 3  # steps 0, 1, 2; the failed step adds nothing
     assert np.all(np.isfinite(np.array(series.rows)[:, :4]))
 
