@@ -22,8 +22,8 @@ factor and the grid is only re-interpolated when it exceeds a threshold,
 so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
-and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; it is the root of a
-tabulated root function, polished on the exact one.  Everything recorded
+and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
+its exact root function, started at b, finds it.  Everything recorded
 lands in a TimeSeries consumed by the law-fitting diagnostics.
 """
 
@@ -38,7 +38,6 @@ from scipy import sparse
 from numpy.polynomial.chebyshev import chebder
 from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
-from scipy.optimize import brentq
 
 from . import diagnostics, operators
 from .grid import FieldPair, RadialField, RadialGrid
@@ -51,7 +50,6 @@ from .profiles import (
     build_t1_s1,
     localization_radius,
     modulation_profile,
-    profile_base,
 )
 
 
@@ -398,7 +396,8 @@ MODEL_FAILURES = {
     "singular": "singular modulation Jacobian (M too small or state far "
                 "from family)",
     "stalled": "modulation Newton stalled (trapped regime exited?)"}
-COUNTERS = ("decompose_calls", "model_iterations", "correction_rounds",
+COUNTERS = ("decompose_calls", "model_iterations", "damping_halvings",
+            "correction_rounds", "floor_acceptances",
             "profile_evals_table", "profile_evals_decompose",
             "profile_evals_lift", "lift_calls", "lift_failures")
 
@@ -410,11 +409,10 @@ class ModulationSolver:
     v = (lambda1^2 u(lambda1 y) - Qb~, lambda1 dv(lambda1 y) - dPb~) is
     separable, F(lambda1, b) = S(lambda1) - P(b): S pairs the state's
     splines, P(b) is two scalars of the profile at b.  The solver
-    tabulates P once, over the b the grid localizes (`ProfileTable`, with
-    T, the b_hat-part of `lift_b`'s root function).  `decompose` runs
-    damped Newton on the model G = S(lambda1) - P~(b) - c, with a
-    finite-difference lambda-column and the table's derivative as the
-    b-column, so its iterations evaluate no profile.  One exact residual
+    tabulates P once, over the b the grid localizes (`ProfileTable`).
+    `decompose` runs damped Newton on the model G = S(lambda1) - P~(b) - c,
+    with a finite-difference lambda-column and the table's derivative as
+    the b-column, so its iterations evaluate no profile.  One exact residual
     at the model's root decides acceptance (|F| <= atol) and gives
     (eps, geta); if it fails, c absorbs the table's local error,
     c <- c + G - F, and the model is solved again, at most MODEL_ROUNDS
@@ -425,9 +423,10 @@ class ModulationSolver:
     starting guess: `evolve` extrapolates it from its last three roots, so
     that one model iteration usually suffices.
 
-    `counters` counts decompose calls, model iterations, correction rounds,
-    the exact profile evaluations (table, decompose, lift), lift calls and
-    lift failures.
+    `counters` counts decompose calls, model iterations, model step
+    halvings, correction rounds, solves accepted at the noise floor
+    (atol < |F| <= floor_tol), the exact profile evaluations (table,
+    decompose, lift), lift calls and lift failures.
     """
 
     def __init__(self, grid: RadialGrid, M_param: float):
@@ -449,23 +448,13 @@ class ModulationSolver:
         if b_floor >= B_MAX:
             raise ProfileError("grid too small for the profile family: "
                                "r_max %.1f < 4*B1(%g)" % (grid.r_max, B_MAX))
-        base = profile_base(grid)
         y = grid.nodes
 
         def scalars(b):
-            # P(b) = (P1, P2), and lift_b's T(b) without the ground-state
-            # part <Q, A(b)>, which lift_b computes exactly: the Phi_0
-            # cutoff at 1/sqrt(b) spans a few tail nodes, and with that
-            # part the table's error grows a hundredfold (3e-5 at 128 nodes
-            # on the collapse grid)
             prof = modulation_profile(grid, b)
-            q = prof.Qb_tilde.values
             n_y = np.zeros_like(y)
             n_y[1:] = prof.n_tilde.values[1:] / y[1:]
-            a1, a2 = _lift_direction(grid, w, b)
-            t = ((q - base.Q) @ a1
-                 + (prof.Pb_tilde_grad.values - base.phi_q_grad) @ a2)
-            return self._pair(q, n_y) + (float(t),)
+            return self._pair(prof.Qb_tilde.values, n_y)
 
         self.table = ProfileTable(b_floor, B_MAX, scalars)
         self.counters["profile_evals_table"] = TABLE_NODES
@@ -481,7 +470,7 @@ class ModulationSolver:
         g = np.zeros_like(u)
         g[1:] = n_x[1:] / self.grid.nodes[1:]
         p, dp = self.table(b)
-        return np.array(self._pair(u, g)) - p[:2] - c, dp[:2]
+        return np.array(self._pair(u, g)) - p - c, dp
 
     def _residual(self, vals, b):
         """Exact F at (lam1, b) from the state's values at lam1: F, the
@@ -528,18 +517,16 @@ class ModulationSolver:
                                                 dp_try, vals_try)
                         break
                 t_damp *= 0.5
+                self.counters["damping_halvings"] += 1
             else:
                 return lam1, b, G, vals, "stalled"
         outcome = "converged" if np.linalg.norm(G) <= tol else "exhausted"
         return lam1, b, G, vals, outcome
 
-    def decompose(self, state: FlowState, guess=(1.0, None),
+    def decompose(self, state: FlowState, guess,
                   max_iter=30) -> ModulationState:
         g = self.grid
-        lam1 = guess[0]
-        b = guess[1]
-        if b is None:
-            raise ModulationError("decompose needs a b guess")
+        lam1, b = guess
         self.counters["decompose_calls"] += 1
         splines = _StateSplines(state)
         # residual scale: the pairing Jacobian entries are ~ 32 pi log M
@@ -566,6 +553,8 @@ class ModulationSolver:
                                                 "converge"),
                     b, lam1, np.linalg.norm(F) / f_scale, outcome,
                     self.counters["model_iterations"] - iterations))
+        if np.linalg.norm(F) > atol:
+            self.counters["floor_acceptances"] += 1
         pair = FieldPair(RadialField(g, eps),
                          RadialField(g, geta, "odd"))
         return ModulationState(lam=lam1, b=b,
@@ -586,71 +575,55 @@ def grid_b_floor(grid) -> float:
     return hi
 
 
-# brackets [lo, hi] * b that lift_b tries in turn for b_hat
-LIFT_BRACKETS = ((0.5, 2.0), (0.25, 4.0))
-# largest secant correction, relative to b_hat, that lift_b accepts
+# the secant's second point is b times this (b_hat/b - 1 stays within 1 %)
+LIFT_SECANT_START = 0.99
+# lift_b's secant stops at a step of at most LIFT_SECANT_TOL * b_hat
 LIFT_SECANT_TOL = 1e-10
+# secant steps (one profile evaluation each) after which lift_b gives up
+LIFT_SECANT_STEPS = 8
 
 
 def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
     """b_hat solving <Qb~ + E - Qbhat~, L* Phi_{0, Bhat0}> = 0, Bhat0 = 1/sqrt(b_hat).
 
     With A(b_hat) = w L* Phi_{0, Bhat0} the root function is
-    <u_b - Q, A> - T(b_hat), u_b = (Qb~, dPb~) + E and Q the ground-state
-    pair, where T = <Qbhat~ - Q, A> is tabulated in `solver.table`; brentq
-    on the tabulated function needs no profile evaluation.  One Newton step
-    (with the tabulated function's slope) and one secant step on the exact
-    root function follow, two profile evaluations.  A tabulated function
-    without a sign change over LIFT_BRACKETS, a Newton step that leaves the
-    table, or a secant correction above LIFT_SECANT_TOL * b_hat raises
-    ModulationError and counts a lift failure.
+    <u_b - Qbhat~, A(b_hat)>, u_b = (Qb~, dPb~) + E (`_lift_residual`, one
+    profile evaluation).  A secant iteration solves it from b_hat = b,
+    where the value is <E, A(b)> from the decomposition's own fields, and
+    b_hat = LIFT_SECANT_START * b (its mirror 1 % above b if that leaves
+    the table): usually three or four profile evaluations.  An iterate
+    outside [solver.table.lo, B_MAX], a zero secant denominator, or no step
+    of at most LIFT_SECANT_TOL * b_hat within LIFT_SECANT_STEPS steps
+    raises ModulationError and counts a lift failure.
     """
     g = solver.grid
     counters = solver.counters
     counters["lift_calls"] += 1
     prof = mod.profile
     eps = mod.eps_pair
-    base = profile_base(g)
     w = 2.0 * np.pi * g.quad_weights
-    u_b = prof.Qb_tilde.values + eps.density.values
-    g_b = prof.Pb_tilde_grad.values + eps.chem_gradient.values
+    args = (g, w, prof.Qb_tilde.values + eps.density.values,
+            prof.Pb_tilde_grad.values + eps.chem_gradient.values)
     lo, hi = solver.table.lo, B_MAX
-    # brentq keeps its function in a self-referencing closure that only the
-    # cyclic collector frees; a closure over the solver here would keep it
-    # alive after the run, so the data goes in args
-    model = (g, w, u_b - base.Q, g_b - base.phi_q_grad, solver.table)
-    exact = (g, w, u_b, g_b)
-    b0 = _bracketed_root(_lift_model, mod.b, lo, hi, model)
-    if b0 is not None:
-        r0 = _lift_residual(b0, *exact)
+    a1, a2 = _lift_direction(g, w, mod.b)
+    b0 = mod.b
+    r0 = float(eps.density.values @ a1 + eps.chem_gradient.values @ a2)
+    b1 = LIFT_SECANT_START * b0
+    if b1 < lo:
+        b1 = (2.0 - LIFT_SECANT_START) * b0
+    for _ in range(LIFT_SECANT_STEPS):
+        if not lo <= b1 <= hi:
+            break
+        r1 = _lift_residual(b1, *args)
         counters["profile_evals_lift"] += 1
-        h = 1e-6 * b0 if b0 + 1e-6 * b0 <= hi else -1e-6 * b0
-        slope = (_lift_model(b0 + h, *model) - _lift_model(b0, *model)) / h
-        b1 = b0 - r0 / slope
-        if lo <= b1 <= hi:
-            r1 = _lift_residual(b1, *exact)
-            counters["profile_evals_lift"] += 1
-            if r1 != r0:
-                b2 = b1 - r1 * (b1 - b0) / (r1 - r0)
-            else:
-                b2 = b1 if r1 == 0.0 else math.nan
-            if abs(b2 - b1) <= LIFT_SECANT_TOL * b1:
-                return float(b2)
+        if r1 == r0:
+            break
+        b0, r0, b1 = b1, r1, b1 - r1 * (b1 - b0) / (r1 - r0)
+        if abs(b1 - b0) <= LIFT_SECANT_TOL * b1 and lo <= b1 <= hi:
+            return float(b1)
     counters["lift_failures"] += 1
-    raise ModulationError("lift_b found no polished root near b=%.6g"
-                          % mod.b)
-
-
-def _bracketed_root(f, b, lo, hi, args):
-    """Root of f(., *args) by brentq in the first of LIFT_BRACKETS around b,
-    clipped to [lo, hi], over which f changes sign (None if none does)."""
-    for lo_factor, hi_factor in LIFT_BRACKETS:
-        a = max(lo_factor * b, lo)
-        z = min(hi_factor * b, hi)
-        if f(a, *args) * f(z, *args) <= 0:
-            return float(brentq(f, a, z, args=args, xtol=1e-14 * b,
-                                rtol=1e-12))
-    return None
+    raise ModulationError("lift_b's secant found no root near b=%.6g "
+                          "(last iterate %.6g)" % (mod.b, b1))
 
 
 def _lift_direction(grid, w, bh):
@@ -658,12 +631,6 @@ def _lift_direction(grid, w, bh):
     lp0 = operators.apply_Lstar(operators.phi0_pair(grid,
                                                     1.0 / math.sqrt(bh)))
     return w * lp0.density.values, w * lp0.chem_gradient.values
-
-
-def _lift_model(bh, grid, w, du0, dg0, table):
-    """lift_b's tabulated root function <(du0, dg0), A(bh)> - T~(bh)."""
-    a1, a2 = _lift_direction(grid, w, bh)
-    return float(du0 @ a1 + dg0 @ a2) - table(bh)[0][2]
 
 
 def _lift_residual(bh, grid, w, u_b, g_b):
@@ -742,12 +709,13 @@ def evolve(params: EvolveParams, perturbation=None,
     a run is the last state with a decomposition, with that decomposition,
     and .reason holds the message of the error that ended it.  The series'
     .counters are the modulation solver's counters (see `ModulationSolver`)
-    plus the refolds and the smallest, median and largest committed step
+    plus the refolds, the records whose free energy is NaN
+    (nan_free_energy) and the smallest, median and largest committed step
     (ds_min, ds_median, ds_max; NaN without one).
 
     Each decomposition starts from `_predict_guess`: (lam1, b) extrapolated
-    in s from the last three committed roots.  A refold restarts that
-    history at lam1 = 1.
+    in s from the last three committed roots.  A refold re-decomposes the
+    rescaled state and restarts that history at its root.
 
     The frame moves at the rate b while the bubble sits at the pending
     scale lam1 inside it, so lam1 drifts between refolds and the recorded s
@@ -810,18 +778,16 @@ def evolve(params: EvolveParams, perturbation=None,
             stepped_mod = solver.decompose(
                 stepped, guess=_predict_guess(roots, stepped.s,
                                               solver.table.lo))
-            b_new = stepped_mod.b
-            lam_new = stepped_mod.lam
             # The pending scale is bookkeeping only: folding it into the
             # stored arrays re-interpolates the state and each such event
             # injects a small scale bias and leaks tail mass, so refits
             # happen only if the frame truly de-centers (resolution guard),
             # not as routine upkeep.
-            if abs(lam_new - 1.0) > REFOLD_THRESHOLD:
+            if abs(stepped_mod.lam - 1.0) > REFOLD_THRESHOLD:
                 refolds += 1
-                stepped = _rescale_state(stepped, lam_new)
-                lam_new = 1.0
-                stepped_mod = solver.decompose(stepped, guess=(1.0, b_new))
+                stepped = _rescale_state(stepped, stepped_mod.lam)
+                stepped_mod = solver.decompose(stepped,
+                                               guess=(1.0, stepped_mod.b))
                 roots.clear()
         except ModulationError as exc:
             series.status, series.reason = "modulation_failed", str(exc)
@@ -835,8 +801,8 @@ def evolve(params: EvolveParams, perturbation=None,
         state, mod = stepped, stepped_mod
         step_count += 1
         steps_ds.append(ds)
-        b_s_est = abs(b_new - b) / ds if ds > 0 else b_s_est
-        b, lam_pending = b_new, lam_new
+        b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
+        b, lam_pending = mod.b, mod.lam
         roots.append((state.s, lam_pending, b))
         if step_count % params.cadence == 0:
             record()
@@ -858,6 +824,8 @@ def evolve(params: EvolveParams, perturbation=None,
     ds_q = (np.percentile(steps_ds, (0, 50, 100)) if steps_ds
             else (math.nan,) * 3)
     series.counters = dict(solver.counters, refolds=refolds,
+                           nan_free_energy=int(np.isnan(
+                               series.column("free_energy")).sum()),
                            ds_min=float(ds_q[0]), ds_median=float(ds_q[1]),
                            ds_max=float(ds_q[2]))
     return series
