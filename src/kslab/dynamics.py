@@ -13,7 +13,8 @@ every step the state is decomposed against the localized profile family by
 a damped Newton solve of the two orthogonality conditions, which yields
 (lambda, b).  The residual separates into a state part and a profile part
 P(b), so Newton runs on a Chebyshev table of P in log b, built once per
-solver, and one exact profile evaluation at the model's root decides
+solver, with the lambda-column from the same read of the state as the
+model's value, and one exact profile evaluation at the model's root decides
 acceptance.  The roots lie on a smooth curve in s (lambda_s/lambda = -b,
 b_s ~ -2b^2/|log b|), so each solve starts from (lambda, b) extrapolated
 quadratically in s through the last three roots, usually one model Newton
@@ -23,8 +24,9 @@ so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
-its exact root function, started at b, finds it.  Everything recorded
-lands in a TimeSeries consumed by the law-fitting diagnostics.
+its exact root function, started at b and at b times the previous lift's
+b_hat/b, finds it.  Everything recorded lands in a TimeSeries consumed by
+the law-fitting diagnostics.
 """
 
 from __future__ import annotations
@@ -411,22 +413,29 @@ class ModulationSolver:
     splines, P(b) is two scalars of the profile at b.  The solver
     tabulates P once, over the b the grid localizes (`ProfileTable`).
     `decompose` runs damped Newton on the model G = S(lambda1) - P~(b) - c,
-    with a finite-difference lambda-column and the table's derivative as
-    the b-column, so its iterations evaluate no profile.  One exact residual
-    at the model's root decides acceptance (|F| <= atol) and gives
-    (eps, geta); if it fails, c absorbs the table's local error,
-    c <- c + G - F, and the model is solved again, at most MODEL_ROUNDS
-    times.  Past those rounds, or when the model stalls, the residual is
-    accepted up to the quadrature and spline noise floor, floor_tol; a
-    failure raises ModulationError naming b, lambda1, |F|/f_scale, the
-    model's outcome and its iteration count.  The caller supplies the
-    starting guess: `evolve` extrapolates it from its last three roots, so
-    that one model iteration usually suffices.
+    in scalar 2x2 algebra, with the table's derivative as the b-column, so
+    its iterations evaluate no profile.  The lambda-column comes from the
+    values that give S: with u = lambda1^2 m'(x)/x and g = n(x)/y at
+    x = lambda1 y, lambda1 du/dlambda1 = 2u + y u' and lambda1 dg/dlambda1
+    = g + y g'.  The y-derivative is the grid's D1 (even for u, odd for
+    g), moved onto the pairing weights once per solver, so dS/dlambda1 is
+    four dot products and each iterate reads the state's splines once.
+    One exact residual at the model's root decides acceptance
+    (|F| <= atol) and gives (eps, geta); if it fails, c absorbs the
+    table's local error, c <- c + G - F, and the model is solved again, at
+    most MODEL_ROUNDS times.  Past those rounds, or when the model stalls,
+    the residual is accepted up to the quadrature and spline noise floor,
+    floor_tol; a failure raises ModulationError naming b, lambda1,
+    |F|/f_scale, the model's outcome and its iteration count.  The caller
+    supplies the starting guess: `evolve` extrapolates it from its last
+    three roots, so that one model iteration usually suffices.
 
     `counters` counts decompose calls, model iterations, model step
     halvings, correction rounds, solves accepted at the noise floor
     (atol < |F| <= floor_tol), the exact profile evaluations (table,
-    decompose, lift), lift calls and lift failures.
+    decompose, lift), lift calls and lift failures.  `lift_ratio` is the
+    b_hat/b of the last successful `lift_b` on this solver (None before
+    one), where the next lift starts its secant.
     """
 
     def __init__(self, grid: RadialGrid, M_param: float):
@@ -443,12 +452,22 @@ class ModulationSolver:
         self._wphi2 = w * self.phim.pair.chem_gradient.values
         self._wlphi1 = w * self.lstar_phim.density.values
         self._wlphi2 = w * self.lstar_phim.chem_gradient.values
+        # lam1 dS/dlam1 pairs lam1 du/dlam1 = 2u + y u' and
+        # lam1 dg/dlam1 = g + y g'; with y d/dy as the grid's D1 moved onto
+        # the weights, it is <a_u, u> + <a_g, g> for each row of S
+        y = grid.nodes
+        d1u = grid.diff_matrix(1, "even").T
+        d1g = grid.diff_matrix(1, "odd").T
+        self._a_u = [2.0 * wu + d1u @ (y * wu)
+                     for wu in (self._wphi1, self._wlphi1)]
+        self._a_g = [wg + d1g @ (y * wg)
+                     for wg in (self._wphi2, self._wlphi2)]
         self.counters = dict.fromkeys(COUNTERS, 0)
+        self.lift_ratio = None
         b_floor = grid_b_floor(grid)
         if b_floor >= B_MAX:
             raise ProfileError("grid too small for the profile family: "
                                "r_max %.1f < 4*B1(%g)" % (grid.r_max, B_MAX))
-        y = grid.nodes
 
         def scalars(b):
             prof = modulation_profile(grid, b)
@@ -463,14 +482,17 @@ class ModulationSolver:
         return (float(self._wphi1 @ u + self._wphi2 @ g),
                 float(self._wlphi1 @ u + self._wlphi2 @ g))
 
-    def _model(self, vals, b, c):
-        """G = S(lam1) - P~(b) - c from the state's values at lam1, and
-        dP~/db."""
+    def _model(self, vals, lam1, b, c):
+        """From the state's values at lam1: G = S(lam1) - P~(b) - c, the
+        Jacobian column dS/dlam1 and dP~/db, each a pair of floats."""
         u, n_x = vals
         g = np.zeros_like(u)
         g[1:] = n_x[1:] / self.grid.nodes[1:]
-        p, dp = self.table(b)
-        return np.array(self._pair(u, g)) - p - c, dp
+        (p1, p2), (dp1, dp2) = (x.tolist() for x in self.table(b))
+        s1, s2 = self._pair(u, g)
+        dl1, dl2 = (float(a_u @ u + a_g @ g) / lam1
+                    for a_u, a_g in zip(self._a_u, self._a_g))
+        return (s1 - p1 - c[0], s2 - p2 - c[1]), (dl1, dl2), (dp1, dp2)
 
     def _residual(self, vals, b):
         """Exact F at (lam1, b) from the state's values at lam1: F, the
@@ -488,39 +510,44 @@ class ModulationSolver:
 
     def _model_newton(self, splines, lam1, b, c, tol, max_iter):
         """Damped Newton on the model, each step halved until |G| descends
-        (at most 10 times).  Returns lam1, b, G, the state's values at
+        (at most 10 times); one read of the state per iterate gives both G
+        and the lambda-column.  Returns lam1, b, G, the state's values at
         lam1 and the outcome: 'converged' (|G| <= tol), 'stalled' (no
         descent), 'singular' (a singular Jacobian) or 'exhausted' (max_iter
         steps)."""
         vals = splines(lam1)
-        G, dp = self._model(vals, b, c)
+        G, dl, dp = self._model(vals, lam1, b, c)
+        norm = math.hypot(*G)
         for _ in range(max_iter):
-            if np.linalg.norm(G) <= tol:
+            if norm <= tol:
                 return lam1, b, G, vals, "converged"
             self.counters["model_iterations"] += 1
-            h = 1e-7 * max(abs(lam1), 1.0)
-            G_h, _ = self._model(splines(lam1 + h), b, c)
-            J = np.column_stack([(G_h - G) / h, -dp])
-            det = np.linalg.det(J)
-            if not np.isfinite(det) or abs(det) < 1e-12 * np.abs(J).max() ** 2:
+            # J = [[dl1, -dp1], [dl2, -dp2]]; the step solves J step = -G
+            det = dp[0] * dl[1] - dl[0] * dp[1]
+            j_max = max(abs(dl[0]), abs(dl[1]), abs(dp[0]), abs(dp[1]))
+            if not math.isfinite(det) or abs(det) < 1e-12 * j_max ** 2:
                 return lam1, b, G, vals, "singular"
-            step = np.linalg.solve(J, -G)
+            step_lam = (dp[1] * G[0] - dp[0] * G[1]) / det
+            step_b = (dl[1] * G[0] - dl[0] * G[1]) / det
             t_damp = 1.0
             for _ in range(10):
-                lam_try = lam1 + t_damp * step[0]
-                b_try = b + t_damp * step[1]
+                lam_try = lam1 + t_damp * step_lam
+                b_try = b + t_damp * step_b
                 if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
                     vals_try = splines(lam_try)
-                    G_try, dp_try = self._model(vals_try, b_try, c)
-                    if np.linalg.norm(G_try) < np.linalg.norm(G):
-                        lam1, b, G, dp, vals = (lam_try, b_try, G_try,
-                                                dp_try, vals_try)
+                    G_try, dl_try, dp_try = self._model(vals_try, lam_try,
+                                                        b_try, c)
+                    norm_try = math.hypot(*G_try)
+                    if norm_try < norm:
+                        lam1, b, G, dl, dp, vals, norm = (
+                            lam_try, b_try, G_try, dl_try, dp_try, vals_try,
+                            norm_try)
                         break
                 t_damp *= 0.5
                 self.counters["damping_halvings"] += 1
             else:
                 return lam1, b, G, vals, "stalled"
-        outcome = "converged" if np.linalg.norm(G) <= tol else "exhausted"
+        outcome = "converged" if norm <= tol else "exhausted"
         return lam1, b, G, vals, outcome
 
     def decompose(self, state: FlowState, guess,
@@ -533,7 +560,7 @@ class ModulationSolver:
         f_scale = abs(self.phim.report["PhiM_LambdaQ"])
         atol = 1e-10 * f_scale
         floor_tol = 3e-6 * f_scale   # quadrature/spline noise plateau
-        c = np.zeros(2)
+        c = (0.0, 0.0)
         iterations = self.counters["model_iterations"]
         for rnd in range(MODEL_ROUNDS):
             if rnd:
@@ -543,7 +570,7 @@ class ModulationSolver:
             F, (eps, geta), prof = self._residual(vals, b)
             if np.linalg.norm(F) <= atol or outcome != "converged":
                 break
-            c = c + G - F
+            c = (c[0] + G[0] - F[0], c[1] + G[1] - F[1])
         # past the model rounds, a residual at the noise floor is accepted
         if outcome == "singular" or np.linalg.norm(F) > floor_tol:
             raise ModulationError(
@@ -575,7 +602,8 @@ def grid_b_floor(grid) -> float:
     return hi
 
 
-# the secant's second point is b times this (b_hat/b - 1 stays within 1 %)
+# the secant's second point before a first lift is b times this (b_hat/b
+# - 1 stays within 1 %)
 LIFT_SECANT_START = 0.99
 # lift_b's secant stops at a step of at most LIFT_SECANT_TOL * b_hat
 LIFT_SECANT_TOL = 1e-10
@@ -590,8 +618,12 @@ def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
     <u_b - Qbhat~, A(b_hat)>, u_b = (Qb~, dPb~) + E (`_lift_residual`, one
     profile evaluation).  A secant iteration solves it from b_hat = b,
     where the value is <E, A(b)> from the decomposition's own fields, and
-    b_hat = LIFT_SECANT_START * b (its mirror 1 % above b if that leaves
-    the table): usually three or four profile evaluations.  An iterate
+    b_hat = b * solver.lift_ratio, the b_hat/b of the solver's last
+    successful lift, which moves little from one lift to the next.  Before
+    a first lift, or where that ratio gives a zero-width secant or leaves
+    the table, the second point is LIFT_SECANT_START * b (its mirror 1 %
+    above b if that leaves the table).  A warm start takes two or three
+    profile evaluations, a cold one three or four.  An iterate
     outside [solver.table.lo, B_MAX], a zero secant denominator, or no step
     of at most LIFT_SECANT_TOL * b_hat within LIFT_SECANT_STEPS steps
     raises ModulationError and counts a lift failure.
@@ -608,9 +640,11 @@ def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
     a1, a2 = _lift_direction(g, w, mod.b)
     b0 = mod.b
     r0 = float(eps.density.values @ a1 + eps.chem_gradient.values @ a2)
-    b1 = LIFT_SECANT_START * b0
-    if b1 < lo:
-        b1 = (2.0 - LIFT_SECANT_START) * b0
+    b1 = b0 * (solver.lift_ratio or LIFT_SECANT_START)
+    if b1 == b0 or not lo <= b1 <= hi:
+        b1 = LIFT_SECANT_START * b0
+        if b1 < lo:
+            b1 = (2.0 - LIFT_SECANT_START) * b0
     for _ in range(LIFT_SECANT_STEPS):
         if not lo <= b1 <= hi:
             break
@@ -620,6 +654,7 @@ def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
             break
         b0, r0, b1 = b1, r1, b1 - r1 * (b1 - b0) / (r1 - r0)
         if abs(b1 - b0) <= LIFT_SECANT_TOL * b1 and lo <= b1 <= hi:
+            solver.lift_ratio = b1 / mod.b
             return float(b1)
     counters["lift_failures"] += 1
     raise ModulationError("lift_b's secant found no root near b=%.6g "

@@ -112,7 +112,8 @@ class RadialGrid:
         self.r_max = float(nodes[-1])
         self.n = len(nodes)
         self._diff = {}        # (order, parity) -> csr matrix, and
-                               # "odd_origin" -> row 0 of (1, "odd")
+                               # "odd_origin" -> (columns, weights) of
+                               # row 0 of (1, "odd")
         self._cellw = {}       # weight name -> csr cell matrix
         self._stacked = {}     # cumulative_integrals plan -> block csr
         self._quad = None
@@ -317,8 +318,15 @@ class RadialGrid:
         if parity == "odd":
             row = self._diff.get("odd_origin")
             if row is None:
-                row = self._diff["odd_origin"] = self.diff_matrix(1, "odd")[:1]
-            out[0] = (row @ values)[0]
+                csr = self.diff_matrix(1, "odd")[:1]
+                row = self._diff["odd_origin"] = (csr.indices,
+                                                  csr.data.tolist())
+            cols, weights = row
+            # summed from 0.0 in stored order, as the CSR row product sums
+            acc = 0.0
+            for w, v in zip(weights, values[cols]):
+                acc = acc + w * v
+            out[0] = acc
         else:
             out[0] = 0.0
         return out

@@ -379,6 +379,32 @@ def test_decompose_matches_fresh_jacobian_oracle(small_grid, small_params,
         assert np.linalg.norm(mod.residuals) <= tol
 
 
+@pytest.mark.parametrize("b0", [8e-3, 1e-2])
+def test_model_lambda_column_matches_central_difference(b0):
+    # dS/dlam1 from the values of one read, against a central difference of
+    # S through _StateSplines, on the small (b0 = 8e-3) and the collapse
+    # (b0 = 1e-2) grid, off the profile's own scale on both sides
+    params = dyn.EvolveParams(b0=b0, M_param=11.0)
+    grid = dyn.dynamics_grid(params)
+    pert = dyn.random_perturbation(grid, 1e-4, np.random.default_rng(3))
+    splines = dyn._StateSplines(dyn.initial_state(grid, params, pert))
+    solver = dyn.ModulationSolver(grid, params.M_param)
+    y = grid.nodes
+
+    def S(lam1):
+        u, n_x = splines(lam1)
+        g = np.zeros_like(u)
+        g[1:] = n_x[1:] / y[1:]
+        return np.array(solver._pair(u, g))
+
+    h = 1e-5
+    for lam1 in (0.85, 1.0, 1.15):
+        _, column, _ = solver._model(splines(lam1), lam1, b0, (0.0, 0.0))
+        central = (S(lam1 + h) - S(lam1 - h)) / (2.0 * h)
+        assert (np.linalg.norm(np.subtract(column, central))
+                <= 1e-4 * np.linalg.norm(column))
+
+
 def test_decompose_returns_the_accepted_residual_fields(small_grid,
                                                       small_params,
                                                       perturbed_states):
@@ -556,6 +582,55 @@ def test_lift_b_matches_brentq_oracle(small_grid, small_params,
     assert solver.counters["lift_failures"] == 0
 
 
+def test_evolve_lifts_match_brentq_oracle_cold_then_warm(
+        small_grid, small_params, monkeypatch):
+    # a run's first lift starts its secant at 0.99 b, every later one at b
+    # times the last lift's b_hat/b; each b_hat is the oracle's root
+    lifts = []
+    lift_b = dyn.lift_b
+
+    def recorded(solver, mod):
+        warm = solver.lift_ratio is not None
+        before = solver.counters["profile_evals_lift"]
+        bh = lift_b(solver, mod)
+        lifts.append((solver, mod, bh, warm,
+                      solver.counters["profile_evals_lift"] - before))
+        return bh
+
+    monkeypatch.setattr(dyn, "lift_b", recorded)
+    pert = dyn.random_perturbation(small_grid, 1e-4,
+                                   np.random.default_rng(3))
+    series = dyn.evolve(small_params, perturbation=pert)
+    assert series.status == "s_max"
+    assert len(lifts) == series.counters["lift_calls"] == 8
+    assert [warm for *_, warm, _ in lifts] == [False] + [True] * 7
+    for solver, mod, bh, _, _ in lifts:
+        ref = reference_lift_b(solver, mod)
+        assert abs(bh - ref) <= 1e-11 * ref
+    # cold, 0.99 b against a root at b (1 + 2e-7): three evaluations.
+    # Warm, b_hat/b - 1 grows 2e-7, 3e-6, 2e-5, then by 1e-4 to 2e-4 per
+    # lift: two evaluations while the ratio barely moves, three after
+    assert [evals for *_, evals in lifts] == [3, 2, 2, 3, 3, 3, 3, 3]
+    assert series.counters["profile_evals_lift"] == 22
+
+
+def test_lift_b_warm_start_falls_back_to_the_cold_start(
+        small_grid, small_params, perturbed_states):
+    # a ratio that gives a zero-width secant (1) or a start below the
+    # table starts the secant where the first lift of a run does
+    state, guess = perturbed_states[-1]
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    mod = solver.decompose(state, guess=guess)
+    cold = dyn.lift_b(solver, mod)
+    evals = solver.counters["profile_evals_lift"]
+    for ratio in (1.0, 0.5 * solver.table.lo / mod.b):
+        solver.lift_ratio = ratio
+        before = solver.counters["profile_evals_lift"]
+        assert dyn.lift_b(solver, mod) == cold
+        assert solver.counters["profile_evals_lift"] - before == evals
+    assert solver.counters["lift_failures"] == 0
+
+
 def test_lift_b_fails_on_a_corrupted_table(small_grid, small_params,
                                            perturbed_states, monkeypatch):
     # a root function without a root (a positive constant): the lift fails
@@ -672,9 +747,12 @@ def test_evolve_counts_one_profile_evaluation_per_decompose(
     assert series.status == "s_max"
     assert c["decompose_calls"] > 10
     # the extrapolated guess leaves one model iteration per decompose, but
-    # for the first (guessed at (1, b0) on perturbed data) and the step
-    # where ds stops growing and the root's step error changes course
-    assert c["model_iterations"] == c["decompose_calls"] + 2
+    # for three that take two: the first (guessed at (1, b0) on perturbed
+    # data, |G| ~ 1e-6 f_scale) and the two steps where ds stops growing
+    # and the guess misses by 1e-6 and 2e-7 f_scale.  The lambda-column
+    # from the grid's D1 is off by about 2e-5 of its norm, so one step from
+    # a miss of that size ends above MODEL_TOL * atol = 1e-12 f_scale
+    assert c["model_iterations"] == c["decompose_calls"] + 3
     assert c["profile_evals_decompose"] == c["decompose_calls"]
     assert c["correction_rounds"] == 0
     assert c["profile_evals_table"] == dyn.TABLE_NODES

@@ -429,3 +429,20 @@ def test_cumulative_integrals_rows_match_single_calls(oracle_grids, name):
         assert got.shape == block.shape
         for k, source in enumerate(sources):
             assert_bitwise(got[:, k], helper(source))
+
+
+@pytest.mark.parametrize("name", ("reference", "order3"))
+def test_divide_by_r_odd_origin_matches_the_csr_row(oracle_grids, name):
+    # out[0] of an odd divide_by_r is row 0 of diff_matrix(1, "odd") summed
+    # in its stored order from 0.0: bitwise the CSR row product, for one
+    # field and for a block of columns
+    grid = oracle_grids[name]
+    r = grid.nodes
+    rng = np.random.default_rng(11)
+    block = np.column_stack([np.sin(r) * np.exp(-r / 9.0),
+                             rng.standard_normal(grid.n),
+                             r / (1.0 + r ** 2)])
+    row = grid.diff_matrix(1, "odd")[:1]
+    for values in (block[:, 0], block[:, 1], block):
+        got = grid.divide_by_r(values, "odd")
+        np.testing.assert_array_equal(got[:1], row @ values)
