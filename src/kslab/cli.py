@@ -63,10 +63,11 @@ def _dump_json(path, payload):
         fh.write("\n")
 
 
-def profile_grid_for(b, nodes_per_decade=48, h_core=0.05):
-    return RadialGrid.make(4.5 * profiles.localization_radius(b),
-                           h_core=h_core, nodes_per_decade=nodes_per_decade,
-                           stencil_order=6)
+def profile_grid_for(b, r_max=None):
+    """The grid of `profile build` at b: radius r_max, by default 4.5 B1(b)
+    (the localization guard 4 B1 with a margin)."""
+    return RadialGrid.make(r_max or 4.5 * profiles.localization_radius(b),
+                           h_core=0.05, nodes_per_decade=48, stencil_order=6)
 
 
 def _float_list(flag, text):
@@ -87,8 +88,7 @@ def cmd_profile_build(args) -> int:
 
 def _profile_build(args, b) -> int:
     try:
-        grid = profile_grid_for(b) if args.r_max is None else RadialGrid.make(
-            args.r_max, stencil_order=6)
+        grid = profile_grid_for(b, args.r_max)
         fam = profiles.build_profile_family(grid, b)
     except (profiles.ProfileError, ValueError) as exc:
         _dump_json(os.path.join(_out_root(args), "profile_error.json"),
@@ -118,7 +118,11 @@ def _profile_build(args, b) -> int:
     return EXIT_OK
 
 
-def coercivity_chain(M, nodes_per_decade=32, h_core=0.1):
+# the grid of `spectral check` (its defaults) and of the spectral suite
+SPECTRAL_GRID = {"nodes_per_decade": 32, "h_core": 0.1}
+
+
+def coercivity_chain(M, nodes_per_decade, h_core):
     """Phi_M on `operator_grid(M)` and the coercivity constants of M and L
     there: (phim, bundle, coercivity_M, coercivity_L).  OperatorError if M
     or its grid cannot carry Phi_M."""
@@ -316,7 +320,7 @@ def cmd_verify_bounds(args) -> int:
                     or fam.norm_report["psi1_sq"] > PSI1_SQ_FLAG * b ** 5):
                 ok = False
     elif suite == "spectral":
-        phim, _, cm, cl = coercivity_chain(50.0)
+        phim, _, cm, cl = coercivity_chain(50.0, **SPECTRAL_GRID)
         verdict["checks"] = {"delta0_M_hat": cm["delta0_M_hat"],
                              "delta0_L_hat": cl["delta0_L_hat"],
                              "PhiM_T1": phim.report["PhiM_T1"]}
@@ -355,9 +359,9 @@ def build_parser():
     ssub = spct.add_subparsers(dest="subcommand", required=True)
     sc = ssub.add_parser("check", parents=[out_after])
     sc.add_argument("--M", required=True, help="comma-separated M list")
-    sc.add_argument("--nodes-per-decade", type=int, default=32)
-    sc.add_argument("--h-core", type=float, default=0.1)
-    sc.set_defaults(func=cmd_spectral)
+    sc.add_argument("--nodes-per-decade", type=int)
+    sc.add_argument("--h-core", type=float)
+    sc.set_defaults(func=cmd_spectral, **SPECTRAL_GRID)
 
     sim = sub.add_parser("simulate", help="one modulated run",
                          parents=[out_after])

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import EvolveParams
-from .profiles import localization_radius
+from .operators import phi_m_problem
+from .profiles import localization_problem
 
 
 class ConfigError(ValueError):
@@ -98,13 +99,12 @@ class RunConfig:
             v.append("grid.stencil_order must be >= 2")
         if p.r_max < 0:
             v.append("grid.r_max must be positive, or 0 to derive it")
-        if p.r_max > 0 and 0.0 < p.b0 <= 1e-2:
-            B1 = localization_radius(p.b0)
-            if p.r_max < 4.0 * B1:
-                v.append("grid.r_max below the localization guard 4*B1 = %.1f"
-                         % (4.0 * B1))
-        if p.r_max > 0 and p.r_max < 3.0 * p.M_param:
-            v.append("grid.r_max too small to resolve the pairing window 2M")
+        if p.r_max > 0:
+            for problem in (0.0 < p.b0 <= 1e-2
+                            and localization_problem(p.r_max, p.b0),
+                            phi_m_problem(p.r_max, p.M_param)):
+                if problem:
+                    v.append("grid.r_max: " + problem)
         if p.db_rel_cap <= 0 or p.db_rel_cap > 1.0e-3:
             v.append("solver.db_rel_cap must lie in (0, 1e-3]")
         if p.ds_init <= 0:

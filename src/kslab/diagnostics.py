@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldPair, RadialField, poisson_field, potential_from_gradient
+from .grid import (
+    FieldPair,
+    RadialField,
+    laplacian_values,
+    poisson_field,
+    potential_from_gradient,
+)
 
 ENTROPY_FLOOR = 1.0e-30
 
@@ -136,8 +142,11 @@ def check_hardy_suite(v: RadialField, alpha=0.0, gamma=1.0, R=None) -> dict:
     inR = r <= R
     vv = v.values
     dv = g.diff_matrix(1, v.parity) @ vv
-    lap = g.diff_matrix(2, v.parity) @ vv + _wmask(g, np.concatenate(
-        [[0.0], dv[1:] / r[1:]]))
+    d2v = g.diff_matrix(2, v.parity) @ vv
+    dv_r = np.concatenate([[0.0], dv[1:] / r[1:]])
+    # an even field's Laplacian has the limit 2 v''(0) at the origin; where
+    # the origin is singular, only v'' is kept there
+    lap = laplacian_values(g, vv) if v.parity == "even" else d2v + dv_r
     dlap = g.diff_matrix(1, "none") @ lap
     with np.errstate(divide="ignore"):
         logw = (1.0 + np.abs(np.log(np.where(r > 0, r, 1.0)))) ** 2
@@ -172,8 +181,7 @@ def check_hardy_suite(v: RadialField, alpha=0.0, gamma=1.0, R=None) -> dict:
                         "constant": lhs / rhs if rhs > 0 else np.inf}
 
     # level 2: grad/hessian controlled by the laplacian (constant 1)
-    hess = g.diff_matrix(2, v.parity) @ vv
-    hess_sq = hess ** 2 + np.concatenate([[0.0], (dv[1:] / r[1:]) ** 2])
+    hess_sq = d2v ** 2 + dv_r ** 2
     lhs = (float(w @ _wmask(g, dv ** 2 / np.where(r > 0, r ** 4, 1.0) / logw))
            + float(w @ _wmask(g, hess_sq / np.where(r > 0, r ** 2, 1.0) / logw)))
     rhs = float(w @ _wmask(g, lap ** 2 / np.where(r > 0, r ** 2, 1.0) / logw))

@@ -50,6 +50,7 @@ from .profiles import (
     ProfileError,
     build_profile_family,
     build_t1_s1,
+    grid_b_floor,
     localization_radius,
     modulation_profile,
 )
@@ -309,23 +310,27 @@ def _spline_coefficients(grid, m, n):
     m or n, k=5).c bit for bit, here from one solve with two right-hand
     sides.
     """
-    k = SPLINE_DEGREE
-    fac = grid.memo.get("quintic_spline")
-    if fac is None:
-        x = grid.nodes
-        t = make_interp_spline(x, np.zeros_like(x), k=k).t
-        coo = BSpline.design_matrix(x, t, k).tocoo()
-        ab = np.zeros((3 * k + 1, grid.n), order="F")
-        ab[2 * k + coo.row - coo.col, coo.col] = coo.data
-        lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
-        if info != 0:
-            raise SimulationError("singular spline collocation matrix")
-        fac = grid.memo["quintic_spline"] = (t, lu, piv)
-    t, lu, piv = fac
-    c, info = dgbtrs(lu, k, k, np.column_stack([m, n]), piv)
+    t, lu, piv = grid.cached("quintic_spline", _spline_factor, grid)
+    c, info = dgbtrs(lu, SPLINE_DEGREE, SPLINE_DEGREE,
+                     np.column_stack([m, n]), piv)
     if info != 0:
         raise SimulationError("spline solve failed (info %d)" % info)
     return t, c
+
+
+def _spline_factor(grid):
+    """Knots, band LU factors and pivots of the grid's quintic collocation
+    matrix."""
+    k = SPLINE_DEGREE
+    x = grid.nodes
+    t = make_interp_spline(x, np.zeros_like(x), k=k).t
+    coo = BSpline.design_matrix(x, t, k).tocoo()
+    ab = np.zeros((3 * k + 1, grid.n), order="F")
+    ab[2 * k + coo.row - coo.col, coo.col] = coo.data
+    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
+    if info != 0:
+        raise SimulationError("singular spline collocation matrix")
+    return t, lu, piv
 
 
 class _StateSplines:
@@ -440,9 +445,6 @@ class ModulationSolver:
 
     def __init__(self, grid: RadialGrid, M_param: float):
         self.grid = grid
-        self.M = M_param
-        if grid.r_max < 3.0 * M_param:
-            raise ModulationError("grid too small to resolve 2M for Phi_M")
         lvl1 = build_t1_s1(grid)
         self.phim = operators.build_phi_m(
             grid, M_param, FieldPair(lvl1.T1, lvl1.S1_grad))
@@ -465,9 +467,6 @@ class ModulationSolver:
         self.counters = dict.fromkeys(COUNTERS, 0)
         self.lift_ratio = None
         b_floor = grid_b_floor(grid)
-        if b_floor >= B_MAX:
-            raise ProfileError("grid too small for the profile family: "
-                               "r_max %.1f < 4*B1(%g)" % (grid.r_max, B_MAX))
 
         def scalars(b):
             prof = modulation_profile(grid, b)
@@ -589,19 +588,6 @@ class ModulationSolver:
                                eps_pair=pair, profile=prof)
 
 
-def grid_b_floor(grid) -> float:
-    """Smallest b whose localization scale fits: 4 B1(b) <= r_max, the
-    predicate `profiles._check_b` enforces."""
-    lo, hi = 1e-12, B_MAX
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if 4.0 * localization_radius(mid) <= grid.r_max:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # the secant's second point before a first lift is b times this (b_hat/b
 # - 1 stays within 1 %)
 LIFT_SECANT_START = 0.99
@@ -684,7 +670,7 @@ class EvolveParams:
 
     b0: float = 1.0e-2
     M_param: float = 11.0
-    r_max: float = 0.0          # 0: derived from the smallest b expected
+    r_max: float = 0.0          # 0: derived from b0 and M (dynamics_grid)
     h_core: float = 0.02
     nodes_per_decade: int = 48
     stencil_order: int = 4
@@ -705,9 +691,14 @@ B_FINAL_FACTOR = 0.2
 
 
 def dynamics_grid(params: EvolveParams) -> RadialGrid:
+    """The run's grid, of radius params.r_max or, if that is 0, the
+    smallest radius that carries the family down to b0 * B_FINAL_FACTOR
+    (4 B1, `profiles.localization_problem`) and Phi_M (10 M,
+    `operators.phi_m_problem`), each with a 5 % margin so that the
+    rounding of the geometric nodes cannot leave r_max below either."""
     b_small = max(params.b0 * B_FINAL_FACTOR, 1e-8)
-    B1 = localization_radius(b_small)
-    r_max = params.r_max or max(4.2 * B1, 3.2 * params.M_param)
+    r_max = params.r_max or max(4.2 * localization_radius(b_small),
+                                10.5 * params.M_param)
     return RadialGrid.make(r_max, h_core=params.h_core,
                            nodes_per_decade=params.nodes_per_decade,
                            stencil_order=params.stencil_order)

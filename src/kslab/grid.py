@@ -10,10 +10,14 @@ exact per cell for polynomials up to the stencil order.  Weighted cumulative
 integrals carry an ``r log r`` weight analytically on the first cell, where
 naive interpolation of log-singular integrands loses accuracy.
 
-All objects are immutable after construction (a grid only fills caches of
-data derived from its nodes); operations are pure functions returning new
-fields, so grids and fields can be shared freely across threads or
-processes.
+All objects are immutable after construction, apart from a grid's one
+cache, `RadialGrid.memo`, read through `RadialGrid.cached`; operations are
+pure functions returning new fields, so grids and fields can be shared
+freely across threads or processes.  The cache holds data derived from
+the nodes alone: the grid's own operator matrices and weights, and what
+downstream layers derive from them (the ground state, the profiles'
+b-independent fields, the spline factorization).  Each entry is built
+once, on first use, and lives exactly as long as the grid.
 """
 
 from __future__ import annotations
@@ -111,16 +115,15 @@ class RadialGrid:
         self.stencil_order = int(stencil_order)
         self.r_max = float(nodes[-1])
         self.n = len(nodes)
-        self._diff = {}        # (order, parity) -> csr matrix, and
-                               # "odd_origin" -> (columns, weights) of
-                               # row 0 of (1, "odd")
-        self._cellw = {}       # weight name -> csr cell matrix
-        self._stacked = {}     # cumulative_integrals plan -> block csr
-        self._quad = None
-        # b-independent data that downstream layers derive from this grid
-        # (the ground state, the profiles' level-one fields); it shares the
-        # grid's lifetime, so dropping the grid frees it
+        # the grid's one cache (see `cached`); it shares the grid's
+        # lifetime, so dropping the grid frees everything derived from it
         self.memo = {}
+
+    def cached(self, key, build, *args):
+        """memo[key], built as build(*args) on the first call with key."""
+        if key not in self.memo:
+            self.memo[key] = build(*args)
+        return self.memo[key]
 
     # -- construction ------------------------------------------------------
 
@@ -155,10 +158,8 @@ class RadialGrid:
             raise GridError("parity must be 'even', 'odd' or 'none'")
         if not 1 <= order <= 3:
             raise GridError("derivative order must be 1, 2 or 3")
-        key = (order, parity)
-        if key not in self._diff:
-            self._diff[key] = self._build_diff(order, parity)
-        return self._diff[key]
+        return self.cached(("diff", order, parity), self._build_diff, order,
+                           parity)
 
     def _build_diff(self, order, parity):
         r = self.nodes
@@ -189,10 +190,7 @@ class RadialGrid:
     @property
     def quad_weights(self):
         """Per-node weights for integral f -> int_0^{r_max} f(r) r dr."""
-        if self._quad is None:
-            self._quad = self._node_weights("r")
-            self._quad.setflags(write=False)
-        return self._quad
+        return self.cached("quad_weights", self._node_weights, "r")
 
     @property
     def positive_quad_weights(self):
@@ -200,20 +198,19 @@ class RadialGrid:
         linear f.  Used as the discrete metric in norms and eigensolves,
         where the high-order interpolatory weights (which may carry small
         negative entries) would break positivity."""
-        if getattr(self, "_posquad", None) is None:
-            r = self.nodes
-            h = np.diff(r)
-            w = np.zeros(self.n)
-            w[:-1] += h * (2.0 * r[:-1] + r[1:]) / 6.0
-            w[1:] += h * (r[:-1] + 2.0 * r[1:]) / 6.0
-            self._posquad = w
-            self._posquad.setflags(write=False)
-        return self._posquad
+        return self.cached("positive_quad_weights", self._positive_weights)
+
+    def _positive_weights(self):
+        r = self.nodes
+        h = np.diff(r)
+        w = np.zeros(self.n)
+        w[:-1] += h * (2.0 * r[:-1] + r[1:]) / 6.0
+        w[1:] += h * (r[:-1] + 2.0 * r[1:]) / 6.0
+        w.setflags(write=False)
+        return w
 
     def _cell_matrix(self, weight):
-        if weight not in self._cellw:
-            self._cellw[weight] = self._cell_weights(weight)
-        return self._cellw[weight]
+        return self.cached(("cells", weight), self._cell_weights, weight)
 
     def _cell_weights(self, weight):
         """Interpolatory cell matrix for the integrand f(tau)*w(tau).
@@ -258,13 +255,15 @@ class RadialGrid:
         The column sums of the cell matrix, accumulated stencil position by
         stencil position (all cells' first weights, then all second ones):
         the order of the loop oracle in tests/test_grid.py, which these
-        weights match bit for bit.
+        weights match bit for bit.  Read-only.
         """
         cells = self._cell_matrix(weight)
         p1 = self.stencil_order + 1
-        return np.bincount(cells.indices.reshape(-1, p1).T.ravel(),
-                           weights=cells.data.reshape(-1, p1).T.ravel(),
-                           minlength=self.n)
+        out = np.bincount(cells.indices.reshape(-1, p1).T.ravel(),
+                          weights=cells.data.reshape(-1, p1).T.ravel(),
+                          minlength=self.n)
+        out.setflags(write=False)
+        return out
 
     def cumulative_integral(self, values, weight="r"):
         """Cumulative integral g(r_k) = int_0^{r_k} values(tau) w(tau) dtau,
@@ -285,23 +284,24 @@ class RadialGrid:
         entries per row at the same columns, so the block's index arrays
         are the first one's, shifted by the source offset j*n.
         """
-        mat = self._stacked.get(plan)
-        if mat is None:
-            cells = [self._cell_matrix(weight) for weight, _ in plan]
-            first = cells[0]
-            shift = np.array([j * self.n for _, j in plan],
-                             dtype=first.indices.dtype)
-            data = np.concatenate([c.data for c in cells])
-            mat = self._stacked[plan] = sparse.csr_matrix(
-                (data, (first.indices + shift[:, None]).ravel(),
-                 np.arange(0, data.size + 1, first.indptr[1],
-                           dtype=first.indptr.dtype)),
-                shape=(len(plan) * (self.n - 1),
-                       (1 + max(j for _, j in plan)) * self.n), copy=False)
+        mat = self.cached(("stacked", plan), self._stacked_cells, plan)
         out = np.zeros((len(plan), self.n))
         np.cumsum((mat @ np.concatenate(sources)).reshape(len(plan), -1),
                   axis=1, out=out[:, 1:])
         return out
+
+    def _stacked_cells(self, plan):
+        cells = [self._cell_matrix(weight) for weight, _ in plan]
+        first = cells[0]
+        shift = np.array([j * self.n for _, j in plan],
+                         dtype=first.indices.dtype)
+        data = np.concatenate([c.data for c in cells])
+        return sparse.csr_matrix(
+            (data, (first.indices + shift[:, None]).ravel(),
+             np.arange(0, data.size + 1, first.indptr[1],
+                       dtype=first.indptr.dtype)),
+            shape=(len(plan) * (self.n - 1),
+                   (1 + max(j for _, j in plan)) * self.n), copy=False)
 
     def log_moment_weights(self):
         """Weights l with l @ f = int_0^{r_max} f(tau) log(tau) tau dtau."""
@@ -316,12 +316,7 @@ class RadialGrid:
         out = np.empty_like(np.asarray(values, dtype=float))
         out[1:] = values[1:] / per_node(self.nodes, out)[1:]
         if parity == "odd":
-            row = self._diff.get("odd_origin")
-            if row is None:
-                csr = self.diff_matrix(1, "odd")[:1]
-                row = self._diff["odd_origin"] = (csr.indices,
-                                                  csr.data.tolist())
-            cols, weights = row
+            cols, weights = self.cached("odd_origin", self._odd_origin_row)
             # summed from 0.0 in stored order, as the CSR row product sums
             acc = 0.0
             for w, v in zip(weights, values[cols]):
@@ -330,6 +325,11 @@ class RadialGrid:
         else:
             out[0] = 0.0
         return out
+
+    def _odd_origin_row(self):
+        """(columns, weights) of row 0 of diff_matrix(1, "odd")."""
+        csr = self.diff_matrix(1, "odd")[:1]
+        return csr.indices, csr.data.tolist()
 
 
 def per_node(coef, values):

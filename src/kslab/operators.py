@@ -89,15 +89,14 @@ class GroundState:
 def ground_state(grid: RadialGrid) -> GroundState:
     """The grid's GroundState, built on first use and kept in `grid.memo`,
     so every layer reads the same one."""
-    gs = grid.memo.get("ground")
-    if gs is None:
-        r = grid.nodes
-        gs = grid.memo["ground"] = GroundState(
-            Q=RadialField(grid, q_density(r)),
-            LambdaQ=RadialField(grid, lambda_q(r)),
-            m0=RadialField(grid, mass_q(r)),
-        )
-    return gs
+    return grid.cached("ground", _build_ground_state, grid)
+
+
+def _build_ground_state(grid):
+    r = grid.nodes
+    return GroundState(Q=RadialField(grid, q_density(r)),
+                       LambdaQ=RadialField(grid, lambda_q(r)),
+                       m0=RadialField(grid, mass_q(r)))
 
 
 def operator_grid(M_param, nodes_per_decade=48, h_core=0.05, stencil_order=4):
@@ -185,6 +184,22 @@ def _L_values(grid, e, gn):
     return first, second
 
 
+def _Lstar_values(grid, e, gn):
+    """The two components of L* (e, n) from the values of e and grad n,
+    each of shape (n,) or (n, k).
+
+    The first component is expanded as lap e + (Q'/Q) e' + lap n with the
+    analytic logarithmic derivative Q'/Q = -4r/(1+r^2); dividing the tiny
+    far-field flux by Q would amplify stencil noise like r^4.
+    """
+    r = per_node(grid.nodes, e)
+    de = grid.diff_matrix(1, "even") @ e
+    lap_n = div_from_grad_values(grid, gn)
+    first = laplacian_values(grid, e) - q_potential_grad(r) * de + lap_n
+    second = grid.diff_matrix(1, "even") @ lap_n - q_density(r) * de
+    return first, second
+
+
 def _apply(kernel, x: FieldPair) -> FieldPair:
     g = x.grid
     first, second = kernel(g, x.density.values, x.chem_gradient.values)
@@ -203,22 +218,8 @@ def apply_L(x: FieldPair) -> FieldPair:
 
 
 def apply_Lstar(x: FieldPair) -> FieldPair:
-    """Adjoint: (div(Q grad e)/Q + lap n, grad lap n - Q grad e).
-
-    The first component is expanded as lap e + (Q'/Q) e' + lap n with the
-    analytic logarithmic derivative Q'/Q = -4r/(1+r^2); dividing the tiny
-    far-field flux by Q would amplify stencil noise like r^4.
-    """
-    g = x.grid
-    r = g.nodes
-    e = x.density.values
-    gn = x.chem_gradient.values
-    Q = q_density(r)
-    de = g.diff_matrix(1, "even") @ e
-    lap_n = div_from_grad_values(g, gn)
-    first = laplacian_values(g, e) - q_potential_grad(r) * de + lap_n
-    second = g.diff_matrix(1, "even") @ lap_n - Q * de
-    return FieldPair(RadialField(g, first), RadialField(g, second, "odd"))
+    """Adjoint: (div(Q grad e)/Q + lap n, grad lap n - Q grad e)."""
+    return _apply(_Lstar_values, x)
 
 
 def lyapunov_functional(x: FieldPair) -> float:
@@ -334,6 +335,15 @@ def phi0_pair(grid: RadialGrid, M_param: float) -> FieldPair:
     return FieldPair(first, grad2)
 
 
+def phi_m_problem(r_max: float, M_param: float):
+    """What keeps a grid of radius r_max from carrying Phi_M at M, which
+    needs r_max >= 10 M (the directions, supported in r <= 1.5 M, stay far
+    from the outer boundary); None if nothing does."""
+    guard = 10.0 * M_param
+    if r_max < guard:
+        return "Phi_M requires r_max >= 10*M = %.1f, got %.1f" % (guard, r_max)
+
+
 class PhiMDirections:
     def __init__(self, pair, c_M, report):
         self.pair = pair
@@ -348,8 +358,9 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
     <Phi_0, Lambda Q> through adjunction and L T1 = Lambda Q), which makes
     the defining orthogonality hold to roundoff.
     """
-    if grid.r_max < 10.0 * M_param:
-        raise OperatorError("grid r_max should be >> M for Phi_M work")
+    problem = phi_m_problem(grid.r_max, M_param)
+    if problem:
+        raise OperatorError(problem)
     gs = ground_state(grid)
     p0 = phi0_pair(grid, M_param)
     lp0 = apply_Lstar(p0)

@@ -246,17 +246,18 @@ class ProfileBase:
 def profile_base(grid: RadialGrid) -> ProfileBase:
     """The grid's ProfileBase, built on first use and kept in `grid.memo`,
     so it lives exactly as long as the grid."""
-    base = grid.memo.get("profiles")
-    if base is None:
-        r = grid.nodes
-        gs = ground_state(grid)
-        Q = gs.Q.values
-        psi0v = psi0(r)
-        base = grid.memo["profiles"] = ProfileBase(
-            grid=grid, r=r, Q=Q, r2Q=r ** 2 * Q, psi0=psi0v, psi1=psi1(r),
-            psi0_over_r=grid.divide_by_r(psi0v, "even"), m0=gs.m0.values,
-            phi_q_grad=gs.pair_Q().chem_gradient.values)
-    return base
+    return grid.cached("profiles", _build_profile_base, grid)
+
+
+def _build_profile_base(grid):
+    r = grid.nodes
+    gs = ground_state(grid)
+    Q = gs.Q.values
+    psi0v = psi0(r)
+    return ProfileBase(
+        grid=grid, r=r, Q=Q, r2Q=r ** 2 * Q, psi0=psi0v, psi1=psi1(r),
+        psi0_over_r=grid.divide_by_r(psi0v, "even"), m0=gs.m0.values,
+        phi_q_grad=gs.pair_Q().chem_gradient.values)
 
 
 # -- radiation -----------------------------------------------------------------
@@ -356,19 +357,39 @@ def _verify_radiation_regions(base, rad):
 
 
 def localization_radius(b: float) -> float:
-    """B1 = |log b|/sqrt(b), where the profiles at b are cut off; a grid
-    carries the family at b when r_max >= 4 B1."""
+    """B1 = |log b|/sqrt(b), where the profiles at b are cut off."""
     return abs(math.log(b)) / math.sqrt(b)
+
+
+def localization_problem(r_max: float, b: float):
+    """What keeps a grid of radius r_max from carrying the family at b,
+    which needs r_max >= 4 B1(b); None if nothing does."""
+    guard = 4.0 * localization_radius(b)
+    if r_max < guard:
+        return ("localization requires r_max >= 4*B1 = %.1f, got %.1f"
+                % (guard, r_max))
+
+
+def grid_b_floor(grid) -> float:
+    """Smallest b whose family the grid carries (`localization_problem`),
+    to bisection accuracy; ProfileError if it does not carry B_MAX."""
+    _check_b(grid, B_MAX)
+    lo, hi = 1e-12, B_MAX
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if localization_problem(grid.r_max, mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _check_b(grid, b):
     if not 0.0 < b <= B_MAX:
         raise ProfileError("b=%g outside the admissible range (0, %g]" % (b, B_MAX))
-    B1 = localization_radius(b)
-    if grid.r_max < 4.0 * B1:
-        raise ProfileError(
-            "grid too small for b=%g: localization requires r_max >= 4*B1 = %.1f, "
-            "got %.1f" % (b, 4.0 * B1, grid.r_max))
+    problem = localization_problem(grid.r_max, b)
+    if problem:
+        raise ProfileError("grid too small for b=%g: %s" % (b, problem))
 
 
 # -- level b^2 -----------------------------------------------------------------

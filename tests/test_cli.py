@@ -231,6 +231,17 @@ def test_config_r_max_guard_names_B1():
         cfg.validate()
 
 
+def test_simulate_rejects_a_grid_too_small_for_phi_m(tmp_path, capsys):
+    # r_max = 200 carries the family at b0 (4 B1 = 184.2) but not Phi_M at
+    # M = 30, which needs 10 M = 300: a config violation, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile.b0 = 1e-2\nprofile.M = 30\ngrid.r_max = 200\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["violations"] == [
+        "grid.r_max: Phi_M requires r_max >= 10*M = 300.0, got 200.0"]
+
+
 def test_profile_build_outputs(tmp_path):
     r = run_cli(["profile", "build", "--b", "1e-4"], tmp_path)
     assert r.returncode == 0

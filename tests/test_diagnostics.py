@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from types import SimpleNamespace
 
 import kslab.diagnostics as diag
-from kslab.grid import FieldPair, RadialField, RadialGrid
+from kslab.grid import FieldPair, RadialField, RadialGrid, laplacian_values
 from kslab.operators import q_density
 
 
@@ -104,6 +104,17 @@ def test_hardy_log_suite_finite_constants(ref_grid):
     for name in ("log", "log_gamma", "level1", "level3"):
         assert 0.0 <= rep[name]["constant"] < 50.0
     assert rep["level2"]["constant"] <= 1.0 + 1e-6 or rep["level2"]["constant"] < 5.0
+
+
+def test_hardy_laplacian_is_the_grid_laplacian(ref_grid):
+    # level 3 differentiates the grid's Laplacian, whose origin value is the
+    # limit 2 v''(0) = -4 for v = exp(-r^2); then int |grad lap v|^2 over
+    # the plane is its closed form 24 pi
+    r = ref_grid.nodes
+    v = RadialField(ref_grid, np.exp(-r ** 2))
+    assert abs(laplacian_values(ref_grid, v.values)[0] + 4.0) < 1e-6
+    rhs = diag.check_hardy_suite(v)["level3"]["rhs"]
+    assert abs(rhs - 24.0 * np.pi) < 1e-6 * 24.0 * np.pi
 
 
 def test_hardy_refinement_stability():

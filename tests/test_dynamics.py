@@ -16,8 +16,8 @@ import kslab.dynamics as dyn
 import kslab.operators as ops
 from kslab.grid import FieldPair, RadialField, RadialGrid
 from kslab.operators import mass_q, q_density
-from kslab.profiles import (ProfileError, build_profile_family,
-                            modulation_profile)
+from kslab.profiles import (ProfileError, build_profile_family, grid_b_floor,
+                            localization_radius, modulation_profile)
 
 
 @pytest.fixture(scope="module")
@@ -561,7 +561,7 @@ def reference_lift_b(solver, mod):
             prof.Qb_tilde.values + eps.density.values,
             prof.Pb_tilde_grad.values + eps.chem_gradient.values)
     for lo_factor, hi_factor in ORACLE_LIFT_BRACKETS:
-        lo = max(lo_factor * mod.b, dyn.grid_b_floor(g))
+        lo = max(lo_factor * mod.b, grid_b_floor(g))
         hi = min(hi_factor * mod.b, dyn.B_MAX)
         if dyn._lift_residual(lo, *args) * dyn._lift_residual(hi, *args) <= 0:
             return float(brentq(dyn._lift_residual, lo, hi, args=args,
@@ -876,6 +876,17 @@ def test_evolve_refold_restarts_the_root_history(small_params, monkeypatch):
     for b, res in zip(series.b, zip(series.column("res_phi"),
                                     series.column("res_lphi"))):
         assert by_residuals[res] == b
+
+
+@pytest.mark.parametrize("M, r_max", [(11.0, 583.644), (60.0, 630.0)])
+def test_derived_grid_carries_the_family_and_phi_m(M, r_max):
+    # the derived radius is the larger of 4.2 B1(b0 / 5) and 10.5 M: at the
+    # default M the localization term, at M = 60 the Phi_M term
+    grid = dyn.dynamics_grid(dyn.EvolveParams(M_param=M))
+    assert grid.r_max == pytest.approx(r_max, abs=1e-3)
+    assert grid.r_max >= max(4.0 * localization_radius(2e-3), 10.0 * M)
+    solver = dyn.ModulationSolver(grid, M)
+    assert solver.phim.report["M"] == M
 
 
 def test_evolve_grid_exhausted():

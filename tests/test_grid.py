@@ -446,3 +446,28 @@ def test_divide_by_r_odd_origin_matches_the_csr_row(oracle_grids, name):
     for values in (block[:, 0], block[:, 1], block):
         got = grid.divide_by_r(values, "odd")
         np.testing.assert_array_equal(got[:1], row @ values)
+
+
+def test_grid_builders_run_once_per_key(monkeypatch):
+    # every accessor reads the grid's one memo: repeated calls build each
+    # difference and cell matrix once, and the grid keeps no other cache
+    calls = []
+    for name in ("_build_diff", "_cell_weights"):
+        def counted(self, *args, _build=getattr(RadialGrid, name)):
+            calls.append(args)
+            return _build(self, *args)
+        monkeypatch.setattr(RadialGrid, name, counted)
+    grid = RadialGrid.make(60.0, h_core=0.2, nodes_per_decade=16)
+    r = grid.nodes
+    for _ in range(3):
+        for order in (1, 2, 3):
+            for parity in ("even", "odd", "none"):
+                grid.diff_matrix(order, parity)
+        grid.quad_weights, grid.positive_quad_weights
+        grid.cumulative_integral(r, "r3")
+        grid.cumulative_integrals((r, r), (("one", 0), ("rlogr", 1)))
+        grid.divide_by_r(r, "odd")
+        laplacian_values(grid, r ** 2)
+    assert len(calls) == len(set(calls)) == 9 + 4
+    assert {(weight,) for weight in ("one", "r", "r3", "rlogr")} < set(calls)
+    assert set(vars(grid)) == {"nodes", "stencil_order", "r_max", "n", "memo"}

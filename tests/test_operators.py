@@ -10,7 +10,9 @@ from scipy import linalg
 
 import kslab.operators as ops
 from conftest import smooth_bump_pair_values
-from kslab.grid import FieldPair, RadialField, derivative
+from kslab.dynamics import EvolveParams, ModulationSolver, dynamics_grid
+from kslab.grid import (FieldPair, RadialField, derivative,
+                        div_from_grad_values, laplacian_values)
 from kslab.operators import lambda_q, q_density
 from kslab.profiles import build_t1_s1
 
@@ -86,6 +88,30 @@ def test_apply_Lstar_kernel(ref_grid):
     out2 = ops.apply_Lstar(FieldPair(RadialField(ref_grid, r ** 2), eta_grad))
     assert np.max(np.abs(out2.density.values + 4.0)) < 1e-6
     assert np.max(np.abs(out2.chem_gradient.values)) / 4.0 < 1e-6
+
+
+def _oracle_apply_Lstar(x):
+    """L* written out on one pair, as before it became a value kernel."""
+    g = x.grid
+    r = g.nodes
+    e = x.density.values
+    gn = x.chem_gradient.values
+    de = g.diff_matrix(1, "even") @ e
+    lap_n = div_from_grad_values(g, gn)
+    first = laplacian_values(g, e) - ops.q_potential_grad(r) * de + lap_n
+    second = g.diff_matrix(1, "even") @ lap_n - q_density(r) * de
+    return first, second
+
+
+def test_apply_Lstar_matches_the_written_out_oracle(ref_grid):
+    # on a bump pair and on Phi_M as the modulation solver builds it
+    bump = bump_pair(ref_grid, np.random.default_rng(5))
+    solver = ModulationSolver(dynamics_grid(EvolveParams()), 11.0)
+    for x, got in ((bump, ops.apply_Lstar(bump)),
+                   (solver.phim.pair, solver.lstar_phim)):
+        first, second = _oracle_apply_Lstar(x)
+        np.testing.assert_array_equal(got.density.values, first)
+        np.testing.assert_array_equal(got.chem_gradient.values, second)
 
 
 def test_adjunction_random_pairs(ref_grid):

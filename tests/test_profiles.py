@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import kslab.profiles as prof
 from kslab.cli import profile_grid_for
-from kslab.dynamics import grid_b_floor
+from kslab.profiles import grid_b_floor
 from kslab.grid import RadialField, RadialGrid, cutoff, derivative, integrate
 from kslab.operators import apply_L, lambda_q, pairing, q_density
 from kslab.grid import FieldPair
@@ -394,15 +395,20 @@ def test_modulation_profile_rejects_like_full_builder(b):
 
 
 def test_profile_memo_dies_with_its_grid():
-    # the level-one fields and the per-grid precompute live on the grid,
-    # so a dropped grid is collected with them
+    # the level-one fields, the per-grid precompute and the grid's own
+    # difference, cell and stacked matrices live in the grid's memo, so a
+    # dropped grid is collected with them
     g = RadialGrid.make(200.0, h_core=0.1, nodes_per_decade=24,
                         stencil_order=4)
     prof.build_profile_family(g, 1e-2)
-    ref = weakref.ref(g)
-    del g
+    matrices = {key[0]: value for key, value in g.memo.items()
+                if sparse.issparse(value)}
+    assert set(matrices) == {"diff", "cells", "stacked"}
+    refs = [weakref.ref(x) for x in (g, prof.profile_base(g),
+                                     *matrices.values())]
+    del g, matrices
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_db_pair_direction(g1em4, fam1em4):
