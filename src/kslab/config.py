@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import EvolveParams
-from .operators import phi_m_problem
+from .operators import phi_m_degeneracy, phi_m_problem
 from .profiles import localization_problem
 
 
@@ -88,8 +88,9 @@ class RunConfig:
         p = self.params
         if not 0.0 < p.b0 <= 1.0e-2:
             v.append("profile.b0 must lie in (0, 1e-2] (asymptotic regime guard)")
-        if p.M_param < 2.0:
-            v.append("profile.M too small: the pairing direction degenerates")
+        problem = phi_m_degeneracy(p.M_param)
+        if problem:
+            v.append("profile." + problem)
         if p.h_core <= 0:
             v.append("grid.h_core must be positive")
         if p.nodes_per_decade < MIN_NODES_PER_DECADE:

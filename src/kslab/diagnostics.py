@@ -127,19 +127,19 @@ def _wmask(grid, vals):
     return out
 
 
-def check_hardy_suite(v: RadialField, alpha=0.0, gamma=1.0, R=None) -> dict:
+def check_hardy_suite(v: RadialField) -> dict:
     """Evaluate both sides of the weighted Hardy inequalities.
 
     Reports {name: (lhs, rhs, ratio)} with ratio = rhs/lhs for the
     'lhs <= C rhs' family (finite measured constant) and lhs/rhs for the
-    sharp-constant bound.  R defaults to half the grid radius.
+    sharp-constant bound.  The weights are fixed: the power bound has
+    exponent alpha = 0 (sharp constant 1), the gamma variant gamma = 1, and
+    the log-weighted integrals run over r <= R = r_max/2.
     """
     g = v.grid
     r = g.nodes
-    if R is None:
-        R = 0.5 * g.r_max
     w = 2.0 * np.pi * g.quad_weights
-    inR = r <= R
+    inR = r <= 0.5 * g.r_max
     vv = v.values
     dv = g.diff_matrix(1, v.parity) @ vv
     d2v = g.diff_matrix(2, v.parity) @ vv
@@ -152,12 +152,11 @@ def check_hardy_suite(v: RadialField, alpha=0.0, gamma=1.0, R=None) -> dict:
         logw = (1.0 + np.abs(np.log(np.where(r > 0, r, 1.0)))) ** 2
     report = {}
 
-    # sharp power-weight bound: int r^{a+2} |v'|^2 >= ((2+a)^2/4) int r^a v^2
-    lhs = float(w @ (r ** (alpha + 2) * dv ** 2))
-    rhs = float(w @ (r ** alpha * vv ** 2))
+    # sharp power-weight bound: int r^2 |v'|^2 >= int v^2
+    lhs = float(w @ (r ** 2 * dv ** 2))
+    rhs = float(w @ vv ** 2)
     report["power"] = {"lhs": lhs, "rhs": rhs,
-                       "ratio": lhs / rhs if rhs else np.inf,
-                       "sharp": (2.0 + alpha) ** 2 / 4.0}
+                       "ratio": lhs / rhs if rhs else np.inf, "sharp": 1.0}
 
     # log weight: int_{r<=R} v^2/(r^2(1+|log r|)^2) <= C [int_{1<r<2} v^2 + int |v'|^2]
     lhs = float(w @ _wmask(g, inR * vv ** 2 / np.where(r > 0, r ** 2, 1.0) / logw))
@@ -165,11 +164,11 @@ def check_hardy_suite(v: RadialField, alpha=0.0, gamma=1.0, R=None) -> dict:
     rhs = float(w @ (ring * vv ** 2)) + float(w @ (inR * dv ** 2))
     report["log"] = {"lhs": lhs, "rhs": rhs, "constant": lhs / rhs}
 
-    # gamma variant on r >= 1
+    # gamma = 1 variant on r >= 1
     out1 = (r >= 1.0) & inR
-    lhs = float(w @ (out1 * vv ** 2 / np.where(r > 0, r ** (gamma + 2), 1.0) / logw))
+    lhs = float(w @ (out1 * vv ** 2 / np.where(r > 0, r ** 3, 1.0) / logw))
     rhs = (float(w @ (ring * vv ** 2))
-           + float(w @ (out1 * dv ** 2 / np.where(r > 0, r ** gamma, 1.0) / logw)))
+           + float(w @ (out1 * dv ** 2 / np.where(r > 0, r, 1.0) / logw)))
     report["log_gamma"] = {"lhs": lhs, "rhs": rhs, "constant": lhs / rhs}
 
     # level 1: v^2/(r^2(1+r^4)log^2) <= C [ |v'|^2/(r^4 log^2) - v^2/(1+r^8) ]
@@ -198,7 +197,13 @@ def check_hardy_suite(v: RadialField, alpha=0.0, gamma=1.0, R=None) -> dict:
 
 # -- rate-law fitting ------------------------------------------------------------
 
-def fit_rate_law(series, window_fraction=0.5, reject_residual=0.005) -> dict:
+# fit_rate_law fits the trailing FIT_WINDOW_FRACTION of the samples and
+# accepts a law whose relative residual is at most FIT_REJECT_RESIDUAL
+FIT_WINDOW_FRACTION = 0.5
+FIT_REJECT_RESIDUAL = 0.005
+
+
+def fit_rate_law(series) -> dict:
     """Least-squares fits of the predicted modulation laws on a recorded run.
 
     (a) b_hat(s) * 2s against log s - log log s (coefficient -> 1);
@@ -208,8 +213,8 @@ def fit_rate_law(series, window_fraction=0.5, reject_residual=0.005) -> dict:
 
     `series` needs attributes s, b_hat, lam as arrays (duck-typed); samples
     without a lifted b_hat (NaN) are dropped.  The fit uses the trailing
-    window_fraction of samples; a relative residual above reject_residual
-    marks the law as not matched.
+    FIT_WINDOW_FRACTION of samples; a relative residual above
+    FIT_REJECT_RESIDUAL marks the law as not matched.
     """
     b_hat = np.asarray(series.b_hat, dtype=float)
     lifted = np.isfinite(b_hat)
@@ -220,7 +225,7 @@ def fit_rate_law(series, window_fraction=0.5, reject_residual=0.005) -> dict:
         raise DiagnosticsError("insufficient samples for a rate fit")
     if s[-1] / max(s[0], 1e-300) < np.sqrt(10.0):
         raise DiagnosticsError("insufficient dynamic range for a rate fit")
-    i0 = np.searchsorted(s, s[-1] * (1.0 - window_fraction))
+    i0 = np.searchsorted(s, s[-1] * (1.0 - FIT_WINDOW_FRACTION))
     i0 = min(i0, len(s) - 8)
     sw, bw, lw = s[i0:], b_hat[i0:], lam[i0:]
     if np.any(sw <= 1.0):
@@ -240,7 +245,7 @@ def fit_rate_law(series, window_fraction=0.5, reject_residual=0.005) -> dict:
     return {
         "ode_coefficient": coef,
         "ode_residual": resid,
-        "accepted": bool(resid <= reject_residual),
+        "accepted": bool(resid <= FIT_REJECT_RESIDUAL),
         "lambda_slope": slope,
         "proxy_min": float(np.min(proxy)),
         "proxy_max": float(np.max(proxy)),

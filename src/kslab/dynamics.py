@@ -217,9 +217,7 @@ class SemiImplicitStepper:
         d2 = grid.diff_matrix(2, "even").tocsr()
         r = grid.nodes
         npts = grid.n
-        inv_r = np.zeros_like(r)
-        inv_r[1:] = 1.0 / r[1:]
-        self.inv_r = inv_r
+        self.inv_r = inv_r = grid.divide_by_r(np.ones(npts), "even")
         # row 0 of lap0 never matters: both systems replace it by a unit row
         lap0 = (d2 - sparse.diags(inv_r) @ d1).tocsr()
         self._lap0_csr = lap0   # for the explicit lap0 @ m_new
@@ -398,6 +396,8 @@ class ProfileTable:
 MODEL_ROUNDS = 3
 # decompose's model Newton stops at |G| <= MODEL_TOL * atol
 MODEL_TOL = 1e-2
+# model Newton iterations per round after which the model is 'exhausted'
+MODEL_MAX_ITER = 30
 # how decompose's ModulationError names a model outcome that failed
 MODEL_FAILURES = {
     "singular": "singular modulation Jacobian (M too small or state far "
@@ -470,9 +470,8 @@ class ModulationSolver:
 
         def scalars(b):
             prof = modulation_profile(grid, b)
-            n_y = np.zeros_like(y)
-            n_y[1:] = prof.n_tilde.values[1:] / y[1:]
-            return self._pair(prof.Qb_tilde.values, n_y)
+            return self._pair(prof.Qb_tilde.values,
+                              grid.divide_by_r(prof.n_tilde.values, "even"))
 
         self.table = ProfileTable(b_floor, B_MAX, scalars)
         self.counters["profile_evals_table"] = TABLE_NODES
@@ -485,8 +484,7 @@ class ModulationSolver:
         """From the state's values at lam1: G = S(lam1) - P~(b) - c, the
         Jacobian column dS/dlam1 and dP~/db, each a pair of floats."""
         u, n_x = vals
-        g = np.zeros_like(u)
-        g[1:] = n_x[1:] / self.grid.nodes[1:]
+        g = self.grid.divide_by_r(n_x, "even")
         (p1, p2), (dp1, dp2) = (x.tolist() for x in self.table(b))
         s1, s2 = self._pair(u, g)
         dl1, dl2 = (float(a_u @ u + a_g @ g) / lam1
@@ -496,28 +494,25 @@ class ModulationSolver:
     def _residual(self, vals, b):
         """Exact F at (lam1, b) from the state's values at lam1: F, the
         fields (eps, geta) and the profile at b (one profile evaluation)."""
-        y = self.grid.nodes
         u, n_x = vals
         prof = modulation_profile(self.grid, b)
         self.counters["profile_evals_decompose"] += 1
         # density residual lambda1^2 u(lambda1 y) - Qb(y), u = m'/x
         eps = u - prof.Qb_tilde.values
-        n_res = n_x - prof.n_tilde.values
-        geta = np.zeros_like(y)
-        geta[1:] = n_res[1:] / y[1:]
+        geta = self.grid.divide_by_r(n_x - prof.n_tilde.values, "even")
         return np.array(self._pair(eps, geta)), (eps, geta), prof
 
-    def _model_newton(self, splines, lam1, b, c, tol, max_iter):
+    def _model_newton(self, splines, lam1, b, c, tol):
         """Damped Newton on the model, each step halved until |G| descends
         (at most 10 times); one read of the state per iterate gives both G
         and the lambda-column.  Returns lam1, b, G, the state's values at
         lam1 and the outcome: 'converged' (|G| <= tol), 'stalled' (no
-        descent), 'singular' (a singular Jacobian) or 'exhausted' (max_iter
-        steps)."""
+        descent), 'singular' (a singular Jacobian) or 'exhausted'
+        (MODEL_MAX_ITER steps)."""
         vals = splines(lam1)
         G, dl, dp = self._model(vals, lam1, b, c)
         norm = math.hypot(*G)
-        for _ in range(max_iter):
+        for _ in range(MODEL_MAX_ITER):
             if norm <= tol:
                 return lam1, b, G, vals, "converged"
             self.counters["model_iterations"] += 1
@@ -549,8 +544,7 @@ class ModulationSolver:
         outcome = "converged" if norm <= tol else "exhausted"
         return lam1, b, G, vals, outcome
 
-    def decompose(self, state: FlowState, guess,
-                  max_iter=30) -> ModulationState:
+    def decompose(self, state: FlowState, guess) -> ModulationState:
         g = self.grid
         lam1, b = guess
         self.counters["decompose_calls"] += 1
@@ -565,7 +559,7 @@ class ModulationSolver:
             if rnd:
                 self.counters["correction_rounds"] += 1
             lam1, b, G, vals, outcome = self._model_newton(
-                splines, lam1, b, c, MODEL_TOL * atol, max_iter)
+                splines, lam1, b, c, MODEL_TOL * atol)
             F, (eps, geta), prof = self._residual(vals, b)
             if np.linalg.norm(F) <= atol or outcome != "converged":
                 break
@@ -719,8 +713,7 @@ def initial_state(grid, params: EvolveParams, perturbation=None) -> FlowState:
     return state
 
 
-def evolve(params: EvolveParams, perturbation=None,
-           series: TimeSeries = None) -> TimeSeries:
+def evolve(params: EvolveParams, perturbation=None) -> TimeSeries:
     """Integrate from profile data until a stopping criterion fires.
 
     Records the modulation history at the configured cadence; the returned
@@ -752,7 +745,7 @@ def evolve(params: EvolveParams, perturbation=None,
     state = initial_state(grid, params, perturbation)
     stepper = SemiImplicitStepper(grid)
     solver = ModulationSolver(grid, params.M_param)
-    series = series if series is not None else TimeSeries()
+    series = TimeSeries()
 
     mod = solver.decompose(state, guess=(1.0, params.b0))
     b = mod.b
@@ -902,14 +895,18 @@ def bubble_time(series) -> np.ndarray:
     return s0 + np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def measure_laws(series: TimeSeries, window=5) -> dict:
+# measure_laws averages the b-law over this many consecutive samples
+LAW_WINDOW = 5
+
+
+def measure_laws(series: TimeSeries) -> dict:
     """Modulation-law ratios from a recorded series, in the bubble's time.
 
     Returns the pointwise arrays of
     (a) (-lambda_sigma/lambda)/b, one value per record, unsmoothed;
     (b) b_hat_sigma |log b_hat| / b_hat^2 over the records that carry a
-        lifted b_hat, with b_hat_sigma and b_hat each averaged over `window`
-        consecutive samples;
+        lifted b_hat, with b_hat_sigma and b_hat each averaged over
+        LAW_WINDOW consecutive samples;
     (c) -(lambda^{4/3})_t over the final third, in physical time.
     sigma is `bubble_time(series)`; the recorded frame time `s` would scale
     (a) and (b) by 1/lam1^2 as the pending scale drifts.
@@ -922,8 +919,8 @@ def measure_laws(series: TimeSeries, window=5) -> dict:
     ratio_a = -np.gradient(np.log(lam), sigma) / b
 
     sh, bhh = sigma[good], bh[good]
-    if len(sh) >= 2 * window + 3:
-        kern = np.ones(window) / window
+    if len(sh) >= 2 * LAW_WINDOW + 3:
+        kern = np.ones(LAW_WINDOW) / LAW_WINDOW
         bs = np.convolve(np.gradient(bhh, sh), kern, mode="valid")
         bmid = np.convolve(bhh, kern, mode="valid")
         ratio_b = bs * np.abs(np.log(bmid)) / bmid ** 2
@@ -937,13 +934,20 @@ def measure_laws(series: TimeSeries, window=5) -> dict:
     return {"ratio_a": ratio_a, "ratio_b": ratio_b, "rate_lam43": rate_43}
 
 
-def random_perturbation(grid, delta, rng, n_bumps=4, r_span=(0.5, 6.0)):
-    """Smooth compact perturbation pair of relative energy-norm size delta."""
+# random_perturbation sums this many Gaussian bumps centred in BUMP_SPAN
+BUMPS = 4
+BUMP_SPAN = (0.5, 6.0)
+
+
+def random_perturbation(grid, delta, rng):
+    """Smooth compact perturbation pair of relative energy-norm size delta:
+    BUMPS even Gaussian bumps, each drawn as (centre in BUMP_SPAN, width in
+    [0.5, 2], density and potential amplitudes in [-1, 1])."""
     r = grid.nodes
     eps = np.zeros_like(r)
     eta = np.zeros_like(r)
-    for _ in range(n_bumps):
-        c = rng.uniform(*r_span)
+    for _ in range(BUMPS):
+        c = rng.uniform(*BUMP_SPAN)
         wdt = rng.uniform(0.5, 2.0)
         a_e, a_n = rng.uniform(-1, 1), rng.uniform(-1, 1)
         bump = np.exp(-((r - c) / wdt) ** 2) + np.exp(-((r + c) / wdt) ** 2)
@@ -998,11 +1002,11 @@ def stability_probe(params: EvolveParams, n_perturbations=8, delta=1e-4,
     return {"runs": runs, "fraction_reached": reached / max(n_perturbations, 1)}
 
 
-def subcritical_control(mass_fraction=0.5, r_max=60.0, t_max=2.0,
-                        h_core=0.05) -> dict:
-    """Small-mass control run in the physical frame: no blow-up, the
-    density maximum decays (lambda proxy sqrt(8/u(0)) stays bounded below)."""
-    grid = RadialGrid.make(r_max, h_core=h_core, nodes_per_decade=32,
+def subcritical_control(mass_fraction=0.5, t_max=2.0) -> dict:
+    """Small-mass control run in the physical frame, on a grid of radius 60:
+    no blow-up, the density maximum decays (lambda proxy sqrt(8/u(0)) stays
+    bounded below)."""
+    grid = RadialGrid.make(60.0, h_core=0.05, nodes_per_decade=32,
                            stencil_order=4)
     r = grid.nodes
     u0 = mass_fraction * q_density(r)

@@ -34,6 +34,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
 
+# `RadialGrid.make` spaces nodes uniformly on [0, R_CORE], where the bubble
+# lives, and geometrically beyond
+R_CORE = 10.0
+
 _WEIGHT_FUNCTIONS = {
     "one": np.ones_like,
     "r": lambda t: t,
@@ -128,10 +132,10 @@ class RadialGrid:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def make(cls, r_max, h_core=0.02, r_core=10.0, nodes_per_decade=48,
-             stencil_order=4):
-        """Standard mesh: uniform core then >= nodes_per_decade geometric tail."""
-        r_core = min(r_core, r_max)
+    def make(cls, r_max, h_core=0.02, nodes_per_decade=48, stencil_order=4):
+        """Standard mesh: uniform core up to R_CORE, then a geometric tail of
+        >= nodes_per_decade nodes per decade."""
+        r_core = min(R_CORE, r_max)
         return cls(geometric_nodes(r_core, r_max, h_core, nodes_per_decade),
                    stencil_order=stencil_order)
 

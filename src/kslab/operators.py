@@ -99,12 +99,11 @@ def _build_ground_state(grid):
                        m0=RadialField(grid, mass_q(r)))
 
 
-def operator_grid(M_param, nodes_per_decade=48, h_core=0.05, stencil_order=4):
-    """Grid for Phi_M / coercivity work: r_max = 50 M keeps the compactly
-    supported directions far from the outer boundary."""
+def operator_grid(M_param, nodes_per_decade=48, h_core=0.05):
+    """Grid for Phi_M / coercivity work, of stencil order 4: r_max = 50 M
+    keeps the compactly supported directions far from the outer boundary."""
     return RadialGrid.make(50.0 * M_param, h_core=h_core,
-                           nodes_per_decade=nodes_per_decade,
-                           stencil_order=stencil_order)
+                           nodes_per_decade=nodes_per_decade, stencil_order=4)
 
 
 # -- inner products ------------------------------------------------------------
@@ -251,19 +250,12 @@ class OperatorBundle:
             self._cache["G"] = np.concatenate([w, w])
         return self._cache["G"]  # diagonal, stored as vector
 
-    def gram_xq(self, log_weight=False):
-        key = "GX_log" if log_weight else "GX"
-        if key not in self._cache:
+    def gram_xq(self):
+        if "GX" not in self._cache:
             g = self.grid
             w = 2.0 * np.pi * g.positive_quad_weights
-            r = g.nodes
-            grad_w = w.copy()
-            if log_weight:
-                with np.errstate(divide="ignore"):
-                    lw = (1.0 + np.abs(np.log(np.where(r > 0, r, 1.0)))) ** 2
-                grad_w = w * lw
-            self._cache[key] = np.concatenate([w / q_density(r), grad_w])
-        return self._cache[key]
+            self._cache["GX"] = np.concatenate([w / q_density(g.nodes), w])
+        return self._cache["GX"]
 
     def pair_vector(self, x: FieldPair):
         """Vector c with c @ y = <y, x> for stacked y."""
@@ -335,6 +327,22 @@ def phi0_pair(grid: RadialGrid, M_param: float) -> FieldPair:
     return FieldPair(first, grad2)
 
 
+# the smallest M whose Phi_M build_phi_m accepts: the pairing
+# <Phi_{0,M}, Lambda Q> grows like -32 pi log M, and below ~32 pi the
+# direction is useless; |<Phi_{0,M}, Lambda Q>| / 32 pi reads 0.78 at
+# M = 2, 0.96 at 2.4 and 1.008 at 2.5, alike on the run grid, the operator
+# grid and the spectral CLI grid
+PHI_M_MIN_M = 2.5
+
+
+def phi_m_degeneracy(M_param: float):
+    """What makes Phi_M at M degenerate, M < PHI_M_MIN_M; None if nothing
+    does."""
+    if M_param < PHI_M_MIN_M:
+        return ("M too small for Phi_M: <Phi_0, Lambda Q> nearly degenerate "
+                "below M = %g, got %g" % (PHI_M_MIN_M, M_param))
+
+
 def phi_m_problem(r_max: float, M_param: float):
     """What keeps a grid of radius r_max from carrying Phi_M at M, which
     needs r_max >= 10 M (the directions, supported in r <= 1.5 M, stay far
@@ -356,9 +364,11 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
 
     c_M uses the discrete <L* Phi_0, T1> in the denominator (equal to
     <Phi_0, Lambda Q> through adjunction and L T1 = Lambda Q), which makes
-    the defining orthogonality hold to roundoff.
+    the defining orthogonality hold to roundoff.  OperatorError if M is
+    below the degeneracy floor (`phi_m_degeneracy`) or the grid cannot
+    carry Phi_M (`phi_m_problem`).
     """
-    problem = phi_m_problem(grid.r_max, M_param)
+    problem = phi_m_degeneracy(M_param) or phi_m_problem(grid.r_max, M_param)
     if problem:
         raise OperatorError(problem)
     gs = ground_state(grid)
@@ -368,9 +378,6 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
     num = pairing(p0, t1_pair)
     den_adj = pairing(lp0, t1_pair)
     den_lam = pairing(p0, lam)
-    # the pairing grows like -32 pi log M; below ~32 pi the direction is useless
-    if abs(den_lam) < 32.0 * np.pi:
-        raise OperatorError("M too small: <Phi_0, Lambda Q> nearly degenerate")
     c_M = -num / den_adj
     pair = FieldPair(
         RadialField(grid, p0.density.values + c_M * lp0.density.values),
@@ -449,8 +456,11 @@ def coercivity_M(bundle: OperatorBundle) -> dict:
             "minimizer": minimizer}
 
 
-def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections,
-                 log_weight=False, sv_tol=1e-10) -> dict:
+# coercivity_L's relative singular-value cut
+SV_TOL = 1e-10
+
+
+def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     """Minimal <M L e, L e> / ||L e||_XQ^2 over the doubly constrained space
     <e, Phi_M> = <e, L* Phi_M> = 0.
 
@@ -458,19 +468,18 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections,
     the two Phi_M pairings are removed by `_free_basis` on the rest.
     Substituting z = G^{1/2} L e turns the quotient into an ordinary Rayleigh
     quotient of the whitened M form over range(G^{1/2} L V); the remaining
-    rank decision drops directions with singular value below sv_tol * max
+    rank decision drops directions with singular value below SV_TOL * max
     (pure kernel/noise of L).  Only the lowest eigenvalue is computed.
     """
     L = bundle.matrix_L()
     AM = bundle.quadform_M()
-    gx = bundle.gram_xq(log_weight=log_weight)
-    s = np.sqrt(gx)
+    s = np.sqrt(bundle.gram_xq())
     rows = np.vstack([bundle.pair_vector(phim.pair),
                       bundle.pair_vector(apply_Lstar(phim.pair))])
     keep, V = _free_basis(rows, bundle.pinned(), 1, "coercivity_L")
     K = (L[:, keep] * s[:, None]) @ V
     U, sv, _ = linalg.svd(K, full_matrices=False)
-    Uk = U[:, sv > sv_tol * sv.max()]
+    Uk = U[:, sv > SV_TOL * sv.max()]
     # restrict the range to discretely mean-zero densities: the M form is
     # only semi-definite there, and the near-kernel direction otherwise
     # leverages the O(h^2) mass error of Lambda Q into a spurious dip
@@ -484,21 +493,25 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections,
     return {
         "delta0_L_hat": float(vals[0]),
         "normalized": float(vals[0] * M_param ** 2 / np.log(M_param) ** 2),
-        "log_weighted": bool(log_weight),
         "modes_kept": int(Uk.shape[1]),
     }
 
 
-def kernel_gap(bundle: OperatorBundle, support_radius=30.0) -> dict:
+# kernel_gap's regular sector: fields supported in r <= this radius
+KERNEL_SUPPORT_RADIUS = 30.0
+
+
+def kernel_gap(bundle: OperatorBundle) -> dict:
     """Two smallest modes of ||L x||_XQ / ||x||_XQ on the regular sector.
 
-    The sector restricts to mean-zero fields supported in r <= support_radius:
-    on the full truncated domain the operator has quasi-kernel tails
-    (log-harmonic density with matched potential) whose X_Q norm grows faster
-    than their residual, so the global quotient is not a kernel detector.
-    The nodes with r > support_radius (both blocks) and the gradient slot at
-    r = 0 are dropped by index, the whitened mass row by `_free_basis`; the
-    modes come from a thin SVD of the whitened L on what is left.
+    The sector restricts to mean-zero fields supported in
+    r <= KERNEL_SUPPORT_RADIUS: on the full truncated domain the operator
+    has quasi-kernel tails (log-harmonic density with matched potential)
+    whose X_Q norm grows faster than their residual, so the global quotient
+    is not a kernel detector.  The nodes with r > KERNEL_SUPPORT_RADIUS
+    (both blocks) and the gradient slot at r = 0 are dropped by index, the
+    whitened mass row by `_free_basis`; the modes come from a thin SVD of
+    the whitened L on what is left.
     OperatorError if fewer than two free directions remain.
     The ground mode must align with the Lambda Q pair and be separated from
     the second mode by orders of magnitude (one-dimensional kernel).
@@ -507,7 +520,7 @@ def kernel_gap(bundle: OperatorBundle, support_radius=30.0) -> dict:
     gx = bundle.gram_xq()
     s = np.sqrt(gx)
     n = bundle.grid.n
-    outside = np.nonzero(bundle.grid.nodes > support_radius)[0]
+    outside = np.nonzero(bundle.grid.nodes > KERNEL_SUPPORT_RADIUS)[0]
     keep, V = _free_basis(bundle.mass_vector()[None, :] / s,
                           np.concatenate([[n], outside, n + outside]), 2,
                           "kernel_gap")

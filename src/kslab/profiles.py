@@ -446,11 +446,8 @@ class ProfileFamily:
     beta: tuple
     level1: LevelOne
     level2: LevelTwo
-    radiation: Radiation
     T1_loc: RadialField
-    T2_loc: RadialField
     S1_grad_loc: RadialField
-    S2_grad_loc: RadialField
     Qb_tilde: RadialField
     Pb_tilde_grad: RadialField
     m_tilde: RadialField
@@ -479,8 +476,8 @@ def _localize(grid: RadialGrid, b: float):
 
     T~_i = chi_B1 T_i and grad S~_i = chi_B1 grad S_i with S~_i(0) = 0.
     Returns the radiation, the level-b^2 fields, B1, chi_B1, the cut
-    fields (T1~, T2~, grad S1~, grad S2~) and the ModulationProfile
-    (Qb~, grad Pb~, n~) assembled from them.
+    level-one fields (T1~, grad S1~) and the ModulationProfile
+    (Qb~, grad Pb~, n~) assembled from the cut fields of both levels.
     """
     rad = build_radiation(grid, b)
     lvl2 = build_t2_s2(grid, rad)
@@ -499,7 +496,7 @@ def _localize(grid: RadialGrid, b: float):
                                   + b * b * S2g_loc, "odd"),
         n_tilde=RadialField(grid, base.m0 + chi1 * (b * lvl1.n1.values
                                                     + b * b * lvl2.n2.values)))
-    return rad, lvl2, B1, chi1, (T1_loc, T2_loc, S1g_loc, S2g_loc), prof
+    return rad, lvl2, B1, chi1, (T1_loc, S1g_loc), prof
 
 
 def modulation_profile(grid: RadialGrid, b: float) -> ModulationProfile:
@@ -601,18 +598,16 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     The partial masses are rebuilt from the cut fluxes so that the localized
     family stays an exact partial-mass pair.
     """
-    rad, lvl2, B1, chi1, (T1_loc, T2_loc, S1g_loc, S2g_loc), prof = \
-        _localize(grid, b)
+    rad, lvl2, B1, chi1, (T1_loc, S1g_loc), prof = _localize(grid, b)
     base = profile_base(grid)
     lvl1 = base.level1
     m1_loc = grid.cumulative_integral(chi1 * lvl1.m1_p, "one")
     m2_loc = grid.cumulative_integral(chi1 * lvl2.m2_p, "one")
     fam = ProfileFamily(
         b=b, B0=rad.B0, B1=B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
-        beta=rad.beta, level1=lvl1, level2=lvl2, radiation=rad,
-        T1_loc=RadialField(grid, T1_loc), T2_loc=RadialField(grid, T2_loc),
+        beta=rad.beta, level1=lvl1, level2=lvl2,
+        T1_loc=RadialField(grid, T1_loc),
         S1_grad_loc=RadialField(grid, S1g_loc, "odd"),
-        S2_grad_loc=RadialField(grid, S2g_loc, "odd"),
         Qb_tilde=prof.Qb_tilde, Pb_tilde_grad=prof.Pb_tilde_grad,
         m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
         n_tilde=prof.n_tilde,

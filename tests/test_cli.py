@@ -22,7 +22,8 @@ from kslab.dynamics import TABLE_NODES, EvolveParams
 
 
 def run_cli(args, out):
-    # the child imports kslab from the same place this process did
+    # `python -m kslab.cli` in a child process, which imports kslab from the
+    # same place this process did; the other tests call main() in process
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, KSLAB_OUT=str(out), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -242,10 +243,23 @@ def test_simulate_rejects_a_grid_too_small_for_phi_m(tmp_path, capsys):
         "grid.r_max: Phi_M requires r_max >= 10*M = 300.0, got 200.0"]
 
 
-def test_profile_build_outputs(tmp_path):
-    r = run_cli(["profile", "build", "--b", "1e-4"], tmp_path)
-    assert r.returncode == 0
-    payload = json.loads(r.stdout)
+@pytest.mark.parametrize("grid", ["", "grid.r_max = 600\n"])
+def test_simulate_rejects_a_degenerate_phi_m(tmp_path, capsys, grid):
+    # at M = 2, |<Phi_0, Lambda Q>| is 0.78 x 32 pi: a config violation,
+    # with the grid derived or given, not a traceback from the solver
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile.M = 2\n" + grid)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["violations"] == [
+        "profile.M too small for Phi_M: <Phi_0, Lambda Q> nearly degenerate "
+        "below M = 2.5, got 2"]
+
+
+def test_profile_build_outputs(tmp_path, capsys):
+    assert main(["profile", "build", "--b", "1e-4",
+                 "--out", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert "c_b" in payload and payload["b"] == 1e-4
     outdir = tmp_path / "profile_b1.000e-04"
     for name in ("profile.json", "T1.csv", "S1grad.csv", "T2.csv",
@@ -253,10 +267,10 @@ def test_profile_build_outputs(tmp_path):
         assert (outdir / name).exists()
 
 
-def test_profile_build_rejects_large_b(tmp_path):
-    r = run_cli(["profile", "build", "--b", "0.5"], tmp_path)
-    assert r.returncode == 1
-    assert "admissible" in r.stderr
+def test_profile_build_rejects_large_b(tmp_path, capsys):
+    assert main(["profile", "build", "--b", "0.5",
+                 "--out", str(tmp_path)]) == 1
+    assert "admissible" in capsys.readouterr().err
 
 
 def test_profile_build_list_exits_with_the_worst_status(tmp_path, capsys):
@@ -298,10 +312,11 @@ def test_spectral_finds_the_kernel_at_large_M(tmp_path, capsys):
         assert kg["gap"] > 100.0 and kg["alignment"] > 0.99
 
 
-def test_spectral_too_small_M(tmp_path):
-    r = run_cli(["spectral", "check", "--M", "1.2"], tmp_path)
-    assert r.returncode == 1
-    assert "M too small" in r.stderr
+def test_spectral_too_small_M(tmp_path, capsys):
+    for M in ("1.2", "2"):
+        assert main(["spectral", "check", "--M", M,
+                     "--out", str(tmp_path)]) == 1
+        assert "M too small" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alignment, gap, code", [
@@ -321,17 +336,18 @@ def test_spectral_lost_kernel_fails(monkeypatch, capsys, tmp_path,
     assert ("kernel lost" in err) == (code != 0)
 
 
-def test_simulate_missing_config(tmp_path):
-    r = run_cli(["simulate", "--config", str(tmp_path / "nope.cfg")], tmp_path)
-    assert r.returncode == 1
+def test_simulate_missing_config(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
+                 "--out", str(tmp_path)]) == 1
+    assert "config file not found" in capsys.readouterr().err
 
 
-def test_simulate_invalid_config(tmp_path):
+def test_simulate_invalid_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("profile.b0 = 0.9\n")
-    r = run_cli(["simulate", "--config", str(cfg)], tmp_path)
-    assert r.returncode == 1
-    assert "violations" in r.stderr
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 1
+    assert "violations" in capsys.readouterr().err
 
 
 def test_simulate_deterministic(tmp_path):
@@ -359,8 +375,8 @@ def test_simulate_grid_exhausted(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.r_max = 186\noutput.cadence = 5\n"
                    "solver.s_max = 200\n")
-    r = run_cli(["simulate", "--config", str(cfg)], tmp_path)
-    assert r.returncode == 2, r.stderr
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["status"] == "grid_exhausted"
     assert "outside the profile table" in summary["reason"]
@@ -382,9 +398,8 @@ def test_sweep_fans_out(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("profile.b0 = 8e-3\nsolver.s_max = 2.0\n"
                    "solver.lam_stop = 0\noutput.cadence = 5\n")
-    r = run_cli(["sweep", "--config", str(cfg), "--b0", "8e-3,6e-3",
-                 "--workers", "2"], tmp_path)
-    assert r.returncode == 0, r.stderr
+    assert main(["sweep", "--config", str(cfg), "--b0", "8e-3,6e-3",
+                 "--workers", "2", "--out", str(tmp_path)]) == 0
     merged = json.loads((tmp_path / "merged_summary.json").read_text())
     assert len(merged["runs"]) == 2 and merged["all_ok"]
     assert (tmp_path / "sweep_b8.000e-03" / "timeseries.csv").exists()
@@ -393,8 +408,8 @@ def test_sweep_fans_out(tmp_path):
 
 @pytest.mark.parametrize("suite", ["hardy", "loghls", "spectral", "profiles"])
 def test_verify_bounds_suites(tmp_path, suite):
-    r = run_cli(["verify-bounds", "--suite", suite], tmp_path)
-    assert r.returncode == 0, r.stderr
+    assert main(["verify-bounds", "--suite", suite,
+                 "--out", str(tmp_path)]) == 0
     verdict = json.loads((tmp_path / ("verify_%s.json" % suite)).read_text())
     assert verdict["ok"] is True
 

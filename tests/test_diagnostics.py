@@ -92,7 +92,7 @@ def test_virial_rate(ref_grid, ground):
 def test_hardy_power_sharp(ref_grid):
     r = ref_grid.nodes
     v = RadialField(ref_grid, np.exp(-r ** 2))
-    rep = diag.check_hardy_suite(v, alpha=0.0)
+    rep = diag.check_hardy_suite(v)
     assert rep["power"]["ratio"] >= rep["power"]["sharp"]
     assert abs(rep["power"]["ratio"] - 2.0) < 1e-6
 

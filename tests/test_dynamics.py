@@ -166,6 +166,29 @@ def test_step_matches_sparse_oracle(order, coupling, b, ds):
     assert abs(d1_last @ new.n) <= 1e-13 * slope_scale
 
 
+@pytest.mark.parametrize("ds", [1e-3, 0.3])
+@pytest.mark.parametrize("b", [0.0, 1e-2])
+@pytest.mark.parametrize("coupling", [True, False])
+@pytest.mark.parametrize("order", [4, 6])
+def test_step_is_backward_euler_on_rhs_partial_mass(order, coupling, b, ds):
+    # away from the two boundary rows, (m_new - m)/ds is the right-hand side
+    # at (m_new, n_old), the coupling lagged, and (n_new - n)/ds the one at
+    # (m_new, n_new)
+    grid = RadialGrid.make(60.0, h_core=0.05, nodes_per_decade=32,
+                           stencil_order=order)
+    r = grid.nodes
+    m0 = grid.cumulative_integral(q_density(r) * np.exp(-r ** 2 / 50), "r")
+    state = dyn.FlowState(grid, m0, 0.8 * mass_q(r))
+    new = dyn.SemiImplicitStepper(grid, coupling=coupling).step(state, ds, b)
+    dm, _ = dyn.rhs_partial_mass(dyn.FlowState(grid, new.m, state.n), b,
+                                 coupling)
+    _, dn = dyn.rhs_partial_mass(new, b, coupling)
+    rows = slice(1, -1)
+    for old, stepped, rate in ((state.m, new.m, dm), (state.n, new.n, dn)):
+        err = np.max(np.abs((stepped - old)[rows] / ds - rate[rows]))
+        assert err <= 1e-9 * np.max(np.abs(rate[rows]))
+
+
 def solve_banded_step(stepper, state, ds, b):
     """The step's two systems in (l + u + 1, n) band storage, each solved by
     scipy.linalg.solve_banded (the oracle of the stepper's direct dgbsv)."""
@@ -857,8 +880,8 @@ def test_evolve_refold_restarts_the_root_history(small_params, monkeypatch):
         histories.append((list(roots), roots_seen[-1]))
         return predict(roots, s, b_lo)
 
-    def spied(self, state, guess, max_iter=30):
-        mod = decompose(self, state, guess, max_iter)
+    def spied(self, state, guess):
+        mod = decompose(self, state, guess)
         roots_seen.append((mod.lam, mod.b, mod.residuals))
         return mod
 
@@ -909,8 +932,10 @@ def test_modulation_failure_names_the_solve(small_grid, small_params,
     # iterations, and evolve keeps it as the reason of its status
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    with pytest.raises(dyn.ModulationError) as info:
-        solver.decompose(state, guess=(1.05, guess[1]), max_iter=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "MODEL_MAX_ITER", 0)
+        with pytest.raises(dyn.ModulationError) as info:
+            solver.decompose(state, guess=(1.05, guess[1]))
     message = str(info.value)
     for part in ("did not converge", "b=%.6g" % guess[1], "lam1=1.05 ",
                  "|F|/f_scale=", "model=exhausted", "after 0 iterations"):
@@ -918,11 +943,12 @@ def test_modulation_failure_names_the_solve(small_grid, small_params,
     decompose = dyn.ModulationSolver.decompose
     calls = []
 
-    def failing(self, state, guess, max_iter=30):
+    def failing(self, state, guess):
         calls.append(guess)
         if len(calls) == 4:
-            return decompose(self, state, (1.05, guess[1]), max_iter=0)
-        return decompose(self, state, guess, max_iter)
+            monkeypatch.setattr(dyn, "MODEL_MAX_ITER", 0)
+            return decompose(self, state, (1.05, guess[1]))
+        return decompose(self, state, guess)
 
     monkeypatch.setattr(dyn.ModulationSolver, "decompose", failing)
     series = dyn.evolve(small_params)

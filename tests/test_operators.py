@@ -10,6 +10,7 @@ from scipy import linalg
 
 import kslab.operators as ops
 from conftest import smooth_bump_pair_values
+from kslab.cli import SPECTRAL_GRID
 from kslab.dynamics import EvolveParams, ModulationSolver, dynamics_grid
 from kslab.grid import (FieldPair, RadialField, derivative,
                         div_from_grad_values, laplacian_values)
@@ -181,8 +182,31 @@ def test_phi_m_pairings():
 
 def test_phi_m_too_small(op_grid):
     lvl1 = build_t1_s1(op_grid)
-    with pytest.raises(ops.OperatorError, match="M too small"):
-        ops.build_phi_m(op_grid, 1.2, FieldPair(lvl1.T1, lvl1.S1_grad))
+    for M in (1.2, 2.0, 2.49):
+        with pytest.raises(ops.OperatorError, match="M too small"):
+            ops.build_phi_m(op_grid, M, FieldPair(lvl1.T1, lvl1.S1_grad))
+
+
+# the run grid, the operator grid and the spectral CLI grid at M
+GRID_RECIPES = {
+    "dynamics": lambda M: dynamics_grid(EvolveParams(M_param=M)),
+    "operator": ops.operator_grid,
+    "spectral": lambda M: ops.operator_grid(M, **SPECTRAL_GRID),
+}
+
+
+@pytest.mark.parametrize("recipe", GRID_RECIPES)
+def test_phi_m_floor_is_where_the_pairing_clears_32_pi(recipe):
+    # |<Phi_{0,M}, Lambda Q>| crosses 32 pi between M = 2.4 and the floor
+    # 2.5 on every grid recipe
+    def pairing_over_32pi(M):
+        grid = GRID_RECIPES[recipe](M)
+        lam = ops.ground_state(grid).pair_LambdaQ()
+        return abs(ops.pairing(ops.phi0_pair(grid, M), lam)) / (32 * np.pi)
+
+    assert pairing_over_32pi(ops.PHI_M_MIN_M) > 1.0 > pairing_over_32pi(2.4)
+    assert ops.phi_m_degeneracy(ops.PHI_M_MIN_M) is None
+    assert "M too small" in ops.phi_m_degeneracy(2.4)
 
 
 def test_coercivity_M(bundle):
@@ -233,8 +257,6 @@ def test_coercivity_L_positive_and_normalized():
         rep = ops.coercivity_L(b, phim)
         assert rep["delta0_L_hat"] > 0.0
         vals.append(rep["normalized"])
-        rep_log = ops.coercivity_L(b, phim, log_weight=True)
-        assert rep_log["delta0_L_hat"] > 0.0
     assert min(vals) > 0.5  # M^2/log^2 M-normalized quotient bounded below
 
 
@@ -333,10 +355,11 @@ def test_certificates_match_the_one_hot_oracle(M):
     assert rel(kg["alignment"], want_align) < 1e-9
 
 
-def test_kernel_gap_without_two_free_directions(bundle):
+def test_kernel_gap_without_two_free_directions(bundle, monkeypatch):
     # r <= 0 keeps only the density at the origin, which the mass row fixes
+    monkeypatch.setattr(ops, "KERNEL_SUPPORT_RADIUS", 0.0)
     with pytest.raises(ops.OperatorError, match="leave 0 free directions"):
-        ops.kernel_gap(bundle, support_radius=0.0)
+        ops.kernel_gap(bundle)
 
 
 def test_whitened_min_on_an_empty_free_space(bundle):
