@@ -13,10 +13,8 @@ from .grid import (
     RadialGrid,
     cutoff,
     derivative,
-    field_from_csv,
     field_to_csv,
     integrate,
-    integrate_with_tail_estimate,
     partial_mass,
     poisson_field,
     potential_from_gradient,
@@ -71,7 +69,6 @@ from .diagnostics import (
     fit_rate_law,
     free_energy,
     loghls_bound,
-    virial_rate,
 )
 from .config import ConfigError, RunConfig, load_config
 

@@ -44,8 +44,14 @@ FAILED_STATUSES = ("modulation_failed", "grid_exhausted", "nonfinite")
 KERNEL_ALIGNMENT_MIN = 0.99
 KERNEL_GAP_MIN = 100.0
 
-# a family's residual is out of family when |Psi1|^2 exceeds this times b^5
-# (the coarse expected scaling |Psi1|^2 ~ b^5, generous constant)
+# what a run's setup can raise (a grid too coarse for the family, a Phi_M
+# the grid cannot carry, no positive perturbation, a failed first
+# decomposition); simulate and sweep reject the run with its message
+SETUP_ERRORS = (profiles.ProfileError, operators.OperatorError,
+                dynamics.SimulationError)
+
+# a family's residual is out of family unless |Psi1|^2 is at most this
+# times b^5 (the coarse expected scaling |Psi1|^2 ~ b^5, generous constant)
 PSI1_SQ_FLAG = 1e6
 # criterion 5's band for c_b |log b|/2
 C_B_BAND = (0.8, 1.2)
@@ -68,6 +74,12 @@ def profile_grid_for(b, r_max=None):
     (the localization guard 4 B1 with a margin)."""
     return RadialGrid.make(r_max or 4.5 * profiles.localization_radius(b),
                            h_core=0.05, nodes_per_decade=48, stencil_order=6)
+
+
+def _out_of_family(norm_report, b):
+    """Whether a family's residual at b, by its norm report, is out of
+    family; a NaN residual is."""
+    return not norm_report["psi1_sq"] <= PSI1_SQ_FLAG * b ** 5
 
 
 def _float_list(flag, text):
@@ -111,7 +123,7 @@ def _profile_build(args, b) -> int:
     field_to_csv(fam.level2.S2_grad, os.path.join(outdir, "S2grad.csv"))
     field_to_csv(fam.Psi1, os.path.join(outdir, "Psi1.csv"))
     field_to_csv(fam.Psi2_grad, os.path.join(outdir, "Psi2grad.csv"))
-    if fam.norm_report["psi1_sq"] > PSI1_SQ_FLAG * fam.b ** 5:
+    if _out_of_family(fam.norm_report, fam.b):
         print("profile residual out of family", file=sys.stderr)
         return EXIT_BOUNDS
     print(json.dumps(payload, sort_keys=True))
@@ -242,7 +254,11 @@ def cmd_simulate(args) -> int:
     if cfg is None:
         return EXIT_USAGE
     outdir = os.path.join(_out_root(args), args.name or "run")
-    summary = run_one(cfg, outdir)
+    try:
+        summary = run_one(cfg, outdir)
+    except SETUP_ERRORS as exc:
+        print("simulate rejected: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     print(json.dumps({"outdir": outdir, "status": summary["status"]}))
     return EXIT_BOUNDS if summary["status"] in FAILED_STATUSES else EXIT_OK
 
@@ -263,11 +279,16 @@ def cmd_sweep(args) -> int:
     seed_offsets = range(len(cfgs))
     # a fork pool starts all its workers at the first submit
     workers = min(args.workers, len(cfgs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(run_one, cfgs, outdirs, seed_offsets))
-    else:
-        summaries = list(map(run_one, cfgs, outdirs, seed_offsets))
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                summaries = list(pool.map(run_one, cfgs, outdirs,
+                                          seed_offsets))
+        else:
+            summaries = list(map(run_one, cfgs, outdirs, seed_offsets))
+    except SETUP_ERRORS as exc:
+        print("sweep rejected: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     merged = {"runs": summaries,
               "all_ok": all(s["status"] not in FAILED_STATUSES
                             for s in summaries)}
@@ -317,7 +338,7 @@ def cmd_verify_bounds(args) -> int:
                 "c_b_times_halflog": ratio,
                 **{k: float(v) for k, v in fam.norm_report.items()}}
             if (not C_B_BAND[0] <= ratio <= C_B_BAND[1]
-                    or fam.norm_report["psi1_sq"] > PSI1_SQ_FLAG * b ** 5):
+                    or _out_of_family(fam.norm_report, b)):
                 ok = False
     elif suite == "spectral":
         phim, _, cm, cl = coercivity_chain(50.0, **SPECTRAL_GRID)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import EvolveParams
 from .operators import phi_m_degeneracy, phi_m_problem
-from .profiles import localization_problem
+from .profiles import B0_MAX, localization_problem
 
 
 class ConfigError(ValueError):
@@ -86,7 +86,8 @@ class RunConfig:
                     math.isinf(x) and key not in UNBOUNDED_KEYS)):
                 v.append("%s must be finite, got %s" % (key, x))
         p = self.params
-        if not 0.0 < p.b0 <= 1.0e-2:
+        in_regime = 0.0 < p.b0 <= B0_MAX
+        if not in_regime:
             v.append("profile.b0 must lie in (0, 1e-2] (asymptotic regime guard)")
         problem = phi_m_degeneracy(p.M_param)
         if problem:
@@ -101,7 +102,7 @@ class RunConfig:
         if p.r_max < 0:
             v.append("grid.r_max must be positive, or 0 to derive it")
         if p.r_max > 0:
-            for problem in (0.0 < p.b0 <= 1e-2
+            for problem in (in_regime
                             and localization_problem(p.r_max, p.b0),
                             phi_m_problem(p.r_max, p.M_param)):
                 if problem:

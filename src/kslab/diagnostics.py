@@ -37,7 +37,6 @@ class EnergyReport:
     entropy: float
     interaction: float
     dirichlet: float
-    second_moment: float
     floored_mass: float  # mass carried by nodes clipped at the entropy floor
 
 
@@ -52,7 +51,6 @@ def free_energy(pair: FieldPair) -> EnergyReport:
     boundary flux cancels the logarithmically divergent tail, which is what
     the whole-plane functional does implicitly.
     """
-    pair = pair.to_primitive()
     g = pair.grid
     w = 2.0 * np.pi * g.quad_weights
     u = pair.density.values
@@ -68,13 +66,11 @@ def free_energy(pair: FieldPair) -> EnergyReport:
     interaction = float(w @ (u * v))
     dirichlet = float(w @ gv ** 2)
     boundary = np.pi * g.r_max * v[-1] * gv[-1]
-    second_moment = float(w @ (g.nodes ** 2 * u))
     return EnergyReport(mass=mass,
                         free_energy=(entropy + interaction
                                      + 0.5 * dirichlet - boundary),
                         entropy=entropy, interaction=interaction,
-                        dirichlet=dirichlet, second_moment=second_moment,
-                        floored_mass=floored)
+                        dirichlet=dirichlet, floored_mass=floored)
 
 
 def loghls_bound(mass: float) -> float:
@@ -99,22 +95,6 @@ def check_logHLS(u: RadialField):
     lhs = entropy + (4.0 * np.pi / mass) * float(w @ (uv * phi))
     rhs = loghls_bound(mass)
     return lhs, rhs, lhs - rhs
-
-
-def virial_rate(pair: FieldPair) -> dict:
-    """Instantaneous d/dt of the second moment under the parabolic-elliptic
-    closure v = phi_u, evaluated by quadrature, against 4M(1 - M/8pi)."""
-    pair = pair.to_primitive()
-    g = pair.grid
-    w = 2.0 * np.pi * g.quad_weights
-    u = pair.density.values
-    mass = float(w @ u)
-    du = g.diff_matrix(1, "even") @ u
-    # d/dt int r^2 u = -2 int x . (grad u + u grad phi_u)
-    grad_phi = poisson_field(pair.density).values
-    measured = -2.0 * float(w @ (g.nodes * (du + u * grad_phi)))
-    formula = 4.0 * mass * (1.0 - mass / (8.0 * np.pi))
-    return {"measured": measured, "formula": formula}
 
 
 # -- weighted Hardy suite -------------------------------------------------------

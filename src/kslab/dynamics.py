@@ -82,10 +82,11 @@ class FlowState:
     s: float = 0.0
     lam: float = 1.0
 
-    def pair(self) -> FieldPair:
-        return FieldPair(RadialField(self.grid, self.m),
-                         RadialField(self.grid, self.n),
-                         "partial_mass")
+    def primitive(self) -> FieldPair:
+        """The state as a primitive pair (u, dv/dr) = (m'/r, n/r)."""
+        return FieldPair(RadialField(self.grid, self.density_values()),
+                         RadialField(self.grid, self.grid.divide_by_r(
+                             self.n, "even"), "odd"))
 
     def density_values(self):
         d1 = self.grid.diff_matrix(1, "even") @ self.m
@@ -431,7 +432,9 @@ class ModulationSolver:
     most MODEL_ROUNDS times.  Past those rounds, or when the model stalls,
     the residual is accepted up to the quadrature and spline noise floor,
     floor_tol; a failure raises ModulationError naming b, lambda1,
-    |F|/f_scale, the model's outcome and its iteration count.  The caller
+    |F|/f_scale, the model's outcome and its iteration count, and, when
+    the failing root sits at B_MAX, that b reached the top of the family's
+    range.  The caller
     supplies the starting guess: `evolve` extrapolates it from its last
     three roots, so that one model iteration usually suffices.
 
@@ -566,12 +569,15 @@ class ModulationSolver:
             c = (c[0] + G[0] - F[0], c[1] + G[1] - F[1])
         # past the model rounds, a residual at the noise floor is accepted
         if outcome == "singular" or np.linalg.norm(F) > floor_tol:
+            what = MODEL_FAILURES.get(outcome, "modulation Newton did not "
+                                               "converge")
+            if b >= B_MAX:
+                what = ("b reached the top of the family's range, B_MAX = %g; "
+                        "%s" % (B_MAX, what))
             raise ModulationError(
                 "%s: b=%.6g lam1=%.6g |F|/f_scale=%.3g model=%s after %d "
                 "iterations" % (
-                    MODEL_FAILURES.get(outcome, "modulation Newton did not "
-                                                "converge"),
-                    b, lam1, np.linalg.norm(F) / f_scale, outcome,
+                    what, b, lam1, np.linalg.norm(F) / f_scale, outcome,
                     self.counters["model_iterations"] - iterations))
         if np.linalg.norm(F) > atol:
             self.counters["floor_acceptances"] += 1
@@ -771,9 +777,10 @@ def evolve(params: EvolveParams, perturbation=None) -> TimeSeries:
                 bh = float("nan")
         # a significantly negative density has no free energy; the record
         # keeps NaN there and min_u shows why
+        pair = state.primitive()
         energy = float("nan")
         try:
-            rep = diagnostics.free_energy(state.pair().to_primitive())
+            rep = diagnostics.free_energy(pair)
         except diagnostics.DiagnosticsError:
             pass
         else:
@@ -784,7 +791,7 @@ def evolve(params: EvolveParams, perturbation=None) -> TimeSeries:
                       mass=state.mass(), free_energy=energy, e2_xq=e2_xq,
                       lyapunov=lyap,
                       res_phi=mod.residuals[0], res_lphi=mod.residuals[1],
-                      min_u=float(np.min(state.density_values())))
+                      min_u=float(np.min(pair.density.values)))
 
     record()
     while True:

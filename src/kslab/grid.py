@@ -307,10 +307,6 @@ class RadialGrid:
             shape=(len(plan) * (self.n - 1),
                    (1 + max(j for _, j in plan)) * self.n), copy=False)
 
-    def log_moment_weights(self):
-        """Weights l with l @ f = int_0^{r_max} f(tau) log(tau) tau dtau."""
-        return self._node_weights("rlogr")
-
     def divide_by_r(self, values, parity):
         """values/r with the r=0 entry filled by the parity-consistent limit.
 
@@ -400,72 +396,21 @@ class RadialField:
         self.values.setflags(write=False)
         self.parity = parity
 
-    def with_values(self, values, parity=None):
-        return RadialField(self.grid, values, parity or self.parity)
-
-    def __add__(self, other):
-        return self.with_values(self.values + _vals(other))
-
-    def __sub__(self, other):
-        return self.with_values(self.values - _vals(other))
-
-    def __mul__(self, other):
-        return self.with_values(self.values * _vals(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
-
-
-def _vals(x):
-    return x.values if isinstance(x, RadialField) else x
-
 
 class FieldPair:
-    """State pair: density plus chemoattractant gradient.
+    """State pair: density u and chemoattractant gradient dv/dr."""
 
-    representation 'primitive' stores (u, dv/dr); 'partial_mass' stores
-    (m_u, n_v), the cumulative masses of u and of Delta v, which turn the
-    radial system into a local second-order one.
-    """
+    __slots__ = ("density", "chem_gradient")
 
-    __slots__ = ("density", "chem_gradient", "representation")
-
-    def __init__(self, density, chem_gradient, representation="primitive"):
-        if representation not in ("primitive", "partial_mass"):
-            raise GridError("unknown FieldPair representation %r" % representation)
+    def __init__(self, density, chem_gradient):
         if density.grid is not chem_gradient.grid:
             raise GridError("pair components live on different grids")
         self.density = density
         self.chem_gradient = chem_gradient
-        self.representation = representation
 
     @property
     def grid(self):
         return self.density.grid
-
-    def to_partial_mass(self):
-        if self.representation == "partial_mass":
-            return self
-        g = self.grid
-        m = partial_mass(self.density)
-        n = RadialField(g, g.nodes * self.chem_gradient.values, "even")
-        return FieldPair(m, n, "partial_mass")
-
-    def to_primitive(self):
-        if self.representation == "primitive":
-            return self
-        g = self.grid
-        dm = g.diff_matrix(1, "even") @ self.density.values
-        u = RadialField(g, g.divide_by_r(dm, "odd"), "even")
-        dv = RadialField(g, g.divide_by_r(self.chem_gradient.values, "even"), "odd")
-        return FieldPair(u, dv, "primitive")
-
-    def total_mass(self):
-        if self.representation == "partial_mass":
-            return 2.0 * np.pi * self.density.values[-1]
-        return integrate(self.density)
 
 
 # -- module level operations ------------------------------------------------
@@ -508,20 +453,6 @@ def div_from_grad_values(grid, gvals):
 def integrate(f: RadialField) -> float:
     """2*pi * int_0^{r_max} f r dr via the grid quadrature weights."""
     return 2.0 * np.pi * float(f.grid.quad_weights @ f.values)
-
-
-def integrate_with_tail_estimate(f: RadialField):
-    """Integral plus a Richardson-style truncation estimate.
-
-    The estimate compares the full integral against the one truncated at
-    r_max/2; for integrands decaying at least algebraically it bounds the
-    lost tail to within a constant.
-    """
-    g = f.grid
-    total = integrate(f)
-    mask = g.nodes <= 0.5 * g.r_max
-    half = 2.0 * np.pi * float((g.quad_weights * mask) @ f.values)
-    return total, abs(total - half)
 
 
 def partial_mass(f: RadialField) -> RadialField:
@@ -576,9 +507,3 @@ def field_to_csv(f: RadialField, path):
         for r, v in zip(f.grid.nodes, f.values):
             fh.write("%.17g,%.17g\n" % (r, v))
 
-
-def field_from_csv(grid, path, parity="even"):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape[0] != grid.n or not np.allclose(data[:, 0], grid.nodes):
-        raise GridError("CSV radii do not match grid")
-    return RadialField(grid, data[:, 1], parity)

@@ -371,26 +371,19 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
     problem = phi_m_degeneracy(M_param) or phi_m_problem(grid.r_max, M_param)
     if problem:
         raise OperatorError(problem)
-    gs = ground_state(grid)
     p0 = phi0_pair(grid, M_param)
     lp0 = apply_Lstar(p0)
-    lam = gs.pair_LambdaQ()
     num = pairing(p0, t1_pair)
-    den_adj = pairing(lp0, t1_pair)
-    den_lam = pairing(p0, lam)
-    c_M = -num / den_adj
+    c_M = -num / pairing(lp0, t1_pair)
     pair = FieldPair(
         RadialField(grid, p0.density.values + c_M * lp0.density.values),
         RadialField(grid, p0.chem_gradient.values
                     + c_M * lp0.chem_gradient.values, "odd"))
     report = {
         "M": M_param,
-        "c_M": c_M,
         "Phi0_T1": num,
-        "Phi0_LambdaQ": den_lam,
-        "LstarPhi0_T1": den_adj,
         "PhiM_T1": pairing(pair, t1_pair),
-        "PhiM_LambdaQ": pairing(pair, lam),
+        "PhiM_LambdaQ": pairing(pair, ground_state(grid).pair_LambdaQ()),
     }
     return PhiMDirections(pair, c_M, report)
 

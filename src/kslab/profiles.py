@@ -51,10 +51,12 @@ from .operators import (
     q_potential_grad,
 )
 
+# Asymptotic-regime guard: a run starts at b0 <= B0_MAX.  The family
+# itself reaches up to B_MAX, a small grace band above that, so that the
+# modulation root-finding can probe across the nominal limit without
+# falling off the family.
+B0_MAX = 1.0e-2
 B_MAX = 1.25e-2
-# Asymptotic-regime guard. Run configurations reject b0 > 1e-2; the builder
-# itself keeps a small grace band above that so modulation root-finding can
-# probe across the nominal limit without falling off the family.
 
 
 class ProfileError(ValueError):
@@ -170,8 +172,6 @@ class LevelOne:
     S1_grad: RadialField
     m1_p: np.ndarray
     m1_pp: np.ndarray
-    d1_p: np.ndarray
-    d1_pp: np.ndarray
     n1_p: np.ndarray
     n1_pp: np.ndarray
 
@@ -221,15 +221,15 @@ class ProfileBase:
         m1 = invert_L0(f1)
         m1_p = derivative(m1, 1).values
         T1 = RadialField(grid, grid.divide_by_r(m1_p, "odd"))
-        n1 = d1 + m1
+        n1 = RadialField(grid, d1.values + m1.values)
         S1_grad = RadialField(grid, grid.divide_by_r(n1.values, "even"), "odd")
         d1_p = derivative(d1, 1).values
         # L0 m1 = -f1 and L1 d1 = r^2 Q pin the second derivatives:
         m1_pp = _ode_second_derivative_L0(grid, m1.values, m1_p, -f1.values)
         d1_pp = grid.divide_by_r(d1_p, "odd") + rm0p.values
         return LevelOne(m1=m1, d1=d1, n1=n1, T1=T1, S1_grad=S1_grad,
-                        m1_p=m1_p, m1_pp=m1_pp, d1_p=d1_p, d1_pp=d1_pp,
-                        n1_p=d1_p + m1_p, n1_pp=d1_pp + m1_pp)
+                        m1_p=m1_p, m1_pp=m1_pp, n1_p=d1_p + m1_p,
+                        n1_pp=d1_pp + m1_pp)
 
     @cached_property
     def r_n1p(self) -> np.ndarray:
@@ -275,7 +275,6 @@ class Radiation:
     beta: tuple
     m_sigma: RadialField
     d_sigma: RadialField
-    d_hat: RadialField  # d_sigma / c_b
 
 
 def build_radiation(grid: RadialGrid, b: float) -> Radiation:
@@ -322,8 +321,9 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     # flux-at-infinity normalization below holds to roundoff
     c2 = float(grid.cumulative_integral(base.Q * d_hat, "r")[-1]) / 8.0
     # the c_b-normalized integrand makes the constraint linear in c_b
-    if c1 - c2 <= 0.0:
-        raise ProfileError("radiation normalization needs c1 > c2")
+    if not c1 - c2 > 0.0:  # NaN fails it too
+        raise ProfileError("radiation normalization needs c1 > c2, got "
+                           "c1=%g, c2=%g" % (c1, c2))
     c_b = 1.0 / (c1 - c2)
 
     f_sigma = c_b * (base.r2Q * chi - base.Q * d_hat)
@@ -334,8 +334,7 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     rad = Radiation(b=b, B0=B0, c_b=c_b, c1=c1, c2=c2,
                     beta=(beta1, beta2, beta3),
                     m_sigma=RadialField(grid, m_sigma_v),
-                    d_sigma=RadialField(grid, c_b * d_hat),
-                    d_hat=RadialField(grid, d_hat))
+                    d_sigma=RadialField(grid, c_b * d_hat))
     _verify_radiation_regions(base, rad)
     return rad
 
@@ -350,7 +349,9 @@ def _verify_radiation_regions(base, rad):
     err_d = np.max(np.abs(rad.d_sigma.values)[outer]) if outer.any() else 0.0
     err_out = (np.max(np.abs(rad.m_sigma.values - 4.0 * base.psi1)[outer])
                if outer.any() else 0.0)
-    if err_in > 1e-7 * scale or err_d > 1e-7 * scale or err_out > 1e-7 * scale:
+    tol = 1e-7 * scale
+    # written so that a NaN error fails it
+    if not (err_in <= tol and err_d <= tol and err_out <= tol):
         raise ProfileError(
             "radiation region identities violated: inner %.2e, d outer %.2e, "
             "m outer %.2e" % (err_in, err_d, err_out))
@@ -424,7 +425,7 @@ def build_t2_s2(grid: RadialGrid, rad: Radiation) -> LevelTwo:
     m2 = invert_L0(RadialField(grid, src_m))
     m2_p = derivative(m2, 1).values
     T2 = RadialField(grid, grid.divide_by_r(m2_p, "odd"))
-    n2 = d2 + m2
+    n2 = RadialField(grid, d2.values + m2.values)
     S2_grad = RadialField(grid, grid.divide_by_r(n2.values, "even"), "odd")
     return LevelTwo(m2=m2, d2=d2, n2=n2, T2=T2, S2_grad=S2_grad, m2_p=m2_p,
                     src_m=src_m, src_d=src_d)
@@ -446,8 +447,6 @@ class ProfileFamily:
     beta: tuple
     level1: LevelOne
     level2: LevelTwo
-    T1_loc: RadialField
-    S1_grad_loc: RadialField
     Qb_tilde: RadialField
     Pb_tilde_grad: RadialField
     m_tilde: RadialField
@@ -456,9 +455,6 @@ class ProfileFamily:
     Psi1: RadialField = None
     Psi2_grad: RadialField = None
     norm_report: dict = field(default_factory=dict)
-
-    def pair(self) -> FieldPair:
-        return FieldPair(self.Qb_tilde, self.Pb_tilde_grad)
 
 
 @dataclass(frozen=True)
@@ -475,9 +471,9 @@ def _localize(grid: RadialGrid, b: float):
     """Per-b core of both evaluators: radiation, level b^2, cutoff at B1.
 
     T~_i = chi_B1 T_i and grad S~_i = chi_B1 grad S_i with S~_i(0) = 0.
-    Returns the radiation, the level-b^2 fields, B1, chi_B1, the cut
-    level-one fields (T1~, grad S1~) and the ModulationProfile
-    (Qb~, grad Pb~, n~) assembled from the cut fields of both levels.
+    Returns the radiation, the level-b^2 fields, B1, chi_B1 and the
+    ModulationProfile (Qb~, grad Pb~, n~) assembled from the cut fields of
+    both levels.
     """
     rad = build_radiation(grid, b)
     lvl2 = build_t2_s2(grid, rad)
@@ -496,7 +492,7 @@ def _localize(grid: RadialGrid, b: float):
                                   + b * b * S2g_loc, "odd"),
         n_tilde=RadialField(grid, base.m0 + chi1 * (b * lvl1.n1.values
                                                     + b * b * lvl2.n2.values)))
-    return rad, lvl2, B1, chi1, (T1_loc, S1g_loc), prof
+    return rad, lvl2, B1, chi1, prof
 
 
 def modulation_profile(grid: RadialGrid, b: float) -> ModulationProfile:
@@ -598,7 +594,7 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     The partial masses are rebuilt from the cut fluxes so that the localized
     family stays an exact partial-mass pair.
     """
-    rad, lvl2, B1, chi1, (T1_loc, S1g_loc), prof = _localize(grid, b)
+    rad, lvl2, B1, chi1, prof = _localize(grid, b)
     base = profile_base(grid)
     lvl1 = base.level1
     m1_loc = grid.cumulative_integral(chi1 * lvl1.m1_p, "one")
@@ -606,8 +602,6 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     fam = ProfileFamily(
         b=b, B0=rad.B0, B1=B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
         beta=rad.beta, level1=lvl1, level2=lvl2,
-        T1_loc=RadialField(grid, T1_loc),
-        S1_grad_loc=RadialField(grid, S1g_loc, "odd"),
         Qb_tilde=prof.Qb_tilde, Pb_tilde_grad=prof.Pb_tilde_grad,
         m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
         n_tilde=prof.n_tilde,

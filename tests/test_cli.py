@@ -273,6 +273,14 @@ def test_profile_build_rejects_large_b(tmp_path, capsys):
     assert "admissible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["1e-150", "1e-300"])
+def test_profile_build_rejects_a_nan_family(tmp_path, capsys, b):
+    # the far-field quadrature overflows, and the NaN fails the guards
+    assert main(["profile", "build", "--b", b, "--out", str(tmp_path)]) == 1
+    assert ("profile build rejected: radiation normalization needs c1 > c2, "
+            "got c1=nan, c2=nan") in capsys.readouterr().err
+
+
 def test_profile_build_list_exits_with_the_worst_status(tmp_path, capsys):
     assert main(["profile", "build", "--b", "1e-4,0.5",
                  "--out", str(tmp_path)]) == 1
@@ -348,6 +356,19 @@ def test_simulate_invalid_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 1
     assert "violations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
+    # nodes_per_decade = 12 passes validation, but the grid is too coarse
+    # for the family at b0: one line naming the reason, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.nodes_per_decade = 12\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("%s rejected: radiation region identities violated"
+                          % command)
+    assert err.count("\n") == 1
 
 
 def test_simulate_deterministic(tmp_path):

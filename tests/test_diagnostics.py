@@ -75,20 +75,6 @@ def test_loghls_margin_nonnegative_hypothesis(scale, lam, amp):
     assert margin >= -1e-6 * max(abs(rhs), 1.0)
 
 
-def test_virial_rate(ref_grid, ground):
-    rep = diag.virial_rate(ground.pair_Q())
-    assert abs(rep["measured"]) < 1e-3
-    assert abs(rep["formula"]) < 1e-4
-    for c in (1.2, 0.5):
-        pair = scaled_q_pair(ref_grid, 1.0, factor=c)
-        rep = diag.virial_rate(pair)
-        mass = 8 * np.pi * c
-        expect = 4 * mass * (1 - mass / (8 * np.pi))
-        assert abs(rep["formula"] - expect) < 1e-6 * abs(expect)
-        assert abs(rep["measured"] - expect) < 0.01 * abs(expect)
-        assert (rep["measured"] < 0) == (c > 1.0)
-
-
 def test_hardy_power_sharp(ref_grid):
     r = ref_grid.nodes
     v = RadialField(ref_grid, np.exp(-r ** 2))

@@ -14,10 +14,12 @@ from scipy.sparse.linalg import spsolve
 
 import kslab.dynamics as dyn
 import kslab.operators as ops
-from kslab.grid import FieldPair, RadialField, RadialGrid
+from kslab.grid import (FieldPair, RadialField, RadialGrid, integrate,
+                        partial_mass, poisson_field)
 from kslab.operators import mass_q, q_density
-from kslab.profiles import (ProfileError, build_profile_family, grid_b_floor,
-                            localization_radius, modulation_profile)
+from kslab.profiles import (B_MAX, ProfileError, build_profile_family,
+                            grid_b_floor, localization_radius,
+                            modulation_profile)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,19 @@ def small_params():
 @pytest.fixture(scope="module")
 def small_grid(small_params):
     return dyn.dynamics_grid(small_params)
+
+
+def test_flow_state_primitive(ref_grid, ground):
+    # the partial masses of (Q, phi_Q') give back Q, of mass 8 pi, and phi_Q'
+    grad = poisson_field(ground.Q)
+    st = dyn.FlowState(ref_grid, partial_mass(ground.Q).values,
+                       ref_grid.nodes * grad.values)
+    pair = st.primitive()
+    assert pair.density.parity == "even" and pair.chem_gradient.parity == "odd"
+    assert np.max(np.abs(pair.density.values - ground.Q.values)) < 1e-6
+    assert abs(integrate(pair.density) - 8 * np.pi) < 1e-4
+    assert np.max(np.abs(pair.chem_gradient.values - grad.values)) < 1e-12
+    assert np.array_equal(pair.density.values, st.density_values())
 
 
 def test_rhs_steady_state():
@@ -940,6 +955,7 @@ def test_modulation_failure_names_the_solve(small_grid, small_params,
     for part in ("did not converge", "b=%.6g" % guess[1], "lam1=1.05 ",
                  "|F|/f_scale=", "model=exhausted", "after 0 iterations"):
         assert part in message
+    assert "B_MAX" not in message
     decompose = dyn.ModulationSolver.decompose
     calls = []
 
@@ -955,6 +971,17 @@ def test_modulation_failure_names_the_solve(small_grid, small_params,
     assert series.status == "modulation_failed"
     assert len(series) == 2  # step 0 and the final record at step 2
     assert "model=exhausted after 0 iterations" in series.reason
+
+
+def test_modulation_failure_at_B_MAX_names_the_top_edge():
+    # at M = 50 the criterion-10 protocol drives b up, not down, until the
+    # solve stalls at the top of the family's range
+    series = dyn.evolve(dyn.EvolveParams(b0=1e-2, M_param=50.0, cadence=10,
+                                         b_min=5e-3, s_max=2000.0))
+    assert series.status == "modulation_failed"
+    assert "b reached the top of the family's range, B_MAX = %g" % B_MAX \
+        in series.reason
+    assert "b=%.6g " % B_MAX in series.reason
 
 
 def test_evolve_breakdown_final_record_is_last_decomposed_state():

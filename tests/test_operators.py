@@ -175,7 +175,7 @@ def test_phi_m_pairings():
         rep = phim.report
         assert abs(rep["PhiM_T1"]) / abs(rep["Phi0_T1"]) < 1e-6
         ratios.append(rep["PhiM_LambdaQ"] / np.log(M) / (-32 * np.pi))
-        assert abs(rep["c_M"]) * np.log(M) / M ** 2 < 10.0
+        assert abs(phim.c_M) * np.log(M) / M ** 2 < 10.0
     assert abs(ratios[0] - 1) < 0.1
     assert abs(ratios[1] - 1) < abs(ratios[0] - 1)
 

@@ -323,9 +323,10 @@ def test_localization(fam1em4, g1em4):
 
 
 def test_construction_identity_LT1(g1em4, fam1em4):
-    # discrete L applied to (T1~, S1~) reproduces Lambda Q inside B1
+    # discrete L applied to (T1, S1) reproduces Lambda Q well inside B1,
+    # where the cutoff chi_B1 is 1 and (T1~, S1~) = (T1, S1)
     lvl1 = fam1em4.level1
-    pair = FieldPair(fam1em4.T1_loc, fam1em4.S1_grad_loc)
+    pair = FieldPair(lvl1.T1, lvl1.S1_grad)
     out = apply_L(pair)
     r = g1em4.nodes
     lam = lambda_q(r)
