@@ -71,7 +71,9 @@ def _dump_json(path, payload):
 
 def profile_grid_for(b, r_max=None):
     """The grid of `profile build` at b: radius r_max, by default 4.5 B1(b)
-    (the localization guard 4 B1 with a margin)."""
+    (the localization guard 4 B1 with a margin).  A b outside the family's
+    range is rejected before the grid is built."""
+    profiles.check_b_range(b)
     return RadialGrid.make(r_max or 4.5 * profiles.localization_radius(b),
                            h_core=0.05, nodes_per_decade=48, stencil_order=6)
 

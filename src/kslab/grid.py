@@ -17,7 +17,13 @@ freely across threads or processes.  The cache holds data derived from
 the nodes alone: the grid's own operator matrices and weights, and what
 downstream layers derive from them (the ground state, the profiles'
 b-independent fields, the spline factorization).  Each entry is built
-once, on first use, and lives exactly as long as the grid.
+once, on first use, and is freed with the grid; entries that hold fields
+refer back to the grid, so a dropped grid is freed when the cyclic garbage
+collector next runs.  Assembly does each piece of work once per grid: one
+entry holds all four cell-quadrature matrices, built from one evaluation
+of the Lagrange basis at the Gauss points, and one entry per derivative
+order holds the even and odd matrices, built from one Fornberg pass over
+their shared mirrored stencil.
 """
 
 from __future__ import annotations
@@ -119,8 +125,8 @@ class RadialGrid:
         self.stencil_order = int(stencil_order)
         self.r_max = float(nodes[-1])
         self.n = len(nodes)
-        # the grid's one cache (see `cached`); it shares the grid's
-        # lifetime, so dropping the grid frees everything derived from it
+        # the grid's one cache (see `cached`); whatever is derived from the
+        # grid is freed with it
         self.memo = {}
 
     def cached(self, key, build, *args):
@@ -162,32 +168,44 @@ class RadialGrid:
             raise GridError("parity must be 'even', 'odd' or 'none'")
         if not 1 <= order <= 3:
             raise GridError("derivative order must be 1, 2 or 3")
-        return self.cached(("diff", order, parity), self._build_diff, order,
-                           parity)
+        mirrored = parity != "none"
+        return self.cached(("diff", order, mirrored), self._build_diff, order,
+                           mirrored)[parity]
 
-    def _build_diff(self, order, parity):
+    def _build_diff(self, order, mirrored):
+        """The order-th derivative matrices of one stencil, by parity:
+        "even" and "odd" on the ghost-mirrored stencil, "none" on the
+        one-sided one (no ghosts near the origin).
+
+        One Fornberg pass serves both parities of a stencil: they differ
+        only in the sign a ghost's weight carries onto its mirror image's
+        column.  Each row's w = p + order stencil nodes are consecutive, so
+        the CSR arrays are read off the (n, w) weights directly; a ghost and
+        its mirror, always in the same row, are the only two terms that
+        share a column (they sum exactly to zero for odd derivatives of
+        even fields at r=0), and exact zeros are not stored.
+        """
         r = self.nodes
         n = self.n
         w = self.stencil_order + order
-        if n < w:
-            raise GridError("grid too coarse (< order+2 nodes)")
-        # parity "none": one-sided stencils near the origin, no ghost mirror
-        sign = _PARITY_SIGN.get(parity, 0.0)
-        nghost = w if parity != "none" else 0
+        nghost = w if mirrored else 0
         r_ext = np.concatenate([-r[nghost:0:-1], r]) if nghost else r
         j0 = np.clip(np.arange(n) + nghost - (w - 1) // 2, 0, len(r_ext) - w)
         jext = j0[:, None] + np.arange(w)
         wts = fd_weights(r, r_ext[jext], order)[:, :, order]
-        ghost = jext < nghost
-        cols = np.where(ghost, nghost - jext, jext - nghost)
-        vals = np.where(ghost, sign * wts, wts)
-        # a ghost and its mirror image share a column and their weights sum
-        # (exactly to zero for odd derivatives of even fields at r=0); exact
-        # zeros, summed or not, are not stored
-        mat = sparse.csr_matrix((vals.ravel(), (np.repeat(np.arange(n), w),
-                                                cols.ravel())), shape=(n, n))
-        mat.eliminate_zeros()
-        return mat
+        # the ghost at stencil position k has its mirror image at position
+        # k + 2 (nghost - jext) of the same row
+        rows, k = np.nonzero(jext < nghost)
+        mirror = (rows, k + 2 * (nghost - jext[rows, k]))
+        out = {}
+        for parity in ("even", "odd") if mirrored else ("none",):
+            vals = wts.copy()
+            vals[mirror] += _PARITY_SIGN.get(parity, 0.0) * wts[rows, k]
+            keep = (jext >= nghost) & (vals != 0.0)
+            indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+            out[parity] = sparse.csr_matrix(
+                (vals[keep], jext[keep] - nghost, indptr), shape=(n, n))
+        return out
 
     # -- quadrature --------------------------------------------------------
 
@@ -214,18 +232,21 @@ class RadialGrid:
         return w
 
     def _cell_matrix(self, weight):
-        return self.cached(("cells", weight), self._cell_weights, weight)
-
-    def _cell_weights(self, weight):
-        """Interpolatory cell matrix for the integrand f(tau)*w(tau).
-
-        Returns the CSR matrix C of shape (n-1, n) with (C @ f)[i] the
-        integral over cell [r_i, r_{i+1}]; row i holds, in column order, the
-        weights of the p+1 nodes from j0[i] on.  Cells are exact for
-        polynomial f of degree <= stencil order.
-        """
         if weight not in _WEIGHT_FUNCTIONS:
             raise GridError("unknown quadrature weight %r" % weight)
+        return self.cached("cells", self._cell_weights)[weight]
+
+    def _cell_weights(self):
+        """Interpolatory cell matrices for the integrands f(tau)*w(tau), one
+        per weight w of _WEIGHT_FUNCTIONS, by name.
+
+        Each is the CSR matrix C of shape (n-1, n) with (C @ f)[i] the
+        integral over cell [r_i, r_{i+1}]; row i holds, in column order, the
+        weights of the p+1 nodes from j0[i] on.  Cells are exact for
+        polynomial f of degree <= stencil order.  Only the Gauss weights
+        depend on w: the Lagrange basis at the Gauss points is evaluated
+        once, and the matrices share their index arrays.
+        """
         r = self.nodes
         p = self.stencil_order
         ncell = self.n - 1
@@ -234,24 +255,27 @@ class RadialGrid:
         xs = r[cols]
         a, b = r[:-1, None], r[1:, None]
         tg = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-        wg = 0.5 * (b - a) * _GL_WEIGHTS * _WEIGHT_FUNCTIONS[weight](tg)
         # barycentric Lagrange basis at the Gauss points
         diff = tg[:, :, None] - xs[:, None, :]
         bw = _bary_weights(xs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tmp = bw[:, None, :] / diff
-            denom = tmp.sum(axis=2)
-            lag = tmp / denom[:, :, None]
+            lag = bw[:, None, :] / diff
+            lag /= lag.sum(axis=2)[:, :, None]
         hit = np.isclose(diff, 0.0)
         if hit.any():
             lag[hit.any(axis=2)] = 0.0
             lag[hit] = 1.0
-        cw = np.matmul(wg[:, None, :], lag)[:, 0]
-        if weight == "rlogr":
-            cw[0] = _first_cell_rlogr(xs[0], r[1])
-        indptr = np.arange(0, cw.size + 1, p + 1)
-        return sparse.csr_matrix((cw.ravel(), cols.ravel(), indptr),
-                                 shape=(ncell, self.n))
+        wg = 0.5 * (b - a) * _GL_WEIGHTS  # each cell's Gauss weights
+        indices = cols.ravel().astype(np.int32)
+        indptr = np.arange(0, indices.size + 1, p + 1, dtype=np.int32)
+        out = {}
+        for weight, fn in _WEIGHT_FUNCTIONS.items():
+            cw = np.matmul((wg * fn(tg))[:, None, :], lag)[:, 0]
+            if weight == "rlogr":
+                cw[0] = _first_cell_rlogr(xs[0], r[1])
+            out[weight] = sparse.csr_matrix((cw.ravel(), indices, indptr),
+                                            shape=(ncell, self.n))
+        return out
 
     def _node_weights(self, weight):
         """Weights l with l @ f = int_0^{r_max} f(tau) w(tau) dtau.
@@ -328,8 +352,9 @@ class RadialGrid:
 
     def _odd_origin_row(self):
         """(columns, weights) of row 0 of diff_matrix(1, "odd")."""
-        csr = self.diff_matrix(1, "odd")[:1]
-        return csr.indices, csr.data.tolist()
+        csr = self.diff_matrix(1, "odd")
+        end = csr.indptr[1]
+        return csr.indices[:end], csr.data[:end].tolist()
 
 
 def per_node(coef, values):

@@ -57,6 +57,11 @@ from .operators import (
 # falling off the family.
 B0_MAX = 1.0e-2
 B_MAX = 1.25e-2
+# The family at b needs a grid of radius >= 4 B1(b), which grows like
+# b^(-1/2) until powers of r and Fornberg's node products overflow on it.
+# On the `profile build` grid (radius 4.5 B1) the smallest b with a finite
+# family is 2.06e-89; none below it is finite (scanned down to 1e-150).
+B_MIN = 2e-89
 
 
 class ProfileError(ValueError):
@@ -385,9 +390,15 @@ def grid_b_floor(grid) -> float:
     return hi
 
 
+def check_b_range(b):
+    """ProfileError unless B_MIN <= b <= B_MAX; needs no grid."""
+    if not B_MIN <= b <= B_MAX:
+        raise ProfileError("b=%g outside the admissible range [%g, %g]"
+                           % (b, B_MIN, B_MAX))
+
+
 def _check_b(grid, b):
-    if not 0.0 < b <= B_MAX:
-        raise ProfileError("b=%g outside the admissible range (0, %g]" % (b, B_MAX))
+    check_b_range(b)
     problem = localization_problem(grid.r_max, b)
     if problem:
         raise ProfileError("grid too small for b=%g: %s" % (b, problem))

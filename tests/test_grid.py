@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import kslab.grid as grid_module
 from kslab.cli import profile_grid_for
 from kslab.grid import (
     _GL_NODES,
@@ -28,7 +29,7 @@ from kslab.grid import (
     radial_laplacian,
 )
 from kslab.operators import lambda_q, q_density
-from kslab.profiles import psi1, psi1_prime_over_r
+from kslab.profiles import build_profile_family, psi1, psi1_prime_over_r
 
 
 def test_grid_invariants(ref_grid):
@@ -373,7 +374,7 @@ def test_cell_quadrature_matches_loop(oracle_grids, name, weight):
     grid = oracle_grids[name]
     p1 = grid.stencil_order + 1
     j0, cw = cell_weights_loop(grid, weight)
-    cells = grid._cell_weights(weight)
+    cells = grid._cell_matrix(weight)
     assert_bitwise(cells.indices.reshape(-1, p1)[:, 0], j0.astype(np.int32))
     assert_bitwise(cells.data.reshape(-1, p1), cw)
     r = grid.nodes
@@ -432,8 +433,10 @@ def test_divide_by_r_odd_origin_matches_the_csr_row(oracle_grids, name):
 
 
 def test_grid_builders_run_once_per_key(monkeypatch):
-    # every accessor reads the grid's one memo: repeated calls build each
-    # difference and cell matrix once, and the grid keeps no other cache
+    # every accessor reads the grid's one memo: repeated calls build the
+    # cell matrices once and each stencil's difference matrices once (both
+    # parities of the mirrored stencil together), and the grid keeps no
+    # other cache
     calls = []
     for name in ("_build_diff", "_cell_weights"):
         def counted(self, *args, _build=getattr(RadialGrid, name)):
@@ -451,6 +454,29 @@ def test_grid_builders_run_once_per_key(monkeypatch):
         grid.cumulative_integrals((r, r), (("one", 0), ("rlogr", 1)))
         grid.divide_by_r(r, "odd")
         laplacian_values(grid, r ** 2)
-    assert len(calls) == len(set(calls)) == 9 + 4
-    assert {(weight,) for weight in ("one", "r", "r3", "rlogr")} < set(calls)
+    assert len(calls) == len(set(calls)) == 3 * 2 + 1
+    assert () in calls
     assert set(vars(grid)) == {"nodes", "stencil_order", "r_max", "n", "memo"}
+
+
+def test_family_build_assembles_each_kernel_once(monkeypatch):
+    # a profile family on a fresh grid evaluates the Gauss-point Lagrange
+    # basis once (for all four cell matrices) and runs one Fornberg pass per
+    # stencil: first derivatives of both parities, second of even fields
+    bases, passes = [], []
+
+    def bary(xs, _inner=grid_module._bary_weights):
+        bases.append(xs.shape)
+        return _inner(xs)
+
+    def fornberg(z, x, m, _inner=fd_weights):
+        passes.append((np.shape(x)[1], m))
+        return _inner(z, x, m)
+
+    monkeypatch.setattr(grid_module, "_bary_weights", bary)
+    monkeypatch.setattr(grid_module, "fd_weights", fornberg)
+    grid = profile_grid_for(1e-6)
+    build_profile_family(grid, 1e-6)
+    p = grid.stencil_order
+    assert bases == [(grid.n - 1, p + 1)]
+    assert sorted(passes) == [(p + 1, 1), (p + 2, 2)]

@@ -402,12 +402,19 @@ def test_profile_memo_dies_with_its_grid():
     g = RadialGrid.make(200.0, h_core=0.1, nodes_per_decade=24,
                         stencil_order=4)
     prof.build_profile_family(g, 1e-2)
-    matrices = {key[0]: value for key, value in g.memo.items()
-                if sparse.issparse(value)}
-    assert set(matrices) == {"diff", "cells", "stacked"}
+    # the four cell matrices are one memo entry, and each stencil's
+    # difference matrices (by parity) another
+    entries = [(key if isinstance(key, str) else key[0], mat)
+               for key, value in g.memo.items()
+               for mat in (value.values() if isinstance(value, dict)
+                           else [value])
+               if sparse.issparse(mat)]
+    kinds = [kind for kind, _ in entries]
+    assert {kind: kinds.count(kind) for kind in kinds} == {
+        "diff": 2 + 2, "cells": 4, "stacked": 1}
     refs = [weakref.ref(x) for x in (g, prof.profile_base(g),
-                                     *matrices.values())]
-    del g, matrices
+                                     *(mat for _, mat in entries))]
+    del g, entries
     gc.collect()
     assert all(ref() is None for ref in refs)
 
