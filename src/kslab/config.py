@@ -13,9 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import EvolveParams
+from .dynamics import EvolveParams, dynamics_grid, table_b_values
 from .operators import phi_m_degeneracy, phi_m_problem
-from .profiles import B0_MAX, localization_problem
+from .profiles import (B0_MAX, B_MAX, grid_b_floor, localization_problem,
+                       radiation_problem)
 
 
 class ConfigError(ValueError):
@@ -107,6 +108,15 @@ class RunConfig:
                             phi_m_problem(p.r_max, p.M_param)):
                 if problem:
                     v.append("grid.r_max: " + problem)
+        if not v:
+            # the run's grid, and the b where its setup builds profiles: the
+            # initial state's b0 and the ModulationSolver's table
+            grid = dynamics_grid(p)
+            problem = radiation_problem(
+                grid, [p.b0, *table_b_values(grid_b_floor(grid), B_MAX)])
+            if problem:
+                v.append("grid.h_core, grid.nodes_per_decade: too coarse for "
+                         "the run's profiles: " + problem)
         if p.db_rel_cap <= 0 or p.db_rel_cap > 1.0e-3:
             v.append("solver.db_rel_cap must lie in (0, 1e-3]")
         if p.ds_init <= 0:

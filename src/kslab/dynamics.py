@@ -357,6 +357,15 @@ class _StateSplines:
 
 # Chebyshev points in log b of the solver's profile table
 TABLE_NODES = 128
+# their angles (first kind)
+TABLE_THETA = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
+
+
+def table_b_values(lo, hi):
+    """The b at which a ProfileTable over [lo, hi] samples its scalars:
+    the TABLE_NODES Chebyshev points (first kind) of log b."""
+    la, lb = math.log(lo), math.log(hi)
+    return np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * np.cos(TABLE_THETA))
 
 
 class ProfileTable:
@@ -372,12 +381,9 @@ class ProfileTable:
     def __init__(self, lo, hi, scalars):
         self.lo, self.hi = lo, hi
         self._la, self._lb = math.log(lo), math.log(hi)
-        theta = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
-        nodes = np.exp(0.5 * (self._la + self._lb)
-                       + 0.5 * (self._lb - self._la) * np.cos(theta))
-        values = np.array([scalars(b) for b in nodes])
+        values = np.array([scalars(b) for b in table_b_values(lo, hi)])
         self._k = np.arange(TABLE_NODES)
-        coef = (2.0 / TABLE_NODES) * (np.cos(np.outer(self._k, theta))
+        coef = (2.0 / TABLE_NODES) * (np.cos(np.outer(self._k, TABLE_THETA))
                                       @ values)
         coef[0] *= 0.5
         self._coef = coef

@@ -16,9 +16,10 @@ use the L2 x H1dot product <(u,v),(f,g)> = int u f + int grad v . grad g.
 
 Coercivity is certified numerically: the quadratic forms are assembled as
 dense matrices, coordinates pinned to zero are dropped by index, the dense
-constraints are removed by restriction to their null space, and the
-minimal Rayleigh quotient against the X_Q metric is the lowest eigenvalue
-of the whitened dense symmetric form.
+constraints are removed by the Householder reflectors of their QR (the
+projections cost O(N^2) per constraint row, and no basis of the free
+space is formed), and the minimal Rayleigh quotient against the X_Q metric
+is the lowest eigenvalue of the whitened dense symmetric form.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .grid import (
     FieldPair,
@@ -391,14 +393,20 @@ def build_phi_m(grid: RadialGrid, M_param: float, t1_pair: FieldPair) -> PhiMDir
 # -- coercivity certification ----------------------------------------------------
 
 def _free_basis(rows, pinned, need, what):
-    """(keep, Y): the coordinates left after dropping `pinned` by index, and
-    an orthonormal basis Y (columns over keep) of the null space of the
-    dense constraint rows restricted to them.
+    """(keep, h, tau): the coordinates left after dropping `pinned` by index,
+    and the Householder reflectors (LAPACK geqrf storage) of a QR of the
+    transposed unit-scaled dense constraint rows restricted to them.  The
+    reflectors' Q is orthogonal and its columns past the first j span the
+    null space of the first j rows, so the trailing len(keep) - len(rows)
+    columns span the free space.
 
     A one-hot row's null space is exactly its coordinate complement, so the
     pinned coordinates involve no rank decision.  Each dense row is scaled
-    to unit norm before the SVD, so the rank cut cannot drop a constraint
-    for its scale.  OperatorError if fewer than `need` directions are left.
+    to unit norm, so no row counts as dependent for its scale (a zero row
+    always does).  OperatorError if fewer than `need` directions are left,
+    or if a row is numerically dependent on the rows before it: a diagonal
+    entry of R at or below max(shape) * eps, the rank cut of a null space
+    of the rows.
     """
     keep = np.delete(np.arange(rows.shape[1]), pinned)
     free = len(keep) - len(rows)
@@ -407,41 +415,74 @@ def _free_basis(rows, pinned, need, what):
                             "leave %d free directions, needs %d"
                             % (what, len(keep), len(rows), max(free, 0), need))
     R = rows[:, keep]
-    return keep, linalg.null_space(R / np.linalg.norm(R, axis=1)[:, None])
+    norm = np.linalg.norm(R, axis=1)
+    (h, tau), r = linalg.qr((R / np.where(norm > 0, norm, 1.0)[:, None]).T,
+                            mode="raw")
+    dependent = np.nonzero(np.abs(np.diag(r))
+                           <= max(R.shape) * np.finfo(float).eps)[0]
+    if len(dependent):
+        raise OperatorError("%s: dense constraint rows %s are numerically "
+                            "dependent on the rows before them"
+                            % (what, dependent.tolist()))
+    return keep, h, tau
+
+
+def _reflect(side, trans, h, tau, c):
+    """c with the reflectors' Q applied from `side` ("L" or "R"), transposed
+    if trans is "T" (LAPACK dormqr); c is overwritten."""
+    lwork = int(lapack.dormqr(side, trans, h, tau, c, -1)[1][0])
+    return lapack.dormqr(side, trans, h, tau, c, lwork, overwrite_c=1)[0]
+
+
+def _sandwich(h, tau, B):
+    """Q^T B Q for the reflectors' Q, symmetrized; B is overwritten."""
+    C = _reflect("R", "N", h, tau, _reflect("L", "T", h, tau, B))
+    return 0.5 * (C + C.T)
+
+
+def _lift(h, tau, y):
+    """Q [0; y]: coordinates y over the trailing columns of the reflectors'
+    Q as a vector of the kept coordinates."""
+    z = np.zeros((len(h), 1))
+    z[len(h) - len(y):, 0] = y
+    return _reflect("L", "N", h, tau, z)[:, 0]
 
 
 def _whitened_min(A, gx, rows, pinned):
-    """Minimal x^T A x / x^T diag(gx) x over {x[pinned] = 0, rows @ x = 0}.
+    """Minimal x^T A x / x^T diag(gx) x over {x[pinned] = 0, rows @ x = 0},
+    its minimizer x, and the minimal value with the last dense row left out.
 
     The metric spans ~18 orders of magnitude (the 1/Q weight grows like r^4),
     so the quotient is whitened exactly with the diagonal square root.  The
-    pinned coordinates are dropped by index; the only rank decision is the
-    null space of the unit-scaled whitened dense rows (`_free_basis`).
-    LAPACK then returns the lowest eigenpair only.
+    pinned coordinates are dropped by index and the dense rows removed by
+    the reflectors of `_free_basis`: in C = Q^T B Q of the whitened block B,
+    the trailing block past the first j rows is B on the null space of the
+    first j rows.  LAPACK returns the lowest eigenpair, and the lowest
+    eigenvalue of the block one larger, only.
     """
     s = np.sqrt(gx)
-    keep, Y = _free_basis(rows / s, pinned, 1, "coercivity_M")
+    keep, h, tau = _free_basis(rows / s, pinned, 1, "coercivity_M")
     sk = s[keep]
-    Sr = Y.T @ (A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None]) @ Y
-    vals, vecs = linalg.eigh(0.5 * (Sr + Sr.T), subset_by_index=[0, 0])
+    m = len(rows)
+    C = _sandwich(h, tau, A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None])
+    relaxed = linalg.eigvalsh(C[m - 1:, m - 1:], subset_by_index=[0, 0])
+    vals, vecs = linalg.eigh(C[m:, m:], subset_by_index=[0, 0])
     x = np.zeros(len(s))
-    x[keep] = (Y @ vecs[:, 0]) / sk
-    return vals[0], x
+    x[keep] = _lift(h, tau, vecs[:, 0]) / sk
+    return vals[0], x, relaxed[0]
 
 
 def coercivity_M(bundle: OperatorBundle) -> dict:
-    """delta0 = min <Mx,x>/||x||_XQ^2 over {<x,LambdaQ> = 0, int u = 0}.
+    """delta0 = min <Mx,x>/||x||_XQ^2 over {int u = 0, <x,LambdaQ> = 0}.
 
     Also reports the minimum without the Lambda Q constraint, which collapses
     onto the kernel direction (value ~ 0).
     """
-    A = bundle.quadform_M()
-    gx = bundle.gram_xq()
     lam = bundle.ground.pair_LambdaQ()
-    mass = bundle.mass_vector()
-    val, vec = _whitened_min(A, gx, np.vstack([bundle.pair_vector(lam), mass]),
-                             bundle.pinned())
-    val_u, _ = _whitened_min(A, gx, mass[None, :], bundle.pinned())
+    val, vec, val_u = _whitened_min(
+        bundle.quadform_M(), bundle.gram_xq(),
+        np.vstack([bundle.mass_vector(), bundle.pair_vector(lam)]),
+        bundle.pinned())
     n = bundle.grid.n
     minimizer = FieldPair(RadialField(bundle.grid, vec[:n]),
                           RadialField(bundle.grid, vec[n:], "odd"))
@@ -458,35 +499,36 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     <e, Phi_M> = <e, L* Phi_M> = 0.
 
     The pinned coordinates (`OperatorBundle.pinned`) are dropped by index and
-    the two Phi_M pairings are removed by `_free_basis` on the rest.
+    the two Phi_M pairings are removed by the reflectors of `_free_basis`.
     Substituting z = G^{1/2} L e turns the quotient into an ordinary Rayleigh
     quotient of the whitened M form over range(G^{1/2} L V); the remaining
     rank decision drops directions with singular value below SV_TOL * max
-    (pure kernel/noise of L).  Only the lowest eigenvalue is computed.
+    (pure kernel/noise of L).  The kept range is the complement of the left
+    singular vectors past the cut; the reflectors of those and of the
+    whitened mass row give the form on its mean-zero part.  Only the lowest
+    eigenvalue is computed.
     """
     L = bundle.matrix_L()
-    AM = bundle.quadform_M()
     s = np.sqrt(bundle.gram_xq())
     rows = np.vstack([bundle.pair_vector(phim.pair),
                       bundle.pair_vector(apply_Lstar(phim.pair))])
-    keep, V = _free_basis(rows, bundle.pinned(), 1, "coercivity_L")
-    K = (L[:, keep] * s[:, None]) @ V
-    U, sv, _ = linalg.svd(K, full_matrices=False)
-    Uk = U[:, sv > SV_TOL * sv.max()]
+    keep, h, tau = _free_basis(rows, bundle.pinned(), 1, "coercivity_L")
+    K = _reflect("R", "N", h, tau, L[:, keep] * s[:, None])[:, len(rows):]
+    U, sv, _ = linalg.svd(K, full_matrices=True)
+    rank = np.count_nonzero(sv > SV_TOL * sv.max())
     # restrict the range to discretely mean-zero densities: the M form is
     # only semi-definite there, and the near-kernel direction otherwise
     # leverages the O(h^2) mass error of Lambda Q into a spurious dip
-    cz = (bundle.mass_vector() / s) @ Uk
-    Y = linalg.null_space(cz[None, :])
-    Uk = Uk @ Y
-    Stil = AM / s[None, :] / s[:, None]
-    Sr = Uk.T @ Stil @ Uk
-    vals = linalg.eigvalsh(0.5 * (Sr + Sr.T), subset_by_index=[0, 0])
+    out = np.vstack([U[:, rank:].T, bundle.mass_vector() / s])
+    _, h, tau = _free_basis(out, [], 1, "coercivity_L")
+    Sr = _sandwich(h, tau, bundle.quadform_M() / s[None, :] / s[:, None])
+    Sr = Sr[len(out):, len(out):]
+    vals = linalg.eigvalsh(Sr, subset_by_index=[0, 0])
     M_param = phim.report["M"]
     return {
         "delta0_L_hat": float(vals[0]),
         "normalized": float(vals[0] * M_param ** 2 / np.log(M_param) ** 2),
-        "modes_kept": int(Uk.shape[1]),
+        "modes_kept": len(Sr),
     }
 
 
@@ -503,8 +545,8 @@ def kernel_gap(bundle: OperatorBundle) -> dict:
     whose X_Q norm grows faster than their residual, so the global quotient
     is not a kernel detector.  The nodes with r > KERNEL_SUPPORT_RADIUS
     (both blocks) and the gradient slot at r = 0 are dropped by index, the
-    whitened mass row by `_free_basis`; the modes come from a thin SVD of
-    the whitened L on what is left.
+    whitened mass row by the reflectors of `_free_basis`; the modes come
+    from a thin SVD of the whitened L on what is left.
     OperatorError if fewer than two free directions remain.
     The ground mode must align with the Lambda Q pair and be separated from
     the second mode by orders of magnitude (one-dimensional kernel).
@@ -514,14 +556,14 @@ def kernel_gap(bundle: OperatorBundle) -> dict:
     s = np.sqrt(gx)
     n = bundle.grid.n
     outside = np.nonzero(bundle.grid.nodes > KERNEL_SUPPORT_RADIUS)[0]
-    keep, V = _free_basis(bundle.mass_vector()[None, :] / s,
-                          np.concatenate([[n], outside, n + outside]), 2,
-                          "kernel_gap")
+    keep, h, tau = _free_basis(bundle.mass_vector()[None, :] / s,
+                               np.concatenate([[n], outside, n + outside]), 2,
+                               "kernel_gap")
     sk = s[keep]
-    _, sv, Yt = linalg.svd((L[:, keep] * s[:, None]) / sk[None, :] @ V,
-                           full_matrices=False)
+    K = _reflect("R", "N", h, tau, (L[:, keep] * s[:, None]) / sk[None, :])
+    _, sv, Yt = linalg.svd(K[:, 1:], full_matrices=False)
     x0 = np.zeros(2 * n)
-    x0[keep] = (V @ Yt[-1]) / sk
+    x0[keep] = _lift(h, tau, Yt[-1]) / sk
     lam = bundle.ground.pair_LambdaQ()
     lamv = np.concatenate([lam.density.values, lam.chem_gradient.values])
     align = abs(float((x0 * gx) @ lamv)) / np.sqrt(

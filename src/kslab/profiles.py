@@ -362,6 +362,17 @@ def _verify_radiation_regions(base, rad):
             "m outer %.2e" % (err_in, err_d, err_out))
 
 
+def radiation_problem(grid: RadialGrid, b_values):
+    """What keeps `grid` from carrying the radiation at every b of b_values:
+    the first ProfileError of `build_radiation`, whose region identities
+    fail on grids too coarse for it; None if nothing does."""
+    for b in b_values:
+        try:
+            build_radiation(grid, b)
+        except ProfileError as exc:
+            return "radiation at b=%g: %s" % (b, exc)
+
+
 def localization_radius(b: float) -> float:
     """B1 = |log b|/sqrt(b), where the profiles at b are cut off."""
     return abs(math.log(b)) / math.sqrt(b)

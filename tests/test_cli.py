@@ -233,6 +233,29 @@ def test_config_r_max_guard_names_B1():
         cfg.validate()
 
 
+# grid settings that validation passed while the run's setup rejected them
+# ("radiation region identities violated" at b0 or in the solver's table),
+# and the default grid
+COARSE_GRIDS = {"grid.nodes_per_decade = 12": "m outer 4.08e-05",
+                "grid.nodes_per_decade = 24": "m outer 1.01e-06",
+                "grid.h_core = 0.2": "inner 8.25e-07",
+                "": None}
+
+
+@pytest.mark.parametrize("text", COARSE_GRIDS)
+def test_config_rejects_a_grid_too_coarse_for_the_radiation(text):
+    cfg = parse_config_text(text)
+    if COARSE_GRIDS[text] is None:
+        cfg.validate()
+        return
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    (violation,) = err.value.violations
+    assert violation.startswith("grid.")
+    assert "radiation region identities violated" in violation
+    assert COARSE_GRIDS[text] in violation
+
+
 def test_simulate_rejects_a_grid_too_small_for_phi_m(tmp_path, capsys):
     # r_max = 200 carries the family at b0 (4 B1 = 184.2) but not Phi_M at
     # M = 30, which needs 10 M = 300: a config violation, not a traceback
@@ -363,13 +386,14 @@ def test_simulate_invalid_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
-    # nodes_per_decade = 12 passes validation, but the grid is too coarse
-    # for the family at b0: one line naming the reason, not a traceback
+    # b0 = 1e-8 passes validation, but the profile's initial density is
+    # not positive on the run's grid: one line naming the reason, not a
+    # traceback
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid.nodes_per_decade = 12\n")
+    cfg.write_text("profile.b0 = 1e-8\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("%s rejected: radiation region identities violated"
+    assert err.startswith("%s rejected: initial density not positive"
                           % command)
     assert err.count("\n") == 1
 

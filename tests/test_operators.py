@@ -329,11 +329,18 @@ def _oracle_kernel_gap(bundle, support_radius=30.0):
     return sv[-2] ** 2 / sv[-1] ** 2, align
 
 
-@pytest.mark.parametrize("M", [50.0, 100.0])
-def test_certificates_match_the_one_hot_oracle(M):
+@pytest.mark.parametrize("M, nodes_per_decade, h_core, cut", [
+    pytest.param(50.0, 32, 0.1, 0, id="50.0"),
+    pytest.param(100.0, 32, 0.1, 0, id="100.0"),
+    # the benchmark's spectral grid, where SV_TOL drops exactly one
+    # direction of the whitened L (sigma_min / sigma_max = 9.1e-11)
+    pytest.param(200.0, 48, 0.05, 1, id="200.0-spectral")])
+def test_certificates_match_the_one_hot_oracle(M, nodes_per_decade, h_core,
+                                               cut):
     # pinned coordinates dropped by index and lowest-eigenpair solves give
     # the numbers of the one-hot row formulation with full eigensolves
-    grid = ops.operator_grid(M, nodes_per_decade=32, h_core=0.1)
+    grid = ops.operator_grid(M, nodes_per_decade=nodes_per_decade,
+                             h_core=h_core)
     bundle = ops.OperatorBundle(grid)
     lvl1 = build_t1_s1(grid)
     phim = ops.build_phi_m(grid, M, FieldPair(lvl1.T1, lvl1.S1_grad))
@@ -349,10 +356,52 @@ def test_certificates_match_the_one_hot_oracle(M):
     want_L, want_kept = _oracle_coercivity_L(bundle, phim)
     assert rel(cl["delta0_L_hat"], want_L) < 1e-6
     assert cl["modes_kept"] == want_kept
+    # free coordinates, less the two Phi_M rows, the cut and the mass row
+    assert want_kept == 2 * grid.n - len(bundle.pinned()) - 2 - cut - 1
     kg = ops.kernel_gap(bundle)
     want_gap, want_align = _oracle_kernel_gap(bundle)
     assert rel(kg["gap"], want_gap) < 1e-6
     assert rel(kg["alignment"], want_align) < 1e-9
+
+
+# dense factorizations of one certificate: the constraint rows are removed
+# by Householder reflectors, never by a null-space basis
+WORK_BUDGET = {"coercivity_M": ["eigh", "eigvalsh"],
+               "coercivity_L": ["eigvalsh", "svd"],
+               "kernel_gap": ["svd"]}
+
+
+def test_certificates_work_budget(op_grid, bundle, monkeypatch):
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(linalg, name)
+            if name not in ("svd", "eigh", "eigvalsh", "null_space"):
+                return fn
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+    lvl1 = build_t1_s1(op_grid)
+    phim = ops.build_phi_m(op_grid, 50.0, FieldPair(lvl1.T1, lvl1.S1_grad))
+    monkeypatch.setattr(ops, "linalg", Counting())
+    for name, run in (("coercivity_M", lambda: ops.coercivity_M(bundle)),
+                      ("coercivity_L", lambda: ops.coercivity_L(bundle, phim)),
+                      ("kernel_gap", lambda: ops.kernel_gap(bundle))):
+        calls.clear()
+        run()
+        assert sorted(calls) == WORK_BUDGET[name], name
+
+
+def test_dependent_constraint_rows_are_an_error(bundle):
+    # the mass row twice: the second is dependent on the first
+    mass = bundle.mass_vector()
+    with pytest.raises(ops.OperatorError, match=r"rows \[1\] are numerically"):
+        ops._whitened_min(bundle.quadform_M(), bundle.gram_xq(),
+                          np.vstack([mass, mass]), bundle.pinned())
 
 
 def test_kernel_gap_without_two_free_directions(bundle, monkeypatch):
