@@ -50,6 +50,7 @@ from .dynamics import (
     FlowState,
     ModulationError,
     ModulationSolver,
+    RunSetup,
     SemiImplicitStepper,
     SimulationError,
     TimeSeries,

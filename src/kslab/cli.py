@@ -44,11 +44,11 @@ FAILED_STATUSES = ("modulation_failed", "grid_exhausted", "nonfinite")
 KERNEL_ALIGNMENT_MIN = 0.99
 KERNEL_GAP_MIN = 100.0
 
-# what a run's setup can raise (a grid too coarse for the family, a Phi_M
-# the grid cannot carry, no positive perturbation, a failed first
-# decomposition); simulate and sweep reject the run with its message
-SETUP_ERRORS = (profiles.ProfileError, operators.OperatorError,
-                dynamics.SimulationError)
+# what a validated run can raise before its first step (no positive
+# perturbation, a failed first decomposition: its model Newton can leave
+# the profile table); simulate and sweep reject the run with its message.
+# The setup build itself is a config check (`RunConfig.validate`).
+START_ERRORS = (dynamics.SimulationError, profiles.ProfileError)
 
 # a family's residual is out of family unless |Psi1|^2 is at most this
 # times b^5 (the coarse expected scaling |Psi1|^2 ~ b^5, generous constant)
@@ -184,15 +184,15 @@ def _spectral(args, M) -> int:
 
 
 def run_one(cfg: RunConfig, outdir, seed_offset=0):
-    """Execute one run per config; returns the summary dictionary."""
+    """Execute one run of a validated config on its setup; returns the
+    summary dictionary."""
     os.makedirs(outdir, exist_ok=True)
     seed = cfg.seed + seed_offset
     pert = None
     if cfg.delta > 0:
-        pert = dynamics.sample_perturbation(
-            dynamics.dynamics_grid(cfg.params), cfg.params, cfg.delta,
-            np.random.default_rng(seed))
-    series = dynamics.evolve(cfg.params, perturbation=pert)
+        pert = cfg.setup.sample_perturbation(cfg.delta,
+                                             np.random.default_rng(seed))
+    series = cfg.setup.run(pert)
     series.to_csv(os.path.join(outdir, "timeseries.csv"))
     summary = {
         "status": series.status,
@@ -240,10 +240,13 @@ def _law_summary(series):
     }
 
 
-def _valid_config(path):
-    """The validated config at path, or None after reporting why not."""
+def _valid_configs(path, b0_values):
+    """The config at path, validated at each b0 of b0_values (at its own
+    b0 for None), or None after reporting why not."""
     try:
-        return load_config(path).validate()
+        cfg = load_config(path)
+        return [replace(cfg, params=replace(cfg.params, b0=b0)).validate()
+                for b0 in b0_values or [cfg.params.b0]]
     except FileNotFoundError:
         print("config file not found: %s" % path, file=sys.stderr)
     except ConfigError as exc:
@@ -252,13 +255,13 @@ def _valid_config(path):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _valid_config(args.config)
-    if cfg is None:
+    cfgs = _valid_configs(args.config, None)
+    if cfgs is None:
         return EXIT_USAGE
     outdir = os.path.join(_out_root(args), args.name or "run")
     try:
-        summary = run_one(cfg, outdir)
-    except SETUP_ERRORS as exc:
+        summary = run_one(cfgs[0], outdir)
+    except START_ERRORS as exc:
         print("simulate rejected: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps({"outdir": outdir, "status": summary["status"]}))
@@ -266,18 +269,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _valid_config(args.config)
-    if cfg is None:
-        return EXIT_USAGE
-    b_values = args.b0 or [cfg.params.b0]
-    try:
-        cfgs = [replace(cfg, params=replace(cfg.params, b0=b0)).validate()
-                for b0 in b_values]
-    except ConfigError as exc:
-        print(exc.to_json(), file=sys.stderr)
+    # each run's setup is built here, by validation, and sent to its worker
+    cfgs = _valid_configs(args.config, args.b0)
+    if cfgs is None:
         return EXIT_USAGE
     root = _out_root(args)
-    outdirs = [os.path.join(root, "sweep_b%.3e" % b0) for b0 in b_values]
+    outdirs = [os.path.join(root, "sweep_b%.3e" % cfg.params.b0)
+               for cfg in cfgs]
     seed_offsets = range(len(cfgs))
     # a fork pool starts all its workers at the first submit
     workers = min(args.workers, len(cfgs))
@@ -288,7 +286,7 @@ def cmd_sweep(args) -> int:
                                           seed_offsets))
         else:
             summaries = list(map(run_one, cfgs, outdirs, seed_offsets))
-    except SETUP_ERRORS as exc:
+    except START_ERRORS as exc:
         print("sweep rejected: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     merged = {"runs": summaries,

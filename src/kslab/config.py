@@ -13,10 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import EvolveParams, dynamics_grid, table_b_values
-from .operators import phi_m_degeneracy, phi_m_problem
-from .profiles import (B0_MAX, B_MAX, grid_b_floor, localization_problem,
-                       radiation_problem)
+from .dynamics import EvolveParams, RunSetup, SimulationError
+from .operators import OperatorError, phi_m_degeneracy, phi_m_problem
+from .profiles import B0_MAX, B_MIN, ProfileError, localization_problem
 
 
 class ConfigError(ValueError):
@@ -68,9 +67,13 @@ def config_params():
 
 @dataclass
 class RunConfig:
+    """A run's parameters and perturbation; `validate` builds the run's
+    `dynamics.RunSetup` and keeps it as `setup`, for the run to reuse."""
+
     params: EvolveParams = field(default_factory=config_params)
     delta: float = 0.0
     seed: int = 0
+    setup: RunSetup = field(default=None, repr=False, compare=False)
 
     def _slot(self, key):
         """(object, attribute) that a config key sets; KeyError if unknown."""
@@ -79,7 +82,12 @@ class RunConfig:
         return self, PERTURBATION_KEYS[key]
 
     def validate(self):
-        """Collect every violated constraint; raise ConfigError if any."""
+        """Collect every violated constraint; raise ConfigError if any.
+
+        The last check is the run's setup build (`dynamics.RunSetup`),
+        asked only when every other constraint holds; its failure is a
+        violation of the keys its error blames.
+        """
         v = []
         for key in (*PARAM_KEYS, *PERTURBATION_KEYS):
             x = getattr(*self._slot(key))
@@ -87,9 +95,10 @@ class RunConfig:
                     math.isinf(x) and key not in UNBOUNDED_KEYS)):
                 v.append("%s must be finite, got %s" % (key, x))
         p = self.params
-        in_regime = 0.0 < p.b0 <= B0_MAX
+        in_regime = B_MIN <= p.b0 <= B0_MAX
         if not in_regime:
-            v.append("profile.b0 must lie in (0, 1e-2] (asymptotic regime guard)")
+            v.append("profile.b0 must lie in [%g, %g] (asymptotic regime "
+                     "guard)" % (B_MIN, B0_MAX))
         problem = phi_m_degeneracy(p.M_param)
         if problem:
             v.append("profile." + problem)
@@ -108,15 +117,6 @@ class RunConfig:
                             phi_m_problem(p.r_max, p.M_param)):
                 if problem:
                     v.append("grid.r_max: " + problem)
-        if not v:
-            # the run's grid, and the b where its setup builds profiles: the
-            # initial state's b0 and the ModulationSolver's table
-            grid = dynamics_grid(p)
-            problem = radiation_problem(
-                grid, [p.b0, *table_b_values(grid_b_floor(grid), B_MAX)])
-            if problem:
-                v.append("grid.h_core, grid.nodes_per_decade: too coarse for "
-                         "the run's profiles: " + problem)
         if p.db_rel_cap <= 0 or p.db_rel_cap > 1.0e-3:
             v.append("solver.db_rel_cap must lie in (0, 1e-3]")
         if p.ds_init <= 0:
@@ -129,6 +129,16 @@ class RunConfig:
             v.append("perturbation.seed must be >= 0")
         if p.cadence < 1:
             v.append("output.cadence must be >= 1")
+        if not v:
+            try:
+                self.setup = RunSetup(p)
+            except SimulationError as exc:   # initial density not positive
+                v.append("profile.b0: %s" % exc)
+            except ProfileError as exc:   # radiation at b0 or a table node
+                v.append("grid.h_core, grid.nodes_per_decade: too coarse for "
+                         "the run's profiles: %s" % exc)
+            except OperatorError as exc:
+                v.append("grid.r_max, profile.M: %s" % exc)
         if v:
             raise ConfigError(v)
         return self

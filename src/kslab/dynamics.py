@@ -27,6 +27,10 @@ and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
 its exact root function, started at b and at b times the previous lift's
 b_hat/b, finds it.  Everything recorded lands in a TimeSeries consumed by
 the law-fitting diagnostics.
+
+`RunSetup` builds what a run needs before its first step (grid, initial
+state, solver, stepper) once; `evolve`, the probe's members and the CLI's
+runs all run on one.
 """
 
 from __future__ import annotations
@@ -361,13 +365,6 @@ TABLE_NODES = 128
 TABLE_THETA = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
 
 
-def table_b_values(lo, hi):
-    """The b at which a ProfileTable over [lo, hi] samples its scalars:
-    the TABLE_NODES Chebyshev points (first kind) of log b."""
-    la, lb = math.log(lo), math.log(hi)
-    return np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * np.cos(TABLE_THETA))
-
-
 class ProfileTable:
     """Chebyshev interpolant in log b of scalar functions of the profile.
 
@@ -380,8 +377,9 @@ class ProfileTable:
 
     def __init__(self, lo, hi, scalars):
         self.lo, self.hi = lo, hi
-        self._la, self._lb = math.log(lo), math.log(hi)
-        values = np.array([scalars(b) for b in table_b_values(lo, hi)])
+        self._la, self._lb = la, lb = math.log(lo), math.log(hi)
+        nodes = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * np.cos(TABLE_THETA))
+        values = np.array([scalars(b) for b in nodes])
         self._k = np.arange(TABLE_NODES)
         coef = (2.0 / TABLE_NODES) * (np.cos(np.outer(self._k, TABLE_THETA))
                                       @ values)
@@ -449,7 +447,10 @@ class ModulationSolver:
     (atol < |F| <= floor_tol), the exact profile evaluations (table,
     decompose, lift), lift calls and lift failures.  `lift_ratio` is the
     b_hat/b of the last successful `lift_b` on this solver (None before
-    one), where the next lift starts its secant.
+    one), where the next lift starts its secant.  Both belong to one run;
+    `reset` starts them afresh, so that runs sharing a solver each see
+    what a solver of their own would show (the table's evaluations are
+    counted in every run).
     """
 
     def __init__(self, grid: RadialGrid, M_param: float):
@@ -473,8 +474,7 @@ class ModulationSolver:
                      for wu in (self._wphi1, self._wlphi1)]
         self._a_g = [wg + d1g @ (y * wg)
                      for wg in (self._wphi2, self._wlphi2)]
-        self.counters = dict.fromkeys(COUNTERS, 0)
-        self.lift_ratio = None
+        self.reset()
         b_floor = grid_b_floor(grid)
 
         def scalars(b):
@@ -483,7 +483,13 @@ class ModulationSolver:
                               grid.divide_by_r(prof.n_tilde.values, "even"))
 
         self.table = ProfileTable(b_floor, B_MAX, scalars)
+
+    def reset(self):
+        """Zero the counters, except the table's TABLE_NODES profile
+        evaluations, and forget the last lift's ratio."""
+        self.counters = dict.fromkeys(COUNTERS, 0)
         self.counters["profile_evals_table"] = TABLE_NODES
+        self.lift_ratio = None
 
     def _pair(self, u, g):
         return (float(self._wphi1 @ u + self._wphi2 @ g),
@@ -713,154 +719,208 @@ def dynamics_grid(params: EvolveParams) -> RadialGrid:
 def initial_state(grid, params: EvolveParams, perturbation=None) -> FlowState:
     """Profile initial data plus an optional primitive-pair perturbation."""
     fam = build_profile_family(grid, params.b0, with_error=False)
-    m = fam.m_tilde.values.copy()
-    n = fam.n_tilde.values.copy()
+    return _perturbed(FlowState(grid, fam.m_tilde.values, fam.n_tilde.values),
+                      perturbation)
+
+
+def _perturbed(state: FlowState, perturbation) -> FlowState:
+    """state plus a primitive-pair perturbation (eps, geta), or state itself
+    for None; SimulationError unless the density is positive."""
     if perturbation is not None:
         eps, geta = perturbation
-        m = m + grid.cumulative_integral(eps.values, "r")
-        n = n + grid.nodes * geta.values
-    state = FlowState(grid, m, n)
+        g = state.grid
+        state = replace(state, m=state.m + g.cumulative_integral(eps.values,
+                                                                 "r"),
+                        n=state.n + g.nodes * geta.values)
     if np.min(state.density_values()) <= 0.0:
         raise SimulationError("initial density not positive")
     return state
 
 
-def evolve(params: EvolveParams, perturbation=None) -> TimeSeries:
-    """Integrate from profile data until a stopping criterion fires.
+# sample_perturbation's draws before it gives up
+PERTURBATION_TRIES = 20
 
-    Records the modulation history at the configured cadence; the returned
-    series carries .status in {'lam_stop', 't_max', 's_max', 'b_min',
-    'modulation_failed', 'grid_exhausted', 'nonfinite'}.  The last three
-    end a run early and keep the partial series plus a final record:
-    'modulation_failed' when the modulation Newton solve fails,
-    'grid_exhausted' when the solve needs the profile at a b whose
-    localization does not fit the grid (4 B1(b) > r_max), 'nonfinite' when
-    the implicit step is singular or leaves a non-finite state.  A step
-    counts only once its state is decomposed, so the final record of such
-    a run is the last state with a decomposition, with that decomposition,
-    and .reason holds the message of the error that ended it.  The series'
-    .counters are the modulation solver's counters (see `ModulationSolver`)
-    plus the refolds, the records whose free energy is NaN
-    (nan_free_energy) and the smallest, median and largest committed step
-    (ds_min, ds_median, ds_max; NaN without one).
 
-    Each decomposition starts from `_predict_guess`: (lam1, b) extrapolated
-    in s from the last three committed roots.  A refold re-decomposes the
-    rescaled state and restarts that history at its root.
+class RunSetup:
+    """What a run on params builds before its first step, built once: the
+    grid (`dynamics_grid`), the unperturbed initial state at b0, the
+    modulation solver (its profile table and Phi_M weights) and the
+    stepper.  A failed build raises the builder's own error: ProfileError
+    (a grid that cannot carry the profiles at b0 or at the table's
+    nodes), OperatorError (Phi_M) or SimulationError (an initial density
+    that is not positive).
 
-    The frame moves at the rate b while the bubble sits at the pending
-    scale lam1 inside it, so lam1 drifts between refolds and the recorded s
-    (the frame's time, also what s_max bounds) runs at lam1^2 times the
-    bubble's rate; see `bubble_time`.
+    Any number of runs may share one setup: `run` starts the solver's
+    per-run state afresh, so each run's series equals, bit for bit, the
+    series of `evolve` with the same perturbation.
     """
-    grid = dynamics_grid(params)
-    state = initial_state(grid, params, perturbation)
-    stepper = SemiImplicitStepper(grid)
-    solver = ModulationSolver(grid, params.M_param)
-    series = TimeSeries()
 
-    mod = solver.decompose(state, guess=(1.0, params.b0))
-    b = mod.b
-    lam_pending = mod.lam
-    ds = params.ds_init
-    b_s_est = 2.0 * b * b / abs(math.log(b))
-    step_count = 0
-    refolds = 0
-    mass0 = state.mass()
-    roots = deque([(state.s, lam_pending, b)], maxlen=3)
-    steps_ds = []
+    def __init__(self, params: EvolveParams):
+        self.params = params
+        self.grid = dynamics_grid(params)
+        self.state = initial_state(self.grid, params)
+        self.solver = ModulationSolver(self.grid, params.M_param)
+        self.stepper = SemiImplicitStepper(self.grid)
 
-    def record():
-        lam_total = state.lam * lam_pending
-        e2 = operators.apply_L(mod.eps_pair)
-        e2_xq = math.sqrt(operators.xq_norm_sq(e2))
-        lyap = operators.pairing(operators.apply_M(e2), e2)
-        bh = float("nan")
-        if step_count % params.cadence == 0:
+    def sample_perturbation(self, delta, rng):
+        """A `random_perturbation` of size delta on the setup's grid that
+        keeps the initial density positive, drawn by rejection sampling;
+        SimulationError after PERTURBATION_TRIES rejected draws."""
+        for _ in range(PERTURBATION_TRIES):
+            cand = random_perturbation(self.grid, delta, rng)
             try:
-                bh = lift_b(solver, mod)
-            except ModulationError:
-                bh = float("nan")
-        # a significantly negative density has no free energy; the record
-        # keeps NaN there and min_u shows why
-        pair = state.primitive()
-        energy = float("nan")
-        try:
-            rep = diagnostics.free_energy(pair)
-        except diagnostics.DiagnosticsError:
-            pass
-        else:
-            shift = (mass0 * (2.0 - mass0 / (4.0 * np.pi))
-                     * math.log(max(lam_total, 1e-300)))
-            energy = rep.free_energy + shift
-        series.append(t=state.t, s=state.s, lam=lam_total, b=b, b_hat=bh,
-                      mass=state.mass(), free_energy=energy, e2_xq=e2_xq,
-                      lyapunov=lyap,
-                      res_phi=mod.residuals[0], res_lphi=mod.residuals[1],
-                      min_u=float(np.min(pair.density.values)))
+                _perturbed(self.state, cand)
+            except SimulationError:
+                continue
+            return cand
+        raise SimulationError("no positive perturbation found in %d tries"
+                              % PERTURBATION_TRIES)
 
-    record()
-    while True:
-        ds = min(params.ds_max, 1.5 * ds,
-                 params.db_rel_cap * b / max(b_s_est, 1e-300))
-        # A step is committed only once its state has a decomposition, so
-        # a breakdown leaves the last decomposed state for the final record.
-        try:
-            stepped = stepper.step(state, ds, b=b)
-            stepped_mod = solver.decompose(
-                stepped, guess=_predict_guess(roots, stepped.s,
-                                              solver.table.lo))
-            # The pending scale is bookkeeping only: folding it into the
-            # stored arrays re-interpolates the state and each such event
-            # injects a small scale bias and leaks tail mass, so refits
-            # happen only if the frame truly de-centers (resolution guard),
-            # not as routine upkeep.
-            if abs(stepped_mod.lam - 1.0) > REFOLD_THRESHOLD:
-                refolds += 1
-                stepped = _rescale_state(stepped, stepped_mod.lam)
-                stepped_mod = solver.decompose(stepped,
-                                               guess=(1.0, stepped_mod.b))
-                roots.clear()
-        except ModulationError as exc:
-            series.status, series.reason = "modulation_failed", str(exc)
-            break
-        except ProfileError as exc:
-            series.status, series.reason = "grid_exhausted", str(exc)
-            break
-        except SimulationError as exc:
-            series.status, series.reason = "nonfinite", str(exc)
-            break
-        state, mod = stepped, stepped_mod
-        step_count += 1
-        steps_ds.append(ds)
-        b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
-        b, lam_pending = mod.b, mod.lam
-        roots.append((state.s, lam_pending, b))
-        if step_count % params.cadence == 0:
-            record()
-        lam_total = state.lam * lam_pending
-        if lam_total <= params.lam_stop:
-            series.status = "lam_stop"
-            break
-        if state.t >= params.t_max:
-            series.status = "t_max"
-            break
-        if state.s >= params.s_max:
-            series.status = "s_max"
-            break
-        if b <= params.b_min:
-            series.status = "b_min"
-            break
-    if not series.rows or series.rows[-1][1] < state.s:
+    def run(self, perturbation) -> TimeSeries:
+        """Integrate from the setup's initial state plus `perturbation` (a
+        primitive pair, or None) until a stopping criterion fires.
+
+        Records the modulation history at the configured cadence; the
+        returned series carries .status in {'lam_stop', 't_max', 's_max',
+        'b_min', 'modulation_failed', 'grid_exhausted', 'nonfinite'}.  The
+        last three end a run early and keep the partial series plus a
+        final record: 'modulation_failed' when the modulation Newton solve
+        fails, 'grid_exhausted' when the solve needs the profile at a b
+        whose localization does not fit the grid (4 B1(b) > r_max),
+        'nonfinite' when the implicit step is singular or leaves a
+        non-finite state.  A step counts only once its state is decomposed,
+        so the final record of such a run is the last state with a
+        decomposition, with that decomposition, and .reason holds the
+        message of the error that ended it.  The series' .counters are the
+        modulation solver's counters (see `ModulationSolver`) plus the
+        refolds, the records whose free energy is NaN (nan_free_energy) and
+        the smallest, median and largest committed step (ds_min, ds_median,
+        ds_max; NaN without one).  A perturbation that leaves the initial
+        density not positive, or a failed first decomposition, raises.
+
+        Each decomposition starts from `_predict_guess`: (lam1, b)
+        extrapolated in s from the last three committed roots.  A refold
+        re-decomposes the rescaled state and restarts that history at its
+        root.
+
+        The frame moves at the rate b while the bubble sits at the pending
+        scale lam1 inside it, so lam1 drifts between refolds and the
+        recorded s (the frame's time, also what s_max bounds) runs at
+        lam1^2 times the bubble's rate; see `bubble_time`.
+        """
+        params, stepper, solver = self.params, self.stepper, self.solver
+        state = _perturbed(self.state, perturbation)
+        solver.reset()
+        series = TimeSeries()
+
+        mod = solver.decompose(state, guess=(1.0, params.b0))
+        b = mod.b
+        lam_pending = mod.lam
+        ds = params.ds_init
+        b_s_est = 2.0 * b * b / abs(math.log(b))
+        step_count = 0
+        refolds = 0
+        mass0 = state.mass()
+        roots = deque([(state.s, lam_pending, b)], maxlen=3)
+        steps_ds = []
+
+        def record():
+            lam_total = state.lam * lam_pending
+            e2 = operators.apply_L(mod.eps_pair)
+            e2_xq = math.sqrt(operators.xq_norm_sq(e2))
+            lyap = operators.pairing(operators.apply_M(e2), e2)
+            bh = float("nan")
+            if step_count % params.cadence == 0:
+                try:
+                    bh = lift_b(solver, mod)
+                except ModulationError:
+                    bh = float("nan")
+            # a significantly negative density has no free energy; the record
+            # keeps NaN there and min_u shows why
+            pair = state.primitive()
+            energy = float("nan")
+            try:
+                rep = diagnostics.free_energy(pair)
+            except diagnostics.DiagnosticsError:
+                pass
+            else:
+                shift = (mass0 * (2.0 - mass0 / (4.0 * np.pi))
+                         * math.log(max(lam_total, 1e-300)))
+                energy = rep.free_energy + shift
+            series.append(t=state.t, s=state.s, lam=lam_total, b=b, b_hat=bh,
+                          mass=state.mass(), free_energy=energy, e2_xq=e2_xq,
+                          lyapunov=lyap,
+                          res_phi=mod.residuals[0], res_lphi=mod.residuals[1],
+                          min_u=float(np.min(pair.density.values)))
+
         record()
-    ds_q = (np.percentile(steps_ds, (0, 50, 100)) if steps_ds
-            else (math.nan,) * 3)
-    series.counters = dict(solver.counters, refolds=refolds,
-                           nan_free_energy=int(np.isnan(
-                               series.column("free_energy")).sum()),
-                           ds_min=float(ds_q[0]), ds_median=float(ds_q[1]),
-                           ds_max=float(ds_q[2]))
-    return series
+        while True:
+            ds = min(params.ds_max, 1.5 * ds,
+                     params.db_rel_cap * b / max(b_s_est, 1e-300))
+            # A step is committed only once its state has a decomposition,
+            # so a breakdown leaves the last decomposed state for the final
+            # record.
+            try:
+                stepped = stepper.step(state, ds, b=b)
+                stepped_mod = solver.decompose(
+                    stepped, guess=_predict_guess(roots, stepped.s,
+                                                  solver.table.lo))
+                # The pending scale is bookkeeping only: folding it into the
+                # stored arrays re-interpolates the state and each such event
+                # injects a small scale bias and leaks tail mass, so refits
+                # happen only if the frame truly de-centers (resolution guard),
+                # not as routine upkeep.
+                if abs(stepped_mod.lam - 1.0) > REFOLD_THRESHOLD:
+                    refolds += 1
+                    stepped = _rescale_state(stepped, stepped_mod.lam)
+                    stepped_mod = solver.decompose(stepped,
+                                                   guess=(1.0, stepped_mod.b))
+                    roots.clear()
+            except ModulationError as exc:
+                series.status, series.reason = "modulation_failed", str(exc)
+                break
+            except ProfileError as exc:
+                series.status, series.reason = "grid_exhausted", str(exc)
+                break
+            except SimulationError as exc:
+                series.status, series.reason = "nonfinite", str(exc)
+                break
+            state, mod = stepped, stepped_mod
+            step_count += 1
+            steps_ds.append(ds)
+            b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
+            b, lam_pending = mod.b, mod.lam
+            roots.append((state.s, lam_pending, b))
+            if step_count % params.cadence == 0:
+                record()
+            lam_total = state.lam * lam_pending
+            if lam_total <= params.lam_stop:
+                series.status = "lam_stop"
+                break
+            if state.t >= params.t_max:
+                series.status = "t_max"
+                break
+            if state.s >= params.s_max:
+                series.status = "s_max"
+                break
+            if b <= params.b_min:
+                series.status = "b_min"
+                break
+        if not series.rows or series.rows[-1][1] < state.s:
+            record()
+        ds_q = (np.percentile(steps_ds, (0, 50, 100)) if steps_ds
+                else (math.nan,) * 3)
+        series.counters = dict(solver.counters, refolds=refolds,
+                               nan_free_energy=int(np.isnan(
+                                   series.column("free_energy")).sum()),
+                               ds_min=float(ds_q[0]), ds_median=float(ds_q[1]),
+                               ds_max=float(ds_q[2]))
+        return series
+
+
+def evolve(params: EvolveParams, perturbation=None) -> TimeSeries:
+    """One run on a setup of its own: `RunSetup(params).run(perturbation)`."""
+    return RunSetup(params).run(perturbation)
 
 
 def _predict_guess(roots, s, b_lo):
@@ -974,37 +1034,19 @@ def random_perturbation(grid, delta, rng):
             RadialField(grid, geta * scale, "odd"))
 
 
-PERTURBATION_TRIES = 20
-
-
-def sample_perturbation(grid, params: EvolveParams, delta, rng):
-    """A `random_perturbation` of size delta on the run's grid that keeps
-    the initial density positive, drawn by rejection sampling."""
-    for _ in range(PERTURBATION_TRIES):
-        cand = random_perturbation(grid, delta, rng)
-        try:
-            initial_state(grid, params, cand)
-        except SimulationError:
-            continue
-        return cand
-    raise SimulationError("no positive perturbation found in %d tries"
-                          % PERTURBATION_TRIES)
-
-
 def stability_probe(params: EvolveParams, n_perturbations=8, delta=1e-4,
                     seed=0) -> dict:
     """Rerun with random small perturbations; all runs must reach lam_stop.
 
-    The perturbations come from `sample_perturbation`, all from one
-    generator seeded with `seed`.  Returns per-run status plus dispersion
-    of the measured law ratios.
+    All runs share one `RunSetup`; the perturbations come from its
+    `sample_perturbation`, all from one generator seeded with `seed`.
+    Returns per-run status plus dispersion of the measured law ratios.
     """
-    grid = dynamics_grid(params)
+    setup = RunSetup(params)
     rng = np.random.default_rng(seed)
     runs = []
     for _ in range(n_perturbations):
-        pert = sample_perturbation(grid, params, delta, rng)
-        series = evolve(params, perturbation=pert)
+        series = setup.run(setup.sample_perturbation(delta, rng))
         laws = measure_laws(series)
         runs.append({
             "status": series.status,

@@ -450,15 +450,15 @@ def _lift(h, tau, y):
 
 def _whitened_min(A, gx, rows, pinned):
     """Minimal x^T A x / x^T diag(gx) x over {x[pinned] = 0, rows @ x = 0},
-    its minimizer x, and the minimal value with the last dense row left out.
+    and the minimal value with the last dense row left out.
 
     The metric spans ~18 orders of magnitude (the 1/Q weight grows like r^4),
     so the quotient is whitened exactly with the diagonal square root.  The
     pinned coordinates are dropped by index and the dense rows removed by
     the reflectors of `_free_basis`: in C = Q^T B Q of the whitened block B,
     the trailing block past the first j rows is B on the null space of the
-    first j rows.  LAPACK returns the lowest eigenpair, and the lowest
-    eigenvalue of the block one larger, only.
+    first j rows.  LAPACK returns the lowest eigenvalue of each of the two
+    blocks only.
     """
     s = np.sqrt(gx)
     keep, h, tau = _free_basis(rows / s, pinned, 1, "coercivity_M")
@@ -466,10 +466,8 @@ def _whitened_min(A, gx, rows, pinned):
     m = len(rows)
     C = _sandwich(h, tau, A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None])
     relaxed = linalg.eigvalsh(C[m - 1:, m - 1:], subset_by_index=[0, 0])
-    vals, vecs = linalg.eigh(C[m:, m:], subset_by_index=[0, 0])
-    x = np.zeros(len(s))
-    x[keep] = _lift(h, tau, vecs[:, 0]) / sk
-    return vals[0], x, relaxed[0]
+    val = linalg.eigvalsh(C[m:, m:], subset_by_index=[0, 0])
+    return val[0], relaxed[0]
 
 
 def coercivity_M(bundle: OperatorBundle) -> dict:
@@ -479,15 +477,11 @@ def coercivity_M(bundle: OperatorBundle) -> dict:
     onto the kernel direction (value ~ 0).
     """
     lam = bundle.ground.pair_LambdaQ()
-    val, vec, val_u = _whitened_min(
+    val, val_u = _whitened_min(
         bundle.quadform_M(), bundle.gram_xq(),
         np.vstack([bundle.mass_vector(), bundle.pair_vector(lam)]),
         bundle.pinned())
-    n = bundle.grid.n
-    minimizer = FieldPair(RadialField(bundle.grid, vec[:n]),
-                          RadialField(bundle.grid, vec[n:], "odd"))
-    return {"delta0_M_hat": float(val), "unconstrained_min": float(val_u),
-            "minimizer": minimizer}
+    return {"delta0_M_hat": float(val), "unconstrained_min": float(val_u)}
 
 
 # coercivity_L's relative singular-value cut

@@ -358,19 +358,8 @@ def _verify_radiation_regions(base, rad):
     # written so that a NaN error fails it
     if not (err_in <= tol and err_d <= tol and err_out <= tol):
         raise ProfileError(
-            "radiation region identities violated: inner %.2e, d outer %.2e, "
-            "m outer %.2e" % (err_in, err_d, err_out))
-
-
-def radiation_problem(grid: RadialGrid, b_values):
-    """What keeps `grid` from carrying the radiation at every b of b_values:
-    the first ProfileError of `build_radiation`, whose region identities
-    fail on grids too coarse for it; None if nothing does."""
-    for b in b_values:
-        try:
-            build_radiation(grid, b)
-        except ProfileError as exc:
-            return "radiation at b=%g: %s" % (b, exc)
+            "radiation region identities violated at b=%g: inner %.2e, "
+            "d outer %.2e, m outer %.2e" % (rad.b, err_in, err_d, err_out))
 
 
 def localization_radius(b: float) -> float:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import kslab.cli as cli
+import kslab.dynamics as dyn
 import kslab.operators as ops
 from kslab.cli import main
 from kslab.config import (
@@ -386,16 +387,56 @@ def test_simulate_invalid_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
-    # b0 = 1e-8 passes validation, but the profile's initial density is
-    # not positive on the run's grid: one line naming the reason, not a
-    # traceback
+    # at b0 = 1e-8 the profile's initial density is not positive on the
+    # run's grid; validation builds the run's setup, so that is a profile.b0
+    # config violation, not a traceback
     cfg = tmp_path / "run.cfg"
     cfg.write_text("profile.b0 = 1e-8\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("%s rejected: initial density not positive"
-                          % command)
-    assert err.count("\n") == 1
+    (violation,) = json.loads(capsys.readouterr().err)["violations"]
+    assert violation.startswith("profile.b0")
+    assert "initial density not positive" in violation
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_run_start_errors_exit_cleanly(tmp_path, capsys, monkeypatch,
+                                       command):
+    # a sampler without a single try finds no positive perturbation: the
+    # valid config's run is rejected at its start with one line
+    monkeypatch.setattr(dyn, "PERTURBATION_TRIES", 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("perturbation.delta = 1e-4\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "%s rejected: no positive perturbation found in 0 tries" % command]
+
+
+@pytest.mark.parametrize("command, runs", [
+    (["simulate"], 1),
+    (["sweep", "--b0", "8e-3,6e-3", "--workers", "1"], 2)])
+def test_each_run_builds_one_setup(tmp_path, monkeypatch, command, runs):
+    # one grid and one modulation solver per run: validation builds them,
+    # and the run, its perturbation sampler included, reuses them
+    builds = []
+    grid_of = dyn.dynamics_grid
+    solver_init = dyn.ModulationSolver.__init__
+
+    def counted_init(self, *args):
+        builds.append("solver")
+        solver_init(self, *args)
+    monkeypatch.setattr(dyn, "dynamics_grid",
+                        lambda params: builds.append("grid")
+                        or grid_of(params))
+    monkeypatch.setattr(dyn.ModulationSolver, "__init__", counted_init)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile.b0 = 8e-3\nsolver.s_max = 1.0\n"
+                   "perturbation.delta = 1e-4\n")
+    load_config(cfg).validate()
+    assert builds == ["grid", "solver"]
+    builds.clear()
+    assert main([*command, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert builds == ["grid", "solver"] * runs
 
 
 def test_simulate_deterministic(tmp_path):

@@ -32,6 +32,11 @@ def small_grid(small_params):
     return dyn.dynamics_grid(small_params)
 
 
+@pytest.fixture(scope="module")
+def small_setup(small_params):
+    return dyn.RunSetup(small_params)
+
+
 def test_flow_state_primitive(ref_grid, ground):
     # the partial masses of (Q, phi_Q') give back Q, of mass 8 pi, and phi_Q'
     grad = poisson_field(ground.Q)
@@ -1086,8 +1091,9 @@ def test_subcritical_control():
 
 def inline_sampler(grid, params, delta, rng, tries):
     """The rejection loop that `kslab simulate` and `stability_probe` each
-    carried before `sample_perturbation` (the sampler's oracle); None when
-    every try is rejected."""
+    carried before `RunSetup.sample_perturbation`, which rebuilds the
+    family for each try (the sampler's oracle); None when every try is
+    rejected."""
     for _ in range(tries):
         cand = dyn.random_perturbation(grid, delta, rng)
         try:
@@ -1103,20 +1109,58 @@ def inline_sampler(grid, params, delta, rng, tries):
 @pytest.mark.parametrize("delta, seed", [(1e-4, 0), (1e-4, 1), (10.0, 1),
                                          (10.0, 2), (30.0, 11)])
 def test_sample_perturbation_matches_inline_loop(small_grid, small_params,
-                                                 delta, seed, monkeypatch):
+                                                 small_setup, delta, seed,
+                                                 monkeypatch):
     monkeypatch.setattr(dyn, "PERTURBATION_TRIES", 3)
-    # two draws in a row from one generator, as stability_probe makes them
+    # two draws in a row from one generator, as stability_probe makes them;
+    # the setup adds each candidate to its stored fields, the oracle
+    # rebuilds the family for each
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):
         want = inline_sampler(small_grid, small_params, delta, rng_ref, 3)
         if want is None:
             with pytest.raises(dyn.SimulationError, match="3 tries"):
-                dyn.sample_perturbation(small_grid, small_params, delta, rng)
+                small_setup.sample_perturbation(delta, rng)
             break
-        got = dyn.sample_perturbation(small_grid, small_params, delta, rng)
+        got = small_setup.sample_perturbation(delta, rng)
         for g_field, w_field in zip(got, want):
             np.testing.assert_array_equal(g_field.values, w_field.values)
             assert g_field.parity == w_field.parity
+
+
+def test_stability_probe_members_match_independent_runs(
+        small_grid, small_params, monkeypatch):
+    # the probe's members share one setup; each must equal, bit for bit, a
+    # run on a setup of its own (evolve) from the same draw: the oracle
+    members = []
+    measure = dyn.measure_laws
+    monkeypatch.setattr(dyn, "measure_laws",
+                        lambda series: members.append(series)
+                        or measure(series))
+    rep = dyn.stability_probe(small_params, n_perturbations=2, delta=1e-4,
+                              seed=0)
+    assert len(members) == 2
+    rng = np.random.default_rng(0)
+    for run, series in zip(rep["runs"], members):
+        pert = inline_sampler(small_grid, small_params, 1e-4, rng,
+                              dyn.PERTURBATION_TRIES)
+        oracle = dyn.evolve(small_params, perturbation=pert)
+        assert np.array_equal(np.array(series.rows), np.array(oracle.rows),
+                              equal_nan=True)
+        assert run["status"] == series.status == oracle.status
+        assert series.counters == oracle.counters
+
+
+def test_run_setup_serves_runs_in_any_order(small_setup, small_params):
+    # an unperturbed run after a perturbed one on the same setup starts
+    # afresh: the series of a setup of its own
+    pert = small_setup.sample_perturbation(1e-4, np.random.default_rng(5))
+    small_setup.run(pert)
+    shared = small_setup.run(None)
+    oracle = dyn.evolve(small_params)
+    assert np.array_equal(np.array(shared.rows), np.array(oracle.rows),
+                          equal_nan=True)
+    assert shared.counters == oracle.counters
 
 
 def test_initial_positivity_guard(small_grid, small_params):

@@ -1,0 +1,111 @@
+"""Check that the working tree writes the same run outputs as a git ref.
+
+For each config, `kslab simulate` (or, with --sweep, `kslab sweep` over
+the given b0 list) runs twice: once from the working tree's `src`, once
+from a `git archive` of the ref (HEAD by default) unpacked into a
+temporary directory, each into an output root of its own.  Every
+`timeseries.csv` and `summary.json` either run writes is compared byte for
+byte with the file at the same path under the other root, with one
+verdict line per file.  The exit status is 1 if any file differs or is
+missing on one side, if the two runs exit with different statuses, or if
+a config leaves no output to compare; else 0.
+
+Only local git runs; nothing is fetched.
+
+Usage (from the repository root):
+
+    python3 tools/same_outputs.py [--ref REF] [--sweep B0,B0,...]
+                                  [--workers N] CONFIG...
+"""
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUTPUTS = ("timeseries.csv", "summary.json")
+
+
+def unpack(ref, dest):
+    """The tree of ref, from `git archive`, unpacked into dest."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", ref], check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest)
+
+
+def simulate(tree, command, config, out):
+    """Exit status of `kslab <command> --config config` with tree's src,
+    writing under out."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.pop("KSLAB_OUT", None)
+    return subprocess.run(
+        [sys.executable, "-m", "kslab.cli", "--out", out, *command,
+         "--config", config], env=env, capture_output=True).returncode
+
+
+def outputs(out):
+    """Paths, relative to out, of the run outputs under out."""
+    return {os.path.relpath(os.path.join(path, name), out)
+            for path, _, names in os.walk(out) for name in names
+            if name in OUTPUTS}
+
+
+def read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def compare(config, tree_out, ref_out):
+    """One verdict line per output file of either run: same, DIFFERS, or
+    MISSING on one side; True if all are the same."""
+    found = outputs(tree_out) | outputs(ref_out)
+    if not found:
+        print("NO OUTPUT %s" % config)
+        return False
+    ok = True
+    for rel in sorted(found):
+        paths = [os.path.join(root, rel) for root in (tree_out, ref_out)]
+        if not all(map(os.path.exists, paths)):
+            verdict = "MISSING"
+        else:
+            verdict = "same" if read(paths[0]) == read(paths[1]) else "DIFFERS"
+        ok = ok and verdict == "same"
+        print("%-9s %s: %s" % (verdict, config, rel))
+    return ok
+
+
+def main(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("configs", nargs="+", metavar="CONFIG")
+    ap.add_argument("--ref", default="HEAD")
+    ap.add_argument("--sweep", metavar="B0LIST",
+                    help="run `kslab sweep --b0 B0LIST` instead of simulate")
+    ap.add_argument("--workers", default="2", help="sweep workers")
+    args = ap.parse_args(argv)
+    command = (["sweep", "--b0", args.sweep, "--workers", args.workers]
+               if args.sweep else ["simulate"])
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_tree = os.path.join(tmp, "ref")
+        unpack(args.ref, ref_tree)
+        for i, config in enumerate(args.configs):
+            config = os.path.abspath(config)
+            tree_out, ref_out = (os.path.join(tmp, "%s%d" % (side, i))
+                                 for side in ("tree", "ref_out"))
+            codes = [simulate(tree, command, config, out) for tree, out in
+                     ((ROOT, tree_out), (ref_tree, ref_out))]
+            if codes[0] != codes[1]:
+                print("EXIT      %s: %d in the working tree, %d at %s"
+                      % (config, codes[0], codes[1], args.ref))
+                ok = False
+            ok = compare(config, tree_out, ref_out) and ok
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
