@@ -276,6 +276,9 @@ def cmd_sweep(args) -> int:
     root = _out_root(args)
     outdirs = [os.path.join(root, "sweep_b%.3e" % cfg.params.b0)
                for cfg in cfgs]
+    if len(set(outdirs)) < len(outdirs):
+        print("--b0: two values share one run directory", file=sys.stderr)
+        return EXIT_USAGE
     seed_offsets = range(len(cfgs))
     # a fork pool starts all its workers at the first submit
     workers = min(args.workers, len(cfgs))
@@ -421,6 +424,8 @@ def main(argv=None) -> int:
                 < MIN_NODES_PER_DECADE):
             raise ValueError("--nodes-per-decade: must be >= %d, got %d"
                              % (MIN_NODES_PER_DECADE, args.nodes_per_decade))
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError("--workers: must be >= 1, got %d" % args.workers)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import EvolveParams, RunSetup, SimulationError
+from .grid import GridError
 from .operators import OperatorError, phi_m_degeneracy, phi_m_problem
 from .profiles import B0_MAX, B_MIN, ProfileError, localization_problem
 
@@ -134,9 +135,12 @@ class RunConfig:
                 self.setup = RunSetup(p)
             except SimulationError as exc:   # initial density not positive
                 v.append("profile.b0: %s" % exc)
-            except ProfileError as exc:   # radiation at b0 or a table node
-                v.append("grid.h_core, grid.nodes_per_decade: too coarse for "
-                         "the run's profiles: %s" % exc)
+            except (GridError, ProfileError) as exc:
+                # a grid of more nodes than MAX_NODES, of fewer than its
+                # stencil needs, or too coarse for the radiation at b0 or
+                # at a table node
+                v.append("grid.h_core, grid.nodes_per_decade, "
+                         "grid.stencil_order: %s" % exc)
             except OperatorError as exc:
                 v.append("grid.r_max, profile.M: %s" % exc)
         if v:

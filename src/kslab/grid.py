@@ -15,15 +15,15 @@ cache, `RadialGrid.memo`, read through `RadialGrid.cached`; operations are
 pure functions returning new fields, so grids and fields can be shared
 freely across threads or processes.  The cache holds data derived from
 the nodes alone: the grid's own operator matrices and weights, and what
-downstream layers derive from them (the ground state, the profiles'
-b-independent fields, the spline factorization).  Each entry is built
-once, on first use, and is freed with the grid; entries that hold fields
-refer back to the grid, so a dropped grid is freed when the cyclic garbage
-collector next runs.  Assembly does each piece of work once per grid: one
-entry holds all four cell-quadrature matrices, built from one evaluation
-of the Lagrange basis at the Gauss points, and one entry per derivative
-order holds the even and odd matrices, built from one Fornberg pass over
-their shared mirrored stencil.
+downstream layers derive from them (the profiles' b-independent arrays,
+the spline factorization).  Each entry is built once, on first use.  Every
+entry is an array, a sparse matrix or a record of them, never a field:
+nothing in the memo refers back to the grid, so a dropped grid is freed
+by reference count, with its memo.  Assembly does each piece of work once
+per grid: one entry holds all four cell-quadrature matrices, built from
+one evaluation of the Lagrange basis at the Gauss points, and one entry
+per derivative order holds the even and odd matrices, built from one
+Fornberg pass over their shared mirrored stencil.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
 # `RadialGrid.make` spaces nodes uniformly on [0, R_CORE], where the bubble
 # lives, and geometrically beyond
 R_CORE = 10.0
+# the most nodes `RadialGrid.make` lays out: every grid of the runs, the
+# CLI, the tests and the benchmark has fewer than 1000, and a profile
+# family on this many peaks near 0.3 GiB
+MAX_NODES = 100_000
 
 _WEIGHT_FUNCTIONS = {
     "one": np.ones_like,
@@ -86,16 +90,15 @@ def fd_weights(z, x, m):
     return c.transpose(2, 0, 1)
 
 
-def geometric_nodes(r_core, r_max, h_core, nodes_per_decade):
-    """Node set: uniform spacing h_core on [0, r_core], geometric to r_max."""
-    if r_max <= r_core:
-        n = max(int(np.ceil(r_max / h_core)), 8)
-        return np.linspace(0.0, r_max, n + 1)
-    n_core = max(int(np.ceil(r_core / h_core)), 8)
-    core = np.linspace(0.0, r_core, n_core + 1)
-    n_tail = max(int(np.ceil(nodes_per_decade * np.log10(r_max / r_core))), 4)
-    tail = r_core * (r_max / r_core) ** (np.arange(1, n_tail + 1) / n_tail)
-    return np.concatenate([core, tail])
+def node_counts(r_max, h_core, nodes_per_decade):
+    """(cells of the uniform core, nodes of the geometric tail) of the grid
+    `RadialGrid.make` lays out for these arguments, which has their sum
+    plus one nodes; counted without laying out any, as floats (inf if
+    r_max / h_core overflows)."""
+    n_tail = 0
+    if r_max > R_CORE:
+        n_tail = max(np.ceil(nodes_per_decade * np.log10(r_max / R_CORE)), 4)
+    return max(np.ceil(min(R_CORE, r_max) / h_core), 8), n_tail
 
 
 class RadialGrid:
@@ -125,12 +128,15 @@ class RadialGrid:
         self.stencil_order = int(stencil_order)
         self.r_max = float(nodes[-1])
         self.n = len(nodes)
-        # the grid's one cache (see `cached`); whatever is derived from the
-        # grid is freed with it
+        # the grid's one cache (see `cached`); it holds arrays only, so
+        # whatever is derived from the grid dies with it by reference count
         self.memo = {}
 
     def cached(self, key, build, *args):
-        """memo[key], built as build(*args) on the first call with key."""
+        """memo[key], built as build(*args) on the first call with key.
+
+        build returns an array, a sparse matrix or a record of them, never
+        a field or anything else that refers back to the grid."""
         if key not in self.memo:
             self.memo[key] = build(*args)
         return self.memo[key]
@@ -139,11 +145,18 @@ class RadialGrid:
 
     @classmethod
     def make(cls, r_max, h_core=0.02, nodes_per_decade=48, stencil_order=4):
-        """Standard mesh: uniform core up to R_CORE, then a geometric tail of
-        >= nodes_per_decade nodes per decade."""
+        """Standard mesh: uniform spacing h_core up to R_CORE, then a
+        geometric tail of >= nodes_per_decade nodes per decade.  GridError,
+        before any node is laid out, if it has more than MAX_NODES."""
+        n_core, n_tail = node_counts(r_max, h_core, nodes_per_decade)
+        if n_core + n_tail + 1 > MAX_NODES:
+            raise GridError("a grid of %.3g nodes exceeds MAX_NODES = %d"
+                            % (n_core + n_tail + 1, MAX_NODES))
+        n_core, n_tail = int(n_core), int(n_tail)
         r_core = min(R_CORE, r_max)
-        return cls(geometric_nodes(r_core, r_max, h_core, nodes_per_decade),
-                   stencil_order=stencil_order)
+        core = np.linspace(0.0, r_core, n_core + 1)
+        tail = r_core * (r_max / r_core) ** (np.arange(1, n_tail + 1) / n_tail)
+        return cls(np.concatenate([core, tail]), stencil_order=stencil_order)
 
     @classmethod
     def reference(cls):

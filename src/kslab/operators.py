@@ -1,8 +1,9 @@
 """Discrete linearized operators at the ground state and their certification.
 
-The ground state Q = 8/(1+r^2)^2 is defined here: its closed forms and the
-per-grid `GroundState`, kept in the grid's memo (`ground_state`), which the
-profile construction reads as well.
+The ground state Q = 8/(1+r^2)^2 is defined here: its closed forms, which
+the profile construction reads as well, and `GroundState`, its fields on
+one grid.  `ground_state` builds those from the closed forms on each call
+and keeps nothing in the grid's memo, which holds arrays only (see `grid`).
 
 Three linear maps act on (density, potential-gradient) pairs:
 
@@ -38,6 +39,7 @@ from .grid import (
     div_from_grad_values,
     laplacian_values,
     log_potential_values,
+    node_counts,
     per_node,
 )
 
@@ -71,16 +73,10 @@ def mass_q(r):
 
 @dataclass(frozen=True)
 class GroundState:
-    """Bubble Q with its scaling derivative and partial mass."""
+    """Bubble Q with its scaling derivative."""
 
     Q: RadialField
     LambdaQ: RadialField
-    m0: RadialField
-
-    def pair_Q(self) -> FieldPair:
-        g = self.Q.grid
-        grad = RadialField(g, q_potential_grad(g.nodes), "odd")
-        return FieldPair(self.Q, grad)
 
     def pair_LambdaQ(self) -> FieldPair:
         g = self.Q.grid
@@ -89,21 +85,30 @@ class GroundState:
 
 
 def ground_state(grid: RadialGrid) -> GroundState:
-    """The grid's GroundState, built on first use and kept in `grid.memo`,
-    so every layer reads the same one."""
-    return grid.cached("ground", _build_ground_state, grid)
-
-
-def _build_ground_state(grid):
+    """The GroundState on the grid's nodes, from the closed forms, on each
+    call: its fields refer back to the grid, so it stays out of the grid's
+    memo, which holds arrays only."""
     r = grid.nodes
     return GroundState(Q=RadialField(grid, q_density(r)),
-                       LambdaQ=RadialField(grid, lambda_q(r)),
-                       m0=RadialField(grid, mass_q(r)))
+                       LambdaQ=RadialField(grid, lambda_q(r)))
+
+
+# the largest dense dimension (2 n on n nodes) that the certificates
+# assemble: each dense matrix then takes at most 128 MiB.  The largest of
+# the CLI, the tests and the benchmark is 690 (M = 200, 48 per decade).
+MAX_DENSE_DIM = 4096
 
 
 def operator_grid(M_param, nodes_per_decade=48, h_core=0.05):
     """Grid for Phi_M / coercivity work, of stencil order 4: r_max = 50 M
-    keeps the compactly supported directions far from the outer boundary."""
+    keeps the compactly supported directions far from the outer boundary.
+    OperatorError, before any node is laid out, if its dense dimension
+    exceeds MAX_DENSE_DIM."""
+    dim = 2 * (sum(node_counts(50.0 * M_param, h_core, nodes_per_decade)) + 1)
+    if dim > MAX_DENSE_DIM:
+        raise OperatorError("operator grid at M=%g: dense dimension %.3g "
+                            "exceeds MAX_DENSE_DIM = %d"
+                            % (M_param, dim, MAX_DENSE_DIM))
     return RadialGrid.make(50.0 * M_param, h_core=h_core,
                            nodes_per_decade=nodes_per_decade, stencil_order=4)
 
@@ -245,24 +250,16 @@ class OperatorBundle:
         self.ground = ground_state(grid)
         self._cache = {}
 
-    # metric blocks
-    def gram_pairing(self):
-        if "G" not in self._cache:
-            w = 2.0 * np.pi * self.grid.quad_weights
-            self._cache["G"] = np.concatenate([w, w])
-        return self._cache["G"]  # diagonal, stored as vector
-
     def gram_xq(self):
-        if "GX" not in self._cache:
-            g = self.grid
-            w = 2.0 * np.pi * g.positive_quad_weights
-            self._cache["GX"] = np.concatenate([w / q_density(g.nodes), w])
-        return self._cache["GX"]
+        """The X_Q metric, diagonal, as the vector of its diagonal."""
+        w = 2.0 * np.pi * self.grid.positive_quad_weights
+        return np.concatenate([w / q_density(self.grid.nodes), w])
 
     def pair_vector(self, x: FieldPair):
         """Vector c with c @ y = <y, x> for stacked y."""
-        return self.gram_pairing() * np.concatenate(
-            [x.density.values, x.chem_gradient.values])
+        w = 2.0 * np.pi * self.grid.quad_weights
+        return np.concatenate([w * x.density.values,
+                               w * x.chem_gradient.values])
 
     def mass_vector(self):
         """Discrete mass functional on the positive metric weights (the same

@@ -19,18 +19,20 @@ modulation analysis consumes, through the linearized flow L and the pairing
 direction Phi_0 of `operators`, which also owns Q and its closed forms.
 
 Everything that does not depend on b (closed forms on the nodes, the level-b
-fields) is computed once per grid and kept in the grid's memo
-(`profile_base`).  Two evaluators share one per-b core: `build_profile_family`
-returns the whole family, and `modulation_profile` returns only the three
-arrays the modulation solve reads (Qb~, grad Pb~, n~), bitwise equal to the
-family's, at a fraction of the cost.
+solution) is computed once per grid and kept in the grid's memo
+(`profile_base`) as arrays only, never as fields: the memo holds nothing
+that refers back to its grid (see `grid`), so `build_t1_s1` and the family
+wrap the level-b arrays in fields on each call.  Two evaluators share one
+per-b core: `build_profile_family` returns the whole family, and
+`modulation_profile` returns only the three arrays the modulation solve
+reads (Qb~, grad Pb~, n~), bitwise equal to the family's, at a fraction of
+the cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .grid import (
 )
 from .operators import (
     apply_L,
-    ground_state,
+    mass_q,
     pairing,
     phi0_pair,
     q_density,
@@ -192,23 +194,28 @@ def build_t1_s1(grid: RadialGrid) -> LevelOne:
     """Solve the level-b system L(m1, d1) = (r m0', r n0').
 
     d1 comes out as -2 log(1+r^2) exactly (homogeneous constant c = -2);
-    m1 then solves L0 m1 = -(r^2 Q - Q d1).  Computed once per grid.
+    m1 then solves L0 m1 = -(r^2 Q - Q d1).  Solved once per grid, in
+    `profile_base`; each call wraps those arrays in fields of the grid.
     """
-    return profile_base(grid).level1
+    base = profile_base(grid)
+    return LevelOne(
+        m1=RadialField(grid, base.m1), d1=RadialField(grid, base.d1),
+        n1=RadialField(grid, base.n1), T1=RadialField(grid, base.T1),
+        S1_grad=RadialField(grid, base.S1_grad, "odd"), m1_p=base.m1_p,
+        m1_pp=base.m1_pp, n1_p=base.n1_p, n1_pp=base.n1_pp)
 
 
 @dataclass(frozen=True)
 class ProfileBase:
-    """The b-independent part of every profile on one grid.
+    """The b-independent part of every profile on one grid, as arrays.
 
-    Closed forms on the nodes, the level-one fields and the level-one parts
-    of the level-b^2 sources; each b then pays only for the radiation, the
-    level-b^2 inversions and the cutoff.  Kept in the grid's memo (see
-    `profile_base`); the level-one parts are solved on first access.
+    Closed forms on the nodes, the level-one arrays (named as in
+    `LevelOne`) and the level-one parts of the level-b^2 sources; each b
+    then pays only for the radiation, the level-b^2 inversions and the
+    cutoff.  Kept in the grid's memo (see `profile_base`), so it holds
+    arrays only: nothing in it refers back to the grid.
     """
 
-    grid: RadialGrid
-    r: np.ndarray
     Q: np.ndarray
     r2Q: np.ndarray          # r^2 Q = r m0'
     psi0: np.ndarray
@@ -216,36 +223,17 @@ class ProfileBase:
     psi0_over_r: np.ndarray
     m0: np.ndarray
     phi_q_grad: np.ndarray
-
-    @cached_property
-    def level1(self) -> LevelOne:
-        grid = self.grid
-        rm0p = RadialField(grid, self.r2Q)
-        d1 = invert_L1(rm0p, -2.0)
-        f1 = RadialField(grid, rm0p.values - self.Q * d1.values)
-        m1 = invert_L0(f1)
-        m1_p = derivative(m1, 1).values
-        T1 = RadialField(grid, grid.divide_by_r(m1_p, "odd"))
-        n1 = RadialField(grid, d1.values + m1.values)
-        S1_grad = RadialField(grid, grid.divide_by_r(n1.values, "even"), "odd")
-        d1_p = derivative(d1, 1).values
-        # L0 m1 = -f1 and L1 d1 = r^2 Q pin the second derivatives:
-        m1_pp = _ode_second_derivative_L0(grid, m1.values, m1_p, -f1.values)
-        d1_pp = grid.divide_by_r(d1_p, "odd") + rm0p.values
-        return LevelOne(m1=m1, d1=d1, n1=n1, T1=T1, S1_grad=S1_grad,
-                        m1_p=m1_p, m1_pp=m1_pp, n1_p=d1_p + m1_p,
-                        n1_pp=d1_pp + m1_pp)
-
-    @cached_property
-    def r_n1p(self) -> np.ndarray:
-        """r n1', the level-one part of the d2 source."""
-        return self.r * self.level1.n1_p
-
-    @cached_property
-    def m2_source1(self) -> np.ndarray:
-        """r^2 T1 - T1 n1, the level-one part of the m2 source."""
-        T1, n1 = self.level1.T1.values, self.level1.n1.values
-        return self.r ** 2 * T1 - T1 * n1
+    m1: np.ndarray
+    d1: np.ndarray
+    n1: np.ndarray
+    T1: np.ndarray
+    S1_grad: np.ndarray
+    m1_p: np.ndarray
+    m1_pp: np.ndarray
+    n1_p: np.ndarray
+    n1_pp: np.ndarray
+    r_n1p: np.ndarray        # r n1', the level-one part of the d2 source
+    m2_source1: np.ndarray   # r^2 T1 - T1 n1, the level-one part of m2's
 
 
 def profile_base(grid: RadialGrid) -> ProfileBase:
@@ -256,13 +244,29 @@ def profile_base(grid: RadialGrid) -> ProfileBase:
 
 def _build_profile_base(grid):
     r = grid.nodes
-    gs = ground_state(grid)
-    Q = gs.Q.values
-    psi0v = psi0(r)
+    Q = q_density(r)
+    r2Q = r ** 2 * Q
+    psi0v, psi1v = psi0(r), psi1(r)
+    # level one: L1 d1 = r^2 Q, then L0 m1 = -f1 on the kernel basis above
+    # (invert_L0 reads the basis from this base)
+    d1 = invert_L1(RadialField(grid, r2Q), -2.0).values
+    f1 = r2Q - Q * d1
+    A, B = _l0_coefficients(grid, f1)
+    m1 = A * psi0v + B * psi1v
+    d1_p, m1_p = (grid.diff_matrix(1, "even") @ x for x in (d1, m1))
+    T1 = grid.divide_by_r(m1_p, "odd")
+    n1 = d1 + m1
+    n1_p = d1_p + m1_p
+    # L0 m1 = -f1 and L1 d1 = r^2 Q pin the second derivatives:
+    m1_pp = _ode_second_derivative_L0(grid, m1, m1_p, -f1)
+    d1_pp = grid.divide_by_r(d1_p, "odd") + r2Q
     return ProfileBase(
-        grid=grid, r=r, Q=Q, r2Q=r ** 2 * Q, psi0=psi0v, psi1=psi1(r),
-        psi0_over_r=grid.divide_by_r(psi0v, "even"), m0=gs.m0.values,
-        phi_q_grad=gs.pair_Q().chem_gradient.values)
+        Q=Q, r2Q=r2Q, psi0=psi0v, psi1=psi1v,
+        psi0_over_r=grid.divide_by_r(psi0v, "even"), m0=mass_q(r),
+        phi_q_grad=q_potential_grad(r), m1=m1, d1=d1, n1=n1, T1=T1,
+        S1_grad=grid.divide_by_r(n1, "even"), m1_p=m1_p, m1_pp=m1_pp,
+        n1_p=n1_p, n1_pp=d1_pp + m1_pp, r_n1p=r * n1_p,
+        m2_source1=r ** 2 * T1 - T1 * n1)
 
 
 # -- radiation -----------------------------------------------------------------
@@ -297,7 +301,7 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     """
     _check_b(grid, b)
     base = profile_base(grid)
-    r = base.r
+    r = grid.nodes
     B0 = 1.0 / math.sqrt(b)
     chi = cutoff(r / (B0 / 4.0))
     chi3 = cutoff(r / (3.0 * B0))
@@ -340,17 +344,16 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
                     beta=(beta1, beta2, beta3),
                     m_sigma=RadialField(grid, m_sigma_v),
                     d_sigma=RadialField(grid, c_b * d_hat))
-    _verify_radiation_regions(base, rad)
+    _verify_radiation_regions(grid, base, rad)
     return rad
 
 
-def _verify_radiation_regions(base, rad):
-    r = base.r
+def _verify_radiation_regions(grid, base, rad):
+    r = grid.nodes
     inner = r <= rad.B0 / 4.0
     outer = r >= 6.0 * rad.B0
     scale = max(np.max(np.abs(rad.m_sigma.values)), 1.0)
-    err_in = np.max(np.abs(rad.m_sigma.values
-                           - rad.c_b * base.level1.m1.values)[inner])
+    err_in = np.max(np.abs(rad.m_sigma.values - rad.c_b * base.m1)[inner])
     err_d = np.max(np.abs(rad.d_sigma.values)[outer]) if outer.any() else 0.0
     err_out = (np.max(np.abs(rad.m_sigma.values - 4.0 * base.psi1)[outer])
                if outer.any() else 0.0)
@@ -489,19 +492,18 @@ def _localize(grid: RadialGrid, b: float):
     rad = build_radiation(grid, b)
     lvl2 = build_t2_s2(grid, rad)
     base = profile_base(grid)
-    lvl1 = base.level1
     B1 = localization_radius(b)
-    chi1 = cutoff(base.r / B1)
-    T1_loc = chi1 * lvl1.T1.values
+    chi1 = cutoff(grid.nodes / B1)
+    T1_loc = chi1 * base.T1
     T2_loc = chi1 * lvl2.T2.values
-    S1g_loc = chi1 * lvl1.S1_grad.values
+    S1g_loc = chi1 * base.S1_grad
     S2g_loc = chi1 * lvl2.S2_grad.values
     prof = ModulationProfile(
         b=b,
         Qb_tilde=RadialField(grid, base.Q + b * T1_loc + b * b * T2_loc),
         Pb_tilde_grad=RadialField(grid, base.phi_q_grad + b * S1g_loc
                                   + b * b * S2g_loc, "odd"),
-        n_tilde=RadialField(grid, base.m0 + chi1 * (b * lvl1.n1.values
+        n_tilde=RadialField(grid, base.m0 + chi1 * (b * base.n1
                                                     + b * b * lvl2.n2.values)))
     return rad, lvl2, B1, chi1, prof
 
@@ -535,8 +537,7 @@ def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,
     instead of flooring at the discretization error of the lower orders.
     """
     base = profile_base(grid)
-    lvl1 = base.level1
-    r = base.r
+    r = grid.nodes
     chi_p = grid.diff_matrix(1, "even") @ chi
     chi_pp = grid.diff_matrix(2, "even") @ chi
 
@@ -544,12 +545,12 @@ def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,
     m2_pp = _ode_second_derivative_L0(grid, lvl2.m2.values, lvl2.m2_p,
                                       -lvl2.src_m)
     d2_pp = grid.divide_by_r(d2_p, "odd") + lvl2.src_d
-    alpha_p = b * lvl1.m1_p + b * b * lvl2.m2_p
-    alpha_pp = b * lvl1.m1_pp + b * b * m2_pp
-    alpha_T = b * lvl1.T1.values + b * b * lvl2.T2.values  # m_alpha'/r
-    n_gam = b * lvl1.n1.values + b * b * lvl2.n2.values
-    n_gam_p = b * lvl1.n1_p + b * b * (d2_p + lvl2.m2_p)
-    n_gam_pp = b * lvl1.n1_pp + b * b * (d2_pp + m2_pp)
+    alpha_p = b * base.m1_p + b * b * lvl2.m2_p
+    alpha_pp = b * base.m1_pp + b * b * m2_pp
+    alpha_T = b * base.T1 + b * b * lvl2.T2.values  # m_alpha'/r
+    n_gam = b * base.n1 + b * b * lvl2.n2.values
+    n_gam_p = b * base.n1_p + b * b * (d2_p + lvl2.m2_p)
+    n_gam_pp = b * base.n1_pp + b * b * (d2_pp + m2_pp)
 
     Mp = chi * alpha_p
     Mpp = chi_p * alpha_p + chi * alpha_pp
@@ -566,9 +567,9 @@ def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,
     chi04 = cutoff(r / (rad.B0 / 4.0))
     phi_f = RadialField(grid, phi)
     psi1_v = grid.divide_by_r(derivative(phi_f, 1).values, "odd") \
-        + rad.c_b * b * b * (chi04 * lvl1.T1.values)
+        + rad.c_b * b * b * (chi04 * base.T1)
     psi2g_v = grid.divide_by_r(omega, "even") \
-        + rad.c_b * b * b * (chi04 * lvl1.S1_grad.values)
+        + rad.c_b * b * b * (chi04 * base.S1_grad)
     return RadialField(grid, psi1_v), RadialField(grid, psi2g_v, "odd")
 
 
@@ -577,7 +578,7 @@ def error_norm_report(grid, B0, Psi1, Psi2_grad) -> dict:
     with L and Phi_{0,B0} those of `operators`."""
     r = grid.nodes
     w = 2.0 * np.pi * grid.quad_weights
-    Q = ground_state(grid).Q.values
+    Q = q_density(r)
 
     L1v = apply_L(FieldPair(Psi1, Psi2_grad)).density.values
     L2v = div_from_grad_values(grid, Psi2_grad.values) - Psi1.values
@@ -607,12 +608,11 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     """
     rad, lvl2, B1, chi1, prof = _localize(grid, b)
     base = profile_base(grid)
-    lvl1 = base.level1
-    m1_loc = grid.cumulative_integral(chi1 * lvl1.m1_p, "one")
+    m1_loc = grid.cumulative_integral(chi1 * base.m1_p, "one")
     m2_loc = grid.cumulative_integral(chi1 * lvl2.m2_p, "one")
     fam = ProfileFamily(
         b=b, B0=rad.B0, B1=B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
-        beta=rad.beta, level1=lvl1, level2=lvl2,
+        beta=rad.beta, level1=build_t1_s1(grid), level2=lvl2,
         Qb_tilde=prof.Qb_tilde, Pb_tilde_grad=prof.Pb_tilde_grad,
         m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
         n_tilde=prof.n_tilde,

@@ -20,6 +20,7 @@ from kslab.config import (
     parse_config_text,
 )
 from kslab.dynamics import TABLE_NODES, EvolveParams
+from kslab.grid import RadialGrid
 from kslab.profiles import B_MAX, B_MIN
 
 
@@ -150,13 +151,26 @@ def test_json_config_errors_exit_cleanly(tmp_path, capsys, command, text):
     assert json.loads(err)["error"] == "invalid configuration"
 
 
-@pytest.mark.parametrize("b0", ["8e-3,0.5", "8e-3,abc"])
+# the last two give one run directory, sweep_b8.000e-03, to both runs
+@pytest.mark.parametrize("b0", ["8e-3,0.5", "8e-3,abc", "8e-3,8e-3",
+                                "8e-3,8.0001e-3"])
 def test_sweep_rejects_a_bad_b0_list(tmp_path, capsys, b0):
     path = tmp_path / "sweep.cfg"
-    path.write_text("profile.b0 = 8e-3\n")
+    path.write_text("profile.b0 = 8e-3\nsolver.s_max = 1.0\n")
     assert main(["sweep", "--config", str(path), "--b0", b0,
                  "--out", str(tmp_path)]) == 1
     assert "b0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep_b*"))
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_a_nonpositive_worker_count(tmp_path, capsys, workers):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("solver.s_max = 1.0\n")
+    assert main(["sweep", "--config", str(path), "--workers", workers,
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "--workers: must be >= 1, got %s\n" % workers)
     assert not list(tmp_path.glob("sweep_b*"))
 
 
@@ -347,6 +361,21 @@ def test_spectral_finds_the_kernel_at_large_M(tmp_path, capsys):
         assert kg["gap"] > 100.0 and kg["alignment"] > 0.99
 
 
+def test_spectral_refuses_a_dense_dimension_too_large(tmp_path, capsys,
+                                                      monkeypatch):
+    # 1e6 nodes per decade lay out 2.4e6 nodes at M = 50: one dense matrix
+    # of dimension 4.8e6 would take 167 TiB.  Refused before a grid is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+    monkeypatch.setattr(RadialGrid, "__init__", no_grid)
+    assert main(["spectral", "check", "--M", "50", "--nodes-per-decade",
+                 "1000000", "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("spectral check rejected: operator grid at M=50: "
+                           "dense dimension 4.8e+06 exceeds MAX_DENSE_DIM")
+    assert not list(tmp_path.glob("spectral_M*"))
+
+
 def test_spectral_too_small_M(tmp_path, capsys):
     for M in ("1.2", "2"):
         assert main(["spectral", "check", "--M", M,
@@ -385,17 +414,34 @@ def test_simulate_invalid_config(tmp_path, capsys):
     assert "violations" in capsys.readouterr().err
 
 
+# config -> (the keys its violation blames, what the violation says): what
+# only the run's setup build rejects.  At b0 = 1e-8 the profile's initial
+# density is not positive on the run's grid; a stencil of order 1000 needs
+# more nodes than the grid has, and one of order 40 breaks the radiation;
+# h_core = 1e-9 asks for 1e10 nodes, refused before they are laid out
+RESOLUTION_KEYS = "grid.h_core, grid.nodes_per_decade, grid.stencil_order"
+SETUP_ERRORS = {
+    "profile.b0 = 1e-8": ("profile.b0", "initial density not positive"),
+    "grid.stencil_order = 1000": (RESOLUTION_KEYS,
+                                  "grid too coarse for stencil order 1000"),
+    "grid.stencil_order = 40": (RESOLUTION_KEYS, "c2=1.54272e+28"),
+    "grid.h_core = 1e-9": (RESOLUTION_KEYS,
+                           "a grid of 1e+10 nodes exceeds MAX_NODES"),
+}
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
-    # at b0 = 1e-8 the profile's initial density is not positive on the
-    # run's grid; validation builds the run's setup, so that is a profile.b0
-    # config violation, not a traceback
+    # validation builds the run's setup, so its failure is a config
+    # violation of the keys it blames, not a traceback
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("profile.b0 = 1e-8\n")
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    (violation,) = json.loads(capsys.readouterr().err)["violations"]
-    assert violation.startswith("profile.b0")
-    assert "initial density not positive" in violation
+    for text, (keys, message) in SETUP_ERRORS.items():
+        cfg.write_text(text + "\n")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+        (violation,) = json.loads(capsys.readouterr().err)["violations"]
+        assert violation.startswith(keys + ": ")
+        assert message in violation
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -18,8 +18,8 @@ def scaled_q_pair(grid, lam, factor=1.0):
     return FieldPair(u, gv)
 
 
-def test_free_energy_at_ground_state(ref_grid, ground):
-    rep = diag.free_energy(ground.pair_Q())
+def test_free_energy_at_ground_state(ref_grid):
+    rep = diag.free_energy(scaled_q_pair(ref_grid, 1.0))
     target = diag.loghls_bound(8 * np.pi)
     assert abs(rep.free_energy - target) / abs(target) < 1e-5
     assert abs(rep.mass - 8 * np.pi) < 1e-4

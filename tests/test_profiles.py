@@ -8,7 +8,8 @@ import pytest
 from scipy import sparse
 
 import kslab.profiles as prof
-from kslab.cli import profile_grid_for
+from kslab.cli import coercivity_chain, profile_grid_for
+from kslab.dynamics import EvolveParams, RunSetup
 from kslab.profiles import grid_b_floor
 from kslab.grid import RadialField, RadialGrid, cutoff, derivative, integrate
 from kslab.operators import apply_L, lambda_q, pairing, q_density
@@ -395,28 +396,43 @@ def test_modulation_profile_rejects_like_full_builder(b):
     assert str(lean.value) == str(full.value)
 
 
+def _run_setup_grid():
+    return RunSetup(EvolveParams(b0=8e-3, M_param=11.0)).grid
+
+
+def _spectral_chain_grid():
+    return coercivity_chain(20.0, 16, 0.25)[1].grid
+
+
 def test_profile_memo_dies_with_its_grid():
-    # the level-one fields, the per-grid precompute and the grid's own
-    # difference, cell and stacked matrices live in the grid's memo, so a
-    # dropped grid is collected with them
-    g = RadialGrid.make(200.0, h_core=0.1, nodes_per_decade=24,
-                        stencil_order=4)
-    prof.build_profile_family(g, 1e-2)
-    # the four cell matrices are one memo entry, and each stencil's
-    # difference matrices (by parity) another
-    entries = [(key if isinstance(key, str) else key[0], mat)
-               for key, value in g.memo.items()
-               for mat in (value.values() if isinstance(value, dict)
-                           else [value])
-               if sparse.issparse(mat)]
-    kinds = [kind for kind, _ in entries]
-    assert {kind: kinds.count(kind) for kind in kinds} == {
-        "diff": 2 + 2, "cells": 4, "stacked": 1}
-    refs = [weakref.ref(x) for x in (g, prof.profile_base(g),
-                                     *(mat for _, mat in entries))]
-    del g, entries
-    gc.collect()
-    assert all(ref() is None for ref in refs)
+    # the level-one arrays, the per-grid precompute and the grid's own
+    # difference, cell and stacked matrices live in the grid's memo, which
+    # holds arrays only, so a dropped grid is freed by reference count with
+    # them: with the cyclic collector off, as is the grid of a run's setup
+    # and of the spectral chain
+    gc.disable()
+    try:
+        g = RadialGrid.make(200.0, h_core=0.1, nodes_per_decade=24,
+                            stencil_order=4)
+        prof.build_profile_family(g, 1e-2)
+        # the four cell matrices are one memo entry, and each stencil's
+        # difference matrices (by parity) another
+        entries = [(key if isinstance(key, str) else key[0], mat)
+                   for key, value in g.memo.items()
+                   for mat in (value.values() if isinstance(value, dict)
+                               else [value])
+                   if sparse.issparse(mat)]
+        kinds = [kind for kind, _ in entries]
+        assert {kind: kinds.count(kind) for kind in kinds} == {
+            "diff": 2 + 2, "cells": 4, "stacked": 1}
+        refs = [weakref.ref(x) for x in (g, prof.profile_base(g),
+                                         *(mat for _, mat in entries))]
+        del g, entries
+        refs += [weakref.ref(_run_setup_grid()),
+                 weakref.ref(_spectral_chain_grid())]
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_db_pair_direction(g1em4, fam1em4):
