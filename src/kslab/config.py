@@ -53,6 +53,10 @@ PERTURBATION_KEYS = {"perturbation.delta": "delta",
 UNBOUNDED_KEYS = ("solver.t_max", "solver.s_max")
 # coarsest geometric tail a grid may have
 MIN_NODES_PER_DECADE = 12
+# widest stencil a run grid may have: the library uses orders 4 and 6; on
+# the default run grid the radiation identities fail from order 28 on, and
+# at order 150 the stencil weights overflow
+MAX_STENCIL_ORDER = 16
 
 
 def config_params():
@@ -108,8 +112,9 @@ class RunConfig:
         if p.nodes_per_decade < MIN_NODES_PER_DECADE:
             v.append("grid.nodes_per_decade must be >= %d"
                      % MIN_NODES_PER_DECADE)
-        if p.stencil_order < 2:
-            v.append("grid.stencil_order must be >= 2")
+        if not 2 <= p.stencil_order <= MAX_STENCIL_ORDER:
+            v.append("grid.stencil_order must lie in [2, %d]"
+                     % MAX_STENCIL_ORDER)
         if p.r_max < 0:
             v.append("grid.r_max must be positive, or 0 to derive it")
         if p.r_max > 0:

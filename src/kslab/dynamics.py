@@ -14,13 +14,15 @@ a damped Newton solve of the two orthogonality conditions, which yields
 (lambda, b).  The residual separates into a state part and a profile part
 P(b), so Newton runs on a Chebyshev table of P in log b, built once per
 solver, with the lambda-column from the same read of the state as the
-model's value, and one exact profile evaluation at the model's root decides
-acceptance.  The roots lie on a smooth curve in s (lambda_s/lambda = -b,
-b_s ~ -2b^2/|log b|), so each solve starts from (lambda, b) extrapolated
-quadratically in s through the last three roots, usually one model Newton
-iteration from the root.  Small frame drift accumulates in a pending scale
-factor and the grid is only re-interpolated when it exceeds a threshold,
-so the bubble never de-resolves.
+model's value.  A table whose error bound certifies the model's root
+returns it without an exact profile evaluation, which the decomposition
+makes on the first read of its fields; otherwise one at the model's root
+decides acceptance.  The roots lie on a smooth curve in s
+(lambda_s/lambda = -b, b_s ~ -2b^2/|log b|), so each solve starts from
+(lambda, b) extrapolated quadratically in s through the last three roots,
+usually one model Newton iteration from the root.  Small frame drift
+accumulates in a pending scale factor and the grid is only re-interpolated
+when it exceeds a threshold, so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -50,7 +53,6 @@ from .grid import FieldPair, RadialField, RadialGrid
 from .operators import mass_q, q_density
 from .profiles import (
     B_MAX,
-    ModulationProfile,
     ProfileError,
     build_profile_family,
     build_t1_s1,
@@ -100,16 +102,32 @@ class FlowState:
         return 2.0 * np.pi * float(self.m[-1])
 
 
-@dataclass
 class ModulationState:
-    """A decomposition: lam1, b, the exact residual pair F, the fields
-    (eps, geta) and the profile at b they were taken against."""
+    """A decomposition: lam1 (`lam`), b, and from one exact residual at
+    them the pair F (`residuals`), the fields (eps, geta) (`eps_pair`) and
+    the profile at b they were taken against (`profile`).
 
-    lam: float
-    b: float
-    residuals: tuple
-    eps_pair: FieldPair
-    profile: ModulationProfile
+    `exact` is that residual's triple (residuals, eps_pair, profile), or a
+    callable that returns it; the callable runs on the first read of any
+    of the three, and its triple is kept.
+    """
+
+    def __init__(self, lam: float, b: float, exact):
+        self.lam, self.b = lam, b
+        if callable(exact):
+            self._evaluate = exact
+        else:
+            self._exact = exact
+
+    @cached_property
+    def _exact(self):
+        exact = self._evaluate()
+        del self._evaluate   # frees the state's values it holds
+        return exact
+
+    residuals = property(lambda self: self._exact[0])
+    eps_pair = property(lambda self: self._exact[1])
+    profile = property(lambda self: self._exact[2])
 
 
 COLUMNS = ("t", "s", "lam", "b", "b_hat", "mass", "free_energy",
@@ -206,10 +224,11 @@ class SemiImplicitStepper:
     LAPACK band storage, ab[u + i - j, j] = A[i, j], with the lower and upper
     widths (l, u) read off the nonzero pattern of the assembled difference
     matrices (5 and 3 at stencil order 4).  Each step forms both system
-    matrices and their boundary rows directly in that storage, copies each
-    into rows l: of one preallocated Fortran-order (2l + u + 1, n) array,
-    the layout LAPACK's dgbsv factors in place (its first l rows take the
-    fill-in), and solves it with dgbsv: the routine and matrix of
+    matrices and their boundary rows with in-place ufuncs in one
+    preallocated band, copies each into rows l: of one preallocated
+    Fortran-order (2l + u + 1, n) array, the layout LAPACK's dgbsv factors
+    in place (its first l rows take the fill-in), and solves it with
+    dgbsv: the routine and matrix of
     `scipy.linalg.solve_banded`, without its per-call validation and
     padded copies.  A singular system or a non-finite solution raises
     SimulationError.
@@ -243,6 +262,8 @@ class SemiImplicitStepper:
         j = np.arange(npts - 1 - l, npts)
         self._last_row = (u + npts - 1 - j, j)
         self._work = np.zeros((2 * l + u + 1, npts), order="F")
+        # where each step forms its systems, copied into rows l: of _work
+        self._band = np.empty_like(self.d1)
 
     def step(self, state: FlowState, ds: float, b: float = 0.0) -> FlowState:
         r = self.grid.nodes
@@ -251,33 +272,44 @@ class SemiImplicitStepper:
         coef = -self.inv_r - b * r
         if self.coupling:
             coef = coef + self.inv_r * n_old
-        A_m = self._eye - ds * (self.d2 + coef[self._rows] * self.d1)
+        # A_m = eye - ds (D2 + coef D1), formed in the solver's band
+        A_m = self._band
+        np.take(coef, self._rows, out=A_m, mode="clip")
+        np.multiply(A_m, self.d1, out=A_m)
+        np.add(self.d2, A_m, out=A_m)
+        np.multiply(A_m, ds, out=A_m)
+        np.subtract(self._eye, A_m, out=A_m)
         rhs_m = state.m.copy()
         A_m[self._first_row] = 0.0
         A_m[u, 0] = 1.0
         rhs_m[0] = 0.0
         A_m[self._last_row] = 0.0
         A_m[u, -1] = 1.0
-        m_new = self._solve(A_m, rhs_m)
+        m_new = self._solve(rhs_m)
 
-        A_n = self._eye - ds * (self.lap0 - b * self._r_d1)
+        # A_n = eye - ds (lap0 - b r D1), in the same band
+        A_n = self._band
+        np.multiply(self._r_d1, b, out=A_n)
+        np.subtract(self.lap0, A_n, out=A_n)
+        np.multiply(A_n, ds, out=A_n)
+        np.subtract(self._eye, A_n, out=A_n)
         rhs_n = n_old - ds * (self._lap0_csr @ m_new)
         A_n[self._first_row] = 0.0
         A_n[u, 0] = 1.0
         rhs_n[0] = 0.0
         A_n[self._last_row] = self.d1[self._last_row]
         rhs_n[-1] = 0.0
-        n_new = self._solve(A_n, rhs_n)
+        n_new = self._solve(rhs_n)
 
         lam = state.lam * math.exp(-b * ds)
         lam_mid = state.lam * math.exp(-0.5 * b * ds)
         return replace(state, m=m_new, n=n_new, s=state.s + ds,
                        t=state.t + ds * lam_mid ** 2, lam=lam)
 
-    def _solve(self, ab, rhs):
-        # dgbsv factors in place; its first l rows are workspace for the
-        # fill-in, which LAPACK does not read on entry
-        self._work[self.l:] = ab
+    def _solve(self, rhs):
+        # dgbsv factors _work in place; its first l rows are workspace for
+        # the fill-in, which LAPACK does not read on entry
+        self._work[self.l:] = self._band
         _, _, x, info = dgbsv(self.l, self.u, self._work, rhs,
                               overwrite_ab=True, overwrite_b=True)
         if info != 0:
@@ -363,6 +395,14 @@ class _StateSplines:
 TABLE_NODES = 128
 # their angles (first kind)
 TABLE_THETA = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
+# the table's off-node probes: the Chebyshev points of TABLE_PROBES nodes,
+# whose angles fall midway between two of the table's
+TABLE_PROBES = 8
+TABLE_PROBE_THETA = np.pi * (np.arange(TABLE_PROBES) + 0.5) / TABLE_PROBES
+# the trailing Chebyshev coefficients that measure the table's tail
+TABLE_TAIL = 8
+# the table's error bound is this times its largest measured error
+TABLE_SAFETY = 4.0
 
 
 class ProfileTable:
@@ -373,19 +413,32 @@ class ProfileTable:
     interpolated values and their b-derivatives.  A b outside [lo, hi]
     raises ProfileError, as `modulation_profile` does for a b that does
     not fit the grid.  Evaluation is `coef @ cos(k arccos x)`.
+
+    `error_bound` bounds the 2-norm of the table's error over [lo, hi]:
+    TABLE_SAFETY times the larger of its tail (the largest of its last
+    TABLE_TAIL coefficients) and its misfit to `scalars` at TABLE_PROBES
+    off-node points (TABLE_PROBE_THETA), measured once when it is built.
     """
 
     def __init__(self, lo, hi, scalars):
         self.lo, self.hi = lo, hi
         self._la, self._lb = la, lb = math.log(lo), math.log(hi)
-        nodes = np.exp(0.5 * (la + lb) + 0.5 * (lb - la) * np.cos(TABLE_THETA))
-        values = np.array([scalars(b) for b in nodes])
+        values = np.array([scalars(b) for b in self._b(TABLE_THETA)])
         self._k = np.arange(TABLE_NODES)
         coef = (2.0 / TABLE_NODES) * (np.cos(np.outer(self._k, TABLE_THETA))
                                       @ values)
         coef[0] *= 0.5
         self._coef = coef
         self._dcoef = chebder(coef)
+        tail = np.linalg.norm(coef[-TABLE_TAIL:], axis=1).max()
+        misfit = max(np.linalg.norm(self(b)[0] - scalars(b))
+                     for b in self._b(TABLE_PROBE_THETA))
+        self.error_bound = TABLE_SAFETY * float(max(tail, misfit))
+
+    def _b(self, theta):
+        """The b at Chebyshev angles theta."""
+        return np.exp(0.5 * (self._la + self._lb)
+                      + 0.5 * (self._lb - self._la) * np.cos(theta))
 
     def __call__(self, b):
         if not self.lo <= b <= self.hi:
@@ -399,6 +452,13 @@ class ProfileTable:
 
 # decompose's model rounds (model Newton, then one exact residual)
 MODEL_ROUNDS = 3
+# decompose accepts |F| <= ATOL * f_scale, and up to the quadrature and
+# spline noise plateau FLOOR_TOL * f_scale past its model rounds
+ATOL = 1e-10
+FLOOR_TOL = 3e-6
+# a table whose error_bound is at most this times atol is certified:
+# decompose returns a converged model root without an exact residual
+CERTIFY_FRACTION = 0.5
 # decompose's model Newton stops at |G| <= MODEL_TOL * atol
 MODEL_TOL = 1e-2
 # model Newton iterations per round after which the model is 'exhausted'
@@ -409,7 +469,7 @@ MODEL_FAILURES = {
                 "from family)",
     "stalled": "modulation Newton stalled (trapped regime exited?)"}
 COUNTERS = ("decompose_calls", "model_iterations", "damping_halvings",
-            "correction_rounds", "floor_acceptances",
+            "correction_rounds", "floor_acceptances", "exact_checks_skipped",
             "profile_evals_table", "profile_evals_decompose",
             "profile_evals_lift", "lift_calls", "lift_failures")
 
@@ -430,23 +490,36 @@ class ModulationSolver:
     = g + y g'.  The y-derivative is the grid's D1 (even for u, odd for
     g), moved onto the pairing weights once per solver, so dS/dlambda1 is
     four dot products and each iterate reads the state's splines once.
-    One exact residual at the model's root decides acceptance
-    (|F| <= atol) and gives (eps, geta); if it fails, c absorbs the
-    table's local error, c <- c + G - F, and the model is solved again, at
-    most MODEL_ROUNDS times.  Past those rounds, or when the model stalls,
-    the residual is accepted up to the quadrature and spline noise floor,
-    floor_tol; a failure raises ModulationError naming b, lambda1,
+
+    Acceptance is |F| <= atol = ATOL f_scale.  With c = 0, F - G is the
+    table's error, so a root with |G| <= MODEL_TOL atol meets atol
+    whenever that error is at most CERTIFY_FRACTION atol.  The solver
+    decides once, when it is built, whether the table's `error_bound`
+    certifies this (`certified`).  On a certified table a converged first
+    model round returns its root with no exact residual: (F, eps, geta)
+    and the profile are evaluated by `_residual`, from the state's values
+    at the root, on the first read of the decomposition's fields.
+    Otherwise, and whenever the model does not converge, one exact
+    residual at the model's root decides acceptance (|F| <= atol) and
+    gives (eps, geta); if it fails, c absorbs the table's local error,
+    c <- c + G - F, and the model is solved again, at most MODEL_ROUNDS
+    times.  Past those rounds, or when the model stalls, the residual is
+    accepted up to the quadrature and spline noise floor, floor_tol =
+    FLOOR_TOL f_scale; a failure raises ModulationError naming b, lambda1,
     |F|/f_scale, the model's outcome and its iteration count, and, when
-    the failing root sits at B_MAX, that b reached the top of the family's
-    range.  The caller
+    the failing root sits at B_MAX, that b reached the top of the
+    family's range.  The caller
     supplies the starting guess: `evolve` extrapolates it from its last
     three roots, so that one model iteration usually suffices.
 
     `counters` counts decompose calls, model iterations, model step
     halvings, correction rounds, solves accepted at the noise floor
-    (atol < |F| <= floor_tol), the exact profile evaluations (table,
-    decompose, lift), lift calls and lift failures.  `lift_ratio` is the
-    b_hat/b of the last successful `lift_b` on this solver (None before
+    (atol < |F| <= floor_tol), decompositions returned without an exact
+    residual (exact_checks_skipped), the exact profile evaluations (table:
+    its nodes and probes; decompose: every `_residual`, first reads
+    included; lift), lift calls and lift failures, and carry the table's
+    error bound relative to f_scale (table_error_bound).  `lift_ratio` is
+    the b_hat/b of the last successful `lift_b` on this solver (None before
     one), where the next lift starts its secant.  Both belong to one run;
     `reset` starts them afresh, so that runs sharing a solver each see
     what a solver of their own would show (the table's evaluations are
@@ -474,7 +547,6 @@ class ModulationSolver:
                      for wu in (self._wphi1, self._wlphi1)]
         self._a_g = [wg + d1g @ (y * wg)
                      for wg in (self._wphi2, self._wlphi2)]
-        self.reset()
         b_floor = grid_b_floor(grid)
 
         def scalars(b):
@@ -483,12 +555,21 @@ class ModulationSolver:
                               grid.divide_by_r(prof.n_tilde.values, "even"))
 
         self.table = ProfileTable(b_floor, B_MAX, scalars)
+        # residual scale: the pairing Jacobian entries are ~ 32 pi log M
+        self.f_scale = abs(self.phim.report["PhiM_LambdaQ"])
+        self.atol = ATOL * self.f_scale
+        self.certified = (self.table.error_bound
+                          <= CERTIFY_FRACTION * self.atol)
+        self.reset()
 
     def reset(self):
-        """Zero the counters, except the table's TABLE_NODES profile
-        evaluations, and forget the last lift's ratio."""
+        """Zero the counters, except the table's TABLE_NODES +
+        TABLE_PROBES profile evaluations and its error bound, and forget
+        the last lift's ratio."""
         self.counters = dict.fromkeys(COUNTERS, 0)
-        self.counters["profile_evals_table"] = TABLE_NODES
+        self.counters["profile_evals_table"] = TABLE_NODES + TABLE_PROBES
+        self.counters["table_error_bound"] = (self.table.error_bound
+                                              / self.f_scale)
         self.lift_ratio = None
 
     def _pair(self, u, g):
@@ -508,14 +589,18 @@ class ModulationSolver:
 
     def _residual(self, vals, b):
         """Exact F at (lam1, b) from the state's values at lam1: F, the
-        fields (eps, geta) and the profile at b (one profile evaluation)."""
+        fields (eps, geta) as a FieldPair and the profile at b (one
+        profile evaluation), the triple a ModulationState holds."""
+        g = self.grid
         u, n_x = vals
-        prof = modulation_profile(self.grid, b)
+        prof = modulation_profile(g, b)
         self.counters["profile_evals_decompose"] += 1
         # density residual lambda1^2 u(lambda1 y) - Qb(y), u = m'/x
         eps = u - prof.Qb_tilde.values
-        geta = self.grid.divide_by_r(n_x - prof.n_tilde.values, "even")
-        return np.array(self._pair(eps, geta)), (eps, geta), prof
+        geta = g.divide_by_r(n_x - prof.n_tilde.values, "even")
+        return (self._pair(eps, geta),
+                FieldPair(RadialField(g, eps), RadialField(g, geta, "odd")),
+                prof)
 
     def _model_newton(self, splines, lam1, b, c, tol):
         """Damped Newton on the model, each step halved until |G| descends
@@ -560,14 +645,10 @@ class ModulationSolver:
         return lam1, b, G, vals, outcome
 
     def decompose(self, state: FlowState, guess) -> ModulationState:
-        g = self.grid
         lam1, b = guess
         self.counters["decompose_calls"] += 1
         splines = _StateSplines(state)
-        # residual scale: the pairing Jacobian entries are ~ 32 pi log M
-        f_scale = abs(self.phim.report["PhiM_LambdaQ"])
-        atol = 1e-10 * f_scale
-        floor_tol = 3e-6 * f_scale   # quadrature/spline noise plateau
+        atol = self.atol
         c = (0.0, 0.0)
         iterations = self.counters["model_iterations"]
         for rnd in range(MODEL_ROUNDS):
@@ -575,12 +656,18 @@ class ModulationSolver:
                 self.counters["correction_rounds"] += 1
             lam1, b, G, vals, outcome = self._model_newton(
                 splines, lam1, b, c, MODEL_TOL * atol)
-            F, (eps, geta), prof = self._residual(vals, b)
+            if outcome == "converged" and self.certified:
+                self.counters["exact_checks_skipped"] += 1
+                return ModulationState(lam1, b,
+                                       lambda: self._residual(vals, b))
+            exact = self._residual(vals, b)
+            F = exact[0]
             if np.linalg.norm(F) <= atol or outcome != "converged":
                 break
             c = (c[0] + G[0] - F[0], c[1] + G[1] - F[1])
         # past the model rounds, a residual at the noise floor is accepted
-        if outcome == "singular" or np.linalg.norm(F) > floor_tol:
+        if (outcome == "singular"
+                or np.linalg.norm(F) > FLOOR_TOL * self.f_scale):
             what = MODEL_FAILURES.get(outcome, "modulation Newton did not "
                                                "converge")
             if b >= B_MAX:
@@ -589,15 +676,11 @@ class ModulationSolver:
             raise ModulationError(
                 "%s: b=%.6g lam1=%.6g |F|/f_scale=%.3g model=%s after %d "
                 "iterations" % (
-                    what, b, lam1, np.linalg.norm(F) / f_scale, outcome,
+                    what, b, lam1, np.linalg.norm(F) / self.f_scale, outcome,
                     self.counters["model_iterations"] - iterations))
         if np.linalg.norm(F) > atol:
             self.counters["floor_acceptances"] += 1
-        pair = FieldPair(RadialField(g, eps),
-                         RadialField(g, geta, "odd"))
-        return ModulationState(lam=lam1, b=b,
-                               residuals=(float(F[0]), float(F[1])),
-                               eps_pair=pair, profile=prof)
+        return ModulationState(lam1, b, exact)
 
 
 # the secant's second point before a first lift is b times this (b_hat/b
@@ -791,7 +874,10 @@ class RunSetup:
         non-finite state.  A step counts only once its state is decomposed,
         so the final record of such a run is the last state with a
         decomposition, with that decomposition, and .reason holds the
-        message of the error that ended it.  The series' .counters are the
+        message of the error that ended it.  A record that first reads a
+        decomposition's fields (see `ModulationSolver`) and meets a
+        ProfileError there ends the run 'grid_exhausted' too; its series
+        ends at the record before.  The series' .counters are the
         modulation solver's counters (see `ModulationSolver`) plus the
         refolds, the records whose free energy is NaN (nan_free_energy) and
         the smallest, median and largest committed step (ds_min, ds_median,
@@ -854,60 +940,67 @@ class RunSetup:
                           min_u=float(np.min(pair.density.values)))
 
         record()
-        while True:
-            ds = min(params.ds_max, 1.5 * ds,
-                     params.db_rel_cap * b / max(b_s_est, 1e-300))
-            # A step is committed only once its state has a decomposition,
-            # so a breakdown leaves the last decomposed state for the final
-            # record.
-            try:
-                stepped = stepper.step(state, ds, b=b)
-                stepped_mod = solver.decompose(
-                    stepped, guess=_predict_guess(roots, stepped.s,
-                                                  solver.table.lo))
-                # The pending scale is bookkeeping only: folding it into the
-                # stored arrays re-interpolates the state and each such event
-                # injects a small scale bias and leaks tail mass, so refits
-                # happen only if the frame truly de-centers (resolution guard),
-                # not as routine upkeep.
-                if abs(stepped_mod.lam - 1.0) > REFOLD_THRESHOLD:
-                    refolds += 1
-                    stepped = _rescale_state(stepped, stepped_mod.lam)
-                    stepped_mod = solver.decompose(stepped,
-                                                   guess=(1.0, stepped_mod.b))
-                    roots.clear()
-            except ModulationError as exc:
-                series.status, series.reason = "modulation_failed", str(exc)
-                break
-            except ProfileError as exc:
-                series.status, series.reason = "grid_exhausted", str(exc)
-                break
-            except SimulationError as exc:
-                series.status, series.reason = "nonfinite", str(exc)
-                break
-            state, mod = stepped, stepped_mod
-            step_count += 1
-            steps_ds.append(ds)
-            b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
-            b, lam_pending = mod.b, mod.lam
-            roots.append((state.s, lam_pending, b))
-            if step_count % params.cadence == 0:
+        try:
+            while True:
+                ds = min(params.ds_max, 1.5 * ds,
+                         params.db_rel_cap * b / max(b_s_est, 1e-300))
+                # A step is committed only once its state has a
+                # decomposition, so a breakdown leaves the last decomposed
+                # state for the final record.
+                try:
+                    stepped = stepper.step(state, ds, b=b)
+                    stepped_mod = solver.decompose(
+                        stepped, guess=_predict_guess(roots, stepped.s,
+                                                      solver.table.lo))
+                    # The pending scale is bookkeeping only: folding it into
+                    # the stored arrays re-interpolates the state and each
+                    # such event injects a small scale bias and leaks tail
+                    # mass, so refits happen only if the frame truly
+                    # de-centers (resolution guard), not as routine upkeep.
+                    if abs(stepped_mod.lam - 1.0) > REFOLD_THRESHOLD:
+                        refolds += 1
+                        stepped = _rescale_state(stepped, stepped_mod.lam)
+                        stepped_mod = solver.decompose(
+                            stepped, guess=(1.0, stepped_mod.b))
+                        roots.clear()
+                except ModulationError as exc:
+                    series.status = "modulation_failed"
+                    series.reason = str(exc)
+                    break
+                except ProfileError as exc:
+                    series.status, series.reason = "grid_exhausted", str(exc)
+                    break
+                except SimulationError as exc:
+                    series.status, series.reason = "nonfinite", str(exc)
+                    break
+                state, mod = stepped, stepped_mod
+                step_count += 1
+                steps_ds.append(ds)
+                b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
+                b, lam_pending = mod.b, mod.lam
+                roots.append((state.s, lam_pending, b))
+                if step_count % params.cadence == 0:
+                    record()
+                lam_total = state.lam * lam_pending
+                if lam_total <= params.lam_stop:
+                    series.status = "lam_stop"
+                    break
+                if state.t >= params.t_max:
+                    series.status = "t_max"
+                    break
+                if state.s >= params.s_max:
+                    series.status = "s_max"
+                    break
+                if b <= params.b_min:
+                    series.status = "b_min"
+                    break
+            if not series.rows or series.rows[-1][1] < state.s:
                 record()
-            lam_total = state.lam * lam_pending
-            if lam_total <= params.lam_stop:
-                series.status = "lam_stop"
-                break
-            if state.t >= params.t_max:
-                series.status = "t_max"
-                break
-            if state.s >= params.s_max:
-                series.status = "s_max"
-                break
-            if b <= params.b_min:
-                series.status = "b_min"
-                break
-        if not series.rows or series.rows[-1][1] < state.s:
-            record()
+        except ProfileError as exc:
+            # a record's first read of a decomposition's fields needed a
+            # profile the grid cannot carry; the series ends at its last
+            # record
+            series.status, series.reason = "grid_exhausted", str(exc)
         ds_q = (np.percentile(steps_ds, (0, 50, 100)) if steps_ds
                 else (math.nan,) * 3)
         series.counters = dict(solver.counters, refolds=refolds,

@@ -13,13 +13,15 @@ import kslab.dynamics as dyn
 import kslab.operators as ops
 from kslab.cli import main
 from kslab.config import (
+    MAX_STENCIL_ORDER,
     ConfigError,
     RunConfig,
     load_config,
     parse_config_json,
     parse_config_text,
 )
-from kslab.dynamics import TABLE_NODES, EvolveParams
+from kslab.dynamics import (ATOL, CERTIFY_FRACTION, TABLE_NODES,
+                            TABLE_PROBES, EvolveParams)
 from kslab.grid import RadialGrid
 from kslab.profiles import B_MAX, B_MIN
 
@@ -416,15 +418,11 @@ def test_simulate_invalid_config(tmp_path, capsys):
 
 # config -> (the keys its violation blames, what the violation says): what
 # only the run's setup build rejects.  At b0 = 1e-8 the profile's initial
-# density is not positive on the run's grid; a stencil of order 1000 needs
-# more nodes than the grid has, and one of order 40 breaks the radiation;
-# h_core = 1e-9 asks for 1e10 nodes, refused before they are laid out
+# density is not positive on the run's grid; h_core = 1e-9 asks for 1e10
+# nodes, refused before they are laid out
 RESOLUTION_KEYS = "grid.h_core, grid.nodes_per_decade, grid.stencil_order"
 SETUP_ERRORS = {
     "profile.b0 = 1e-8": ("profile.b0", "initial density not positive"),
-    "grid.stencil_order = 1000": (RESOLUTION_KEYS,
-                                  "grid too coarse for stencil order 1000"),
-    "grid.stencil_order = 40": (RESOLUTION_KEYS, "c2=1.54272e+28"),
     "grid.h_core = 1e-9": (RESOLUTION_KEYS,
                            "a grid of 1e+10 nodes exceeds MAX_NODES"),
 }
@@ -442,6 +440,25 @@ def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
         (violation,) = json.loads(capsys.readouterr().err)["violations"]
         assert violation.startswith(keys + ": ")
         assert message in violation
+
+
+def test_validate_bounds_the_stencil_order(recwarn):
+    # orders past MAX_STENCIL_ORDER are one violation, found before the
+    # setup build: an order of 40 broke the radiation there, 150 overflowed
+    # the stencil weights with a dozen warnings, 1000 outgrew the grid
+    for order in (40, 150, 1000):
+        cfg = RunConfig()
+        cfg.params.stencil_order = order
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.violations == [
+            "grid.stencil_order must lie in [2, %d]" % MAX_STENCIL_ORDER]
+        assert cfg.setup is None
+    assert len(recwarn) == 0
+    for order in (4, 6):
+        cfg = RunConfig()
+        cfg.params.stencil_order = order
+        assert cfg.validate().setup.grid.stencil_order == order
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -501,9 +518,13 @@ def test_simulate_deterministic(tmp_path):
     assert sa["status"] in ("s_max", "b_min", "lam_stop", "t_max")
     assert "seed" in sa
     assert "reason" not in sa
+    # the table certifies every converged model root, so the exact
+    # profile of a decomposition is evaluated only where a record reads it
     counters = sa["counters"]
-    assert counters["profile_evals_decompose"] == counters["decompose_calls"]
-    assert counters["profile_evals_table"] == TABLE_NODES
+    assert counters["exact_checks_skipped"] == counters["decompose_calls"]
+    assert counters["profile_evals_decompose"] == sa["records"]
+    assert counters["profile_evals_table"] == TABLE_NODES + TABLE_PROBES
+    assert 0.0 < counters["table_error_bound"] <= CERTIFY_FRACTION * ATOL
 
 
 def test_simulate_grid_exhausted(tmp_path):

@@ -451,23 +451,13 @@ def test_model_lambda_column_matches_central_difference(b0):
 def test_decompose_returns_the_accepted_residual_fields(small_grid,
                                                       small_params,
                                                       perturbed_states):
-    # (eps, geta) and the profile come from the exact residual that
-    # accepted the iterate: equal to the oracle's at the returned (lam, b),
-    # and a state decomposed at its own solution costs one exact residual
+    # (eps, geta) and the profile come from one exact residual at the
+    # returned (lam, b), equal to the oracle's there.  The small grid's
+    # table is certified, so decompose makes none: the first read of the
+    # fields makes it, at mod.b, and later reads reuse it
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    mod = solver.decompose(state, guess=guess)
-    atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
-    assert np.linalg.norm(mod.residuals) <= atol
-    msp, nsp = state_splines(state)
-    F, (eps, geta) = reference_residual(solver, msp, nsp, mod.lam, mod.b)
-    np.testing.assert_array_equal(mod.eps_pair.density.values, eps)
-    np.testing.assert_array_equal(mod.eps_pair.chem_gradient.values, geta)
-    np.testing.assert_array_equal(mod.residuals, F)
-    np.testing.assert_array_equal(
-        mod.profile.Qb_tilde.values,
-        modulation_profile(small_grid, mod.b).Qb_tilde.values)
-
+    assert solver.certified
     calls = []
     residual = solver._residual
 
@@ -476,19 +466,45 @@ def test_decompose_returns_the_accepted_residual_fields(small_grid,
         return residual(vals, b)
 
     solver._residual = counted
+    mod = solver.decompose(state, guess=guess)
+    assert calls == []
+    atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
+    assert np.linalg.norm(mod.residuals) <= atol
+    assert calls == [mod.b]
+    msp, nsp = state_splines(state)
+    F, (eps, geta) = reference_residual(solver, msp, nsp, mod.lam, mod.b)
+    np.testing.assert_array_equal(mod.eps_pair.density.values, eps)
+    np.testing.assert_array_equal(mod.eps_pair.chem_gradient.values, geta)
+    np.testing.assert_array_equal(mod.residuals, F)
+    np.testing.assert_array_equal(
+        mod.profile.Qb_tilde.values,
+        modulation_profile(small_grid, mod.b).Qb_tilde.values)
+    assert calls == [mod.b]
+    assert solver.counters["profile_evals_decompose"] == 1
+    assert solver.counters["exact_checks_skipped"] == 1
+
+    # on an uncertified table the exact residual is decompose's own: one
+    # call for a state decomposed at its own solution, none on reading
+    solver.certified = False
+    calls.clear()
     again = solver.decompose(state, guess=(mod.lam, mod.b))
     assert calls == [mod.b]
     assert (again.lam, again.b) == (mod.lam, mod.b)
     np.testing.assert_array_equal(again.eps_pair.density.values, eps)
     np.testing.assert_array_equal(again.eps_pair.chem_gradient.values, geta)
+    assert again.residuals == mod.residuals
+    assert calls == [mod.b]
+    assert solver.counters["exact_checks_skipped"] == 1
 
 
 def test_decompose_corrects_a_corrupted_table(small_grid, small_params,
                                               perturbed_states):
-    # the exact residual decides acceptance: with P~ off by 1e-6 (40 atol)
-    # the solve takes correction rounds and still meets atol
+    # on an uncertified table the exact residual decides acceptance: with
+    # P~ off by 1e-6 (40 atol) the solve takes correction rounds and still
+    # meets atol
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     solver.table._coef[0, :2] += 1e-6
+    solver.certified = False
     atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
     for state, guess in perturbed_states:
         mod = solver.decompose(state, guess=guess)
@@ -503,7 +519,8 @@ def test_decompose_corrects_a_corrupted_table(small_grid, small_params,
 
 def test_profile_table_matches_exact_pairings(small_grid, small_params):
     # P1 and P2 at 50 b off the Chebyshev nodes, against exact pairings of
-    # fresh profiles, within a tenth of atol
+    # fresh profiles, within a tenth of atol and within the table's own
+    # error bound
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     table = solver.table
     y = small_grid.nodes
@@ -519,8 +536,35 @@ def test_profile_table_matches_exact_pairings(small_grid, small_params):
         got, _ = table(b)
         assert got.shape == (2,)
         assert np.max(np.abs(got - P)) <= 0.1 * atol
+        assert np.linalg.norm(got - P) <= table.error_bound
     with pytest.raises(ProfileError):
         table(0.999 * table.lo)
+
+
+def test_profile_table_states_its_error_bound(small_grid, small_params):
+    # TABLE_SAFETY times the larger of the coefficient tail and the misfit
+    # at the probes, whose angles fall between the table's nodes
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    table = solver.table
+    gaps = np.abs(dyn.TABLE_PROBE_THETA[:, None] - dyn.TABLE_THETA[None, :])
+    assert np.allclose(gaps.min(axis=1), 0.5 * np.pi / dyn.TABLE_NODES)
+    tail = max(np.linalg.norm(c) for c in table._coef[-dyn.TABLE_TAIL:])
+    y = small_grid.nodes
+    misfit = 0.0
+    for b in table._b(dyn.TABLE_PROBE_THETA):
+        prof = modulation_profile(small_grid, b)
+        n_y = np.zeros_like(y)
+        n_y[1:] = prof.n_tilde.values[1:] / y[1:]
+        P = np.array(solver._pair(prof.Qb_tilde.values, n_y))
+        misfit = max(misfit, np.linalg.norm(table(b)[0] - P))
+    assert table.error_bound == pytest.approx(
+        dyn.TABLE_SAFETY * max(tail, misfit), rel=1e-12)
+    # the decision: a bound within CERTIFY_FRACTION of atol certifies
+    assert solver.certified == (
+        table.error_bound <= dyn.CERTIFY_FRACTION * solver.atol)
+    assert solver.certified
+    assert (solver.counters["table_error_bound"]
+            == table.error_bound / solver.f_scale)
 
 
 def test_profile_table_derivative(small_grid, small_params):
@@ -774,7 +818,7 @@ def test_evolve_short_run_health(small_params):
     assert np.min(series.column("min_u")) > 0.0
 
 
-def test_evolve_counts_one_profile_evaluation_per_decompose(
+def test_evolve_counts_one_profile_evaluation_per_record(
         small_grid, small_params, monkeypatch):
     calls = []
 
@@ -796,9 +840,12 @@ def test_evolve_counts_one_profile_evaluation_per_decompose(
     # from the grid's D1 is off by about 2e-5 of its norm, so one step from
     # a miss of that size ends above MODEL_TOL * atol = 1e-12 f_scale
     assert c["model_iterations"] == c["decompose_calls"] + 3
-    assert c["profile_evals_decompose"] == c["decompose_calls"]
+    # the small grid's table is certified: no decompose evaluates the
+    # profile, and each record reads the fields of one decomposition
+    assert c["exact_checks_skipped"] == c["decompose_calls"]
+    assert c["profile_evals_decompose"] == len(series)
     assert c["correction_rounds"] == 0
-    assert c["profile_evals_table"] == dyn.TABLE_NODES
+    assert c["profile_evals_table"] == dyn.TABLE_NODES + dyn.TABLE_PROBES
     assert c["lift_calls"] <= c["profile_evals_lift"] <= 4 * c["lift_calls"]
     assert c["lift_calls"] > 0
     assert c["lift_failures"] == c["refolds"] == 0
@@ -807,6 +854,94 @@ def test_evolve_counts_one_profile_evaluation_per_decompose(
     assert len(calls) == (c["profile_evals_table"]
                           + c["profile_evals_decompose"]
                           + c["profile_evals_lift"])
+
+
+def test_evolve_first_reads_equal_an_eager_residual(small_setup,
+                                                    small_params,
+                                                    monkeypatch):
+    # every record reads the fields of one certified decomposition, bit for
+    # bit those of an eager _residual at its (lam1, b) from the state's
+    # splines; an uncertified solver, which checks every root, records the
+    # same series
+    decomposed = []
+    decompose = dyn.ModulationSolver.decompose
+
+    def spied(self, state, guess):
+        mod = decompose(self, state, guess)
+        decomposed.append((state, mod))
+        return mod
+
+    monkeypatch.setattr(dyn.ModulationSolver, "decompose", spied)
+    solver = small_setup.solver
+    pert = small_setup.sample_perturbation(1e-4, np.random.default_rng(3))
+    series = small_setup.run(pert)
+    assert series.status == "s_max"
+    read = [(state, mod) for state, mod in decomposed if "_exact" in vars(mod)]
+    assert len(read) == len(series) == series.counters[
+        "profile_evals_decompose"]
+    assert series.counters["exact_checks_skipped"] == len(decomposed)
+    for (state, mod), res_phi, res_lphi in zip(
+            read, series.column("res_phi"), series.column("res_lphi")):
+        F, pair, prof = solver._residual(
+            dyn._StateSplines(state)(mod.lam), mod.b)
+        assert mod.residuals == F == (res_phi, res_lphi)
+        assert np.linalg.norm(F) <= solver.atol
+        np.testing.assert_array_equal(mod.eps_pair.density.values,
+                                      pair.density.values)
+        np.testing.assert_array_equal(mod.eps_pair.chem_gradient.values,
+                                      pair.chem_gradient.values)
+        np.testing.assert_array_equal(mod.profile.Qb_tilde.values,
+                                      prof.Qb_tilde.values)
+        np.testing.assert_array_equal(mod.profile.Pb_tilde_grad.values,
+                                      prof.Pb_tilde_grad.values)
+
+    monkeypatch.setattr(solver, "certified", False)
+    checked = small_setup.run(pert)
+    np.testing.assert_array_equal(checked.rows, series.rows)
+    assert checked.counters["exact_checks_skipped"] == 0
+    assert (checked.counters["profile_evals_decompose"]
+            == checked.counters["decompose_calls"])
+
+
+def test_evolve_on_an_uncertified_table_checks_every_decompose():
+    # at M = 60 the table's error (about 4e-9 f_scale) exceeds atol: the
+    # solver keeps the exact check, one exact residual per model round
+    setup = dyn.RunSetup(dyn.EvolveParams(b0=1e-2, M_param=60.0, cadence=5,
+                                          s_max=2.0))
+    assert not setup.solver.certified
+    series = setup.run(None)
+    c = series.counters
+    assert series.status == "s_max"
+    assert c["table_error_bound"] > dyn.CERTIFY_FRACTION * dyn.ATOL
+    assert c["exact_checks_skipped"] == c["floor_acceptances"] == 0
+    assert c["correction_rounds"] > 0
+    assert (c["profile_evals_decompose"]
+            == c["decompose_calls"] + c["correction_rounds"])
+    res = np.hypot(series.column("res_phi"), series.column("res_lphi"))
+    assert np.all(res <= setup.solver.atol)
+
+
+def test_first_read_profile_error_ends_the_run_grid_exhausted(
+        small_params, monkeypatch):
+    # the third exact residual, first read by the second cadence record,
+    # needs a profile the grid cannot carry: the run ends grid_exhausted
+    # at the record before, without a traceback
+    residual = dyn.ModulationSolver._residual
+    calls = []
+
+    def failing(self, vals, b):
+        calls.append(b)
+        if len(calls) == 3:
+            raise ProfileError("grid too small for b=%g" % b)
+        return residual(self, vals, b)
+
+    monkeypatch.setattr(dyn.ModulationSolver, "_residual", failing)
+    series = dyn.evolve(small_params)
+    assert series.status == "grid_exhausted"
+    assert series.reason == "grid too small for b=%g" % calls[2]
+    assert len(series) == 2
+    assert len(calls) == 3
+    assert series.counters["decompose_calls"] == 2 * small_params.cadence + 1
 
 
 def test_decompose_counts_damping_halvings(small_grid, small_params):
@@ -825,11 +960,12 @@ def test_decompose_counts_damping_halvings(small_grid, small_params):
 
 def test_decompose_counts_floor_acceptances(small_grid, small_params,
                                             perturbed_states, monkeypatch):
-    # with one model round and P~ off by 1e-6 (40 atol), every solve ends
-    # above atol and is accepted at the noise floor
+    # with one model round and P~ off by 1e-6 (40 atol) on an uncertified
+    # table, every solve ends above atol and is accepted at the noise floor
     monkeypatch.setattr(dyn, "MODEL_ROUNDS", 1)
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     solver.table._coef[0] += 1e-6
+    solver.certified = False
     f_scale = abs(solver.phim.report["PhiM_LambdaQ"])
     for state, guess in perturbed_states:
         mod = solver.decompose(state, guess=guess)

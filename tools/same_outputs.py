@@ -6,7 +6,9 @@ from a `git archive` of the ref (HEAD by default) unpacked into a
 temporary directory, each into an output root of its own.  Every
 `timeseries.csv` and `summary.json` either run writes is compared byte for
 byte with the file at the same path under the other root, with one
-verdict line per file.  The exit status is 1 if any file differs or is
+verdict line per file; a `summary.json` that differs is followed by a
+line naming the dotted JSON keys whose values differ (or that one side
+lacks).  The exit status is 1 if any file differs or is
 missing on one side, if the two runs exit with different statuses, or if
 a config leaves no output to compare; else 0.
 
@@ -20,6 +22,7 @@ Usage (from the repository root):
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +63,23 @@ def read(path):
         return fh.read()
 
 
+def json_differences(a, b, key=""):
+    """Dotted keys at which the parsed JSON values a and b differ: every
+    key of one object that the other lacks, and every differing leaf (a
+    non-object value, compared by its JSON text, so that NaN equals
+    NaN)."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if json.dumps(a) == json.dumps(b) else [key]
+    keys = []
+    for name in {**a, **b}:
+        path = key + "." + name if key else name
+        if name in a and name in b:
+            keys += json_differences(a[name], b[name], path)
+        else:
+            keys.append(path)
+    return keys
+
+
 def compare(config, tree_out, ref_out):
     """One verdict line per output file of either run: same, DIFFERS, or
     MISSING on one side; True if all are the same."""
@@ -76,6 +96,9 @@ def compare(config, tree_out, ref_out):
             verdict = "same" if read(paths[0]) == read(paths[1]) else "DIFFERS"
         ok = ok and verdict == "same"
         print("%-9s %s: %s" % (verdict, config, rel))
+        if verdict == "DIFFERS" and rel.endswith(".json"):
+            a, b = (json.loads(read(path)) for path in paths)
+            print("%-9s %s" % ("", ", ".join(json_differences(a, b))))
     return ok
 
 
