@@ -26,9 +26,15 @@ when it exceeds a threshold, so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
-its exact root function, started at b and at b times the previous lift's
-b_hat/b, finds it.  Everything recorded lands in a TimeSeries consumed by
-the law-fitting diagnostics.
+its exact root function, started at b and at the Newton step from b on
+an estimated slope, finds it.  Everything recorded lands in a TimeSeries
+consumed by the law-fitting diagnostics.
+
+The exact profile is evaluated a block of at most PROFILE_BLOCK b at a
+time (`profiles.modulation_profiles`): the table's nodes and probes, and a
+run's records, which wait until PROFILE_BLOCK of them are pending or the
+run ends, then make their first reads in one block and their lifts in one
+lockstep secant (`lift_bs`).
 
 `RunSetup` builds what a run needs before its first step (grid, initial
 state, solver, stepper) once; `evolve`, the probe's members and the CLI's
@@ -50,7 +56,7 @@ from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 from . import diagnostics, operators
 from .grid import FieldPair, RadialField, RadialGrid
-from .operators import mass_q, q_density
+from .operators import mass_q, q_density, q_potential_grad
 from .profiles import (
     B_MAX,
     ProfileError,
@@ -58,7 +64,7 @@ from .profiles import (
     build_t1_s1,
     grid_b_floor,
     localization_radius,
-    modulation_profile,
+    modulation_profiles,
 )
 
 
@@ -107,22 +113,25 @@ class ModulationState:
     them the pair F (`residuals`), the fields (eps, geta) (`eps_pair`) and
     the profile at b they were taken against (`profile`).
 
-    `exact` is that residual's triple (residuals, eps_pair, profile), or a
-    callable that returns it; the callable runs on the first read of any
-    of the three, and its triple is kept.
+    `exact` is that residual's triple (residuals, eps_pair, profile), or
+    None: then `pending` is (solver, vals), and the solver evaluates the
+    triple from vals, the state's values at lam1, on the first read of any
+    of the three, and keeps it.  `ModulationSolver.read` makes the first
+    reads of a block of decompositions at once.
     """
 
-    def __init__(self, lam: float, b: float, exact):
+    def __init__(self, lam: float, b: float, exact, pending):
         self.lam, self.b = lam, b
-        if callable(exact):
-            self._evaluate = exact
+        if exact is None:
+            self._pending = pending
         else:
             self._exact = exact
 
     @cached_property
     def _exact(self):
-        exact = self._evaluate()
-        del self._evaluate   # frees the state's values it holds
+        solver, vals = self._pending
+        exact = solver._residual(vals, self.b)
+        del self._pending   # frees the state's values it holds
         return exact
 
     residuals = property(lambda self: self._exact[0])
@@ -301,10 +310,10 @@ class SemiImplicitStepper:
         rhs_n[-1] = 0.0
         n_new = self._solve(rhs_n)
 
-        lam = state.lam * math.exp(-b * ds)
         lam_mid = state.lam * math.exp(-0.5 * b * ds)
-        return replace(state, m=m_new, n=n_new, s=state.s + ds,
-                       t=state.t + ds * lam_mid ** 2, lam=lam)
+        return FlowState(state.grid, m_new, n_new,
+                         t=state.t + ds * lam_mid ** 2, s=state.s + ds,
+                         lam=state.lam * math.exp(-b * ds))
 
     def _solve(self, rhs):
         # dgbsv factors _work in place; its first l rows are workspace for
@@ -391,6 +400,10 @@ class _StateSplines:
         return u, self.n(x)
 
 
+# the most b one profile evaluation takes at once (`modulation_profiles`):
+# the table's nodes and probes, and a run's records, whose first reads and
+# lifts are made a block at a time
+PROFILE_BLOCK = 16
 # Chebyshev points in log b of the solver's profile table
 TABLE_NODES = 128
 # their angles (first kind)
@@ -408,10 +421,11 @@ TABLE_SAFETY = 4.0
 class ProfileTable:
     """Chebyshev interpolant in log b of scalar functions of the profile.
 
-    Built from `scalars(b)` at TABLE_NODES Chebyshev points (first kind)
-    of log b over [lo, hi]; calling the table at b returns the
+    Built from `scalars(bs)`, the values at a block of at most
+    PROFILE_BLOCK b (one row each), at TABLE_NODES Chebyshev points (first
+    kind) of log b over [lo, hi]; calling the table at b returns the
     interpolated values and their b-derivatives.  A b outside [lo, hi]
-    raises ProfileError, as `modulation_profile` does for a b that does
+    raises ProfileError, as `modulation_profiles` does for a b that does
     not fit the grid.  Evaluation is `coef @ cos(k arccos x)`.
 
     `error_bound` bounds the 2-norm of the table's error over [lo, hi]:
@@ -423,7 +437,7 @@ class ProfileTable:
     def __init__(self, lo, hi, scalars):
         self.lo, self.hi = lo, hi
         self._la, self._lb = la, lb = math.log(lo), math.log(hi)
-        values = np.array([scalars(b) for b in self._b(TABLE_THETA)])
+        values = _blocked(scalars, self._b(TABLE_THETA))
         self._k = np.arange(TABLE_NODES)
         coef = (2.0 / TABLE_NODES) * (np.cos(np.outer(self._k, TABLE_THETA))
                                       @ values)
@@ -431,8 +445,9 @@ class ProfileTable:
         self._coef = coef
         self._dcoef = chebder(coef)
         tail = np.linalg.norm(coef[-TABLE_TAIL:], axis=1).max()
-        misfit = max(np.linalg.norm(self(b)[0] - scalars(b))
-                     for b in self._b(TABLE_PROBE_THETA))
+        probes = self._b(TABLE_PROBE_THETA)
+        misfit = max(np.linalg.norm(self(b)[0] - exact)
+                     for b, exact in zip(probes, _blocked(scalars, probes)))
         self.error_bound = TABLE_SAFETY * float(max(tail, misfit))
 
     def _b(self, theta):
@@ -448,6 +463,12 @@ class ProfileTable:
         x = (2.0 * math.log(b) - self._la - self._lb) / span
         tk = np.cos(self._k * math.acos(min(max(x, -1.0), 1.0)))
         return tk @ self._coef, (tk[:-1] @ self._dcoef) * (2.0 / (span * b))
+
+
+def _blocked(fn, bs):
+    """fn's rows for bs, from blocks of at most PROFILE_BLOCK b."""
+    return np.concatenate([fn(bs[i:i + PROFILE_BLOCK])
+                           for i in range(0, len(bs), PROFILE_BLOCK)])
 
 
 # decompose's model rounds (model Newton, then one exact residual)
@@ -518,12 +539,12 @@ class ModulationSolver:
     residual (exact_checks_skipped), the exact profile evaluations (table:
     its nodes and probes; decompose: every `_residual`, first reads
     included; lift), lift calls and lift failures, and carry the table's
-    error bound relative to f_scale (table_error_bound).  `lift_ratio` is
-    the b_hat/b of the last successful `lift_b` on this solver (None before
-    one), where the next lift starts its secant.  Both belong to one run;
-    `reset` starts them afresh, so that runs sharing a solver each see
-    what a solver of their own would show (the table's evaluations are
-    counted in every run).
+    error bound relative to f_scale (table_error_bound).  They belong to
+    one run; `reset` starts them afresh, so that runs sharing a solver
+    each see what a solver of their own would show (the table's
+    evaluations are counted in every run).  The table's nodes and probes,
+    the first reads of `read` and the lifts of `lift_bs` each evaluate
+    the profile a block of at most PROFILE_BLOCK b at a time.
     """
 
     def __init__(self, grid: RadialGrid, M_param: float):
@@ -549,10 +570,11 @@ class ModulationSolver:
                      for wg in (self._wphi2, self._wlphi2)]
         b_floor = grid_b_floor(grid)
 
-        def scalars(b):
-            prof = modulation_profile(grid, b)
-            return self._pair(prof.Qb_tilde.values,
-                              grid.divide_by_r(prof.n_tilde.values, "even"))
+        def scalars(bs):
+            return np.array([
+                self._pair(prof.Qb_tilde.values,
+                           grid.divide_by_r(prof.n_tilde.values, "even"))
+                for prof in modulation_profiles(grid, bs)])
 
         self.table = ProfileTable(b_floor, B_MAX, scalars)
         # residual scale: the pairing Jacobian entries are ~ 32 pi log M
@@ -564,13 +586,11 @@ class ModulationSolver:
 
     def reset(self):
         """Zero the counters, except the table's TABLE_NODES +
-        TABLE_PROBES profile evaluations and its error bound, and forget
-        the last lift's ratio."""
+        TABLE_PROBES profile evaluations and its error bound."""
         self.counters = dict.fromkeys(COUNTERS, 0)
         self.counters["profile_evals_table"] = TABLE_NODES + TABLE_PROBES
         self.counters["table_error_bound"] = (self.table.error_bound
                                               / self.f_scale)
-        self.lift_ratio = None
 
     def _pair(self, u, g):
         return (float(self._wphi1 @ u + self._wphi2 @ g),
@@ -591,16 +611,43 @@ class ModulationSolver:
         """Exact F at (lam1, b) from the state's values at lam1: F, the
         fields (eps, geta) as a FieldPair and the profile at b (one
         profile evaluation), the triple a ModulationState holds."""
+        return self._residuals([vals], [b])[0]
+
+    def _residuals(self, vals, bs):
+        """`_residual` at each (vals[j], bs[j]), from one block of profiles
+        (`modulation_profiles`); a ProfileError carries the position of
+        the b it names."""
         g = self.grid
-        u, n_x = vals
-        prof = modulation_profile(g, b)
-        self.counters["profile_evals_decompose"] += 1
-        # density residual lambda1^2 u(lambda1 y) - Qb(y), u = m'/x
-        eps = u - prof.Qb_tilde.values
-        geta = g.divide_by_r(n_x - prof.n_tilde.values, "even")
-        return (self._pair(eps, geta),
-                FieldPair(RadialField(g, eps), RadialField(g, geta, "odd")),
-                prof)
+        profs = modulation_profiles(g, bs)
+        self.counters["profile_evals_decompose"] += len(bs)
+        out = []
+        for (u, n_x), prof in zip(vals, profs):
+            # density residual lambda1^2 u(lambda1 y) - Qb(y), u = m'/x
+            eps = u - prof.Qb_tilde.values
+            geta = g.divide_by_r(n_x - prof.n_tilde.values, "even")
+            out.append((self._pair(eps, geta),
+                        FieldPair(RadialField(g, eps),
+                                  RadialField(g, geta, "odd")),
+                        prof))
+        return out
+
+    def read(self, mods):
+        """Make the first reads of the decompositions of mods that have not
+        been read, from one block of profiles (at most PROFILE_BLOCK).  A
+        ProfileError reads none of them and carries the position in mods of
+        the decomposition whose b it names."""
+        todo = [i for i, mod in enumerate(mods) if hasattr(mod, "_pending")]
+        if not todo:
+            return
+        try:
+            exact = self._residuals([mods[i]._pending[1] for i in todo],
+                                    [mods[i].b for i in todo])
+        except ProfileError as exc:
+            exc.index = todo[exc.index]
+            raise
+        for i, triple in zip(todo, exact):
+            mods[i]._exact = triple
+            del mods[i]._pending
 
     def _model_newton(self, splines, lam1, b, c, tol):
         """Damped Newton on the model, each step halved until |G| descends
@@ -658,8 +705,7 @@ class ModulationSolver:
                 splines, lam1, b, c, MODEL_TOL * atol)
             if outcome == "converged" and self.certified:
                 self.counters["exact_checks_skipped"] += 1
-                return ModulationState(lam1, b,
-                                       lambda: self._residual(vals, b))
+                return ModulationState(lam1, b, None, (self, vals))
             exact = self._residual(vals, b)
             F = exact[0]
             if np.linalg.norm(F) <= atol or outcome != "converged":
@@ -680,81 +726,126 @@ class ModulationSolver:
                     self.counters["model_iterations"] - iterations))
         if np.linalg.norm(F) > atol:
             self.counters["floor_acceptances"] += 1
-        return ModulationState(lam1, b, exact)
+        return ModulationState(lam1, b, exact, None)
 
 
-# the secant's second point before a first lift is b times this (b_hat/b
-# - 1 stays within 1 %)
+# the secant's second point where the Newton step from b cannot be used
+# is b times this (b_hat/b - 1 stays within 1 %)
 LIFT_SECANT_START = 0.99
-# lift_b's secant stops at a step of at most LIFT_SECANT_TOL * b_hat
+# a lift's secant stops at a step of at most LIFT_SECANT_TOL * b_hat
 LIFT_SECANT_TOL = 1e-10
-# secant steps (one profile evaluation each) after which lift_b gives up
+# secant steps (one profile evaluation each) after which a lift gives up
 LIFT_SECANT_STEPS = 8
 
 
 def lift_b(solver: ModulationSolver, mod: ModulationState) -> float:
-    """b_hat solving <Qb~ + E - Qbhat~, L* Phi_{0, Bhat0}> = 0, Bhat0 = 1/sqrt(b_hat).
+    """b_hat of one decomposition: `lift_bs` of the block [mod], raising
+    the ModulationError that ends its lift."""
+    bh = lift_bs(solver, [mod])[0]
+    if isinstance(bh, ModulationError):
+        raise bh
+    return bh
+
+
+def lift_bs(solver: ModulationSolver, mods) -> list:
+    """b_hat solving <Qb~ + E - Qbhat~, L* Phi_{0, Bhat0}> = 0, Bhat0 =
+    1/sqrt(b_hat), for each decomposition of mods (at most PROFILE_BLOCK):
+    a float, or the ModulationError that ended its lift.
 
     With A(b_hat) = w L* Phi_{0, Bhat0} the root function is
-    <u_b - Qbhat~, A(b_hat)>, u_b = (Qb~, dPb~) + E (`_lift_residual`, one
-    profile evaluation).  A secant iteration solves it from b_hat = b,
-    where the value is <E, A(b)> from the decomposition's own fields, and
-    b_hat = b * solver.lift_ratio, the b_hat/b of the solver's last
-    successful lift, which moves little from one lift to the next.  Before
-    a first lift, or where that ratio gives a zero-width secant or leaves
+    <u_b - Qbhat~, A(b_hat)>, u_b = (Qb~, dPb~) + E (`_lift_residuals`).
+    A secant iteration solves it from b_hat = b, where the value is
+    <E, A(b)> from the decomposition's own fields, and the Newton step
+    from there on the slope -<d_b (Qb~, dPb~), A(b)>, with d_b (Qb~, dPb~)
+    estimated by ((Qb~ - Q)/b, (dPb~ - dphi_Q)/b) = chi_B1 (T1 + b T2, ...)
+    from the profile at b.  Where that step is zero, not finite or leaves
     the table, the second point is LIFT_SECANT_START * b (its mirror 1 %
-    above b if that leaves the table).  A warm start takes two or three
-    profile evaluations, a cold one three or four.  An iterate
-    outside [solver.table.lo, B_MAX], a zero secant denominator, or no step
-    of at most LIFT_SECANT_TOL * b_hat within LIFT_SECANT_STEPS steps
-    raises ModulationError and counts a lift failure.
+    above b if that is below the table).  A lift takes two or three
+    profile evaluations.  The block's
+    secants run in lockstep: each round evaluates the profile and A(b_hat)
+    once, over the iterates of the lifts still running, and each lift
+    takes the iterates it would take alone.  An iterate outside
+    [solver.table.lo, B_MAX], a zero secant denominator, or no step of at
+    most LIFT_SECANT_TOL * b_hat within LIFT_SECANT_STEPS steps ends a lift
+    with a ModulationError and counts a lift failure.  A ProfileError of
+    the profile at an iterate carries the position in mods of its lift.
     """
     g = solver.grid
     counters = solver.counters
-    counters["lift_calls"] += 1
-    prof = mod.profile
-    eps = mod.eps_pair
+    counters["lift_calls"] += len(mods)
     w = 2.0 * np.pi * g.quad_weights
-    args = (g, w, prof.Qb_tilde.values + eps.density.values,
-            prof.Pb_tilde_grad.values + eps.chem_gradient.values)
     lo, hi = solver.table.lo, B_MAX
-    a1, a2 = _lift_direction(g, w, mod.b)
-    b0 = mod.b
-    r0 = float(eps.density.values @ a1 + eps.chem_gradient.values @ a2)
-    b1 = b0 * (solver.lift_ratio or LIFT_SECANT_START)
-    if b1 == b0 or not lo <= b1 <= hi:
-        b1 = LIFT_SECANT_START * b0
-        if b1 < lo:
-            b1 = (2.0 - LIFT_SECANT_START) * b0
+    eps = [mod.eps_pair for mod in mods]
+    u_b = [mod.profile.Qb_tilde.values + e.density.values
+           for mod, e in zip(mods, eps)]
+    g_b = [mod.profile.Pb_tilde_grad.values + e.chem_gradient.values
+           for mod, e in zip(mods, eps)]
+    b0 = [mod.b for mod in mods]
+    a1, a2 = _lift_directions(g, w, b0)
+    r0 = [float(e.density.values @ a1[j] + e.chem_gradient.values @ a2[j])
+          for j, e in enumerate(eps)]
+    y = g.nodes
+    q0, p0 = q_density(y), q_potential_grad(y)
+    b1 = []
+    for j, mod in enumerate(mods):
+        slope = -float((mod.profile.Qb_tilde.values - q0) @ a1[j]
+                       + (mod.profile.Pb_tilde_grad.values - p0) @ a2[j])
+        bh = mod.b - r0[j] * mod.b / slope if slope else mod.b
+        if not (bh != mod.b and lo <= bh <= hi):  # NaN fails it too
+            bh = LIFT_SECANT_START * mod.b
+            if bh < lo:
+                bh = (2.0 - LIFT_SECANT_START) * mod.b
+        b1.append(bh)
+    out = [None] * len(mods)
     for _ in range(LIFT_SECANT_STEPS):
-        if not lo <= b1 <= hi:
+        live = [j for j, x in enumerate(out)
+                if x is None and lo <= b1[j] <= hi]
+        if not live:
             break
-        r1 = _lift_residual(b1, *args)
-        counters["profile_evals_lift"] += 1
-        if r1 == r0:
-            break
-        b0, r0, b1 = b1, r1, b1 - r1 * (b1 - b0) / (r1 - r0)
-        if abs(b1 - b0) <= LIFT_SECANT_TOL * b1 and lo <= b1 <= hi:
-            solver.lift_ratio = b1 / mod.b
-            return float(b1)
-    counters["lift_failures"] += 1
-    raise ModulationError("lift_b's secant found no root near b=%.6g "
-                          "(last iterate %.6g)" % (mod.b, b1))
+        try:
+            r1 = _lift_residuals(g, w, [b1[j] for j in live],
+                                 [u_b[j] for j in live],
+                                 [g_b[j] for j in live])
+        except ProfileError as exc:
+            exc.index = live[exc.index]
+            raise
+        counters["profile_evals_lift"] += len(live)
+        for j, r in zip(live, r1):
+            if r == r0[j]:
+                out[j] = False
+                continue
+            b0[j], r0[j], b1[j] = b1[j], r, b1[j] - r * (b1[j] - b0[j]) / (
+                r - r0[j])
+            if (abs(b1[j] - b0[j]) <= LIFT_SECANT_TOL * b1[j]
+                    and lo <= b1[j] <= hi):
+                out[j] = float(b1[j])
+    # a lift without a root ends here: no step small enough, an iterate
+    # that left the table, or a zero secant denominator (False)
+    for j, x in enumerate(out):
+        if not isinstance(x, float):
+            counters["lift_failures"] += 1
+            out[j] = ModulationError(
+                "lift_b's secant found no root near b=%.6g (last iterate "
+                "%.6g)" % (mods[j].b, b1[j]))
+    return out
 
 
-def _lift_direction(grid, w, bh):
-    """A(b_hat) = w L* Phi_{0, 1/sqrt(b_hat)}, as (density, gradient)."""
-    lp0 = operators.apply_Lstar(operators.phi0_pair(grid,
-                                                    1.0 / math.sqrt(bh)))
-    return w * lp0.density.values, w * lp0.chem_gradient.values
+def _lift_directions(grid, w, bhs):
+    """A(b_hat) = w L* Phi_{0, 1/sqrt(b_hat)} for each b_hat of bhs, as
+    (density, gradient) arrays of shape (k, n), one row per b_hat."""
+    first, second = operators.lstar_phi0_values(
+        grid, [1.0 / math.sqrt(bh) for bh in bhs])
+    return ((w[:, None] * first).T.copy(), (w[:, None] * second).T.copy())
 
 
-def _lift_residual(bh, grid, w, u_b, g_b):
-    """lift_b's exact root function at b_hat = bh; u_b, g_b = (Qb~, dPb~) + E."""
-    fam_h = modulation_profile(grid, bh)
-    a1, a2 = _lift_direction(grid, w, bh)
-    return float((u_b - fam_h.Qb_tilde.values) @ a1
-                 + (g_b - fam_h.Pb_tilde_grad.values) @ a2)
+def _lift_residuals(grid, w, bhs, u_b, g_b):
+    """The lifts' exact root functions at b_hat = bhs[j], with u_b[j],
+    g_b[j] = (Qb~, dPb~) + E: one block of profiles and of A(b_hat)."""
+    a1, a2 = _lift_directions(grid, w, bhs)
+    return [float((u - prof.Qb_tilde.values) @ a1[j]
+                  + (gb - prof.Pb_tilde_grad.values) @ a2[j])
+            for j, (prof, u, gb) in enumerate(
+                zip(modulation_profiles(grid, bhs), u_b, g_b))]
 
 
 # -- the evolution loop ----------------------------------------------------------
@@ -874,10 +965,17 @@ class RunSetup:
         non-finite state.  A step counts only once its state is decomposed,
         so the final record of such a run is the last state with a
         decomposition, with that decomposition, and .reason holds the
-        message of the error that ended it.  A record that first reads a
-        decomposition's fields (see `ModulationSolver`) and meets a
+        message of the error that ended it.
+
+        A record keeps its state and decomposition until PROFILE_BLOCK
+        records are pending, or the run ends; then the block's first reads
+        of the decompositions' fields (`ModulationSolver.read`) are one
+        profile evaluation and the lifts of its cadence records one
+        lockstep secant (`lift_bs`), and its rows are written.  A
         ProfileError there ends the run 'grid_exhausted' too; its series
-        ends at the record before.  The series' .counters are the
+        ends at the record before the one whose b the error names, and its
+        counters include the steps of the rest of that block.  The
+        series' .counters are the
         modulation solver's counters (see `ModulationSolver`) plus the
         refolds, the records whose free energy is NaN (nan_free_energy) and
         the smallest, median and largest committed step (ds_min, ds_median,
@@ -910,17 +1008,44 @@ class RunSetup:
         roots = deque([(state.s, lam_pending, b)], maxlen=3)
         steps_ds = []
 
+        records = []   # (state, mod, step) of records not yet in the series
+
         def record():
-            lam_total = state.lam * lam_pending
+            records.append((state, mod, step_count))
+            if len(records) == PROFILE_BLOCK:
+                commit(records[:])
+                records.clear()
+
+        def commit(block):
+            # the block's first reads, then its lifts, in one evaluation
+            # each; a ProfileError commits the records before the one whose
+            # b it names, and ends the run
+            if not block:
+                return
+            mods = [m for _, m, _ in block]
+            try:
+                solver.read(mods)
+            except ProfileError as exc:
+                commit(block[:exc.index])
+                raise
+            lifted = [i for i, (_, _, k) in enumerate(block)
+                      if k % params.cadence == 0]
+            try:
+                hats = lift_bs(solver, [mods[i] for i in lifted])
+            except ProfileError as exc:
+                commit(block[:lifted[exc.index]])
+                raise
+            hats = dict(zip(lifted, hats))
+            for i, (st, m, _) in enumerate(block):
+                bh = hats.get(i, math.nan)
+                append(st, m, math.nan if isinstance(bh, ModulationError)
+                       else bh)
+
+        def append(state, mod, bh):
+            lam_total = state.lam * mod.lam
             e2 = operators.apply_L(mod.eps_pair)
             e2_xq = math.sqrt(operators.xq_norm_sq(e2))
             lyap = operators.pairing(operators.apply_M(e2), e2)
-            bh = float("nan")
-            if step_count % params.cadence == 0:
-                try:
-                    bh = lift_b(solver, mod)
-                except ModulationError:
-                    bh = float("nan")
             # a significantly negative density has no free energy; the record
             # keeps NaN there and min_u shows why
             pair = state.primitive()
@@ -933,9 +1058,9 @@ class RunSetup:
                 shift = (mass0 * (2.0 - mass0 / (4.0 * np.pi))
                          * math.log(max(lam_total, 1e-300)))
                 energy = rep.free_energy + shift
-            series.append(t=state.t, s=state.s, lam=lam_total, b=b, b_hat=bh,
-                          mass=state.mass(), free_energy=energy, e2_xq=e2_xq,
-                          lyapunov=lyap,
+            series.append(t=state.t, s=state.s, lam=lam_total, b=mod.b,
+                          b_hat=bh, mass=state.mass(), free_energy=energy,
+                          e2_xq=e2_xq, lyapunov=lyap,
                           res_phi=mod.residuals[0], res_lphi=mod.residuals[1],
                           min_u=float(np.min(pair.density.values)))
 
@@ -994,12 +1119,14 @@ class RunSetup:
                 if b <= params.b_min:
                     series.status = "b_min"
                     break
-            if not series.rows or series.rows[-1][1] < state.s:
+            last_s = records[-1][0].s if records else series.rows[-1][1]
+            if last_s < state.s:
                 record()
+            commit(records)
         except ProfileError as exc:
-            # a record's first read of a decomposition's fields needed a
-            # profile the grid cannot carry; the series ends at its last
-            # record
+            # a record's first read of a decomposition's fields, or its
+            # lift, needed a profile the grid cannot carry; the series ends
+            # at the record before
             series.status, series.reason = "grid_exhausted", str(exc)
         ds_q = (np.percentile(steps_ds, (0, 50, 100)) if steps_ds
                 else (math.nan,) * 3)

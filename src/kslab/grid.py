@@ -310,7 +310,8 @@ class RadialGrid:
         """Cumulative integral g(r_k) = int_0^{r_k} values(tau) w(tau) dtau,
         of each column of values (shape (n,) or (n, k))."""
         values = np.asarray(values, dtype=float)
-        out = np.zeros(values.shape)
+        out = np.empty(values.shape)
+        out[0] = 0.0
         np.cumsum(self._cell_matrix(weight) @ values, axis=0, out=out[1:])
         return out
 

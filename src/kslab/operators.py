@@ -318,12 +318,24 @@ PAIRING_CUTOFF_WIDTH = 0.5  # narrow window keeps <Phi_0, Lambda Q>/log M tight
 
 def phi0_pair(grid: RadialGrid, M_param: float) -> FieldPair:
     """(chi_M r^2, gradient of -4 int_0^r log(1+t^2)/t chi_M dt)."""
-    r = grid.nodes
-    chi = cutoff(r / M_param, width=PAIRING_CUTOFF_WIDTH)
-    first = RadialField(grid, chi * r ** 2)
-    grad2 = RadialField(grid, -4.0 * chi * grid.divide_by_r(np.log1p(r ** 2),
-                                                            "even"), "odd")
-    return FieldPair(first, grad2)
+    first, grad2 = _phi0_values(grid, M_param)
+    return FieldPair(RadialField(grid, first), RadialField(grid, grad2, "odd"))
+
+
+def _phi0_values(grid, M):
+    """phi0_pair's two components as values: of shape (n,) for a scalar M,
+    (n, k) for M of shape (k,), one column per M."""
+    r = grid.nodes if np.ndim(M) == 0 else grid.nodes[:, None]
+    chi = cutoff(r / M, width=PAIRING_CUTOFF_WIDTH)
+    return chi * r ** 2, -4.0 * chi * grid.divide_by_r(np.log1p(r ** 2),
+                                                       "even")
+
+
+def lstar_phi0_values(grid: RadialGrid, Ms) -> tuple:
+    """The two components of L* Phi_{0,M} for each M of Ms (shape (k,)),
+    of shape (n, k): column j is apply_Lstar(phi0_pair(grid, Ms[j])),
+    bit for bit."""
+    return _Lstar_values(grid, *_phi0_values(grid, np.asarray(Ms)))
 
 
 # the smallest M whose Phi_M build_phi_m accepts: the pairing
@@ -446,39 +458,31 @@ def _lift(h, tau, y):
 
 
 def _whitened_min(A, gx, rows, pinned):
-    """Minimal x^T A x / x^T diag(gx) x over {x[pinned] = 0, rows @ x = 0},
-    and the minimal value with the last dense row left out.
+    """Minimal x^T A x / x^T diag(gx) x over {x[pinned] = 0, rows @ x = 0}.
 
     The metric spans ~18 orders of magnitude (the 1/Q weight grows like r^4),
     so the quotient is whitened exactly with the diagonal square root.  The
     pinned coordinates are dropped by index and the dense rows removed by
     the reflectors of `_free_basis`: in C = Q^T B Q of the whitened block B,
-    the trailing block past the first j rows is B on the null space of the
-    first j rows.  LAPACK returns the lowest eigenvalue of each of the two
-    blocks only.
+    the trailing block past the first m rows is B on the null space of the
+    m rows.  LAPACK returns its lowest eigenvalue only.
     """
     s = np.sqrt(gx)
     keep, h, tau = _free_basis(rows / s, pinned, 1, "coercivity_M")
     sk = s[keep]
     m = len(rows)
     C = _sandwich(h, tau, A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None])
-    relaxed = linalg.eigvalsh(C[m - 1:, m - 1:], subset_by_index=[0, 0])
-    val = linalg.eigvalsh(C[m:, m:], subset_by_index=[0, 0])
-    return val[0], relaxed[0]
+    return linalg.eigvalsh(C[m:, m:], subset_by_index=[0, 0])[0]
 
 
 def coercivity_M(bundle: OperatorBundle) -> dict:
-    """delta0 = min <Mx,x>/||x||_XQ^2 over {int u = 0, <x,LambdaQ> = 0}.
-
-    Also reports the minimum without the Lambda Q constraint, which collapses
-    onto the kernel direction (value ~ 0).
-    """
+    """delta0 = min <Mx,x>/||x||_XQ^2 over {int u = 0, <x,LambdaQ> = 0}."""
     lam = bundle.ground.pair_LambdaQ()
-    val, val_u = _whitened_min(
+    val = _whitened_min(
         bundle.quadform_M(), bundle.gram_xq(),
         np.vstack([bundle.mass_vector(), bundle.pair_vector(lam)]),
         bundle.pinned())
-    return {"delta0_M_hat": float(val), "unconstrained_min": float(val_u)}
+    return {"delta0_M_hat": float(val)}
 
 
 # coercivity_L's relative singular-value cut

@@ -23,16 +23,21 @@ solution) is computed once per grid and kept in the grid's memo
 (`profile_base`) as arrays only, never as fields: the memo holds nothing
 that refers back to its grid (see `grid`), so `build_t1_s1` and the family
 wrap the level-b arrays in fields on each call.  Two evaluators share one
-per-b core: `build_profile_family` returns the whole family, and
-`modulation_profile` returns only the three arrays the modulation solve
+per-b core, `_localize`: `build_profile_family` returns the whole family,
+and `modulation_profile` returns only the three arrays the modulation solve
 reads (Qb~, grad Pb~, n~), bitwise equal to the family's, at a fraction of
-the cost.
+the cost.  The core evaluates a block of b at once, one column per b:
+the same elementwise arithmetic and checks, and one sparse product per
+cumulative integral for the whole block, so that each column is bitwise
+the single b's; `modulation_profiles` hands out such a block, and a
+ProfileError names the b that failed and its position in the block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .grid import (
     cutoff,
     derivative,
     div_from_grad_values,
+    per_node,
 )
 from .operators import (
     apply_L,
@@ -67,7 +73,23 @@ B_MIN = 2e-89
 
 
 class ProfileError(ValueError):
-    pass
+    """A profile that cannot be built.  For a block of b (see
+    `modulation_profiles`), `index` is the position in the block of the b
+    the error is about (0 for a single b)."""
+
+    index = 0
+
+
+def _check_columns(ok, message, *values):
+    """ProfileError at the first column (b) of a block where ok is False,
+    with message formatted from that column's values; ok and values are
+    per-b arrays, or scalars for one b."""
+    if not np.all(ok):
+        j = np.flatnonzero(~np.asarray(ok))[0]
+        exc = ProfileError(message % tuple(np.atleast_1d(x)[j]
+                                           for x in values))
+        exc.index = int(j)
+        raise exc
 
 
 # -- kernel basis of L0 (Wronskian psi1' psi0 - psi1 psi0' = r Q/4) -----------
@@ -111,25 +133,50 @@ def apply_L1(d: RadialField) -> RadialField:
     return RadialField(g, d2 - g.divide_by_r(d1, "odd"), "even")
 
 
-# (weight, source) rows of the inversions' cumulative integrals, source 0
-# the integrand f and source 1 its quotient f/r; invert_L1 and
-# build_radiation read the last two rows, so all three share one stacked
-# matrix per grid
+# (weight, source) rows of the inversions' cumulative integrals, source
+# 0 the integrand f and source 1 its quotient f/r; the L1 inversion and
+# the radiation's moments read the last two rows, so all three share one
+# stacked matrix per grid
 _INVERSION_PLAN = (("r3", 0), ("rlogr", 0), ("r", 0), ("one", 1))
 
 
+def _integrals(grid, sources, rows):
+    """Rows `rows` of grid.cumulative_integrals(sources, _INVERSION_PLAN),
+    for sources of shape (n,) or (n, k): for one b the stacked product,
+    one sparse product for all rows; for a block one product per row, so
+    that no row the caller does not read is computed and every temporary
+    stays (n, k) (bitwise alike, see `RadialGrid.cumulative_integrals`)."""
+    if sources[0].ndim == 1:
+        return grid.cumulative_integrals(sources, _INVERSION_PLAN)[rows]
+    return [grid.cumulative_integral(sources[j], weight)
+            for weight, j in _INVERSION_PLAN[rows]]
+
+
 def _l0_coefficients(grid, fv):
-    """Variation-of-constants coefficients A, B with m = A psi0 + B psi1.
+    """Variation-of-constants coefficients A, B with m = A psi0 + B psi1,
+    for values fv of shape (n,) or (n, k).
 
     A(r) = -1/2 int_0^r (tau^4 + 4 tau^2 log tau - 1)/tau f dtau, split as
     tau^3 f + 4 tau log(tau) f - f/tau so the log piece uses the dedicated
     weighted quadrature (exact on the first cell).
     """
-    cum_r3, cum_rlog, cum_r, cum_over = grid.cumulative_integrals(
-        (fv, grid.divide_by_r(fv, "even")), _INVERSION_PLAN)
+    cum_r3, cum_rlog, cum_r, cum_over = _integrals(
+        grid, (fv, grid.divide_by_r(fv, "even")), slice(None))
     A = -0.5 * (cum_r3 + 4.0 * cum_rlog - cum_over)
     B = 0.5 * cum_r
     return A, B
+
+
+def _l0_solution(grid, fv):
+    """invert_L0's values for an even source with values fv (shape (n,) or
+    (n, k)), which must vanish at the origin; ProfileError naming the
+    position of the first column that does not."""
+    scale = np.max(np.abs(fv), axis=0)
+    _check_columns(~((scale > 0.0) & (np.abs(fv[0]) > 1e-8 * scale)),
+                   "invert_L0 source must vanish at the origin")
+    A, B = _l0_coefficients(grid, fv)
+    base = profile_base(grid)
+    return A * per_node(base.psi0, A) + B * per_node(base.psi1, B)
 
 
 def invert_L0(f: RadialField) -> RadialField:
@@ -138,15 +185,17 @@ def invert_L0(f: RadialField) -> RadialField:
     Requires f even with f = O(r^2) near the origin so that the psi1-weighted
     integrand is integrable.
     """
-    g = f.grid
     if f.parity != "even":
         raise ProfileError("invert_L0 requires an even source")
-    scale = np.max(np.abs(f.values))
-    if scale > 0.0 and abs(f.values[0]) > 1e-8 * scale:
-        raise ProfileError("invert_L0 source must vanish at the origin")
-    A, B = _l0_coefficients(g, f.values)
-    base = profile_base(g)
-    return RadialField(g, A * base.psi0 + B * base.psi1, "even")
+    return RadialField(f.grid, _l0_solution(f.grid, f.values), "even")
+
+
+def _l1_solution(grid, fv, c):
+    """invert_L1's values for values fv of shape (n,) or (n, k)."""
+    r = per_node(grid.nodes, fv)
+    cum_r, cum_over = _integrals(grid, (fv, grid.divide_by_r(fv, "even")),
+                                 slice(2, None))
+    return 0.5 * (-cum_r + r ** 2 * cum_over) + c * r ** 2
 
 
 def invert_L1(f: RadialField, c: float) -> RadialField:
@@ -154,11 +203,7 @@ def invert_L1(f: RadialField, c: float) -> RadialField:
 
     d = 1/2 [ -int_0^r f tau dtau + r^2 int_0^r f/tau dtau ] + c r^2.
     """
-    g = f.grid
-    r = g.nodes
-    cum_r, cum_over = g.cumulative_integrals(
-        (f.values, g.divide_by_r(f.values, "even")), _INVERSION_PLAN)[2:]
-    return RadialField(g, 0.5 * (-cum_r + r ** 2 * cum_over) + c * r ** 2, "even")
+    return RadialField(f.grid, _l1_solution(f.grid, f.values, c), "even")
 
 
 # -- level b -------------------------------------------------------------------
@@ -298,19 +343,46 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
 
     with d_hat the c_b-normalized chemoattractant part; this pins the psi1
     flux at infinity to exactly 4 and gives c_b = 2/|log b| (1 + O(1/|log b|)).
+    `_radiation` at the one b.
     """
-    _check_b(grid, b)
-    base = profile_base(grid)
-    r = grid.nodes
-    B0 = 1.0 / math.sqrt(b)
+    return _radiation_at(grid, _radiation(grid, profile_base(grid), [b]), b)
+
+
+def _block_nodes(grid, bs):
+    """The nodes as the per-b core lays out a block of b: shape (n,) for
+    one b, whose values are scalars, and (n, 1) for k > 1, whose per-node
+    arrays have one column per b and whose values have shape (k,)."""
+    return grid.nodes if len(bs) == 1 else grid.nodes[:, None]
+
+
+def _per_b(r, values):
+    """One value per b, laid out for the block whose nodes are r."""
+    return np.array(values) if r.ndim == 2 else values[0]
+
+
+def _radiation(grid, base, bs):
+    """build_radiation over a block of b, laid out as `_block_nodes`: B0,
+    c_b, c1, c2, beta1..3, m_sigma and d_sigma, each column (or value)
+    bitwise the one b's.  Checks each b (`_check_b`), then c1 > c2 and the
+    region identities; a ProfileError names the first b of the first check
+    that fails and carries its position (`index`)."""
+    for j, b in enumerate(bs):
+        try:
+            _check_b(grid, b)
+        except ProfileError as exc:
+            exc.index = j
+            raise
+    r = _block_nodes(grid, bs)
+    B0 = _per_b(r, [1.0 / math.sqrt(b) for b in bs])
     chi = cutoff(r / (B0 / 4.0))
     chi3 = cutoff(r / (3.0 * B0))
-    psi0v = base.psi0
-    psi0_over = base.psi0_over_r  # tau/(1+tau^2)^2, odd
+    psi0v = per_node(base.psi0, r)
 
     # the psi0 moment int psi0 chi tau and gamma = int psi0/tau chi
-    cum_rpsi0, gamma = grid.cumulative_integrals(
-        (psi0v * chi, psi0_over * chi), _INVERSION_PLAN)[2:]
+    # (psi0/tau = tau/(1+tau^2)^2, odd)
+    cum_rpsi0, gamma = _integrals(
+        grid, (psi0v * chi, per_node(base.psi0_over_r, r) * chi),
+        slice(2, None))
     # beta2 = int psi0/tau (1-chi) = 1/2 - gamma(inf); using the exact total
     # 1/2 keeps the far-field cancellation of d_hat exact on the grid.
     beta2 = 0.5 - gamma[-1]
@@ -328,41 +400,44 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     c1 = beta3  # int tau^3/(1+tau^2)^2 chi dtau == int tau psi0 chi dtau
     # same weight-"r" rule as the psi1 coefficient of m_sigma, so the
     # flux-at-infinity normalization below holds to roundoff
-    c2 = float(grid.cumulative_integral(base.Q * d_hat, "r")[-1]) / 8.0
+    Q = per_node(base.Q, r)
+    c2 = grid.cumulative_integral(Q * d_hat, "r")[-1] / 8.0
     # the c_b-normalized integrand makes the constraint linear in c_b
-    if not c1 - c2 > 0.0:  # NaN fails it too
-        raise ProfileError("radiation normalization needs c1 > c2, got "
-                           "c1=%g, c2=%g" % (c1, c2))
+    _check_columns(c1 - c2 > 0.0,  # NaN fails it too
+                   "radiation normalization needs c1 > c2, got c1=%g, c2=%g",
+                   c1, c2)
     c_b = 1.0 / (c1 - c2)
 
-    f_sigma = c_b * (base.r2Q * chi - base.Q * d_hat)
+    f_sigma = c_b * (per_node(base.r2Q, r) * chi - Q * d_hat)
     A, B = _l0_coefficients(grid, f_sigma)
     beta1 = -A[-1]
-    m_sigma_v = A * psi0v + B * base.psi1 + beta1 * (1.0 - chi3) * psi0v
+    psi1v = per_node(base.psi1, r)
+    m_sigma = A * psi0v + B * psi1v + beta1 * (1.0 - chi3) * psi0v
+    d_sigma = c_b * d_hat
 
-    rad = Radiation(b=b, B0=B0, c_b=c_b, c1=c1, c2=c2,
-                    beta=(beta1, beta2, beta3),
-                    m_sigma=RadialField(grid, m_sigma_v),
-                    d_sigma=RadialField(grid, c_b * d_hat))
-    _verify_radiation_regions(grid, base, rad)
-    return rad
-
-
-def _verify_radiation_regions(grid, base, rad):
-    r = grid.nodes
-    inner = r <= rad.B0 / 4.0
-    outer = r >= 6.0 * rad.B0
-    scale = max(np.max(np.abs(rad.m_sigma.values)), 1.0)
-    err_in = np.max(np.abs(rad.m_sigma.values - rad.c_b * base.m1)[inner])
-    err_d = np.max(np.abs(rad.d_sigma.values)[outer]) if outer.any() else 0.0
-    err_out = (np.max(np.abs(rad.m_sigma.values - 4.0 * base.psi1)[outer])
-               if outer.any() else 0.0)
+    # the region identities, each error written so that a NaN fails it
+    inner = r <= B0 / 4.0
+    outer = r >= 6.0 * B0
+    scale = np.maximum(np.max(np.abs(m_sigma), axis=0), 1.0)
+    err_in = np.where(inner, np.abs(m_sigma - c_b * per_node(base.m1, r)),
+                      0.0).max(axis=0)
+    err_d = np.where(outer, np.abs(d_sigma), 0.0).max(axis=0)
+    err_out = np.where(outer, np.abs(m_sigma - 4.0 * psi1v), 0.0).max(axis=0)
     tol = 1e-7 * scale
-    # written so that a NaN error fails it
-    if not (err_in <= tol and err_d <= tol and err_out <= tol):
-        raise ProfileError(
-            "radiation region identities violated at b=%g: inner %.2e, "
-            "d outer %.2e, m outer %.2e" % (rad.b, err_in, err_d, err_out))
+    _check_columns((err_in <= tol) & (err_d <= tol) & (err_out <= tol),
+                   "radiation region identities violated at b=%g: inner "
+                   "%.2e, d outer %.2e, m outer %.2e", bs, err_in, err_d,
+                   err_out)
+    return SimpleNamespace(B0=B0, c_b=c_b, c1=c1, c2=c2,
+                           beta=(beta1, beta2, beta3), m_sigma=m_sigma,
+                           d_sigma=d_sigma)
+
+
+def _radiation_at(grid, rad, b):
+    """The Radiation of a `_radiation` block of the one b."""
+    return Radiation(b=b, B0=rad.B0, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
+                     beta=rad.beta, m_sigma=RadialField(grid, rad.m_sigma),
+                     d_sigma=RadialField(grid, rad.d_sigma))
 
 
 def localization_radius(b: float) -> float:
@@ -432,17 +507,34 @@ def build_t2_s2(grid: RadialGrid, rad: Radiation) -> LevelTwo:
     i.e. d2 = L1^{-1}(r n1' - d_sigma) and L0 m2 = Q d2 - m_sigma2 where
     m_sigma2 is the density component of the right-hand side.
     """
-    base = profile_base(grid)
-    src_d = base.r_n1p - rad.d_sigma.values
-    d2 = invert_L1(RadialField(grid, src_d), 0.0)
-    src_m = base.m2_source1 - rad.m_sigma.values - base.Q * d2.values
-    m2 = invert_L0(RadialField(grid, src_m))
-    m2_p = derivative(m2, 1).values
-    T2 = RadialField(grid, grid.divide_by_r(m2_p, "odd"))
-    n2 = RadialField(grid, d2.values + m2.values)
-    S2_grad = RadialField(grid, grid.divide_by_r(n2.values, "even"), "odd")
-    return LevelTwo(m2=m2, d2=d2, n2=n2, T2=T2, S2_grad=S2_grad, m2_p=m2_p,
-                    src_m=src_m, src_d=src_d)
+    lvl2 = _level_two(grid, profile_base(grid), rad.m_sigma.values,
+                      rad.d_sigma.values)
+    return _level_two_at(grid, lvl2)
+
+
+def _level_two(grid, base, m_sigma, d_sigma):
+    """build_t2_s2's arrays from the radiation's masses, of shape (n,) or
+    (n, k) (one column per b), each column bitwise the one b's."""
+    src_d = per_node(base.r_n1p, d_sigma) - d_sigma
+    d2 = _l1_solution(grid, src_d, 0.0)
+    src_m = (per_node(base.m2_source1, m_sigma) - m_sigma
+             - per_node(base.Q, d2) * d2)
+    m2 = _l0_solution(grid, src_m)
+    m2_p = grid.diff_matrix(1, "even") @ m2
+    n2 = d2 + m2
+    return SimpleNamespace(
+        m2=m2, d2=d2, n2=n2, T2=grid.divide_by_r(m2_p, "odd"),
+        S2_grad=grid.divide_by_r(n2, "even"), m2_p=m2_p, src_m=src_m,
+        src_d=src_d)
+
+
+def _level_two_at(grid, lvl2):
+    """The LevelTwo of a `_level_two` block of one b."""
+    return LevelTwo(
+        m2=RadialField(grid, lvl2.m2), d2=RadialField(grid, lvl2.d2),
+        n2=RadialField(grid, lvl2.n2), T2=RadialField(grid, lvl2.T2),
+        S2_grad=RadialField(grid, lvl2.S2_grad, "odd"), m2_p=lvl2.m2_p,
+        src_m=lvl2.src_m, src_d=lvl2.src_d)
 
 
 # -- localization and the full family -------------------------------------------
@@ -481,31 +573,48 @@ class ModulationProfile:
     n_tilde: RadialField
 
 
-def _localize(grid: RadialGrid, b: float):
-    """Per-b core of both evaluators: radiation, level b^2, cutoff at B1.
+def _localize(grid: RadialGrid, bs):
+    """Per-b core of both evaluators over a block of b: radiation, level
+    b^2, cutoff at B1.
 
     T~_i = chi_B1 T_i and grad S~_i = chi_B1 grad S_i with S~_i(0) = 0.
-    Returns the radiation, the level-b^2 fields, B1, chi_B1 and the
-    ModulationProfile (Qb~, grad Pb~, n~) assembled from the cut fields of
-    both levels.
+    Returns the `_radiation` and `_level_two` blocks, B1, chi_B1 and
+    (Qb~, grad Pb~, n~) assembled from the cut fields of both levels, laid
+    out as `_block_nodes`: one column per b of bs, with the same arithmetic
+    elementwise and one sparse product per cumulative integral for the
+    whole block, so that each column is bitwise what the one b gives.
     """
-    rad = build_radiation(grid, b)
-    lvl2 = build_t2_s2(grid, rad)
     base = profile_base(grid)
-    B1 = localization_radius(b)
-    chi1 = cutoff(grid.nodes / B1)
-    T1_loc = chi1 * base.T1
-    T2_loc = chi1 * lvl2.T2.values
-    S1g_loc = chi1 * base.S1_grad
-    S2g_loc = chi1 * lvl2.S2_grad.values
-    prof = ModulationProfile(
-        b=b,
-        Qb_tilde=RadialField(grid, base.Q + b * T1_loc + b * b * T2_loc),
-        Pb_tilde_grad=RadialField(grid, base.phi_q_grad + b * S1g_loc
-                                  + b * b * S2g_loc, "odd"),
-        n_tilde=RadialField(grid, base.m0 + chi1 * (b * base.n1
-                                                    + b * b * lvl2.n2.values)))
-    return rad, lvl2, B1, chi1, prof
+    rad = _radiation(grid, base, bs)
+    lvl2 = _level_two(grid, base, rad.m_sigma, rad.d_sigma)
+    r = _block_nodes(grid, bs)
+    b = _per_b(r, bs)
+    B1 = _per_b(r, [localization_radius(x) for x in bs])
+    chi1 = cutoff(r / B1)
+    T1_loc = chi1 * per_node(base.T1, r)
+    T2_loc = chi1 * lvl2.T2
+    S1g_loc = chi1 * per_node(base.S1_grad, r)
+    S2g_loc = chi1 * lvl2.S2_grad
+    return SimpleNamespace(
+        rad=rad, lvl2=lvl2, B1=B1, chi1=chi1,
+        Qb=per_node(base.Q, r) + b * T1_loc + b * b * T2_loc,
+        Pbg=per_node(base.phi_q_grad, r) + b * S1g_loc + b * b * S2g_loc,
+        nt=per_node(base.m0, r) + chi1 * (b * per_node(base.n1, r)
+                                          + b * b * lvl2.n2))
+
+
+def modulation_profiles(grid: RadialGrid, bs) -> list:
+    """`modulation_profile` at each b of bs, from one `_localize` block.
+
+    Each profile is bitwise the one b's; a ProfileError names a failing b
+    and carries its position in bs (`ProfileError.index`)."""
+    loc = _localize(grid, bs)
+    Qb, Pbg, nt = (np.ascontiguousarray(x.reshape(grid.n, -1).T)
+                   for x in (loc.Qb, loc.Pbg, loc.nt))
+    return [ModulationProfile(b=b, Qb_tilde=RadialField(grid, Qb[j]),
+                              Pb_tilde_grad=RadialField(grid, Pbg[j], "odd"),
+                              n_tilde=RadialField(grid, nt[j]))
+            for j, b in enumerate(bs)]
 
 
 def modulation_profile(grid: RadialGrid, b: float) -> ModulationProfile:
@@ -515,7 +624,7 @@ def modulation_profile(grid: RadialGrid, b: float) -> ModulationProfile:
     built on the same core, so the arrays are bitwise equal to its fields;
     it skips everything else the family holds.
     """
-    return _localize(grid, b)[-1]
+    return modulation_profiles(grid, [b])[0]
 
 
 def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,
@@ -606,16 +715,20 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     The partial masses are rebuilt from the cut fluxes so that the localized
     family stays an exact partial-mass pair.
     """
-    rad, lvl2, B1, chi1, prof = _localize(grid, b)
+    loc = _localize(grid, [b])
+    rad = _radiation_at(grid, loc.rad, b)
+    lvl2 = _level_two_at(grid, loc.lvl2)
+    chi1 = loc.chi1
     base = profile_base(grid)
     m1_loc = grid.cumulative_integral(chi1 * base.m1_p, "one")
     m2_loc = grid.cumulative_integral(chi1 * lvl2.m2_p, "one")
     fam = ProfileFamily(
-        b=b, B0=rad.B0, B1=B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
+        b=b, B0=rad.B0, B1=loc.B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
         beta=rad.beta, level1=build_t1_s1(grid), level2=lvl2,
-        Qb_tilde=prof.Qb_tilde, Pb_tilde_grad=prof.Pb_tilde_grad,
+        Qb_tilde=RadialField(grid, loc.Qb),
+        Pb_tilde_grad=RadialField(grid, loc.Pbg, "odd"),
         m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
-        n_tilde=prof.n_tilde,
+        n_tilde=RadialField(grid, loc.nt),
         mass_excess=2.0 * np.pi * (b * m1_loc[-1] + b * b * m2_loc[-1]),
     )
     if not with_error:

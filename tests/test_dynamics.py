@@ -640,19 +640,28 @@ ORACLE_LIFT_BRACKETS = ((0.5, 2.0), (0.25, 4.0))
 
 def reference_lift_b(solver, mod):
     """brentq on the exact root function over ORACLE_LIFT_BRACKETS, a fresh
-    profile per b_hat (the secant lift's oracle)."""
+    profile and L* Phi_{0, Bhat0} per b_hat, one b at a time (the secant
+    lift's oracle)."""
     g = solver.grid
+    w = 2.0 * np.pi * g.quad_weights
     prof = modulation_profile(g, mod.b)
     eps = mod.eps_pair
-    args = (g, 2.0 * np.pi * g.quad_weights,
-            prof.Qb_tilde.values + eps.density.values,
-            prof.Pb_tilde_grad.values + eps.chem_gradient.values)
+    u_b = prof.Qb_tilde.values + eps.density.values
+    g_b = prof.Pb_tilde_grad.values + eps.chem_gradient.values
+
+    def root(bh):
+        fam_h = modulation_profile(g, bh)
+        lp0 = ops.apply_Lstar(ops.phi0_pair(g, 1.0 / math.sqrt(bh)))
+        return float((u_b - fam_h.Qb_tilde.values) @ (w * lp0.density.values)
+                     + (g_b - fam_h.Pb_tilde_grad.values)
+                     @ (w * lp0.chem_gradient.values))
+
     for lo_factor, hi_factor in ORACLE_LIFT_BRACKETS:
         lo = max(lo_factor * mod.b, grid_b_floor(g))
         hi = min(hi_factor * mod.b, dyn.B_MAX)
-        if dyn._lift_residual(lo, *args) * dyn._lift_residual(hi, *args) <= 0:
-            return float(brentq(dyn._lift_residual, lo, hi, args=args,
-                                xtol=1e-14 * mod.b, rtol=1e-12))
+        if root(lo) * root(hi) <= 0:
+            return float(brentq(root, lo, hi, xtol=1e-14 * mod.b,
+                                rtol=1e-12))
     raise dyn.ModulationError("lift_b bracket failure")
 
 
@@ -669,52 +678,57 @@ def test_lift_b_matches_brentq_oracle(small_grid, small_params,
     assert solver.counters["lift_failures"] == 0
 
 
-def test_evolve_lifts_match_brentq_oracle_cold_then_warm(
-        small_grid, small_params, monkeypatch):
-    # a run's first lift starts its secant at 0.99 b, every later one at b
-    # times the last lift's b_hat/b; each b_hat is the oracle's root
-    lifts = []
-    lift_b = dyn.lift_b
+def test_evolve_block_lifts_match_brentq_oracle(small_grid, small_params,
+                                                monkeypatch):
+    # a run lifts the cadence records of each block of records in one
+    # lockstep secant, every secant started at b and a Newton step from b:
+    # each b_hat is the oracle's root, and bitwise what lift_b gives that
+    # record alone
+    blocks = []
+    lift_bs = dyn.lift_bs
 
-    def recorded(solver, mod):
-        warm = solver.lift_ratio is not None
-        before = solver.counters["profile_evals_lift"]
-        bh = lift_b(solver, mod)
-        lifts.append((solver, mod, bh, warm,
-                      solver.counters["profile_evals_lift"] - before))
-        return bh
+    def recorded(solver, mods):
+        hats = lift_bs(solver, mods)
+        blocks.append((solver, mods, hats))
+        return hats
 
-    monkeypatch.setattr(dyn, "lift_b", recorded)
+    monkeypatch.setattr(dyn, "lift_bs", recorded)
     pert = dyn.random_perturbation(small_grid, 1e-4,
                                    np.random.default_rng(3))
     series = dyn.evolve(small_params, perturbation=pert)
     assert series.status == "s_max"
+    assert all(0 < len(mods) <= dyn.PROFILE_BLOCK for _, mods, _ in blocks)
+    lifts = [(solver, mod, bh) for solver, mods, hats in blocks
+             for mod, bh in zip(mods, hats)]
     assert len(lifts) == series.counters["lift_calls"] == 8
-    assert [warm for *_, warm, _ in lifts] == [False] + [True] * 7
-    for solver, mod, bh, _, _ in lifts:
+    np.testing.assert_array_equal(
+        series.b_hat[np.isfinite(series.b_hat)], [bh for *_, bh in lifts])
+    for solver, mod, bh in lifts:
         ref = reference_lift_b(solver, mod)
         assert abs(bh - ref) <= 1e-11 * ref
-    # cold, 0.99 b against a root at b (1 + 2e-7): three evaluations.
-    # Warm, b_hat/b - 1 grows 2e-7, 3e-6, 2e-5, then by 1e-4 to 2e-4 per
-    # lift: two evaluations while the ratio barely moves, three after
-    assert [evals for *_, evals in lifts] == [3, 2, 2, 3, 3, 3, 3, 3]
-    assert series.counters["profile_evals_lift"] == 22
+        assert dyn.lift_b(solver, mod) == bh
+    # the Newton step lands within a few percent of b_hat - b of the root:
+    # two or three evaluations a lift
+    assert 2 * 8 <= series.counters["profile_evals_lift"] <= 3 * 8
 
 
-def test_lift_b_warm_start_falls_back_to_the_cold_start(
-        small_grid, small_params, perturbed_states):
-    # a ratio that gives a zero-width secant (1) or a start below the
-    # table starts the secant where the first lift of a run does
+def test_lift_b_of_the_profile_itself_is_b(small_grid, small_params,
+                                           perturbed_states):
+    # with E = 0 the value at b is 0 and the Newton step is zero, so the
+    # secant starts at 0.99 b, or at 1.01 b where 0.99 b is below the
+    # table; either way b_hat is b
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    mod = solver.decompose(state, guess=guess)
-    cold = dyn.lift_b(solver, mod)
-    evals = solver.counters["profile_evals_lift"]
-    for ratio in (1.0, 0.5 * solver.table.lo / mod.b):
-        solver.lift_ratio = ratio
+    b = solver.decompose(state, guess=guess).b
+    prof = modulation_profile(small_grid, b)
+    zero = RadialField(small_grid, np.zeros(small_grid.n))
+    mod = dyn.ModulationState(1.0, b, ((0.0, 0.0), FieldPair(
+        zero, RadialField(small_grid, zero.values, "odd")), prof), None)
+    for lo in (solver.table.lo, 0.995 * b):
+        solver.table.lo = lo
         before = solver.counters["profile_evals_lift"]
-        assert dyn.lift_b(solver, mod) == cold
-        assert solver.counters["profile_evals_lift"] - before == evals
+        assert abs(dyn.lift_b(solver, mod) - b) <= 1e-12 * b
+        assert solver.counters["profile_evals_lift"] - before >= 2
     assert solver.counters["lift_failures"] == 0
 
 
@@ -725,7 +739,8 @@ def test_lift_b_fails_on_a_corrupted_table(small_grid, small_params,
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     mod = solver.decompose(state, guess=guess)
-    monkeypatch.setattr(dyn, "_lift_residual", lambda bh, *args: 1.0)
+    monkeypatch.setattr(dyn, "_lift_residuals",
+                        lambda grid, w, bhs, *args: [1.0] * len(bhs))
     with pytest.raises(dyn.ModulationError, match="found no root"):
         dyn.lift_b(solver, mod)
     assert solver.counters["lift_failures"] == 1
@@ -749,11 +764,11 @@ def test_lift_b_iterate_outside_the_table_is_a_modulation_error(
     mod = solver.decompose(state, guess=guess)
     lo = solver.table.lo
     for root in (2.0 * dyn.B_MAX, 0.5 * lo):
-        def leaving(bh, grid, *args, root=root):
-            modulation_profile(grid, bh)
-            return bh - root
+        def leaving(grid, w, bhs, *args, root=root):
+            dyn.modulation_profiles(grid, bhs)
+            return [bh - root for bh in bhs]
 
-        monkeypatch.setattr(dyn, "_lift_residual", leaving)
+        monkeypatch.setattr(dyn, "_lift_residuals", leaving)
         with pytest.raises(dyn.ModulationError, match="found no root"):
             dyn.lift_b(solver, mod)
     assert solver.counters["lift_failures"] == 2
@@ -821,12 +836,13 @@ def test_evolve_short_run_health(small_params):
 def test_evolve_counts_one_profile_evaluation_per_record(
         small_grid, small_params, monkeypatch):
     calls = []
+    modulation_profiles = dyn.modulation_profiles
 
-    def counted(grid, b):
-        calls.append(b)
-        return modulation_profile(grid, b)
+    def counted(grid, bs):
+        calls.append(list(bs))
+        return modulation_profiles(grid, bs)
 
-    monkeypatch.setattr(dyn, "modulation_profile", counted)
+    monkeypatch.setattr(dyn, "modulation_profiles", counted)
     pert = dyn.random_perturbation(small_grid, 1e-4,
                                    np.random.default_rng(3))
     series = dyn.evolve(small_params, perturbation=pert)
@@ -851,9 +867,17 @@ def test_evolve_counts_one_profile_evaluation_per_record(
     assert c["lift_failures"] == c["refolds"] == 0
     assert c["damping_halvings"] == c["floor_acceptances"] == 0
     assert c["nan_free_energy"] == 0
-    assert len(calls) == (c["profile_evals_table"]
-                          + c["profile_evals_decompose"]
-                          + c["profile_evals_lift"])
+    assert sum(map(len, calls)) == (c["profile_evals_table"]
+                                    + c["profile_evals_decompose"]
+                                    + c["profile_evals_lift"])
+    # blocks of at most PROFILE_BLOCK b: the table's nodes and probes, then
+    # one block of first reads per PROFILE_BLOCK records
+    assert max(map(len, calls)) == dyn.PROFILE_BLOCK
+    table = -(-dyn.TABLE_NODES // dyn.PROFILE_BLOCK) + 1
+    # (a lift's iterates are never a record's b)
+    reads = [bs for bs in calls[table:] if set(bs) <= set(series.b)]
+    assert [b for bs in reads for b in bs] == list(series.b)
+    assert len(reads) == -(-len(series) // dyn.PROFILE_BLOCK)
 
 
 def test_evolve_first_reads_equal_an_eager_residual(small_setup,
@@ -923,25 +947,31 @@ def test_evolve_on_an_uncertified_table_checks_every_decompose():
 
 def test_first_read_profile_error_ends_the_run_grid_exhausted(
         small_params, monkeypatch):
-    # the third exact residual, first read by the second cadence record,
-    # needs a profile the grid cannot carry: the run ends grid_exhausted
-    # at the record before, without a traceback
-    residual = dyn.ModulationSolver._residual
-    calls = []
+    # the profile at the b of one record of a block of first reads cannot
+    # be built: the run ends grid_exhausted at the record before, without
+    # a traceback, and the reason names that b
+    residuals = dyn.ModulationSolver._residuals
+    for failing in (2, 5):
+        blocks = []
 
-    def failing(self, vals, b):
-        calls.append(b)
-        if len(calls) == 3:
-            raise ProfileError("grid too small for b=%g" % b)
-        return residual(self, vals, b)
+        def failing_at(self, vals, bs):
+            blocks.append(list(bs))
+            if failing < len(bs):
+                exc = ProfileError("grid too small for b=%g" % bs[failing])
+                exc.index = failing
+                raise exc
+            return residuals(self, vals, bs)
 
-    monkeypatch.setattr(dyn.ModulationSolver, "_residual", failing)
-    series = dyn.evolve(small_params)
-    assert series.status == "grid_exhausted"
-    assert series.reason == "grid too small for b=%g" % calls[2]
-    assert len(series) == 2
-    assert len(calls) == 3
-    assert series.counters["decompose_calls"] == 2 * small_params.cadence + 1
+        monkeypatch.setattr(dyn.ModulationSolver, "_residuals", failing_at)
+        series = dyn.evolve(replace(small_params, cadence=1))
+        assert series.status == "grid_exhausted"
+        assert series.reason == "grid too small for b=%g" % blocks[0][failing]
+        assert len(series) == failing
+        np.testing.assert_array_equal(series.b, blocks[0][:failing])
+        # the block's records were decomposed before their first reads,
+        # and the records before the failing one are read again alone
+        assert blocks[1] == blocks[0][:failing]
+        assert series.counters["decompose_calls"] == dyn.PROFILE_BLOCK
 
 
 def test_decompose_counts_damping_halvings(small_grid, small_params):

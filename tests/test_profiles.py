@@ -396,6 +396,61 @@ def test_modulation_profile_rejects_like_full_builder(b):
     assert str(lean.value) == str(full.value)
 
 
+@pytest.fixture(scope="module", params=["run", "profile_grid_for"])
+def block_case(request, g1em4):
+    # sixteen b across the b the grid carries: the run grid from its
+    # table's floor to B_MAX, and the `profile build` grid at 1e-4
+    if request.param == "run":
+        grid = RunSetup(EvolveParams(b0=1e-2)).grid
+    else:
+        grid = g1em4
+    bs = np.exp(np.linspace(math.log(grid_b_floor(grid)),
+                            math.log(prof.B_MAX), 16))
+    bs[0], bs[-1] = grid_b_floor(grid), prof.B_MAX
+    return grid, list(bs)
+
+
+def test_block_core_equals_one_b_at_a_time(block_case):
+    # one block of sixteen b gives, column by column, the bytes of sixteen
+    # blocks of one: the three modulation arrays, and the family's fields
+    # and constants, which are the core at one b
+    grid, bs = block_case
+    block = prof.modulation_profiles(grid, bs)
+    loc = prof._localize(grid, bs)
+    for j, b in enumerate(bs):
+        one = prof.modulation_profile(grid, b)
+        fam = prof.build_profile_family(grid, b, with_error=False)
+        for name in ("Qb_tilde", "Pb_tilde_grad", "n_tilde"):
+            want = getattr(one, name).values.tobytes()
+            assert getattr(block[j], name).values.tobytes() == want, name
+            assert getattr(fam, name).values.tobytes() == want, name
+        for name in ("m2", "d2", "n2", "T2", "S2_grad"):
+            assert (getattr(loc.lvl2, name)[:, j].tobytes()
+                    == getattr(fam.level2, name).values.tobytes()), name
+        for name in ("m2_p", "src_m", "src_d"):
+            assert (getattr(loc.lvl2, name)[:, j].tobytes()
+                    == getattr(fam.level2, name).tobytes()), name
+        assert loc.B1[j] == fam.B1
+        for name in ("B0", "c_b", "c1", "c2"):
+            assert getattr(loc.rad, name)[j] == getattr(fam, name), name
+        assert tuple(x[j] for x in loc.rad.beta) == fam.beta
+
+
+def test_block_error_names_the_first_failing_b(block_case):
+    # a b the grid cannot carry at position 5 of a block: the error is that
+    # b's own, at its position; the b before it still build
+    grid, bs = block_case
+    bad = list(bs[:8])
+    bad[5] = 2.0 * prof.B_MAX
+    with pytest.raises(prof.ProfileError) as single:
+        prof.modulation_profile(grid, bad[5])
+    with pytest.raises(prof.ProfileError) as block:
+        prof.modulation_profiles(grid, bad)
+    assert str(block.value) == str(single.value)
+    assert block.value.index == 5 and single.value.index == 0
+    assert len(prof.modulation_profiles(grid, bad[:5])) == 5
+
+
 def _run_setup_grid():
     return RunSetup(EvolveParams(b0=8e-3, M_param=11.0)).grid
 

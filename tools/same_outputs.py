@@ -8,9 +8,10 @@ temporary directory, each into an output root of its own.  Every
 byte with the file at the same path under the other root, with one
 verdict line per file; a `summary.json` that differs is followed by a
 line naming the dotted JSON keys whose values differ (or that one side
-lacks).  The exit status is 1 if any file differs or is
-missing on one side, if the two runs exit with different statuses, or if
-a config leaves no output to compare; else 0.
+lacks), and a `timeseries.csv` that differs by a line naming each column
+that differs with its largest relative difference.  The exit status is 1
+if any file differs or is missing on one side, if the two runs exit with
+different statuses, or if a config leaves no output to compare; else 0.
 
 Only local git runs; nothing is fetched.
 
@@ -23,6 +24,7 @@ Usage (from the repository root):
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +82,36 @@ def json_differences(a, b, key=""):
     return keys
 
 
+def csv_differences(a, b):
+    """'column (largest relative difference)' for each column of the CSV
+    texts a and b whose values differ, relative to the larger magnitude of
+    each pair (NaN equals NaN; 'inf' where only one side is NaN, 'shape'
+    for columns of different lengths); every column of one header that the
+    other lacks is named alone."""
+    rows_a, rows_b = ([line.split(",") for line in text.decode().split()]
+                      for text in (a, b))
+    out = []
+    for name in rows_a[0] + [c for c in rows_b[0] if c not in rows_a[0]]:
+        if name not in rows_a[0] or name not in rows_b[0]:
+            out.append(name)
+            continue
+        x, y = ([float(row[rows[0].index(name)]) for row in rows[1:]]
+                for rows in (rows_a, rows_b))
+        if len(x) != len(y):
+            out.append("%s (shape)" % name)
+            continue
+        worst = 0.0
+        for u, v in zip(x, y):
+            if u == v or (math.isnan(u) and math.isnan(v)):
+                continue
+            # a NaN on one side only is an infinite difference
+            worst = max(worst, float("inf") if math.isnan(u - v)
+                        else abs(u - v) / max(abs(u), abs(v)))
+        if worst:
+            out.append("%s (%.3g)" % (name, worst))
+    return out
+
+
 def compare(config, tree_out, ref_out):
     """One verdict line per output file of either run: same, DIFFERS, or
     MISSING on one side; True if all are the same."""
@@ -99,6 +131,9 @@ def compare(config, tree_out, ref_out):
         if verdict == "DIFFERS" and rel.endswith(".json"):
             a, b = (json.loads(read(path)) for path in paths)
             print("%-9s %s" % ("", ", ".join(json_differences(a, b))))
+        elif verdict == "DIFFERS" and rel.endswith(".csv"):
+            print("%-9s %s" % ("", ", ".join(
+                csv_differences(*map(read, paths)))))
     return ok
 
 
