@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import EvolveParams, RunSetup, SimulationError
+from .dynamics import EvolveParams, RunSetup, SimulationError, TableError
 from .grid import GridError
 from .operators import OperatorError, phi_m_degeneracy, phi_m_problem
 from .profiles import B0_MAX, B_MIN, ProfileError, localization_problem
@@ -140,6 +140,10 @@ class RunConfig:
                 self.setup = RunSetup(p)
             except SimulationError as exc:   # initial density not positive
                 v.append("profile.b0: %s" % exc)
+            except TableError as exc:
+                # the pairings of M's Phi_M with the profiles over the b
+                # the grid of b0 and M localizes, which no table level fits
+                v.append("profile.M, profile.b0: %s" % exc)
             except (GridError, ProfileError) as exc:
                 # a grid of more nodes than MAX_NODES, of fewer than its
                 # stencil needs, or too coarse for the radiation at b0 or

@@ -14,13 +14,14 @@ a damped Newton solve of the two orthogonality conditions, which yields
 (lambda, b).  The residual separates into a state part and a profile part
 P(b), so Newton runs on a Chebyshev table of P in log b, built once per
 solver, with the lambda-column from the same read of the state as the
-model's value.  A table whose error bound certifies the model's root
-returns it without an exact profile evaluation, which the decomposition
-makes on the first read of its fields; otherwise one at the model's root
-decides acceptance.  The roots lie on a smooth curve in s
-(lambda_s/lambda = -b, b_s ~ -2b^2/|log b|), so each solve starts from
-(lambda, b) extrapolated quadratically in s through the last three roots,
-usually one model Newton iteration from the root.  Small frame drift
+model's value.  The table refines until its error bound certifies the
+model's root, so a converged root is returned without an exact profile
+evaluation, which the decomposition makes on the first read of its
+fields; a root the model did not converge to is read at once and
+accepted or refused on that exact residual.  The roots lie on a smooth
+curve in s (lambda_s/lambda = -b, b_s ~ -2b^2/|log b|), so each solve
+starts from (lambda, b) extrapolated quadratically in s through the last
+three roots, usually one model Newton iteration from the root.  Small frame drift
 accumulates in a pending scale factor and the grid is only re-interpolated
 when it exceeds a threshold, so the bubble never de-resolves.
 
@@ -51,7 +52,6 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from numpy.polynomial.chebyshev import chebder
-from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 from . import diagnostics, operators
@@ -113,19 +113,15 @@ class ModulationState:
     them the pair F (`residuals`), the fields (eps, geta) (`eps_pair`) and
     the profile at b they were taken against (`profile`).
 
-    `exact` is that residual's triple (residuals, eps_pair, profile), or
-    None: then `pending` is (solver, vals), and the solver evaluates the
+    `pending` is (solver, vals): the solver evaluates that residual's
     triple from vals, the state's values at lam1, on the first read of any
     of the three, and keeps it.  `ModulationSolver.read` makes the first
     reads of a block of decompositions at once.
     """
 
-    def __init__(self, lam: float, b: float, exact, pending):
+    def __init__(self, lam: float, b: float, pending):
         self.lam, self.b = lam, b
-        if exact is None:
-            self._pending = pending
-        else:
-            self._exact = exact
+        self._pending = pending
 
     @cached_property
     def _exact(self):
@@ -341,6 +337,8 @@ def _band(mat, l, u):
 # -- modulation decomposition ----------------------------------------------------
 
 SPLINE_DEGREE = 5
+# scipy.interpolate, a third of the package's import time, is imported
+# where the state's splines are built: commands without a run never load it
 
 
 def _spline_coefficients(grid, m, n):
@@ -365,6 +363,7 @@ def _spline_coefficients(grid, m, n):
 def _spline_factor(grid):
     """Knots, band LU factors and pivots of the grid's quintic collocation
     matrix."""
+    from scipy.interpolate import BSpline, make_interp_spline
     k = SPLINE_DEGREE
     x = grid.nodes
     t = make_interp_spline(x, np.zeros_like(x), k=k).t
@@ -383,6 +382,7 @@ class _StateSplines:
     and n(x), with x = lam1 y clipped to the grid."""
 
     def __init__(self, state: FlowState):
+        from scipy.interpolate import BSpline
         g = state.grid
         t, c = _spline_coefficients(g, state.m, state.n)
         k = SPLINE_DEGREE
@@ -404,12 +404,10 @@ class _StateSplines:
 # the table's nodes and probes, and a run's records, whose first reads and
 # lifts are made a block at a time
 PROFILE_BLOCK = 16
-# Chebyshev points in log b of the solver's profile table
-TABLE_NODES = 128
-# their angles (first kind)
-TABLE_THETA = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
+# the profile table's levels: Chebyshev points in log b, tripled per level
+TABLE_NODES = (128, 384, 1152)
 # the table's off-node probes: the Chebyshev points of TABLE_PROBES nodes,
-# whose angles fall midway between two of the table's
+# whose angles fall midway between two nodes at every level
 TABLE_PROBES = 8
 TABLE_PROBE_THETA = np.pi * (np.arange(TABLE_PROBES) + 0.5) / TABLE_PROBES
 # the trailing Chebyshev coefficients that measure the table's tail
@@ -418,37 +416,54 @@ TABLE_TAIL = 8
 TABLE_SAFETY = 4.0
 
 
+class TableError(ProfileError):
+    """A profile table that does not certify at its last level."""
+
+
 class ProfileTable:
-    """Chebyshev interpolant in log b of scalar functions of the profile.
+    """Chebyshev interpolant in log b of scalar functions of the profile,
+    refined until its error bound certifies decompose's model.
 
     Built from `scalars(bs)`, the values at a block of at most
-    PROFILE_BLOCK b (one row each), at TABLE_NODES Chebyshev points (first
-    kind) of log b over [lo, hi]; calling the table at b returns the
-    interpolated values and their b-derivatives.  A b outside [lo, hi]
-    raises ProfileError, as `modulation_profiles` does for a b that does
-    not fit the grid.  Evaluation is `coef @ cos(k arccos x)`.
+    PROFILE_BLOCK b (one row each), at the Chebyshev points (first kind)
+    of log b over [lo, hi] of one level of TABLE_NODES; calling the table
+    at b returns the interpolated values and their b-derivatives.  A b
+    outside [lo, hi] raises ProfileError, as `modulation_profiles` does for
+    a b that does not fit the grid.  Evaluation is `coef @ cos(k arccos x)`.
 
     `error_bound` bounds the 2-norm of the table's error over [lo, hi]:
     TABLE_SAFETY times the larger of its tail (the largest of its last
     TABLE_TAIL coefficients) and its misfit to `scalars` at TABLE_PROBES
-    off-node points (TABLE_PROBE_THETA), measured once when it is built.
+    off-node points (TABLE_PROBE_THETA).  Each level is built afresh, its
+    nodes then its probes, and the table keeps the first level whose bound
+    is at most CERTIFY_FRACTION * ATOL * f_scale (`nodes` is its node
+    count); TableError if none is.
     """
 
-    def __init__(self, lo, hi, scalars):
+    def __init__(self, lo, hi, scalars, f_scale):
         self.lo, self.hi = lo, hi
-        self._la, self._lb = la, lb = math.log(lo), math.log(hi)
-        values = _blocked(scalars, self._b(TABLE_THETA))
-        self._k = np.arange(TABLE_NODES)
-        coef = (2.0 / TABLE_NODES) * (np.cos(np.outer(self._k, TABLE_THETA))
-                                      @ values)
-        coef[0] *= 0.5
-        self._coef = coef
-        self._dcoef = chebder(coef)
-        tail = np.linalg.norm(coef[-TABLE_TAIL:], axis=1).max()
-        probes = self._b(TABLE_PROBE_THETA)
-        misfit = max(np.linalg.norm(self(b)[0] - exact)
-                     for b, exact in zip(probes, _blocked(scalars, probes)))
-        self.error_bound = TABLE_SAFETY * float(max(tail, misfit))
+        self._la, self._lb = math.log(lo), math.log(hi)
+        target = CERTIFY_FRACTION * ATOL * f_scale
+        for nodes in TABLE_NODES:
+            theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+            values = _blocked(scalars, self._b(theta))
+            self._k = np.arange(nodes)
+            coef = (2.0 / nodes) * (np.cos(np.outer(self._k, theta)) @ values)
+            coef[0] *= 0.5
+            self._coef = coef
+            self._dcoef = chebder(coef)
+            tail = np.linalg.norm(coef[-TABLE_TAIL:], axis=1).max()
+            probes = self._b(TABLE_PROBE_THETA)
+            misfit = max(np.linalg.norm(self(b)[0] - exact) for b, exact
+                         in zip(probes, _blocked(scalars, probes)))
+            self.error_bound = TABLE_SAFETY * float(max(tail, misfit))
+            self.nodes = nodes
+            if self.error_bound <= target:
+                return
+        raise TableError(
+            "the profile table does not certify at %d nodes: error bound "
+            "%.3g f_scale, above its target %.3g f_scale"
+            % (nodes, self.error_bound / f_scale, target / f_scale))
 
     def _b(self, theta):
         """The b at Chebyshev angles theta."""
@@ -471,18 +486,16 @@ def _blocked(fn, bs):
                            for i in range(0, len(bs), PROFILE_BLOCK)])
 
 
-# decompose's model rounds (model Newton, then one exact residual)
-MODEL_ROUNDS = 3
-# decompose accepts |F| <= ATOL * f_scale, and up to the quadrature and
-# spline noise plateau FLOOR_TOL * f_scale past its model rounds
+# decompose accepts |F| <= ATOL * f_scale, and from a model that did not
+# converge up to the quadrature and spline noise plateau FLOOR_TOL * f_scale
 ATOL = 1e-10
 FLOOR_TOL = 3e-6
-# a table whose error_bound is at most this times atol is certified:
-# decompose returns a converged model root without an exact residual
+# the profile table refines until its error_bound is at most this times
+# atol: then a converged model root meets atol without an exact residual
 CERTIFY_FRACTION = 0.5
 # decompose's model Newton stops at |G| <= MODEL_TOL * atol
 MODEL_TOL = 1e-2
-# model Newton iterations per round after which the model is 'exhausted'
+# model Newton iterations after which the model is 'exhausted'
 MODEL_MAX_ITER = 30
 # how decompose's ModulationError names a model outcome that failed
 MODEL_FAILURES = {
@@ -490,8 +503,7 @@ MODEL_FAILURES = {
                 "from family)",
     "stalled": "modulation Newton stalled (trapped regime exited?)"}
 COUNTERS = ("decompose_calls", "model_iterations", "damping_halvings",
-            "correction_rounds", "floor_acceptances", "exact_checks_skipped",
-            "profile_evals_table", "profile_evals_decompose",
+            "floor_acceptances", "profile_evals_decompose",
             "profile_evals_lift", "lift_calls", "lift_failures")
 
 
@@ -503,8 +515,8 @@ class ModulationSolver:
     separable, F(lambda1, b) = S(lambda1) - P(b): S pairs the state's
     splines, P(b) is two scalars of the profile at b.  The solver
     tabulates P once, over the b the grid localizes (`ProfileTable`).
-    `decompose` runs damped Newton on the model G = S(lambda1) - P~(b) - c,
-    in scalar 2x2 algebra, with the table's derivative as the b-column, so
+    `decompose` runs damped Newton on the model G = S(lambda1) - P~(b), in
+    scalar 2x2 algebra, with the table's derivative as the b-column, so
     its iterations evaluate no profile.  The lambda-column comes from the
     values that give S: with u = lambda1^2 m'(x)/x and g = n(x)/y at
     x = lambda1 y, lambda1 du/dlambda1 = 2u + y u' and lambda1 dg/dlambda1
@@ -512,39 +524,35 @@ class ModulationSolver:
     g), moved onto the pairing weights once per solver, so dS/dlambda1 is
     four dot products and each iterate reads the state's splines once.
 
-    Acceptance is |F| <= atol = ATOL f_scale.  With c = 0, F - G is the
-    table's error, so a root with |G| <= MODEL_TOL atol meets atol
-    whenever that error is at most CERTIFY_FRACTION atol.  The solver
-    decides once, when it is built, whether the table's `error_bound`
-    certifies this (`certified`).  On a certified table a converged first
-    model round returns its root with no exact residual: (F, eps, geta)
-    and the profile are evaluated by `_residual`, from the state's values
-    at the root, on the first read of the decomposition's fields.
-    Otherwise, and whenever the model does not converge, one exact
-    residual at the model's root decides acceptance (|F| <= atol) and
-    gives (eps, geta); if it fails, c absorbs the table's local error,
-    c <- c + G - F, and the model is solved again, at most MODEL_ROUNDS
-    times.  Past those rounds, or when the model stalls, the residual is
-    accepted up to the quadrature and spline noise floor, floor_tol =
-    FLOOR_TOL f_scale; a failure raises ModulationError naming b, lambda1,
+    Acceptance is |F| <= atol = ATOL f_scale.  F - G is the table's error,
+    so a root with |G| <= MODEL_TOL atol meets atol whenever that error is
+    at most CERTIFY_FRACTION atol; the table refines until its
+    `error_bound` certifies this, and raises TableError, so that no
+    solver is built, if it cannot.  A converged model root is returned
+    with no exact residual: (F, eps, geta) and the profile are evaluated
+    by `_residual`, from the state's values at the root, on the first read
+    of the decomposition's fields.  The root of a model that did not
+    converge is read at once and accepted up to the quadrature and spline
+    noise floor, floor_tol = FLOOR_TOL f_scale; a singular model, or a
+    residual above that floor, raises ModulationError naming b, lambda1,
     |F|/f_scale, the model's outcome and its iteration count, and, when
     the failing root sits at B_MAX, that b reached the top of the
-    family's range.  The caller
-    supplies the starting guess: `evolve` extrapolates it from its last
-    three roots, so that one model iteration usually suffices.
+    family's range.  The caller supplies the starting guess: `evolve`
+    extrapolates it from its last three roots, so that one model iteration
+    usually suffices.
 
     `counters` counts decompose calls, model iterations, model step
-    halvings, correction rounds, solves accepted at the noise floor
-    (atol < |F| <= floor_tol), decompositions returned without an exact
-    residual (exact_checks_skipped), the exact profile evaluations (table:
-    its nodes and probes; decompose: every `_residual`, first reads
+    halvings, solves accepted at the noise floor (atol < |F| <=
+    floor_tol), the exact profile evaluations (table: the nodes and probes
+    of every level it built; decompose: every `_residual`, first reads
     included; lift), lift calls and lift failures, and carry the table's
-    error bound relative to f_scale (table_error_bound).  They belong to
-    one run; `reset` starts them afresh, so that runs sharing a solver
-    each see what a solver of their own would show (the table's
-    evaluations are counted in every run).  The table's nodes and probes,
-    the first reads of `read` and the lifts of `lift_bs` each evaluate
-    the profile a block of at most PROFILE_BLOCK b at a time.
+    node count (table_nodes) and its error bound relative to f_scale
+    (table_error_bound).  They belong to one run; `reset` starts them
+    afresh, so that runs sharing a solver each see what a solver of their
+    own would show (the table's evaluations are counted in every run).
+    The table's nodes and probes, the first reads of `read` and the lifts
+    of `lift_bs` each evaluate the profile a block of at most
+    PROFILE_BLOCK b at a time.
     """
 
     def __init__(self, grid: RadialGrid, M_param: float):
@@ -576,28 +584,27 @@ class ModulationSolver:
                            grid.divide_by_r(prof.n_tilde.values, "even"))
                 for prof in modulation_profiles(grid, bs)])
 
-        self.table = ProfileTable(b_floor, B_MAX, scalars)
         # residual scale: the pairing Jacobian entries are ~ 32 pi log M
         self.f_scale = abs(self.phim.report["PhiM_LambdaQ"])
         self.atol = ATOL * self.f_scale
-        self.certified = (self.table.error_bound
-                          <= CERTIFY_FRACTION * self.atol)
+        self.table = ProfileTable(b_floor, B_MAX, scalars, self.f_scale)
         self.reset()
 
     def reset(self):
-        """Zero the counters, except the table's TABLE_NODES +
-        TABLE_PROBES profile evaluations and its error bound."""
+        """Zero the counters, except the table's: its node count, the
+        profile evaluations of every level it built, and its error bound."""
+        nodes = self.table.nodes
         self.counters = dict.fromkeys(COUNTERS, 0)
-        self.counters["profile_evals_table"] = TABLE_NODES + TABLE_PROBES
-        self.counters["table_error_bound"] = (self.table.error_bound
-                                              / self.f_scale)
+        self.counters.update(table_nodes=nodes, profile_evals_table=sum(
+            n + TABLE_PROBES for n in TABLE_NODES if n <= nodes),
+            table_error_bound=self.table.error_bound / self.f_scale)
 
     def _pair(self, u, g):
         return (float(self._wphi1 @ u + self._wphi2 @ g),
                 float(self._wlphi1 @ u + self._wlphi2 @ g))
 
-    def _model(self, vals, lam1, b, c):
-        """From the state's values at lam1: G = S(lam1) - P~(b) - c, the
+    def _model(self, vals, lam1, b):
+        """From the state's values at lam1: G = S(lam1) - P~(b), the
         Jacobian column dS/dlam1 and dP~/db, each a pair of floats."""
         u, n_x = vals
         g = self.grid.divide_by_r(n_x, "even")
@@ -605,7 +612,7 @@ class ModulationSolver:
         s1, s2 = self._pair(u, g)
         dl1, dl2 = (float(a_u @ u + a_g @ g) / lam1
                     for a_u, a_g in zip(self._a_u, self._a_g))
-        return (s1 - p1 - c[0], s2 - p2 - c[1]), (dl1, dl2), (dp1, dp2)
+        return (s1 - p1, s2 - p2), (dl1, dl2), (dp1, dp2)
 
     def _residual(self, vals, b):
         """Exact F at (lam1, b) from the state's values at lam1: F, the
@@ -649,25 +656,26 @@ class ModulationSolver:
             mods[i]._exact = triple
             del mods[i]._pending
 
-    def _model_newton(self, splines, lam1, b, c, tol):
+    def _model_newton(self, splines, lam1, b):
         """Damped Newton on the model, each step halved until |G| descends
         (at most 10 times); one read of the state per iterate gives both G
-        and the lambda-column.  Returns lam1, b, G, the state's values at
-        lam1 and the outcome: 'converged' (|G| <= tol), 'stalled' (no
+        and the lambda-column.  Returns lam1, b, the state's values at lam1
+        and the outcome: 'converged' (|G| <= MODEL_TOL atol), 'stalled' (no
         descent), 'singular' (a singular Jacobian) or 'exhausted'
         (MODEL_MAX_ITER steps)."""
+        tol = MODEL_TOL * self.atol
         vals = splines(lam1)
-        G, dl, dp = self._model(vals, lam1, b, c)
+        G, dl, dp = self._model(vals, lam1, b)
         norm = math.hypot(*G)
         for _ in range(MODEL_MAX_ITER):
             if norm <= tol:
-                return lam1, b, G, vals, "converged"
+                return lam1, b, vals, "converged"
             self.counters["model_iterations"] += 1
             # J = [[dl1, -dp1], [dl2, -dp2]]; the step solves J step = -G
             det = dp[0] * dl[1] - dl[0] * dp[1]
             j_max = max(abs(dl[0]), abs(dl[1]), abs(dp[0]), abs(dp[1]))
             if not math.isfinite(det) or abs(det) < 1e-12 * j_max ** 2:
-                return lam1, b, G, vals, "singular"
+                return lam1, b, vals, "singular"
             step_lam = (dp[1] * G[0] - dp[0] * G[1]) / det
             step_b = (dl[1] * G[0] - dl[0] * G[1]) / det
             t_damp = 1.0
@@ -677,7 +685,7 @@ class ModulationSolver:
                 if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
                     vals_try = splines(lam_try)
                     G_try, dl_try, dp_try = self._model(vals_try, lam_try,
-                                                        b_try, c)
+                                                        b_try)
                     norm_try = math.hypot(*G_try)
                     if norm_try < norm:
                         lam1, b, G, dl, dp, vals, norm = (
@@ -687,33 +695,22 @@ class ModulationSolver:
                 t_damp *= 0.5
                 self.counters["damping_halvings"] += 1
             else:
-                return lam1, b, G, vals, "stalled"
+                return lam1, b, vals, "stalled"
         outcome = "converged" if norm <= tol else "exhausted"
-        return lam1, b, G, vals, outcome
+        return lam1, b, vals, outcome
 
     def decompose(self, state: FlowState, guess) -> ModulationState:
-        lam1, b = guess
         self.counters["decompose_calls"] += 1
-        splines = _StateSplines(state)
-        atol = self.atol
-        c = (0.0, 0.0)
         iterations = self.counters["model_iterations"]
-        for rnd in range(MODEL_ROUNDS):
-            if rnd:
-                self.counters["correction_rounds"] += 1
-            lam1, b, G, vals, outcome = self._model_newton(
-                splines, lam1, b, c, MODEL_TOL * atol)
-            if outcome == "converged" and self.certified:
-                self.counters["exact_checks_skipped"] += 1
-                return ModulationState(lam1, b, None, (self, vals))
-            exact = self._residual(vals, b)
-            F = exact[0]
-            if np.linalg.norm(F) <= atol or outcome != "converged":
-                break
-            c = (c[0] + G[0] - F[0], c[1] + G[1] - F[1])
-        # past the model rounds, a residual at the noise floor is accepted
-        if (outcome == "singular"
-                or np.linalg.norm(F) > FLOOR_TOL * self.f_scale):
+        lam1, b, vals, outcome = self._model_newton(_StateSplines(state),
+                                                    *guess)
+        mod = ModulationState(lam1, b, (self, vals))
+        if outcome == "converged":
+            return mod
+        # the first read: one exact residual at the model's root, accepted
+        # up to the noise floor
+        res = np.linalg.norm(mod.residuals)
+        if outcome == "singular" or res > FLOOR_TOL * self.f_scale:
             what = MODEL_FAILURES.get(outcome, "modulation Newton did not "
                                                "converge")
             if b >= B_MAX:
@@ -722,11 +719,11 @@ class ModulationSolver:
             raise ModulationError(
                 "%s: b=%.6g lam1=%.6g |F|/f_scale=%.3g model=%s after %d "
                 "iterations" % (
-                    what, b, lam1, np.linalg.norm(F) / self.f_scale, outcome,
+                    what, b, lam1, res / self.f_scale, outcome,
                     self.counters["model_iterations"] - iterations))
-        if np.linalg.norm(F) > atol:
+        if res > self.atol:
             self.counters["floor_acceptances"] += 1
-        return ModulationState(lam1, b, exact, None)
+        return mod
 
 
 # the secant's second point where the Newton step from b cannot be used
@@ -921,8 +918,9 @@ class RunSetup:
     modulation solver (its profile table and Phi_M weights) and the
     stepper.  A failed build raises the builder's own error: ProfileError
     (a grid that cannot carry the profiles at b0 or at the table's
-    nodes), OperatorError (Phi_M) or SimulationError (an initial density
-    that is not positive).
+    nodes), its TableError (a profile table that does not certify),
+    OperatorError (Phi_M) or SimulationError (an initial density that is
+    not positive).
 
     Any number of runs may share one setup: `run` starts the solver's
     per-run state afresh, so each run's series equals, bit for bit, the
@@ -1163,6 +1161,7 @@ def _predict_guess(roots, s, b_lo):
 
 def _rescale_state(state: FlowState, lam1: float) -> FlowState:
     """Fold a pending scale into the stored fields: m(y) <- m(lam1 y)."""
+    from scipy.interpolate import BSpline
     g = state.grid
     x = np.minimum(lam1 * g.nodes, g.r_max)
     t, c = _spline_coefficients(g, state.m, state.n)

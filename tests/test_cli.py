@@ -26,14 +26,20 @@ from kslab.grid import RadialGrid
 from kslab.profiles import B_MAX, B_MIN
 
 
-def run_cli(args, out):
-    # `python -m kslab.cli` in a child process, which imports kslab from the
-    # same place this process did; the other tests call main() in process
+def run_child(args, out):
+    # `python *args` in a child process, which imports kslab from the same
+    # place this process did and writes under out
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, KSLAB_OUT=str(out), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "kslab.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def run_cli(args, out):
+    # `python -m kslab.cli` in a child process; the other tests call main()
+    # in process
+    return run_child(["-m", "kslab.cli", *args], out)
 
 
 def test_config_parse_and_validate(tmp_path):
@@ -442,6 +448,34 @@ def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
         assert message in violation
 
 
+def test_simulate_refuses_a_table_that_does_not_certify(tmp_path):
+    # at M = 100 (b0 = 1e-2, derived grid) the profile table misses its
+    # target at every level: one violation that blames the keys the table
+    # depends on and states its bound in f_scale, and no traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile.M = 100\n")
+    done = run_cli(["simulate", "--config", str(cfg)], tmp_path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    (violation,) = json.loads(done.stderr)["violations"]
+    assert violation.startswith(
+        "profile.M, profile.b0: the profile table does not certify at 1152 "
+        "nodes: error bound ")
+    assert violation.endswith(" f_scale, above its target 5e-11 f_scale")
+
+
+def test_commands_without_a_run_do_not_import_the_splines(tmp_path):
+    # scipy.interpolate serves only the state splines of a run
+    code = ("import sys\n"
+            "from kslab.cli import main\n"
+            "main(['profile', 'build', '--b', '1e-4'])\n"
+            "main(['spectral', 'check', '--M', '50'])\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+    done = run_child(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_validate_bounds_the_stencil_order(recwarn):
     # orders past MAX_STENCIL_ORDER are one violation, found before the
     # setup build: an order of 40 broke the radiation there, 150 overflowed
@@ -518,12 +552,13 @@ def test_simulate_deterministic(tmp_path):
     assert sa["status"] in ("s_max", "b_min", "lam_stop", "t_max")
     assert "seed" in sa
     assert "reason" not in sa
-    # the table certifies every converged model root, so the exact
-    # profile of a decomposition is evaluated only where a record reads it
+    # the table certifies at its first level, and every model converges,
+    # so the exact profile of a decomposition is evaluated only where a
+    # record reads it
     counters = sa["counters"]
-    assert counters["exact_checks_skipped"] == counters["decompose_calls"]
     assert counters["profile_evals_decompose"] == sa["records"]
-    assert counters["profile_evals_table"] == TABLE_NODES + TABLE_PROBES
+    assert counters["table_nodes"] == TABLE_NODES[0]
+    assert counters["profile_evals_table"] == TABLE_NODES[0] + TABLE_PROBES
     assert 0.0 < counters["table_error_bound"] <= CERTIFY_FRACTION * ATOL
 
 

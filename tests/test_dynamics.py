@@ -442,7 +442,7 @@ def test_model_lambda_column_matches_central_difference(b0):
 
     h = 1e-5
     for lam1 in (0.85, 1.0, 1.15):
-        _, column, _ = solver._model(splines(lam1), lam1, b0, (0.0, 0.0))
+        _, column, _ = solver._model(splines(lam1), lam1, b0)
         central = (S(lam1 + h) - S(lam1 - h)) / (2.0 * h)
         assert (np.linalg.norm(np.subtract(column, central))
                 <= 1e-4 * np.linalg.norm(column))
@@ -452,12 +452,11 @@ def test_decompose_returns_the_accepted_residual_fields(small_grid,
                                                       small_params,
                                                       perturbed_states):
     # (eps, geta) and the profile come from one exact residual at the
-    # returned (lam, b), equal to the oracle's there.  The small grid's
-    # table is certified, so decompose makes none: the first read of the
-    # fields makes it, at mod.b, and later reads reuse it
+    # returned (lam, b), equal to the oracle's there.  The model converges,
+    # so decompose makes none: the first read of the fields makes it, at
+    # mod.b, and later reads reuse it
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    assert solver.certified
     calls = []
     residual = solver._residual
 
@@ -481,40 +480,18 @@ def test_decompose_returns_the_accepted_residual_fields(small_grid,
         modulation_profile(small_grid, mod.b).Qb_tilde.values)
     assert calls == [mod.b]
     assert solver.counters["profile_evals_decompose"] == 1
-    assert solver.counters["exact_checks_skipped"] == 1
 
-    # on an uncertified table the exact residual is decompose's own: one
-    # call for a state decomposed at its own solution, none on reading
-    solver.certified = False
+    # decomposed again from its own root, the state gets that root back
+    # unread, and its first read gives the same residual bit for bit
     calls.clear()
     again = solver.decompose(state, guess=(mod.lam, mod.b))
-    assert calls == [mod.b]
     assert (again.lam, again.b) == (mod.lam, mod.b)
+    assert calls == []
     np.testing.assert_array_equal(again.eps_pair.density.values, eps)
     np.testing.assert_array_equal(again.eps_pair.chem_gradient.values, geta)
     assert again.residuals == mod.residuals
     assert calls == [mod.b]
-    assert solver.counters["exact_checks_skipped"] == 1
-
-
-def test_decompose_corrects_a_corrupted_table(small_grid, small_params,
-                                              perturbed_states):
-    # on an uncertified table the exact residual decides acceptance: with
-    # P~ off by 1e-6 (40 atol) the solve takes correction rounds and still
-    # meets atol
-    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    solver.table._coef[0, :2] += 1e-6
-    solver.certified = False
-    atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
-    for state, guess in perturbed_states:
-        mod = solver.decompose(state, guess=guess)
-        lam_ref, b_ref, _ = reference_decompose(solver, state, guess)
-        assert np.linalg.norm(mod.residuals) <= atol
-        assert abs(mod.lam - lam_ref) <= 1e-9 * lam_ref
-        assert abs(mod.b - b_ref) <= 1e-9 * b_ref
-    assert solver.counters["correction_rounds"] >= len(perturbed_states)
-    assert (solver.counters["profile_evals_decompose"]
-            == len(perturbed_states) + solver.counters["correction_rounds"])
+    assert solver.counters["profile_evals_decompose"] == 2
 
 
 def test_profile_table_matches_exact_pairings(small_grid, small_params):
@@ -543,11 +520,15 @@ def test_profile_table_matches_exact_pairings(small_grid, small_params):
 
 def test_profile_table_states_its_error_bound(small_grid, small_params):
     # TABLE_SAFETY times the larger of the coefficient tail and the misfit
-    # at the probes, whose angles fall between the table's nodes
+    # at the probes, whose angles fall midway between two nodes at every
+    # level; the small grid's table certifies at the first level
+    for nodes in dyn.TABLE_NODES:
+        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+        gaps = np.abs(dyn.TABLE_PROBE_THETA[:, None] - theta[None, :])
+        assert np.allclose(gaps.min(axis=1), 0.5 * np.pi / nodes)
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     table = solver.table
-    gaps = np.abs(dyn.TABLE_PROBE_THETA[:, None] - dyn.TABLE_THETA[None, :])
-    assert np.allclose(gaps.min(axis=1), 0.5 * np.pi / dyn.TABLE_NODES)
+    assert table.nodes == len(table._coef) == dyn.TABLE_NODES[0]
     tail = max(np.linalg.norm(c) for c in table._coef[-dyn.TABLE_TAIL:])
     y = small_grid.nodes
     misfit = 0.0
@@ -559,10 +540,8 @@ def test_profile_table_states_its_error_bound(small_grid, small_params):
         misfit = max(misfit, np.linalg.norm(table(b)[0] - P))
     assert table.error_bound == pytest.approx(
         dyn.TABLE_SAFETY * max(tail, misfit), rel=1e-12)
-    # the decision: a bound within CERTIFY_FRACTION of atol certifies
-    assert solver.certified == (
-        table.error_bound <= dyn.CERTIFY_FRACTION * solver.atol)
-    assert solver.certified
+    # a bound within CERTIFY_FRACTION of atol certifies
+    assert table.error_bound <= dyn.CERTIFY_FRACTION * solver.atol
     assert (solver.counters["table_error_bound"]
             == table.error_bound / solver.f_scale)
 
@@ -722,8 +701,9 @@ def test_lift_b_of_the_profile_itself_is_b(small_grid, small_params,
     b = solver.decompose(state, guess=guess).b
     prof = modulation_profile(small_grid, b)
     zero = RadialField(small_grid, np.zeros(small_grid.n))
-    mod = dyn.ModulationState(1.0, b, ((0.0, 0.0), FieldPair(
-        zero, RadialField(small_grid, zero.values, "odd")), prof), None)
+    mod = dyn.ModulationState(1.0, b, None)
+    mod._exact = ((0.0, 0.0), FieldPair(
+        zero, RadialField(small_grid, zero.values, "odd")), prof)
     for lo in (solver.table.lo, 0.995 * b):
         solver.table.lo = lo
         before = solver.counters["profile_evals_lift"]
@@ -856,12 +836,11 @@ def test_evolve_counts_one_profile_evaluation_per_record(
     # from the grid's D1 is off by about 2e-5 of its norm, so one step from
     # a miss of that size ends above MODEL_TOL * atol = 1e-12 f_scale
     assert c["model_iterations"] == c["decompose_calls"] + 3
-    # the small grid's table is certified: no decompose evaluates the
-    # profile, and each record reads the fields of one decomposition
-    assert c["exact_checks_skipped"] == c["decompose_calls"]
+    # every model converges: no decompose evaluates the profile, and each
+    # record reads the fields of one decomposition
     assert c["profile_evals_decompose"] == len(series)
-    assert c["correction_rounds"] == 0
-    assert c["profile_evals_table"] == dyn.TABLE_NODES + dyn.TABLE_PROBES
+    assert c["table_nodes"] == dyn.TABLE_NODES[0]
+    assert c["profile_evals_table"] == dyn.TABLE_NODES[0] + dyn.TABLE_PROBES
     assert c["lift_calls"] <= c["profile_evals_lift"] <= 4 * c["lift_calls"]
     assert c["lift_calls"] > 0
     assert c["lift_failures"] == c["refolds"] == 0
@@ -873,7 +852,7 @@ def test_evolve_counts_one_profile_evaluation_per_record(
     # blocks of at most PROFILE_BLOCK b: the table's nodes and probes, then
     # one block of first reads per PROFILE_BLOCK records
     assert max(map(len, calls)) == dyn.PROFILE_BLOCK
-    table = -(-dyn.TABLE_NODES // dyn.PROFILE_BLOCK) + 1
+    table = -(-dyn.TABLE_NODES[0] // dyn.PROFILE_BLOCK) + 1
     # (a lift's iterates are never a record's b)
     reads = [bs for bs in calls[table:] if set(bs) <= set(series.b)]
     assert [b for bs in reads for b in bs] == list(series.b)
@@ -883,10 +862,8 @@ def test_evolve_counts_one_profile_evaluation_per_record(
 def test_evolve_first_reads_equal_an_eager_residual(small_setup,
                                                     small_params,
                                                     monkeypatch):
-    # every record reads the fields of one certified decomposition, bit for
-    # bit those of an eager _residual at its (lam1, b) from the state's
-    # splines; an uncertified solver, which checks every root, records the
-    # same series
+    # every record reads the fields of one decomposition, bit for bit those
+    # of an eager _residual at its (lam1, b) from the state's splines
     decomposed = []
     decompose = dyn.ModulationSolver.decompose
 
@@ -903,7 +880,7 @@ def test_evolve_first_reads_equal_an_eager_residual(small_setup,
     read = [(state, mod) for state, mod in decomposed if "_exact" in vars(mod)]
     assert len(read) == len(series) == series.counters[
         "profile_evals_decompose"]
-    assert series.counters["exact_checks_skipped"] == len(decomposed)
+    assert series.counters["decompose_calls"] == len(decomposed)
     for (state, mod), res_phi, res_lphi in zip(
             read, series.column("res_phi"), series.column("res_lphi")):
         F, pair, prof = solver._residual(
@@ -919,30 +896,45 @@ def test_evolve_first_reads_equal_an_eager_residual(small_setup,
         np.testing.assert_array_equal(mod.profile.Pb_tilde_grad.values,
                                       prof.Pb_tilde_grad.values)
 
-    monkeypatch.setattr(solver, "certified", False)
-    checked = small_setup.run(pert)
-    np.testing.assert_array_equal(checked.rows, series.rows)
-    assert checked.counters["exact_checks_skipped"] == 0
-    assert (checked.counters["profile_evals_decompose"]
-            == checked.counters["decompose_calls"])
 
-
-def test_evolve_on_an_uncertified_table_checks_every_decompose():
-    # at M = 60 the table's error (about 4e-9 f_scale) exceeds atol: the
-    # solver keeps the exact check, one exact residual per model round
+def test_evolve_on_a_refined_table_meets_atol():
+    # at M = 60 the table misses the 128-node target (1.6e-8 f_scale) and
+    # certifies at the next level: both levels' nodes and probes are
+    # evaluated, and every record's residual meets atol
     setup = dyn.RunSetup(dyn.EvolveParams(b0=1e-2, M_param=60.0, cadence=5,
                                           s_max=2.0))
-    assert not setup.solver.certified
     series = setup.run(None)
     c = series.counters
     assert series.status == "s_max"
-    assert c["table_error_bound"] > dyn.CERTIFY_FRACTION * dyn.ATOL
-    assert c["exact_checks_skipped"] == c["floor_acceptances"] == 0
-    assert c["correction_rounds"] > 0
-    assert (c["profile_evals_decompose"]
-            == c["decompose_calls"] + c["correction_rounds"])
+    assert c["table_nodes"] == 384
+    assert c["profile_evals_table"] == 128 + 384 + 2 * dyn.TABLE_PROBES
+    assert c["table_error_bound"] <= dyn.CERTIFY_FRACTION * dyn.ATOL
     res = np.hypot(series.column("res_phi"), series.column("res_lphi"))
     assert np.all(res <= setup.solver.atol)
+
+
+def test_profile_table_refines_until_it_certifies():
+    # a Runge function of x in [-1, 1] (log b mapped), whose Chebyshev
+    # coefficients fall like 1.105^-k: 128 nodes miss the target, 384
+    # meet it; no level meets a target a hundred billion times smaller
+    lo, hi = 1e-6, 1e-2
+    calls = []
+
+    def scalars(bs):
+        calls.append(len(bs))
+        x = (2.0 * np.log(bs) - math.log(lo) - math.log(hi)) / math.log(
+            hi / lo)
+        return np.column_stack([1.0 / (1.0 + 100.0 * x * x), x])
+
+    table = dyn.ProfileTable(lo, hi, scalars, 1.0)
+    assert table.nodes == len(table._coef) == 384
+    assert table.error_bound <= dyn.CERTIFY_FRACTION * dyn.ATOL
+    assert sum(calls) == 128 + 384 + 2 * dyn.TABLE_PROBES
+    assert max(calls) == dyn.PROFILE_BLOCK
+    with pytest.raises(dyn.TableError, match="does not certify at 1152 "
+                                             "nodes") as err:
+        dyn.ProfileTable(lo, hi, scalars, 1e-11)
+    assert isinstance(err.value, ProfileError)
 
 
 def test_first_read_profile_error_ends_the_run_grid_exhausted(
@@ -990,19 +982,23 @@ def test_decompose_counts_damping_halvings(small_grid, small_params):
 
 def test_decompose_counts_floor_acceptances(small_grid, small_params,
                                             perturbed_states, monkeypatch):
-    # with one model round and P~ off by 1e-6 (40 atol) on an uncertified
-    # table, every solve ends above atol and is accepted at the noise floor
-    monkeypatch.setattr(dyn, "MODEL_ROUNDS", 1)
+    # a model that does not converge is read at once: from a guess 1e-6 b
+    # off each root, with no model iteration allowed, every residual lies
+    # above atol and within the noise floor, and is accepted there
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
-    solver.table._coef[0] += 1e-6
-    solver.certified = False
-    f_scale = abs(solver.phim.report["PhiM_LambdaQ"])
-    for state, guess in perturbed_states:
+    roots = [solver.decompose(state, guess=guess)
+             for state, guess in perturbed_states]
+    assert solver.counters["profile_evals_decompose"] == 0
+    monkeypatch.setattr(dyn, "MODEL_MAX_ITER", 0)
+    for (state, _), root in zip(perturbed_states, roots):
+        guess = (root.lam, root.b * (1.0 + 1e-6))
         mod = solver.decompose(state, guess=guess)
+        assert (mod.lam, mod.b) == guess
+        assert "_exact" in vars(mod)
         norm = np.linalg.norm(mod.residuals)
-        assert 1e-10 * f_scale < norm <= 3e-6 * f_scale
+        assert solver.atol < norm <= 3e-6 * solver.f_scale
     assert solver.counters["floor_acceptances"] == len(perturbed_states)
-    assert solver.counters["correction_rounds"] == 0
+    assert solver.counters["profile_evals_decompose"] == len(perturbed_states)
 
 
 def test_evolve_counts_nan_free_energy(small_params, monkeypatch):
