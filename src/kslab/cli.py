@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -284,6 +283,7 @@ def cmd_sweep(args) -> int:
     workers = min(args.workers, len(cfgs))
     try:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 summaries = list(pool.map(run_one, cfgs, outdirs,
                                           seed_offsets))

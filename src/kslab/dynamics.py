@@ -16,14 +16,15 @@ P(b), so Newton runs on a Chebyshev table of P in log b, built once per
 solver, with the lambda-column from the same read of the state as the
 model's value.  The table refines until its error bound certifies the
 model's root, so a converged root is returned without an exact profile
-evaluation, which the decomposition makes on the first read of its
-fields; a root the model did not converge to is read at once and
-accepted or refused on that exact residual.  The roots lie on a smooth
-curve in s (lambda_s/lambda = -b, b_s ~ -2b^2/|log b|), so each solve
-starts from (lambda, b) extrapolated quadratically in s through the last
-three roots, usually one model Newton iteration from the root.  Small frame drift
-accumulates in a pending scale factor and the grid is only re-interpolated
-when it exceeds a threshold, so the bubble never de-resolves.
+evaluation; `ModulationSolver.read` makes it, for a block of
+decompositions at once, on the first read of their fields.  A root the
+model did not converge to is read at once and accepted or refused on that
+exact residual.  The roots lie on a smooth curve in s (lambda_s/lambda =
+-b, b_s ~ -2b^2/|log b|), so each solve starts from (lambda, b)
+extrapolated quadratically in s through the last three roots, usually one
+model Newton iteration from the root.  Small frame drift accumulates in
+a pending scale factor and the grid is only re-interpolated when it
+exceeds a threshold, so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
@@ -34,8 +35,9 @@ consumed by the law-fitting diagnostics.
 The exact profile is evaluated a block of at most PROFILE_BLOCK b at a
 time (`profiles.modulation_profiles`): the table's nodes and probes, and a
 run's records, which wait until PROFILE_BLOCK of them are pending or the
-run ends, then make their first reads in one block and their lifts in one
-lockstep secant (`lift_bs`).
+run ends, then make their first reads in one block (`read`) and their
+lifts in one lockstep secant (`lift_bs`).  The blocks stay inside these
+evaluators: a ProfileError names a b, never a position in a block.
 
 `RunSetup` builds what a run needs before its first step (grid, initial
 state, solver, stepper) once; `evolve`, the probe's members and the CLI's
@@ -47,7 +49,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -113,26 +114,25 @@ class ModulationState:
     them the pair F (`residuals`), the fields (eps, geta) (`eps_pair`) and
     the profile at b they were taken against (`profile`).
 
-    `pending` is (solver, vals): the solver evaluates that residual's
-    triple from vals, the state's values at lam1, on the first read of any
-    of the three, and keeps it.  `ModulationSolver.read` makes the first
-    reads of a block of decompositions at once.
+    It holds its solver and vals, the state's values at lam1, until
+    `ModulationSolver.read` fills that exact triple (`_exact`, None until
+    then) and drops vals.  Reading any of the three on an unread
+    decomposition reads it alone, `solver.read([self])`.
     """
 
-    def __init__(self, lam: float, b: float, pending):
+    def __init__(self, lam: float, b: float, solver, vals):
         self.lam, self.b = lam, b
-        self._pending = pending
+        self._solver, self._vals = solver, vals
+        self._exact = None
 
-    @cached_property
-    def _exact(self):
-        solver, vals = self._pending
-        exact = solver._residual(vals, self.b)
-        del self._pending   # frees the state's values it holds
-        return exact
+    def _read(self):
+        if self._exact is None:
+            self._solver.read([self])
+        return self._exact
 
-    residuals = property(lambda self: self._exact[0])
-    eps_pair = property(lambda self: self._exact[1])
-    profile = property(lambda self: self._exact[2])
+    residuals = property(lambda self: self._read()[0])
+    eps_pair = property(lambda self: self._read()[1])
+    profile = property(lambda self: self._read()[2])
 
 
 COLUMNS = ("t", "s", "lam", "b", "b_hat", "mass", "free_energy",
@@ -529,23 +529,23 @@ class ModulationSolver:
     at most CERTIFY_FRACTION atol; the table refines until its
     `error_bound` certifies this, and raises TableError, so that no
     solver is built, if it cannot.  A converged model root is returned
-    with no exact residual: (F, eps, geta) and the profile are evaluated
-    by `_residual`, from the state's values at the root, on the first read
-    of the decomposition's fields.  The root of a model that did not
-    converge is read at once and accepted up to the quadrature and spline
-    noise floor, floor_tol = FLOOR_TOL f_scale; a singular model, or a
-    residual above that floor, raises ModulationError naming b, lambda1,
-    |F|/f_scale, the model's outcome and its iteration count, and, when
-    the failing root sits at B_MAX, that b reached the top of the
-    family's range.  The caller supplies the starting guess: `evolve`
-    extrapolates it from its last three roots, so that one model iteration
-    usually suffices.
+    with no exact residual: `read` evaluates (F, eps, geta) and the
+    profile from the state's values at the root, for a block of
+    decompositions at once, on the first read of their fields.  The root
+    of a model that did not converge is read at once and accepted up to
+    the quadrature and spline noise floor, floor_tol = FLOOR_TOL f_scale;
+    a singular model, or a residual above that floor, raises
+    ModulationError naming b, lambda1, |F|/f_scale, the model's outcome
+    and its iteration count, and, when the failing root sits at B_MAX,
+    that b reached the top of the family's range.  The caller supplies
+    the starting guess: `evolve` extrapolates it from its last three
+    roots, so that one model iteration usually suffices.
 
     `counters` counts decompose calls, model iterations, model step
     halvings, solves accepted at the noise floor (atol < |F| <=
     floor_tol), the exact profile evaluations (table: the nodes and probes
-    of every level it built; decompose: every `_residual`, first reads
-    included; lift), lift calls and lift failures, and carry the table's
+    of every level it built; decompose: every residual `read` evaluates;
+    lift), lift calls and lift failures, and carry the table's
     node count (table_nodes) and its error bound relative to f_scale
     (table_error_bound).  They belong to one run; `reset` starts them
     afresh, so that runs sharing a solver each see what a solver of their
@@ -614,16 +614,12 @@ class ModulationSolver:
                     for a_u, a_g in zip(self._a_u, self._a_g))
         return (s1 - p1, s2 - p2), (dl1, dl2), (dp1, dp2)
 
-    def _residual(self, vals, b):
-        """Exact F at (lam1, b) from the state's values at lam1: F, the
-        fields (eps, geta) as a FieldPair and the profile at b (one
-        profile evaluation), the triple a ModulationState holds."""
-        return self._residuals([vals], [b])[0]
-
     def _residuals(self, vals, bs):
-        """`_residual` at each (vals[j], bs[j]), from one block of profiles
-        (`modulation_profiles`); a ProfileError carries the position of
-        the b it names."""
+        """Exact F at each (lam1, bs[j]) from vals[j], the state's values at
+        lam1: F, the fields (eps, geta) as a FieldPair and the profile at
+        bs[j], the triple a ModulationState holds; one block of profiles
+        (`modulation_profiles`), whose ProfileError names the b that
+        failed."""
         g = self.grid
         profs = modulation_profiles(g, bs)
         self.counters["profile_evals_decompose"] += len(bs)
@@ -639,22 +635,17 @@ class ModulationSolver:
         return out
 
     def read(self, mods):
-        """Make the first reads of the decompositions of mods that have not
-        been read, from one block of profiles (at most PROFILE_BLOCK).  A
-        ProfileError reads none of them and carries the position in mods of
-        the decomposition whose b it names."""
-        todo = [i for i, mod in enumerate(mods) if hasattr(mod, "_pending")]
+        """Fill the exact triple of each decomposition of mods that has
+        none, from one block of profiles (at most PROFILE_BLOCK), and drop
+        the state's values it held.  A ProfileError, which names a b, reads
+        none of them."""
+        todo = [mod for mod in mods if mod._exact is None]
         if not todo:
             return
-        try:
-            exact = self._residuals([mods[i]._pending[1] for i in todo],
-                                    [mods[i].b for i in todo])
-        except ProfileError as exc:
-            exc.index = todo[exc.index]
-            raise
-        for i, triple in zip(todo, exact):
-            mods[i]._exact = triple
-            del mods[i]._pending
+        exact = self._residuals([mod._vals for mod in todo],
+                                [mod.b for mod in todo])
+        for mod, triple in zip(todo, exact):
+            mod._exact, mod._vals = triple, None
 
     def _model_newton(self, splines, lam1, b):
         """Damped Newton on the model, each step halved until |G| descends
@@ -704,11 +695,12 @@ class ModulationSolver:
         iterations = self.counters["model_iterations"]
         lam1, b, vals, outcome = self._model_newton(_StateSplines(state),
                                                     *guess)
-        mod = ModulationState(lam1, b, (self, vals))
+        mod = ModulationState(lam1, b, self, vals)
         if outcome == "converged":
             return mod
         # the first read: one exact residual at the model's root, accepted
         # up to the noise floor
+        self.read([mod])
         res = np.linalg.norm(mod.residuals)
         if outcome == "singular" or res > FLOOR_TOL * self.f_scale:
             what = MODEL_FAILURES.get(outcome, "modulation Newton did not "
@@ -765,7 +757,7 @@ def lift_bs(solver: ModulationSolver, mods) -> list:
     [solver.table.lo, B_MAX], a zero secant denominator, or no step of at
     most LIFT_SECANT_TOL * b_hat within LIFT_SECANT_STEPS steps ends a lift
     with a ModulationError and counts a lift failure.  A ProfileError of
-    the profile at an iterate carries the position in mods of its lift.
+    the profile at an iterate, which names that iterate, ends the block.
     """
     g = solver.grid
     counters = solver.counters
@@ -799,13 +791,8 @@ def lift_bs(solver: ModulationSolver, mods) -> list:
                 if x is None and lo <= b1[j] <= hi]
         if not live:
             break
-        try:
-            r1 = _lift_residuals(g, w, [b1[j] for j in live],
-                                 [u_b[j] for j in live],
-                                 [g_b[j] for j in live])
-        except ProfileError as exc:
-            exc.index = live[exc.index]
-            raise
+        r1 = _lift_residuals(g, w, [b1[j] for j in live],
+                             [u_b[j] for j in live], [g_b[j] for j in live])
         counters["profile_evals_lift"] += len(live)
         for j, r in zip(live, r1):
             if r == r0[j]:
@@ -970,10 +957,11 @@ class RunSetup:
         of the decompositions' fields (`ModulationSolver.read`) are one
         profile evaluation and the lifts of its cadence records one
         lockstep secant (`lift_bs`), and its rows are written.  A
-        ProfileError there ends the run 'grid_exhausted' too; its series
-        ends at the record before the one whose b the error names, and its
-        counters include the steps of the rest of that block.  The
-        series' .counters are the
+        ProfileError there commits the block's records again one at a
+        time, each a block of one, whose columns are bitwise the block's;
+        the first that fails ends the run 'grid_exhausted' too, its series
+        ends at the record before it, and its counters include the steps
+        of the rest of that block.  The series' .counters are the
         modulation solver's counters (see `ModulationSolver`) plus the
         refolds, the records whose free energy is NaN (nan_free_energy) and
         the smallest, median and largest committed step (ds_min, ds_median,
@@ -1016,23 +1004,22 @@ class RunSetup:
 
         def commit(block):
             # the block's first reads, then its lifts, in one evaluation
-            # each; a ProfileError commits the records before the one whose
-            # b it names, and ends the run
+            # each; on a ProfileError its records are committed one at a
+            # time, and the first that fails again ends the run
             if not block:
                 return
             mods = [m for _, m, _ in block]
-            try:
-                solver.read(mods)
-            except ProfileError as exc:
-                commit(block[:exc.index])
-                raise
             lifted = [i for i, (_, _, k) in enumerate(block)
                       if k % params.cadence == 0]
             try:
+                solver.read(mods)
                 hats = lift_bs(solver, [mods[i] for i in lifted])
-            except ProfileError as exc:
-                commit(block[:lifted[exc.index]])
-                raise
+            except ProfileError:
+                if len(block) == 1:
+                    raise
+                for rec in block:
+                    commit([rec])
+                return
             hats = dict(zip(lifted, hats))
             for i, (st, m, _) in enumerate(block):
                 bh = hats.get(i, math.nan)

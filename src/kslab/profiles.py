@@ -23,14 +23,14 @@ solution) is computed once per grid and kept in the grid's memo
 (`profile_base`) as arrays only, never as fields: the memo holds nothing
 that refers back to its grid (see `grid`), so `build_t1_s1` and the family
 wrap the level-b arrays in fields on each call.  Two evaluators share one
-per-b core, `_localize`: `build_profile_family` returns the whole family,
-and `modulation_profile` returns only the three arrays the modulation solve
-reads (Qb~, grad Pb~, n~), bitwise equal to the family's, at a fraction of
-the cost.  The core evaluates a block of b at once, one column per b:
-the same elementwise arithmetic and checks, and one sparse product per
-cumulative integral for the whole block, so that each column is bitwise
-the single b's; `modulation_profiles` hands out such a block, and a
-ProfileError names the b that failed and its position in the block.
+core, `_localize`: `build_profile_family` returns the whole family at one
+b, and `modulation_profiles` returns, for each b of a block, only the
+three arrays the modulation solve reads (Qb~, grad Pb~, n~), bitwise equal
+to the family's, at a fraction of the cost.  The core evaluates a block of
+b at once, one column per b: the same elementwise arithmetic and checks,
+and one sparse product per cumulative integral for the whole block, so
+that each column is bitwise the single b's, and a ProfileError names the
+first b of the block that failed.
 """
 
 from __future__ import annotations
@@ -73,11 +73,8 @@ B_MIN = 2e-89
 
 
 class ProfileError(ValueError):
-    """A profile that cannot be built.  For a block of b (see
-    `modulation_profiles`), `index` is the position in the block of the b
-    the error is about (0 for a single b)."""
-
-    index = 0
+    """A profile that cannot be built; for a block of b (see
+    `modulation_profiles`), its message names the first b that failed."""
 
 
 def _check_columns(ok, message, *values):
@@ -86,10 +83,8 @@ def _check_columns(ok, message, *values):
     per-b arrays, or scalars for one b."""
     if not np.all(ok):
         j = np.flatnonzero(~np.asarray(ok))[0]
-        exc = ProfileError(message % tuple(np.atleast_1d(x)[j]
+        raise ProfileError(message % tuple(np.atleast_1d(x)[j]
                                            for x in values))
-        exc.index = int(j)
-        raise exc
 
 
 # -- kernel basis of L0 (Wronskian psi1' psi0 - psi1 psi0' = r Q/4) -----------
@@ -169,8 +164,8 @@ def _l0_coefficients(grid, fv):
 
 def _l0_solution(grid, fv):
     """invert_L0's values for an even source with values fv (shape (n,) or
-    (n, k)), which must vanish at the origin; ProfileError naming the
-    position of the first column that does not."""
+    (n, k)), which must vanish at the origin; ProfileError if a column
+    does not."""
     scale = np.max(np.abs(fv), axis=0)
     _check_columns(~((scale > 0.0) & (np.abs(fv[0]) > 1e-8 * scale)),
                    "invert_L0 source must vanish at the origin")
@@ -365,13 +360,9 @@ def _radiation(grid, base, bs):
     c_b, c1, c2, beta1..3, m_sigma and d_sigma, each column (or value)
     bitwise the one b's.  Checks each b (`_check_b`), then c1 > c2 and the
     region identities; a ProfileError names the first b of the first check
-    that fails and carries its position (`index`)."""
-    for j, b in enumerate(bs):
-        try:
-            _check_b(grid, b)
-        except ProfileError as exc:
-            exc.index = j
-            raise
+    that fails."""
+    for b in bs:
+        _check_b(grid, b)
     r = _block_nodes(grid, bs)
     B0 = _per_b(r, [1.0 / math.sqrt(b) for b in bs])
     chi = cutoff(r / (B0 / 4.0))
@@ -604,10 +595,15 @@ def _localize(grid: RadialGrid, bs):
 
 
 def modulation_profiles(grid: RadialGrid, bs) -> list:
-    """`modulation_profile` at each b of bs, from one `_localize` block.
+    """(Qb~, grad Pb~, n~) at each b of bs, what the modulation solve and
+    lift read, from one `_localize` block.
 
-    Each profile is bitwise the one b's; a ProfileError names a failing b
-    and carries its position in bs (`ProfileError.index`)."""
+    Runs the same checks and arithmetic as `build_profile_family`, which is
+    built on the same core, so each profile's arrays are bitwise equal to
+    the family's fields at its b, and to those of the block [b]; it skips
+    everything else the family holds.  A ProfileError names the first b of
+    bs that fails.
+    """
     loc = _localize(grid, bs)
     Qb, Pbg, nt = (np.ascontiguousarray(x.reshape(grid.n, -1).T)
                    for x in (loc.Qb, loc.Pbg, loc.nt))
@@ -615,16 +611,6 @@ def modulation_profiles(grid: RadialGrid, bs) -> list:
                               Pb_tilde_grad=RadialField(grid, Pbg[j], "odd"),
                               n_tilde=RadialField(grid, nt[j]))
             for j, b in enumerate(bs)]
-
-
-def modulation_profile(grid: RadialGrid, b: float) -> ModulationProfile:
-    """(Qb~, grad Pb~, n~) at b: what the modulation solve and lift read.
-
-    Runs the same checks and arithmetic as `build_profile_family`, which is
-    built on the same core, so the arrays are bitwise equal to its fields;
-    it skips everything else the family holds.
-    """
-    return modulation_profiles(grid, [b])[0]
 
 
 def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -226,7 +227,8 @@ def test_sweep_caps_workers_at_the_run_count(tmp_path, monkeypatch, b0, pools):
             return map(fn, *iterables)
 
     pools_made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(cli, "run_one", lambda cfg, outdir, offset: {
         "status": "s_max"})
     path = tmp_path / "sweep.cfg"
@@ -449,11 +451,12 @@ def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
 
 
 def test_simulate_refuses_a_table_that_does_not_certify(tmp_path):
-    # at M = 100 (b0 = 1e-2, derived grid) the profile table misses its
-    # target at every level: one violation that blames the keys the table
-    # depends on and states its bound in f_scale, and no traceback
+    # at M = 200 (b0 = 1e-2, derived grid) the profile table misses its
+    # target at every level, by a factor of three: one violation that
+    # blames the keys the table depends on and states its bound in
+    # f_scale, and no traceback
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("profile.M = 100\n")
+    cfg.write_text("profile.M = 200\n")
     done = run_cli(["simulate", "--config", str(cfg)], tmp_path)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
@@ -465,15 +468,17 @@ def test_simulate_refuses_a_table_that_does_not_certify(tmp_path):
 
 
 def test_commands_without_a_run_do_not_import_the_splines(tmp_path):
-    # scipy.interpolate serves only the state splines of a run
+    # scipy.interpolate serves only the state splines of a run, and the
+    # process pool only a sweep on more than one worker
     code = ("import sys\n"
             "from kslab.cli import main\n"
             "main(['profile', 'build', '--b', '1e-4'])\n"
             "main(['spectral', 'check', '--M', '50'])\n"
-            "print('scipy.interpolate' in sys.modules)\n")
+            "print([name in sys.modules for name in ('scipy.interpolate', "
+            "'concurrent.futures.process', 'multiprocessing')])\n")
     done = run_child(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[False, False, False]"
 
 
 def test_validate_bounds_the_stencil_order(recwarn):

@@ -19,7 +19,7 @@ from kslab.grid import (FieldPair, RadialField, RadialGrid, integrate,
 from kslab.operators import mass_q, q_density
 from kslab.profiles import (B_MAX, ProfileError, build_profile_family,
                             grid_b_floor, localization_radius,
-                            modulation_profile)
+                            modulation_profiles)
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +315,7 @@ def reference_residual(solver, msp, nsp, lam1, b):
     solver's tabulated model and exact check)."""
     g = solver.grid
     y = g.nodes
-    prof = modulation_profile(g, b)
+    prof = modulation_profiles(g, [b])[0]
     x = np.minimum(lam1 * y, g.r_max)
     eps = np.empty_like(y)
     eps[1:] = lam1 ** 2 * np.asarray(msp(x[1:], 1)) / x[1:] \
@@ -458,13 +458,13 @@ def test_decompose_returns_the_accepted_residual_fields(small_grid,
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     calls = []
-    residual = solver._residual
+    residuals = solver._residuals
 
-    def counted(vals, b):
-        calls.append(b)
-        return residual(vals, b)
+    def counted(vals, bs):
+        calls.extend(bs)
+        return residuals(vals, bs)
 
-    solver._residual = counted
+    solver._residuals = counted
     mod = solver.decompose(state, guess=guess)
     assert calls == []
     atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
@@ -477,7 +477,7 @@ def test_decompose_returns_the_accepted_residual_fields(small_grid,
     np.testing.assert_array_equal(mod.residuals, F)
     np.testing.assert_array_equal(
         mod.profile.Qb_tilde.values,
-        modulation_profile(small_grid, mod.b).Qb_tilde.values)
+        modulation_profiles(small_grid, [mod.b])[0].Qb_tilde.values)
     assert calls == [mod.b]
     assert solver.counters["profile_evals_decompose"] == 1
 
@@ -505,7 +505,7 @@ def test_profile_table_matches_exact_pairings(small_grid, small_params):
     b_test = np.exp(rng.uniform(np.log(table.lo), np.log(table.hi), 50))
     atol = 1e-10 * abs(solver.phim.report["PhiM_LambdaQ"])
     for b in b_test:
-        prof = modulation_profile(small_grid, b)
+        prof = modulation_profiles(small_grid, [b])[0]
         n_y = np.zeros_like(y)
         n_y[1:] = prof.n_tilde.values[1:] / y[1:]
         P = [solver._wphi1 @ prof.Qb_tilde.values + solver._wphi2 @ n_y,
@@ -533,7 +533,7 @@ def test_profile_table_states_its_error_bound(small_grid, small_params):
     y = small_grid.nodes
     misfit = 0.0
     for b in table._b(dyn.TABLE_PROBE_THETA):
-        prof = modulation_profile(small_grid, b)
+        prof = modulation_profiles(small_grid, [b])[0]
         n_y = np.zeros_like(y)
         n_y[1:] = prof.n_tilde.values[1:] / y[1:]
         P = np.array(solver._pair(prof.Qb_tilde.values, n_y))
@@ -623,13 +623,13 @@ def reference_lift_b(solver, mod):
     lift's oracle)."""
     g = solver.grid
     w = 2.0 * np.pi * g.quad_weights
-    prof = modulation_profile(g, mod.b)
+    prof = modulation_profiles(g, [mod.b])[0]
     eps = mod.eps_pair
     u_b = prof.Qb_tilde.values + eps.density.values
     g_b = prof.Pb_tilde_grad.values + eps.chem_gradient.values
 
     def root(bh):
-        fam_h = modulation_profile(g, bh)
+        fam_h = modulation_profiles(g, [bh])[0]
         lp0 = ops.apply_Lstar(ops.phi0_pair(g, 1.0 / math.sqrt(bh)))
         return float((u_b - fam_h.Qb_tilde.values) @ (w * lp0.density.values)
                      + (g_b - fam_h.Pb_tilde_grad.values)
@@ -699,9 +699,9 @@ def test_lift_b_of_the_profile_itself_is_b(small_grid, small_params,
     state, guess = perturbed_states[-1]
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     b = solver.decompose(state, guess=guess).b
-    prof = modulation_profile(small_grid, b)
+    prof = modulation_profiles(small_grid, [b])[0]
     zero = RadialField(small_grid, np.zeros(small_grid.n))
-    mod = dyn.ModulationState(1.0, b, None)
+    mod = dyn.ModulationState(1.0, b, solver, None)
     mod._exact = ((0.0, 0.0), FieldPair(
         zero, RadialField(small_grid, zero.values, "odd")), prof)
     for lo in (solver.table.lo, 0.995 * b):
@@ -778,12 +778,12 @@ def test_lift_b_leaves_no_cycle_on_the_cache(small_grid, small_params):
 
 def test_lift_b_derivative_scale(small_grid, small_params):
     b = small_params.b0
-    fam_b = modulation_profile(small_grid, b)
+    fam_b = modulation_profiles(small_grid, [b])[0]
     g = small_grid
     w = 2 * np.pi * g.quad_weights
 
     def F(bh):
-        fam_h = modulation_profile(small_grid, bh)
+        fam_h = modulation_profiles(small_grid, [bh])[0]
         B0h = 1.0 / math.sqrt(bh)
         lp0 = ops.apply_Lstar(ops.phi0_pair(g, B0h))
         du = fam_b.Qb_tilde.values - fam_h.Qb_tilde.values
@@ -863,7 +863,7 @@ def test_evolve_first_reads_equal_an_eager_residual(small_setup,
                                                     small_params,
                                                     monkeypatch):
     # every record reads the fields of one decomposition, bit for bit those
-    # of an eager _residual at its (lam1, b) from the state's splines
+    # of an eager residual at its (lam1, b) from the state's splines
     decomposed = []
     decompose = dyn.ModulationSolver.decompose
 
@@ -877,14 +877,15 @@ def test_evolve_first_reads_equal_an_eager_residual(small_setup,
     pert = small_setup.sample_perturbation(1e-4, np.random.default_rng(3))
     series = small_setup.run(pert)
     assert series.status == "s_max"
-    read = [(state, mod) for state, mod in decomposed if "_exact" in vars(mod)]
+    read = [(state, mod) for state, mod in decomposed
+            if mod._exact is not None]
     assert len(read) == len(series) == series.counters[
         "profile_evals_decompose"]
     assert series.counters["decompose_calls"] == len(decomposed)
     for (state, mod), res_phi, res_lphi in zip(
             read, series.column("res_phi"), series.column("res_lphi")):
-        F, pair, prof = solver._residual(
-            dyn._StateSplines(state)(mod.lam), mod.b)
+        F, pair, prof = solver._residuals(
+            [dyn._StateSplines(state)(mod.lam)], [mod.b])[0]
         assert mod.residuals == F == (res_phi, res_lphi)
         assert np.linalg.norm(F) <= solver.atol
         np.testing.assert_array_equal(mod.eps_pair.density.values,
@@ -948,10 +949,9 @@ def test_first_read_profile_error_ends_the_run_grid_exhausted(
 
         def failing_at(self, vals, bs):
             blocks.append(list(bs))
-            if failing < len(bs):
-                exc = ProfileError("grid too small for b=%g" % bs[failing])
-                exc.index = failing
-                raise exc
+            bad = blocks[0][failing]
+            if bad in bs:
+                raise ProfileError("grid too small for b=%g" % bad)
             return residuals(self, vals, bs)
 
         monkeypatch.setattr(dyn.ModulationSolver, "_residuals", failing_at)
@@ -961,8 +961,8 @@ def test_first_read_profile_error_ends_the_run_grid_exhausted(
         assert len(series) == failing
         np.testing.assert_array_equal(series.b, blocks[0][:failing])
         # the block's records were decomposed before their first reads,
-        # and the records before the failing one are read again alone
-        assert blocks[1] == blocks[0][:failing]
+        # and are read again one at a time up to the failing one
+        assert blocks[1:] == [[b] for b in blocks[0][:failing + 1]]
         assert series.counters["decompose_calls"] == dyn.PROFILE_BLOCK
 
 
@@ -994,7 +994,7 @@ def test_decompose_counts_floor_acceptances(small_grid, small_params,
         guess = (root.lam, root.b * (1.0 + 1e-6))
         mod = solver.decompose(state, guess=guess)
         assert (mod.lam, mod.b) == guess
-        assert "_exact" in vars(mod)
+        assert mod._exact is not None
         norm = np.linalg.norm(mod.residuals)
         assert solver.atol < norm <= 3e-6 * solver.f_scale
     assert solver.counters["floor_acceptances"] == len(perturbed_states)
