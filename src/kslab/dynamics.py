@@ -22,7 +22,12 @@ model did not converge to is read at once and accepted or refused on that
 exact residual.  The roots lie on a smooth curve in s (lambda_s/lambda =
 -b, b_s ~ -2b^2/|log b|), so each solve starts from (lambda, b)
 extrapolated quadratically in s through the last three roots, usually one
-model Newton iteration from the root.  Small frame drift accumulates in
+model Newton iteration from the root.  The state is read once per
+decomposition, at that guess: the Newton step from a read point is taken
+without reading the state at the iterate when a stated bound on the model
+residual there (Taylor terms plus a term for the lambda-column's error)
+meets the model's tolerance, and is read otherwise; a root taken unread
+is read on its record's first read.  Small frame drift accumulates in
 a pending scale factor and the grid is only re-interpolated when it
 exceeds a threshold, so the bubble never de-resolves.
 
@@ -114,15 +119,15 @@ class ModulationState:
     them the pair F (`residuals`), the fields (eps, geta) (`eps_pair`) and
     the profile at b they were taken against (`profile`).
 
-    It holds its solver and vals, the state's values at lam1, until
-    `ModulationSolver.read` fills that exact triple (`_exact`, None until
-    then) and drops vals.  Reading any of the three on an unread
-    decomposition reads it alone, `solver.read([self])`.
+    It holds its solver and the state's splines until
+    `ModulationSolver.read` reads them at lam1, fills that exact triple
+    (`_exact`, None until then) and drops them.  Reading any of the three
+    on an unread decomposition reads it alone, `solver.read([self])`.
     """
 
-    def __init__(self, lam: float, b: float, solver, vals):
+    def __init__(self, lam: float, b: float, solver, splines):
         self.lam, self.b = lam, b
-        self._solver, self._vals = solver, vals
+        self._solver, self._splines = solver, splines
         self._exact = None
 
     def _read(self):
@@ -438,6 +443,11 @@ class ProfileTable:
     nodes then its probes, and the table keeps the first level whose bound
     is at most CERTIFY_FRACTION * ATOL * f_scale (`nodes` is its node
     count); TableError if none is.
+
+    `curvature(b)` bounds the 2-norm of the table's own second
+    b-derivative over [b, hi], from its coefficients: with x the Chebyshev
+    variable, |d^2/dx^2| <= sum |c''| and |d/dx| <= sum |c'| (|T_k| <= 1),
+    and the chain rule through x(log b) is largest at the smallest b.
     """
 
     def __init__(self, lo, hi, scalars, f_scale):
@@ -459,11 +469,21 @@ class ProfileTable:
             self.error_bound = TABLE_SAFETY * float(max(tail, misfit))
             self.nodes = nodes
             if self.error_bound <= target:
-                return
-        raise TableError(
-            "the profile table does not certify at %d nodes: error bound "
-            "%.3g f_scale, above its target %.3g f_scale"
-            % (nodes, self.error_bound / f_scale, target / f_scale))
+                break
+        else:
+            raise TableError(
+                "the profile table does not certify at %d nodes: error bound "
+                "%.3g f_scale, above its target %.3g f_scale"
+                % (nodes, self.error_bound / f_scale, target / f_scale))
+        # d^2P/db^2 = (P_xx (2/span)^2 - P_x (2/span)) / b^2
+        dx = 2.0 / (self._lb - self._la)
+        self._curvature = float(np.linalg.norm(
+            np.abs(chebder(coef, 2)).sum(axis=0) * dx ** 2
+            + np.abs(self._dcoef).sum(axis=0) * dx))
+
+    def curvature(self, b):
+        """A bound on |d^2/db^2| of the table over [b, hi]."""
+        return self._curvature / (b * b)
 
     def _b(self, theta):
         """The b at Chebyshev angles theta."""
@@ -495,6 +515,10 @@ FLOOR_TOL = 3e-6
 CERTIFY_FRACTION = 0.5
 # decompose's model Newton stops at |G| <= MODEL_TOL * atol
 MODEL_TOL = 1e-2
+# the step bound takes the lambda-column's error as this times its embedded
+# estimate, which reads 0.3 to 1.9 of the error at M = 11 to 60 (at 2, a
+# run at M = 60 takes a root one iteration early and its rows change)
+COLUMN_SAFETY = 4.0
 # model Newton iterations after which the model is 'exhausted'
 MODEL_MAX_ITER = 30
 # how decompose's ModulationError names a model outcome that failed
@@ -502,7 +526,8 @@ MODEL_FAILURES = {
     "singular": "singular modulation Jacobian (M too small or state far "
                 "from family)",
     "stalled": "modulation Newton stalled (trapped regime exited?)"}
-COUNTERS = ("decompose_calls", "model_iterations", "damping_halvings",
+COUNTERS = ("decompose_calls", "model_iterations", "state_reads",
+            "confirmations_skipped", "damping_halvings",
             "floor_acceptances", "profile_evals_decompose",
             "profile_evals_lift", "lift_calls", "lift_failures")
 
@@ -541,15 +566,51 @@ class ModulationSolver:
     the starting guess: `evolve` extrapolates it from its last three
     roots, so that one model iteration usually suffices.
 
-    `counters` counts decompose calls, model iterations, model step
-    halvings, solves accepted at the noise floor (atol < |F| <=
-    floor_tol), the exact profile evaluations (table: the nodes and probes
-    of every level it built; decompose: every residual `read` evaluates;
-    lift), lift calls and lift failures, and carry the table's
-    node count (table_nodes) and its error bound relative to f_scale
-    (table_error_bound).  They belong to one run; `reset` starts them
-    afresh, so that runs sharing a solver each see what a solver of their
-    own would show (the table's evaluations are counted in every run).
+    One read of the state per decomposition: the Newton step d =
+    (dlambda1, db) from a read point p is taken without reading the state
+    at p + d when a bound on the model residual there is at most MODEL_TOL
+    atol, the model's own stopping test.  G is separable, so Taylor's
+    theorem gives
+
+        |G(p + d)| <= |G(p) + J~ d| + COLUMN_SAFETY |e| |dlambda1|
+                      + (K_S dlambda1^2 + K_P db^2) / 2,
+
+    with J~ the model's Jacobian (G(p) + J~ d is the step's rounding) and
+    e an embedded estimate of the lambda-column's error: the column less
+    the same column with a D1 of order stencil_order + 4 on the same
+    nodes, both moved onto the weights once per solver.  The column's
+    L* Phi_M entry is off by 6e-4 to 1.5e-3 of itself at M = 11 and by 0.7
+    to 6 % at M = 60, against a central difference of S, and |e| reads 0.3
+    to 1.9 of that error over lambda1 in [1/1.2, 1.2], so the term covers
+    the steps the inexact column spoils.  K_S is twice |S''| at p, from
+    (lambda1 d/dlambda1)^2 on the weights, standing for its largest value
+    along the step; K_P is the table's `curvature` at the smaller b of the
+    step.  A step the bound refuses, or one that leaves lambda1 > 0.1 and
+    [table.lo, B_MAX], is read.
+
+    The guarantee: if COLUMN_SAFETY |e| bounds the column's error and K_S
+    bounds |S''| along the step, the exact model residual at an unread
+    root is at most MODEL_TOL atol.  The computed F adds the table's error
+    (at most CERTIFY_FRACTION atol) and the rounding of the pairing sums,
+    gamma_n sum |w v|, which is at most 0.5 MODEL_TOL atol in a collapse
+    run at M = 11 and 3 MODEL_TOL atol at M = 60, so an unread root has
+    |F| <= 0.54 atol.  An unread root is the iterate a read would accept
+    when that read's computed |G| is within MODEL_TOL atol too (read
+    afterwards, at most 0.52 MODEL_TOL atol in those runs); then the
+    iterates, and every output, are those of a solver that always reads.
+    That is measured, not proven.
+
+    `counters` counts decompose calls, model iterations, reads of the
+    state's splines (state_reads), Newton steps taken unread
+    (confirmations_skipped), model step halvings, solves accepted at the
+    noise floor (atol < |F| <= floor_tol), the exact profile evaluations
+    (table: the nodes and probes of every level it built; decompose:
+    every residual `read` evaluates; lift), lift calls and lift failures,
+    and carry the table's node count (table_nodes) and its error bound
+    relative to f_scale (table_error_bound).  They belong to one run;
+    `reset` starts them afresh, so that runs sharing a solver each see
+    what a solver of their own would show (the table's evaluations are
+    counted in every run).
     The table's nodes and probes, the first reads of `read` and the lifts
     of `lift_bs` each evaluate the profile a block of at most
     PROFILE_BLOCK b at a time.
@@ -576,6 +637,22 @@ class ModulationSolver:
                      for wu in (self._wphi1, self._wlphi1)]
         self._a_g = [wg + d1g @ (y * wg)
                      for wg in (self._wphi2, self._wlphi2)]
+        # the step bound's terms at a read point, one stacked product per
+        # field: lam1 e, the y d/dy part of the column less the same part
+        # with a D1 of order stencil_order + 4, and lam1^2 S'' =
+        # (lam1 d/dlam1)^2 S - lam1 dS/dlam1, i.e. <a_u + D a_u, u> +
+        # <D a_g, g> with D the y d/dy on the weights
+        fine = RadialGrid(y, stencil_order=grid.stencil_order + 4)
+        f1u = fine.diff_matrix(1, "even").T
+        f1g = fine.diff_matrix(1, "odd").T
+        self._bound_u = np.array(
+            [d1u @ (y * wu) - f1u @ (y * wu)
+             for wu in (self._wphi1, self._wlphi1)]
+            + [a_u + d1u @ (y * a_u) for a_u in self._a_u])
+        self._bound_g = np.array(
+            [d1g @ (y * wg) - f1g @ (y * wg)
+             for wg in (self._wphi2, self._wlphi2)]
+            + [d1g @ (y * a_g) for a_g in self._a_g])
         b_floor = grid_b_floor(grid)
 
         def scalars(bs):
@@ -605,14 +682,33 @@ class ModulationSolver:
 
     def _model(self, vals, lam1, b):
         """From the state's values at lam1: G = S(lam1) - P~(b), the
-        Jacobian column dS/dlam1 and dP~/db, each a pair of floats."""
+        Jacobian column dS/dlam1 and dP~/db, each a pair of floats, and
+        the step bound's |e| and |S''| at lam1."""
         u, n_x = vals
         g = self.grid.divide_by_r(n_x, "even")
         (p1, p2), (dp1, dp2) = (x.tolist() for x in self.table(b))
         s1, s2 = self._pair(u, g)
         dl1, dl2 = (float(a_u @ u + a_g @ g) / lam1
                     for a_u, a_g in zip(self._a_u, self._a_g))
-        return (s1 - p1, s2 - p2), (dl1, dl2), (dp1, dp2)
+        e1, e2, c1, c2 = (self._bound_u @ u + self._bound_g @ g).tolist()
+        return ((s1 - p1, s2 - p2), (dl1, dl2), (dp1, dp2),
+                (math.hypot(e1, e2) / lam1, math.hypot(c1, c2) / lam1 ** 2))
+
+    def _read_state(self, splines, lam1):
+        """The state's values at lam1, one read of its splines (counted)."""
+        self.counters["state_reads"] += 1
+        return splines(lam1)
+
+    def _step_bound(self, G, dl, dp, slack, b, step_lam, step_b):
+        """The class docstring's bound on |G| after the Newton step
+        (step_lam, step_b) from a read point at b where the model gave
+        G, dl, dp and slack = (|e|, |S''|)."""
+        col_err, s_pp = slack
+        lin = math.hypot(G[0] + dl[0] * step_lam - dp[0] * step_b,
+                         G[1] + dl[1] * step_lam - dp[1] * step_b)
+        k_p = self.table.curvature(min(b, b + step_b))
+        return (lin + COLUMN_SAFETY * col_err * abs(step_lam)
+                + 0.5 * (2.0 * s_pp * step_lam ** 2 + k_p * step_b ** 2))
 
     def _residuals(self, vals, bs):
         """Exact F at each (lam1, bs[j]) from vals[j], the state's values at
@@ -636,66 +732,74 @@ class ModulationSolver:
 
     def read(self, mods):
         """Fill the exact triple of each decomposition of mods that has
-        none, from one block of profiles (at most PROFILE_BLOCK), and drop
-        the state's values it held.  A ProfileError, which names a b, reads
-        none of them."""
+        none, from one block of profiles (at most PROFILE_BLOCK) and the
+        state's splines read at its lam1, and drop the splines.  For a
+        root taken unread that read has the bits of the one the step bound
+        spared.  A ProfileError, which names a b, reads none of them."""
         todo = [mod for mod in mods if mod._exact is None]
         if not todo:
             return
-        exact = self._residuals([mod._vals for mod in todo],
-                                [mod.b for mod in todo])
+        exact = self._residuals(
+            [self._read_state(mod._splines, mod.lam) for mod in todo],
+            [mod.b for mod in todo])
         for mod, triple in zip(todo, exact):
-            mod._exact, mod._vals = triple, None
+            mod._exact, mod._splines = triple, None
 
     def _model_newton(self, splines, lam1, b):
         """Damped Newton on the model, each step halved until |G| descends
-        (at most 10 times); one read of the state per iterate gives both G
-        and the lambda-column.  Returns lam1, b, the state's values at lam1
-        and the outcome: 'converged' (|G| <= MODEL_TOL atol), 'stalled' (no
-        descent), 'singular' (a singular Jacobian) or 'exhausted'
-        (MODEL_MAX_ITER steps)."""
+        (at most 10 times); one read of the state per iterate gives G, the
+        lambda-column and the step bound's terms, and a full step whose
+        bound (see the class docstring) is at most MODEL_TOL atol ends the
+        solve unread.  Returns lam1, b and the outcome: 'converged' (|G|
+        <= MODEL_TOL atol, read or bounded), 'stalled' (no descent),
+        'singular' (a singular Jacobian) or 'exhausted' (MODEL_MAX_ITER
+        steps)."""
         tol = MODEL_TOL * self.atol
-        vals = splines(lam1)
-        G, dl, dp = self._model(vals, lam1, b)
+        G, dl, dp, slack = self._model(self._read_state(splines, lam1), lam1,
+                                       b)
         norm = math.hypot(*G)
         for _ in range(MODEL_MAX_ITER):
             if norm <= tol:
-                return lam1, b, vals, "converged"
+                return lam1, b, "converged"
             self.counters["model_iterations"] += 1
             # J = [[dl1, -dp1], [dl2, -dp2]]; the step solves J step = -G
             det = dp[0] * dl[1] - dl[0] * dp[1]
             j_max = max(abs(dl[0]), abs(dl[1]), abs(dp[0]), abs(dp[1]))
             if not math.isfinite(det) or abs(det) < 1e-12 * j_max ** 2:
-                return lam1, b, vals, "singular"
+                return lam1, b, "singular"
             step_lam = (dp[1] * G[0] - dp[0] * G[1]) / det
             step_b = (dl[1] * G[0] - dl[0] * G[1]) / det
+            lam_new, b_new = lam1 + step_lam, b + step_b
+            if (lam_new > 0.1 and self.table.lo <= b_new <= B_MAX
+                    and self._step_bound(G, dl, dp, slack, b, step_lam,
+                                         step_b) <= tol):
+                self.counters["confirmations_skipped"] += 1
+                return lam_new, b_new, "converged"
             t_damp = 1.0
             for _ in range(10):
                 lam_try = lam1 + t_damp * step_lam
                 b_try = b + t_damp * step_b
                 if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
-                    vals_try = splines(lam_try)
-                    G_try, dl_try, dp_try = self._model(vals_try, lam_try,
-                                                        b_try)
+                    G_try, dl_try, dp_try, slack_try = self._model(
+                        self._read_state(splines, lam_try), lam_try, b_try)
                     norm_try = math.hypot(*G_try)
                     if norm_try < norm:
-                        lam1, b, G, dl, dp, vals, norm = (
-                            lam_try, b_try, G_try, dl_try, dp_try, vals_try,
+                        lam1, b, G, dl, dp, slack, norm = (
+                            lam_try, b_try, G_try, dl_try, dp_try, slack_try,
                             norm_try)
                         break
                 t_damp *= 0.5
                 self.counters["damping_halvings"] += 1
             else:
-                return lam1, b, vals, "stalled"
-        outcome = "converged" if norm <= tol else "exhausted"
-        return lam1, b, vals, outcome
+                return lam1, b, "stalled"
+        return lam1, b, "converged" if norm <= tol else "exhausted"
 
     def decompose(self, state: FlowState, guess) -> ModulationState:
         self.counters["decompose_calls"] += 1
         iterations = self.counters["model_iterations"]
-        lam1, b, vals, outcome = self._model_newton(_StateSplines(state),
-                                                    *guess)
-        mod = ModulationState(lam1, b, self, vals)
+        splines = _StateSplines(state)
+        lam1, b, outcome = self._model_newton(splines, *guess)
+        mod = ModulationState(lam1, b, self, splines)
         if outcome == "converged":
             return mod
         # the first read: one exact residual at the model's root, accepted

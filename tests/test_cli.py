@@ -565,6 +565,14 @@ def test_simulate_deterministic(tmp_path):
     assert counters["table_nodes"] == TABLE_NODES[0]
     assert counters["profile_evals_table"] == TABLE_NODES[0] + TABLE_PROBES
     assert 0.0 < counters["table_error_bound"] <= CERTIFY_FRACTION * ATOL
+    # the state is read once per decomposition at its guess, once per
+    # Newton step whose bound does not spare the read (no step is halved),
+    # and once on each record's first read
+    assert counters["damping_halvings"] == 0
+    assert 0 < counters["confirmations_skipped"] <= counters["decompose_calls"]
+    assert counters["state_reads"] == (
+        counters["decompose_calls"] + counters["model_iterations"]
+        - counters["confirmations_skipped"] + sa["records"])
 
 
 def test_simulate_grid_exhausted(tmp_path):

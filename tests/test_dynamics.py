@@ -442,10 +442,111 @@ def test_model_lambda_column_matches_central_difference(b0):
 
     h = 1e-5
     for lam1 in (0.85, 1.0, 1.15):
-        _, column, _ = solver._model(splines(lam1), lam1, b0)
+        _, column, _, _ = solver._model(splines(lam1), lam1, b0)
         central = (S(lam1 + h) - S(lam1 - h)) / (2.0 * h)
         assert (np.linalg.norm(np.subtract(column, central))
                 <= 1e-4 * np.linalg.norm(column))
+
+
+@pytest.mark.parametrize("M", [11.0, 30.0, 60.0])
+def test_step_bound_terms_track_central_differences(M):
+    # the step bound's column error estimate |e| lies within
+    # [1/COLUMN_SAFETY, 2] times the column's error against a central
+    # difference of S, and its K_S = 2 |S''| covers a second difference
+    # of S, at b0 = 1e-2 and 2e-3 and lam1 over [1/1.2, 1.2]
+    for b0 in (1e-2, 2e-3):
+        params = dyn.EvolveParams(b0=b0, M_param=M)
+        grid = dyn.dynamics_grid(params)
+        pert = dyn.random_perturbation(grid, 1e-4, np.random.default_rng(3))
+        splines = dyn._StateSplines(dyn.initial_state(grid, params, pert))
+        solver = dyn.ModulationSolver(grid, M)
+        y = grid.nodes
+
+        def S(lam1):
+            u, n_x = splines(lam1)
+            g = np.zeros_like(u)
+            g[1:] = n_x[1:] / y[1:]
+            return np.array(solver._pair(u, g))
+
+        for lam1 in (1.0 / 1.2, 0.9, 1.0, 1.1, 1.2):
+            _, column, _, (col_err, s_pp) = solver._model(splines(lam1), lam1,
+                                                          b0)
+            central = (S(lam1 + 1e-5) - S(lam1 - 1e-5)) / 2e-5
+            error = np.linalg.norm(np.subtract(column, central))
+            assert error / dyn.COLUMN_SAFETY <= col_err <= 2.0 * error
+            h = 1e-4
+            second = (S(lam1 + h) - 2.0 * S(lam1) + S(lam1 - h)) / h ** 2
+            assert np.linalg.norm(second) <= 2.0 * s_pp
+
+
+def test_decompose_reads_a_far_step_and_skips_a_near_one(
+        small_grid, small_params, perturbed_states):
+    # from the previous root the model's step is bounded within MODEL_TOL
+    # atol and taken unread; from a guess 1e-3 off in lam1 the bound
+    # refuses the first step, whose iterate is read.  Both reach the root,
+    # and the unread root's first read is that of its splines at its lam1
+    state, guess = perturbed_states[-1]
+    solver = dyn.ModulationSolver(small_grid, small_params.M_param)
+    keys = ("model_iterations", "state_reads", "confirmations_skipped")
+
+    def decompose(guess):
+        before = [solver.counters[k] for k in keys]
+        mod = solver.decompose(state, guess=guess)
+        return mod, [solver.counters[k] - n for k, n in zip(keys, before)]
+
+    near, (iterations, reads, skipped) = decompose(guess)
+    # one read at the guess, one per step but the last
+    assert skipped == 1 and reads == iterations >= 1
+    F = solver._residuals([near._splines(near.lam)], [near.b])[0][0]
+    assert near.residuals == F
+    assert near._splines is None
+    assert solver.counters["state_reads"] == reads + 1
+
+    far, (iterations, reads, skipped) = decompose(
+        (near.lam * (1.0 + 1e-3), near.b))
+    assert skipped == 1 and reads == iterations >= 2
+    assert abs(far.lam - near.lam) <= 1e-9 * near.lam
+    assert abs(far.b - near.b) <= 1e-9 * near.b
+
+
+@pytest.mark.parametrize("M_param", [11.0, 60.0])
+def test_unread_roots_equal_those_of_a_solver_that_always_reads(
+        M_param, monkeypatch, tmp_path):
+    # the oracle reads every Newton iterate: COLUMN_SAFETY = inf refuses
+    # every bound.  On the criterion-10 config (M = 11) and on a config
+    # run at M = 60 (which ends modulation_failed) both write the same
+    # rows and count the same but for the two new counters, and every
+    # root taken unread has |G| <= MODEL_TOL atol, read afterwards
+    params = (dyn.EvolveParams(b0=1e-2, b_min=5e-3) if M_param == 11.0
+              else dyn.EvolveParams(M_param=60.0, lam_stop=0.5, s_max=2000.0))
+    unread = []
+    model_newton = dyn.ModulationSolver._model_newton
+
+    def spied(self, splines, lam1, b):
+        skipped = self.counters["confirmations_skipped"]
+        lam1, b, outcome = model_newton(self, splines, lam1, b)
+        if self.counters["confirmations_skipped"] > skipped:
+            G = self._model(splines(lam1), lam1, b)[0]
+            unread.append(math.hypot(*G) / (dyn.MODEL_TOL * self.atol))
+        return lam1, b, outcome
+
+    monkeypatch.setattr(dyn.ModulationSolver, "_model_newton", spied)
+    series = dyn.evolve(params)
+    monkeypatch.setattr(dyn, "COLUMN_SAFETY", math.inf)
+    oracle = dyn.evolve(params)
+    series.to_csv(tmp_path / "unread.csv")
+    oracle.to_csv(tmp_path / "oracle.csv")
+    assert ((tmp_path / "unread.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+    assert series.status == ("b_min" if M_param == 11.0
+                             else "modulation_failed")
+    assert (series.status, series.reason) == (oracle.status, oracle.reason)
+    counts, oracle_counts = dict(series.counters), dict(oracle.counters)
+    assert oracle_counts.pop("confirmations_skipped") == 0
+    assert counts.pop("confirmations_skipped") == len(unread) > 0
+    assert counts.pop("state_reads") < oracle_counts.pop("state_reads")
+    assert counts == oracle_counts
+    assert max(unread) <= 1.0
 
 
 def test_decompose_returns_the_accepted_residual_fields(small_grid,
@@ -553,6 +654,17 @@ def test_profile_table_derivative(small_grid, small_params):
     (p_hi, _), (p_lo, _) = solver.table(b + h), solver.table(b - h)
     _, dp = solver.table(b)
     np.testing.assert_allclose(dp, (p_hi - p_lo) / (2 * h), rtol=1e-6)
+
+
+def test_profile_table_curvature_bounds_its_second_derivative(small_grid,
+                                                              small_params):
+    # |d^2 P~/db^2| from a central difference of the table's derivative,
+    # at 40 b over its range, within curvature(b)
+    table = dyn.ModulationSolver(small_grid, small_params.M_param).table
+    for b in np.geomspace(table.lo * 1.01, table.hi / 1.01, 40):
+        h = 1e-5 * b
+        second = (table(b + h)[1] - table(b - h)[1]) / (2.0 * h)
+        assert np.linalg.norm(second) <= table.curvature(b)
 
 
 def test_spline_coefficients_match_make_interp_spline(small_grid,
