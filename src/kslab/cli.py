@@ -156,10 +156,10 @@ def _spectral(args, M) -> int:
     try:
         phim, bundle, cm, cl = coercivity_chain(
             M, args.nodes_per_decade, args.h_core)
+        kg = operators.kernel_gap(bundle)
     except operators.OperatorError as exc:
         print("spectral check rejected: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    kg = operators.kernel_gap(bundle)
     payload = {
         "M": M,
         "pairing": {"PhiM_T1": phim.report["PhiM_T1"],
@@ -168,6 +168,7 @@ def _spectral(args, M) -> int:
         "delta0_M_hat": cm["delta0_M_hat"],
         "delta0_L_hat": cl["delta0_L_hat"],
         "delta0_L_normalized": cl["normalized"],
+        "modes_cut": cl["modes_cut"],
         "kernel_gap": {"mu0": kg["mu0"], "mu1": kg["mu1"], "gap": kg["gap"],
                        "alignment": kg["alignment"]},
     }

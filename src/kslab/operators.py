@@ -20,7 +20,12 @@ dense matrices, coordinates pinned to zero are dropped by index, the dense
 constraints are removed by the Householder reflectors of their QR (the
 projections cost O(N^2) per constraint row, and no basis of the free
 space is formed), and the minimal Rayleigh quotient against the X_Q metric
-is the lowest eigenvalue of the whitened dense symmetric form.
+is the lowest eigenvalue of the whitened dense symmetric form.  No dense
+SVD is computed: the few singular triplets of the tall whitened L that
+the certificates read (the directions below coercivity_L's relative cut
+and the next one, kernel_gap's two smallest modes) come from its
+Householder R factor by inverse subspace iteration, and the largest
+singular value, which scales the cut, by power iteration.
 """
 
 from __future__ import annotations
@@ -488,6 +493,82 @@ def coercivity_M(bundle: OperatorBundle) -> dict:
 # coercivity_L's relative singular-value cut
 SV_TOL = 1e-10
 
+# the smallest singular triplets of a tall matrix come from its R factor by
+# inverse subspace iteration: the start block's width, the relative change
+# of the wanted Ritz values that ends it, and the sweep cap, which the
+# power iteration for the largest singular value shares
+BLOCK = 8
+RITZ_TOL = 1e-12
+MAX_SWEEPS = 500
+
+
+def _largest_singular(K, what):
+    """The largest singular value of K by power iteration on K^T K from a
+    fixed start, until ||K v|| changes by at most 1e-13 relative.
+    OperatorError naming `what` after MAX_SWEEPS iterations."""
+    v = np.random.default_rng(0).standard_normal(K.shape[1])
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(MAX_SWEEPS):
+        w = K @ v
+        prev, sigma = sigma, np.linalg.norm(w)
+        if abs(sigma - prev) <= 1e-13 * sigma:
+            return sigma
+        v = K.T @ w
+        v /= np.linalg.norm(v)
+    raise OperatorError("%s: power iteration for the largest singular value "
+                        "did not settle in %d iterations" % (what, MAX_SWEEPS))
+
+
+def _smallest_singular(K, left, cut, need, what):
+    """(qr, tau, sv, X, sweeps): the Householder QR of the tall K, computed
+    in place (LAPACK geqrf storage, so K is overwritten), and the smallest
+    singular values sv of its R, ascending, with their left (`left` true)
+    or right singular vectors as the columns of X; K = Q [R; 0] has the
+    same singular values and right vectors, and Q [X; 0] are its left ones.
+
+    Inverse subspace iteration on the triangle, read in place by LAPACK
+    `dtrtrs`: each sweep applies (R R^T)^-1 (left) or (R^T R)^-1 (right)
+    to the block, orthonormalizes it and takes the Ritz values and vectors
+    from a small SVD of R^T X (left) or R X (right), so a left vector is
+    never formed as R v / sigma.  The wanted values are every one at or
+    below `cut` and the next above it, at least `need`; the block holds
+    them and at least one more, and doubles (fresh columns beside the Ritz
+    vectors) when it does not.  The iteration ends when the wanted values
+    change by at most RITZ_TOL relative in one sweep; the guards past them
+    settle more slowly and are not tested.  The start block is fixed.
+    OperatorError naming `what` after MAX_SWEEPS sweeps.
+    """
+    p = K.shape[1]
+    lwork = int(lapack.dgeqrf_lwork(*K.shape)[0])
+    qr, tau = lapack.dgeqrf(K, lwork=lwork, overwrite_a=1)[:2]
+    first, then = (0, 1) if left else (1, 0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((p, min(BLOCK, p)))
+    prev = np.zeros(0)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        for trans in (first, then):
+            X, info = lapack.dtrtrs(qr, X, trans=trans)
+            if info:
+                raise OperatorError("%s: R is exactly singular" % what)
+        X = linalg.qr(X, mode="economic")[0]
+        _, sv, Zt = lapack.dgesdd(linalg.blas.dtrmm(1.0, qr, X, trans_a=then),
+                                  full_matrices=0)[:3]
+        sv, X = sv[::-1], X @ Zt[::-1].T
+        k = len(sv)
+        wanted = min(max(np.count_nonzero(sv <= cut) + 1, need), p)
+        if wanted >= k and k < p:
+            X = np.hstack([X, rng.standard_normal((p, min(k, p - k)))])
+            prev = np.zeros(0)
+        elif len(prev) and np.all(np.abs(sv[:wanted] - prev[:wanted])
+                                  <= RITZ_TOL * sv[:wanted]):
+            return qr, tau, sv, X, sweep
+        else:
+            prev = sv
+    raise OperatorError("%s: inverse subspace iteration for the smallest "
+                        "singular values did not settle in %d sweeps"
+                        % (what, MAX_SWEEPS))
+
 
 def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     """Minimal <M L e, L e> / ||L e||_XQ^2 over the doubly constrained space
@@ -496,12 +577,14 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     The pinned coordinates (`OperatorBundle.pinned`) are dropped by index and
     the two Phi_M pairings are removed by the reflectors of `_free_basis`.
     Substituting z = G^{1/2} L e turns the quotient into an ordinary Rayleigh
-    quotient of the whitened M form over range(G^{1/2} L V); the remaining
-    rank decision drops directions with singular value below SV_TOL * max
-    (pure kernel/noise of L).  The kept range is the complement of the left
-    singular vectors past the cut; the reflectors of those and of the
-    whitened mass row give the form on its mean-zero part.  Only the lowest
-    eigenvalue is computed.
+    quotient of the whitened M form over range(G^{1/2} L V) = range(K); the
+    remaining rank decision drops directions with singular value at or below
+    SV_TOL * max (pure kernel/noise of L).  The largest singular value comes
+    from power iteration, the cut ones with their left vectors from the R
+    factor of K (`_smallest_singular`).  The kept range is the complement of
+    those vectors and of K's left null space, Q [X_cut (+) I]; the
+    reflectors of that complement and of the whitened mass row give the form
+    on its mean-zero part.  Only the lowest eigenvalue is computed.
     """
     L = bundle.matrix_L()
     s = np.sqrt(bundle.gram_xq())
@@ -509,12 +592,21 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
                       bundle.pair_vector(apply_Lstar(phim.pair))])
     keep, h, tau = _free_basis(rows, bundle.pinned(), 1, "coercivity_L")
     K = _reflect("R", "N", h, tau, L[:, keep] * s[:, None])[:, len(rows):]
-    U, sv, _ = linalg.svd(K, full_matrices=True)
-    rank = np.count_nonzero(sv > SV_TOL * sv.max())
+    N, p = K.shape
+    cut = SV_TOL * _largest_singular(K, "coercivity_L")
+    qr, tau, sv, X, sweeps = _smallest_singular(K, True, cut, 1,
+                                                "coercivity_L")
+    ncut = np.count_nonzero(sv <= cut)
+    # the left singular vectors past the cut: the cut ones of R and the
+    # N - p columns of Q past R
+    C = np.zeros((N, ncut + N - p))
+    C[:p, :ncut] = X[:, :ncut]
+    C[p:, ncut:] = np.eye(N - p)
     # restrict the range to discretely mean-zero densities: the M form is
     # only semi-definite there, and the near-kernel direction otherwise
     # leverages the O(h^2) mass error of Lambda Q into a spurious dip
-    out = np.vstack([U[:, rank:].T, bundle.mass_vector() / s])
+    out = np.vstack([_reflect("L", "N", qr, tau, C).T,
+                     bundle.mass_vector() / s])
     _, h, tau = _free_basis(out, [], 1, "coercivity_L")
     Sr = _sandwich(h, tau, bundle.quadform_M() / s[None, :] / s[:, None])
     Sr = Sr[len(out):, len(out):]
@@ -524,6 +616,8 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
         "delta0_L_hat": float(vals[0]),
         "normalized": float(vals[0] * M_param ** 2 / np.log(M_param) ** 2),
         "modes_kept": len(Sr),
+        "modes_cut": int(ncut),
+        "sweeps": sweeps,
     }
 
 
@@ -540,9 +634,11 @@ def kernel_gap(bundle: OperatorBundle) -> dict:
     whose X_Q norm grows faster than their residual, so the global quotient
     is not a kernel detector.  The nodes with r > KERNEL_SUPPORT_RADIUS
     (both blocks) and the gradient slot at r = 0 are dropped by index, the
-    whitened mass row by the reflectors of `_free_basis`; the modes come
-    from a thin SVD of the whitened L on what is left.
-    OperatorError if fewer than two free directions remain.
+    whitened mass row by the reflectors of `_free_basis`; the two smallest
+    singular values of the whitened L on what is left, and the right vector
+    of the smallest, come from its R factor (`_smallest_singular`).
+    OperatorError if fewer than two free directions remain, or if the
+    iteration does not settle.
     The ground mode must align with the Lambda Q pair and be separated from
     the second mode by orders of magnitude (one-dimensional kernel).
     """
@@ -556,14 +652,15 @@ def kernel_gap(bundle: OperatorBundle) -> dict:
                                "kernel_gap")
     sk = s[keep]
     K = _reflect("R", "N", h, tau, (L[:, keep] * s[:, None]) / sk[None, :])
-    _, sv, Yt = linalg.svd(K[:, 1:], full_matrices=False)
+    _, _, sv, Y, sweeps = _smallest_singular(K[:, 1:], False, 0.0, 2,
+                                             "kernel_gap")
     x0 = np.zeros(2 * n)
-    x0[keep] = _lift(h, tau, Yt[-1]) / sk
+    x0[keep] = _lift(h, tau, Y[:, 0]) / sk
     lam = bundle.ground.pair_LambdaQ()
     lamv = np.concatenate([lam.density.values, lam.chem_gradient.values])
     align = abs(float((x0 * gx) @ lamv)) / np.sqrt(
         float((x0 * gx) @ x0) * float((lamv * gx) @ lamv))
-    mu0, mu1 = sv[-1] ** 2, sv[-2] ** 2
+    mu0, mu1 = sv[0] ** 2, sv[1] ** 2
     return {"mu0": float(mu0), "mu1": float(mu1),
             "gap": float(mu1 / max(mu0, 1e-300)),
-            "alignment": align}
+            "alignment": align, "sweeps": sweeps}

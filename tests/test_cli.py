@@ -393,6 +393,30 @@ def test_spectral_too_small_M(tmp_path, capsys):
         assert "M too small" in capsys.readouterr().err
 
 
+def test_spectral_rejects_a_kernel_gap_failure(tmp_path, capsys,
+                                               monkeypatch):
+    # r <= 0 leaves kernel_gap no free direction: a one-line rejection with
+    # status 1, not a traceback, and no file
+    monkeypatch.setattr(ops, "KERNEL_SUPPORT_RADIUS", 0.0)
+    assert main(["spectral", "check", "--M", "50",
+                 "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "spectral check rejected: kernel_gap: 1 kept coordinates under 1 "
+        "dense constraints leave 0 free directions, needs 2"]
+    assert not list(tmp_path.glob("spectral_M*"))
+
+
+def test_spectral_writes_the_cut(tmp_path, capsys):
+    # M = 800 on the default grid drops two directions below SV_TOL
+    assert main(["spectral", "check", "--M", "800",
+                 "--out", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["modes_cut"] == 2
+    assert json.loads((tmp_path / "spectral_M800.json").read_text()) == payload
+
+
 @pytest.mark.parametrize("alignment, gap, code", [
     (0.999, 1.0e4, 0), (0.98, 1.0e4, 2), (0.999, 100.0, 2)])
 def test_spectral_lost_kernel_fails(monkeypatch, capsys, tmp_path,

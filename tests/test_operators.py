@@ -291,9 +291,13 @@ def _oracle_boundary_rows(grid):
 
 
 def _oracle_whitened_min(A, gx, constraints):
+    # unit rows in the null spaces: the whitened one-hot rows span ~18
+    # orders of magnitude, and null_space's relative rank cut would count
+    # the small ones as dependent (at M = 400)
     s = np.sqrt(gx)
     S = A / s[None, :] / s[:, None]
-    V = linalg.null_space(np.atleast_2d(constraints) / s[None, :])
+    C = np.atleast_2d(constraints) / s[None, :]
+    V = linalg.null_space(C / np.linalg.norm(C, axis=1)[:, None])
     Sr = V.T @ S @ V
     return linalg.eigh(0.5 * (Sr + Sr.T))[0][0]
 
@@ -327,7 +331,7 @@ def _oracle_kernel_gap(bundle, support_radius=30.0):
     out = np.nonzero(bundle.grid.nodes > support_radius)[0]
     C = np.vstack([bundle.mass_vector(),
                    _one_hot(2 * n, np.r_[out, n + out, n])]) / s[None, :]
-    V = linalg.null_space(C)
+    V = linalg.null_space(C / np.linalg.norm(C, axis=1)[:, None])
     _, sv, Yt = linalg.svd((L * s[:, None]) / s[None, :] @ V,
                            full_matrices=False)
     x0 = (V @ Yt[-1]) / s
@@ -338,16 +342,23 @@ def _oracle_kernel_gap(bundle, support_radius=30.0):
     return sv[-2] ** 2 / sv[-1] ** 2, align
 
 
-@pytest.mark.parametrize("M, nodes_per_decade, h_core, cut", [
-    pytest.param(50.0, 32, 0.1, 0, id="50.0"),
-    pytest.param(100.0, 32, 0.1, 0, id="100.0"),
+@pytest.mark.parametrize("M, nodes_per_decade, h_core, sv_tol, cut", [
+    pytest.param(50.0, 32, 0.1, 1e-10, 0, id="50.0"),
+    pytest.param(100.0, 32, 0.1, 1e-10, 0, id="100.0"),
     # the benchmark's spectral grid, where SV_TOL drops exactly one
     # direction of the whitened L (sigma_min / sigma_max = 9.1e-11)
-    pytest.param(200.0, 48, 0.05, 1, id="200.0-spectral")])
+    pytest.param(200.0, 48, 0.05, 1e-10, 1, id="200.0-spectral"),
+    # a cut of two: sigma / sigma_max reads 8.71e-11 below the cut and
+    # 1.28e-10 above it
+    pytest.param(400.0, 48, 0.05, 1e-10, 2, id="400.0-spectral"),
+    # 18 directions below a cut of 1e-8: the start block of 8 grows
+    pytest.param(200.0, 48, 0.05, 1e-8, 18, id="200.0-spectral-1e-8")])
 def test_certificates_match_the_one_hot_oracle(M, nodes_per_decade, h_core,
-                                               cut):
-    # pinned coordinates dropped by index and lowest-eigenvalue solves give
-    # the numbers of the one-hot row formulation with full eigensolves
+                                               sv_tol, cut, monkeypatch):
+    # pinned coordinates dropped by index, lowest-eigenvalue solves and the
+    # few singular triplets of inverse subspace iteration give the numbers
+    # of the one-hot row formulation with full eigensolves and dense SVDs
+    monkeypatch.setattr(ops, "SV_TOL", sv_tol)
     grid = ops.operator_grid(M, nodes_per_decade=nodes_per_decade,
                              h_core=h_core)
     bundle = ops.OperatorBundle(grid)
@@ -360,9 +371,11 @@ def test_certificates_match_the_one_hot_oracle(M, nodes_per_decade, h_core,
     cm = ops.coercivity_M(bundle)
     assert rel(cm["delta0_M_hat"], _oracle_coercivity_M(bundle)) < 1e-9
     cl = ops.coercivity_L(bundle, phim)
-    want_L, want_kept = _oracle_coercivity_L(bundle, phim)
-    assert rel(cl["delta0_L_hat"], want_L) < 1e-6
+    want_L, want_kept = _oracle_coercivity_L(bundle, phim, sv_tol=sv_tol)
+    # measured: 7.0e-10, 5.4e-10, 1.3e-9, 6.8e-10 and 1.4e-10 in turn
+    assert rel(cl["delta0_L_hat"], want_L) < 1e-7
     assert cl["modes_kept"] == want_kept
+    assert cl["modes_cut"] == cut
     # free coordinates, less the two Phi_M rows, the cut and the mass row
     assert want_kept == 2 * grid.n - len(bundle.pinned()) - 2 - cut - 1
     kg = ops.kernel_gap(bundle)
@@ -372,10 +385,11 @@ def test_certificates_match_the_one_hot_oracle(M, nodes_per_decade, h_core,
 
 
 # dense factorizations of one certificate: the constraint rows are removed
-# by Householder reflectors, never by a null-space basis
+# by Householder reflectors, never by a null-space basis, and the singular
+# triplets come from a QR and inverse iteration, never from a dense SVD
 WORK_BUDGET = {"coercivity_M": ["eigvalsh"],
-               "coercivity_L": ["eigvalsh", "svd"],
-               "kernel_gap": ["svd"]}
+               "coercivity_L": ["eigvalsh"],
+               "kernel_gap": []}
 
 
 def test_certificates_work_budget(op_grid, bundle, monkeypatch):
@@ -401,6 +415,22 @@ def test_certificates_work_budget(op_grid, bundle, monkeypatch):
         calls.clear()
         run()
         assert sorted(calls) == WORK_BUDGET[name], name
+
+
+@pytest.mark.parametrize("name", ["coercivity_L", "kernel_gap"])
+def test_sweep_cap_is_an_error_naming_the_certificate(op_grid, bundle,
+                                                      monkeypatch, name):
+    # coercivity_L stops in its power iteration, kernel_gap in its inverse
+    # subspace iteration; both settle in more than one sweep
+    lvl1 = build_t1_s1(op_grid)
+    phim = ops.build_phi_m(op_grid, 50.0, FieldPair(lvl1.T1, lvl1.S1_grad))
+    run = {"coercivity_L": lambda: ops.coercivity_L(bundle, phim),
+           "kernel_gap": lambda: ops.kernel_gap(bundle)}[name]
+    assert run()["sweeps"] > 1
+    monkeypatch.setattr(ops, "MAX_SWEEPS", 1)
+    with pytest.raises(ops.OperatorError,
+                       match=r"^%s: .* did not settle in 1 " % name):
+        run()
 
 
 def test_dependent_constraint_rows_are_an_error(bundle):
