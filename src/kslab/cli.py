@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diagnostics, dynamics, operators, profiles
 from .config import MIN_NODES_PER_DECADE, ConfigError, RunConfig, load_config
-from .grid import FieldPair, RadialField, RadialGrid, field_to_csv
+from .grid import MAX_RADIUS, FieldPair, RadialField, RadialGrid, field_to_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -421,6 +421,9 @@ def main(argv=None) -> int:
             if x is not None and not (math.isfinite(x) and x > 0):
                 raise ValueError("--%s: expected a positive finite number, "
                                  "got %r" % (flag.replace("_", "-"), x))
+        if getattr(args, "r_max", None) and args.r_max > MAX_RADIUS:
+            raise ValueError("--r-max: must be at most MAX_RADIUS = %g, got "
+                             "%g" % (MAX_RADIUS, args.r_max))
         if (getattr(args, "nodes_per_decade", MIN_NODES_PER_DECADE)
                 < MIN_NODES_PER_DECADE):
             raise ValueError("--nodes-per-decade: must be >= %d, got %d"

@@ -51,6 +51,11 @@ PERTURBATION_KEYS = {"perturbation.delta": "delta",
                      "perturbation.seed": "seed"}
 # the only keys that may be infinite: no time limit
 UNBOUNDED_KEYS = ("solver.t_max", "solver.s_max")
+# the keys a profile table depends on, with the run grid
+PROFILE_KEYS = ("profile.M", "profile.b0")
+# the keys of the run grid's resolution
+RESOLUTION_KEYS = ("grid.h_core", "grid.nodes_per_decade",
+                   "grid.stencil_order")
 # coarsest geometric tail a grid may have
 MIN_NODES_PER_DECADE = 12
 # widest stencil a run grid may have: the library uses orders 4 and 6; on
@@ -86,12 +91,20 @@ class RunConfig:
             return self.params, PARAM_KEYS[key]
         return self, PERTURBATION_KEYS[key]
 
+    def _changed(self, keys):
+        """The keys of keys whose values differ from their defaults."""
+        default = RunConfig()
+        return [key for key in keys
+                if getattr(*self._slot(key)) != getattr(*default._slot(key))]
+
     def validate(self):
         """Collect every violated constraint; raise ConfigError if any.
 
         The last check is the run's setup build (`dynamics.RunSetup`),
         asked only when every other constraint holds; its failure is a
-        violation of the keys its error blames.
+        violation of the keys its error blames, and of the keys that the
+        failing grid or table depends on where they differ from their
+        defaults.
         """
         v = []
         for key in (*PARAM_KEYS, *PERTURBATION_KEYS):
@@ -143,13 +156,18 @@ class RunConfig:
             except TableError as exc:
                 # the pairings of M's Phi_M with the profiles over the b
                 # the grid of b0 and M localizes, which no table level fits
-                v.append("profile.M, profile.b0: %s" % exc)
+                keys = [*PROFILE_KEYS, *self._changed(
+                    ("grid.r_max", *RESOLUTION_KEYS))]
+                v.append("%s: %s" % (", ".join(keys), exc))
             except (GridError, ProfileError) as exc:
-                # a grid of more nodes than MAX_NODES, of fewer than its
-                # stencil needs, or too coarse for the radiation at b0 or
-                # at a table node
-                v.append("grid.h_core, grid.nodes_per_decade, "
-                         "grid.stencil_order: %s" % exc)
+                # a grid of more nodes than MAX_NODES, of a radius past
+                # MAX_RADIUS, of fewer nodes than its stencil needs, or too
+                # coarse for the radiation at b0 or at a table node; its
+                # radius is grid.r_max, or derived from b0 and M
+                keys = (["grid.r_max"] if p.r_max else
+                        PROFILE_KEYS if self._changed(PROFILE_KEYS) else [])
+                v.append("%s: %s" % (", ".join([*keys, *RESOLUTION_KEYS]),
+                                     exc))
             except OperatorError as exc:
                 v.append("grid.r_max, profile.M: %s" % exc)
         if v:

@@ -8,7 +8,12 @@ difference stencils (fields are extended evenly or oddly through r=0 with
 ghost nodes), and integrals use composite interpolatory quadrature that is
 exact per cell for polynomials up to the stencil order.  Weighted cumulative
 integrals carry an ``r log r`` weight analytically on the first cell, where
-naive interpolation of log-singular integrands loses accuracy.
+naive interpolation of log-singular integrands loses accuracy; each is one
+product of the weight's cell matrix with the values, of one field or of an
+(n, k) block of k fields, column by column bitwise alike.
+`RadialGrid.make` refuses, before it lays out a node, a radius past
+MAX_RADIUS, beyond which double precision loses the profiles, and a grid
+of more than MAX_NODES nodes.
 
 All objects are immutable after construction, apart from a grid's one
 cache, `RadialGrid.memo`, read through `RadialGrid.cached`; operations are
@@ -47,6 +52,14 @@ R_CORE = 10.0
 # CLI, the tests and the benchmark has fewer than 1000, and a profile
 # family on this many peaks near 0.3 GiB
 MAX_NODES = 100_000
+# the largest radius `RadialGrid.make` lays out.  Scanned on the `profile
+# build` grid (h_core 0.05, 48 nodes per decade, order 6): from 1e45 on its
+# stencil weights overflow with RuntimeWarnings, from about 10^47.25 on the
+# family at every b is NaN, and from 1e60 on with RuntimeWarnings again
+# (order-4 grids stay finite to 1e61).  The bound sits just above that grid
+# at profiles.B_MIN (4.5 B1 = 2.0e47), the largest grid that the CLI, the
+# tests and the benchmark lay out
+MAX_RADIUS = 1e48
 
 _WEIGHT_FUNCTIONS = {
     "one": np.ones_like,
@@ -147,7 +160,11 @@ class RadialGrid:
     def make(cls, r_max, h_core=0.02, nodes_per_decade=48, stencil_order=4):
         """Standard mesh: uniform spacing h_core up to R_CORE, then a
         geometric tail of >= nodes_per_decade nodes per decade.  GridError,
-        before any node is laid out, if it has more than MAX_NODES."""
+        before any node is laid out, if r_max exceeds MAX_RADIUS or the
+        grid has more than MAX_NODES."""
+        if not r_max <= MAX_RADIUS:
+            raise GridError("a grid of radius %.3g exceeds MAX_RADIUS = %g"
+                            % (r_max, MAX_RADIUS))
         n_core, n_tail = node_counts(r_max, h_core, nodes_per_decade)
         if n_core + n_tail + 1 > MAX_NODES:
             raise GridError("a grid of %.3g nodes exceeds MAX_NODES = %d"
@@ -314,36 +331,6 @@ class RadialGrid:
         out[0] = 0.0
         np.cumsum(self._cell_matrix(weight) @ values, axis=0, out=out[1:])
         return out
-
-    def cumulative_integrals(self, sources, plan):
-        """Stacked cumulative integrals: row i is
-        cumulative_integral(sources[j], weight) for (weight, j) = plan[i].
-
-        One product of the stacked cell matrices (a block CSR, kept per
-        plan) with the concatenated sources, then a row-wise cumsum.  A CSR
-        row sums its stored entries in order, so each row equals its own
-        cumulative_integral call bit for bit.  Every cell matrix stores p+1
-        entries per row at the same columns, so the block's index arrays
-        are the first one's, shifted by the source offset j*n.
-        """
-        mat = self.cached(("stacked", plan), self._stacked_cells, plan)
-        out = np.zeros((len(plan), self.n))
-        np.cumsum((mat @ np.concatenate(sources)).reshape(len(plan), -1),
-                  axis=1, out=out[:, 1:])
-        return out
-
-    def _stacked_cells(self, plan):
-        cells = [self._cell_matrix(weight) for weight, _ in plan]
-        first = cells[0]
-        shift = np.array([j * self.n for _, j in plan],
-                         dtype=first.indices.dtype)
-        data = np.concatenate([c.data for c in cells])
-        return sparse.csr_matrix(
-            (data, (first.indices + shift[:, None]).ravel(),
-             np.arange(0, data.size + 1, first.indptr[1],
-                       dtype=first.indptr.dtype)),
-            shape=(len(plan) * (self.n - 1),
-                   (1 + max(j for _, j in plan)) * self.n), copy=False)
 
     def divide_by_r(self, values, parity):
         """values/r with the r=0 entry filled by the parity-consistent limit.

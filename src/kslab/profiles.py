@@ -26,11 +26,12 @@ wrap the level-b arrays in fields on each call.  Two evaluators share one
 core, `_localize`: `build_profile_family` returns the whole family at one
 b, and `modulation_profiles` returns, for each b of a block, only the
 three arrays the modulation solve reads (Qb~, grad Pb~, n~), bitwise equal
-to the family's, at a fraction of the cost.  The core evaluates a block of
-b at once, one column per b: the same elementwise arithmetic and checks,
-and one sparse product per cumulative integral for the whole block, so
-that each column is bitwise the single b's, and a ProfileError names the
-first b of the block that failed.
+to the family's, at a fraction of the cost.  The core has one layout: a
+block of k b, one column per b (shape (n, k), per-b values (k,)), and a
+single b is a block of one.  Each column gets the same elementwise
+arithmetic and checks, and each cumulative integral is one sparse product
+for the whole block, so that each column is bitwise its block of one, and
+a ProfileError names the first b of the block that failed.
 """
 
 from __future__ import annotations
@@ -79,12 +80,11 @@ class ProfileError(ValueError):
 
 def _check_columns(ok, message, *values):
     """ProfileError at the first column (b) of a block where ok is False,
-    with message formatted from that column's values; ok and values are
-    per-b arrays, or scalars for one b."""
+    with message formatted from that column's values; ok is a per-b array
+    (a scalar for the one field of `invert_L0`), values are per-b."""
     if not np.all(ok):
         j = np.flatnonzero(~np.asarray(ok))[0]
-        raise ProfileError(message % tuple(np.atleast_1d(x)[j]
-                                           for x in values))
+        raise ProfileError(message % tuple(x[j] for x in values))
 
 
 # -- kernel basis of L0 (Wronskian psi1' psi0 - psi1 psi0' = r Q/4) -----------
@@ -128,25 +128,6 @@ def apply_L1(d: RadialField) -> RadialField:
     return RadialField(g, d2 - g.divide_by_r(d1, "odd"), "even")
 
 
-# (weight, source) rows of the inversions' cumulative integrals, source
-# 0 the integrand f and source 1 its quotient f/r; the L1 inversion and
-# the radiation's moments read the last two rows, so all three share one
-# stacked matrix per grid
-_INVERSION_PLAN = (("r3", 0), ("rlogr", 0), ("r", 0), ("one", 1))
-
-
-def _integrals(grid, sources, rows):
-    """Rows `rows` of grid.cumulative_integrals(sources, _INVERSION_PLAN),
-    for sources of shape (n,) or (n, k): for one b the stacked product,
-    one sparse product for all rows; for a block one product per row, so
-    that no row the caller does not read is computed and every temporary
-    stays (n, k) (bitwise alike, see `RadialGrid.cumulative_integrals`)."""
-    if sources[0].ndim == 1:
-        return grid.cumulative_integrals(sources, _INVERSION_PLAN)[rows]
-    return [grid.cumulative_integral(sources[j], weight)
-            for weight, j in _INVERSION_PLAN[rows]]
-
-
 def _l0_coefficients(grid, fv):
     """Variation-of-constants coefficients A, B with m = A psi0 + B psi1,
     for values fv of shape (n,) or (n, k).
@@ -155,10 +136,11 @@ def _l0_coefficients(grid, fv):
     tau^3 f + 4 tau log(tau) f - f/tau so the log piece uses the dedicated
     weighted quadrature (exact on the first cell).
     """
-    cum_r3, cum_rlog, cum_r, cum_over = _integrals(
-        grid, (fv, grid.divide_by_r(fv, "even")), slice(None))
-    A = -0.5 * (cum_r3 + 4.0 * cum_rlog - cum_over)
-    B = 0.5 * cum_r
+    over_r = grid.divide_by_r(fv, "even")
+    A = -0.5 * (grid.cumulative_integral(fv, "r3")
+                + 4.0 * grid.cumulative_integral(fv, "rlogr")
+                - grid.cumulative_integral(over_r, "one"))
+    B = 0.5 * grid.cumulative_integral(fv, "r")
     return A, B
 
 
@@ -188,8 +170,8 @@ def invert_L0(f: RadialField) -> RadialField:
 def _l1_solution(grid, fv, c):
     """invert_L1's values for values fv of shape (n,) or (n, k)."""
     r = per_node(grid.nodes, fv)
-    cum_r, cum_over = _integrals(grid, (fv, grid.divide_by_r(fv, "even")),
-                                 slice(2, None))
+    cum_r = grid.cumulative_integral(fv, "r")
+    cum_over = grid.cumulative_integral(grid.divide_by_r(fv, "even"), "one")
     return 0.5 * (-cum_r + r ** 2 * cum_over) + c * r ** 2
 
 
@@ -343,37 +325,24 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
     return _radiation_at(grid, _radiation(grid, profile_base(grid), [b]), b)
 
 
-def _block_nodes(grid, bs):
-    """The nodes as the per-b core lays out a block of b: shape (n,) for
-    one b, whose values are scalars, and (n, 1) for k > 1, whose per-node
-    arrays have one column per b and whose values have shape (k,)."""
-    return grid.nodes if len(bs) == 1 else grid.nodes[:, None]
-
-
-def _per_b(r, values):
-    """One value per b, laid out for the block whose nodes are r."""
-    return np.array(values) if r.ndim == 2 else values[0]
-
-
 def _radiation(grid, base, bs):
-    """build_radiation over a block of b, laid out as `_block_nodes`: B0,
-    c_b, c1, c2, beta1..3, m_sigma and d_sigma, each column (or value)
-    bitwise the one b's.  Checks each b (`_check_b`), then c1 > c2 and the
-    region identities; a ProfileError names the first b of the first check
-    that fails."""
+    """build_radiation over a block of b: B0, c_b, c1, c2 and beta1..3 of
+    shape (k,), m_sigma and d_sigma of shape (n, k), one column per b,
+    each bitwise the block [b]'s.  Checks each b (`_check_b`), then c1 > c2
+    and the region identities; a ProfileError names the first b of the
+    first check that fails."""
     for b in bs:
         _check_b(grid, b)
-    r = _block_nodes(grid, bs)
-    B0 = _per_b(r, [1.0 / math.sqrt(b) for b in bs])
+    r = grid.nodes[:, None]
+    B0 = np.array([1.0 / math.sqrt(b) for b in bs])
     chi = cutoff(r / (B0 / 4.0))
     chi3 = cutoff(r / (3.0 * B0))
-    psi0v = per_node(base.psi0, r)
+    psi0v = base.psi0[:, None]
 
     # the psi0 moment int psi0 chi tau and gamma = int psi0/tau chi
     # (psi0/tau = tau/(1+tau^2)^2, odd)
-    cum_rpsi0, gamma = _integrals(
-        grid, (psi0v * chi, per_node(base.psi0_over_r, r) * chi),
-        slice(2, None))
+    cum_rpsi0 = grid.cumulative_integral(psi0v * chi, "r")
+    gamma = grid.cumulative_integral(base.psi0_over_r[:, None] * chi, "one")
     # beta2 = int psi0/tau (1-chi) = 1/2 - gamma(inf); using the exact total
     # 1/2 keeps the far-field cancellation of d_hat exact on the grid.
     beta2 = 0.5 - gamma[-1]
@@ -391,7 +360,7 @@ def _radiation(grid, base, bs):
     c1 = beta3  # int tau^3/(1+tau^2)^2 chi dtau == int tau psi0 chi dtau
     # same weight-"r" rule as the psi1 coefficient of m_sigma, so the
     # flux-at-infinity normalization below holds to roundoff
-    Q = per_node(base.Q, r)
+    Q = base.Q[:, None]
     c2 = grid.cumulative_integral(Q * d_hat, "r")[-1] / 8.0
     # the c_b-normalized integrand makes the constraint linear in c_b
     _check_columns(c1 - c2 > 0.0,  # NaN fails it too
@@ -399,10 +368,10 @@ def _radiation(grid, base, bs):
                    c1, c2)
     c_b = 1.0 / (c1 - c2)
 
-    f_sigma = c_b * (per_node(base.r2Q, r) * chi - Q * d_hat)
+    f_sigma = c_b * (base.r2Q[:, None] * chi - Q * d_hat)
     A, B = _l0_coefficients(grid, f_sigma)
     beta1 = -A[-1]
-    psi1v = per_node(base.psi1, r)
+    psi1v = base.psi1[:, None]
     m_sigma = A * psi0v + B * psi1v + beta1 * (1.0 - chi3) * psi0v
     d_sigma = c_b * d_hat
 
@@ -410,7 +379,7 @@ def _radiation(grid, base, bs):
     inner = r <= B0 / 4.0
     outer = r >= 6.0 * B0
     scale = np.maximum(np.max(np.abs(m_sigma), axis=0), 1.0)
-    err_in = np.where(inner, np.abs(m_sigma - c_b * per_node(base.m1, r)),
+    err_in = np.where(inner, np.abs(m_sigma - c_b * base.m1[:, None]),
                       0.0).max(axis=0)
     err_d = np.where(outer, np.abs(d_sigma), 0.0).max(axis=0)
     err_out = np.where(outer, np.abs(m_sigma - 4.0 * psi1v), 0.0).max(axis=0)
@@ -426,9 +395,11 @@ def _radiation(grid, base, bs):
 
 def _radiation_at(grid, rad, b):
     """The Radiation of a `_radiation` block of the one b."""
-    return Radiation(b=b, B0=rad.B0, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
-                     beta=rad.beta, m_sigma=RadialField(grid, rad.m_sigma),
-                     d_sigma=RadialField(grid, rad.d_sigma))
+    return Radiation(b=b, B0=float(rad.B0[0]), c_b=rad.c_b[0],
+                     c1=rad.c1[0], c2=rad.c2[0],
+                     beta=tuple(x[0] for x in rad.beta),
+                     m_sigma=RadialField(grid, rad.m_sigma[:, 0]),
+                     d_sigma=RadialField(grid, rad.d_sigma[:, 0]))
 
 
 def localization_radius(b: float) -> float:
@@ -498,18 +469,17 @@ def build_t2_s2(grid: RadialGrid, rad: Radiation) -> LevelTwo:
     i.e. d2 = L1^{-1}(r n1' - d_sigma) and L0 m2 = Q d2 - m_sigma2 where
     m_sigma2 is the density component of the right-hand side.
     """
-    lvl2 = _level_two(grid, profile_base(grid), rad.m_sigma.values,
-                      rad.d_sigma.values)
+    lvl2 = _level_two(grid, profile_base(grid), rad.m_sigma.values[:, None],
+                      rad.d_sigma.values[:, None])
     return _level_two_at(grid, lvl2)
 
 
 def _level_two(grid, base, m_sigma, d_sigma):
-    """build_t2_s2's arrays from the radiation's masses, of shape (n,) or
-    (n, k) (one column per b), each column bitwise the one b's."""
-    src_d = per_node(base.r_n1p, d_sigma) - d_sigma
+    """build_t2_s2's arrays from the radiation's masses, of shape (n, k)
+    (one column per b), each column bitwise the block [b]'s."""
+    src_d = base.r_n1p[:, None] - d_sigma
     d2 = _l1_solution(grid, src_d, 0.0)
-    src_m = (per_node(base.m2_source1, m_sigma) - m_sigma
-             - per_node(base.Q, d2) * d2)
+    src_m = base.m2_source1[:, None] - m_sigma - base.Q[:, None] * d2
     m2 = _l0_solution(grid, src_m)
     m2_p = grid.diff_matrix(1, "even") @ m2
     n2 = d2 + m2
@@ -521,11 +491,12 @@ def _level_two(grid, base, m_sigma, d_sigma):
 
 def _level_two_at(grid, lvl2):
     """The LevelTwo of a `_level_two` block of one b."""
+    col = SimpleNamespace(**{k: x[:, 0] for k, x in vars(lvl2).items()})
     return LevelTwo(
-        m2=RadialField(grid, lvl2.m2), d2=RadialField(grid, lvl2.d2),
-        n2=RadialField(grid, lvl2.n2), T2=RadialField(grid, lvl2.T2),
-        S2_grad=RadialField(grid, lvl2.S2_grad, "odd"), m2_p=lvl2.m2_p,
-        src_m=lvl2.src_m, src_d=lvl2.src_d)
+        m2=RadialField(grid, col.m2), d2=RadialField(grid, col.d2),
+        n2=RadialField(grid, col.n2), T2=RadialField(grid, col.T2),
+        S2_grad=RadialField(grid, col.S2_grad, "odd"), m2_p=col.m2_p,
+        src_m=col.src_m, src_d=col.src_d)
 
 
 # -- localization and the full family -------------------------------------------
@@ -569,29 +540,29 @@ def _localize(grid: RadialGrid, bs):
     b^2, cutoff at B1.
 
     T~_i = chi_B1 T_i and grad S~_i = chi_B1 grad S_i with S~_i(0) = 0.
-    Returns the `_radiation` and `_level_two` blocks, B1, chi_B1 and
-    (Qb~, grad Pb~, n~) assembled from the cut fields of both levels, laid
-    out as `_block_nodes`: one column per b of bs, with the same arithmetic
-    elementwise and one sparse product per cumulative integral for the
-    whole block, so that each column is bitwise what the one b gives.
+    Returns the `_radiation` and `_level_two` blocks, B1 of shape (k,),
+    and chi_B1 and (Qb~, grad Pb~, n~) assembled from the cut fields of
+    both levels, of shape (n, k): one column per b of bs, with the same
+    arithmetic elementwise and one sparse product per cumulative integral
+    for the whole block, so that each column is bitwise what the block [b]
+    gives.
     """
     base = profile_base(grid)
     rad = _radiation(grid, base, bs)
     lvl2 = _level_two(grid, base, rad.m_sigma, rad.d_sigma)
-    r = _block_nodes(grid, bs)
-    b = _per_b(r, bs)
-    B1 = _per_b(r, [localization_radius(x) for x in bs])
+    r = grid.nodes[:, None]
+    b = np.array(bs)
+    B1 = np.array([localization_radius(x) for x in bs])
     chi1 = cutoff(r / B1)
-    T1_loc = chi1 * per_node(base.T1, r)
+    T1_loc = chi1 * base.T1[:, None]
     T2_loc = chi1 * lvl2.T2
-    S1g_loc = chi1 * per_node(base.S1_grad, r)
+    S1g_loc = chi1 * base.S1_grad[:, None]
     S2g_loc = chi1 * lvl2.S2_grad
     return SimpleNamespace(
         rad=rad, lvl2=lvl2, B1=B1, chi1=chi1,
-        Qb=per_node(base.Q, r) + b * T1_loc + b * b * T2_loc,
-        Pbg=per_node(base.phi_q_grad, r) + b * S1g_loc + b * b * S2g_loc,
-        nt=per_node(base.m0, r) + chi1 * (b * per_node(base.n1, r)
-                                          + b * b * lvl2.n2))
+        Qb=base.Q[:, None] + b * T1_loc + b * b * T2_loc,
+        Pbg=base.phi_q_grad[:, None] + b * S1g_loc + b * b * S2g_loc,
+        nt=base.m0[:, None] + chi1 * (b * base.n1[:, None] + b * b * lvl2.n2))
 
 
 def modulation_profiles(grid: RadialGrid, bs) -> list:
@@ -605,7 +576,7 @@ def modulation_profiles(grid: RadialGrid, bs) -> list:
     bs that fails.
     """
     loc = _localize(grid, bs)
-    Qb, Pbg, nt = (np.ascontiguousarray(x.reshape(grid.n, -1).T)
+    Qb, Pbg, nt = (np.ascontiguousarray(x.T)
                    for x in (loc.Qb, loc.Pbg, loc.nt))
     return [ModulationProfile(b=b, Qb_tilde=RadialField(grid, Qb[j]),
                               Pb_tilde_grad=RadialField(grid, Pbg[j], "odd"),
@@ -704,17 +675,17 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     loc = _localize(grid, [b])
     rad = _radiation_at(grid, loc.rad, b)
     lvl2 = _level_two_at(grid, loc.lvl2)
-    chi1 = loc.chi1
+    chi1 = loc.chi1[:, 0]
     base = profile_base(grid)
     m1_loc = grid.cumulative_integral(chi1 * base.m1_p, "one")
     m2_loc = grid.cumulative_integral(chi1 * lvl2.m2_p, "one")
     fam = ProfileFamily(
-        b=b, B0=rad.B0, B1=loc.B1, c_b=rad.c_b, c1=rad.c1, c2=rad.c2,
-        beta=rad.beta, level1=build_t1_s1(grid), level2=lvl2,
-        Qb_tilde=RadialField(grid, loc.Qb),
-        Pb_tilde_grad=RadialField(grid, loc.Pbg, "odd"),
+        b=b, B0=rad.B0, B1=float(loc.B1[0]), c_b=rad.c_b, c1=rad.c1,
+        c2=rad.c2, beta=rad.beta, level1=build_t1_s1(grid), level2=lvl2,
+        Qb_tilde=RadialField(grid, loc.Qb[:, 0]),
+        Pb_tilde_grad=RadialField(grid, loc.Pbg[:, 0], "odd"),
         m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
-        n_tilde=RadialField(grid, loc.nt),
+        n_tilde=RadialField(grid, loc.nt[:, 0]),
         mass_excess=2.0 * np.pi * (b * m1_loc[-1] + b * b * m2_loc[-1]),
     )
     if not with_error:

@@ -491,6 +491,41 @@ def test_simulate_refuses_a_table_that_does_not_certify(tmp_path):
     assert violation.endswith(" f_scale, above its target 5e-11 f_scale")
 
 
+# a refusal -> (the config text or command line, the keys or flag its
+# one-line reason starts with): the key set in each is named, also where
+# the failure shows up elsewhere (the stencil order moves the table's error
+# bound; profile.M sets the derived run radius), and a radius too large
+# for double precision is refused before a node is laid out
+REFUSALS = {
+    "stencil_order": ("grid.stencil_order = 16",
+                      "profile.M, profile.b0, grid.stencil_order: the "
+                      "profile table does not certify"),
+    "M": ("profile.M = 1e300",
+          "profile.M, profile.b0, %s: a grid of radius 1.05e+301 exceeds "
+          "MAX_RADIUS" % RESOLUTION_KEYS),
+    "r_max": (["profile", "build", "--b", "1e-4", "--r-max", "1e300"],
+              "--r-max: must be at most MAX_RADIUS"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_the_key_that_caused_them(tmp_path, case):
+    given, reason = REFUSALS[case]
+    if isinstance(given, str):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(given + "\n")
+        given = ["simulate", "--config", str(cfg)]
+    done = run_cli(given, tmp_path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    if given[0] == "simulate":
+        (line,) = json.loads(done.stderr)["violations"]
+    else:
+        (line,) = done.stderr.splitlines()
+    assert line.startswith(reason)
+
+
 def test_commands_without_a_run_do_not_import_the_splines(tmp_path):
     # scipy.interpolate serves only the state splines of a run, and the
     # process pool only a sweep on more than one worker

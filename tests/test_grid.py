@@ -9,6 +9,7 @@ from scipy import sparse
 import kslab.grid as grid_module
 from kslab.cli import profile_grid_for
 from kslab.grid import (
+    MAX_RADIUS,
     _GL_NODES,
     _GL_WEIGHTS,
     _PARITY_SIGN,
@@ -29,7 +30,7 @@ from kslab.grid import (
     radial_laplacian,
 )
 from kslab.operators import lambda_q, q_density
-from kslab.profiles import build_profile_family, psi1, psi1_prime_over_r
+from kslab.profiles import B_MIN, build_profile_family, psi1, psi1_prime_over_r
 
 
 def test_grid_invariants(ref_grid):
@@ -388,19 +389,14 @@ def test_cell_quadrature_matches_loop(oracle_grids, name, weight):
 
 
 @pytest.mark.parametrize("name", ORACLE_GRIDS)
-def test_cumulative_integrals_rows_match_single_calls(oracle_grids, name):
+def test_value_helpers_treat_block_columns_as_separate_calls(oracle_grids,
+                                                            name):
+    # the value-level helpers treat the columns of an (n, k) block as k
+    # separate calls, bit for bit
     grid = oracle_grids[name]
     r = grid.nodes
     sources = (np.exp(-r / 7.0) * np.cos(r), r / (1.0 + r ** 3),
                np.sin(r) ** 2)
-    plan = (("r", 2), ("one", 0), ("rlogr", 1), ("r3", 0), ("r", 0))
-    got = grid.cumulative_integrals(sources, plan)
-    assert got.shape == (len(plan), grid.n)
-    for row, (weight, j) in zip(got, plan):
-        assert_bitwise(row, grid.cumulative_integral(sources[j], weight))
-    assert_bitwise(grid.cumulative_integrals(sources, plan), got)
-    # the value-level helpers treat the columns of an (n, k) block as k
-    # separate calls, bit for bit
     block = np.column_stack(sources)
     helpers = ([partial(grid.cumulative_integral, weight=w)
                 for w in ("one", "r", "r3", "rlogr")]
@@ -432,6 +428,17 @@ def test_divide_by_r_odd_origin_matches_the_csr_row(oracle_grids, name):
         np.testing.assert_array_equal(got[:1], row @ values)
 
 
+@pytest.mark.parametrize("r_max", [1e49, 1e300, float("nan")])
+def test_make_refuses_a_radius_past_MAX_RADIUS(monkeypatch, r_max):
+    # refused before any node is laid out, while the largest grid in use,
+    # that of `profile build` at B_MIN, is laid out
+    monkeypatch.setattr(np, "linspace", None)
+    with pytest.raises(GridError, match="MAX_RADIUS"):
+        RadialGrid.make(r_max)
+    monkeypatch.undo()
+    assert profile_grid_for(B_MIN).r_max < MAX_RADIUS
+
+
 def test_grid_builders_run_once_per_key(monkeypatch):
     # every accessor reads the grid's one memo: repeated calls build the
     # cell matrices once and each stencil's difference matrices once (both
@@ -451,7 +458,7 @@ def test_grid_builders_run_once_per_key(monkeypatch):
                 grid.diff_matrix(order, parity)
         grid.quad_weights, grid.positive_quad_weights
         grid.cumulative_integral(r, "r3")
-        grid.cumulative_integrals((r, r), (("one", 0), ("rlogr", 1)))
+        grid.cumulative_integral(r, "rlogr")
         grid.divide_by_r(r, "odd")
         laplacian_values(grid, r ** 2)
     assert len(calls) == len(set(calls)) == 3 * 2 + 1

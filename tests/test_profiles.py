@@ -74,41 +74,6 @@ def test_inversion_residuals(mid_grid, kind):
     assert np.max(np.abs(res1)[win]) / scale < 1e-4
 
 
-def l0_coefficients_oracle(grid, fv):
-    """_l0_coefficients with one cumulative_integral call per weight (the
-    stacked product's oracle)."""
-    cum_r3 = grid.cumulative_integral(fv, "r3")
-    cum_rlog = grid.cumulative_integral(fv, "rlogr")
-    cum_over = grid.cumulative_integral(grid.divide_by_r(fv, "even"), "one")
-    A = -0.5 * (cum_r3 + 4.0 * cum_rlog - cum_over)
-    B = 0.5 * grid.cumulative_integral(fv, "r")
-    return A, B
-
-
-def invert_L1_oracle(f, c):
-    g = f.grid
-    r = g.nodes
-    cum_r = g.cumulative_integral(f.values, "r")
-    cum_over = g.cumulative_integral(g.divide_by_r(f.values, "even"), "one")
-    return 0.5 * (-cum_r + r ** 2 * cum_over) + c * r ** 2
-
-
-@pytest.mark.parametrize("order", [4, 6])
-@pytest.mark.parametrize("kind", range(3))
-def test_stacked_integrals_match_separate_calls(order, kind):
-    grid = RadialGrid.make(400.0, h_core=0.05, nodes_per_decade=32,
-                           stencil_order=order)
-    r = grid.nodes
-    fv = [r ** 2 * q_density(r), r ** 2 * np.exp(-r / 9.0) * np.cos(r),
-          q_density(r) * np.log1p(r ** 2)][kind]
-    for got, want in zip(prof._l0_coefficients(grid, fv),
-                         l0_coefficients_oracle(grid, fv)):
-        np.testing.assert_array_equal(got, want)
-    f = RadialField(grid, fv)
-    np.testing.assert_array_equal(prof.invert_L1(f, 0.7).values,
-                                  invert_L1_oracle(f, 0.7))
-
-
 def test_invert_L0_rejects_noneven_or_nonvanishing(mid_grid):
     r = mid_grid.nodes
     with pytest.raises(prof.ProfileError):
@@ -461,7 +426,7 @@ def _spectral_chain_grid():
 
 def test_profile_memo_dies_with_its_grid():
     # the level-one arrays, the per-grid precompute and the grid's own
-    # difference, cell and stacked matrices live in the grid's memo, which
+    # difference and cell matrices live in the grid's memo, which
     # holds arrays only, so a dropped grid is freed by reference count with
     # them: with the cyclic collector off, as is the grid of a run's setup
     # and of the spectral chain
@@ -479,7 +444,7 @@ def test_profile_memo_dies_with_its_grid():
                    if sparse.issparse(mat)]
         kinds = [kind for kind, _ in entries]
         assert {kind: kinds.count(kind) for kind in kinds} == {
-            "diff": 2 + 2, "cells": 4, "stacked": 1}
+            "diff": 2 + 2, "cells": 4}
         refs = [weakref.ref(x) for x in (g, prof.profile_base(g),
                                          *(mat for _, mat in entries))]
         del g, entries

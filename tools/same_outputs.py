@@ -6,12 +6,20 @@ from a `git archive` of the ref (HEAD by default) unpacked into a
 temporary directory, each into an output root of its own.  Every
 `timeseries.csv` and `summary.json` either run writes is compared byte for
 byte with the file at the same path under the other root, with one
-verdict line per file; a `summary.json` that differs is followed by a
+verdict line per file; a `.json` file that differs is followed by a
 line naming the dotted JSON keys whose values differ (or that one side
-lacks), and a `timeseries.csv` that differs by a line naming each column
+lacks), and a `.csv` file that differs by a line naming each column
 that differs with its largest relative difference.  The exit status is 1
 if any file differs or is missing on one side, if the two runs exit with
-different statuses, or if a config leaves no output to compare; else 0.
+different statuses, or if a run leaves no output to compare; else 0.
+
+With --cli "ARGS" (and no config), `kslab ARGS` runs instead, any
+subcommand with its flags, split as a shell would; every file it writes
+under its output root is compared, whatever its name.  For example:
+
+    python3 tools/same_outputs.py --cli "profile build --b 1e-3,1e-6"
+    python3 tools/same_outputs.py --cli "spectral check --M 20,50"
+    python3 tools/same_outputs.py --cli "verify-bounds --suite profiles"
 
 Only local git runs; nothing is fetched.
 
@@ -19,6 +27,7 @@ Usage (from the repository root):
 
     python3 tools/same_outputs.py [--ref REF] [--sweep B0,B0,...]
                                   [--workers N] CONFIG...
+    python3 tools/same_outputs.py [--ref REF] --cli ARGS
 """
 
 import argparse
@@ -26,6 +35,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -43,21 +53,21 @@ def unpack(ref, dest):
         archive.extractall(dest)
 
 
-def simulate(tree, command, config, out):
-    """Exit status of `kslab <command> --config config` with tree's src,
-    writing under out."""
+def kslab(tree, argv, out):
+    """Exit status of `kslab argv` with tree's src, writing under out."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.pop("KSLAB_OUT", None)
     return subprocess.run(
-        [sys.executable, "-m", "kslab.cli", "--out", out, *command,
-         "--config", config], env=env, capture_output=True).returncode
+        [sys.executable, "-m", "kslab.cli", "--out", out, *argv], env=env,
+        capture_output=True).returncode
 
 
-def outputs(out):
-    """Paths, relative to out, of the run outputs under out."""
+def outputs(out, every):
+    """Paths, relative to out, of the run outputs under out: every file
+    if every, else those named in OUTPUTS."""
     return {os.path.relpath(os.path.join(path, name), out)
             for path, _, names in os.walk(out) for name in names
-            if name in OUTPUTS}
+            if every or name in OUTPUTS}
 
 
 def read(path):
@@ -112,12 +122,12 @@ def csv_differences(a, b):
     return out
 
 
-def compare(config, tree_out, ref_out):
-    """One verdict line per output file of either run: same, DIFFERS, or
-    MISSING on one side; True if all are the same."""
-    found = outputs(tree_out) | outputs(ref_out)
+def compare(label, tree_out, ref_out, every):
+    """One verdict line per output file of either run (`outputs`): same,
+    DIFFERS, or MISSING on one side; True if all are the same."""
+    found = outputs(tree_out, every) | outputs(ref_out, every)
     if not found:
-        print("NO OUTPUT %s" % config)
+        print("NO OUTPUT %s" % label)
         return False
     ok = True
     for rel in sorted(found):
@@ -127,7 +137,7 @@ def compare(config, tree_out, ref_out):
         else:
             verdict = "same" if read(paths[0]) == read(paths[1]) else "DIFFERS"
         ok = ok and verdict == "same"
-        print("%-9s %s: %s" % (verdict, config, rel))
+        print("%-9s %s: %s" % (verdict, label, rel))
         if verdict == "DIFFERS" and rel.endswith(".json"):
             a, b = (json.loads(read(path)) for path in paths)
             print("%-9s %s" % ("", ", ".join(json_differences(a, b))))
@@ -139,29 +149,38 @@ def compare(config, tree_out, ref_out):
 
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("configs", nargs="+", metavar="CONFIG")
+    ap.add_argument("configs", nargs="*", metavar="CONFIG")
     ap.add_argument("--ref", default="HEAD")
     ap.add_argument("--sweep", metavar="B0LIST",
                     help="run `kslab sweep --b0 B0LIST` instead of simulate")
     ap.add_argument("--workers", default="2", help="sweep workers")
+    ap.add_argument("--cli", metavar="ARGS",
+                    help="run `kslab ARGS` instead, with no config, and "
+                         "compare every file it writes")
     args = ap.parse_args(argv)
-    command = (["sweep", "--b0", args.sweep, "--workers", args.workers]
-               if args.sweep else ["simulate"])
+    if bool(args.cli) == bool(args.configs):
+        ap.error("give either CONFIG... or --cli ARGS")
+    if args.cli:
+        runs = [(args.cli, shlex.split(args.cli))]
+    else:
+        command = (["sweep", "--b0", args.sweep, "--workers", args.workers]
+                   if args.sweep else ["simulate"])
+        runs = [(config, [*command, "--config", config])
+                for config in map(os.path.abspath, args.configs)]
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         ref_tree = os.path.join(tmp, "ref")
         unpack(args.ref, ref_tree)
-        for i, config in enumerate(args.configs):
-            config = os.path.abspath(config)
+        for i, (label, argv) in enumerate(runs):
             tree_out, ref_out = (os.path.join(tmp, "%s%d" % (side, i))
                                  for side in ("tree", "ref_out"))
-            codes = [simulate(tree, command, config, out) for tree, out in
+            codes = [kslab(tree, argv, out) for tree, out in
                      ((ROOT, tree_out), (ref_tree, ref_out))]
             if codes[0] != codes[1]:
                 print("EXIT      %s: %d in the working tree, %d at %s"
-                      % (config, codes[0], codes[1], args.ref))
+                      % (label, codes[0], codes[1], args.ref))
                 ok = False
-            ok = compare(config, tree_out, ref_out) and ok
+            ok = compare(label, tree_out, ref_out, bool(args.cli)) and ok
     return 0 if ok else 1
 
 
