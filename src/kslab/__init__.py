@@ -24,9 +24,7 @@ from .profiles import (
     ProfileError,
     ProfileFamily,
     build_profile_family,
-    build_radiation,
     build_t1_s1,
-    build_t2_s2,
     invert_L0,
     invert_L1,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diagnostics, dynamics, operators, profiles
 from .config import MIN_NODES_PER_DECADE, ConfigError, RunConfig, load_config
-from .grid import MAX_RADIUS, FieldPair, RadialField, RadialGrid, field_to_csv
+from .grid import FieldPair, RadialField, RadialGrid, field_to_csv, max_radius
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +54,8 @@ START_ERRORS = (dynamics.SimulationError, profiles.ProfileError)
 PSI1_SQ_FLAG = 1e6
 # criterion 5's band for c_b |log b|/2
 C_B_BAND = (0.8, 1.2)
+# the stencil order of the `profile build` grid, which bounds --r-max
+PROFILE_ORDER = 6
 
 
 def _out_root(args):
@@ -74,7 +76,8 @@ def profile_grid_for(b, r_max=None):
     range is rejected before the grid is built."""
     profiles.check_b_range(b)
     return RadialGrid.make(r_max or 4.5 * profiles.localization_radius(b),
-                           h_core=0.05, nodes_per_decade=48, stencil_order=6)
+                           h_core=0.05, nodes_per_decade=48,
+                           stencil_order=PROFILE_ORDER)
 
 
 def _out_of_family(norm_report, b):
@@ -421,9 +424,12 @@ def main(argv=None) -> int:
             if x is not None and not (math.isfinite(x) and x > 0):
                 raise ValueError("--%s: expected a positive finite number, "
                                  "got %r" % (flag.replace("_", "-"), x))
-        if getattr(args, "r_max", None) and args.r_max > MAX_RADIUS:
-            raise ValueError("--r-max: must be at most MAX_RADIUS = %g, got "
-                             "%g" % (MAX_RADIUS, args.r_max))
+        if (getattr(args, "r_max", None)
+                and args.r_max > max_radius(PROFILE_ORDER)):
+            raise ValueError("--r-max: must be at most %.3g, the largest "
+                             "radius of stencil order %d, got %g"
+                             % (max_radius(PROFILE_ORDER), PROFILE_ORDER,
+                                args.r_max))
         if (getattr(args, "nodes_per_decade", MIN_NODES_PER_DECADE)
                 < MIN_NODES_PER_DECADE):
             raise ValueError("--nodes-per-decade: must be >= %d, got %d"

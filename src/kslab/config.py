@@ -161,9 +161,11 @@ class RunConfig:
                 v.append("%s: %s" % (", ".join(keys), exc))
             except (GridError, ProfileError) as exc:
                 # a grid of more nodes than MAX_NODES, of a radius past
-                # MAX_RADIUS, of fewer nodes than its stencil needs, or too
-                # coarse for the radiation at b0 or at a table node; its
-                # radius is grid.r_max, or derived from b0 and M
+                # max_radius of its stencil order (the solver's order
+                # p + 4 grid on the run's nodes included), of fewer nodes
+                # than its stencil needs, or too coarse for the radiation
+                # at b0 or at a table node; its radius is grid.r_max, or
+                # derived from b0 and M
                 keys = (["grid.r_max"] if p.r_max else
                         PROFILE_KEYS if self._changed(PROFILE_KEYS) else [])
                 v.append("%s: %s" % (", ".join([*keys, *RESOLUTION_KEYS]),

@@ -12,8 +12,9 @@ naive interpolation of log-singular integrands loses accuracy; each is one
 product of the weight's cell matrix with the values, of one field or of an
 (n, k) block of k fields, column by column bitwise alike.
 `RadialGrid.make` refuses, before it lays out a node, a radius past
-MAX_RADIUS, beyond which double precision loses the profiles, and a grid
-of more than MAX_NODES nodes.
+`max_radius` of its stencil order, beyond which the stencil weights
+overflow, and a grid of more than MAX_NODES nodes; a grid built from
+given nodes is held to the same radius.
 
 All objects are immutable after construction, apart from a grid's one
 cache, `RadialGrid.memo`, read through `RadialGrid.cached`; operations are
@@ -52,14 +53,21 @@ R_CORE = 10.0
 # CLI, the tests and the benchmark has fewer than 1000, and a profile
 # family on this many peaks near 0.3 GiB
 MAX_NODES = 100_000
-# the largest radius `RadialGrid.make` lays out.  Scanned on the `profile
-# build` grid (h_core 0.05, 48 nodes per decade, order 6): from 1e45 on its
-# stencil weights overflow with RuntimeWarnings, from about 10^47.25 on the
-# family at every b is NaN, and from 1e60 on with RuntimeWarnings again
-# (order-4 grids stay finite to 1e61).  The bound sits just above that grid
-# at profiles.B_MIN (4.5 B1 = 2.0e47), the largest grid that the CLI, the
-# tests and the benchmark lay out
-MAX_RADIUS = 1e48
+
+
+def max_radius(stencil_order):
+    """The largest radius of a grid of this stencil order p.
+
+    A difference stencil of order k <= 3 multiplies p + k - 1 <= p + 2 node
+    differences, each below the radius, so it stays finite up to the
+    (p + 2)-th root of the largest double.  Scanned on `RadialGrid.make`
+    grids (h_core 0.05, 48 nodes per decade, both parities of D1 and D2
+    and the quadrature weights): the first RuntimeWarning comes at 10^77.5,
+    62.75, 45.0, 35.25, 24.5 and 18.75 for p = 2, 4, 6, 8, 12 and 16, and
+    the bound at 10^77.1, 51.4, 38.5, 30.8, 22.0 and 17.1.
+    """
+    return np.finfo(float).max ** (1.0 / (stencil_order + 2))
+
 
 _WEIGHT_FUNCTIONS = {
     "one": np.ones_like,
@@ -136,6 +144,7 @@ class RadialGrid:
             raise GridError("nodes must be strictly increasing")
         if stencil_order < 2:
             raise GridError("stencil order must be >= 2")
+        _check_radius(nodes[-1], stencil_order)
         self.nodes = nodes
         self.nodes.setflags(write=False)
         self.stencil_order = int(stencil_order)
@@ -160,11 +169,9 @@ class RadialGrid:
     def make(cls, r_max, h_core=0.02, nodes_per_decade=48, stencil_order=4):
         """Standard mesh: uniform spacing h_core up to R_CORE, then a
         geometric tail of >= nodes_per_decade nodes per decade.  GridError,
-        before any node is laid out, if r_max exceeds MAX_RADIUS or the
-        grid has more than MAX_NODES."""
-        if not r_max <= MAX_RADIUS:
-            raise GridError("a grid of radius %.3g exceeds MAX_RADIUS = %g"
-                            % (r_max, MAX_RADIUS))
+        before any node is laid out, if r_max exceeds `max_radius` of the
+        stencil order or the grid has more than MAX_NODES."""
+        _check_radius(r_max, stencil_order)
         n_core, n_tail = node_counts(r_max, h_core, nodes_per_decade)
         if n_core + n_tail + 1 > MAX_NODES:
             raise GridError("a grid of %.3g nodes exceeds MAX_NODES = %d"
@@ -356,6 +363,13 @@ class RadialGrid:
         csr = self.diff_matrix(1, "odd")
         end = csr.indptr[1]
         return csr.indices[:end], csr.data[:end].tolist()
+
+
+def _check_radius(r_max, stencil_order):
+    if not r_max <= max_radius(stencil_order):
+        raise GridError("a grid of radius %.3g exceeds the largest radius "
+                        "of stencil order %d, %.3g"
+                        % (r_max, stencil_order, max_radius(stencil_order)))
 
 
 def per_node(coef, values):

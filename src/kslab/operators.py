@@ -462,31 +462,38 @@ def _lift(h, tau, y):
     return _reflect("L", "N", h, tau, z)[:, 0]
 
 
-def _whitened_min(A, gx, rows, pinned):
-    """Minimal x^T A x / x^T diag(gx) x over {x[pinned] = 0, rows @ x = 0}.
+def _whitened_min(A, s, rows, pinned, what):
+    """(value, kept): the lowest eigenvalue of the form A whitened by the
+    diagonal s, A / (s s^T), over {x[pinned] = 0, rows @ x = 0} for
+    already whitened dense rows, and the dimension of that space.
 
-    The metric spans ~18 orders of magnitude (the 1/Q weight grows like r^4),
-    so the quotient is whitened exactly with the diagonal square root.  The
-    pinned coordinates are dropped by index and the dense rows removed by
-    the reflectors of `_free_basis`: in C = Q^T B Q of the whitened block B,
-    the trailing block past the first m rows is B on the null space of the
-    m rows.  LAPACK returns its lowest eigenvalue only.
+    The pinned coordinates are dropped by index and the dense rows removed
+    by the reflectors of `_free_basis` (OperatorError naming `what` if no
+    direction is left): in C = Q^T B Q of the whitened block B, the
+    trailing block past the first m rows is B on the null space of the m
+    rows.  B is whitened after the pinned coordinates are dropped, so that
+    only it and A are held while C is formed.  LAPACK returns the lowest
+    eigenvalue only.
     """
-    s = np.sqrt(gx)
-    keep, h, tau = _free_basis(rows / s, pinned, 1, "coercivity_M")
+    keep, h, tau = _free_basis(rows, pinned, 1, what)
     sk = s[keep]
-    m = len(rows)
     C = _sandwich(h, tau, A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None])
-    return linalg.eigvalsh(C[m:, m:], subset_by_index=[0, 0])[0]
+    C = C[len(rows):, len(rows):]
+    return linalg.eigvalsh(C, subset_by_index=[0, 0])[0], len(C)
 
 
 def coercivity_M(bundle: OperatorBundle) -> dict:
-    """delta0 = min <Mx,x>/||x||_XQ^2 over {int u = 0, <x,LambdaQ> = 0}."""
+    """delta0 = min <Mx,x>/||x||_XQ^2 over {int u = 0, <x,LambdaQ> = 0}.
+
+    The metric spans ~18 orders of magnitude (the 1/Q weight grows like
+    r^4), so the quotient is whitened exactly with the diagonal square root
+    s of the X_Q Gram diagonal, form and rows alike (`_whitened_min`).
+    """
     lam = bundle.ground.pair_LambdaQ()
-    val = _whitened_min(
-        bundle.quadform_M(), bundle.gram_xq(),
-        np.vstack([bundle.mass_vector(), bundle.pair_vector(lam)]),
-        bundle.pinned())
+    s = np.sqrt(bundle.gram_xq())
+    rows = np.vstack([bundle.mass_vector(), bundle.pair_vector(lam)])
+    val, _ = _whitened_min(bundle.quadform_M(), s, rows / s, bundle.pinned(),
+                           "coercivity_M")
     return {"delta0_M_hat": float(val)}
 
 
@@ -607,15 +614,13 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     # leverages the O(h^2) mass error of Lambda Q into a spurious dip
     out = np.vstack([_reflect("L", "N", qr, tau, C).T,
                      bundle.mass_vector() / s])
-    _, h, tau = _free_basis(out, [], 1, "coercivity_L")
-    Sr = _sandwich(h, tau, bundle.quadform_M() / s[None, :] / s[:, None])
-    Sr = Sr[len(out):, len(out):]
-    vals = linalg.eigvalsh(Sr, subset_by_index=[0, 0])
+    val, kept = _whitened_min(bundle.quadform_M(), s, out, [],
+                              "coercivity_L")
     M_param = phim.report["M"]
     return {
-        "delta0_L_hat": float(vals[0]),
-        "normalized": float(vals[0] * M_param ** 2 / np.log(M_param) ** 2),
-        "modes_kept": len(Sr),
+        "delta0_L_hat": float(val),
+        "normalized": float(val * M_param ** 2 / np.log(M_param) ** 2),
+        "modes_kept": kept,
         "modes_cut": int(ncut),
         "sweeps": sweeps,
     }

@@ -22,16 +22,19 @@ Everything that does not depend on b (closed forms on the nodes, the level-b
 solution) is computed once per grid and kept in the grid's memo
 (`profile_base`) as arrays only, never as fields: the memo holds nothing
 that refers back to its grid (see `grid`), so `build_t1_s1` and the family
-wrap the level-b arrays in fields on each call.  Two evaluators share one
-core, `_localize`: `build_profile_family` returns the whole family at one
-b, and `modulation_profiles` returns, for each b of a block, only the
-three arrays the modulation solve reads (Qb~, grad Pb~, n~), bitwise equal
-to the family's, at a fraction of the cost.  The core has one layout: a
-block of k b, one column per b (shape (n, k), per-b values (k,)), and a
-single b is a block of one.  Each column gets the same elementwise
-arithmetic and checks, and each cumulative integral is one sparse product
-for the whole block, so that each column is bitwise its block of one, and
-a ProfileError names the first b of the block that failed.
+wrap the level-b arrays in fields on each call.
+
+Everything that does depend on b runs through one core, `_localize`, over
+a block of k b, one column per b (shape (n, k), per-b values (k,)).  Each
+column gets the same elementwise arithmetic and checks, and each
+cumulative integral is one sparse product for the whole block, so that
+each column is bitwise its block of one, and a ProfileError names the
+first b of the block that failed.  Two evaluators read the core.
+`modulation_profiles` returns, for each b of a block, only the three
+arrays the modulation solve reads (Qb~, grad Pb~, n~).  The one single-b
+view is the family, `build_profile_family`, a block of one: its radiation
+(c_b and its constants, m_sigma, d_sigma), both levels, the localized
+fields, bitwise the modulation's, and its residual.
 """
 
 from __future__ import annotations
@@ -67,10 +70,11 @@ from .operators import (
 B0_MAX = 1.0e-2
 B_MAX = 1.25e-2
 # The family at b needs a grid of radius >= 4 B1(b), which grows like
-# b^(-1/2) until powers of r and Fornberg's node products overflow on it.
-# On the `profile build` grid (radius 4.5 B1) the smallest b with a finite
-# family is 2.06e-89; none below it is finite (scanned down to 1e-150).
-B_MIN = 2e-89
+# b^(-1/2) until its stencil weights overflow.  The `profile build` grid
+# (order 6, radius 4.5 B1) stays within grid.max_radius(6) = 3.4e38 down
+# to b = 4.72e-72; at B_MIN its radius is 3.30e38 and the family is
+# finite without a numpy warning.
+B_MIN = 5e-72
 
 
 class ProfileError(ValueError):
@@ -293,23 +297,11 @@ def _build_profile_base(grid):
 
 # -- radiation -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Radiation:
-    """Tail-flattening correction (in partial masses) and its
-    normalization constant."""
-
-    b: float
-    B0: float
-    c_b: float
-    c1: float
-    c2: float
-    beta: tuple
-    m_sigma: RadialField
-    d_sigma: RadialField
-
-
-def build_radiation(grid: RadialGrid, b: float) -> Radiation:
-    """Build the radiation (m_sigma, d_sigma) and the constant c_b.
+def _radiation(grid, base, bs):
+    """The radiation (m_sigma, d_sigma) and its constant c_b over a block
+    of b: B0, c_b, c1, c2 and beta1..3 of shape (k,), the masses and the
+    cutoff chi04 = chi_{B0/4} of shape (n, k), one column per b, each
+    bitwise the block [b]'s.
 
     Its primitive pair (m_sigma'/r, (d_sigma + m_sigma)/r) coincides with
     c_b (T1, grad S1) for r <= B0/4; the masses flatten the level-b^2 tail
@@ -320,17 +312,8 @@ def build_radiation(grid: RadialGrid, b: float) -> Radiation:
 
     with d_hat the c_b-normalized chemoattractant part; this pins the psi1
     flux at infinity to exactly 4 and gives c_b = 2/|log b| (1 + O(1/|log b|)).
-    `_radiation` at the one b.
-    """
-    return _radiation_at(grid, _radiation(grid, profile_base(grid), [b]), b)
-
-
-def _radiation(grid, base, bs):
-    """build_radiation over a block of b: B0, c_b, c1, c2 and beta1..3 of
-    shape (k,), m_sigma and d_sigma of shape (n, k), one column per b,
-    each bitwise the block [b]'s.  Checks each b (`_check_b`), then c1 > c2
-    and the region identities; a ProfileError names the first b of the
-    first check that fails."""
+    Checks each b (`_check_b`), then c1 > c2 and the region identities; a
+    ProfileError names the first b of the first check that fails."""
     for b in bs:
         _check_b(grid, b)
     r = grid.nodes[:, None]
@@ -390,16 +373,7 @@ def _radiation(grid, base, bs):
                    err_out)
     return SimpleNamespace(B0=B0, c_b=c_b, c1=c1, c2=c2,
                            beta=(beta1, beta2, beta3), m_sigma=m_sigma,
-                           d_sigma=d_sigma)
-
-
-def _radiation_at(grid, rad, b):
-    """The Radiation of a `_radiation` block of the one b."""
-    return Radiation(b=b, B0=float(rad.B0[0]), c_b=rad.c_b[0],
-                     c1=rad.c1[0], c2=rad.c2[0],
-                     beta=tuple(x[0] for x in rad.beta),
-                     m_sigma=RadialField(grid, rad.m_sigma[:, 0]),
-                     d_sigma=RadialField(grid, rad.d_sigma[:, 0]))
+                           d_sigma=d_sigma, chi04=chi)
 
 
 def localization_radius(b: float) -> float:
@@ -461,22 +435,15 @@ class LevelTwo:
     src_d: np.ndarray
 
 
-def build_t2_s2(grid: RadialGrid, rad: Radiation) -> LevelTwo:
-    """Solve the level-b^2 system
+def _level_two(grid, base, m_sigma, d_sigma):
+    """The level-b^2 system
 
     L(m2, d2) = (r m1' - m1' n1 / r, r n1') - (m_sigma, d_sigma),
 
     i.e. d2 = L1^{-1}(r n1' - d_sigma) and L0 m2 = Q d2 - m_sigma2 where
-    m_sigma2 is the density component of the right-hand side.
-    """
-    lvl2 = _level_two(grid, profile_base(grid), rad.m_sigma.values[:, None],
-                      rad.d_sigma.values[:, None])
-    return _level_two_at(grid, lvl2)
-
-
-def _level_two(grid, base, m_sigma, d_sigma):
-    """build_t2_s2's arrays from the radiation's masses, of shape (n, k)
-    (one column per b), each column bitwise the block [b]'s."""
+    m_sigma2 is the density component of the right-hand side, solved for
+    the radiation's masses of shape (n, k) (one column per b), each column
+    bitwise the block [b]'s."""
     src_d = base.r_n1p[:, None] - d_sigma
     d2 = _l1_solution(grid, src_d, 0.0)
     src_m = base.m2_source1[:, None] - m_sigma - base.Q[:, None] * d2
@@ -513,6 +480,8 @@ class ProfileFamily:
     c1: float
     c2: float
     beta: tuple
+    m_sigma: RadialField
+    d_sigma: RadialField
     level1: LevelOne
     level2: LevelTwo
     Qb_tilde: RadialField
@@ -584,10 +553,11 @@ def modulation_profiles(grid: RadialGrid, bs) -> list:
             for j, b in enumerate(bs)]
 
 
-def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,
-                  chi: np.ndarray) -> tuple:
+def profile_error(grid: RadialGrid, b: float, c_b: float, lvl2: LevelTwo,
+                  chi: np.ndarray, chi04: np.ndarray) -> tuple:
     """Residual of the rescaled flow on the localized profile at b, from
-    `_localize`'s radiation, level-b^2 fields and cutoff chi = chi_B1.
+    `_localize`'s radiation constant c_b, level-b^2 fields and cutoffs
+    chi = chi_B1 and chi04 = chi_{B0/4}.
 
     In partial-mass variables, with m~ = m0 + M, n~ = m0 + N the localized
     masses (M' = chi_B1 (b m1' + b^2 m2'), N = chi_B1 (b n1 + b^2 n2)),
@@ -630,12 +600,11 @@ def profile_error(grid: RadialGrid, b: float, rad: Radiation, lvl2: LevelTwo,
     omega = (Npp - Mpp - grid.divide_by_r(Np - Mp, "odd")
              - b * r * Np - b * base.r2Q)
 
-    chi04 = cutoff(r / (rad.B0 / 4.0))
     phi_f = RadialField(grid, phi)
     psi1_v = grid.divide_by_r(derivative(phi_f, 1).values, "odd") \
-        + rad.c_b * b * b * (chi04 * base.T1)
+        + c_b * b * b * (chi04 * base.T1)
     psi2g_v = grid.divide_by_r(omega, "even") \
-        + rad.c_b * b * b * (chi04 * base.S1_grad)
+        + c_b * b * b * (chi04 * base.S1_grad)
     return RadialField(grid, psi1_v), RadialField(grid, psi2g_v, "odd")
 
 
@@ -667,21 +636,28 @@ def error_norm_report(grid, B0, Psi1, Psi2_grad) -> dict:
 
 
 def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> ProfileFamily:
-    """Full pipeline: level b, radiation, level b^2, localization, residual.
+    """The family at b, the core (`_localize`) at the block [b]: level b,
+    the radiation with its constants, level b^2, localization and, unless
+    with_error=False, the residual with its norms.
 
     The partial masses are rebuilt from the cut fluxes so that the localized
     family stays an exact partial-mass pair.
     """
     loc = _localize(grid, [b])
-    rad = _radiation_at(grid, loc.rad, b)
+    rad = loc.rad
     lvl2 = _level_two_at(grid, loc.lvl2)
     chi1 = loc.chi1[:, 0]
     base = profile_base(grid)
     m1_loc = grid.cumulative_integral(chi1 * base.m1_p, "one")
     m2_loc = grid.cumulative_integral(chi1 * lvl2.m2_p, "one")
+    B0 = float(rad.B0[0])
+    c_b = rad.c_b[0]
     fam = ProfileFamily(
-        b=b, B0=rad.B0, B1=float(loc.B1[0]), c_b=rad.c_b, c1=rad.c1,
-        c2=rad.c2, beta=rad.beta, level1=build_t1_s1(grid), level2=lvl2,
+        b=b, B0=B0, B1=float(loc.B1[0]), c_b=c_b, c1=rad.c1[0],
+        c2=rad.c2[0], beta=tuple(x[0] for x in rad.beta),
+        m_sigma=RadialField(grid, rad.m_sigma[:, 0]),
+        d_sigma=RadialField(grid, rad.d_sigma[:, 0]),
+        level1=build_t1_s1(grid), level2=lvl2,
         Qb_tilde=RadialField(grid, loc.Qb[:, 0]),
         Pb_tilde_grad=RadialField(grid, loc.Pbg[:, 0], "odd"),
         m_tilde=RadialField(grid, base.m0 + b * m1_loc + b * b * m2_loc),
@@ -690,6 +666,6 @@ def build_profile_family(grid: RadialGrid, b: float, with_error=True) -> Profile
     )
     if not with_error:
         return fam
-    Psi1, Psi2_grad = profile_error(grid, b, rad, lvl2, chi1)
-    report = error_norm_report(grid, rad.B0, Psi1, Psi2_grad)
+    Psi1, Psi2_grad = profile_error(grid, b, c_b, lvl2, chi1, rad.chi04[:, 0])
+    report = error_norm_report(grid, B0, Psi1, Psi2_grad)
     return replace(fam, Psi1=Psi1, Psi2_grad=Psi2_grad, norm_report=report)

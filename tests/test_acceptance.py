@@ -161,8 +161,8 @@ def test_criterion_05_radiation_law():
     ratios = []
     for b in (1e-4, 1e-6, 1e-8):
         g = profile_grid_for(b)
-        rad = prof.build_radiation(g, b)
-        ratios.append(rad.c_b * abs(math.log(b)) / 2.0)
+        c_b = prof.build_profile_family(g, b, with_error=False).c_b
+        ratios.append(c_b * abs(math.log(b)) / 2.0)
     in_band = all(0.8 <= x <= 1.2 for x in ratios)
     monotone = ratios[0] > ratios[1] > ratios[2] > 1.0
     report(5, in_band and monotone,

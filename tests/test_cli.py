@@ -332,6 +332,19 @@ def test_profile_build_rejects_a_nan_family(tmp_path, capsys, b):
         "[%g, %g]" % (b, B_MIN, B_MAX)]
 
 
+def test_profile_build_at_B_MIN_is_finite(tmp_path, recwarn):
+    # the smallest admissible b: its grid is within the largest radius of
+    # order 6, and the family comes out finite without a numpy warning
+    # (its residual is flagged out of family, as at every tiny b)
+    assert main(["profile", "build", "--b", repr(B_MIN),
+                 "--out", str(tmp_path)]) == 2
+    assert len(recwarn) == 0
+    out = tmp_path / ("profile_b%.3e" % B_MIN) / "profile.json"
+    payload = json.loads(out.read_text())
+    assert all(math.isfinite(x) for x in payload["norm_report"].values())
+    assert math.isfinite(payload["c_b"]) and math.isfinite(payload["B1"])
+
+
 def test_profile_build_list_exits_with_the_worst_status(tmp_path, capsys):
     assert main(["profile", "build", "--b", "1e-4,0.5",
                  "--out", str(tmp_path)]) == 1
@@ -494,17 +507,28 @@ def test_simulate_refuses_a_table_that_does_not_certify(tmp_path):
 # a refusal -> (the config text or command line, the keys or flag its
 # one-line reason starts with): the key set in each is named, also where
 # the failure shows up elsewhere (the stencil order moves the table's error
-# bound; profile.M sets the derived run radius), and a radius too large
-# for double precision is refused before a node is laid out
+# bound and the largest radius; profile.M sets the derived run radius), and
+# a radius past the largest of its stencil order is refused before a node
+# is laid out
 REFUSALS = {
     "stencil_order": ("grid.stencil_order = 16",
                       "profile.M, profile.b0, grid.stencil_order: the "
                       "profile table does not certify"),
     "M": ("profile.M = 1e300",
           "profile.M, profile.b0, %s: a grid of radius 1.05e+301 exceeds "
-          "MAX_RADIUS" % RESOLUTION_KEYS),
+          "the largest radius of stencil order 4" % RESOLUTION_KEYS),
     "r_max": (["profile", "build", "--b", "1e-4", "--r-max", "1e300"],
-              "--r-max: must be at most MAX_RADIUS"),
+              "--r-max: must be at most 3.4e+38, the largest radius of "
+              "stencil order 6"),
+    "M_order16": ("grid.stencil_order = 16\nprofile.M = 1e20\n"
+                  "solver.s_max = 1",
+                  "profile.M, profile.b0, %s: a grid of radius 1.05e+21 "
+                  "exceeds the largest radius of stencil order 16"
+                  % RESOLUTION_KEYS),
+    "r_max_order16": ("grid.stencil_order = 16\ngrid.r_max = 1e20\n"
+                      "solver.s_max = 1",
+                      "grid.r_max, %s: a grid of radius 1e+20 exceeds the "
+                      "largest radius of stencil order 16" % RESOLUTION_KEYS),
 }
 
 

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy import sparse
 import kslab.grid as grid_module
 from kslab.cli import profile_grid_for
 from kslab.grid import (
-    MAX_RADIUS,
     _GL_NODES,
     _GL_WEIGHTS,
     _PARITY_SIGN,
@@ -24,6 +24,7 @@ from kslab.grid import (
     integrate,
     laplacian_values,
     log_potential_values,
+    max_radius,
     partial_mass,
     poisson_field,
     potential_from_gradient,
@@ -431,12 +432,35 @@ def test_divide_by_r_odd_origin_matches_the_csr_row(oracle_grids, name):
 @pytest.mark.parametrize("r_max", [1e49, 1e300, float("nan")])
 def test_make_refuses_a_radius_past_MAX_RADIUS(monkeypatch, r_max):
     # refused before any node is laid out, while the largest grid in use,
-    # that of `profile build` at B_MIN, is laid out
+    # that of `profile build` (order 6) at B_MIN, is laid out
     monkeypatch.setattr(np, "linspace", None)
-    with pytest.raises(GridError, match="MAX_RADIUS"):
-        RadialGrid.make(r_max)
+    with pytest.raises(GridError, match="largest radius of stencil order 6"):
+        RadialGrid.make(r_max, stencil_order=6)
     monkeypatch.undo()
-    assert profile_grid_for(B_MIN).r_max < MAX_RADIUS
+    assert profile_grid_for(B_MIN).r_max <= max_radius(6)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 16])
+def test_a_grid_at_its_orders_largest_radius_assembles(order):
+    # the bound is laid out and assembled (both parities of D1 and D2, the
+    # quadrature weights) without a warning; a radius just past it is
+    # refused by `make`, and so are the given nodes of the bound's grid at
+    # order + 4, as the solver's step bound builds it
+    bound = max_radius(order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = RadialGrid.make(bound, h_core=0.05, nodes_per_decade=48,
+                               stencil_order=order)
+        for k in (1, 2):
+            for parity in ("even", "odd"):
+                assert np.all(np.isfinite(grid.diff_matrix(k, parity).data))
+        assert np.all(np.isfinite(grid.quad_weights))
+    assert grid.r_max == bound
+    match = "largest radius of stencil order %d" % order
+    with pytest.raises(GridError, match=match):
+        RadialGrid.make(np.nextafter(bound, np.inf), stencil_order=order)
+    with pytest.raises(GridError, match="order %d" % (order + 4)):
+        RadialGrid(grid.nodes, stencil_order=order + 4)
 
 
 def test_grid_builders_run_once_per_key(monkeypatch):

@@ -437,8 +437,9 @@ def test_dependent_constraint_rows_are_an_error(bundle):
     # the mass row twice: the second is dependent on the first
     mass = bundle.mass_vector()
     with pytest.raises(ops.OperatorError, match=r"rows \[1\] are numerically"):
-        ops._whitened_min(bundle.quadform_M(), bundle.gram_xq(),
-                          np.vstack([mass, mass]), bundle.pinned())
+        ops._whitened_min(bundle.quadform_M(), np.sqrt(bundle.gram_xq()),
+                          np.vstack([mass, mass]), bundle.pinned(),
+                          "coercivity_M")
 
 
 def test_kernel_gap_without_two_free_directions(bundle, monkeypatch):
@@ -451,8 +452,9 @@ def test_kernel_gap_without_two_free_directions(bundle, monkeypatch):
 def test_whitened_min_on_an_empty_free_space(bundle):
     n2 = 2 * bundle.grid.n
     with pytest.raises(ops.OperatorError, match="leave 0 free directions"):
-        ops._whitened_min(bundle.quadform_M(), bundle.gram_xq(),
-                          bundle.mass_vector()[None, :], np.arange(n2))
+        ops._whitened_min(bundle.quadform_M(), np.sqrt(bundle.gram_xq()),
+                          bundle.mass_vector()[None, :], np.arange(n2),
+                          "coercivity_M")
 
 
 def test_lyapunov_functional(ref_grid, ground):

@@ -218,7 +218,7 @@ def test_radiation_constants_and_regions():
     ratios = []
     for b in (1e-4, 1e-6, 1e-8):
         g = profile_grid_for(b)
-        rad = prof.build_radiation(g, b)
+        rad = prof.build_profile_family(g, b, with_error=False)
         L = abs(math.log(b))
         assert abs(rad.c1 - L / 2.0) < 2.0
         ratios.append(rad.c_b * L / 2.0)
@@ -236,7 +236,7 @@ def test_radiation_constants_and_regions():
 
 def test_radiation_normalization_root(g1em4):
     # the c_b-normalized constraint c_b (c1 - c2) = 1 is linear in c_b
-    rad = prof.build_radiation(g1em4, 1e-4)
+    rad = prof.build_profile_family(g1em4, 1e-4, with_error=False)
     assert rad.c1 - rad.c2 > 0.0
     assert rad.c_b == 1.0 / (rad.c1 - rad.c2)
 
@@ -259,11 +259,9 @@ def test_level2_bounds(g1em4, fam1em4):
 def test_level2_b_derivative_bound(g1em4):
     # |b d_b m2| <~ |m2| / |log b| sampled by finite difference
     b = 1e-4
-    rad_hi = prof.build_radiation(g1em4, b * 1.05)
-    rad_lo = prof.build_radiation(g1em4, b * 0.95)
-    m2_hi = prof.build_t2_s2(g1em4, rad_hi).m2.values
-    m2_lo = prof.build_t2_s2(g1em4, rad_lo).m2.values
-    m2 = prof.build_t2_s2(g1em4, prof.build_radiation(g1em4, b)).m2.values
+    m2_hi, m2_lo, m2 = (
+        prof.build_profile_family(g1em4, x, with_error=False).level2.m2.values
+        for x in (b * 1.05, b * 0.95, b))
     r = g1em4.nodes
     bdb = b * (m2_hi - m2_lo) / (0.1 * b)
     mid = (r >= 1.0) & (r <= 600.0)
@@ -396,6 +394,9 @@ def test_block_core_equals_one_b_at_a_time(block_case):
         for name in ("m2_p", "src_m", "src_d"):
             assert (getattr(loc.lvl2, name)[:, j].tobytes()
                     == getattr(fam.level2, name).tobytes()), name
+        for name in ("m_sigma", "d_sigma"):
+            assert (getattr(loc.rad, name)[:, j].tobytes()
+                    == getattr(fam, name).values.tobytes()), name
         assert loc.B1[j] == fam.B1
         for name in ("B0", "c_b", "c1", "c2"):
             assert getattr(loc.rad, name)[j] == getattr(fam, name), name

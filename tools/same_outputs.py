@@ -1,32 +1,29 @@
-"""Check that the working tree writes the same run outputs as a git ref.
+"""Check that the working tree writes the same outputs as a git ref.
 
-For each config, `kslab simulate` (or, with --sweep, `kslab sweep` over
-the given b0 list) runs twice: once from the working tree's `src`, once
-from a `git archive` of the ref (HEAD by default) unpacked into a
-temporary directory, each into an output root of its own.  Every
-`timeseries.csv` and `summary.json` either run writes is compared byte for
-byte with the file at the same path under the other root, with one
-verdict line per file; a `.json` file that differs is followed by a
-line naming the dotted JSON keys whose values differ (or that one side
-lacks), and a `.csv` file that differs by a line naming each column
-that differs with its largest relative difference.  The exit status is 1
-if any file differs or is missing on one side, if the two runs exit with
-different statuses, or if a run leaves no output to compare; else 0.
+`kslab ARGS` (any subcommand with its flags, split as a shell would) runs
+twice: once from the working tree's `src`, once from a `git archive` of
+the ref (HEAD by default) unpacked into a temporary directory, each into
+an output root of its own.  Every file either run writes is compared byte
+for byte with the file at the same path under the other root, with one
+verdict line per file; a `.json` file that differs is followed by a line
+naming the dotted JSON keys whose values differ (or that one side lacks),
+and a `.csv` file that differs by a line naming each column that differs
+with its largest relative difference.  The exit status is 1 if any file
+differs or is missing on one side, if the two runs exit with different
+statuses, or if a run leaves no output to compare; else 0.  For example:
 
-With --cli "ARGS" (and no config), `kslab ARGS` runs instead, any
-subcommand with its flags, split as a shell would; every file it writes
-under its output root is compared, whatever its name.  For example:
-
+    python3 tools/same_outputs.py --cli "simulate --config run.cfg"
+    python3 tools/same_outputs.py --cli "sweep --config run.cfg --b0 8e-3,1e-2"
     python3 tools/same_outputs.py --cli "profile build --b 1e-3,1e-6"
     python3 tools/same_outputs.py --cli "spectral check --M 20,50"
     python3 tools/same_outputs.py --cli "verify-bounds --suite profiles"
 
-Only local git runs; nothing is fetched.
+A simulate run writes `timeseries.csv` and `summary.json`; a sweep writes
+those of each member and `merged_summary.json`.  Only local git runs;
+nothing is fetched.
 
 Usage (from the repository root):
 
-    python3 tools/same_outputs.py [--ref REF] [--sweep B0,B0,...]
-                                  [--workers N] CONFIG...
     python3 tools/same_outputs.py [--ref REF] --cli ARGS
 """
 
@@ -42,7 +39,6 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OUTPUTS = ("timeseries.csv", "summary.json")
 
 
 def unpack(ref, dest):
@@ -62,12 +58,10 @@ def kslab(tree, argv, out):
         capture_output=True).returncode
 
 
-def outputs(out, every):
-    """Paths, relative to out, of the run outputs under out: every file
-    if every, else those named in OUTPUTS."""
+def outputs(out):
+    """Paths, relative to out, of every file under out."""
     return {os.path.relpath(os.path.join(path, name), out)
-            for path, _, names in os.walk(out) for name in names
-            if every or name in OUTPUTS}
+            for path, _, names in os.walk(out) for name in names}
 
 
 def read(path):
@@ -122,10 +116,10 @@ def csv_differences(a, b):
     return out
 
 
-def compare(label, tree_out, ref_out, every):
+def compare(label, tree_out, ref_out):
     """One verdict line per output file of either run (`outputs`): same,
     DIFFERS, or MISSING on one side; True if all are the same."""
-    found = outputs(tree_out, every) | outputs(ref_out, every)
+    found = outputs(tree_out) | outputs(ref_out)
     if not found:
         print("NO OUTPUT %s" % label)
         return False
@@ -149,38 +143,22 @@ def compare(label, tree_out, ref_out, every):
 
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("configs", nargs="*", metavar="CONFIG")
     ap.add_argument("--ref", default="HEAD")
-    ap.add_argument("--sweep", metavar="B0LIST",
-                    help="run `kslab sweep --b0 B0LIST` instead of simulate")
-    ap.add_argument("--workers", default="2", help="sweep workers")
-    ap.add_argument("--cli", metavar="ARGS",
-                    help="run `kslab ARGS` instead, with no config, and "
-                         "compare every file it writes")
+    ap.add_argument("--cli", metavar="ARGS", required=True,
+                    help="run `kslab ARGS` and compare every file it writes")
     args = ap.parse_args(argv)
-    if bool(args.cli) == bool(args.configs):
-        ap.error("give either CONFIG... or --cli ARGS")
-    if args.cli:
-        runs = [(args.cli, shlex.split(args.cli))]
-    else:
-        command = (["sweep", "--b0", args.sweep, "--workers", args.workers]
-                   if args.sweep else ["simulate"])
-        runs = [(config, [*command, "--config", config])
-                for config in map(os.path.abspath, args.configs)]
-    ok = True
     with tempfile.TemporaryDirectory() as tmp:
         ref_tree = os.path.join(tmp, "ref")
         unpack(args.ref, ref_tree)
-        for i, (label, argv) in enumerate(runs):
-            tree_out, ref_out = (os.path.join(tmp, "%s%d" % (side, i))
-                                 for side in ("tree", "ref_out"))
-            codes = [kslab(tree, argv, out) for tree, out in
-                     ((ROOT, tree_out), (ref_tree, ref_out))]
-            if codes[0] != codes[1]:
-                print("EXIT      %s: %d in the working tree, %d at %s"
-                      % (label, codes[0], codes[1], args.ref))
-                ok = False
-            ok = compare(label, tree_out, ref_out, bool(args.cli)) and ok
+        tree_out, ref_out = (os.path.join(tmp, side)
+                             for side in ("tree_out", "ref_out"))
+        codes = [kslab(tree, shlex.split(args.cli), out) for tree, out in
+                 ((ROOT, tree_out), (ref_tree, ref_out))]
+        ok = codes[0] == codes[1]
+        if not ok:
+            print("EXIT      %s: %d in the working tree, %d at %s"
+                  % (args.cli, codes[0], codes[1], args.ref))
+        ok = compare(args.cli, tree_out, ref_out) and ok
     return 0 if ok else 1
 
 
