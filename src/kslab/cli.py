@@ -36,18 +36,12 @@ EXIT_USAGE = 1
 EXIT_BOUNDS = 2
 
 # evolve statuses of runs that ended early on a breakdown
-FAILED_STATUSES = ("modulation_failed", "grid_exhausted", "nonfinite")
+FAILED_STATUSES = tuple(status for _, status in dynamics.FAILURES)
 
 # a one-dimensional kernel along Lambda Q: the ground mode aligns with it
 # and the second mode lies orders of magnitude above
 KERNEL_ALIGNMENT_MIN = 0.99
 KERNEL_GAP_MIN = 100.0
-
-# what a validated run can raise before its first step (no positive
-# perturbation, a failed first decomposition: its model Newton can leave
-# the profile table); simulate and sweep reject the run with its message.
-# The setup build itself is a config check (`RunConfig.validate`).
-START_ERRORS = (dynamics.SimulationError, profiles.ProfileError)
 
 # a family's residual is out of family unless |Psi1|^2 is at most this
 # times b^5 (the coarse expected scaling |Psi1|^2 ~ b^5, generous constant)
@@ -264,7 +258,11 @@ def cmd_simulate(args) -> int:
     outdir = os.path.join(_out_root(args), args.name or "run")
     try:
         summary = run_one(cfgs[0], outdir)
-    except START_ERRORS as exc:
+    except dynamics.FAILURE_ERRORS as exc:
+        # an error of dynamics.FAILURES before the run's first step (no
+        # positive perturbation, a failed first decomposition: its model
+        # Newton can leave the profile table) rejects the run; the setup
+        # build itself is a config check (`RunConfig.validate`)
         print("simulate rejected: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps({"outdir": outdir, "status": summary["status"]}))
@@ -293,7 +291,7 @@ def cmd_sweep(args) -> int:
                                           seed_offsets))
         else:
             summaries = list(map(run_one, cfgs, outdirs, seed_offsets))
-    except START_ERRORS as exc:
+    except dynamics.FAILURE_ERRORS as exc:   # as in cmd_simulate
         print("sweep rejected: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     merged = {"runs": summaries,

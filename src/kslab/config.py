@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import EvolveParams, RunSetup, SimulationError, TableError
+from .dynamics import EvolveParams, RunSetup, SimulationError
 from .grid import GridError
 from .operators import OperatorError, phi_m_degeneracy, phi_m_problem
 from .profiles import B0_MAX, B_MIN, ProfileError, localization_problem
@@ -51,11 +51,6 @@ PERTURBATION_KEYS = {"perturbation.delta": "delta",
                      "perturbation.seed": "seed"}
 # the only keys that may be infinite: no time limit
 UNBOUNDED_KEYS = ("solver.t_max", "solver.s_max")
-# the keys a profile table depends on, with the run grid
-PROFILE_KEYS = ("profile.M", "profile.b0")
-# the keys of the run grid's resolution
-RESOLUTION_KEYS = ("grid.h_core", "grid.nodes_per_decade",
-                   "grid.stencil_order")
 # coarsest geometric tail a grid may have
 MIN_NODES_PER_DECADE = 12
 # widest stencil a run grid may have: the library uses orders 4 and 6; on
@@ -91,20 +86,14 @@ class RunConfig:
             return self.params, PARAM_KEYS[key]
         return self, PERTURBATION_KEYS[key]
 
-    def _changed(self, keys):
-        """The keys of keys whose values differ from their defaults."""
-        default = RunConfig()
-        return [key for key in keys
-                if getattr(*self._slot(key)) != getattr(*default._slot(key))]
-
     def validate(self):
         """Collect every violated constraint; raise ConfigError if any.
 
         The last check is the run's setup build (`dynamics.RunSetup`),
-        asked only when every other constraint holds; its failure is a
-        violation of the keys its error blames, and of the keys that the
-        failing grid or table depends on where they differ from their
-        defaults.
+        asked only when every other constraint holds.  Its failure is one
+        violation, which names the setup keys (the grid.* and profile.*
+        keys) whose values differ from their defaults, in PARAM_KEYS
+        order: the default setup builds, so at least one is named.
         """
         v = []
         for key in (*PARAM_KEYS, *PERTURBATION_KEYS):
@@ -151,27 +140,13 @@ class RunConfig:
         if not v:
             try:
                 self.setup = RunSetup(p)
-            except SimulationError as exc:   # initial density not positive
-                v.append("profile.b0: %s" % exc)
-            except TableError as exc:
-                # the pairings of M's Phi_M with the profiles over the b
-                # the grid of b0 and M localizes, which no table level fits
-                keys = [*PROFILE_KEYS, *self._changed(
-                    ("grid.r_max", *RESOLUTION_KEYS))]
+            except (SimulationError, ProfileError, GridError,
+                    OperatorError) as exc:
+                default = config_params()
+                keys = [key for key, name in PARAM_KEYS.items()
+                        if key.startswith(("grid.", "profile."))
+                        and getattr(p, name) != getattr(default, name)]
                 v.append("%s: %s" % (", ".join(keys), exc))
-            except (GridError, ProfileError) as exc:
-                # a grid of more nodes than MAX_NODES, of a radius past
-                # max_radius of its stencil order (the solver's order
-                # p + 4 grid on the run's nodes included), of fewer nodes
-                # than its stencil needs, or too coarse for the radiation
-                # at b0 or at a table node; its radius is grid.r_max, or
-                # derived from b0 and M
-                keys = (["grid.r_max"] if p.r_max else
-                        PROFILE_KEYS if self._changed(PROFILE_KEYS) else [])
-                v.append("%s: %s" % (", ".join([*keys, *RESOLUTION_KEYS]),
-                                     exc))
-            except OperatorError as exc:
-                v.append("grid.r_max, profile.M: %s" % exc)
         if v:
             raise ConfigError(v)
         return self

@@ -58,7 +58,7 @@ def free_energy(pair: FieldPair) -> EnergyReport:
         raise DiagnosticsError("density significantly negative: free energy "
                                "undefined")
     gv = pair.chem_gradient.values
-    v = potential_from_gradient(pair.chem_gradient, "log_convolution").values
+    v = potential_from_gradient(pair.chem_gradient).values
     mass = float(w @ u)
     clipped = np.maximum(u, ENTROPY_FLOOR)
     entropy = float(w @ (u * np.log(clipped)))
@@ -90,7 +90,7 @@ def check_logHLS(u: RadialField):
     if np.min(uv) < -1e-12 * max(np.max(np.abs(uv)), 1.0):
         raise DiagnosticsError("log-HLS requires a nonnegative density")
     mass = float(w @ uv)
-    phi = potential_from_gradient(poisson_field(u), "log_convolution").values
+    phi = potential_from_gradient(poisson_field(u)).values
     entropy = float(w @ (uv * np.log(np.maximum(uv, ENTROPY_FLOOR))))
     lhs = entropy + (4.0 * np.pi / mass) * float(w @ (uv * phi))
     rhs = loghls_bound(mass)

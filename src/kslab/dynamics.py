@@ -82,6 +82,14 @@ class ModulationError(SimulationError):
     pass
 
 
+# the errors that end a run early, each with the status it gives the run;
+# the first class that matches decides
+FAILURES = ((ModulationError, "modulation_failed"),
+            (ProfileError, "grid_exhausted"),
+            (SimulationError, "nonfinite"))
+FAILURE_ERRORS = tuple(cls for cls, _ in FAILURES)
+
+
 # -- state and series ------------------------------------------------------------
 
 @dataclass
@@ -166,6 +174,12 @@ class TimeSeries:
             if kw["t"] < last[0] or kw["s"] < last[1]:
                 raise SimulationError("time series must be monotone")
         self.rows.append(tuple(kw.get(c, float("nan")) for c in COLUMNS))
+
+    def fail(self, exc):
+        """End the series on exc, one of FAILURE_ERRORS: the status that
+        FAILURES gives it, and its message as .reason."""
+        self.status = next(s for c, s in FAILURES if isinstance(exc, c))
+        self.reason = str(exc)
 
     def __len__(self):
         return len(self.rows)
@@ -421,10 +435,6 @@ TABLE_TAIL = 8
 TABLE_SAFETY = 4.0
 
 
-class TableError(ProfileError):
-    """A profile table that does not certify at its last level."""
-
-
 class ProfileTable:
     """Chebyshev interpolant in log b of scalar functions of the profile,
     refined until its error bound certifies decompose's model.
@@ -442,7 +452,7 @@ class ProfileTable:
     off-node points (TABLE_PROBE_THETA).  Each level is built afresh, its
     nodes then its probes, and the table keeps the first level whose bound
     is at most CERTIFY_FRACTION * ATOL * f_scale (`nodes` is its node
-    count); TableError if none is.
+    count); ProfileError if none is.
 
     `curvature(b)` bounds the 2-norm of the table's own second
     b-derivative over [b, hi], from its coefficients: with x the Chebyshev
@@ -471,7 +481,7 @@ class ProfileTable:
             if self.error_bound <= target:
                 break
         else:
-            raise TableError(
+            raise ProfileError(
                 "the profile table does not certify at %d nodes: error bound "
                 "%.3g f_scale, above its target %.3g f_scale"
                 % (nodes, self.error_bound / f_scale, target / f_scale))
@@ -552,7 +562,7 @@ class ModulationSolver:
     Acceptance is |F| <= atol = ATOL f_scale.  F - G is the table's error,
     so a root with |G| <= MODEL_TOL atol meets atol whenever that error is
     at most CERTIFY_FRACTION atol; the table refines until its
-    `error_bound` certifies this, and raises TableError, so that no
+    `error_bound` certifies this, and raises ProfileError, so that no
     solver is built, if it cannot.  A converged model root is returned
     with no exact residual: `read` evaluates (F, eps, geta) and the
     profile from the state's values at the root, for a block of
@@ -1007,11 +1017,12 @@ class RunSetup:
     """What a run on params builds before its first step, built once: the
     grid (`dynamics_grid`), the unperturbed initial state at b0, the
     modulation solver (its profile table and Phi_M weights) and the
-    stepper.  A failed build raises the builder's own error: ProfileError
-    (a grid that cannot carry the profiles at b0 or at the table's
-    nodes), its TableError (a profile table that does not certify),
-    OperatorError (Phi_M) or SimulationError (an initial density that is
-    not positive).
+    stepper.  A failed build raises the builder's own error: GridError (a
+    grid its size or stencil order does not allow), ProfileError (a grid
+    that cannot carry the profiles at b0 or at the table's nodes, or a
+    profile table that does not certify), OperatorError (Phi_M) or
+    SimulationError (an initial density that is not positive);
+    `config.RunConfig.validate` reports each as one violation.
 
     Any number of runs may share one setup: `run` starts the solver's
     per-run state afresh, so each run's series equals, bit for bit, the
@@ -1045,13 +1056,14 @@ class RunSetup:
 
         Records the modulation history at the configured cadence; the
         returned series carries .status in {'lam_stop', 't_max', 's_max',
-        'b_min', 'modulation_failed', 'grid_exhausted', 'nonfinite'}.  The
-        last three end a run early and keep the partial series plus a
-        final record: 'modulation_failed' when the modulation Newton solve
-        fails, 'grid_exhausted' when the solve needs the profile at a b
-        whose localization does not fit the grid (4 B1(b) > r_max),
-        'nonfinite' when the implicit step is singular or leaves a
-        non-finite state.  A step counts only once its state is decomposed,
+        'b_min'} or, for a run that an error of FAILURES ends early, the
+        status that table gives the error: 'modulation_failed' when the
+        modulation Newton solve fails (ModulationError), 'grid_exhausted'
+        when the solve needs the profile at a b whose localization does
+        not fit the grid, 4 B1(b) > r_max (ProfileError), 'nonfinite' when
+        the implicit step is singular or leaves a non-finite state
+        (SimulationError).  Such a run keeps the partial series plus a
+        final record.  A step counts only once its state is decomposed,
         so the final record of such a run is the last state with a
         decomposition, with that decomposition, and .reason holds the
         message of the error that ended it.
@@ -1177,15 +1189,8 @@ class RunSetup:
                         stepped_mod = solver.decompose(
                             stepped, guess=(1.0, stepped_mod.b))
                         roots.clear()
-                except ModulationError as exc:
-                    series.status = "modulation_failed"
-                    series.reason = str(exc)
-                    break
-                except ProfileError as exc:
-                    series.status, series.reason = "grid_exhausted", str(exc)
-                    break
-                except SimulationError as exc:
-                    series.status, series.reason = "nonfinite", str(exc)
+                except FAILURE_ERRORS as exc:
+                    series.fail(exc)
                     break
                 state, mod = stepped, stepped_mod
                 step_count += 1
@@ -1216,7 +1221,7 @@ class RunSetup:
             # a record's first read of a decomposition's fields, or its
             # lift, needed a profile the grid cannot carry; the series ends
             # at the record before
-            series.status, series.reason = "grid_exhausted", str(exc)
+            series.fail(exc)
         ds_q = (np.percentile(steps_ds, (0, 50, 100)) if steps_ds
                 else (math.nan,) * 3)
         series.counters = dict(solver.counters, refolds=refolds,
@@ -1252,12 +1257,9 @@ def _predict_guess(roots, s, b_lo):
 
 def _rescale_state(state: FlowState, lam1: float) -> FlowState:
     """Fold a pending scale into the stored fields: m(y) <- m(lam1 y)."""
-    from scipy.interpolate import BSpline
-    g = state.grid
-    x = np.minimum(lam1 * g.nodes, g.r_max)
-    t, c = _spline_coefficients(g, state.m, state.n)
-    mn = BSpline.construct_fast(t, c, SPLINE_DEGREE)(x)
-    m, n = mn[:, 0].copy(), mn[:, 1].copy()
+    splines = _StateSplines(state)
+    x = np.minimum(lam1 * splines.y, splines.r_max)
+    m, n = splines.m(x), splines.n(x)
     m[0] = n[0] = 0.0
     return replace(state, m=m, n=n, lam=state.lam * lam1)
 

@@ -508,29 +508,21 @@ def poisson_field(f: RadialField) -> RadialField:
     return RadialField(g, g.divide_by_r(m, "even"), "odd")
 
 
-def potential_from_gradient(gfield: RadialField, normalization="value_at_zero") -> RadialField:
-    """Antiderivative of a gradient field.
-
-    normalization 'value_at_zero' anchors phi(0) = 0.  'log_convolution'
-    anchors phi(0) = int_0^inf f log(tau) tau dtau where f is the source with
-    gradient gfield (f = g' + g/r), matching the planar convolution kernel
-    log|x|/2pi; with that choice phi_{Delta v} = v for admissible v.
+def potential_from_gradient(gfield: RadialField) -> RadialField:
+    """Antiderivative of a gradient field, anchored at phi(0) = int_0^inf f
+    log(tau) tau dtau where f is the source with gradient gfield (f = g' +
+    g/r), matching the planar convolution kernel log|x|/2pi; with that
+    choice phi_{Delta v} = v for admissible v.
     """
     if gfield.parity != "odd":
         raise GridError("potential_from_gradient requires an odd gradient field")
     g = gfield.grid
-    if normalization == "log_convolution":
-        vals = log_potential_values(g, gfield.values)
-    elif normalization == "value_at_zero":
-        vals = g.cumulative_integral(gfield.values, "one")
-    else:
-        raise GridError("unknown normalization %r" % normalization)
-    return RadialField(g, vals, "even")
+    return RadialField(g, log_potential_values(g, gfield.values), "even")
 
 
 def log_potential_values(grid, gvals):
-    """Values of the 'log_convolution' potential whose gradient has the
-    values gvals (shape (n,), or (n, k) for k fields)."""
+    """Values of the potential (`potential_from_gradient`) whose gradient
+    has the values gvals (shape (n,), or (n, k) for k fields)."""
     vals = grid.cumulative_integral(gvals, "one")
     # phi(0) = int_0^inf f log(tau) tau dtau for the source f = g' + g/r.
     # Integrated by parts this is [tau g log tau]_{r_max} - int_0^{r_max} g,

@@ -191,22 +191,13 @@ def invert_L1(f: RadialField, c: float) -> RadialField:
 
 @dataclass(frozen=True)
 class LevelOne:
-    """First-order profile: T1 = m1'/r, grad S1 = n1/r with n1 = d1 + m1.
-
-    Second derivatives are stored in ODE-substituted form (m'' expressed
-    through m', m and the source), so that downstream residual assembly can
-    cancel the constructed orders exactly instead of numerically.
-    """
+    """First-order profile: T1 = m1'/r, grad S1 = n1/r with n1 = d1 + m1."""
 
     m1: RadialField
     d1: RadialField
     n1: RadialField
     T1: RadialField
     S1_grad: RadialField
-    m1_p: np.ndarray
-    m1_pp: np.ndarray
-    n1_p: np.ndarray
-    n1_pp: np.ndarray
 
 
 def _ode_second_derivative_L0(grid, m, m_p, source):
@@ -227,8 +218,7 @@ def build_t1_s1(grid: RadialGrid) -> LevelOne:
     return LevelOne(
         m1=RadialField(grid, base.m1), d1=RadialField(grid, base.d1),
         n1=RadialField(grid, base.n1), T1=RadialField(grid, base.T1),
-        S1_grad=RadialField(grid, base.S1_grad, "odd"), m1_p=base.m1_p,
-        m1_pp=base.m1_pp, n1_p=base.n1_p, n1_pp=base.n1_pp)
+        S1_grad=RadialField(grid, base.S1_grad, "odd"))
 
 
 @dataclass(frozen=True)
@@ -240,6 +230,10 @@ class ProfileBase:
     then pays only for the radiation, the level-b^2 inversions and the
     cutoff.  Kept in the grid's memo (see `profile_base`), so it holds
     arrays only: nothing in it refers back to the grid.
+
+    Second derivatives are stored in ODE-substituted form (m'' expressed
+    through m', m and the source), so that downstream residual assembly can
+    cancel the constructed orders exactly instead of numerically.
     """
 
     Q: np.ndarray

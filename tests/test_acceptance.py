@@ -52,8 +52,7 @@ def test_criterion_01_ground_state_identities(ref_grid, ground):
     out = ops.apply_M(ground.pair_LambdaQ())
     m_sup = max(np.max(np.abs(out.density.values + 2.0)),
                 np.max(np.abs(out.chem_gradient.values)))
-    phil = potential_from_gradient(poisson_field(ground.LambdaQ),
-                                   "log_convolution")
+    phil = potential_from_gradient(poisson_field(ground.LambdaQ))
     degen = np.max(np.abs(ground.LambdaQ.values / ground.Q.values
                           + 2.0 + phil.values))
     ok = mass_rel < 1e-6 and m_sup < 1e-4 and degen < 1e-6
@@ -331,8 +330,7 @@ def test_criterion_12_inequality_suites(ref_grid, ground):
     hardy_stable = all(abs(a - b) / max(a, b) < 0.2
                        for a, b in consts.values())
     v = RadialField(ref_grid, np.exp(-r ** 2 / 4.0))
-    back = potential_from_gradient(poisson_field(radial_laplacian(v)),
-                                   "log_convolution")
+    back = potential_from_gradient(poisson_field(radial_laplacian(v)))
     round_trip = float(np.max(np.abs(back.values - v.values)))
     ok = (min_margin >= -1e-6 and family_margin < 1e-4
           and hardy_stable and round_trip < 1e-4)

@@ -461,14 +461,13 @@ def test_simulate_invalid_config(tmp_path, capsys):
     assert "violations" in capsys.readouterr().err
 
 
-# config -> (the keys its violation blames, what the violation says): what
+# config -> (the keys its violation names, what the violation says): what
 # only the run's setup build rejects.  At b0 = 1e-8 the profile's initial
 # density is not positive on the run's grid; h_core = 1e-9 asks for 1e10
 # nodes, refused before they are laid out
-RESOLUTION_KEYS = "grid.h_core, grid.nodes_per_decade, grid.stencil_order"
 SETUP_ERRORS = {
     "profile.b0 = 1e-8": ("profile.b0", "initial density not positive"),
-    "grid.h_core = 1e-9": (RESOLUTION_KEYS,
+    "grid.h_core = 1e-9": ("grid.h_core",
                            "a grid of 1e+10 nodes exceeds MAX_NODES"),
 }
 
@@ -476,7 +475,8 @@ SETUP_ERRORS = {
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
     # validation builds the run's setup, so its failure is a config
-    # violation of the keys it blames, not a traceback
+    # violation of the setup keys that differ from their defaults, not a
+    # traceback
     cfg = tmp_path / "run.cfg"
     for text, (keys, message) in SETUP_ERRORS.items():
         cfg.write_text(text + "\n")
@@ -490,8 +490,8 @@ def test_run_setup_errors_exit_cleanly(tmp_path, capsys, command):
 def test_simulate_refuses_a_table_that_does_not_certify(tmp_path):
     # at M = 200 (b0 = 1e-2, derived grid) the profile table misses its
     # target at every level, by a factor of three: one violation that
-    # blames the keys the table depends on and states its bound in
-    # f_scale, and no traceback
+    # names the one key set and states its bound in f_scale, and no
+    # traceback
     cfg = tmp_path / "run.cfg"
     cfg.write_text("profile.M = 200\n")
     done = run_cli(["simulate", "--config", str(cfg)], tmp_path)
@@ -499,36 +499,38 @@ def test_simulate_refuses_a_table_that_does_not_certify(tmp_path):
     assert "Traceback" not in done.stderr
     (violation,) = json.loads(done.stderr)["violations"]
     assert violation.startswith(
-        "profile.M, profile.b0: the profile table does not certify at 1152 "
-        "nodes: error bound ")
+        "profile.M: the profile table does not certify at 1152 nodes: error "
+        "bound ")
     assert violation.endswith(" f_scale, above its target 5e-11 f_scale")
 
 
 # a refusal -> (the config text or command line, the keys or flag its
-# one-line reason starts with): the key set in each is named, also where
-# the failure shows up elsewhere (the stencil order moves the table's error
-# bound and the largest radius; profile.M sets the derived run radius), and
-# a radius past the largest of its stencil order is refused before a node
-# is laid out
+# one-line reason starts with): a config's setup failure names exactly the
+# keys set, also where the failure shows up elsewhere (the stencil order
+# moves the table's error bound and the largest radius; profile.M sets the
+# derived run radius; a radius too large for the profile leaves the
+# initial density not positive), and a radius past the largest of its
+# stencil order is refused before a node is laid out
 REFUSALS = {
     "stencil_order": ("grid.stencil_order = 16",
-                      "profile.M, profile.b0, grid.stencil_order: the "
-                      "profile table does not certify"),
+                      "grid.stencil_order: the profile table does not "
+                      "certify"),
     "M": ("profile.M = 1e300",
-          "profile.M, profile.b0, %s: a grid of radius 1.05e+301 exceeds "
-          "the largest radius of stencil order 4" % RESOLUTION_KEYS),
+          "profile.M: a grid of radius 1.05e+301 exceeds the largest radius "
+          "of stencil order 4"),
+    "M_density": ("profile.M = 1e30\nsolver.s_max = 1", "profile.M: "),
+    "r_max_density": ("grid.r_max = 1e35\nsolver.s_max = 1", "grid.r_max: "),
     "r_max": (["profile", "build", "--b", "1e-4", "--r-max", "1e300"],
               "--r-max: must be at most 3.4e+38, the largest radius of "
               "stencil order 6"),
     "M_order16": ("grid.stencil_order = 16\nprofile.M = 1e20\n"
                   "solver.s_max = 1",
-                  "profile.M, profile.b0, %s: a grid of radius 1.05e+21 "
-                  "exceeds the largest radius of stencil order 16"
-                  % RESOLUTION_KEYS),
+                  "grid.stencil_order, profile.M: a grid of radius "
+                  "1.05e+21 exceeds the largest radius of stencil order 16"),
     "r_max_order16": ("grid.stencil_order = 16\ngrid.r_max = 1e20\n"
                       "solver.s_max = 1",
-                      "grid.r_max, %s: a grid of radius 1e+20 exceeds the "
-                      "largest radius of stencil order 16" % RESOLUTION_KEYS),
+                      "grid.r_max, grid.stencil_order: a grid of radius 1e+20 "
+                      "exceeds the largest radius of stencil order 16"),
 }
 
 

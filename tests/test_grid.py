@@ -132,23 +132,19 @@ def test_poisson_field_examples(ref_grid, ground):
 
 def test_potential_normalizations(ref_grid, ground):
     r = ref_grid.nodes
-    phi = potential_from_gradient(poisson_field(ground.Q), "log_convolution")
+    phi = potential_from_gradient(poisson_field(ground.Q))
     assert np.max(np.abs(phi.values - 2 * np.log1p(r ** 2))[r <= 1000]) < 1e-5
-    phil = potential_from_gradient(poisson_field(ground.LambdaQ),
-                                   "log_convolution")
+    phil = potential_from_gradient(poisson_field(ground.LambdaQ))
     assert np.max(np.abs(phil.values + 4 / (1 + r ** 2))[r <= 1000]) < 1e-5
     # fundamental degeneracy as cross-check
     resid = lambda_q(r) / q_density(r) + 2.0 + phil.values
     assert np.max(np.abs(resid)) < 1e-5
-    anchored = potential_from_gradient(poisson_field(ground.Q), "value_at_zero")
-    assert anchored.values[0] == 0.0
 
 
 def test_poisson_round_trip(ref_grid):
     r = ref_grid.nodes
     v = RadialField(ref_grid, np.exp(-r ** 2 / 4.0))
-    back = potential_from_gradient(poisson_field(radial_laplacian(v)),
-                                   "log_convolution")
+    back = potential_from_gradient(poisson_field(radial_laplacian(v)))
     assert np.max(np.abs(back.values - v.values)) < 1e-4
 
 
@@ -161,8 +157,7 @@ def test_poisson_round_trip_hypothesis(center, width, amp):
     vals = amp * (np.exp(-((r - center) / width) ** 2)
                   + np.exp(-((r + center) / width) ** 2))
     v = RadialField(grid, vals)
-    back = potential_from_gradient(poisson_field(radial_laplacian(v)),
-                                   "log_convolution")
+    back = potential_from_gradient(poisson_field(radial_laplacian(v)))
     assert np.max(np.abs(back.values - v.values)) < 1e-3 * max(abs(amp), 0.1)
 
 

@@ -3,20 +3,27 @@
 `kslab ARGS` (any subcommand with its flags, split as a shell would) runs
 twice: once from the working tree's `src`, once from a `git archive` of
 the ref (HEAD by default) unpacked into a temporary directory, each into
-an output root of its own.  Every file either run writes is compared byte
-for byte with the file at the same path under the other root, with one
-verdict line per file; a `.json` file that differs is followed by a line
-naming the dotted JSON keys whose values differ (or that one side lacks),
-and a `.csv` file that differs by a line naming each column that differs
-with its largest relative difference.  The exit status is 1 if any file
-differs or is missing on one side, if the two runs exit with different
-statuses, or if a run leaves no output to compare; else 0.  For example:
+an output root of its own.  The two runs' stderr texts are compared byte
+for byte, each with its tree's `src` path written as `<src>` (a warning
+or a traceback names its source file), with one verdict line, followed by
+both texts when they differ: a refused config or flag writes its reason
+there and no file.  Stdout is not compared, since it names the output
+paths.  Every file either run writes is compared byte for byte with the
+file at the same path under the other root, with one verdict line per
+file; a `.json` file that differs is followed by a line naming the dotted
+JSON keys whose values differ (or that one side lacks), and a `.csv` file
+that differs by a line naming each column that differs with its largest
+relative difference.  The exit status is 1 if stderr or any file differs,
+or a file is missing on one side, if the two runs exit with different
+statuses, or if the runs write neither a file nor stderr; else 0.  For
+example:
 
     python3 tools/same_outputs.py --cli "simulate --config run.cfg"
     python3 tools/same_outputs.py --cli "sweep --config run.cfg --b0 8e-3,1e-2"
     python3 tools/same_outputs.py --cli "profile build --b 1e-3,1e-6"
     python3 tools/same_outputs.py --cli "spectral check --M 20,50"
     python3 tools/same_outputs.py --cli "verify-bounds --suite profiles"
+    python3 tools/same_outputs.py --cli "profile build --b 1e-4 --r-max 1e300"
 
 A simulate run writes `timeseries.csv` and `summary.json`; a sweep writes
 those of each member and `merged_summary.json`.  Only local git runs;
@@ -50,12 +57,15 @@ def unpack(ref, dest):
 
 
 def kslab(tree, argv, out):
-    """Exit status of `kslab argv` with tree's src, writing under out."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    """Exit status and stderr of `kslab argv` with tree's src, writing
+    under out; in stderr, the src path reads `<src>`."""
+    src = os.path.join(tree, "src")
+    env = dict(os.environ, PYTHONPATH=src)
     env.pop("KSLAB_OUT", None)
-    return subprocess.run(
+    run = subprocess.run(
         [sys.executable, "-m", "kslab.cli", "--out", out, *argv], env=env,
-        capture_output=True).returncode
+        capture_output=True)
+    return run.returncode, run.stderr.replace(os.fsencode(src), b"<src>")
 
 
 def outputs(out):
@@ -116,14 +126,20 @@ def csv_differences(a, b):
     return out
 
 
-def compare(label, tree_out, ref_out):
-    """One verdict line per output file of either run (`outputs`): same,
-    DIFFERS, or MISSING on one side; True if all are the same."""
+def compare(label, tree_out, ref_out, stderrs):
+    """One verdict line for the two runs' stderr texts (tree's, ref's),
+    followed by both if they differ, and one per output file of either
+    run (`outputs`): same, DIFFERS, or MISSING on one side; True if all
+    are the same."""
     found = outputs(tree_out) | outputs(ref_out)
-    if not found:
+    if not (found or any(stderrs)):
         print("NO OUTPUT %s" % label)
         return False
-    ok = True
+    ok = stderrs[0] == stderrs[1]
+    print("%-9s %s: stderr" % ("same" if ok else "DIFFERS", label))
+    if not ok:
+        for side, text in zip(("working tree", "ref"), stderrs):
+            print("--- %s stderr:\n%s" % (side, text.decode(errors="replace")))
     for rel in sorted(found):
         paths = [os.path.join(root, rel) for root in (tree_out, ref_out)]
         if not all(map(os.path.exists, paths)):
@@ -152,13 +168,14 @@ def main(argv):
         unpack(args.ref, ref_tree)
         tree_out, ref_out = (os.path.join(tmp, side)
                              for side in ("tree_out", "ref_out"))
-        codes = [kslab(tree, shlex.split(args.cli), out) for tree, out in
-                 ((ROOT, tree_out), (ref_tree, ref_out))]
+        codes, stderrs = zip(*(kslab(tree, shlex.split(args.cli), out)
+                               for tree, out in ((ROOT, tree_out),
+                                                 (ref_tree, ref_out))))
         ok = codes[0] == codes[1]
         if not ok:
             print("EXIT      %s: %d in the working tree, %d at %s"
                   % (args.cli, codes[0], codes[1], args.ref))
-        ok = compare(args.cli, tree_out, ref_out) and ok
+        ok = compare(args.cli, tree_out, ref_out, stderrs) and ok
     return 0 if ok else 1
 
 
