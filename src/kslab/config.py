@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import EvolveParams, RunSetup, SimulationError
+from .dynamics import MAX_STEPS, EvolveParams, RunSetup, SimulationError
 from .grid import GridError
 from .operators import OperatorError, phi_m_degeneracy, phi_m_problem
 from .profiles import B0_MAX, B_MIN, ProfileError, localization_problem
@@ -131,6 +131,10 @@ class RunConfig:
             v.append("solver.ds_init must be positive")
         if p.ds_max <= 0:
             v.append("solver.ds_max must be positive")
+        elif math.isfinite(p.s_max) and p.s_max / p.ds_max > MAX_STEPS:
+            v.append("solver.s_max, solver.ds_max: s_max / ds_max = %.3g "
+                     "steps exceeds the step budget of %d"
+                     % (p.s_max / p.ds_max, MAX_STEPS))
         if not 0.0 <= self.delta <= 1.0e-3:
             v.append("perturbation.delta must lie in [0, 1e-3]")
         if self.seed < 0:

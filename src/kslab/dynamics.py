@@ -8,28 +8,29 @@ The parabolic-parabolic system is advanced in partial-mass variables
 (physical frame: b = 0), with the second-order terms and the first-order
 transport treated implicitly (one LAPACK banded solve for m, then one for
 n, per step) and the m'n/r coupling linearized at the previous step.  The
-production path runs in the rescaled frame y = r/lambda with s-time: after
-every step the state is decomposed against the localized profile family by
-a damped Newton solve of the two orthogonality conditions, which yields
-(lambda, b).  The residual separates into a state part and a profile part
-P(b), so Newton runs on a Chebyshev table of P in log b, built once per
-solver, with the lambda-column from the same read of the state as the
-model's value.  The table refines until its error bound certifies the
-model's root, so a converged root is returned without an exact profile
-evaluation; `ModulationSolver.read` makes it, for a block of
+production path runs in the rescaled frame y = r/lambda with s-time: the
+state is decomposed against the localized profile family by a damped Newton
+solve of the two orthogonality conditions, which yields (lambda, b), at the
+steps an adaptive schedule picks (`RunSetup.run`); the steps between take
+(lambda, b) from the predictor below.  The residual separates into a state
+part and a profile part P(b), so Newton runs on a Chebyshev table of P in
+log b, built once per solver, with the lambda-column from the same read of
+the state as the model's value.  The table refines until its error bound
+certifies the model's root, so a converged root is returned without an
+exact profile evaluation; `ModulationSolver.read` makes it, for a block of
 decompositions at once, on the first read of their fields.  A root the
 model did not converge to is read at once and accepted or refused on that
 exact residual.  The roots lie on a smooth curve in s (lambda_s/lambda =
--b, b_s ~ -2b^2/|log b|), so each solve starts from (lambda, b)
-extrapolated quadratically in s through the last three roots, usually one
-model Newton iteration from the root.  The state is read once per
-decomposition, at that guess: the Newton step from a read point is taken
-without reading the state at the iterate when a stated bound on the model
-residual there (Taylor terms plus a term for the lambda-column's error)
-meets the model's tolerance, and is read otherwise; a root taken unread
-is read on its record's first read.  Small frame drift accumulates in
-a pending scale factor and the grid is only re-interpolated when it
-exceeds a threshold, so the bubble never de-resolves.
+-b, b_s ~ -2b^2/|log b|), so (lambda, b) extrapolated quadratically in s
+through the last three roots predicts the steps between decompositions, and
+starts each solve one or two model Newton iterations from the root.  The
+state is read once per decomposition, at that guess: the Newton step from a
+read point is taken without reading the state at the iterate when a stated
+bound on the model residual there (Taylor terms plus a term for the
+lambda-column's error) meets the model's tolerance, and is read otherwise;
+a root taken unread is read on its record's first read.  Small frame drift
+accumulates in a pending scale factor and the grid is only re-interpolated
+when it exceeds a threshold, so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
@@ -536,7 +537,8 @@ MODEL_FAILURES = {
     "singular": "singular modulation Jacobian (M too small or state far "
                 "from family)",
     "stalled": "modulation Newton stalled (trapped regime exited?)"}
-COUNTERS = ("decompose_calls", "model_iterations", "state_reads",
+COUNTERS = ("decompose_calls", "predicted_steps",
+            "backtrack_decompositions", "model_iterations", "state_reads",
             "confirmations_skipped", "damping_halvings",
             "floor_acceptances", "profile_evals_decompose",
             "profile_evals_lift", "lift_calls", "lift_failures")
@@ -573,8 +575,9 @@ class ModulationSolver:
     ModulationError naming b, lambda1, |F|/f_scale, the model's outcome
     and its iteration count, and, when the failing root sits at B_MAX,
     that b reached the top of the family's range.  The caller supplies
-    the starting guess: `evolve` extrapolates it from its last three
-    roots, so that one model iteration usually suffices.
+    the starting guess: a run extrapolates it from its last three
+    scheduled roots, which takes one model iteration from a guess one
+    step ahead and one or two from one up to MAX_INTERVAL steps ahead.
 
     One read of the state per decomposition: the Newton step d =
     (dlambda1, db) from a read point p is taken without reading the state
@@ -610,8 +613,10 @@ class ModulationSolver:
     iterates, and every output, are those of a solver that always reads.
     That is measured, not proven.
 
-    `counters` counts decompose calls, model iterations, reads of the
-    state's splines (state_reads), Newton steps taken unread
+    `counters` counts decompose calls, the steps a run predicts and the
+    decompositions it makes to backtrack (both counted by
+    `RunSetup.run`), model iterations, reads of the state's splines
+    (state_reads), Newton steps taken unread
     (confirmations_skipped), model step halvings, solves accepted at the
     noise floor (atol < |F| <= floor_tol), the exact profile evaluations
     (table: the nodes and probes of every level it built; decompose:
@@ -970,6 +975,15 @@ class EvolveParams:
 
 # |lam1 - 1| beyond which evolve folds the pending scale into the frame
 REFOLD_THRESHOLD = 0.2
+# the most steps between two scheduled decompositions; at 1 a run
+# decomposes every step
+MAX_INTERVAL = 8
+# a scheduled root the predictor missed by less than this, in lam1 and in
+# b relative, doubles that interval, and one it missed by more than four
+# times this halves it
+SCHEDULE_TOL = 1e-5
+# the most steps a run takes
+MAX_STEPS = 100000
 # dynamics_grid localizes b down to b0 times this
 B_FINAL_FACTOR = 0.2
 
@@ -1056,17 +1070,42 @@ class RunSetup:
 
         Records the modulation history at the configured cadence; the
         returned series carries .status in {'lam_stop', 't_max', 's_max',
-        'b_min'} or, for a run that an error of FAILURES ends early, the
-        status that table gives the error: 'modulation_failed' when the
-        modulation Newton solve fails (ModulationError), 'grid_exhausted'
-        when the solve needs the profile at a b whose localization does
-        not fit the grid, 4 B1(b) > r_max (ProfileError), 'nonfinite' when
-        the implicit step is singular or leaves a non-finite state
-        (SimulationError).  Such a run keeps the partial series plus a
-        final record.  A step counts only once its state is decomposed,
-        so the final record of such a run is the last state with a
-        decomposition, with that decomposition, and .reason holds the
-        message of the error that ended it.
+        'b_min', 'max_steps'} (the last after MAX_STEPS steps, which also
+        ends a run without a limit of its own) or, for a run that an error
+        of FAILURES ends early, the status that table gives the error:
+        'modulation_failed' when the modulation Newton solve fails
+        (ModulationError), 'grid_exhausted' when the solve needs the
+        profile at a b whose localization does not fit the grid, 4 B1(b) >
+        r_max (ProfileError), 'nonfinite' when the implicit step is
+        singular or leaves a non-finite state (SimulationError).  Such a
+        run keeps the partial series plus a final record, and .reason holds
+        the message of the error that ended it.
+
+        The roots (lam1, b) move along a smooth curve in s, so the run
+        decomposes only the steps a schedule picks; every other step takes
+        (lam1, b) from `_predict_guess`, the quadratic in s through the last
+        three scheduled roots, and reads nothing of its state.  A step is
+        scheduled while fewer than three roots follow the start or the
+        last refold, once `interval` steps have passed since the last
+        scheduled one, and when its predicted values would fire a stopping
+        criterion or a refold; the criteria are then decided on the
+        decomposed values.  The interval starts at 1; after each scheduled
+        decomposition it doubles, up to MAX_INTERVAL, if the root lies
+        within SCHEDULE_TOL of the guess (in lam1, and in b relative), and
+        halves, down to 1, if it lies more than 4 SCHEDULE_TOL from it.  At
+        MAX_INTERVAL = 1 every step is decomposed.  A record on a predicted
+        step is decomposed for the record alone, from the same guess: that
+        root feeds neither the predictor nor the step's b, so the
+        trajectory does not depend on the cadence.  A refold
+        re-decomposes the rescaled state and restarts the roots there.
+
+        A run ends on a state that it decomposed, as if every step were:
+        when an error ends it (a failed decomposition or step), the steps
+        since the last decomposition are decomposed in order, each from
+        its own guess, and the run ends at the last that decomposes, with
+        that decomposition and step count, its reason the first error met.
+        Only an error starts that search, so a predicted state that would
+        not decompose goes unseen when the next decomposition succeeds.
 
         A record keeps its state and decomposition until PROFILE_BLOCK
         records are pending, or the run ends; then the block's first reads
@@ -1078,16 +1117,13 @@ class RunSetup:
         the first that fails ends the run 'grid_exhausted' too, its series
         ends at the record before it, and its counters include the steps
         of the rest of that block.  The series' .counters are the
-        modulation solver's counters (see `ModulationSolver`) plus the
-        refolds, the records whose free energy is NaN (nan_free_energy) and
-        the smallest, median and largest committed step (ds_min, ds_median,
-        ds_max; NaN without one).  A perturbation that leaves the initial
-        density not positive, or a failed first decomposition, raises.
-
-        Each decomposition starts from `_predict_guess`: (lam1, b)
-        extrapolated in s from the last three committed roots.  A refold
-        re-decomposes the rescaled state and restarts that history at its
-        root.
+        modulation solver's counters (see `ModulationSolver`; the run adds
+        its predicted steps and the decompositions made while it
+        backtracks) plus the refolds, the records whose free energy is NaN
+        (nan_free_energy) and the smallest, median and largest committed
+        step (ds_min, ds_median, ds_max; NaN without one).  A perturbation
+        that leaves the initial density not positive, or a failed first
+        decomposition, raises.
 
         The frame moves at the rate b while the bubble sits at the pending
         scale lam1 inside it, so lam1 drifts between refolds and the
@@ -1097,6 +1133,7 @@ class RunSetup:
         params, stepper, solver = self.params, self.stepper, self.solver
         state = _perturbed(self.state, perturbation)
         solver.reset()
+        counters = solver.counters
         series = TimeSeries()
 
         mod = solver.decompose(state, guess=(1.0, params.b0))
@@ -1108,7 +1145,13 @@ class RunSetup:
         refolds = 0
         mass0 = state.mass()
         roots = deque([(state.s, lam_pending, b)], maxlen=3)
+        interval = 1
+        since = 0      # steps since the last scheduled decomposition
         steps_ds = []
+        # the last decomposed step's (state, mod, step), and the (state,
+        # guess, step) of each step since
+        decomposed = (state, mod, step_count)
+        undecomposed = []
 
         records = []   # (state, mod, step) of records not yet in the series
 
@@ -1165,53 +1208,99 @@ class RunSetup:
                           res_phi=mod.residuals[0], res_lphi=mod.residuals[1],
                           min_u=float(np.min(pair.density.values)))
 
+        def stop(st, lam1, b, steps):
+            """The first stopping criterion that the state st at (lam1, b)
+            after `steps` steps meets, or None."""
+            for status, met in (("lam_stop", st.lam * lam1 <= params.lam_stop),
+                                ("t_max", st.t >= params.t_max),
+                                ("s_max", st.s >= params.s_max),
+                                ("b_min", b <= params.b_min),
+                                ("max_steps", steps >= MAX_STEPS)):
+                if met:
+                    return status
+            return None
+
+        def backtrack(exc):
+            # decompose the steps since the last decomposition in order,
+            # each from its own guess: the run ends at the last that
+            # decomposes, and the first error is its reason
+            nonlocal state, mod, step_count
+            state, mod, step_count = decomposed
+            for st, guess, k in undecomposed:
+                counters["backtrack_decompositions"] += 1
+                try:
+                    m = solver.decompose(st, guess=guess)
+                except FAILURE_ERRORS as err:
+                    exc = err
+                    break
+                state, mod, step_count = st, m, k
+            del steps_ds[step_count:]
+            series.fail(exc)
+
         record()
         try:
             while True:
                 ds = min(params.ds_max, 1.5 * ds,
                          params.db_rel_cap * b / max(b_s_est, 1e-300))
-                # A step is committed only once its state has a
-                # decomposition, so a breakdown leaves the last decomposed
-                # state for the final record.
                 try:
                     stepped = stepper.step(state, ds, b=b)
-                    stepped_mod = solver.decompose(
-                        stepped, guess=_predict_guess(roots, stepped.s,
-                                                      solver.table.lo))
-                    # The pending scale is bookkeeping only: folding it into
-                    # the stored arrays re-interpolates the state and each
-                    # such event injects a small scale bias and leaks tail
-                    # mass, so refits happen only if the frame truly
-                    # de-centers (resolution guard), not as routine upkeep.
-                    if abs(stepped_mod.lam - 1.0) > REFOLD_THRESHOLD:
-                        refolds += 1
-                        stepped = _rescale_state(stepped, stepped_mod.lam)
-                        stepped_mod = solver.decompose(
-                            stepped, guess=(1.0, stepped_mod.b))
-                        roots.clear()
+                    guess = _predict_guess(roots, stepped.s, solver.table.lo)
+                    since += 1
+                    scheduled = (len(roots) < 3 or since >= interval
+                                 or abs(guess[0] - 1.0) > REFOLD_THRESHOLD
+                                 or stop(stepped, *guess, step_count + 1))
+                    if scheduled:
+                        stepped_mod = solver.decompose(stepped, guess=guess)
+                        miss = max(abs(stepped_mod.lam - guess[0]),
+                                   abs(stepped_mod.b - guess[1])
+                                   / stepped_mod.b)
+                        if miss < SCHEDULE_TOL:
+                            interval = min(2 * interval, MAX_INTERVAL)
+                        elif miss > 4.0 * SCHEDULE_TOL:
+                            interval = max(interval // 2, 1)
+                        # The pending scale is bookkeeping only: folding it
+                        # into the stored arrays re-interpolates the state
+                        # and each such event injects a small scale bias and
+                        # leaks tail mass, so refits happen only if the
+                        # frame truly de-centers (resolution guard), not as
+                        # routine upkeep.
+                        if abs(stepped_mod.lam - 1.0) > REFOLD_THRESHOLD:
+                            refolds += 1
+                            stepped = _rescale_state(stepped,
+                                                     stepped_mod.lam)
+                            stepped_mod = solver.decompose(
+                                stepped, guess=(1.0, stepped_mod.b))
+                            roots.clear()
+                        lam_next, b_next = stepped_mod.lam, stepped_mod.b
+                    else:
+                        counters["predicted_steps"] += 1
+                        lam_next, b_next = guess
+                        # a record's own decomposition, off the trajectory
+                        stepped_mod = (
+                            solver.decompose(stepped, guess=guess)
+                            if (step_count + 1) % params.cadence == 0
+                            else None)
                 except FAILURE_ERRORS as exc:
-                    series.fail(exc)
+                    backtrack(exc)
                     break
                 state, mod = stepped, stepped_mod
                 step_count += 1
                 steps_ds.append(ds)
-                b_s_est = abs(mod.b - b) / ds if ds > 0 else b_s_est
-                b, lam_pending = mod.b, mod.lam
-                roots.append((state.s, lam_pending, b))
+                b_s_est = abs(b_next - b) / ds if ds > 0 else b_s_est
+                b, lam_pending = b_next, lam_next
+                if scheduled:
+                    roots.append((state.s, lam_pending, b))
+                    since = 0
+                if mod is None:
+                    undecomposed.append((state, guess, step_count))
+                else:
+                    decomposed = (state, mod, step_count)
+                    undecomposed.clear()
                 if step_count % params.cadence == 0:
                     record()
-                lam_total = state.lam * lam_pending
-                if lam_total <= params.lam_stop:
-                    series.status = "lam_stop"
-                    break
-                if state.t >= params.t_max:
-                    series.status = "t_max"
-                    break
-                if state.s >= params.s_max:
-                    series.status = "s_max"
-                    break
-                if b <= params.b_min:
-                    series.status = "b_min"
+                status = stop(state, lam_pending, b, step_count)
+                if status:
+                    series.status = status
                     break
             last_s = records[-1][0].s if records else series.rows[-1][1]
             if last_s < state.s:
@@ -1238,11 +1327,13 @@ def evolve(params: EvolveParams, perturbation=None) -> TimeSeries:
 
 
 def _predict_guess(roots, s, b_lo):
-    """decompose's starting (lam1, b) at frame time s: the Lagrange
-    polynomial in s through the committed roots (s_k, lam1_k, b_k), up to
-    three (quadratic; linear or constant with fewer).  Along the smooth
-    modulation curve this puts the model Newton one iteration from its
-    root.  b is clamped into [b_lo, B_MAX] and lam1 kept above 0.1, the
+    """(lam1, b) at frame time s: the Lagrange polynomial in s through the
+    scheduled roots (s_k, lam1_k, b_k), up to three (quadratic; linear or
+    constant with fewer).  A run takes it as the value of a step it does
+    not decompose and as decompose's starting guess; along the smooth
+    modulation curve that guess is one model Newton iteration from the
+    root one step ahead, and one or two up to MAX_INTERVAL steps ahead.
+    b is clamped into [b_lo, B_MAX] and lam1 kept above 0.1, the
     model's domain, so that a wild extrapolation cannot end a run."""
     lam1 = b = 0.0
     for i, (s_i, lam_i, b_i) in enumerate(roots):

@@ -552,6 +552,82 @@ def test_refusals_name_the_key_that_caused_them(tmp_path, case):
     assert line.startswith(reason)
 
 
+# each config key at its bound, just past it and at an extreme, on a short
+# run -> (exit status, what the one line says: for a refusal the start of
+# its one violation, which names the key, for a run the status it ends
+# with).  ds_max = 1e-9 at the default s_max = 2000 would take 2e12 steps
+BOUNDS = {
+    "profile.b0 = 1e-2": (0, "s_max"),
+    "profile.b0 = 1.01e-2": (1, "profile.b0 must lie in"),
+    "profile.b0 = 1e300": (1, "profile.b0 must lie in"),
+    "profile.b0 = 5e-72": (1, "profile.b0: grid too small"),
+    "profile.b0 = 4e-72": (1, "profile.b0 must lie in"),
+    "profile.M = 2.5": (0, "s_max"),
+    "profile.M = 2.4": (1, "profile.M too small for Phi_M"),
+    "profile.M = -1e300": (1, "profile.M too small for Phi_M"),
+    "grid.h_core = 0": (1, "grid.h_core must be positive"),
+    "grid.h_core = 1": (1, "grid.h_core: radiation region identities"),
+    "grid.nodes_per_decade = 12": (1, "grid.nodes_per_decade: radiation"),
+    "grid.nodes_per_decade = 11": (1, "grid.nodes_per_decade must be >= 12"),
+    "grid.nodes_per_decade = 400": (0, "s_max"),
+    "grid.stencil_order = 2": (0, "s_max"),
+    "grid.stencil_order = 3": (0, "s_max"),
+    "grid.stencil_order = 17": (1, "grid.stencil_order must lie in"),
+    "grid.stencil_order = -1000": (1, "grid.stencil_order must lie in"),
+    "grid.r_max = 1e5": (0, "s_max"),
+    "grid.r_max = -1": (1, "grid.r_max must be positive"),
+    "grid.r_max = 1e300": (1, "grid.r_max: a grid of radius 1e+300"),
+    "solver.ds_init = 0": (1, "solver.ds_init must be positive"),
+    "solver.ds_init = 1e3": (0, "s_max"),
+    "solver.ds_max = 0": (1, "solver.ds_max must be positive"),
+    "solver.ds_max = 1e3": (0, "s_max"),
+    "solver.ds_max = 1e-5\nsolver.lam_stop = 2": (0, "lam_stop"),
+    "solver.ds_max = 0.99e-5": (1, "solver.s_max, solver.ds_max: s_max / "
+                                   "ds_max = 1.01e+05 steps exceeds the step "
+                                   "budget of 100000"),
+    "solver.ds_max = 1e-9\nsolver.s_max = 2000": (
+        1, "solver.s_max, solver.ds_max: s_max / ds_max = 2e+12 steps"),
+    "solver.db_rel_cap = 1e-3": (0, "s_max"),
+    "solver.db_rel_cap = 1.1e-3": (1, "solver.db_rel_cap must lie in"),
+    "solver.db_rel_cap = 0": (1, "solver.db_rel_cap must lie in"),
+    "solver.lam_stop = 2": (0, "lam_stop"),
+    "solver.lam_stop = -1e300": (0, "s_max"),
+    "solver.lam_stop = inf": (1, "solver.lam_stop must be finite"),
+    "solver.t_max = 1e-9": (0, "t_max"),
+    "solver.t_max = -1": (0, "t_max"),
+    "solver.s_max = inf\nsolver.lam_stop = 2": (0, "lam_stop"),
+    "solver.s_max = nan": (1, "solver.s_max must be finite"),
+    "solver.b_min = 0.5": (0, "b_min"),
+    "solver.b_min = -1e300": (0, "s_max"),
+    "output.cadence = 1": (0, "s_max"),
+    "output.cadence = 0": (1, "output.cadence must be >= 1"),
+    "output.cadence = 1000000000": (0, "s_max"),
+    "perturbation.delta = 1e-3": (0, "s_max"),
+    "perturbation.delta = 1.1e-3": (1, "perturbation.delta must lie in"),
+    "perturbation.delta = -1e300": (1, "perturbation.delta must lie in"),
+    "perturbation.seed = -1": (1, "perturbation.seed must be >= 0"),
+    "perturbation.seed = 4294967295\nperturbation.delta = 1e-4": (0,
+                                                                  "s_max"),
+}
+
+
+@pytest.mark.parametrize("text", BOUNDS)
+def test_config_bounds_end_in_a_named_outcome(tmp_path, capsys, text):
+    code, line = BOUNDS[text]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("solver.s_max = 1\n%s\n" % text)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code:
+        (violation,) = json.loads(err)["violations"]
+        assert violation.startswith(line)
+    else:
+        assert err == ""
+        assert json.loads(out)["status"] == line
+
+
 def test_commands_without_a_run_do_not_import_the_splines(tmp_path):
     # scipy.interpolate serves only the state splines of a run, and the
     # process pool only a sweep on more than one worker

@@ -925,8 +925,11 @@ def test_evolve_short_run_health(small_params):
     assert np.min(series.column("min_u")) > 0.0
 
 
-def test_evolve_counts_one_profile_evaluation_per_record(
-        small_grid, small_params, monkeypatch):
+def counted_run(small_grid, small_params, monkeypatch):
+    # the perturbed small run's counters, after the checks that hold on
+    # and off the schedule: every model converges, so no decompose
+    # evaluates the profile, and each record reads the fields of one
+    # decomposition, a block of PROFILE_BLOCK records at a time
     calls = []
     modulation_profiles = dyn.modulation_profiles
 
@@ -941,15 +944,6 @@ def test_evolve_counts_one_profile_evaluation_per_record(
     c = series.counters
     assert series.status == "s_max"
     assert c["decompose_calls"] > 10
-    # the extrapolated guess leaves one model iteration per decompose, but
-    # for three that take two: the first (guessed at (1, b0) on perturbed
-    # data, |G| ~ 1e-6 f_scale) and the two steps where ds stops growing
-    # and the guess misses by 1e-6 and 2e-7 f_scale.  The lambda-column
-    # from the grid's D1 is off by about 2e-5 of its norm, so one step from
-    # a miss of that size ends above MODEL_TOL * atol = 1e-12 f_scale
-    assert c["model_iterations"] == c["decompose_calls"] + 3
-    # every model converges: no decompose evaluates the profile, and each
-    # record reads the fields of one decomposition
     assert c["profile_evals_decompose"] == len(series)
     assert c["table_nodes"] == dyn.TABLE_NODES[0]
     assert c["profile_evals_table"] == dyn.TABLE_NODES[0] + dyn.TABLE_PROBES
@@ -969,6 +963,34 @@ def test_evolve_counts_one_profile_evaluation_per_record(
     reads = [bs for bs in calls[table:] if set(bs) <= set(series.b)]
     assert [b for bs in reads for b in bs] == list(series.b)
     assert len(reads) == -(-len(series) // dyn.PROFILE_BLOCK)
+    return c
+
+
+def test_evolve_counts_one_profile_evaluation_per_record(
+        small_grid, small_params, monkeypatch):
+    # decomposed every step, the extrapolated guess leaves one model
+    # iteration per decompose, but for three that take two: the first
+    # (guessed at (1, b0) on perturbed data, |G| ~ 1e-6 f_scale) and the
+    # two steps where ds stops growing and the guess misses by 1e-6 and
+    # 2e-7 f_scale.  The lambda-column from the grid's D1 is off by about
+    # 2e-5 of its norm, so one step from a miss of that size ends above
+    # MODEL_TOL * atol = 1e-12 f_scale
+    monkeypatch.setattr(dyn, "MAX_INTERVAL", 1)
+    c = counted_run(small_grid, small_params, monkeypatch)
+    assert c["model_iterations"] == c["decompose_calls"] + 3
+    assert c["predicted_steps"] == c["backtrack_decompositions"] == 0
+
+
+def test_scheduled_run_counts_one_profile_evaluation_per_record(
+        small_grid, small_params, monkeypatch):
+    # on the schedule most steps are predicted, and a guess extrapolated
+    # over several steps takes one or two model iterations (26 in 16
+    # decompositions)
+    c = counted_run(small_grid, small_params, monkeypatch)
+    assert c["predicted_steps"] > c["decompose_calls"]
+    assert (c["decompose_calls"] <= c["model_iterations"]
+            <= 2 * c["decompose_calls"])
+    assert c["backtrack_decompositions"] == 0
 
 
 def test_evolve_first_reads_equal_an_eager_residual(small_setup,
@@ -1125,9 +1147,13 @@ def test_evolve_counts_nan_free_energy(small_params, monkeypatch):
 
 def test_evolve_predictor_matches_the_previous_root_guess(
         small_grid, small_params, monkeypatch):
-    # the extrapolated guess changes where the model Newton starts, not the
-    # root it accepts: against a run guessing each decompose at the last
-    # committed root, every record agrees to well below the step error
+    # decomposed every step, the extrapolated guess changes where the model
+    # Newton starts, not the root it accepts: against a run guessing each
+    # decompose at the last committed root, every record agrees to well
+    # below the step error.  (On the schedule the guess is also the value
+    # of the steps between decompositions, which the previous root is not:
+    # see test_scheduled_run_matches_the_per_step_run.)
+    monkeypatch.setattr(dyn, "MAX_INTERVAL", 1)
     pert = dyn.random_perturbation(small_grid, 1e-4,
                                    np.random.default_rng(3))
     series = dyn.evolve(small_params, perturbation=pert)
@@ -1275,6 +1301,105 @@ def test_evolve_breakdown_final_record_is_last_decomposed_state():
     keep = [i for i, c in enumerate(dyn.COLUMNS) if c != "b_hat"]
     assert np.array_equal(np.array(coarse.rows[-1])[keep],
                           np.array(fine.rows[24])[keep])
+
+
+def test_per_step_run_decomposes_every_step_once(small_params, monkeypatch):
+    # with the largest interval at 1 no step is predicted: one
+    # decomposition at the start, one per step and one more per refold
+    steps = []
+    step = dyn.SemiImplicitStepper.step
+    monkeypatch.setattr(dyn.SemiImplicitStepper, "step",
+                        lambda self, *args, **kw: steps.append(None)
+                        or step(self, *args, **kw))
+    monkeypatch.setattr(dyn, "MAX_INTERVAL", 1)
+    monkeypatch.setattr(dyn, "REFOLD_THRESHOLD", 1e-4)
+    c = dyn.evolve(small_params).counters
+    assert c["refolds"] > 0
+    assert c["decompose_calls"] == len(steps) + c["refolds"] + 1
+    assert c["predicted_steps"] == c["backtrack_decompositions"] == 0
+
+
+def test_scheduled_run_matches_the_per_step_run(monkeypatch):
+    # the criterion-10 run decomposes about a fifth of its steps and ends
+    # where the per-step run does, within the benchmark's 5e-4
+    params = dyn.EvolveParams(b0=1e-2, b_min=5e-3)
+    series = dyn.evolve(params)
+    monkeypatch.setattr(dyn, "MAX_INTERVAL", 1)
+    oracle = dyn.evolve(params)
+    assert series.status == oracle.status == "b_min"
+    assert abs(len(series) - len(oracle)) <= 1
+    for name in ("s", "lam", "b"):
+        final, expected = getattr(series, name)[-1], getattr(oracle, name)[-1]
+        assert abs(final - expected) <= 5e-4 * abs(expected)
+    c = series.counters
+    assert 4 * c["decompose_calls"] < oracle.counters["decompose_calls"]
+    assert c["predicted_steps"] > 0 == c["backtrack_decompositions"]
+
+
+def test_scheduled_records_stay_off_the_trajectory(small_params):
+    # a record's own decomposition feeds neither the predictor nor the
+    # step's b: the cadence-5 rows are those of the cadence-1 run at every
+    # fifth step
+    coarse = dyn.evolve(small_params)
+    fine = dyn.evolve(replace(small_params, cadence=1))
+    assert coarse.counters["predicted_steps"] > 0
+    assert coarse.status == fine.status == "s_max"
+    assert np.array_equal(np.array(coarse.rows[:-1]),
+                          np.array(fine.rows[:len(fine) - 1:5]))
+
+
+def test_breakdown_at_a_predicted_step_backtracks(small_params, monkeypatch):
+    # from a step that the schedule predicts and no record reads on, no
+    # state can be decomposed: the next decomposition fails, and the run
+    # backtracks to end at the step before, decomposed then, with the
+    # breakdown as its reason, as a cadence-1 run that decomposes every
+    # step for its records does
+    decomposed, stepped = set(), []
+    decompose = dyn.ModulationSolver.decompose
+    step = dyn.SemiImplicitStepper.step
+
+    def spied(self, state, guess):
+        decomposed.add(state.s)
+        return decompose(self, state, guess)
+
+    monkeypatch.setattr(dyn.ModulationSolver, "decompose", spied)
+    monkeypatch.setattr(dyn.SemiImplicitStepper, "step",
+                        lambda self, *args, **kw: stepped.append(
+                            step(self, *args, **kw)) or stepped[-1])
+    dyn.evolve(small_params)
+    # the first predicted step k whose step k - 1 was predicted too
+    k = next(k for k in range(2, len(stepped))
+             if stepped[k - 2].s not in decomposed
+             and stepped[k - 1].s not in decomposed)
+    bad = stepped[k - 1].s
+
+    def failing(self, state, guess):
+        if state.s >= bad:
+            raise dyn.ModulationError("injected at step %d" % k)
+        return decompose(self, state, guess)
+
+    monkeypatch.setattr(dyn.ModulationSolver, "decompose", failing)
+    coarse = dyn.evolve(small_params)
+    fine = dyn.evolve(replace(small_params, cadence=1))
+    assert coarse.status == fine.status == "modulation_failed"
+    assert coarse.reason == fine.reason == "injected at step %d" % k
+    assert len(fine) == k
+    assert coarse.counters["backtrack_decompositions"] >= 2
+    assert coarse.counters["ds_max"] == fine.counters["ds_max"]
+    keep = [i for i, c in enumerate(dyn.COLUMNS) if c != "b_hat"]
+    assert np.array_equal(np.array(coarse.rows[-1])[keep],
+                          np.array(fine.rows[-1])[keep])
+
+
+def test_run_ends_at_the_step_budget(small_params, monkeypatch):
+    # a run without a limit of its own ends after MAX_STEPS steps, with
+    # its last state decomposed and recorded
+    monkeypatch.setattr(dyn, "MAX_STEPS", 7)
+    series = dyn.evolve(replace(small_params, s_max=math.inf))
+    assert series.status == "max_steps"
+    assert series.reason is None
+    assert len(series) == 3   # steps 0, 5 and the final record at step 7
+    assert series.counters["ds_max"] > 0
 
 
 def test_evolve_nonfinite(monkeypatch):
