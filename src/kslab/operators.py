@@ -20,12 +20,16 @@ dense matrices, coordinates pinned to zero are dropped by index, the dense
 constraints are removed by the Householder reflectors of their QR (the
 projections cost O(N^2) per constraint row, and no basis of the free
 space is formed), and the minimal Rayleigh quotient against the X_Q metric
-is the lowest eigenvalue of the whitened dense symmetric form.  No dense
-SVD is computed: the few singular triplets of the tall whitened L that
-the certificates read (the directions below coercivity_L's relative cut
-and the next one, kernel_gap's two smallest modes) come from its
-Householder R factor by inverse subspace iteration, and the largest
-singular value, which scales the cut, by power iteration.
+is the lowest eigenvalue of the whitened dense symmetric form.  That form
+is factored by Cholesky, and its lowest eigenvalue is the reciprocal of
+the largest one of its inverse, found by Lanczos through the factor; no
+dense form is tridiagonalized unless the factorization refuses it, and
+then the certificate has failed.  No dense SVD is computed: the few
+singular triplets of the tall whitened L that the certificates read (the
+directions below coercivity_L's relative cut and the next one,
+kernel_gap's two smallest modes) come from its Householder R factor by
+inverse subspace iteration, and the largest singular value, which scales
+the cut, by Lanczos on K^T K.
 """
 
 from __future__ import annotations
@@ -443,15 +447,40 @@ def _free_basis(rows, pinned, need, what):
 
 def _reflect(side, trans, h, tau, c):
     """c with the reflectors' Q applied from `side` ("L" or "R"), transposed
-    if trans is "T" (LAPACK dormqr); c is overwritten."""
-    lwork = int(lapack.dormqr(side, trans, h, tau, c, -1)[1][0])
+    if trans is "T" (LAPACK dormqr), Fortran-ordered; c is overwritten if it
+    is Fortran-ordered, else copied once."""
+    c = np.asfortranarray(c)
+    lwork = int(lapack.dormqr(side, trans, h, tau, c, -1, overwrite_c=1)[1][0])
     return lapack.dormqr(side, trans, h, tau, c, lwork, overwrite_c=1)[0]
 
 
 def _sandwich(h, tau, B):
-    """Q^T B Q for the reflectors' Q, symmetrized; B is overwritten."""
-    C = _reflect("R", "N", h, tau, _reflect("L", "T", h, tau, B))
-    return 0.5 * (C + C.T)
+    """The trailing block of Q^T B Q past its first k = len(tau) rows and
+    columns, for the reflectors' Q and a symmetric B, as a new
+    Fortran-ordered array.
+
+    Q = I - Y T Y^T in compact WY form (Y the unit lower trapezoidal
+    reflectors, T upper triangular, built column by column as LAPACK dlarft
+    does), so Q^T B Q = B - Z Y^T - Y Z^T with W = B Y T and
+    Z = W - Y T^T Y^T W / 2: matrix products on k columns, where dormqr
+    with fewer reflectors than its block size applies them one at a time.
+    The update is one GEMM into a copy of B's trailing block, so the two
+    triangles of the result agree to roundoff.
+    """
+    k = len(tau)
+    Y = np.tril(h, -1)
+    Y[np.arange(k), np.arange(k)] = 1.0
+    G = Y.T @ Y
+    T = np.zeros((k, k))
+    for i in range(k):
+        T[i, i] = tau[i]
+        T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
+    W = B @ Y @ T
+    Z = (W - 0.5 * Y @ (T.T @ (Y.T @ W)))[k:]
+    C = np.array(B[k:, k:], order="F")
+    return linalg.blas.dgemm(-1.0, np.hstack([Z, Y[k:]]),
+                             np.hstack([Y[k:], Z]), beta=1.0, c=C,
+                             trans_b=1, overwrite_c=1)
 
 
 def _lift(h, tau, y):
@@ -463,23 +492,34 @@ def _lift(h, tau, y):
 
 
 def _whitened_min(A, s, rows, pinned, what):
-    """(value, kept): the lowest eigenvalue of the form A whitened by the
-    diagonal s, A / (s s^T), over {x[pinned] = 0, rows @ x = 0} for
-    already whitened dense rows, and the dimension of that space.
+    """(value, kept, steps): the lowest eigenvalue of the form A whitened by
+    the diagonal s, A / (s s^T), over {x[pinned] = 0, rows @ x = 0} for
+    already whitened dense rows, the dimension of that space, and the
+    Lanczos steps that found it.
 
     The pinned coordinates are dropped by index and the dense rows removed
     by the reflectors of `_free_basis` (OperatorError naming `what` if no
-    direction is left): in C = Q^T B Q of the whitened block B, the
-    trailing block past the first m rows is B on the null space of the m
-    rows.  B is whitened after the pinned coordinates are dropped, so that
-    only it and A are held while C is formed.  LAPACK returns the lowest
-    eigenvalue only.
+    direction is left): in Q^T B Q of the whitened block B, the trailing
+    block C past the first m rows is B on the null space of the m rows
+    (`_sandwich`).  B is whitened after the pinned coordinates are dropped,
+    so that only it and A are held while C is formed.  C is factored in
+    place by LAPACK `dpotrf`, which reads its upper triangle, and the value
+    is 1 / `_lanczos_max` of C^-1, applied by `dpotrs` through the factor.
+    A C that `dpotrf` refuses is not numerically positive definite, so the
+    certificate has failed; its (negative) value then comes from LAPACK's
+    lowest eigenvalue of C read from the lower triangle, which `dpotrf`
+    leaves intact (0 steps).
     """
     keep, h, tau = _free_basis(rows, pinned, 1, what)
     sk = s[keep]
     C = _sandwich(h, tau, A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None])
-    C = C[len(rows):, len(rows):]
-    return linalg.eigvalsh(C, subset_by_index=[0, 0])[0], len(C)
+    diagonal = C.diagonal().copy()
+    if lapack.dpotrf(C, clean=0, overwrite_a=1)[1]:
+        np.fill_diagonal(C, diagonal)
+        return (linalg.eigvalsh(C, lower=True, subset_by_index=[0, 0])[0],
+                len(C), 0)
+    top, steps = _lanczos_max(lambda v: lapack.dpotrs(C, v)[0], len(C), what)
+    return 1.0 / top, len(C), steps
 
 
 def coercivity_M(bundle: OperatorBundle) -> dict:
@@ -492,9 +532,9 @@ def coercivity_M(bundle: OperatorBundle) -> dict:
     lam = bundle.ground.pair_LambdaQ()
     s = np.sqrt(bundle.gram_xq())
     rows = np.vstack([bundle.mass_vector(), bundle.pair_vector(lam)])
-    val, _ = _whitened_min(bundle.quadform_M(), s, rows / s, bundle.pinned(),
-                           "coercivity_M")
-    return {"delta0_M_hat": float(val)}
+    val, _, steps = _whitened_min(bundle.quadform_M(), s, rows / s,
+                                  bundle.pinned(), "coercivity_M")
+    return {"delta0_M_hat": float(val), "sweeps": steps}
 
 
 # coercivity_L's relative singular-value cut
@@ -502,29 +542,47 @@ SV_TOL = 1e-10
 
 # the smallest singular triplets of a tall matrix come from its R factor by
 # inverse subspace iteration: the start block's width, the relative change
-# of the wanted Ritz values that ends it, and the sweep cap, which the
-# power iteration for the largest singular value shares
+# of the wanted Ritz values that ends it, and the sweep cap.  The Lanczos
+# iteration for a largest eigenvalue shares the last two: it ends when its
+# Ritz residual is at most RITZ_TOL times the Ritz value, and after
+# MAX_SWEEPS steps
 BLOCK = 8
 RITZ_TOL = 1e-12
 MAX_SWEEPS = 500
 
 
-def _largest_singular(K, what):
-    """The largest singular value of K by power iteration on K^T K from a
-    fixed start, until ||K v|| changes by at most 1e-13 relative.
-    OperatorError naming `what` after MAX_SWEEPS iterations."""
-    v = np.random.default_rng(0).standard_normal(K.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(MAX_SWEEPS):
-        w = K @ v
-        prev, sigma = sigma, np.linalg.norm(w)
-        if abs(sigma - prev) <= 1e-13 * sigma:
-            return sigma
-        v = K.T @ w
-        v /= np.linalg.norm(v)
-    raise OperatorError("%s: power iteration for the largest singular value "
-                        "did not settle in %d iterations" % (what, MAX_SWEEPS))
+def _lanczos_max(apply, n, what):
+    """(value, steps): the largest eigenvalue of a symmetric positive
+    semi-definite operator on R^n that is given only by its action `apply`
+    on a vector, by Lanczos with full reorthogonalization (classical
+    Gram-Schmidt, twice) from a fixed start.
+
+    At step j the largest eigenvalue theta of the tridiagonal T_j, with
+    eigenvector s, is the Ritz value, and |beta_j s_j| is the norm of its
+    Ritz residual, which bounds its distance to an eigenvalue (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 13); the iteration ends when that is
+    at most RITZ_TOL * theta.  OperatorError naming `what` if it has not
+    after MAX_SWEEPS steps (or n, if fewer).
+    """
+    cap = min(MAX_SWEEPS, n)
+    V = np.empty((cap, n))
+    alpha, beta = np.empty(cap), np.empty(cap)
+    v = np.random.default_rng(0).standard_normal(n)
+    V[0] = v / np.linalg.norm(v)
+    for j in range(cap):
+        w = apply(V[j])
+        alpha[j] = V[j] @ w
+        for _ in range(2):
+            w -= V[:j + 1].T @ (V[:j + 1] @ w)
+        beta[j] = np.linalg.norm(w)
+        # dstev takes an off-diagonal of length 1 even for a 1 x 1 T_j
+        theta, S = lapack.dstev(alpha[:j + 1], beta[:max(j, 1)])[:2]
+        if abs(beta[j] * S[-1, -1]) <= RITZ_TOL * theta[-1]:
+            return theta[-1], j + 1
+        if j + 1 < cap:
+            V[j + 1] = w / beta[j]
+    raise OperatorError("%s: Lanczos iteration for the largest eigenvalue "
+                        "did not settle in %d steps" % (what, cap))
 
 
 def _smallest_singular(K, left, cut, need, what):
@@ -586,12 +644,13 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     Substituting z = G^{1/2} L e turns the quotient into an ordinary Rayleigh
     quotient of the whitened M form over range(G^{1/2} L V) = range(K); the
     remaining rank decision drops directions with singular value at or below
-    SV_TOL * max (pure kernel/noise of L).  The largest singular value comes
-    from power iteration, the cut ones with their left vectors from the R
-    factor of K (`_smallest_singular`).  The kept range is the complement of
-    those vectors and of K's left null space, Q [X_cut (+) I]; the
-    reflectors of that complement and of the whitened mass row give the form
-    on its mean-zero part.  Only the lowest eigenvalue is computed.
+    SV_TOL * max (pure kernel/noise of L).  The largest singular value is
+    the square root of `_lanczos_max` of K^T K, the cut ones with their left
+    vectors come from the R factor of K (`_smallest_singular`).  The kept
+    range is the complement of those vectors and of K's left null space,
+    Q [X_cut (+) I]; the reflectors of that complement and of the whitened
+    mass row give the form on its mean-zero part, and `_whitened_min` its
+    lowest eigenvalue.
     """
     L = bundle.matrix_L()
     s = np.sqrt(bundle.gram_xq())
@@ -600,13 +659,14 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     keep, h, tau = _free_basis(rows, bundle.pinned(), 1, "coercivity_L")
     K = _reflect("R", "N", h, tau, L[:, keep] * s[:, None])[:, len(rows):]
     N, p = K.shape
-    cut = SV_TOL * _largest_singular(K, "coercivity_L")
+    cut = SV_TOL * np.sqrt(_lanczos_max(lambda v: K.T @ (K @ v), p,
+                                        "coercivity_L")[0])
     qr, tau, sv, X, sweeps = _smallest_singular(K, True, cut, 1,
                                                 "coercivity_L")
     ncut = np.count_nonzero(sv <= cut)
     # the left singular vectors past the cut: the cut ones of R and the
     # N - p columns of Q past R
-    C = np.zeros((N, ncut + N - p))
+    C = np.zeros((N, ncut + N - p), order="F")
     C[:p, :ncut] = X[:, :ncut]
     C[p:, ncut:] = np.eye(N - p)
     # restrict the range to discretely mean-zero densities: the M form is
@@ -614,8 +674,8 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     # leverages the O(h^2) mass error of Lambda Q into a spurious dip
     out = np.vstack([_reflect("L", "N", qr, tau, C).T,
                      bundle.mass_vector() / s])
-    val, kept = _whitened_min(bundle.quadform_M(), s, out, [],
-                              "coercivity_L")
+    val, kept, _ = _whitened_min(bundle.quadform_M(), s, out, [],
+                                 "coercivity_L")
     M_param = phim.report["M"]
     return {
         "delta0_L_hat": float(val),

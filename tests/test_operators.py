@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.linalg import lapack
 
 import kslab.operators as ops
 from conftest import smooth_bump_pair_values
@@ -385,10 +386,12 @@ def test_certificates_match_the_one_hot_oracle(M, nodes_per_decade, h_core,
 
 
 # dense factorizations of one certificate: the constraint rows are removed
-# by Householder reflectors, never by a null-space basis, and the singular
-# triplets come from a QR and inverse iteration, never from a dense SVD
-WORK_BUDGET = {"coercivity_M": ["eigvalsh"],
-               "coercivity_L": ["eigvalsh"],
+# by Householder reflectors, never by a null-space basis, the singular
+# triplets come from a QR and inverse iteration, never from a dense SVD, and
+# the lowest eigenvalue of a positive definite whitened form from Lanczos
+# through its Cholesky factor, never from a dense eigensolve
+WORK_BUDGET = {"coercivity_M": [],
+               "coercivity_L": [],
                "kernel_gap": []}
 
 
@@ -417,20 +420,76 @@ def test_certificates_work_budget(op_grid, bundle, monkeypatch):
         assert sorted(calls) == WORK_BUDGET[name], name
 
 
-@pytest.mark.parametrize("name", ["coercivity_L", "kernel_gap"])
+@pytest.mark.parametrize("name", ["coercivity_M", "coercivity_L",
+                                  "kernel_gap"])
 def test_sweep_cap_is_an_error_naming_the_certificate(op_grid, bundle,
                                                       monkeypatch, name):
-    # coercivity_L stops in its power iteration, kernel_gap in its inverse
-    # subspace iteration; both settle in more than one sweep
+    # coercivity_M stops in its Lanczos iteration on the inverse form,
+    # coercivity_L in its Lanczos iteration for the largest singular value,
+    # kernel_gap in its inverse subspace iteration; each settles in more
+    # than one sweep
     lvl1 = build_t1_s1(op_grid)
     phim = ops.build_phi_m(op_grid, 50.0, FieldPair(lvl1.T1, lvl1.S1_grad))
-    run = {"coercivity_L": lambda: ops.coercivity_L(bundle, phim),
+    run = {"coercivity_M": lambda: ops.coercivity_M(bundle),
+           "coercivity_L": lambda: ops.coercivity_L(bundle, phim),
            "kernel_gap": lambda: ops.kernel_gap(bundle)}[name]
     assert run()["sweeps"] > 1
     monkeypatch.setattr(ops, "MAX_SWEEPS", 1)
     with pytest.raises(ops.OperatorError,
                        match=r"^%s: .* did not settle in 1 " % name):
         run()
+
+
+def _factored_forms(grid, monkeypatch):
+    """The certificates' values on the grid, (delta0_M_hat, delta0_L_hat),
+    and copies of the whitened forms they hand to LAPACK dpotrf, in order."""
+    forms = []
+
+    class Recording:
+        def __getattr__(self, name):
+            fn = getattr(lapack, name)
+            if name != "dpotrf":
+                return fn
+
+            def recorded(a, **kwargs):
+                forms.append(np.array(a))
+                return fn(a, **kwargs)
+            return recorded
+
+    lvl1 = build_t1_s1(grid)
+    phim = ops.build_phi_m(grid, 50.0, FieldPair(lvl1.T1, lvl1.S1_grad))
+    bundle = ops.OperatorBundle(grid)
+    monkeypatch.setattr(ops, "lapack", Recording())
+    values = (ops.coercivity_M(bundle)["delta0_M_hat"],
+              ops.coercivity_L(bundle, phim)["delta0_L_hat"])
+    assert len(forms) == 2
+    return values, forms
+
+
+def test_lanczos_max_matches_eigvalsh_on_the_whitened_forms(op_grid,
+                                                            monkeypatch):
+    # the largest eigenvalue of each form directly, and its lowest, the
+    # certificate's value, as the reciprocal of the largest of its inverse
+    values, forms = _factored_forms(op_grid, monkeypatch)
+    for value, C in zip(values, forms):
+        want = linalg.eigvalsh(C)
+        top, steps = ops._lanczos_max(lambda v: C @ v, len(C), "test")
+        assert abs(top - want[-1]) <= 1e-12 * want[-1]
+        assert abs(value - want[0]) <= 1e-12 * want[0]
+        assert 1 < steps < ops.MAX_SWEEPS
+
+
+def test_a_form_that_cholesky_refuses_reads_its_eigvalsh_value(monkeypatch):
+    # at 12 nodes per decade both whitened forms are indefinite: dpotrf
+    # refuses them, and the negative value is LAPACK's lowest eigenvalue of
+    # the form, bit for bit, read from the triangle dpotrf left intact
+    grid = ops.operator_grid(50.0, nodes_per_decade=12, h_core=0.1)
+    values, forms = _factored_forms(grid, monkeypatch)
+    for value, C in zip(values, forms):
+        assert value < 0.0
+        assert value == linalg.eigvalsh(C, subset_by_index=[0, 0])[0]
+    monkeypatch.undo()
+    assert ops.coercivity_M(ops.OperatorBundle(grid))["sweeps"] == 0
 
 
 def test_dependent_constraint_rows_are_an_error(bundle):
