@@ -397,27 +397,45 @@ def _spline_factor(grid):
 
 
 class _StateSplines:
-    """The state's quintic splines, read at a scale lam1 the way the
-    residual reads them: u = lam1^2 m'(x)/x (lam1^2 m''(0) at the origin)
-    and n(x), with x = lam1 y clipped to the grid."""
+    """The state's quintic splines of (m, n), one two-column spline, read at
+    a scale lam1 the way the residual reads them: u = lam1^2 m'(x)/x
+    (lam1^2 m''(0) at the origin) and n(x), with x = lam1 y clipped to the
+    grid.  A call of the spline reads both columns at the cost of one."""
 
     def __init__(self, state: FlowState):
         from scipy.interpolate import BSpline
         g = state.grid
         t, c = _spline_coefficients(g, state.m, state.n)
-        k = SPLINE_DEGREE
-        self.m = BSpline.construct_fast(t, c[:, 0], k)
-        self.n = BSpline.construct_fast(t, c[:, 1], k)
+        self.spline = BSpline.construct_fast(t, c, SPLINE_DEGREE)
         self.y = g.nodes
         self.r_max = g.r_max
-        self.m_pp0 = float(self.m(0.0, 2))
+        self.m_pp0 = float(self.spline(0.0, 2)[0])
+
+    def at(self, x, nu):
+        """The nu-th derivatives of m and n at x, one call of the spline."""
+        return np.ascontiguousarray(self.spline(x, nu).T)
 
     def __call__(self, lam1):
+        """u and n(x) at lam1."""
+        return self._values(lam1)[:2]
+
+    def model(self, lam1):
+        """u and n(x) at lam1 with the lambda-column's terms: with
+        g = n(x)/y, lam1 du/dlam1 = u + lam1^2 m''(x) and lam1 dg/dlam1 =
+        lam1 n'(x), 0 at the origin (where g is 0)."""
+        u, n_x, x, n_p = self._values(lam1)
+        dg = lam1 * n_p
+        dg[0] = 0.0
+        return u, n_x, u + lam1 ** 2 * self.at(x, 2)[0], dg
+
+    def _values(self, lam1):
+        """u, n(x), x and n'(x) at lam1, two calls of the spline."""
         x = np.minimum(lam1 * self.y, self.r_max)
+        (_, n_x), (m_p, n_p) = self.at(x, 0), self.at(x, 1)
         u = np.empty_like(x)
-        u[1:] = lam1 ** 2 * np.asarray(self.m(x[1:], 1)) / x[1:]
+        u[1:] = lam1 ** 2 * m_p[1:] / x[1:]
         u[0] = lam1 ** 2 * self.m_pp0
-        return u, self.n(x)
+        return u, n_x, x, n_p
 
 
 # the most b one profile evaluation takes at once (`modulation_profiles`):
@@ -526,10 +544,6 @@ FLOOR_TOL = 3e-6
 CERTIFY_FRACTION = 0.5
 # decompose's model Newton stops at |G| <= MODEL_TOL * atol
 MODEL_TOL = 1e-2
-# the step bound takes the lambda-column's error as this times its embedded
-# estimate, which reads 0.3 to 1.9 of the error at M = 11 to 60 (at 2, a
-# run at M = 60 takes a root one iteration early and its rows change)
-COLUMN_SAFETY = 4.0
 # model Newton iterations after which the model is 'exhausted'
 MODEL_MAX_ITER = 30
 # how decompose's ModulationError names a model outcome that failed
@@ -554,12 +568,11 @@ class ModulationSolver:
     tabulates P once, over the b the grid localizes (`ProfileTable`).
     `decompose` runs damped Newton on the model G = S(lambda1) - P~(b), in
     scalar 2x2 algebra, with the table's derivative as the b-column, so
-    its iterations evaluate no profile.  The lambda-column comes from the
-    values that give S: with u = lambda1^2 m'(x)/x and g = n(x)/y at
-    x = lambda1 y, lambda1 du/dlambda1 = 2u + y u' and lambda1 dg/dlambda1
-    = g + y g'.  The y-derivative is the grid's D1 (even for u, odd for
-    g), moved onto the pairing weights once per solver, so dS/dlambda1 is
-    four dot products and each iterate reads the state's splines once.
+    its iterations evaluate no profile.  The lambda-column is exact: with
+    u = lambda1^2 m'(x)/x and g = n(x)/y at x = lambda1 y, lambda1
+    du/dlambda1 = u + lambda1^2 m''(x) and lambda1 dg/dlambda1 = lambda1
+    n'(x), so dS/dlambda1 pairs two derivatives of the state's splines,
+    read with the values that give S: each iterate reads the splines once.
 
     Acceptance is |F| <= atol = ATOL f_scale.  F - G is the table's error,
     so a root with |G| <= MODEL_TOL atol meets atol whenever that error is
@@ -585,33 +598,25 @@ class ModulationSolver:
     atol, the model's own stopping test.  G is separable, so Taylor's
     theorem gives
 
-        |G(p + d)| <= |G(p) + J~ d| + COLUMN_SAFETY |e| |dlambda1|
-                      + (K_S dlambda1^2 + K_P db^2) / 2,
+        |G(p + d)| <= |G(p) + J~ d| + (K_S dlambda1^2 + K_P db^2) / 2,
 
-    with J~ the model's Jacobian (G(p) + J~ d is the step's rounding) and
-    e an embedded estimate of the lambda-column's error: the column less
-    the same column with a D1 of order stencil_order + 4 on the same
-    nodes, both moved onto the weights once per solver.  The column's
-    L* Phi_M entry is off by 6e-4 to 1.5e-3 of itself at M = 11 and by 0.7
-    to 6 % at M = 60, against a central difference of S, and |e| reads 0.3
-    to 1.9 of that error over lambda1 in [1/1.2, 1.2], so the term covers
-    the steps the inexact column spoils.  K_S is twice |S''| at p, from
-    (lambda1 d/dlambda1)^2 on the weights, standing for its largest value
-    along the step; K_P is the table's `curvature` at the smaller b of the
-    step.  A step the bound refuses, or one that leaves lambda1 > 0.1 and
-    [table.lo, B_MAX], is read.
+    with J~ the model's Jacobian (G(p) + J~ d is the step's rounding).
+    K_S is twice |S''| at p, from (lambda1 d/dlambda1)^2 with y d/dy as the
+    grid's D1 moved onto the pairing weights once per solver, standing for
+    its largest value along the step; K_P is the table's `curvature` at
+    the smaller b of the step.  A step the bound refuses, or one that
+    leaves lambda1 > 0.1 and [table.lo, B_MAX], is read.
 
-    The guarantee: if COLUMN_SAFETY |e| bounds the column's error and K_S
-    bounds |S''| along the step, the exact model residual at an unread
-    root is at most MODEL_TOL atol.  The computed F adds the table's error
-    (at most CERTIFY_FRACTION atol) and the rounding of the pairing sums,
-    gamma_n sum |w v|, which is at most 0.5 MODEL_TOL atol in a collapse
-    run at M = 11 and 3 MODEL_TOL atol at M = 60, so an unread root has
-    |F| <= 0.54 atol.  An unread root is the iterate a read would accept
-    when that read's computed |G| is within MODEL_TOL atol too (read
-    afterwards, at most 0.52 MODEL_TOL atol in those runs); then the
-    iterates, and every output, are those of a solver that always reads.
-    That is measured, not proven.
+    The guarantee: if K_S bounds |S''| along the step, the exact model
+    residual at an unread root is at most MODEL_TOL atol.  The computed F
+    adds the table's error (at most CERTIFY_FRACTION atol) and the
+    rounding of the pairing sums, gamma_n sum |w v|, which is at most 0.5
+    MODEL_TOL atol in a collapse run at M = 11 and 3 MODEL_TOL atol at
+    M = 60, so an unread root has |F| <= 0.54 atol.  An unread root is the
+    iterate a read would accept when that read's computed |G| is within
+    MODEL_TOL atol too (read afterwards, at most 0.52 MODEL_TOL atol in
+    those runs); then the iterates, and every output, are those of a
+    solver that always reads.  That is measured, not proven.
 
     `counters` counts decompose calls, the steps a run predicts and the
     decompositions it makes to backtrack (both counted by
@@ -642,32 +647,20 @@ class ModulationSolver:
         self._wphi2 = w * self.phim.pair.chem_gradient.values
         self._wlphi1 = w * self.lstar_phim.density.values
         self._wlphi2 = w * self.lstar_phim.chem_gradient.values
-        # lam1 dS/dlam1 pairs lam1 du/dlam1 = 2u + y u' and
-        # lam1 dg/dlam1 = g + y g'; with y d/dy as the grid's D1 moved onto
-        # the weights, it is <a_u, u> + <a_g, g> for each row of S
+        # the step bound's K_S at a read point, one stacked product per
+        # field.  With D the y d/dy of the grid's D1 moved onto the
+        # weights, lam1 d/dlam1 of each row of S (lam1 du/dlam1 = 2u + y u',
+        # lam1 dg/dlam1 = g + y g') is <a_u, u> + <a_g, g>, and lam1^2 S''
+        # = (lam1 d/dlam1)^2 S - lam1 dS/dlam1 is <a_u + D a_u, u> +
+        # <D a_g, g>
         y = grid.nodes
         d1u = grid.diff_matrix(1, "even").T
         d1g = grid.diff_matrix(1, "odd").T
-        self._a_u = [2.0 * wu + d1u @ (y * wu)
-                     for wu in (self._wphi1, self._wlphi1)]
-        self._a_g = [wg + d1g @ (y * wg)
-                     for wg in (self._wphi2, self._wlphi2)]
-        # the step bound's terms at a read point, one stacked product per
-        # field: lam1 e, the y d/dy part of the column less the same part
-        # with a D1 of order stencil_order + 4, and lam1^2 S'' =
-        # (lam1 d/dlam1)^2 S - lam1 dS/dlam1, i.e. <a_u + D a_u, u> +
-        # <D a_g, g> with D the y d/dy on the weights
-        fine = RadialGrid(y, stencil_order=grid.stencil_order + 4)
-        f1u = fine.diff_matrix(1, "even").T
-        f1g = fine.diff_matrix(1, "odd").T
-        self._bound_u = np.array(
-            [d1u @ (y * wu) - f1u @ (y * wu)
-             for wu in (self._wphi1, self._wlphi1)]
-            + [a_u + d1u @ (y * a_u) for a_u in self._a_u])
-        self._bound_g = np.array(
-            [d1g @ (y * wg) - f1g @ (y * wg)
-             for wg in (self._wphi2, self._wlphi2)]
-            + [d1g @ (y * a_g) for a_g in self._a_g])
+        a_u = [2.0 * wu + d1u @ (y * wu)
+               for wu in (self._wphi1, self._wlphi1)]
+        a_g = [wg + d1g @ (y * wg) for wg in (self._wphi2, self._wlphi2)]
+        self._ks_u = np.array([a + d1u @ (y * a) for a in a_u])
+        self._ks_g = np.array([d1g @ (y * a) for a in a_g])
         b_floor = grid_b_floor(grid)
 
         def scalars(bs):
@@ -696,34 +689,31 @@ class ModulationSolver:
                 float(self._wlphi1 @ u + self._wlphi2 @ g))
 
     def _model(self, vals, lam1, b):
-        """From the state's values at lam1: G = S(lam1) - P~(b), the
-        Jacobian column dS/dlam1 and dP~/db, each a pair of floats, and
-        the step bound's |e| and |S''| at lam1."""
-        u, n_x = vals
+        """From a model read of the state at lam1 (`_StateSplines.model`):
+        G = S(lam1) - P~(b), the Jacobian column dS/dlam1 and dP~/db, each a
+        pair of floats, and the step bound's |S''| at lam1."""
+        u, n_x, du, dg = vals
         g = self.grid.divide_by_r(n_x, "even")
         (p1, p2), (dp1, dp2) = (x.tolist() for x in self.table(b))
         s1, s2 = self._pair(u, g)
-        dl1, dl2 = (float(a_u @ u + a_g @ g) / lam1
-                    for a_u, a_g in zip(self._a_u, self._a_g))
-        e1, e2, c1, c2 = (self._bound_u @ u + self._bound_g @ g).tolist()
-        return ((s1 - p1, s2 - p2), (dl1, dl2), (dp1, dp2),
-                (math.hypot(e1, e2) / lam1, math.hypot(c1, c2) / lam1 ** 2))
+        dl1, dl2 = self._pair(du, dg)
+        c1, c2 = (self._ks_u @ u + self._ks_g @ g).tolist()
+        return ((s1 - p1, s2 - p2), (dl1 / lam1, dl2 / lam1), (dp1, dp2),
+                math.hypot(c1, c2) / lam1 ** 2)
 
-    def _read_state(self, splines, lam1):
-        """The state's values at lam1, one read of its splines (counted)."""
+    def _read_state(self, read, lam1):
+        """read(lam1), one read of the state's splines (counted)."""
         self.counters["state_reads"] += 1
-        return splines(lam1)
+        return read(lam1)
 
-    def _step_bound(self, G, dl, dp, slack, b, step_lam, step_b):
+    def _step_bound(self, G, dl, dp, s_pp, b, step_lam, step_b):
         """The class docstring's bound on |G| after the Newton step
         (step_lam, step_b) from a read point at b where the model gave
-        G, dl, dp and slack = (|e|, |S''|)."""
-        col_err, s_pp = slack
+        G, dl, dp and |S''|."""
         lin = math.hypot(G[0] + dl[0] * step_lam - dp[0] * step_b,
                          G[1] + dl[1] * step_lam - dp[1] * step_b)
         k_p = self.table.curvature(min(b, b + step_b))
-        return (lin + COLUMN_SAFETY * col_err * abs(step_lam)
-                + 0.5 * (2.0 * s_pp * step_lam ** 2 + k_p * step_b ** 2))
+        return lin + 0.5 * (2.0 * s_pp * step_lam ** 2 + k_p * step_b ** 2)
 
     def _residuals(self, vals, bs):
         """Exact F at each (lam1, bs[j]) from vals[j], the state's values at
@@ -763,15 +753,15 @@ class ModulationSolver:
     def _model_newton(self, splines, lam1, b):
         """Damped Newton on the model, each step halved until |G| descends
         (at most 10 times); one read of the state per iterate gives G, the
-        lambda-column and the step bound's terms, and a full step whose
+        lambda-column and the step bound's K_S, and a full step whose
         bound (see the class docstring) is at most MODEL_TOL atol ends the
         solve unread.  Returns lam1, b and the outcome: 'converged' (|G|
         <= MODEL_TOL atol, read or bounded), 'stalled' (no descent),
         'singular' (a singular Jacobian) or 'exhausted' (MODEL_MAX_ITER
         steps)."""
         tol = MODEL_TOL * self.atol
-        G, dl, dp, slack = self._model(self._read_state(splines, lam1), lam1,
-                                       b)
+        G, dl, dp, s_pp = self._model(
+            self._read_state(splines.model, lam1), lam1, b)
         norm = math.hypot(*G)
         for _ in range(MODEL_MAX_ITER):
             if norm <= tol:
@@ -786,7 +776,7 @@ class ModulationSolver:
             step_b = (dl[1] * G[0] - dl[0] * G[1]) / det
             lam_new, b_new = lam1 + step_lam, b + step_b
             if (lam_new > 0.1 and self.table.lo <= b_new <= B_MAX
-                    and self._step_bound(G, dl, dp, slack, b, step_lam,
+                    and self._step_bound(G, dl, dp, s_pp, b, step_lam,
                                          step_b) <= tol):
                 self.counters["confirmations_skipped"] += 1
                 return lam_new, b_new, "converged"
@@ -795,12 +785,13 @@ class ModulationSolver:
                 lam_try = lam1 + t_damp * step_lam
                 b_try = b + t_damp * step_b
                 if lam_try > 0.1 and 0.0 < b_try <= B_MAX:
-                    G_try, dl_try, dp_try, slack_try = self._model(
-                        self._read_state(splines, lam_try), lam_try, b_try)
+                    G_try, dl_try, dp_try, s_pp_try = self._model(
+                        self._read_state(splines.model, lam_try), lam_try,
+                        b_try)
                     norm_try = math.hypot(*G_try)
                     if norm_try < norm:
-                        lam1, b, G, dl, dp, slack, norm = (
-                            lam_try, b_try, G_try, dl_try, dp_try, slack_try,
+                        lam1, b, G, dl, dp, s_pp, norm = (
+                            lam_try, b_try, G_try, dl_try, dp_try, s_pp_try,
                             norm_try)
                         break
                 t_damp *= 0.5
@@ -1349,8 +1340,7 @@ def _predict_guess(roots, s, b_lo):
 def _rescale_state(state: FlowState, lam1: float) -> FlowState:
     """Fold a pending scale into the stored fields: m(y) <- m(lam1 y)."""
     splines = _StateSplines(state)
-    x = np.minimum(lam1 * splines.y, splines.r_max)
-    m, n = splines.m(x), splines.n(x)
+    m, n = splines.at(np.minimum(lam1 * splines.y, splines.r_max), 0)
     m[0] = n[0] = 0.0
     return replace(state, m=m, n=n, lam=state.lam * lam1)
 

@@ -347,16 +347,19 @@ class RadialGrid:
         """
         out = np.empty_like(np.asarray(values, dtype=float))
         out[1:] = values[1:] / per_node(self.nodes, out)[1:]
-        if parity == "odd":
-            cols, weights = self.cached("odd_origin", self._odd_origin_row)
-            # summed from 0.0 in stored order, as the CSR row product sums
-            acc = 0.0
-            for w, v in zip(weights, values[cols]):
-                acc = acc + w * v
-            out[0] = acc
-        else:
-            out[0] = 0.0
+        out[0] = self.odd_origin(values) if parity == "odd" else 0.0
         return out
+
+    def odd_origin(self, values):
+        """Row 0 of diff_matrix(1, "odd") @ values (shape (n,) or (n, k)),
+        the derivative at r = 0 of an odd field, bit for bit the CSR row
+        product without the other rows."""
+        cols, weights = self.cached("odd_origin", self._odd_origin_row)
+        # summed from 0.0 in stored order, as the CSR row product sums
+        acc = 0.0
+        for w, v in zip(weights, values[cols]):
+            acc = acc + w * v
+        return acc
 
     def _odd_origin_row(self):
         """(columns, weights) of row 0 of diff_matrix(1, "odd")."""
@@ -486,7 +489,7 @@ def div_from_grad_values(grid, gvals):
     out = grid.divide_by_r(
         grid.diff_matrix(1, "even") @ (per_node(grid.nodes, gvals) * gvals),
         "odd")
-    out[0] = 2.0 * (grid.diff_matrix(1, "odd") @ gvals)[0]
+    out[0] = 2.0 * grid.odd_origin(gvals)
     return out
 
 

@@ -278,11 +278,14 @@ class OperatorBundle:
 
     def _matrix(self, key, kernel):
         """Stacked matrix of a pointwise map: the kernel applied to the
-        columns of the identity."""
+        columns of the identity, once per block of unknowns, with the other
+        block a zero column that the kernel broadcasts."""
         if key not in self._cache:
             n = self.grid.n
-            self._cache[key] = np.vstack(kernel(
-                self.grid, np.eye(n, 2 * n), np.eye(n, 2 * n, k=n)))
+            eye, zero = np.eye(n), np.zeros((n, 1))
+            (a, c), (b, d) = (kernel(self.grid, eye, zero),
+                              kernel(self.grid, zero, eye))
+            self._cache[key] = np.block([[a, b], [c, d]])
         return self._cache[key]
 
     def matrix_L(self):
@@ -302,7 +305,7 @@ class OperatorBundle:
         if "AM" not in self._cache:
             w = 2.0 * np.pi * self.grid.positive_quad_weights
             G = np.concatenate([w, w])
-            A = (self.matrix_M().T * G[None, :]).T
+            A = self.matrix_M() * G[:, None]
             self._cache["AM"] = 0.5 * (A + A.T)
         return self._cache["AM"]
 
@@ -512,7 +515,10 @@ def _whitened_min(A, s, rows, pinned, what):
     """
     keep, h, tau = _free_basis(rows, pinned, 1, what)
     sk = s[keep]
-    C = _sandwich(h, tau, A[np.ix_(keep, keep)] / sk[None, :] / sk[:, None])
+    B = A[np.ix_(keep, keep)]
+    B /= sk[None, :]
+    B /= sk[:, None]
+    C = _sandwich(h, tau, B)
     diagonal = C.diagonal().copy()
     if lapack.dpotrf(C, clean=0, overwrite_a=1)[1]:
         np.fill_diagonal(C, diagonal)

@@ -424,9 +424,11 @@ def test_decompose_matches_fresh_jacobian_oracle(small_grid, small_params,
 
 @pytest.mark.parametrize("b0", [8e-3, 1e-2])
 def test_model_lambda_column_matches_central_difference(b0):
-    # dS/dlam1 from the values of one read, against a central difference of
-    # S through _StateSplines, on the small (b0 = 8e-3) and the collapse
-    # (b0 = 1e-2) grid, off the profile's own scale on both sides
+    # dS/dlam1 from one model read, against a central difference of S
+    # through _StateSplines, on the small (b0 = 8e-3) and the collapse
+    # (b0 = 1e-2) grid, off the profile's own scale on both sides.  The
+    # column is exact: it reads within 5.4e-9 of the difference, and two
+    # differences with steps h and 2h differ by up to 7.2e-9
     params = dyn.EvolveParams(b0=b0, M_param=11.0)
     grid = dyn.dynamics_grid(params)
     pert = dyn.random_perturbation(grid, 1e-4, np.random.default_rng(3))
@@ -442,18 +444,16 @@ def test_model_lambda_column_matches_central_difference(b0):
 
     h = 1e-5
     for lam1 in (0.85, 1.0, 1.15):
-        _, column, _, _ = solver._model(splines(lam1), lam1, b0)
+        _, column, _, _ = solver._model(splines.model(lam1), lam1, b0)
         central = (S(lam1 + h) - S(lam1 - h)) / (2.0 * h)
         assert (np.linalg.norm(np.subtract(column, central))
-                <= 1e-4 * np.linalg.norm(column))
+                <= 1e-7 * np.linalg.norm(column))
 
 
 @pytest.mark.parametrize("M", [11.0, 30.0, 60.0])
 def test_step_bound_terms_track_central_differences(M):
-    # the step bound's column error estimate |e| lies within
-    # [1/COLUMN_SAFETY, 2] times the column's error against a central
-    # difference of S, and its K_S = 2 |S''| covers a second difference
-    # of S, at b0 = 1e-2 and 2e-3 and lam1 over [1/1.2, 1.2]
+    # the step bound's K_S = 2 |S''| covers a second difference of S, at
+    # b0 = 1e-2 and 2e-3 and lam1 over [1/1.2, 1.2]
     for b0 in (1e-2, 2e-3):
         params = dyn.EvolveParams(b0=b0, M_param=M)
         grid = dyn.dynamics_grid(params)
@@ -469,11 +469,7 @@ def test_step_bound_terms_track_central_differences(M):
             return np.array(solver._pair(u, g))
 
         for lam1 in (1.0 / 1.2, 0.9, 1.0, 1.1, 1.2):
-            _, column, _, (col_err, s_pp) = solver._model(splines(lam1), lam1,
-                                                          b0)
-            central = (S(lam1 + 1e-5) - S(lam1 - 1e-5)) / 2e-5
-            error = np.linalg.norm(np.subtract(column, central))
-            assert error / dyn.COLUMN_SAFETY <= col_err <= 2.0 * error
+            s_pp = solver._model(splines.model(lam1), lam1, b0)[3]
             h = 1e-4
             second = (S(lam1 + h) - 2.0 * S(lam1) + S(lam1 - h)) / h ** 2
             assert np.linalg.norm(second) <= 2.0 * s_pp
@@ -512,8 +508,8 @@ def test_decompose_reads_a_far_step_and_skips_a_near_one(
 @pytest.mark.parametrize("M_param", [11.0, 60.0])
 def test_unread_roots_equal_those_of_a_solver_that_always_reads(
         M_param, monkeypatch, tmp_path):
-    # the oracle reads every Newton iterate: COLUMN_SAFETY = inf refuses
-    # every bound.  On the criterion-10 config (M = 11) and on a config
+    # the oracle reads every Newton iterate: a step bound of inf refuses
+    # every step.  On the criterion-10 config (M = 11) and on a config
     # run at M = 60 (which ends modulation_failed) both write the same
     # rows and count the same but for the two new counters, and every
     # root taken unread has |G| <= MODEL_TOL atol, read afterwards
@@ -526,13 +522,14 @@ def test_unread_roots_equal_those_of_a_solver_that_always_reads(
         skipped = self.counters["confirmations_skipped"]
         lam1, b, outcome = model_newton(self, splines, lam1, b)
         if self.counters["confirmations_skipped"] > skipped:
-            G = self._model(splines(lam1), lam1, b)[0]
+            G = self._model(splines.model(lam1), lam1, b)[0]
             unread.append(math.hypot(*G) / (dyn.MODEL_TOL * self.atol))
         return lam1, b, outcome
 
     monkeypatch.setattr(dyn.ModulationSolver, "_model_newton", spied)
     series = dyn.evolve(params)
-    monkeypatch.setattr(dyn, "COLUMN_SAFETY", math.inf)
+    monkeypatch.setattr(dyn.ModulationSolver, "_step_bound",
+                        lambda self, *args: math.inf)
     oracle = dyn.evolve(params)
     series.to_csv(tmp_path / "unread.csv")
     oracle.to_csv(tmp_path / "oracle.csv")
@@ -969,15 +966,13 @@ def counted_run(small_grid, small_params, monkeypatch):
 def test_evolve_counts_one_profile_evaluation_per_record(
         small_grid, small_params, monkeypatch):
     # decomposed every step, the extrapolated guess leaves one model
-    # iteration per decompose, but for three that take two: the first
-    # (guessed at (1, b0) on perturbed data, |G| ~ 1e-6 f_scale) and the
-    # two steps where ds stops growing and the guess misses by 1e-6 and
-    # 2e-7 f_scale.  The lambda-column from the grid's D1 is off by about
-    # 2e-5 of its norm, so one step from a miss of that size ends above
-    # MODEL_TOL * atol = 1e-12 f_scale
+    # iteration per decompose, but for the first, which takes two: it is
+    # guessed at (1, b0) on perturbed data, |G| ~ 1e-6 f_scale.  With the
+    # exact lambda-column one step from a miss of 1e-6 f_scale, where ds
+    # stops growing, ends within MODEL_TOL * atol = 1e-12 f_scale
     monkeypatch.setattr(dyn, "MAX_INTERVAL", 1)
     c = counted_run(small_grid, small_params, monkeypatch)
-    assert c["model_iterations"] == c["decompose_calls"] + 3
+    assert c["model_iterations"] == c["decompose_calls"] + 1
     assert c["predicted_steps"] == c["backtrack_decompositions"] == 0
 
 
@@ -1277,11 +1272,20 @@ def test_modulation_failure_names_the_solve(small_grid, small_params,
     assert "model=exhausted after 0 iterations" in series.reason
 
 
-def test_modulation_failure_at_B_MAX_names_the_top_edge():
+@pytest.mark.parametrize("steps", [
+    {}, dict(ds_init=1e-3, db_rel_cap=9.5e-4, ds_max=0.5),
+    dict(ds_init=8e-4, db_rel_cap=9.5e-4, ds_max=0.4),
+    dict(ds_init=1e-3, db_rel_cap=1e-3, ds_max=0.45),
+    dict(ds_init=1.2e-3, db_rel_cap=9e-4, ds_max=0.45)],
+    ids=lambda steps: "-".join("%s=%g" % kv for kv in steps.items())
+    or "default")
+def test_modulation_failure_at_B_MAX_names_the_top_edge(steps):
     # at M = 50 the criterion-10 protocol drives b up, not down, until the
-    # solve stalls at the top of the family's range
+    # solve stalls at the top of the family's range.  With a lambda-column
+    # from the grid's D1 the four step variants stalled below B_MAX, at b
+    # in [0.01224, 0.01245), on states that have a root
     series = dyn.evolve(dyn.EvolveParams(b0=1e-2, M_param=50.0, cadence=10,
-                                         b_min=5e-3, s_max=2000.0))
+                                         b_min=5e-3, s_max=2000.0, **steps))
     assert series.status == "modulation_failed"
     assert "b reached the top of the family's range, B_MAX = %g" % B_MAX \
         in series.reason

@@ -409,19 +409,23 @@ def test_value_helpers_treat_block_columns_as_separate_calls(oracle_grids,
 
 @pytest.mark.parametrize("name", ("reference", "order3"))
 def test_divide_by_r_odd_origin_matches_the_csr_row(oracle_grids, name):
-    # out[0] of an odd divide_by_r is row 0 of diff_matrix(1, "odd") summed
-    # in its stored order from 0.0: bitwise the CSR row product, for one
-    # field and for a block of columns
+    # out[0] of an odd divide_by_r, and that of div_from_grad_values (twice
+    # it), is row 0 of diff_matrix(1, "odd") summed in its stored order from
+    # 0.0: bitwise the CSR row product, for one field, for a block of
+    # columns and for the identity block the operator assembly applies
     grid = oracle_grids[name]
     r = grid.nodes
     rng = np.random.default_rng(11)
     block = np.column_stack([np.sin(r) * np.exp(-r / 9.0),
                              rng.standard_normal(grid.n),
                              r / (1.0 + r ** 2)])
-    row = grid.diff_matrix(1, "odd")[:1]
-    for values in (block[:, 0], block[:, 1], block):
+    d1 = grid.diff_matrix(1, "odd")
+    for values in (block[:, 0], block[:, 1], block, np.eye(grid.n)):
+        row = (d1 @ values)[:1]
         got = grid.divide_by_r(values, "odd")
-        np.testing.assert_array_equal(got[:1], row @ values)
+        np.testing.assert_array_equal(got[:1], row)
+        got = div_from_grad_values(grid, values)
+        np.testing.assert_array_equal(got[:1], 2.0 * row)
 
 
 @pytest.mark.parametrize("r_max", [1e49, 1e300, float("nan")])
@@ -440,7 +444,7 @@ def test_a_grid_at_its_orders_largest_radius_assembles(order):
     # the bound is laid out and assembled (both parities of D1 and D2, the
     # quadrature weights) without a warning; a radius just past it is
     # refused by `make`, and so are the given nodes of the bound's grid at
-    # order + 4, as the solver's step bound builds it
+    # order + 4, whose largest radius is smaller
     bound = max_radius(order)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

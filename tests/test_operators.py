@@ -177,6 +177,16 @@ def test_dense_matrices_match_the_pointwise_maps(bundle):
             assert err <= 1e-13 * np.max(np.abs(want))
 
 
+def test_dense_matrices_equal_the_kernels_on_the_stacked_identity(bundle):
+    # assembled a block of unknowns at a time, the matrices are bit for bit
+    # the kernels applied to all 2n columns of the identity at once
+    g, n = bundle.grid, bundle.grid.n
+    for mat, kernel in ((bundle.matrix_L(), ops._L_values),
+                        (bundle.matrix_M(), ops._M_values)):
+        want = np.vstack(kernel(g, np.eye(n, 2 * n), np.eye(n, 2 * n, k=n)))
+        assert mat.shape == want.shape and mat.tobytes() == want.tobytes()
+
+
 def test_phi_m_pairings():
     ratios = []
     for M in (50.0, 100.0):
