@@ -27,9 +27,10 @@ entry is an array, a sparse matrix or a record of them, never a field:
 nothing in the memo refers back to the grid, so a dropped grid is freed
 by reference count, with its memo.  Assembly does each piece of work once
 per grid: one entry holds all four cell-quadrature matrices, built from
-one evaluation of the Lagrange basis at the Gauss points, and one entry
-per derivative order holds the even and odd matrices, built from one
-Fornberg pass over their shared mirrored stencil.
+one evaluation of the Lagrange basis at the Gauss points, and each
+derivative matrix is its own entry, built on first request: one Fornberg
+pass over a mirrored stencil serves both parities, the second from the
+first and the few rows that reach a ghost.
 """
 
 from __future__ import annotations
@@ -199,29 +200,47 @@ class RadialGrid:
 
         Ghost nodes mirrored through r=0 keep the stencil centered near the
         origin; their weights fold back with the parity sign, so even fields
-        get exactly zero odd derivatives at r=0.
+        get exactly zero odd derivatives at r=0.  Each matrix is built on
+        first request.
         """
         if parity not in _PARITY_SIGN and parity != "none":
             raise GridError("parity must be 'even', 'odd' or 'none'")
         if not 1 <= order <= 3:
             raise GridError("derivative order must be 1, 2 or 3")
-        mirrored = parity != "none"
-        return self.cached(("diff", order, mirrored), self._build_diff, order,
-                           mirrored)[parity]
+        return self.cached(("diff", order, parity), self._diff, order, parity)
+
+    def _diff(self, order, parity):
+        """The order-th derivative matrix of one parity: "even" and "odd"
+        on the ghost-mirrored stencil, "none" on the one-sided one (no
+        ghosts near the origin).
+
+        The two parities of the mirrored stencil differ only in the leading
+        rows that reach a ghost.  The first one requested comes from the
+        stencil's Fornberg pass (`_build_diff`), and those rows' unfolded
+        weights stay in the memo; the other is built later, if at all, from
+        them and the first one's remaining rows, so one Fornberg pass
+        serves both.
+        """
+        if parity == "none":
+            return _stencil_csr(*self._build_diff(order, False), parity,
+                                self.n)
+        other = self.memo.get(("diff", order,
+                               "odd" if parity == "even" else "even"))
+        if other is None:
+            wts, jext = self._build_diff(order, True)
+            # the ghosts are the first (stencil width) extended indices
+            ghosts = np.count_nonzero(jext[:, 0] < wts.shape[1])
+            self.memo[("ghost_rows", order)] = (wts[:ghosts].copy(),
+                                                jext[:ghosts].copy())
+            return _stencil_csr(wts, jext, parity, self.n)
+        head = _stencil_csr(*self.memo[("ghost_rows", order)], parity, self.n)
+        return sparse.vstack([head, other[head.shape[0]:]], format="csr")
 
     def _build_diff(self, order, mirrored):
-        """The order-th derivative matrices of one stencil, by parity:
-        "even" and "odd" on the ghost-mirrored stencil, "none" on the
-        one-sided one (no ghosts near the origin).
-
-        One Fornberg pass serves both parities of a stencil: they differ
-        only in the sign a ghost's weight carries onto its mirror image's
-        column.  Each row's w = p + order stencil nodes are consecutive, so
-        the CSR arrays are read off the (n, w) weights directly; a ghost and
-        its mirror, always in the same row, are the only two terms that
-        share a column (they sum exactly to zero for odd derivatives of
-        even fields at r=0), and exact zeros are not stored.
-        """
+        """(wts, jext): the order-th derivative weights of the stencil,
+        (n, w) with w = p + order, and the stencil's nodes by index into
+        the node list extended by w mirrored ghosts (none if not
+        mirrored).  One Fornberg pass over every row."""
         r = self.nodes
         n = self.n
         w = self.stencil_order + order
@@ -229,20 +248,7 @@ class RadialGrid:
         r_ext = np.concatenate([-r[nghost:0:-1], r]) if nghost else r
         j0 = np.clip(np.arange(n) + nghost - (w - 1) // 2, 0, len(r_ext) - w)
         jext = j0[:, None] + np.arange(w)
-        wts = fd_weights(r, r_ext[jext], order)[:, :, order]
-        # the ghost at stencil position k has its mirror image at position
-        # k + 2 (nghost - jext) of the same row
-        rows, k = np.nonzero(jext < nghost)
-        mirror = (rows, k + 2 * (nghost - jext[rows, k]))
-        out = {}
-        for parity in ("even", "odd") if mirrored else ("none",):
-            vals = wts.copy()
-            vals[mirror] += _PARITY_SIGN.get(parity, 0.0) * wts[rows, k]
-            keep = (jext >= nghost) & (vals != 0.0)
-            indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-            out[parity] = sparse.csr_matrix(
-                (vals[keep], jext[keep] - nghost, indptr), shape=(n, n))
-        return out
+        return fd_weights(r, r_ext[jext], order)[:, :, order], jext
 
     # -- quadrature --------------------------------------------------------
 
@@ -373,6 +379,30 @@ def _check_radius(r_max, stencil_order):
         raise GridError("a grid of radius %.3g exceeds the largest radius "
                         "of stencil order %d, %.3g"
                         % (r_max, stencil_order, max_radius(stencil_order)))
+
+
+def _stencil_csr(wts, jext, parity, n):
+    """The CSR matrix of rows of stencil weights wts (k, w) at the extended
+    node indices jext (k, w), over n columns, for a field of the parity.
+
+    The extended list starts with the stencil width w of mirrored ghosts
+    unless parity is "none".  Each row's stencil nodes are consecutive, so
+    the CSR arrays are read off the weights directly; the ghost at stencil
+    position k has its mirror image at position k + 2 (w - jext) of the
+    same row, and adds its weight there times the parity sign.  A ghost
+    and its mirror are the only two terms that share a column (they sum
+    exactly to zero for odd derivatives of even fields at r=0), and exact
+    zeros are not stored.
+    """
+    nghost = 0 if parity == "none" else wts.shape[1]
+    rows, k = np.nonzero(jext < nghost)
+    vals = wts.copy()
+    vals[rows, k + 2 * (nghost - jext[rows, k])] += (
+        _PARITY_SIGN.get(parity, 0.0) * wts[rows, k])
+    keep = (jext >= nghost) & (vals != 0.0)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_matrix((vals[keep], jext[keep] - nghost, indptr),
+                             shape=(len(wts), n))
 
 
 def per_node(coef, values):

@@ -29,7 +29,14 @@ singular triplets of the tall whitened L that the certificates read (the
 directions below coercivity_L's relative cut and the next one,
 kernel_gap's two smallest modes) come from its Householder R factor by
 inverse subspace iteration, and the largest singular value, which scales
-the cut, by Lanczos on K^T K.
+the cut, by Lanczos on R^T R.
+
+The certificates hold at most three N x N arrays at once (N = 2 n on n
+nodes): the bundle's M form, cached, and two more.  L is a local
+operator, so the whitened L is assembled column by column from the
+kernel applied to a few comb columns (`_L_columns`) and no dense L is
+kept; the M form is written into its one array and symmetrized there;
+and each whitened form is one copy of the trailing block of the M form.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.linalg import lapack
 
 from .grid import (
@@ -103,8 +110,9 @@ def ground_state(grid: RadialGrid) -> GroundState:
 
 
 # the largest dense dimension (2 n on n nodes) that the certificates
-# assemble: each dense matrix then takes at most 128 MiB.  The largest of
-# the CLI, the tests and the benchmark is 690 (M = 200, 48 per decade).
+# assemble: each dense matrix then takes at most 128 MiB, and the
+# certificates hold at most three at once.  The largest of the CLI, the
+# tests and the benchmark is 690 (M = 200, 48 per decade).
 MAX_DENSE_DIM = 4096
 
 
@@ -245,19 +253,73 @@ def lyapunov_functional(x: FieldPair) -> float:
 
 # -- matrix assembly -----------------------------------------------------------
 
+# the rows of each strip in which `OperatorBundle.quadform_M` symmetrizes
+# its form in place
+SYM_ROWS = 128
+
+
+def _L_band(grid):
+    """(lo, hi): the least and the greatest row - column of an entry of any
+    of L's four blocks, from the grid's stencils.  L reads e through D1 and
+    D2 of even fields, and grad n through D1 (lap n off the origin), the
+    odd-origin row (lap n at r = 0) and D1 after either of those two
+    (grad lap n); its pointwise factors add only the diagonal."""
+    n = grid.n
+    d1, d2 = (abs(grid.diff_matrix(k, "even")) for k in (1, 2))
+    origin = sparse.vstack([abs(grid.diff_matrix(1, "odd")[:1]),
+                            sparse.csr_matrix((n - 1, n))], format="csr")
+    offsets = [sparse.coo_matrix(m) for m in (d1, d2, origin, d1 @ d1,
+                                              d1 @ origin)]
+    offsets = np.concatenate([m.row - m.col for m in offsets])
+    return int(offsets.min()), int(offsets.max())
+
+
+def _L_columns(grid, cols, scale):
+    """L[:, cols] * scale[:, None] for the stacked L and stacked column
+    indices cols, as a new Fortran-ordered (2 n, len(cols)) array.
+
+    L is local: an entry (i, j) of any of its blocks is zero unless
+    lo <= i - j <= hi (`_L_band`).  So the kernel applied to the P = hi -
+    lo + 1 comb columns of a block of unknowns, column t the sum of the unit
+    vectors j = t mod P, gives every entry of the block: no row reads two
+    teeth, and each entry is computed from the same terms as on the unit
+    vector, bit for bit (the column grouping of Curtis, Powell and Reid,
+    "On the estimation of sparse Jacobian matrices", 1974).  Entries off
+    the band are zero.
+    """
+    n = grid.n
+    lo, hi = _L_band(grid)
+    period = hi - lo + 1
+    comb = (np.arange(n)[:, None] % period == np.arange(period)).astype(float)
+    zero = np.zeros((n, 1))
+    out = np.zeros((2 * n, len(cols)), order="F")
+    for block, args in enumerate(((comb, zero), (zero, comb))):
+        at = np.nonzero(cols // n == block)[0]
+        j = cols[at] - block * n
+        rows = j[:, None] + np.arange(lo, hi + 1)
+        c, o = np.nonzero((rows >= 0) & (rows < n))
+        rows, at, teeth = rows[c, o], at[c], j[c] % period
+        for half, values in zip((0, n), _L_values(grid, *args)):
+            out[half + rows, at] = values[rows, teeth] * scale[half + rows]
+    return out
+
+
 class OperatorBundle:
     """Dense matrix forms of M and L and the pairing metrics on one grid.
 
-    The stacked unknown is x = [density values; gradient values]; the
-    matrices are the pointwise maps applied to the identity, cached after
-    first assembly.  Quadratic forms are symmetrized (the
-    discrete asymmetry is at truncation level).
+    The stacked unknown is x = [density values; gradient values].  Only
+    the M form is cached, written into its one array: the M kernel applied
+    to the identity, row times its metric weight, symmetrized in place (the
+    discrete asymmetry is at truncation level).  `matrix_L` and `matrix_M`
+    build a new array on each call and serve as test oracles; the
+    certificates assemble the columns of the whitened L they read with
+    `_L_columns`.
     """
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
         self.ground = ground_state(grid)
-        self._cache = {}
+        self._form_M = None
 
     def gram_xq(self):
         """The X_Q metric, diagonal, as the vector of its diagonal."""
@@ -276,38 +338,48 @@ class OperatorBundle:
         w = 2.0 * np.pi * self.grid.positive_quad_weights
         return np.concatenate([w, np.zeros_like(w)])
 
-    def _matrix(self, key, kernel):
-        """Stacked matrix of a pointwise map: the kernel applied to the
-        columns of the identity, once per block of unknowns, with the other
-        block a zero column that the kernel broadcasts."""
-        if key not in self._cache:
-            n = self.grid.n
-            eye, zero = np.eye(n), np.zeros((n, 1))
-            (a, c), (b, d) = (kernel(self.grid, eye, zero),
-                              kernel(self.grid, zero, eye))
-            self._cache[key] = np.block([[a, b], [c, d]])
-        return self._cache[key]
+    def _M_rows(self, weights):
+        """Stacked matrix of the M map with row i times weights[i], as one
+        new array: the kernel applied to the columns of the identity, once
+        per block of unknowns, with the other block a zero column that the
+        kernel broadcasts."""
+        n = self.grid.n
+        out = np.empty((2 * n, 2 * n))
+        eye, zero = np.eye(n), np.zeros((n, 1))
+        for block, args in ((0, (eye, zero)), (n, (zero, eye))):
+            for half, values in zip((0, n), _M_values(self.grid, *args)):
+                np.multiply(values, weights[half:half + n, None],
+                            out=out[half:half + n, block:block + n])
+        return out
 
     def matrix_L(self):
-        return self._matrix("L", _L_values)
+        """Stacked matrix of the L map."""
+        n2 = 2 * self.grid.n
+        return _L_columns(self.grid, np.arange(n2), np.ones(n2))
 
     def matrix_M(self):
         """Stacked matrix of the M map (affine potential normalization folded in)."""
-        return self._matrix("M", _M_values)
+        return self._M_rows(np.ones(2 * self.grid.n))
 
     def quadform_M(self):
-        """Symmetric matrix A with x^T A y = <M x, y>.
+        """Symmetric matrix A with x^T A y = <M x, y>, cached.
 
         Built on the positive metric weights so that the form and the X_Q
         Gram discretize the same measure; high-order weights carry small
         negative entries that would fake negative Rayleigh directions.
+        Each pair of entries becomes 0.5 * (a_ij + a_ji) in place, a strip
+        of SYM_ROWS rows at a time, so no second N x N array is formed.
         """
-        if "AM" not in self._cache:
+        if self._form_M is None:
             w = 2.0 * np.pi * self.grid.positive_quad_weights
-            G = np.concatenate([w, w])
-            A = self.matrix_M() * G[:, None]
-            self._cache["AM"] = 0.5 * (A + A.T)
-        return self._cache["AM"]
+            A = self._M_rows(np.concatenate([w, w]))
+            for i in range(0, len(A), SYM_ROWS):
+                rows = slice(i, i + SYM_ROWS)
+                half = 0.5 * (A[rows, i:] + A[i:, rows].T)
+                A[rows, i:] = half
+                A[i:, rows] = half.T
+            self._form_M = A
+        return self._form_M
 
     def pinned(self):
         """Stacked indices pinned to zero in the eigensolves: the outermost
@@ -457,17 +529,20 @@ def _reflect(side, trans, h, tau, c):
     return lapack.dormqr(side, trans, h, tau, c, lwork, overwrite_c=1)[0]
 
 
-def _sandwich(h, tau, B):
+def _sandwich(h, tau, A, keep, sk):
     """The trailing block of Q^T B Q past its first k = len(tau) rows and
-    columns, for the reflectors' Q and a symmetric B, as a new
-    Fortran-ordered array.
+    columns, for the reflectors' Q and B = A[keep, keep] / (sk sk^T) of a
+    symmetric A, as a new Fortran-ordered array, the only copy of A made.
 
     Q = I - Y T Y^T in compact WY form (Y the unit lower trapezoidal
     reflectors, T upper triangular, built column by column as LAPACK dlarft
     does), so Q^T B Q = B - Z Y^T - Y Z^T with W = B Y T and
     Z = W - Y T^T Y^T W / 2: matrix products on k columns, where dormqr
     with fewer reflectors than its block size applies them one at a time.
-    The update is one GEMM into a copy of B's trailing block, so the two
+    W is A applied to the rows keep of (Y T) / sk, with zero rows off keep,
+    read on keep; B's trailing block is A's on keep[k:], whitened in place.
+    Since A is exactly symmetric, that block is taken transposed, in
+    Fortran order, and the update is one GEMM into it, so the two
     triangles of the result agree to roundoff.
     """
     k = len(tau)
@@ -478,9 +553,14 @@ def _sandwich(h, tau, B):
     for i in range(k):
         T[i, i] = tau[i]
         T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
-    W = B @ Y @ T
+    Z = np.zeros((len(A), k))
+    Z[keep] = (Y @ T) / sk[:, None]
+    W = (A @ Z)[keep] / sk[:, None]
     Z = (W - 0.5 * Y @ (T.T @ (Y.T @ W)))[k:]
-    C = np.array(B[k:, k:], order="F")
+    trail, st = keep[k:], sk[k:]
+    C = A[np.ix_(trail, trail)].T
+    C /= st[None, :]
+    C /= st[:, None]
     return linalg.blas.dgemm(-1.0, np.hstack([Z, Y[k:]]),
                              np.hstack([Y[k:], Z]), beta=1.0, c=C,
                              trans_b=1, overwrite_c=1)
@@ -504,21 +584,16 @@ def _whitened_min(A, s, rows, pinned, what):
     by the reflectors of `_free_basis` (OperatorError naming `what` if no
     direction is left): in Q^T B Q of the whitened block B, the trailing
     block C past the first m rows is B on the null space of the m rows
-    (`_sandwich`).  B is whitened after the pinned coordinates are dropped,
-    so that only it and A are held while C is formed.  C is factored in
-    place by LAPACK `dpotrf`, which reads its upper triangle, and the value
-    is 1 / `_lanczos_max` of C^-1, applied by `dpotrs` through the factor.
-    A C that `dpotrf` refuses is not numerically positive definite, so the
-    certificate has failed; its (negative) value then comes from LAPACK's
-    lowest eigenvalue of C read from the lower triangle, which `dpotrf`
-    leaves intact (0 steps).
+    (`_sandwich`).  C is the one N x N array formed beside A.  It is
+    factored in place by LAPACK `dpotrf`, which reads its upper triangle,
+    and the value is 1 / `_lanczos_max` of C^-1, applied by `dpotrs`
+    through the factor.  A C that `dpotrf` refuses is not numerically
+    positive definite, so the certificate has failed; its (negative) value
+    then comes from LAPACK's lowest eigenvalue of C read from the lower
+    triangle, which `dpotrf` leaves intact (0 steps).
     """
     keep, h, tau = _free_basis(rows, pinned, 1, what)
-    sk = s[keep]
-    B = A[np.ix_(keep, keep)]
-    B /= sk[None, :]
-    B /= sk[:, None]
-    C = _sandwich(h, tau, B)
+    C = _sandwich(h, tau, A, keep, s[keep])
     diagonal = C.diagonal().copy()
     if lapack.dpotrf(C, clean=0, overwrite_a=1)[1]:
         np.fill_diagonal(C, diagonal)
@@ -568,10 +643,11 @@ def _lanczos_max(apply, n, what):
     Ritz residual, which bounds its distance to an eigenvalue (Parlett, The
     Symmetric Eigenvalue Problem, ch. 13); the iteration ends when that is
     at most RITZ_TOL * theta.  OperatorError naming `what` if it has not
-    after MAX_SWEEPS steps (or n, if fewer).
+    after MAX_SWEEPS steps (or n, if fewer).  The basis starts at BLOCK
+    rows and doubles when full, so it holds about the steps taken.
     """
     cap = min(MAX_SWEEPS, n)
-    V = np.empty((cap, n))
+    V = np.empty((min(BLOCK, cap), n))
     alpha, beta = np.empty(cap), np.empty(cap)
     v = np.random.default_rng(0).standard_normal(n)
     V[0] = v / np.linalg.norm(v)
@@ -586,17 +662,27 @@ def _lanczos_max(apply, n, what):
         if abs(beta[j] * S[-1, -1]) <= RITZ_TOL * theta[-1]:
             return theta[-1], j + 1
         if j + 1 < cap:
+            if j + 1 == len(V):
+                V = np.concatenate([V, np.empty((min(j + 1, cap - j - 1),
+                                                 n))])
             V[j + 1] = w / beta[j]
     raise OperatorError("%s: Lanczos iteration for the largest eigenvalue "
                         "did not settle in %d steps" % (what, cap))
 
 
-def _smallest_singular(K, left, cut, need, what):
-    """(qr, tau, sv, X, sweeps): the Householder QR of the tall K, computed
-    in place (LAPACK geqrf storage, so K is overwritten), and the smallest
-    singular values sv of its R, ascending, with their left (`left` true)
-    or right singular vectors as the columns of X; K = Q [R; 0] has the
-    same singular values and right vectors, and Q [X; 0] are its left ones.
+def _qr(K):
+    """(qr, tau): the Householder QR of the tall K in LAPACK geqrf storage,
+    computed in place (K is overwritten)."""
+    lwork = int(lapack.dgeqrf_lwork(*K.shape)[0])
+    return lapack.dgeqrf(K, lwork=lwork, overwrite_a=1)[:2]
+
+
+def _smallest_singular(qr, left, cut, need, what):
+    """(sv, X, sweeps): the smallest singular values sv of the R factor of
+    a tall K, ascending, given K's QR in geqrf storage (`_qr`), with their
+    left (`left` true) or right singular vectors as the columns of X; K =
+    Q [R; 0] has the same singular values and right vectors, and Q [X; 0]
+    are its left ones.
 
     Inverse subspace iteration on the triangle, read in place by LAPACK
     `dtrtrs`: each sweep applies (R R^T)^-1 (left) or (R^T R)^-1 (right)
@@ -610,9 +696,7 @@ def _smallest_singular(K, left, cut, need, what):
     settle more slowly and are not tested.  The start block is fixed.
     OperatorError naming `what` after MAX_SWEEPS sweeps.
     """
-    p = K.shape[1]
-    lwork = int(lapack.dgeqrf_lwork(*K.shape)[0])
-    qr, tau = lapack.dgeqrf(K, lwork=lwork, overwrite_a=1)[:2]
+    p = qr.shape[1]
     first, then = (0, 1) if left else (1, 0)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((p, min(BLOCK, p)))
@@ -633,7 +717,7 @@ def _smallest_singular(K, left, cut, need, what):
             prev = np.zeros(0)
         elif len(prev) and np.all(np.abs(sv[:wanted] - prev[:wanted])
                                   <= RITZ_TOL * sv[:wanted]):
-            return qr, tau, sv, X, sweep
+            return sv, X, sweep
         else:
             prev = sv
     raise OperatorError("%s: inverse subspace iteration for the smallest "
@@ -650,36 +734,41 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     Substituting z = G^{1/2} L e turns the quotient into an ordinary Rayleigh
     quotient of the whitened M form over range(G^{1/2} L V) = range(K); the
     remaining rank decision drops directions with singular value at or below
-    SV_TOL * max (pure kernel/noise of L).  The largest singular value is
-    the square root of `_lanczos_max` of K^T K, the cut ones with their left
-    vectors come from the R factor of K (`_smallest_singular`).  The kept
-    range is the complement of those vectors and of K's left null space,
+    SV_TOL * max (pure kernel/noise of L).  K is assembled from the comb
+    columns of L (`_L_columns`) and factored in place (`_qr`); the largest
+    singular value is the square root of `_lanczos_max` of R^T R, applied
+    by two triangular products on the factor, and the cut ones with their
+    left vectors come from R (`_smallest_singular`).  The kept range is
+    the complement of those vectors and of K's left null space,
     Q [X_cut (+) I]; the reflectors of that complement and of the whitened
     mass row give the form on its mean-zero part, and `_whitened_min` its
-    lowest eigenvalue.
+    lowest eigenvalue, once K's storage is freed.
     """
-    L = bundle.matrix_L()
     s = np.sqrt(bundle.gram_xq())
     rows = np.vstack([bundle.pair_vector(phim.pair),
                       bundle.pair_vector(apply_Lstar(phim.pair))])
     keep, h, tau = _free_basis(rows, bundle.pinned(), 1, "coercivity_L")
-    K = _reflect("R", "N", h, tau, L[:, keep] * s[:, None])[:, len(rows):]
-    N, p = K.shape
-    cut = SV_TOL * np.sqrt(_lanczos_max(lambda v: K.T @ (K @ v), p,
-                                        "coercivity_L")[0])
-    qr, tau, sv, X, sweeps = _smallest_singular(K, True, cut, 1,
-                                                "coercivity_L")
+    K = _reflect("R", "N", h, tau, _L_columns(bundle.grid, keep, s))
+    qr, tau = _qr(K[:, len(rows):])
+    del K
+    N, p = qr.shape
+    top = _lanczos_max(
+        lambda v: linalg.blas.dtrmm(1.0, qr, linalg.blas.dtrmm(1.0, qr, v),
+                                    trans_a=1), p, "coercivity_L")[0]
+    cut = SV_TOL * np.sqrt(top)
+    sv, X, sweeps = _smallest_singular(qr, True, cut, 1, "coercivity_L")
     ncut = np.count_nonzero(sv <= cut)
     # the left singular vectors past the cut: the cut ones of R and the
     # N - p columns of Q past R
     C = np.zeros((N, ncut + N - p), order="F")
     C[:p, :ncut] = X[:, :ncut]
     C[p:, ncut:] = np.eye(N - p)
+    C = _reflect("L", "N", qr, tau, C)
+    del qr
     # restrict the range to discretely mean-zero densities: the M form is
     # only semi-definite there, and the near-kernel direction otherwise
     # leverages the O(h^2) mass error of Lambda Q into a spurious dip
-    out = np.vstack([_reflect("L", "N", qr, tau, C).T,
-                     bundle.mass_vector() / s])
+    out = np.vstack([C.T, bundle.mass_vector() / s])
     val, kept, _ = _whitened_min(bundle.quadform_M(), s, out, [],
                                  "coercivity_L")
     M_param = phim.report["M"]
@@ -713,7 +802,6 @@ def kernel_gap(bundle: OperatorBundle) -> dict:
     The ground mode must align with the Lambda Q pair and be separated from
     the second mode by orders of magnitude (one-dimensional kernel).
     """
-    L = bundle.matrix_L()
     gx = bundle.gram_xq()
     s = np.sqrt(gx)
     n = bundle.grid.n
@@ -722,9 +810,11 @@ def kernel_gap(bundle: OperatorBundle) -> dict:
                                np.concatenate([[n], outside, n + outside]), 2,
                                "kernel_gap")
     sk = s[keep]
-    K = _reflect("R", "N", h, tau, (L[:, keep] * s[:, None]) / sk[None, :])
-    _, _, sv, Y, sweeps = _smallest_singular(K[:, 1:], False, 0.0, 2,
-                                             "kernel_gap")
+    K = _L_columns(bundle.grid, keep, s)
+    K /= sk[None, :]
+    K = _reflect("R", "N", h, tau, K)
+    sv, Y, sweeps = _smallest_singular(_qr(K[:, 1:])[0], False, 0.0, 2,
+                                       "kernel_gap")
     x0 = np.zeros(2 * n)
     x0[keep] = _lift(h, tau, Y[:, 0]) / sk
     lam = bundle.ground.pair_LambdaQ()

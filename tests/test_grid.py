@@ -365,6 +365,31 @@ def test_diff_matrix_matches_loop(oracle_grids, name, order, parity):
     assert_bitwise(got.data, want.data)
 
 
+@pytest.mark.parametrize("first", ["even", "odd"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", ORACLE_GRIDS)
+def test_each_parity_is_built_on_request_from_one_fornberg_pass(
+        oracle_grids, name, order, first):
+    # a parity is built only when requested (no run reads D2 of odd
+    # fields); the one requested second takes no Fornberg pass of its own,
+    # and each is bit for bit the loop oracle, the build of both at once
+    grid = RadialGrid(oracle_grids[name].nodes,
+                      oracle_grids[name].stencil_order)
+    second = "odd" if first == "even" else "even"
+    got = {first: grid.diff_matrix(order, first)}
+    assert ("diff", order, second) not in grid.memo
+    passes = []
+    build = grid._build_diff
+    grid._build_diff = lambda *args: passes.append(args) or build(*args)
+    got[second] = grid.diff_matrix(order, second)
+    assert passes == []
+    for parity, mat in got.items():
+        want = build_diff_loop(grid, order, parity)
+        assert_bitwise(mat.indptr, want.indptr)
+        assert_bitwise(mat.indices, want.indices)
+        assert_bitwise(mat.data, want.data)
+
+
 @pytest.mark.parametrize("weight", ["one", "r", "r3", "rlogr"])
 @pytest.mark.parametrize("name", ORACLE_GRIDS)
 def test_cell_quadrature_matches_loop(oracle_grids, name, weight):

@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import kslab.operators as ops
 from conftest import smooth_bump_pair_values
 from kslab.cli import SPECTRAL_GRID
 from kslab.dynamics import EvolveParams, ModulationSolver, dynamics_grid
-from kslab.grid import (FieldPair, RadialField, derivative,
+from kslab.grid import (FieldPair, RadialField, RadialGrid, derivative,
                         div_from_grad_values, laplacian_values)
 from kslab.operators import lambda_q, q_density
 from kslab.profiles import build_t1_s1
@@ -185,6 +186,47 @@ def test_dense_matrices_equal_the_kernels_on_the_stacked_identity(bundle):
                         (bundle.matrix_M(), ops._M_values)):
         want = np.vstack(kernel(g, np.eye(n, 2 * n), np.eye(n, 2 * n, k=n)))
         assert mat.shape == want.shape and mat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_comb_columns_equal_the_kernel_on_the_stacked_identity(order):
+    # L assembled from the kernel on a few comb columns, whole or a subset
+    # of its columns times a row scale, is bit for bit the kernel applied
+    # to all 2n columns of the identity, at every stencil order's band
+    g = RadialGrid.make(500.0, h_core=0.1, nodes_per_decade=24,
+                        stencil_order=order)
+    n = g.n
+    want = np.vstack(ops._L_values(g, np.eye(n, 2 * n),
+                                   np.eye(n, 2 * n, k=n)))
+    got = ops.OperatorBundle(g).matrix_L()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(order)
+    cols = np.union1d(rng.choice(2 * n, size=n // 2, replace=False),
+                      [0, n - 1, n, 2 * n - 1])
+    scale = rng.uniform(0.5, 2.0, 2 * n)
+    got = ops._L_columns(g, cols, scale)
+    assert got.flags.f_contiguous
+    assert got.tobytes() == (want[:, cols] * scale[:, None]).tobytes()
+
+
+def test_certificates_hold_at_most_three_dense_arrays(op_grid):
+    # the cached M form plus two N x N arrays at most, and O(N) beside
+    # them; a fresh bundle on the fixture's grid, so that building the
+    # cached form counts too
+    lvl1 = build_t1_s1(op_grid)
+    phim = ops.build_phi_m(op_grid, 50.0, FieldPair(lvl1.T1, lvl1.S1_grad))
+    bundle = ops.OperatorBundle(op_grid)
+    N = 2 * op_grid.n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ops.coercivity_M(bundle)
+        ops.coercivity_L(bundle, phim)
+        ops.kernel_gap(bundle)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * N * N + 64 * N)
 
 
 def test_phi_m_pairings():
