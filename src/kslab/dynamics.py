@@ -26,11 +26,11 @@ through the last three roots predicts the steps between decompositions, and
 starts each solve one or two model Newton iterations from the root.  The
 state is read once per decomposition, at that guess: the Newton step from a
 read point is taken without reading the state at the iterate when a stated
-bound on the model residual there (Taylor terms plus a term for the
-lambda-column's error) meets the model's tolerance, and is read otherwise;
-a root taken unread is read on its record's first read.  Small frame drift
-accumulates in a pending scale factor and the grid is only re-interpolated
-when it exceeds a threshold, so the bubble never de-resolves.
+bound on the model residual there (Taylor terms) meets the model's
+tolerance, and is read otherwise; a root taken unread is read on its
+record's first read.  Small frame drift accumulates in a pending scale
+factor and the grid is only re-interpolated when it exceeds a threshold,
+so the bubble never de-resolves.
 
 The lifted parameter b_hat re-gauges b against the parabolic-scale direction
 and obeys the sharp law b_hat_s ~ -2 b^2/|log b|; a secant iteration on
@@ -535,10 +535,8 @@ def _blocked(fn, bs):
                            for i in range(0, len(bs), PROFILE_BLOCK)])
 
 
-# decompose accepts |F| <= ATOL * f_scale, and from a model that did not
-# converge up to the quadrature and spline noise plateau FLOOR_TOL * f_scale
+# decompose accepts |F| <= ATOL * f_scale
 ATOL = 1e-10
-FLOOR_TOL = 3e-6
 # the profile table refines until its error_bound is at most this times
 # atol: then a converged model root meets atol without an exact residual
 CERTIFY_FRACTION = 0.5
@@ -554,7 +552,7 @@ MODEL_FAILURES = {
 COUNTERS = ("decompose_calls", "predicted_steps",
             "backtrack_decompositions", "model_iterations", "state_reads",
             "confirmations_skipped", "damping_halvings",
-            "floor_acceptances", "profile_evals_decompose",
+            "profile_evals_decompose",
             "profile_evals_lift", "lift_calls", "lift_failures")
 
 
@@ -582,15 +580,15 @@ class ModulationSolver:
     with no exact residual: `read` evaluates (F, eps, geta) and the
     profile from the state's values at the root, for a block of
     decompositions at once, on the first read of their fields.  The root
-    of a model that did not converge is read at once and accepted up to
-    the quadrature and spline noise floor, floor_tol = FLOOR_TOL f_scale;
-    a singular model, or a residual above that floor, raises
-    ModulationError naming b, lambda1, |F|/f_scale, the model's outcome
-    and its iteration count, and, when the failing root sits at B_MAX,
-    that b reached the top of the family's range.  The caller supplies
-    the starting guess: a run extrapolates it from its last three
-    scheduled roots, which takes one model iteration from a guess one
-    step ahead and one or two from one up to MAX_INTERVAL steps ahead.
+    of a model that did not converge is read at once and accepted if its
+    exact residual meets atol; a singular model, or a residual above
+    atol, raises ModulationError naming b, lambda1, |F|/f_scale, the
+    model's outcome and its iteration count, and, when the failing root
+    sits at B_MAX, that b reached the top of the family's range.  The
+    caller supplies the starting guess: a run extrapolates it from its
+    last three scheduled roots, which takes one model iteration from a
+    guess one step ahead and one or two from one up to MAX_INTERVAL steps
+    ahead.
 
     One read of the state per decomposition: the Newton step d =
     (dlambda1, db) from a read point p is taken without reading the state
@@ -621,11 +619,10 @@ class ModulationSolver:
     `counters` counts decompose calls, the steps a run predicts and the
     decompositions it makes to backtrack (both counted by
     `RunSetup.run`), model iterations, reads of the state's splines
-    (state_reads), Newton steps taken unread
-    (confirmations_skipped), model step halvings, solves accepted at the
-    noise floor (atol < |F| <= floor_tol), the exact profile evaluations
-    (table: the nodes and probes of every level it built; decompose:
-    every residual `read` evaluates; lift), lift calls and lift failures,
+    (state_reads), Newton steps taken unread (confirmations_skipped),
+    model step halvings, the exact profile evaluations (table: the nodes
+    and probes of every level it built; decompose: every residual `read`
+    evaluates; lift), lift calls and lift failures,
     and carry the table's node count (table_nodes) and its error bound
     relative to f_scale (table_error_bound).  They belong to one run;
     `reset` starts them afresh, so that runs sharing a solver each see
@@ -809,10 +806,10 @@ class ModulationSolver:
         if outcome == "converged":
             return mod
         # the first read: one exact residual at the model's root, accepted
-        # up to the noise floor
+        # if it meets atol
         self.read([mod])
         res = np.linalg.norm(mod.residuals)
-        if outcome == "singular" or res > FLOOR_TOL * self.f_scale:
+        if outcome == "singular" or res > self.atol:
             what = MODEL_FAILURES.get(outcome, "modulation Newton did not "
                                                "converge")
             if b >= B_MAX:
@@ -823,8 +820,6 @@ class ModulationSolver:
                 "iterations" % (
                     what, b, lam1, res / self.f_scale, outcome,
                     self.counters["model_iterations"] - iterations))
-        if res > self.atol:
-            self.counters["floor_acceptances"] += 1
         return mod
 
 

@@ -28,9 +28,9 @@ nothing in the memo refers back to the grid, so a dropped grid is freed
 by reference count, with its memo.  Assembly does each piece of work once
 per grid: one entry holds all four cell-quadrature matrices, built from
 one evaluation of the Lagrange basis at the Gauss points, and each
-derivative matrix is its own entry, built on first request: one Fornberg
-pass over a mirrored stencil serves both parities, the second from the
-first and the few rows that reach a ghost.
+derivative matrix is its own entry, built on first request from its
+stencil's one Fornberg pass, itself an entry, which serves both parities
+of a mirrored stencil.
 """
 
 from __future__ import annotations
@@ -212,43 +212,31 @@ class RadialGrid:
     def _diff(self, order, parity):
         """The order-th derivative matrix of one parity: "even" and "odd"
         on the ghost-mirrored stencil, "none" on the one-sided one (no
-        ghosts near the origin).
+        ghosts near the origin), from the stencil's one Fornberg pass, kept
+        in the memo as the ("stencil", order, mirrored) record, so both
+        parities of the mirrored stencil share it."""
+        return _stencil_csr(*self._stencil(order, parity != "none"), parity,
+                            self.n)
 
-        The two parities of the mirrored stencil differ only in the leading
-        rows that reach a ghost.  The first one requested comes from the
-        stencil's Fornberg pass (`_build_diff`), and those rows' unfolded
-        weights stay in the memo; the other is built later, if at all, from
-        them and the first one's remaining rows, so one Fornberg pass
-        serves both.
-        """
-        if parity == "none":
-            return _stencil_csr(*self._build_diff(order, False), parity,
-                                self.n)
-        other = self.memo.get(("diff", order,
-                               "odd" if parity == "even" else "even"))
-        if other is None:
-            wts, jext = self._build_diff(order, True)
-            # the ghosts are the first (stencil width) extended indices
-            ghosts = np.count_nonzero(jext[:, 0] < wts.shape[1])
-            self.memo[("ghost_rows", order)] = (wts[:ghosts].copy(),
-                                                jext[:ghosts].copy())
-            return _stencil_csr(wts, jext, parity, self.n)
-        head = _stencil_csr(*self.memo[("ghost_rows", order)], parity, self.n)
-        return sparse.vstack([head, other[head.shape[0]:]], format="csr")
+    def _stencil(self, order, mirrored):
+        """`_build_diff`'s (wts, j0), built once per grid."""
+        return self.cached(("stencil", order, mirrored), self._build_diff,
+                           order, mirrored)
 
     def _build_diff(self, order, mirrored):
-        """(wts, jext): the order-th derivative weights of the stencil,
-        (n, w) with w = p + order, and the stencil's nodes by index into
-        the node list extended by w mirrored ghosts (none if not
-        mirrored).  One Fornberg pass over every row."""
+        """(wts, j0): the order-th derivative weights of the stencil, (n, w)
+        with w = p + order, and the index of each row's first stencil node
+        in the node list extended by w mirrored ghosts (none if not
+        mirrored); the stencil's nodes are consecutive.  One Fornberg pass
+        over every row."""
         r = self.nodes
         n = self.n
         w = self.stencil_order + order
         nghost = w if mirrored else 0
         r_ext = np.concatenate([-r[nghost:0:-1], r]) if nghost else r
         j0 = np.clip(np.arange(n) + nghost - (w - 1) // 2, 0, len(r_ext) - w)
-        jext = j0[:, None] + np.arange(w)
-        return fd_weights(r, r_ext[jext], order)[:, :, order], jext
+        return fd_weights(r, r_ext[j0[:, None] + np.arange(w)],
+                          order)[:, :, order], j0
 
     # -- quadrature --------------------------------------------------------
 
@@ -368,8 +356,10 @@ class RadialGrid:
         return acc
 
     def _odd_origin_row(self):
-        """(columns, weights) of row 0 of diff_matrix(1, "odd")."""
-        csr = self.diff_matrix(1, "odd")
+        """(columns, weights) of row 0 of diff_matrix(1, "odd"), from row 0
+        of the mirrored order-1 stencil alone."""
+        wts, j0 = self._stencil(1, True)
+        csr = _stencil_csr(wts[:1], j0[:1], "odd", self.n)
         end = csr.indptr[1]
         return csr.indices[:end], csr.data[:end].tolist()
 
@@ -381,20 +371,22 @@ def _check_radius(r_max, stencil_order):
                         % (r_max, stencil_order, max_radius(stencil_order)))
 
 
-def _stencil_csr(wts, jext, parity, n):
-    """The CSR matrix of rows of stencil weights wts (k, w) at the extended
-    node indices jext (k, w), over n columns, for a field of the parity.
+def _stencil_csr(wts, j0, parity, n):
+    """The CSR matrix of rows of stencil weights wts (k, w) at the
+    consecutive extended node indices j0 + (0, ..., w - 1), over n columns,
+    for a field of the parity.
 
     The extended list starts with the stencil width w of mirrored ghosts
-    unless parity is "none".  Each row's stencil nodes are consecutive, so
-    the CSR arrays are read off the weights directly; the ghost at stencil
-    position k has its mirror image at position k + 2 (w - jext) of the
-    same row, and adds its weight there times the parity sign.  A ghost
+    unless parity is "none".  The CSR arrays are read off the weights
+    directly; the ghost at stencil position k, extended index jext, has its
+    mirror image at position k + 2 (w - jext) of the same row, and adds its
+    weight there times the parity sign.  A ghost
     and its mirror are the only two terms that share a column (they sum
     exactly to zero for odd derivatives of even fields at r=0), and exact
     zeros are not stored.
     """
     nghost = 0 if parity == "none" else wts.shape[1]
+    jext = j0[:, None] + np.arange(wts.shape[1])
     rows, k = np.nonzero(jext < nghost)
     vals = wts.copy()
     vals[rows, k + 2 * (nghost - jext[rows, k])] += (

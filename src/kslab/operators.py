@@ -20,16 +20,19 @@ dense matrices, coordinates pinned to zero are dropped by index, the dense
 constraints are removed by the Householder reflectors of their QR (the
 projections cost O(N^2) per constraint row, and no basis of the free
 space is formed), and the minimal Rayleigh quotient against the X_Q metric
-is the lowest eigenvalue of the whitened dense symmetric form.  That form
-is factored by Cholesky, and its lowest eigenvalue is the reciprocal of
-the largest one of its inverse, found by Lanczos through the factor; no
-dense form is tridiagonalized unless the factorization refuses it, and
-then the certificate has failed.  No dense SVD is computed: the few
-singular triplets of the tall whitened L that the certificates read (the
+is the lowest eigenvalue of the whitened dense symmetric form.  One
+iteration serves every certificate: Lanczos for the few largest
+eigenvalues of an operator given by its action (`_lanczos`).  The form is
+factored by Cholesky, and its lowest eigenvalue is the reciprocal of the
+largest one of its inverse, applied through the factor; no dense form is
+tridiagonalized unless the factorization refuses it, and then the
+certificate has failed.  No dense SVD is computed: the few singular
+triplets of the tall whitened L that the certificates read (the
 directions below coercivity_L's relative cut and the next one,
-kernel_gap's two smallest modes) come from its Householder R factor by
-inverse subspace iteration, and the largest singular value, which scales
-the cut, by Lanczos on R^T R.
+kernel_gap's two smallest modes) are the largest eigenpairs of the
+inverse Gram matrix of its Householder R factor, applied by two
+triangular solves, and the largest singular value, which scales the cut,
+that of R^T R.
 
 The certificates hold at most three N x N arrays at once (N = 2 n on n
 nodes): the bundle's M form, cached, and two more.  L is a local
@@ -260,7 +263,8 @@ SYM_ROWS = 128
 
 def _L_band(grid):
     """(lo, hi): the least and the greatest row - column of an entry of any
-    of L's four blocks, from the grid's stencils.  L reads e through D1 and
+    of L's four blocks, from the grid's stencils; `_L_columns` reads it
+    from the grid's memo, built once per grid.  L reads e through D1 and
     D2 of even fields, and grad n through D1 (lap n off the origin), the
     odd-origin row (lap n at r = 0) and D1 after either of those two
     (grad lap n); its pointwise factors add only the diagonal."""
@@ -288,7 +292,7 @@ def _L_columns(grid, cols, scale):
     the band are zero.
     """
     n = grid.n
-    lo, hi = _L_band(grid)
+    lo, hi = grid.cached("L_band", _L_band, grid)
     period = hi - lo + 1
     comb = (np.arange(n)[:, None] % period == np.arange(period)).astype(float)
     zero = np.zeros((n, 1))
@@ -586,11 +590,11 @@ def _whitened_min(A, s, rows, pinned, what):
     block C past the first m rows is B on the null space of the m rows
     (`_sandwich`).  C is the one N x N array formed beside A.  It is
     factored in place by LAPACK `dpotrf`, which reads its upper triangle,
-    and the value is 1 / `_lanczos_max` of C^-1, applied by `dpotrs`
-    through the factor.  A C that `dpotrf` refuses is not numerically
-    positive definite, so the certificate has failed; its (negative) value
-    then comes from LAPACK's lowest eigenvalue of C read from the lower
-    triangle, which `dpotrf` leaves intact (0 steps).
+    and the value is 1 / the top value of `_lanczos` on C^-1, applied by
+    `dpotrs` through the factor.  A C that `dpotrf` refuses is not
+    numerically positive definite, so the certificate has failed; its
+    (negative) value then comes from LAPACK's lowest eigenvalue of C read
+    from the lower triangle, which `dpotrf` leaves intact (0 steps).
     """
     keep, h, tau = _free_basis(rows, pinned, 1, what)
     C = _sandwich(h, tau, A, keep, s[keep])
@@ -599,8 +603,9 @@ def _whitened_min(A, s, rows, pinned, what):
         np.fill_diagonal(C, diagonal)
         return (linalg.eigvalsh(C, lower=True, subset_by_index=[0, 0])[0],
                 len(C), 0)
-    top, steps = _lanczos_max(lambda v: lapack.dpotrs(C, v)[0], len(C), what)
-    return 1.0 / top, len(C), steps
+    theta, _, steps = _lanczos(lambda v: lapack.dpotrs(C, v)[0], len(C),
+                               lambda theta: 1, what)
+    return 1.0 / theta[0], len(C), steps
 
 
 def coercivity_M(bundle: OperatorBundle) -> dict:
@@ -621,33 +626,33 @@ def coercivity_M(bundle: OperatorBundle) -> dict:
 # coercivity_L's relative singular-value cut
 SV_TOL = 1e-10
 
-# the smallest singular triplets of a tall matrix come from its R factor by
-# inverse subspace iteration: the start block's width, the relative change
-# of the wanted Ritz values that ends it, and the sweep cap.  The Lanczos
-# iteration for a largest eigenvalue shares the last two: it ends when its
-# Ritz residual is at most RITZ_TOL times the Ritz value, and after
-# MAX_SWEEPS steps
-BLOCK = 8
+# the Lanczos iteration (`_lanczos`) ends when the Ritz residual of each
+# wanted Ritz value is at most RITZ_TOL times that value, and fails after
+# MAX_SWEEPS steps; its basis starts at BASIS_ROWS rows
+BASIS_ROWS = 8
 RITZ_TOL = 1e-12
 MAX_SWEEPS = 500
 
 
-def _lanczos_max(apply, n, what):
-    """(value, steps): the largest eigenvalue of a symmetric positive
-    semi-definite operator on R^n that is given only by its action `apply`
-    on a vector, by Lanczos with full reorthogonalization (classical
-    Gram-Schmidt, twice) from a fixed start.
+def _lanczos(apply, n, wanted, what):
+    """(theta, X, steps): the largest eigenvalues theta of a symmetric
+    positive semi-definite operator on R^n that is given only by its action
+    `apply` on a vector, descending, with their eigenvectors as the columns
+    of X, by Lanczos with full reorthogonalization (classical Gram-Schmidt,
+    twice) from a fixed start.
 
-    At step j the largest eigenvalue theta of the tridiagonal T_j, with
-    eigenvector s, is the Ritz value, and |beta_j s_j| is the norm of its
-    Ritz residual, which bounds its distance to an eigenvalue (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 13); the iteration ends when that is
-    at most RITZ_TOL * theta.  OperatorError naming `what` if it has not
-    after MAX_SWEEPS steps (or n, if fewer).  The basis starts at BLOCK
-    rows and doubles when full, so it holds about the steps taken.
+    At step j the eigenvalues theta of the tridiagonal T_j, with
+    eigenvectors s, are the Ritz values, and |beta_j s_j| is the norm of
+    the Ritz residual of each, which bounds its distance to an eigenvalue
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 13).  `wanted(theta)`,
+    of the Ritz values in descending order, is how many of the largest are
+    wanted; the iteration ends when each of those has a Ritz residual of at
+    most RITZ_TOL * theta.  OperatorError naming `what` if it has not after
+    MAX_SWEEPS steps (or n, if fewer).  The basis starts at BASIS_ROWS rows
+    and doubles when full, so it holds about the steps taken.
     """
     cap = min(MAX_SWEEPS, n)
-    V = np.empty((min(BLOCK, cap), n))
+    V = np.empty((min(BASIS_ROWS, cap), n))
     alpha, beta = np.empty(cap), np.empty(cap)
     v = np.random.default_rng(0).standard_normal(n)
     V[0] = v / np.linalg.norm(v)
@@ -659,14 +664,17 @@ def _lanczos_max(apply, n, what):
         beta[j] = np.linalg.norm(w)
         # dstev takes an off-diagonal of length 1 even for a 1 x 1 T_j
         theta, S = lapack.dstev(alpha[:j + 1], beta[:max(j, 1)])[:2]
-        if abs(beta[j] * S[-1, -1]) <= RITZ_TOL * theta[-1]:
-            return theta[-1], j + 1
+        theta, S = theta[::-1], S[:, ::-1]
+        k = wanted(theta)
+        if k <= j + 1 and np.all(np.abs(beta[j] * S[-1, :k])
+                                 <= RITZ_TOL * theta[:k]):
+            return theta[:k], V[:j + 1].T @ S[:, :k], j + 1
         if j + 1 < cap:
             if j + 1 == len(V):
                 V = np.concatenate([V, np.empty((min(j + 1, cap - j - 1),
                                                  n))])
             V[j + 1] = w / beta[j]
-    raise OperatorError("%s: Lanczos iteration for the largest eigenvalue "
+    raise OperatorError("%s: Lanczos iteration for the largest eigenvalues "
                         "did not settle in %d steps" % (what, cap))
 
 
@@ -678,51 +686,37 @@ def _qr(K):
 
 
 def _smallest_singular(qr, left, cut, need, what):
-    """(sv, X, sweeps): the smallest singular values sv of the R factor of
-    a tall K, ascending, given K's QR in geqrf storage (`_qr`), with their
+    """(sv, X, steps): the smallest singular values sv of the R factor of a
+    tall K, ascending, given K's QR in geqrf storage (`_qr`), with their
     left (`left` true) or right singular vectors as the columns of X; K =
     Q [R; 0] has the same singular values and right vectors, and Q [X; 0]
     are its left ones.
 
-    Inverse subspace iteration on the triangle, read in place by LAPACK
-    `dtrtrs`: each sweep applies (R R^T)^-1 (left) or (R^T R)^-1 (right)
-    to the block, orthonormalizes it and takes the Ritz values and vectors
-    from a small SVD of R^T X (left) or R X (right), so a left vector is
-    never formed as R v / sigma.  The wanted values are every one at or
-    below `cut` and the next above it, at least `need`; the block holds
-    them and at least one more, and doubles (fresh columns beside the Ritz
-    vectors) when it does not.  The iteration ends when the wanted values
-    change by at most RITZ_TOL relative in one sweep; the guards past them
-    settle more slowly and are not tested.  The start block is fixed.
-    OperatorError naming `what` after MAX_SWEEPS sweeps.
+    They are the largest eigenpairs 1 / sv^2 of (R R^T)^-1 (left) or
+    (R^T R)^-1 (right), by `_lanczos`, applied by two triangular solves in
+    place on the triangle (LAPACK `dtrtrs`), so a left vector is never
+    formed as R v / sigma.  The wanted values are every one at or below
+    `cut` and the next above it, at least `need`.  OperatorError naming
+    `what` if R is exactly singular.
     """
     p = qr.shape[1]
-    first, then = (0, 1) if left else (1, 0)
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((p, min(BLOCK, p)))
-    prev = np.zeros(0)
-    for sweep in range(1, MAX_SWEEPS + 1):
-        for trans in (first, then):
-            X, info = lapack.dtrtrs(qr, X, trans=trans)
-            if info:
+    order = (0, 1) if left else (1, 0)
+
+    def apply(v):
+        v = v.copy()
+        for trans in order:
+            if lapack.dtrtrs(qr, v, trans=trans, overwrite_b=1)[1]:
                 raise OperatorError("%s: R is exactly singular" % what)
-        X = linalg.qr(X, mode="economic")[0]
-        _, sv, Zt = lapack.dgesdd(linalg.blas.dtrmm(1.0, qr, X, trans_a=then),
-                                  full_matrices=0)[:3]
-        sv, X = sv[::-1], X @ Zt[::-1].T
-        k = len(sv)
-        wanted = min(max(np.count_nonzero(sv <= cut) + 1, need), p)
-        if wanted >= k and k < p:
-            X = np.hstack([X, rng.standard_normal((p, min(k, p - k)))])
-            prev = np.zeros(0)
-        elif len(prev) and np.all(np.abs(sv[:wanted] - prev[:wanted])
-                                  <= RITZ_TOL * sv[:wanted]):
-            return sv, X, sweep
-        else:
-            prev = sv
-    raise OperatorError("%s: inverse subspace iteration for the smallest "
-                        "singular values did not settle in %d sweeps"
-                        % (what, MAX_SWEEPS))
+        return v
+
+    def wanted(theta):
+        # sv <= cut, without a square root of the small Ritz values, which
+        # may round below zero
+        below = np.count_nonzero(theta * cut ** 2 >= 1.0)
+        return min(max(below + 1, need), p)
+
+    theta, X, steps = _lanczos(apply, p, wanted, what)
+    return 1.0 / np.sqrt(theta), X, steps
 
 
 def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
@@ -736,13 +730,13 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     remaining rank decision drops directions with singular value at or below
     SV_TOL * max (pure kernel/noise of L).  K is assembled from the comb
     columns of L (`_L_columns`) and factored in place (`_qr`); the largest
-    singular value is the square root of `_lanczos_max` of R^T R, applied
-    by two triangular products on the factor, and the cut ones with their
-    left vectors come from R (`_smallest_singular`).  The kept range is
-    the complement of those vectors and of K's left null space,
-    Q [X_cut (+) I]; the reflectors of that complement and of the whitened
-    mass row give the form on its mean-zero part, and `_whitened_min` its
-    lowest eigenvalue, once K's storage is freed.
+    singular value is the square root of the top value of `_lanczos` on
+    R^T R, applied by two triangular products on the factor, and the cut
+    ones with their left vectors come from R (`_smallest_singular`).  The
+    kept range is the complement of those vectors and of K's left null
+    space, Q [X_cut (+) I]; the reflectors of that complement and of the
+    whitened mass row give the form on its mean-zero part, and
+    `_whitened_min` its lowest eigenvalue, once K's storage is freed.
     """
     s = np.sqrt(bundle.gram_xq())
     rows = np.vstack([bundle.pair_vector(phim.pair),
@@ -752,9 +746,10 @@ def coercivity_L(bundle: OperatorBundle, phim: PhiMDirections) -> dict:
     qr, tau = _qr(K[:, len(rows):])
     del K
     N, p = qr.shape
-    top = _lanczos_max(
+    top = _lanczos(
         lambda v: linalg.blas.dtrmm(1.0, qr, linalg.blas.dtrmm(1.0, qr, v),
-                                    trans_a=1), p, "coercivity_L")[0]
+                                    trans_a=1), p, lambda theta: 1,
+        "coercivity_L")[0][0]
     cut = SV_TOL * np.sqrt(top)
     sv, X, sweeps = _smallest_singular(qr, True, cut, 1, "coercivity_L")
     ncut = np.count_nonzero(sv <= cut)

@@ -354,7 +354,6 @@ def reference_decompose(solver, state, guess, max_iter=30):
     lam1, b = guess
     f_scale = abs(solver.phim.report["PhiM_LambdaQ"])
     atol = 1e-10 * f_scale
-    floor_tol = 3e-6 * f_scale
     F, _ = reference_residual(solver, msp, nsp, lam1, b)
     converged = np.linalg.norm(F) <= atol
     for _ in range(max_iter):
@@ -381,11 +380,8 @@ def reference_decompose(solver, state, guess, max_iter=30):
         if np.linalg.norm(F) <= atol:
             converged = True
         elif not improved:
-            if np.linalg.norm(F) <= floor_tol:
-                converged = True
-            else:
-                raise dyn.ModulationError("modulation Newton stalled")
-    if not converged and np.linalg.norm(F) > floor_tol:
+            raise dyn.ModulationError("modulation Newton stalled")
+    if not converged:
         raise dyn.ModulationError("modulation Newton did not converge")
     return lam1, b, F
 
@@ -947,7 +943,7 @@ def counted_run(small_grid, small_params, monkeypatch):
     assert c["lift_calls"] <= c["profile_evals_lift"] <= 4 * c["lift_calls"]
     assert c["lift_calls"] > 0
     assert c["lift_failures"] == c["refolds"] == 0
-    assert c["damping_halvings"] == c["floor_acceptances"] == 0
+    assert c["damping_halvings"] == 0
     assert c["nan_free_energy"] == 0
     assert sum(map(len, calls)) == (c["profile_evals_table"]
                                     + c["profile_evals_decompose"]
@@ -1108,11 +1104,11 @@ def test_decompose_counts_damping_halvings(small_grid, small_params):
     assert abs(mod.b - ref.b) <= 1e-9 * ref.b
 
 
-def test_decompose_counts_floor_acceptances(small_grid, small_params,
-                                            perturbed_states, monkeypatch):
+def test_decompose_refuses_an_unconverged_root_above_atol(
+        small_grid, small_params, perturbed_states, monkeypatch):
     # a model that does not converge is read at once: from a guess 1e-6 b
-    # off each root, with no model iteration allowed, every residual lies
-    # above atol and within the noise floor, and is accepted there
+    # off each root, with no model iteration allowed, every exact residual
+    # lies above atol, and the decomposition fails with the model's outcome
     solver = dyn.ModulationSolver(small_grid, small_params.M_param)
     roots = [solver.decompose(state, guess=guess)
              for state, guess in perturbed_states]
@@ -1120,12 +1116,10 @@ def test_decompose_counts_floor_acceptances(small_grid, small_params,
     monkeypatch.setattr(dyn, "MODEL_MAX_ITER", 0)
     for (state, _), root in zip(perturbed_states, roots):
         guess = (root.lam, root.b * (1.0 + 1e-6))
-        mod = solver.decompose(state, guess=guess)
-        assert (mod.lam, mod.b) == guess
-        assert mod._exact is not None
-        norm = np.linalg.norm(mod.residuals)
-        assert solver.atol < norm <= 3e-6 * solver.f_scale
-    assert solver.counters["floor_acceptances"] == len(perturbed_states)
+        with pytest.raises(dyn.ModulationError,
+                           match="did not converge: .* model=exhausted "
+                                 "after 0 iterations"):
+            solver.decompose(state, guess=guess)
     assert solver.counters["profile_evals_decompose"] == len(perturbed_states)
 
 

@@ -404,13 +404,14 @@ def _oracle_kernel_gap(bundle, support_radius=30.0):
     # a cut of two: sigma / sigma_max reads 8.71e-11 below the cut and
     # 1.28e-10 above it
     pytest.param(400.0, 48, 0.05, 1e-10, 2, id="400.0-spectral"),
-    # 18 directions below a cut of 1e-8: the start block of 8 grows
+    # 18 directions below a cut of 1e-8: Lanczos wants 19 values at once
     pytest.param(200.0, 48, 0.05, 1e-8, 18, id="200.0-spectral-1e-8")])
 def test_certificates_match_the_one_hot_oracle(M, nodes_per_decade, h_core,
                                                sv_tol, cut, monkeypatch):
     # pinned coordinates dropped by index, lowest-eigenvalue solves and the
-    # few singular triplets of inverse subspace iteration give the numbers
-    # of the one-hot row formulation with full eigensolves and dense SVDs
+    # few singular triplets from Lanczos on the inverse Gram matrix of R
+    # give the numbers of the one-hot row formulation with full eigensolves
+    # and dense SVDs
     monkeypatch.setattr(ops, "SV_TOL", sv_tol)
     grid = ops.operator_grid(M, nodes_per_decade=nodes_per_decade,
                              h_core=h_core)
@@ -439,9 +440,9 @@ def test_certificates_match_the_one_hot_oracle(M, nodes_per_decade, h_core,
 
 # dense factorizations of one certificate: the constraint rows are removed
 # by Householder reflectors, never by a null-space basis, the singular
-# triplets come from a QR and inverse iteration, never from a dense SVD, and
-# the lowest eigenvalue of a positive definite whitened form from Lanczos
-# through its Cholesky factor, never from a dense eigensolve
+# triplets come from a QR and Lanczos through its R factor, never from a
+# dense SVD, and the lowest eigenvalue of a positive definite whitened form
+# from Lanczos through its Cholesky factor, never from a dense eigensolve
 WORK_BUDGET = {"coercivity_M": [],
                "coercivity_L": [],
                "kernel_gap": []}
@@ -478,8 +479,8 @@ def test_sweep_cap_is_an_error_naming_the_certificate(op_grid, bundle,
                                                       monkeypatch, name):
     # coercivity_M stops in its Lanczos iteration on the inverse form,
     # coercivity_L in its Lanczos iteration for the largest singular value,
-    # kernel_gap in its inverse subspace iteration; each settles in more
-    # than one sweep
+    # kernel_gap in its Lanczos iteration for the smallest ones; each
+    # settles in more than one step
     lvl1 = build_t1_s1(op_grid)
     phim = ops.build_phi_m(op_grid, 50.0, FieldPair(lvl1.T1, lvl1.S1_grad))
     run = {"coercivity_M": lambda: ops.coercivity_M(bundle),
@@ -525,10 +526,27 @@ def test_lanczos_max_matches_eigvalsh_on_the_whitened_forms(op_grid,
     values, forms = _factored_forms(op_grid, monkeypatch)
     for value, C in zip(values, forms):
         want = linalg.eigvalsh(C)
-        top, steps = ops._lanczos_max(lambda v: C @ v, len(C), "test")
-        assert abs(top - want[-1]) <= 1e-12 * want[-1]
+        theta, _, steps = ops._lanczos(lambda v: C @ v, len(C),
+                                       lambda theta: 1, "test")
+        assert abs(theta[0] - want[-1]) <= 1e-12 * want[-1]
         assert abs(value - want[0]) <= 1e-12 * want[0]
         assert 1 < steps < ops.MAX_SWEEPS
+
+
+def test_lanczos_gives_the_three_largest_eigenpairs(op_grid, monkeypatch):
+    # wanting three values, Lanczos returns the top three eigenvalues of
+    # each whitened form, descending, and the subspace of their vectors
+    _, forms = _factored_forms(op_grid, monkeypatch)
+    for C in forms:
+        want, U = linalg.eigh(C, subset_by_index=[len(C) - 3, len(C) - 1])
+        theta, X, steps = ops._lanczos(lambda v: C @ v, len(C),
+                                       lambda theta: 3, "test")
+        assert theta.shape == (3,) and X.shape == (len(C), 3)
+        assert np.all(np.abs(theta - want[::-1]) <= 1e-12 * want[::-1])
+        # the largest principal angle of the two subspaces: measured
+        # 2.8e-12 and 1.3e-12 rad (Ritz residual over the gap to the fourth)
+        assert linalg.subspace_angles(U, X).max() <= 1e-10
+        assert 3 < steps < ops.MAX_SWEEPS
 
 
 def test_a_form_that_cholesky_refuses_reads_its_eigvalsh_value(monkeypatch):

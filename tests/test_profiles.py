@@ -437,8 +437,9 @@ def test_profile_memo_dies_with_its_grid():
                             stencil_order=4)
         prof.build_profile_family(g, 1e-2)
         # the four cell matrices are one memo entry, and each difference
-        # matrix another, built on request: the family reads D1 of both
-        # parities and D2 of even fields only
+        # matrix another, built on request: the family reads D1 and D2 of
+        # even fields only (the odd-origin row comes from the stencil's
+        # record, not from D1 of odd fields)
         entries = [(key if isinstance(key, str) else key[0], mat)
                    for key, value in g.memo.items()
                    for mat in (value.values() if isinstance(value, dict)
@@ -446,7 +447,7 @@ def test_profile_memo_dies_with_its_grid():
                    if sparse.issparse(mat)]
         kinds = [kind for kind, _ in entries]
         assert {kind: kinds.count(kind) for kind in kinds} == {
-            "diff": 2 + 1, "cells": 4}
+            "diff": 2, "cells": 4}
         refs = [weakref.ref(x) for x in (g, prof.profile_base(g),
                                          *(mat for _, mat in entries))]
         del g, entries
